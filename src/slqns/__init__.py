@@ -86,12 +86,7 @@ from .protocols import (
     PlanError,
     ProtocolPlan,
     TrajectoryBackend,
-    ideal_backend,
     run_plan,
-    run_protocol1,
-    run_protocol2,
-    run_protocol3,
-    run_protocol4,
 )
 from .harness import compare_reports, run_campaign
 

@@ -139,9 +139,6 @@ class QubitState:
         minus = _EIGENVECTORS[(axis, -1)]
         return complex(plus.conj() @ self._matrix @ minus)
 
-    def population_difference(self, axis: str) -> float:
-        return self.expectation(axis)
-
     def __repr__(self):
         rx, ry, rz = self.bloch()
         return f"QubitState(bloch=({rx:.6g}, {ry:.6g}, {rz:.6g}))"
@@ -188,7 +185,6 @@ class DriveConfig:
     axis: DriveAxis
     amplitude: float          # rad/us
     duration: float           # us
-    discretize_z: int | None = None
     long_time_threshold: float = DEFAULT_LONG_TIME_THRESHOLD
 
     def __post_init__(self):
@@ -203,11 +199,6 @@ class DriveConfig:
                 f"|Omega| T = {abs(self.amplitude) * self.duration:.3g} violates the "
                 f"long-time condition (threshold {self.long_time_threshold:g})"
             )
-        if self.discretize_z is not None:
-            if self.axis is DriveAxis.X_PLUS:
-                raise DynamicsError("discretize_z applies to z-axis drives only")
-            if self.discretize_z < 100:
-                raise DynamicsError(f"discretize_z must be >= 100, got {self.discretize_z}")
 
     @property
     def effective_amplitude(self) -> float:
@@ -215,10 +206,6 @@ class DriveConfig:
         if self.axis is DriveAxis.Z_MINUS:
             return -self.amplitude
         return self.amplitude
-
-    @property
-    def control_axis(self) -> str:
-        return "x" if self.axis is DriveAxis.X_PLUS else "z"
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +395,8 @@ def tcl_evolve_state(
 
     rate_down, rate_up = z_drive_rates(spectra, omega_eff, device)
     s00_zero = _real(spectra.value(0, 0, 0.0), "S[0,0](0)")
-    total = rate_down + rate_up
-    sz0 = rho0.expectation("z")
-    if total == 0.0:
-        sz = sz0
-    else:
-        decay = math.exp(-2.0 * total * t)
-        sz = decay * sz0 + (rate_up - rate_down) / total * (1.0 - decay)
-    gamma_c = total + 2.0 * s00_zero
+    sz, _ = tcl_expectation_z_drive(rate_down, rate_up, rho0.expectation("z"), t)
+    gamma_c = rate_down + rate_up + 2.0 * s00_zero
     coh = rho0.coherence_in_basis("z") * math.exp(-gamma_c * t) * np.exp(-1j * omega_eff * t)
     return _state_from_basis_components("z", sz, coh)
 
@@ -541,40 +522,34 @@ def _x_drive_unitaries_classical(omega_eff: float, beta: np.ndarray, dt: float) 
     return _rotation_from_hamiltonians(h, lam, dt)
 
 
-def _x_drive_unitaries_bath(omega_eff: float, b: tuple, dt: float) -> np.ndarray:
-    # H = (W/2) sx x I + sz x m.tau, m = (bx, by, bz)/2; the two terms
-    # anticommute so H^2 = ((W/2)^2 + |m|^2) I
+def _bath_field(b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks of m.tau and |m|^2 for the bath field m = (bx, by, bz)/2."""
     bx, by, bz = b
-    n = bx.shape[0]
     m_tau = 0.5 * (
         bx[:, None, None] * SIGMA["x"]
         + by[:, None, None] * SIGMA["y"]
         + bz[:, None, None] * SIGMA["z"]
     )
-    h = np.zeros((n, 4, 4), dtype=complex)
+    return m_tau, 0.25 * (bx**2 + by**2 + bz**2)
+
+
+def _x_drive_unitaries_bath(omega_eff: float, b: tuple, dt: float) -> np.ndarray:
+    # H = (W/2) sx x I + sz x m.tau; the two terms anticommute so
+    # H^2 = ((W/2)^2 + |m|^2) I
+    m_tau, m_norm2 = _bath_field(b)
+    h = np.zeros((m_tau.shape[0], 4, 4), dtype=complex)
     h += 0.5 * omega_eff * np.kron(SIGMA["x"], IDENTITY2)
     h[:, 0:2, 0:2] += m_tau
     h[:, 2:4, 2:4] -= m_tau
-    m_norm2 = 0.25 * (bx**2 + by**2 + bz**2)
     lam = np.sqrt((0.5 * omega_eff) ** 2 + m_norm2)
     return _rotation_from_hamiltonians(h, lam, dt)
 
 
 def _z_drive_blocks(omega_eff: float, b: tuple, dt: float) -> tuple[np.ndarray, np.ndarray]:
     # H = sz x K with K = (W/2) I + m.tau; U = blockdiag(exp(-i K dt), exp(+i K dt))
-    bx, by, bz = b
-    n = bx.shape[0]
-    m_tau = 0.5 * (
-        bx[:, None, None] * SIGMA["x"]
-        + by[:, None, None] * SIGMA["y"]
-        + bz[:, None, None] * SIGMA["z"]
-    )
-    m_norm = np.sqrt(0.25 * (bx**2 + by**2 + bz**2))
-    cos = np.cos(m_norm * dt)
-    sinc = np.where(m_norm > 0.0, np.sin(m_norm * dt) / np.where(m_norm > 0.0, m_norm, 1.0), dt)
-    rot = cos[:, None, None] * IDENTITY2 - 1j * sinc[:, None, None] * m_tau
-    phase = np.exp(-1j * 0.5 * omega_eff * dt)
-    upper = phase * rot
+    m_tau, m_norm2 = _bath_field(b)
+    rot = _rotation_from_hamiltonians(m_tau, np.sqrt(m_norm2), dt)
+    upper = np.exp(-1j * 0.5 * omega_eff * dt) * rot
     # exp(+i K dt) is the Hermitian conjugate of exp(-i K dt), phase included
     lower = np.conj(np.swapaxes(upper, -1, -2))
     return upper, lower

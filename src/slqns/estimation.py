@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import _decay_weight
 from .spam import ShotDataset, ShotRecord, expectation_std_error
 
 __all__ = [
@@ -166,7 +167,7 @@ def weighted_linreg(x, y, sigma=None) -> RegressionResult:
 # ---------------------------------------------------------------------------
 
 
-def _propagate(func, inputs: np.ndarray, variances: np.ndarray, rel_step: float = 1e-6):
+def _propagate(func, inputs: np.ndarray, variances: np.ndarray):
     """First-order propagation of independent input variances through func."""
     inputs = np.asarray(inputs, dtype=float)
     variances = np.asarray(variances, dtype=float)
@@ -175,7 +176,7 @@ def _propagate(func, inputs: np.ndarray, variances: np.ndarray, rel_step: float 
         return values, np.zeros_like(values)
     jac = np.empty((values.size, inputs.size))
     for i in range(inputs.size):
-        h = rel_step * max(abs(inputs[i]), 1.0)
+        h = 1e-6 * max(abs(inputs[i]), 1.0)
         bumped_up = inputs.copy()
         bumped_up[i] += h
         bumped_dn = inputs.copy()
@@ -183,12 +184,6 @@ def _propagate(func, inputs: np.ndarray, variances: np.ndarray, rel_step: float 
         jac[:, i] = (np.atleast_1d(func(bumped_up)) - np.atleast_1d(func(bumped_dn))) / (2.0 * h)
     var_out = jac @ np.diag(variances) @ jac.T
     return values, np.sqrt(np.clip(np.diag(var_out), 0.0, None))
-
-
-def _decay_weight(rate: float, duration: float) -> float:
-    if rate == 0.0:
-        return duration
-    return -np.expm1(-rate * duration) / rate
 
 
 # ---------------------------------------------------------------------------
@@ -265,33 +260,60 @@ def _series(dataset: ShotDataset, drive_axis: str, omega: float, inits: tuple[st
     return np.asarray(t_plus, dtype=float), recs_plus, recs_minus
 
 
-def _diff_mean_arrays(recs_plus, recs_minus):
+MIN_REGRESSION_POINTS = 3
+
+
+@dataclass(frozen=True)
+class _PairBlock:
+    """One preparation pair's time series with its log-difference fit.
+
+    The quantum fit is a method because its regressor depends on the
+    fitted slope (and the linearized path checks its guard first).
+    """
+
+    times: np.ndarray
+    means: np.ndarray      # (e+ + e-)/2
+    var_sums: np.ndarray   # var(e+) + var(e-)
+    keep: np.ndarray       # times with a positive expectation gap
+    dropped: tuple
+    analytic: bool
+    half: bool
+    fit: RegressionResult  # (1/2)^half ln(2/diff) against time
+
+    def quantum_fit(self, regressor: np.ndarray) -> RegressionResult:
+        """WLS of the preparation mean against ``regressor`` at the kept times."""
+        keep = self.keep
+        sigma = None if self.analytic else 0.5 * np.sqrt(self.var_sums[keep])
+        return weighted_linreg(regressor[keep], self.means[keep], sigma)
+
+
+def _pair_block(dataset, drive_axis, omega, inits, observable, *, half: bool = False) -> _PairBlock:
+    """Fit (1/2)^half * ln(2/diff) against time, dropping non-positive gaps."""
+    times, recs_plus, recs_minus = _series(dataset, drive_axis, omega, inits, observable)
+    analytic = all(r.analytic for r in recs_plus + recs_minus)
     e_plus = np.array([r.expectation for r in recs_plus])
     e_minus = np.array([r.expectation for r in recs_minus])
     var_plus = np.array([expectation_std_error(r) ** 2 for r in recs_plus])
     var_minus = np.array([expectation_std_error(r) ** 2 for r in recs_minus])
-    return e_plus - e_minus, 0.5 * (e_plus + e_minus), var_plus + var_minus
-
-
-MIN_REGRESSION_POINTS = 3
-
-
-def _log_difference_regression(times, diffs, var_diffs, *, analytic: bool, half: bool = False):
-    """WLS of (1/2)^half * ln(2/diff) against time, dropping failed points."""
+    diffs, var_sums = e_plus - e_minus, var_plus + var_minus
     keep = diffs > 0.0
-    dropped = [float(t) for t in times[~keep]]
+    dropped = tuple(float(t) for t in times[~keep])
     if keep.sum() < MIN_REGRESSION_POINTS:
         raise EstimationError(
             f"only {int(keep.sum())} usable time points after dropping non-positive "
-            f"expectation gaps at T = {dropped}"
+            f"expectation gaps at T = {list(dropped)}"
         )
     factor = 0.5 if half else 1.0
     y = factor * np.log(2.0 / diffs[keep])
     sigma = None
     if not analytic:
-        sigma = factor * np.sqrt(var_diffs[keep]) / diffs[keep]
+        sigma = factor * np.sqrt(var_sums[keep]) / diffs[keep]
     fit = weighted_linreg(times[keep], y, sigma)
-    return fit, dropped, keep
+    return _PairBlock(times, 0.5 * (e_plus + e_minus), var_sums, keep, dropped, analytic, half, fit)
+
+
+# largest S+ T at which the linearized quantum line is trusted
+LINEARIZATION_GUARD = 0.1
 
 
 @dataclass(frozen=True)
@@ -307,20 +329,11 @@ class RobustLinearizedResult:
     guard_value: float
     dropped_times: tuple = ()
 
-    @property
-    def alpha_ci95(self) -> tuple[float, float]:
-        return self.alpha - Z_95 * self.alpha_err, self.alpha + Z_95 * self.alpha_err
-
-    @property
-    def delta_ci95(self) -> tuple[float, float]:
-        return self.delta - Z_95 * self.delta_err, self.delta + Z_95 * self.delta_err
-
 
 def robust_single_axis_linearized(
     dataset: ShotDataset,
     omega: float,
     *,
-    guard: float = 0.1,
     enforce_guard: bool = True,
 ) -> RobustLinearizedResult:
     """Small-decay robust estimation: two straight-line fits.
@@ -331,21 +344,17 @@ def robust_single_axis_linearized(
     ``delta`` as the intercept, valid only while ``S+ T`` stays small; the
     guard rejects data outside that regime.
     """
-    times, recs_plus, recs_minus = _series(dataset, "x", omega, ("x+", "x-"), "x")
-    analytic = all(r.analytic for r in recs_plus + recs_minus)
-    diffs, means, var_sums = _diff_mean_arrays(recs_plus, recs_minus)
-
-    classical_fit, dropped, keep = _log_difference_regression(times, diffs, var_sums, analytic=analytic)
+    block = _pair_block(dataset, "x", omega, ("x+", "x-"), "x")
+    classical_fit = block.fit
     s_plus_val = classical_fit.slope
-    guard_value = float(np.max(s_plus_val * times))
-    if enforce_guard and guard_value > guard:
+    guard_value = float(np.max(s_plus_val * block.times))
+    if enforce_guard and guard_value > LINEARIZATION_GUARD:
         raise LinearizationGuardError(
-            f"max(S+ T) = {guard_value:.3g} exceeds the linearization guard {guard:g}; "
-            "use robust_single_axis_nonlinear"
+            f"max(S+ T) = {guard_value:.3g} exceeds the linearization guard "
+            f"{LINEARIZATION_GUARD:g}; use robust_single_axis_nonlinear"
         )
 
-    sigma_q = None if analytic else 0.5 * np.sqrt(var_sums[keep])
-    quantum_fit = weighted_linreg(times[keep], means[keep], sigma_q)
+    quantum_fit = block.quantum_fit(block.times)
 
     alpha = math.exp(-classical_fit.intercept)
     alpha_err = alpha * classical_fit.intercept_err
@@ -363,12 +372,14 @@ def robust_single_axis_linearized(
         classical_fit=classical_fit,
         quantum_fit=quantum_fit,
         guard_value=guard_value,
-        dropped_times=tuple(dropped),
+        dropped_times=block.dropped,
     )
 
 
 @dataclass(frozen=True)
 class NonlinearFitResult:
+    """Joint fit; ``alpha_m`` absorbs ``alpha_sp`` since the model sets ``alpha = alpha_m``."""
+
     s_plus: SpectralEstimate
     s_minus: SpectralEstimate
     alpha_m: float
@@ -378,14 +389,6 @@ class NonlinearFitResult:
     covariance: np.ndarray  # 4x4 over (S+, S-, alpha_m, delta)
     iterations: int
     converged: bool
-
-    @property
-    def alpha_m_ci95(self) -> tuple[float, float]:
-        return self.alpha_m - Z_95 * self.alpha_m_err, self.alpha_m + Z_95 * self.alpha_m_err
-
-    @property
-    def delta_ci95(self) -> tuple[float, float]:
-        return self.delta - Z_95 * self.delta_err, self.delta + Z_95 * self.delta_err
 
 
 MAX_GN_ITERATIONS = 200
@@ -431,6 +434,16 @@ def robust_single_axis_nonlinear(dataset: ShotDataset, omega: float) -> Nonlinea
         r = (y - model(theta)) / sig
         return float(r @ r)
 
+    def jacobian(theta):
+        f0 = model(theta)
+        jac = np.empty((y.size, 4))
+        for i in range(4):
+            h = 1e-7 * max(abs(theta[i]), 1e-3)
+            bumped = theta.copy()
+            bumped[i] += h
+            jac[:, i] = (model(bumped) - f0) / h
+        return f0, jac
+
     # initialize from the (unguarded) linearized path
     lin = robust_single_axis_linearized(dataset, omega, enforce_guard=False)
     alpha0 = min(max(lin.alpha, 0.05), 1.0)
@@ -443,13 +456,7 @@ def robust_single_axis_nonlinear(dataset: ShotDataset, omega: float) -> Nonlinea
     converged = False
     iterations = 0
     for iterations in range(1, MAX_GN_ITERATIONS + 1):
-        jac = np.empty((y.size, 4))
-        f0 = model(theta)
-        for i in range(4):
-            h = 1e-7 * max(abs(theta[i]), 1e-3)
-            bumped = theta.copy()
-            bumped[i] += h
-            jac[:, i] = (model(bumped) - f0) / h
+        f0, jac = jacobian(theta)
         jw = jac / sig[:, None]
         rw = (y - f0) / sig
         normal = jw.T @ jw
@@ -477,13 +484,7 @@ def robust_single_axis_nonlinear(dataset: ShotDataset, omega: float) -> Nonlinea
             f"(cost {current:.3g}, damping {lam:.3g})"
         )
 
-    jac = np.empty((y.size, 4))
-    f0 = model(theta)
-    for i in range(4):
-        h = 1e-7 * max(abs(theta[i]), 1e-3)
-        bumped = theta.copy()
-        bumped[i] += h
-        jac[:, i] = (model(bumped) - f0) / h
+    _, jac = jacobian(theta)
     jw = jac / sig[:, None]
     try:
         covariance = np.linalg.inv(jw.T @ jw)
@@ -621,6 +622,12 @@ def invert_multi_axis(
 
 @dataclass(frozen=True)
 class RobustMultiAxisResult:
+    """Robust multi-axis estimates.
+
+    ``alpha_m`` is the combined ``alpha = alpha_sp * alpha_m`` read off the
+    intercepts; the two factors are not separately identifiable.
+    """
+
     estimates: dict
     omega: float
     alpha_m: float
@@ -633,14 +640,6 @@ class RobustMultiAxisResult:
 
     def __getitem__(self, component: str) -> SpectralEstimate:
         return self.estimates[component]
-
-    @property
-    def alpha_m_ci95(self) -> tuple[float, float]:
-        return self.alpha_m - Z_95 * self.alpha_m_err, self.alpha_m + Z_95 * self.alpha_m_err
-
-    @property
-    def delta_ci95(self) -> tuple[float, float]:
-        return self.delta - Z_95 * self.delta_err, self.delta + Z_95 * self.delta_err
 
 
 INTERCEPT_CONSISTENCY_Z = 3.0
@@ -672,38 +671,25 @@ def robust_multi_axis(
     regressors and unscaling by ``alpha_m ~ alpha``.  The aligned-time
     coherence block is optional; without it ``S[0,0](0)`` is not estimated.
     """
-    blocks = {}
-    for name, (axis, inits, obs, half) in {
+    specs = {
         "zp": ("z+", ("z+", "z-"), "z", True),
         "zm": ("z-", ("z+", "z-"), "z", True),
         "x": ("x", ("x+", "x-"), "x", False),
-    }.items():
-        times, recs_p, recs_m = _series(dataset, axis, omega, inits, obs)
-        analytic = all(r.analytic for r in recs_p + recs_m)
-        diffs, means, var_sums = _diff_mean_arrays(recs_p, recs_m)
-        fit, dropped, keep = _log_difference_regression(times, diffs, var_sums, analytic=analytic, half=half)
-        blocks[name] = {
-            "times": times, "diffs": diffs, "means": means, "vars": var_sums,
-            "fit": fit, "keep": keep, "analytic": analytic, "half": half,
-        }
-
+    }
     have_aligned = bool(dataset.times("z+", omega, "x+", "x"))
     if have_aligned:
-        times, recs_p, recs_m = _series(dataset, "z+", omega, ("x+", "x-"), "x")
-        analytic = all(r.analytic for r in recs_p + recs_m)
-        diffs, means, var_sums = _diff_mean_arrays(recs_p, recs_m)
-        fit, dropped, keep = _log_difference_regression(times, diffs, var_sums, analytic=analytic, half=False)
-        blocks["aligned"] = {
-            "times": times, "diffs": diffs, "means": means, "vars": var_sums,
-            "fit": fit, "keep": keep, "analytic": analytic, "half": False,
-        }
+        specs["aligned"] = ("z+", ("x+", "x-"), "x", False)
+    blocks = {
+        name: _pair_block(dataset, axis, omega, inits, obs, half=half)
+        for name, (axis, inits, obs, half) in specs.items()
+    }
 
     # intercepts -> ln(alpha): halved lines carry -(1/2) ln alpha
     ln_alpha_vals, ln_alpha_vars = [], []
-    for name, block in blocks.items():
-        factor = 2.0 if block["half"] else 1.0
-        ln_alpha_vals.append(-factor * block["fit"].intercept)
-        ln_alpha_vars.append((factor * block["fit"].intercept_err) ** 2)
+    for block in blocks.values():
+        factor = 2.0 if block.half else 1.0
+        ln_alpha_vals.append(-factor * block.fit.intercept)
+        ln_alpha_vars.append((factor * block.fit.intercept_err) ** 2)
     ln_alpha, ln_alpha_err = _combine_inverse_variance(ln_alpha_vals, ln_alpha_vars)
     z_scores = [
         abs(v - ln_alpha) / math.sqrt(var) if var > 0.0 else 0.0
@@ -721,22 +707,18 @@ def robust_multi_axis(
     alpha_m = math.exp(ln_alpha)
     alpha_m_err = alpha_m * ln_alpha_err
 
-    s_plus_up = blocks["zp"]["fit"].slope      # S+[1,-1](W+wq)
-    s_plus_dn = blocks["zm"]["fit"].slope      # S+[-1,1](W-wq)
-    a_rate = blocks["x"]["fit"].slope          # A(W)
-    s_plus_up_err = blocks["zp"]["fit"].slope_err
-    s_plus_dn_err = blocks["zm"]["fit"].slope_err
-    a_rate_err = blocks["x"]["fit"].slope_err
+    zp, zm, x = blocks["zp"], blocks["zm"], blocks["x"]
+    s_plus_up = zp.fit.slope      # S+[1,-1](W+wq)
+    s_plus_dn = zm.fit.slope      # S+[-1,1](W-wq)
+    a_rate = x.fit.slope          # A(W)
+    s_plus_up_err = zp.fit.slope_err
+    s_plus_dn_err = zm.fit.slope_err
+    a_rate_err = x.fit.slope_err
 
     # quantum regressions on exact decay regressors
-    def quantum_fit(block, regressor):
-        keep = block["keep"]
-        sigma = None if block["analytic"] else 0.5 * np.sqrt(block["vars"][keep])
-        return weighted_linreg(regressor[keep], block["means"][keep], sigma)
-
-    qf_zp = quantum_fit(blocks["zp"], np.expm1(-2.0 * s_plus_up * blocks["zp"]["times"]))
-    qf_zm = quantum_fit(blocks["zm"], -np.expm1(-2.0 * s_plus_dn * blocks["zm"]["times"]))
-    qf_x = quantum_fit(blocks["x"], -np.expm1(-a_rate * blocks["x"]["times"]))
+    qf_zp = zp.quantum_fit(np.expm1(-2.0 * s_plus_up * zp.times))
+    qf_zm = zm.quantum_fit(-np.expm1(-2.0 * s_plus_dn * zm.times))
+    qf_x = x.quantum_fit(-np.expm1(-a_rate * x.times))
     delta_vals = [qf_zp.intercept, qf_zm.intercept, qf_x.intercept]
     delta_vars = [qf_zp.intercept_err**2, qf_zm.intercept_err**2, qf_x.intercept_err**2]
     delta, delta_err = _combine_inverse_variance(delta_vals, delta_vars)
@@ -781,15 +763,14 @@ def robust_multi_axis(
         "S+_{0,0}": est("S+_{0,0}", s00_plus, s00_plus_err),
         "S-_{0,0}": est("S-_{0,0}", s00_minus, s00_minus_err),
     }
-    fits = {"zp": blocks["zp"]["fit"], "zm": blocks["zm"]["fit"], "x": blocks["x"]["fit"],
-            "q_zp": qf_zp, "q_zm": qf_zm, "q_x": qf_x}
+    fits = {name: block.fit for name, block in blocks.items()}
+    fits.update(q_zp=qf_zp, q_zm=qf_zm, q_x=qf_x)
     if have_aligned:
         # aligned-line slope is the coherence rate S+[1,-1](W+wq) + 2 S00(0)
-        fit = blocks["aligned"]["fit"]
+        fit = blocks["aligned"].fit
         s00_zero = 0.5 * (fit.slope - s_plus_up)
         s00_zero_err = 0.5 * math.sqrt(fit.slope_err**2 + s_plus_up_err**2)
         estimates["S_{0,0}"] = est("S_{0,0}", s00_zero, s00_zero_err)
-        fits["aligned"] = fit
 
     return RobustMultiAxisResult(
         estimates=estimates,

@@ -27,11 +27,24 @@ Spectrum kinds: ``Lorentzian`` (peak_frequency_MHz, correlation_time_us),
 The dephasing block defines ``S+ = scale * model`` and
 ``S- = scale * model * sin(lag * omega)``; a transverse block adds classical
 (even) transverse spectra.  A trajectory backend synthesizes noise from the
-dephasing block instead of evaluating it analytically.
+dephasing block instead of evaluating it analytically; its block also takes
+``n_realizations`` (noise realizations averaged per point, >= 2, default
+400), ``n_omega`` (synthesis frequency bins, >= 2, default 512) and
+``bath_variant`` (``"main_text"``, the default, or ``"three_axis"``).
 
-``run_campaign`` writes ``datasets.csv``, ``estimates.csv``, ``report.json``
-and ``run.log`` into the output directory; identical config and seed give
-byte-identical CSV/JSON outputs.
+Optional plan keys: ``aligned_n`` (frame-aligned indices n, T = 2 pi n /
+|Omega|, of the protocol 3/4 coherence block), ``include_aligned`` (run that
+block; defaults to whether ``aligned_n`` is non-empty), ``allow_low_frequency``
+(admit drives below the 2.3 kHz exclusion window, default false) and
+``long_time_threshold`` (minimum |Omega| T, default 10).
+
+The ``alpha_m`` fields that protocols 2 and 4 report (per frequency and
+combined) hold the combined ``alpha = alpha_sp * alpha_m``: the estimators
+cannot separate preparation from measurement contrast.
+
+``run_campaign`` writes ``datasets.csv``, ``estimates.csv``, ``report.json``,
+``manifest.json`` and ``run.log`` into the output directory; identical config
+and seed give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -148,9 +161,9 @@ def load_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
-def _build_spectra(config) -> SphericalSpectraSet:
-    spectra_cfg = _require(config, "spectra", "config")
-    deph = _require(spectra_cfg, "dephasing", "spectra")
+def _dephasing(config):
+    """(model, scale, lag) of the validated ``spectra.dephasing`` block."""
+    deph = _require(_require(config, "spectra", "config"), "dephasing", "spectra")
     model = _model_from_config(_require(deph, "model", "spectra.dephasing"), "spectra.dephasing.model")
     scale = float(deph.get("scale", 1.0))
     lag = float(deph.get("quantum_lag_us", 0.0))
@@ -158,6 +171,11 @@ def _build_spectra(config) -> SphericalSpectraSet:
         raise ConfigError("spectra.dephasing.scale must be > 0")
     if lag < 0.0:
         raise ConfigError("spectra.dephasing.quantum_lag_us must be >= 0")
+    return model, scale, lag
+
+
+def _build_spectra(config) -> SphericalSpectraSet:
+    model, scale, lag = _dephasing(config)
 
     def s_plus(omega):
         return scale * model.value(omega)
@@ -169,7 +187,7 @@ def _build_spectra(config) -> SphericalSpectraSet:
     else:
         spectra = SphericalSpectraSet.from_dephasing_plus_minus(s_plus)
 
-    trans = spectra_cfg.get("transverse")
+    trans = config["spectra"].get("transverse")
     if trans is not None:
         t_model = _model_from_config(_require(trans, "model", "spectra.transverse"), "spectra.transverse.model")
         t_scale = float(trans.get("scale", 1.0))
@@ -230,16 +248,20 @@ def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
         spectra = _build_spectra(config)
         backend = ClosedFormTclBackend(spectra, device, spam, analytic=use_analytic)
     elif backend_kind == "trajectory":
-        deph = _require(_require(config, "spectra", "config"), "dephasing", "spectra")
-        model = _model_from_config(_require(deph, "model", "spectra.dephasing"), "spectra.dephasing.model")
-        scale = float(deph.get("scale", 1.0))
-        lag = float(deph.get("quantum_lag_us", 0.0))
-        if scale != 1.0:
-            # fold the scale into a tabulated generating spectrum
-            base = default_dsa_config(model, n_omega=int(backend_cfg.get("n_omega", 512)))
-            grid = np.linspace(0.0, base.omega_max, 2049)
-            model = Tabulated(grid=tuple(grid), values=tuple(scale * np.asarray(model.value(grid))))
-        dsa = default_dsa_config(model, n_omega=int(backend_cfg.get("n_omega", 512)))
+        model, scale, lag = _dephasing(config)
+        n_omega = int(backend_cfg.get("n_omega", 512))
+        n_realizations = int(backend_cfg.get("n_realizations", 400))
+        if n_realizations < 2:
+            raise ConfigError(f"backend.n_realizations must be >= 2, got {n_realizations}")
+        try:
+            if scale != 1.0:
+                # fold the scale into a tabulated generating spectrum
+                base = default_dsa_config(model, n_omega=n_omega)
+                grid = np.linspace(0.0, base.omega_max, 2049)
+                model = Tabulated(grid=tuple(grid), values=tuple(scale * np.asarray(model.value(grid))))
+            dsa = default_dsa_config(model, n_omega=n_omega)
+        except ValueError as exc:
+            raise ConfigError(f"invalid trajectory backend: {exc}") from exc
         variant = backend_cfg.get("bath_variant", "main_text")
         if variant == "main_text":
             bath = BathConfig.main_text(lag)
@@ -251,7 +273,7 @@ def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
             dsa,
             bath,
             spam,
-            n_realizations=int(backend_cfg.get("n_realizations", 400)),
+            n_realizations=n_realizations,
             analytic=use_analytic,
         )
     else:
@@ -290,6 +312,14 @@ def _estimate_to_row(omega: float, est: SpectralEstimate) -> dict:
     }
 
 
+def _spam_row(omega: float, path: str, alpha, alpha_err, delta, delta_err) -> dict:
+    """Per-frequency SPAM record; ``alpha_m`` holds the combined alpha."""
+    return {
+        "omega_rad_per_us": omega, "alpha_m": alpha, "alpha_m_std_error": alpha_err,
+        "delta": delta, "delta_std_error": delta_err, "path": path,
+    }
+
+
 def _estimate_frequency(campaign: Campaign, dataset, omega: float):
     """All estimates for one drive amplitude: (rows, spam_row or None)."""
     plan = campaign.plan
@@ -306,26 +336,12 @@ def _estimate_frequency(campaign: Campaign, dataset, omega: float):
             robust = robust_single_axis_linearized(dataset, omega)
             rows.append(_estimate_to_row(omega, robust.s_plus))
             rows.append(_estimate_to_row(omega, robust.am_s_minus))
-            spam_row = {
-                "omega_rad_per_us": omega,
-                "alpha_m": robust.alpha,
-                "alpha_m_std_error": robust.alpha_err,
-                "delta": robust.delta,
-                "delta_std_error": robust.delta_err,
-                "path": "linearized",
-            }
+            spam_row = _spam_row(omega, "linearized", robust.alpha, robust.alpha_err, robust.delta, robust.delta_err)
         except LinearizationGuardError:
             fit = robust_single_axis_nonlinear(dataset, omega)
             rows.append(_estimate_to_row(omega, fit.s_plus))
             rows.append(_estimate_to_row(omega, fit.s_minus))
-            spam_row = {
-                "omega_rad_per_us": omega,
-                "alpha_m": fit.alpha_m,
-                "alpha_m_std_error": fit.alpha_m_err,
-                "delta": fit.delta,
-                "delta_std_error": fit.delta_err,
-                "path": "nonlinear",
-            }
+            spam_row = _spam_row(omega, "nonlinear", fit.alpha_m, fit.alpha_m_err, fit.delta, fit.delta_err)
         # standard inversion at the longest time for comparison
         t_max = max(plan.times)
         rec_p = dataset.get("x", omega, "x+", "x", t_max)
@@ -346,15 +362,10 @@ def _estimate_frequency(campaign: Campaign, dataset, omega: float):
         result = robust_multi_axis(dataset, omega, campaign.device.omega_q)
         for est in result.estimates.values():
             rows.append(_estimate_to_row(omega, est))
-        spam_row = {
-            "omega_rad_per_us": omega,
-            "alpha_m": result.alpha_m,
-            "alpha_m_std_error": result.alpha_m_err,
-            "delta": result.delta,
-            "delta_std_error": result.delta_err,
-            "path": "multi_axis",
-            "intercepts_consistent": result.intercept_consistent,
-        }
+        spam_row = _spam_row(
+            omega, "multi_axis", result.alpha_m, result.alpha_m_err, result.delta, result.delta_err
+        )
+        spam_row["intercepts_consistent"] = result.intercept_consistent
         # standard single-time inversion at the longest time for comparison
         t_max = max(plan.times)
         aligned = plan.aligned_times(omega)

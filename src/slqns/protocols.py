@@ -52,17 +52,15 @@ __all__ = [
     "Backend",
     "ClosedFormTclBackend",
     "TrajectoryBackend",
-    "ideal_backend",
-    "run_protocol1",
-    "run_protocol2",
-    "run_protocol3",
-    "run_protocol4",
     "run_plan",
     "LOW_FREQUENCY_CUTOFF",
 ]
 
 # reported SL breakdown scale near DC: 2.3 kHz expressed as rad/us
 LOW_FREQUENCY_CUTOFF = mhz_to_rad_per_us(2.3e-3)
+
+# slack (us) on the noise horizon T + lag against rounding of the time grid
+_GRID_MARGIN = 1e-9
 
 _AXIS_ENUM = {"x": DriveAxis.X_PLUS, "z+": DriveAxis.Z_PLUS, "z-": DriveAxis.Z_MINUS}
 _DRIVE_CODE = {"x": 0, "z+": 1, "z-": 2}
@@ -72,15 +70,6 @@ _OBS_CODE = {"x": 0, "y": 1, "z": 2}
 
 class PlanError(ValueError):
     """Protocol plan violates its invariants."""
-
-
-def _check_alignment(omega: float, time: float) -> None:
-    cycles = abs(omega) * time / (2.0 * math.pi)
-    if abs(cycles - round(cycles)) > 1e-9 * max(cycles, 1.0) or round(cycles) < 1:
-        raise PlanError(
-            f"T = {time} us is not frame-aligned for |Omega| = {abs(omega)} rad/us "
-            f"(needs T = 2 pi n / |Omega|)"
-        )
 
 
 @dataclass(frozen=True)
@@ -94,7 +83,6 @@ class ProtocolPlan:
     n_shots: int = 1000
     seed: int = 0
     long_time_threshold: float = dynamics.DEFAULT_LONG_TIME_THRESHOLD
-    low_frequency_cutoff: float = LOW_FREQUENCY_CUTOFF
     allow_low_frequency: bool = False
     include_aligned: bool = True
 
@@ -127,10 +115,10 @@ class ProtocolPlan:
         for w in omegas:
             if w == 0.0:
                 raise PlanError("drive amplitude must be nonzero")
-            if abs(w) < self.low_frequency_cutoff and not self.allow_low_frequency:
+            if abs(w) < LOW_FREQUENCY_CUTOFF and not self.allow_low_frequency:
                 raise PlanError(
                     f"|Omega| = {abs(w)} rad/us is inside the low-frequency exclusion "
-                    f"window (< {self.low_frequency_cutoff:.3g}); set allow_low_frequency "
+                    f"window (< {LOW_FREQUENCY_CUTOFF:.3g}); set allow_low_frequency "
                     "to override"
                 )
             for t in times:
@@ -219,27 +207,21 @@ class TrajectoryBackend(Backend):
         spam: SpamParams | None = None,
         *,
         n_realizations: int = 400,
-        dt: float | None = None,
         analytic: bool = False,
-        grid_margin: float = 1e-9,
     ):
         self.dsa_config = dsa_config
         self.bath_config = bath_config
         self.spam = spam if spam is not None else SpamParams.ideal()
         self.n_realizations = int(n_realizations)
-        self.dt = dt
         self.analytic = analytic
-        self._grid_margin = grid_margin
 
     def _step(self, omega: float) -> float:
-        if self.dt is not None:
-            return self.dt
         limit = dynamics.STEP_DRIVE_FRACTION / abs(omega)
         t_corr = self.dsa_config.correlation_time
         return 0.9 * min(limit, dynamics.STEP_NOISE_FRACTION * t_corr)
 
     def _noise_factory(self, omega: float, time: float, dt: float):
-        horizon = time + self.bath_config.lag_gamma + self._grid_margin
+        horizon = time + self.bath_config.lag_gamma + _GRID_MARGIN
         grid = np.arange(0.0, horizon + dt, dt)
 
         def factory(seed: int) -> ToyBathNoise:
@@ -277,11 +259,6 @@ class TrajectoryBackend(Backend):
         return sample_shots(min(max(p_plus, 0.0), 1.0), n_shots, derive_seed(seed, 1))
 
 
-def ideal_backend(spectra: SphericalSpectraSet, device: DeviceParams, *, analytic: bool = False) -> ClosedFormTclBackend:
-    """Closed-form backend with no SPAM errors."""
-    return ClosedFormTclBackend(spectra, device, SpamParams.ideal(), analytic=analytic)
-
-
 def _point_seed(plan: ProtocolPlan, omega_index: int, drive_axis: str, init: str, observable: str, time_index: int) -> int:
     return derive_seed(
         plan.seed,
@@ -311,20 +288,17 @@ def _collect(backend: Backend, plan: ProtocolPlan, omega: float, omega_index: in
 
 
 def _protocol_points(plan: ProtocolPlan, omega: float):
+    three_drive = plan.protocol_id in (3, 4)
     points = []
-    if plan.protocol_id in (1, 2):
-        for j, t in enumerate(plan.times):
-            points.append(("x", "x+", "x", t, j))
-            points.append(("x", "x-", "x", t, j))
-        return points
     for j, t in enumerate(plan.times):
-        points.append(("z+", "z+", "z", t, j))
-        points.append(("z+", "z-", "z", t, j))
-        points.append(("z-", "z+", "z", t, j))
-        points.append(("z-", "z-", "z", t, j))
+        if three_drive:
+            points.append(("z+", "z+", "z", t, j))
+            points.append(("z+", "z-", "z", t, j))
+            points.append(("z-", "z+", "z", t, j))
+            points.append(("z-", "z-", "z", t, j))
         points.append(("x", "x+", "x", t, j))
         points.append(("x", "x-", "x", t, j))
-    if plan.include_aligned:
+    if three_drive and plan.include_aligned:
         for j, t in enumerate(plan.aligned_times(omega)):
             points.append(("z+", "x+", "x", float(t), 1000 + j))
             points.append(("z+", "x-", "x", float(t), 1000 + j))
@@ -334,73 +308,6 @@ def _protocol_points(plan: ProtocolPlan, omega: float):
 def run_for_omega(backend: Backend, plan: ProtocolPlan, omega: float, omega_index: int = 0) -> ShotDataset:
     """Execute one protocol at one drive amplitude."""
     return _collect(backend, plan, omega, omega_index, _protocol_points(plan, omega))
-
-
-def run_protocol1(backend: Backend, omega: float, time: float, n_shots: int, seed: int = 0, **plan_kwargs) -> ShotDataset:
-    """Two x-drive expectations at a single (Omega, T)."""
-    plan = ProtocolPlan(1, (omega,), (time,), n_shots=n_shots, seed=seed, **plan_kwargs)
-    return run_for_omega(backend, plan, omega)
-
-
-def run_protocol2(backend: Backend, omega: float, times, n_shots: int, seed: int = 0, **plan_kwargs) -> ShotDataset:
-    """x-drive time series over {T_j} for the robust single-axis fits."""
-    plan = ProtocolPlan(2, (omega,), tuple(times), n_shots=n_shots, seed=seed, **plan_kwargs)
-    return run_for_omega(backend, plan, omega)
-
-
-def run_protocol3(
-    backend: Backend,
-    omega: float,
-    time: float,
-    aligned_time: float,
-    n_shots: int,
-    seed: int = 0,
-    **plan_kwargs,
-) -> ShotDataset:
-    """Three-drive single-time sweep, including the aligned coherence pair."""
-    _check_alignment(omega, aligned_time)
-    n = round(abs(omega) * aligned_time / (2.0 * math.pi))
-    plan = ProtocolPlan(3, (omega,), (time,), aligned_n=(n,), n_shots=n_shots, seed=seed, **plan_kwargs)
-    return run_for_omega(backend, plan, omega)
-
-
-def run_protocol4(
-    backend: Backend,
-    omega: float,
-    times,
-    aligned_times=(),
-    n_shots: int = 1000,
-    seed: int = 0,
-    *,
-    include_aligned: bool | None = None,
-    **plan_kwargs,
-) -> ShotDataset:
-    """Three-drive time series for the SPAM-robust multi-axis regressions.
-
-    ``aligned_times`` may be empty to skip the coherence block (then
-    ``S[0,0](0)`` is not measurable).
-    """
-    aligned_times = tuple(float(t) for t in aligned_times)
-    if include_aligned is None:
-        include_aligned = bool(aligned_times)
-    aligned_n = ()
-    if include_aligned:
-        for t in aligned_times:
-            _check_alignment(omega, t)
-        aligned_n = tuple(round(abs(omega) * t / (2.0 * math.pi)) for t in aligned_times)
-        if len(set(aligned_n)) != len(aligned_n):
-            raise PlanError("duplicate aligned times")
-    plan = ProtocolPlan(
-        4,
-        (omega,),
-        tuple(times),
-        aligned_n=aligned_n,
-        n_shots=n_shots,
-        seed=seed,
-        include_aligned=include_aligned,
-        **plan_kwargs,
-    )
-    return run_for_omega(backend, plan, omega)
 
 
 def run_plan(backend: Backend, plan: ProtocolPlan, jobs: int = 1) -> ShotDataset:

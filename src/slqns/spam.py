@@ -18,6 +18,7 @@ Completeness is exact by construction; positivity of both elements requires
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
 import io
@@ -222,6 +223,13 @@ def expectation_std_error(record: ShotRecord) -> float:
     return 2.0 * math.sqrt(p_smooth * (1.0 - p_smooth) / record.n_shots)
 
 
+def _opened(path_or_buffer, mode: str):
+    """Open a path for CSV I/O, or pass an open buffer through unclosed."""
+    if isinstance(path_or_buffer, (str, bytes)) or hasattr(path_or_buffer, "__fspath__"):
+        return open(path_or_buffer, mode, newline="")
+    return contextlib.nullcontext(path_or_buffer)
+
+
 @dataclass
 class ShotDataset:
     """Keyed collection of measurement records with CSV/JSON persistence."""
@@ -261,13 +269,7 @@ class ShotDataset:
     )
 
     def to_csv(self, path_or_buffer) -> None:
-        close = False
-        if isinstance(path_or_buffer, (str, bytes)) or hasattr(path_or_buffer, "__fspath__"):
-            buffer = open(path_or_buffer, "w", newline="")
-            close = True
-        else:
-            buffer = path_or_buffer
-        try:
+        with _opened(path_or_buffer, "w") as buffer:
             writer = csv.writer(buffer)
             writer.writerow(self._FIELDS)
             for key, rec in self:
@@ -276,19 +278,10 @@ class ShotDataset:
                     rec.n_shots, rec.n_plus, repr(rec.expectation), repr(rec.variance),
                     int(rec.analytic),
                 ])
-        finally:
-            if close:
-                buffer.close()
 
     @classmethod
     def from_csv(cls, path_or_buffer) -> "ShotDataset":
-        close = False
-        if isinstance(path_or_buffer, (str, bytes)) or hasattr(path_or_buffer, "__fspath__"):
-            buffer = open(path_or_buffer, "r", newline="")
-            close = True
-        else:
-            buffer = path_or_buffer
-        try:
+        with _opened(path_or_buffer, "r") as buffer:
             reader = csv.DictReader(buffer)
             ds = cls()
             for row in reader:
@@ -305,9 +298,6 @@ class ShotDataset:
                 )
                 ds.add(key, rec)
             return ds
-        finally:
-            if close:
-                buffer.close()
 
     def to_manifest(self, **metadata) -> str:
         """JSON manifest: metadata plus every record, stably ordered."""
