@@ -502,13 +502,17 @@ def _product_in_order(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
+def _cos_sinc(lam: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """cos(lam dt) and sin(lam dt) / lam (-> dt at lam = 0)."""
+    phase = lam * dt
+    sinc = np.where(lam > 0.0, np.sin(phase) / np.where(lam > 0.0, lam, 1.0), dt)
+    return np.cos(phase), sinc
+
+
 def _rotation_from_hamiltonians(h_stack: np.ndarray, lam: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i H dt) for a stack of H with H^2 = lam^2 * identity."""
-    dim = h_stack.shape[-1]
-    phase = lam * dt
-    cos = np.cos(phase)
-    sinc = np.where(lam > 0.0, np.sin(phase) / np.where(lam > 0.0, lam, 1.0), dt)
-    eye = np.eye(dim, dtype=complex)
+    cos, sinc = _cos_sinc(lam, dt)
+    eye = np.eye(h_stack.shape[-1], dtype=complex)
     return cos[:, None, None] * eye - 1j * sinc[:, None, None] * h_stack
 
 
@@ -522,33 +526,40 @@ def _x_drive_unitaries_classical(omega_eff: float, beta: np.ndarray, dt: float) 
     return _rotation_from_hamiltonians(h, lam, dt)
 
 
-def _bath_field(b: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Stacks of m.tau and |m|^2 for the bath field m = (bx, by, bz)/2."""
+def _x_drive_unitaries_bath(omega_eff: float, b: tuple, dt: float) -> np.ndarray:
+    # H = (W/2) sx x I + sz x m.tau with m = (bx, by, bz)/2; the two terms
+    # anticommute so H^2 = ((W/2)^2 + |m|^2) I and U = cos(lam dt) I - i sinc H.
+    # Its twelve nonzero entries are written directly.
+    bx, by, bz = b
+    lam = np.sqrt((0.5 * omega_eff) ** 2 + 0.25 * (bx**2 + by**2 + bz**2))
+    cos, sinc = _cos_sinc(lam, dt)
+    sx, sy, sz = sinc * (0.5 * bx), sinc * (0.5 * by), sinc * (0.5 * bz)
+    sw = sinc * (0.5 * omega_eff)
+    u = np.zeros((lam.shape[0], 4, 4), dtype=complex)
+    re, im = u.real, u.imag
+    for k in range(4):
+        re[:, k, k] = cos
+    im[:, 0, 0] = im[:, 3, 3] = -sz
+    im[:, 1, 1] = im[:, 2, 2] = sz
+    re[:, 0, 1] = re[:, 3, 2] = -sy
+    re[:, 1, 0] = re[:, 2, 3] = sy
+    im[:, 0, 1] = im[:, 1, 0] = -sx
+    im[:, 2, 3] = im[:, 3, 2] = sx
+    for i, j in ((0, 2), (1, 3), (2, 0), (3, 1)):
+        im[:, i, j] = -sw
+    return u
+
+
+def _z_drive_blocks(omega_eff: float, b: tuple, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    # H = sz x K with K = (W/2) I + m.tau, m = (bx, by, bz)/2;
+    # U = blockdiag(exp(-i K dt), exp(+i K dt))
     bx, by, bz = b
     m_tau = 0.5 * (
         bx[:, None, None] * SIGMA["x"]
         + by[:, None, None] * SIGMA["y"]
         + bz[:, None, None] * SIGMA["z"]
     )
-    return m_tau, 0.25 * (bx**2 + by**2 + bz**2)
-
-
-def _x_drive_unitaries_bath(omega_eff: float, b: tuple, dt: float) -> np.ndarray:
-    # H = (W/2) sx x I + sz x m.tau; the two terms anticommute so
-    # H^2 = ((W/2)^2 + |m|^2) I
-    m_tau, m_norm2 = _bath_field(b)
-    h = np.zeros((m_tau.shape[0], 4, 4), dtype=complex)
-    h += 0.5 * omega_eff * np.kron(SIGMA["x"], IDENTITY2)
-    h[:, 0:2, 0:2] += m_tau
-    h[:, 2:4, 2:4] -= m_tau
-    lam = np.sqrt((0.5 * omega_eff) ** 2 + m_norm2)
-    return _rotation_from_hamiltonians(h, lam, dt)
-
-
-def _z_drive_blocks(omega_eff: float, b: tuple, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    # H = sz x K with K = (W/2) I + m.tau; U = blockdiag(exp(-i K dt), exp(+i K dt))
-    m_tau, m_norm2 = _bath_field(b)
-    rot = _rotation_from_hamiltonians(m_tau, np.sqrt(m_norm2), dt)
+    rot = _rotation_from_hamiltonians(m_tau, np.sqrt(0.25 * (bx**2 + by**2 + bz**2)), dt)
     upper = np.exp(-1j * 0.5 * omega_eff * dt) * rot
     # exp(+i K dt) is the Hermitian conjugate of exp(-i K dt), phase included
     lower = np.conj(np.swapaxes(upper, -1, -2))

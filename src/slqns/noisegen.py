@@ -10,6 +10,22 @@ frequency grid ``omega_j = j * d_omega``::
 with ``A_j, B_j`` i.i.d. standard normal.  The exact ensemble
 autocorrelation is ``<beta(t) beta(s)> = sum_j G_j^2 cos(omega_j (t-s))``.
 
+Evaluating the sum densely costs one ``cos`` and one ``sin`` per (time,
+frequency) pair.  When a trajectory is requested on a grid with
+``t_k = k * h`` exactly (what ``np.arange(0.0, H, h)`` produces, and what the
+trajectory backend builds), the sum is evaluated in blocks of ``B = 64``
+samples instead: with ``k = a B + b`` and ``g_j = G_j (A_j - i B_j)``::
+
+    beta(t_k) = Re sum_j g_j exp(i omega_j a B h) exp(i omega_j b h),
+
+one complex matrix product of a coarse (ceil(N_t / B) x N_omega) and a fine
+(B x N_omega) phase table.  The tables depend only on the two grids, so they
+are built once and shared, read-only, by every realization on that grid.
+This is the spectral-representation method (Shinozuka & Deodatis, Appl. Mech.
+Rev. 44, 191, 1991).  The blocked samples match the dense sum to rounding
+(about 1e-15 of ``sum_j |G_j|``).  Any other grid, and
+:meth:`DSARealization.evaluate` at arbitrary times, uses the dense sum.
+
 Feeding one trajectory into a single bath qubit with a time lag between two
 coupling axes produces a non-commuting (quantum) dephasing environment whose
 classical/quantum spectra follow ``S~`` in closed form.
@@ -18,6 +34,7 @@ classical/quantum spectra follow ``S~`` in closed form.
 from __future__ import annotations
 
 import enum
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -41,6 +58,7 @@ __all__ = [
 ]
 
 CUTOFF_ADEQUACY_RATIO = 1e-3
+SYNTHESIS_BLOCK = 64  # samples per row of the blocked evaluation
 
 
 @dataclass(frozen=True)
@@ -162,25 +180,51 @@ class DSARealization:
         n = config.n_omega
         self._a = rng.standard_normal(n)
         self._b = rng.standard_normal(n)
-        self._ga = config.amplitudes * self._a
-        self._gb = config.amplitudes * self._b
+        amplitudes = config.amplitudes
+        self._ga = amplitudes * self._a
+        self._gb = amplitudes * self._b
+        self._g = self._ga - 1j * self._gb
 
     def evaluate(self, t) -> np.ndarray:
+        """Dense mode sum at arbitrary times."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         phase = np.outer(t, self.config.frequencies)
         out = np.cos(phase) @ self._ga + np.sin(phase) @ self._gb
         return out
 
     def trajectory(self, time_grid) -> NoiseTrajectory:
+        """Samples on ``time_grid``; blocked when ``t_k = k * h`` exactly."""
         time_grid = np.asarray(time_grid, dtype=float)
         if time_grid.size == 0:
             raise ValueError("time grid must be non-empty")
+        n = time_grid.size
+        h = float(time_grid[1]) if time_grid.ndim == 1 and n >= 2 else 0.0
+        if h > 0.0 and np.array_equal(time_grid, np.arange(n) * h):
+            coarse, fine = _phase_tables(self.config.d_omega, self.config.n_omega, n, h)
+            samples = ((coarse * self._g) @ fine.T).reshape(-1)[:n].real
+        else:
+            samples = self.evaluate(time_grid)
         return NoiseTrajectory(
             times=time_grid,
-            samples=self.evaluate(time_grid),
+            samples=samples,
             seed=self.seed,
             config=self.config,
         )
+
+
+@functools.lru_cache(maxsize=8)
+def _phase_tables(d_omega: float, n_omega: int, n_t: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables exp(i omega_j a B h) (coarse) and exp(i omega_j b h) (fine).
+
+    Shared by every caller on the same grids, hence read-only.
+    """
+    frequencies = d_omega * np.arange(n_omega)  # DSAConfig.frequencies
+    n_blocks = -(-n_t // SYNTHESIS_BLOCK)
+    coarse = np.exp(1j * np.outer(np.arange(n_blocks) * SYNTHESIS_BLOCK * h, frequencies))
+    fine = np.exp(1j * np.outer(np.arange(SYNTHESIS_BLOCK) * h, frequencies))
+    coarse.flags.writeable = False
+    fine.flags.writeable = False
+    return coarse, fine
 
 
 def dsa_sample(config: DSAConfig, time_grid, seed: int) -> NoiseTrajectory:
