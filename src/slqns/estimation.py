@@ -1,7 +1,8 @@
 """Spectral and SPAM-parameter estimators.
 
-Closed-form inversions, weighted linear regression, a damped Gauss-Newton
-non-linear fit, and first-order (delta-method) uncertainty propagation.
+Closed-form inversions, weighted linear regression, a bounded non-linear
+least-squares fit (``scipy.optimize.least_squares``), and first-order
+(delta-method) uncertainty propagation.
 
 The regression identities behind a drive of amplitude ``W`` are, with
 ``d(T) = e+ - e-`` and ``m(T) = (e+ + e-)/2`` the measured differences and
@@ -28,6 +29,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from .dynamics import _decay_weight
 from .spam import ShotDataset, ShotRecord, expectation_std_error
@@ -81,7 +83,7 @@ class SpectralEstimate:
     method: Method
 
     def __post_init__(self):
-        if self.std_error < 0.0 or not np.isfinite(self.value):
+        if not (np.isfinite(self.value) and np.isfinite(self.std_error) and self.std_error >= 0.0):
             raise EstimationError(f"invalid estimate {self.component}: {self.value} +- {self.std_error}")
 
     @property
@@ -299,10 +301,8 @@ def _pair_block(dataset, drive_axis, omega, inits, observable, *, half: bool = F
     keep = diffs > 0.0
     dropped = tuple(float(t) for t in times[~keep])
     if keep.sum() < MIN_REGRESSION_POINTS:
-        raise EstimationError(
-            f"only {int(keep.sum())} usable time points after dropping non-positive "
-            f"expectation gaps at T = {list(dropped)}"
-        )
+        cause = f" after dropping non-positive expectation gaps at T = {list(dropped)}" if dropped else ""
+        raise EstimationError(f"only {int(keep.sum())} usable time points{cause}")
     factor = 0.5 if half else 1.0
     y = factor * np.log(2.0 / diffs[keep])
     sigma = None
@@ -378,7 +378,11 @@ def robust_single_axis_linearized(
 
 @dataclass(frozen=True)
 class NonlinearFitResult:
-    """Joint fit; ``alpha_m`` absorbs ``alpha_sp`` since the model sets ``alpha = alpha_m``."""
+    """Joint fit; ``alpha_m`` absorbs ``alpha_sp`` since the model sets ``alpha = alpha_m``.
+
+    ``iterations`` is the solver's ``nfev``: its residual evaluations, not
+    counting those of the finite-difference Jacobian.
+    """
 
     s_plus: SpectralEstimate
     s_minus: SpectralEstimate
@@ -388,112 +392,59 @@ class NonlinearFitResult:
     delta_err: float
     covariance: np.ndarray  # 4x4 over (S+, S-, alpha_m, delta)
     iterations: int
-    converged: bool
 
 
-MAX_GN_ITERATIONS = 200
-GN_STEP_TOLERANCE = 1e-9
-
-
-def _project_nonlinear(theta: np.ndarray) -> np.ndarray:
-    s_plus, s_minus, alpha_m, delta = theta
-    s_plus = max(s_plus, 1e-12)
-    alpha_m = min(max(alpha_m, 0.0), 1.0)
-    delta = min(max(delta, 0.0), 1.0 - alpha_m)
-    return np.array([s_plus, s_minus, alpha_m, delta])
+# xtol, ftol and gtol of the solver; scipy's 1e-8 default stops ~1e-7 short
+# of the truth on exact data
+FIT_TOLERANCE = 1e-12
 
 
 def robust_single_axis_nonlinear(dataset: ShotDataset, omega: float) -> NonlinearFitResult:
-    """Joint damped Gauss-Newton fit of (S+, S-, alpha_m, delta).
+    """Joint bounded least-squares fit of (S+, S-, alpha_m, delta).
 
     Models both preparation series with ``alpha approx alpha_m`` (negligible
-    preparation errors); damping halves on improvement and doubles on
-    rejection, with the parameter box enforced by projection.
+    preparation errors) and minimises the standardised residuals with
+    scipy's trust-region-reflective solver (Branch, Coleman & Li, SIAM J.
+    Sci. Comput. 21, 1999), started from the unguarded linearized estimate.
+    The bounds are independent: ``S+ >= 0`` and ``alpha_m, delta`` in
+    [0, 1].  The joint physical region ``alpha_m + delta <= 1`` is not a box
+    and is not imposed, so a noisy fit may exceed it slightly; clipping such
+    fits would bias the estimate.
     """
     times, recs_plus, recs_minus = _series(dataset, "x", omega, ("x+", "x-"), "x")
     if times.size < 4:
         raise EstimationError("non-linear fit needs at least 4 time points")
-    analytic = all(r.analytic for r in recs_plus + recs_minus)
-    y = np.concatenate(
-        [[r.expectation for r in recs_plus], [r.expectation for r in recs_minus]]
-    )
-    if analytic:
-        sig = np.ones_like(y)
-    else:
-        sig = np.concatenate(
-            [[expectation_std_error(r) for r in recs_plus], [expectation_std_error(r) for r in recs_minus]]
-        )
+    recs = recs_plus + recs_minus
+    analytic = all(r.analytic for r in recs)
+    y = np.array([r.expectation for r in recs])
+    sig = np.ones_like(y) if analytic else np.array([expectation_std_error(r) for r in recs])
 
-    def model(theta):
+    def residuals(theta):
         s_plus, s_minus, alpha_m, delta = theta
-        up = single_axis_forward(s_plus, s_minus, times, +1, alpha_m=alpha_m, delta=delta)
-        dn = single_axis_forward(s_plus, s_minus, times, -1, alpha_m=alpha_m, delta=delta)
-        return np.concatenate([up, dn])
+        model = [
+            single_axis_forward(s_plus, s_minus, times, sign, alpha_m=alpha_m, delta=delta)
+            for sign in (+1, -1)
+        ]
+        return (np.concatenate(model) - y) / sig
 
-    def cost(theta):
-        r = (y - model(theta)) / sig
-        return float(r @ r)
-
-    def jacobian(theta):
-        f0 = model(theta)
-        jac = np.empty((y.size, 4))
-        for i in range(4):
-            h = 1e-7 * max(abs(theta[i]), 1e-3)
-            bumped = theta.copy()
-            bumped[i] += h
-            jac[:, i] = (model(bumped) - f0) / h
-        return f0, jac
-
-    # initialize from the (unguarded) linearized path
+    bounds = ([0.0, -np.inf, 0.0, 0.0], [np.inf, np.inf, 1.0, 1.0])
     lin = robust_single_axis_linearized(dataset, omega, enforce_guard=False)
-    alpha0 = min(max(lin.alpha, 0.05), 1.0)
-    theta = _project_nonlinear(
-        np.array([lin.s_plus.value, lin.am_s_minus.value / alpha0, alpha0, max(lin.delta, 0.0)])
+    start = np.clip([lin.s_plus.value, lin.am_s_minus.value / lin.alpha, lin.alpha, lin.delta], *bounds)
+    fit = least_squares(
+        residuals, start, bounds=bounds,
+        xtol=FIT_TOLERANCE, ftol=FIT_TOLERANCE, gtol=FIT_TOLERANCE,
     )
-
-    lam = 1e-3
-    current = cost(theta)
-    converged = False
-    iterations = 0
-    for iterations in range(1, MAX_GN_ITERATIONS + 1):
-        f0, jac = jacobian(theta)
-        jw = jac / sig[:, None]
-        rw = (y - f0) / sig
-        normal = jw.T @ jw
-        grad = jw.T @ rw
-        try:
-            step = np.linalg.solve(normal + lam * np.diag(np.diag(normal) + 1e-30), grad)
-        except np.linalg.LinAlgError as exc:
-            raise EstimationError("singular normal matrix in non-linear fit") from exc
-        candidate = _project_nonlinear(theta + step)
-        new_cost = cost(candidate)
-        if new_cost <= current:
-            rel_step = np.max(np.abs(candidate - theta) / np.maximum(np.abs(theta), 1e-12))
-            theta, current = candidate, new_cost
-            lam = max(lam * 0.5, 1e-12)
-            if rel_step < GN_STEP_TOLERANCE:
-                converged = True
-                break
-        else:
-            lam *= 2.0
-            if lam > 1e12:
-                break
-    if not converged and iterations >= MAX_GN_ITERATIONS:
-        raise EstimationError(
-            f"non-linear fit failed to converge after {iterations} iterations "
-            f"(cost {current:.3g}, damping {lam:.3g})"
-        )
-
-    _, jac = jacobian(theta)
-    jw = jac / sig[:, None]
+    if not fit.success:
+        raise EstimationError(f"non-linear fit failed after {fit.nfev} evaluations: {fit.message}")
     try:
-        covariance = np.linalg.inv(jw.T @ jw)
-    except np.linalg.LinAlgError:
-        covariance = np.full((4, 4), np.nan)
+        covariance = np.linalg.inv(fit.jac.T @ fit.jac)
+    except np.linalg.LinAlgError as exc:
+        raise EstimationError("singular covariance in non-linear fit") from exc
     if analytic:
         dof = max(y.size - 4, 1)
-        covariance = covariance * (current / dof)
+        covariance = covariance * (2.0 * fit.cost / dof)
     errs = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
+    theta = fit.x
 
     return NonlinearFitResult(
         s_plus=SpectralEstimate("S+_{0,0}", "Omega", omega, theta[0], errs[0], Method.ROBUST_NONLINEAR),
@@ -503,8 +454,7 @@ def robust_single_axis_nonlinear(dataset: ShotDataset, omega: float) -> Nonlinea
         delta=theta[3],
         delta_err=errs[3],
         covariance=covariance,
-        iterations=iterations,
-        converged=converged,
+        iterations=fit.nfev,
     )
 
 
@@ -669,16 +619,26 @@ def robust_multi_axis(
     available intercepts by inverse-variance weighting; quantum spectra come
     from regressing the preparation-averaged signals on their exact decay
     regressors and unscaling by ``alpha_m ~ alpha``.  The aligned-time
-    coherence block is optional; without it ``S[0,0](0)`` is not estimated.
+    coherence block is optional; without it, or with fewer than
+    ``MIN_REGRESSION_POINTS`` aligned times (skipped with a warning),
+    ``S[0,0](0)`` is not estimated.
     """
     specs = {
         "zp": ("z+", ("z+", "z-"), "z", True),
         "zm": ("z-", ("z+", "z-"), "z", True),
         "x": ("x", ("x+", "x-"), "x", False),
     }
-    have_aligned = bool(dataset.times("z+", omega, "x+", "x"))
+    n_aligned = len(dataset.times("z+", omega, "x+", "x"))
+    have_aligned = n_aligned >= MIN_REGRESSION_POINTS
     if have_aligned:
         specs["aligned"] = ("z+", ("x+", "x-"), "x", False)
+    elif n_aligned:
+        warnings.warn(
+            f"skipping the aligned coherence block: {n_aligned} aligned times, fewer than "
+            f"{MIN_REGRESSION_POINTS}; S_{{0,0}}(0) is not estimated",
+            UserWarning,
+            stacklevel=2,
+        )
     blocks = {
         name: _pair_block(dataset, axis, omega, inits, obs, half=half)
         for name, (axis, inits, obs, half) in specs.items()

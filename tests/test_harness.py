@@ -46,6 +46,16 @@ CLOSED_FORM_P4 = dict(
 )
 
 
+# the series is long enough that every frequency takes the nonlinear fit
+CLOSED_FORM_P2 = dict(
+    PHYSICS,
+    protocol=2,
+    backend={"type": "closed_form", "analytic": False},
+    plan={"omegas_MHz": [1.0, 14.0, 27.0, 40.0], "times_us": [2.0, 4.0, 6.0, 8.0, 10.0, 12.0],
+          "shots": 1000},
+)
+
+
 def write_config(tmp_path, config) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -71,7 +81,8 @@ def test_invalid_trajectory_config_exits_with_config_error(tmp_path, capsys, blo
     assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("config", [CLOSED_FORM_P4, TRAJECTORY], ids=["closed-form-p4", "trajectory-p2"])
+@pytest.mark.parametrize("config", [CLOSED_FORM_P4, TRAJECTORY, CLOSED_FORM_P2],
+                         ids=["closed-form-p4", "trajectory-p2", "closed-form-p2"])
 def test_outputs_do_not_depend_on_jobs(tmp_path, config):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -55,11 +55,15 @@ CASES = {
            "standard", None, THREE_DRIVE + ("S_{0,0}",)),
     "p2-linearized": (2, True, {"omegas_MHz": [30.0, 40.0], "times_us": [0.5, 0.75, 1.0]},
                       "robust_linear", "linearized", ("S+_{0,0}",)),
-    "p2-nonlinear": (2, True, {"omegas_MHz": [10.0, 40.0], "times_us": SERIES_US},
+    "p2-nonlinear": (2, True, {"omegas_MHz": [10.0, 15.0, 20.0, 30.0, 35.0, 40.0],
+                                "times_us": SERIES_US},
                      "robust_nonlinear", "nonlinear", ("S+_{0,0}",)),
     "p4-aligned": (4, True, {"omegas_MHz": [10.0, 30.0], "times_us": SERIES_US,
                              "aligned_n": [20, 40, 60]},
                    "robust_linear", "multi_axis", THREE_DRIVE + ("S_{0,0}",)),
+    "p4-two-aligned": (4, True, {"omegas_MHz": [10.0, 30.0], "times_us": SERIES_US,
+                                 "aligned_n": [20, 40]},
+                       "robust_linear", "multi_axis", THREE_DRIVE),
     "p4-no-aligned": (4, True, {"omegas_MHz": [10.0, 30.0], "times_us": SERIES_US,
                                 "include_aligned": False},
                       "robust_linear", "multi_axis", THREE_DRIVE),
@@ -109,12 +113,3 @@ def test_analytic_campaign_recovers_injected_rates(name):
         assert report["spam"]["alpha_m"]["value"] == pytest.approx(alpha, rel=REL_TOL)
         assert report["spam"]["delta"]["value"] == pytest.approx(SPAM["delta"], rel=1e-6)
 
-
-@pytest.mark.xfail(strict=True, reason=(
-    "known defect: on exact data the damped Gauss-Newton fit reaches the round-off "
-    "floor of its cost, then alternates accepted and rejected steps until its "
-    "200-iteration cap"))
-@pytest.mark.parametrize("omega_mhz", [15.0, 20.0, 30.0, 35.0])
-def test_nonlinear_fit_converges_on_exact_data(omega_mhz):
-    plan = {"omegas_MHz": [omega_mhz], "times_us": SERIES_US}
-    assert analytic_report(2, plan, with_spam=True)["failures"] == {}
