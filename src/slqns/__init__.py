@@ -17,8 +17,6 @@ from .spectra import (
     rad_per_us_to_mhz,
     spherical_from_cartesian,
     split_classical_quantum,
-    spectrum_from_json,
-    spectrum_to_json,
 )
 from .noisegen import (
     BathConfig,

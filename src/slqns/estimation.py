@@ -265,6 +265,10 @@ def _series(dataset: ShotDataset, drive_axis: str, omega: float, inits: tuple[st
 MIN_REGRESSION_POINTS = 3
 
 
+class _TooFewPointsError(EstimationError):
+    """A pair block keeps fewer than ``MIN_REGRESSION_POINTS`` times."""
+
+
 @dataclass(frozen=True)
 class _PairBlock:
     """One preparation pair's time series with its log-difference fit.
@@ -302,7 +306,7 @@ def _pair_block(dataset, drive_axis, omega, inits, observable, *, half: bool = F
     dropped = tuple(float(t) for t in times[~keep])
     if keep.sum() < MIN_REGRESSION_POINTS:
         cause = f" after dropping non-positive expectation gaps at T = {list(dropped)}" if dropped else ""
-        raise EstimationError(f"only {int(keep.sum())} usable time points{cause}")
+        raise _TooFewPointsError(f"only {int(keep.sum())} usable time points{cause}")
     factor = 0.5 if half else 1.0
     y = factor * np.log(2.0 / diffs[keep])
     sigma = None
@@ -593,6 +597,9 @@ class RobustMultiAxisResult:
 
 
 INTERCEPT_CONSISTENCY_Z = 3.0
+# floor on an intercept std error in its z-score: on exact data the intercept
+# spread and the fitted std errors are both float round-off
+INTERCEPT_ROUND_OFF = 1e-12
 
 
 def _combine_inverse_variance(values, variances):
@@ -620,29 +627,25 @@ def robust_multi_axis(
     from regressing the preparation-averaged signals on their exact decay
     regressors and unscaling by ``alpha_m ~ alpha``.  The aligned-time
     coherence block is optional; without it, or with fewer than
-    ``MIN_REGRESSION_POINTS`` aligned times (skipped with a warning),
-    ``S[0,0](0)`` is not estimated.
+    ``MIN_REGRESSION_POINTS`` aligned times of positive expectation gap
+    (skipped with a warning), ``S[0,0](0)`` is not estimated.
     """
-    specs = {
-        "zp": ("z+", ("z+", "z-"), "z", True),
-        "zm": ("z-", ("z+", "z-"), "z", True),
-        "x": ("x", ("x+", "x-"), "x", False),
+    blocks = {
+        "zp": _pair_block(dataset, "z+", omega, ("z+", "z-"), "z", half=True),
+        "zm": _pair_block(dataset, "z-", omega, ("z+", "z-"), "z", half=True),
+        "x": _pair_block(dataset, "x", omega, ("x+", "x-"), "x"),
     }
     n_aligned = len(dataset.times("z+", omega, "x+", "x"))
-    have_aligned = n_aligned >= MIN_REGRESSION_POINTS
-    if have_aligned:
-        specs["aligned"] = ("z+", ("x+", "x-"), "x", False)
-    elif n_aligned:
-        warnings.warn(
-            f"skipping the aligned coherence block: {n_aligned} aligned times, fewer than "
-            f"{MIN_REGRESSION_POINTS}; S_{{0,0}}(0) is not estimated",
-            UserWarning,
-            stacklevel=2,
-        )
-    blocks = {
-        name: _pair_block(dataset, axis, omega, inits, obs, half=half)
-        for name, (axis, inits, obs, half) in specs.items()
-    }
+    if n_aligned:
+        try:
+            blocks["aligned"] = _pair_block(dataset, "z+", omega, ("x+", "x-"), "x")
+        except _TooFewPointsError as exc:
+            warnings.warn(
+                f"skipping the aligned coherence block: {n_aligned} aligned times, {exc} "
+                f"(fewer than {MIN_REGRESSION_POINTS}); S_{{0,0}}(0) is not estimated",
+                UserWarning,
+                stacklevel=2,
+            )
 
     # intercepts -> ln(alpha): halved lines carry -(1/2) ln alpha
     ln_alpha_vals, ln_alpha_vars = [], []
@@ -652,7 +655,7 @@ def robust_multi_axis(
         ln_alpha_vars.append((factor * block.fit.intercept_err) ** 2)
     ln_alpha, ln_alpha_err = _combine_inverse_variance(ln_alpha_vals, ln_alpha_vars)
     z_scores = [
-        abs(v - ln_alpha) / math.sqrt(var) if var > 0.0 else 0.0
+        abs(v - ln_alpha) / max(math.sqrt(var), INTERCEPT_ROUND_OFF)
         for v, var in zip(ln_alpha_vals, ln_alpha_vars)
     ]
     max_z = max(z_scores)
@@ -725,7 +728,7 @@ def robust_multi_axis(
     }
     fits = {name: block.fit for name, block in blocks.items()}
     fits.update(q_zp=qf_zp, q_zm=qf_zm, q_x=qf_x)
-    if have_aligned:
+    if "aligned" in blocks:
         # aligned-line slope is the coherence rate S+[1,-1](W+wq) + 2 S00(0)
         fit = blocks["aligned"].fit
         s00_zero = 0.5 * (fit.slope - s_plus_up)

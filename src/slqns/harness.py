@@ -40,7 +40,10 @@ block; defaults to whether ``aligned_n`` is non-empty), ``allow_low_frequency``
 
 The ``alpha_m`` fields that protocols 2 and 4 report (per frequency and
 combined) hold the combined ``alpha = alpha_sp * alpha_m``: the estimators
-cannot separate preparation from measurement contrast.
+cannot separate preparation from measurement contrast.  Next to their robust
+rows, protocols 2 and 4 also emit ``standard`` comparison rows (the
+single-time inversion at the longest plan time); a frequency whose
+comparison fails has none.
 
 ``run_campaign`` writes ``datasets.csv``, ``estimates.csv``, ``report.json``,
 ``manifest.json`` and ``run.log`` into the output directory; identical config
@@ -321,61 +324,49 @@ def _spam_row(omega: float, path: str, alpha, alpha_err, delta, delta_err) -> di
 
 
 def _estimate_frequency(campaign: Campaign, dataset, omega: float):
-    """All estimates for one drive amplitude: (rows, spam_row or None)."""
-    plan = campaign.plan
-    rows = []
-    spam_row = None
-    if campaign.protocol == 1:
-        t = plan.times[0]
-        rec_p = dataset.get("x", omega, "x+", "x", t)
-        rec_m = dataset.get("x", omega, "x-", "x", t)
-        for est in estimate_single_axis_standard(rec_p, rec_m, t, omega):
-            rows.append(_estimate_to_row(omega, est))
-    elif campaign.protocol == 2:
+    """All estimates for one drive amplitude: (rows, spam_row or None).
+
+    Protocols 2 and 4 first run their SPAM-robust estimator.  Every protocol
+    then inverts its expectations at the longest plan time: for protocols 1
+    and 3 this is the estimate, for 2 and 4 a comparison that is dropped when
+    it fails.
+    """
+    plan, omega_q = campaign.plan, campaign.device.omega_q
+    robust, spam_row = [], None
+    if campaign.protocol == 2:
         try:
-            robust = robust_single_axis_linearized(dataset, omega)
-            rows.append(_estimate_to_row(omega, robust.s_plus))
-            rows.append(_estimate_to_row(omega, robust.am_s_minus))
-            spam_row = _spam_row(omega, "linearized", robust.alpha, robust.alpha_err, robust.delta, robust.delta_err)
+            lin = robust_single_axis_linearized(dataset, omega)
+            robust = [lin.s_plus, lin.am_s_minus]
+            spam_row = _spam_row(omega, "linearized", lin.alpha, lin.alpha_err, lin.delta, lin.delta_err)
         except LinearizationGuardError:
             fit = robust_single_axis_nonlinear(dataset, omega)
-            rows.append(_estimate_to_row(omega, fit.s_plus))
-            rows.append(_estimate_to_row(omega, fit.s_minus))
+            robust = [fit.s_plus, fit.s_minus]
             spam_row = _spam_row(omega, "nonlinear", fit.alpha_m, fit.alpha_m_err, fit.delta, fit.delta_err)
-        # standard inversion at the longest time for comparison
-        t_max = max(plan.times)
-        rec_p = dataset.get("x", omega, "x+", "x", t_max)
-        rec_m = dataset.get("x", omega, "x-", "x", t_max)
-        try:
-            for est in estimate_single_axis_standard(rec_p, rec_m, t_max, omega):
-                rows.append(_estimate_to_row(omega, est))
-        except EstimationError:
-            pass
-    elif campaign.protocol == 3:
-        t = plan.times[0]
-        aligned = plan.aligned_times(omega)
-        aligned_t = float(aligned[0]) if plan.include_aligned and aligned.size else None
-        result = invert_multi_axis(dataset, omega, campaign.device.omega_q, t, aligned_t)
-        for est in result.estimates.values():
-            rows.append(_estimate_to_row(omega, est))
     elif campaign.protocol == 4:
-        result = robust_multi_axis(dataset, omega, campaign.device.omega_q)
-        for est in result.estimates.values():
-            rows.append(_estimate_to_row(omega, est))
+        result = robust_multi_axis(dataset, omega, omega_q)
+        robust = result.estimates.values()
         spam_row = _spam_row(
             omega, "multi_axis", result.alpha_m, result.alpha_m_err, result.delta, result.delta_err
         )
         spam_row["intercepts_consistent"] = result.intercept_consistent
-        # standard single-time inversion at the longest time for comparison
-        t_max = max(plan.times)
-        aligned = plan.aligned_times(omega)
-        aligned_t = float(aligned[-1]) if plan.include_aligned and aligned.size else None
-        try:
-            std = invert_multi_axis(dataset, omega, campaign.device.omega_q, t_max, aligned_t)
-            for est in std.estimates.values():
-                rows.append(_estimate_to_row(omega, est))
-        except EstimationError:
-            pass
+
+    t_max = max(plan.times)
+    try:
+        if campaign.protocol in (1, 2):
+            rec_p = dataset.get("x", omega, "x+", "x", t_max)
+            rec_m = dataset.get("x", omega, "x-", "x", t_max)
+            standard = estimate_single_axis_standard(rec_p, rec_m, t_max, omega)
+        else:
+            aligned = plan.aligned_times(omega)
+            aligned_t = None
+            if plan.include_aligned and aligned.size:
+                aligned_t = float(aligned[0] if campaign.protocol == 3 else aligned[-1])
+            standard = invert_multi_axis(dataset, omega, omega_q, t_max, aligned_t).estimates.values()
+    except EstimationError:
+        if not robust:
+            raise
+        standard = ()
+    rows = [_estimate_to_row(omega, est) for est in (*robust, *standard)]
     return rows, spam_row
 
 

@@ -259,34 +259,6 @@ class TrajectoryBackend(Backend):
         return sample_shots(min(max(p_plus, 0.0), 1.0), n_shots, derive_seed(seed, 1))
 
 
-def _point_seed(plan: ProtocolPlan, omega_index: int, drive_axis: str, init: str, observable: str, time_index: int) -> int:
-    return derive_seed(
-        plan.seed,
-        plan.protocol_id,
-        omega_index,
-        _DRIVE_CODE[drive_axis],
-        _INIT_CODE[init],
-        _OBS_CODE[observable],
-        time_index,
-    )
-
-
-def _collect(backend: Backend, plan: ProtocolPlan, omega: float, omega_index: int, points) -> ShotDataset:
-    dataset = ShotDataset()
-    for drive_axis, init, observable, time, time_index in points:
-        record = backend.measure(
-            drive_axis,
-            omega,
-            init,
-            observable,
-            time,
-            plan.n_shots,
-            _point_seed(plan, omega_index, drive_axis, init, observable, time_index),
-        )
-        dataset.add(MeasurementKey(drive_axis, omega, init, observable, float(time)), record)
-    return dataset
-
-
 def _protocol_points(plan: ProtocolPlan, omega: float):
     three_drive = plan.protocol_id in (3, 4)
     points = []
@@ -307,7 +279,15 @@ def _protocol_points(plan: ProtocolPlan, omega: float):
 
 def run_for_omega(backend: Backend, plan: ProtocolPlan, omega: float, omega_index: int = 0) -> ShotDataset:
     """Execute one protocol at one drive amplitude."""
-    return _collect(backend, plan, omega, omega_index, _protocol_points(plan, omega))
+    dataset = ShotDataset()
+    for drive_axis, init, observable, time, time_index in _protocol_points(plan, omega):
+        seed = derive_seed(
+            plan.seed, plan.protocol_id, omega_index,
+            _DRIVE_CODE[drive_axis], _INIT_CODE[init], _OBS_CODE[observable], time_index,
+        )
+        record = backend.measure(drive_axis, omega, init, observable, time, plan.n_shots, seed)
+        dataset.add(MeasurementKey(drive_axis, omega, init, observable, float(time)), record)
+    return dataset
 
 
 def run_plan(backend: Backend, plan: ProtocolPlan, jobs: int = 1) -> ShotDataset:
@@ -316,14 +296,13 @@ def run_plan(backend: Backend, plan: ProtocolPlan, jobs: int = 1) -> ShotDataset
     Frequencies are independent; with ``jobs > 1`` they are dispatched to a
     thread pool and merged by key, which cannot change the result.
     """
+    merged = ShotDataset()
     if jobs <= 1:
-        merged = ShotDataset()
         for i, omega in enumerate(plan.omegas):
             merged.merge(run_for_omega(backend, plan, omega, i))
         return merged
     from concurrent.futures import ThreadPoolExecutor
 
-    merged = ShotDataset()
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = [
             pool.submit(run_for_omega, backend, plan, omega, i)

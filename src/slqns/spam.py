@@ -24,7 +24,7 @@ import enum
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -230,16 +230,23 @@ def _opened(path_or_buffer, mode: str):
     return contextlib.nullcontext(path_or_buffer)
 
 
-@dataclass
 class ShotDataset:
-    """Keyed collection of measurement records with CSV/JSON persistence."""
+    """Keyed collection of measurement records with CSV/JSON persistence.
 
-    entries: dict = field(default_factory=dict)
+    Besides ``entries`` (key -> record), ``add`` files each key's time under
+    its series, the ``(drive_axis, omega, init, observable)`` head of the key,
+    so :meth:`times` is one lookup rather than a scan of every entry.
+    """
+
+    def __init__(self):
+        self.entries: dict[MeasurementKey, ShotRecord] = {}
+        self._series: dict[tuple, list[float]] = {}
 
     def add(self, key: MeasurementKey, record: ShotRecord) -> None:
         if key in self.entries:
             raise ValueError(f"duplicate measurement key {key}")
         self.entries[key] = record
+        self._series.setdefault(key[:4], []).append(key.time)
 
     def get(self, drive_axis: str, omega: float, init: str, observable: str, time: float) -> ShotRecord:
         return self.entries[MeasurementKey(drive_axis, float(omega), init, observable, float(time))]
@@ -250,12 +257,7 @@ class ShotDataset:
         return self
 
     def times(self, drive_axis: str, omega: float, init: str, observable: str) -> list[float]:
-        return sorted(
-            k.time
-            for k in self.entries
-            if (k.drive_axis, k.init, k.observable) == (drive_axis, init, observable)
-            and k.omega == omega
-        )
+        return sorted(self._series.get((drive_axis, omega, init, observable), ()))
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -35,8 +35,6 @@ __all__ = [
     "evaluate_spectrum",
     "split_classical_quantum",
     "spherical_from_cartesian",
-    "spectrum_to_json",
-    "spectrum_from_json",
     "mhz_to_rad_per_us",
     "rad_per_us_to_mhz",
 ]
@@ -121,35 +119,12 @@ class Tabulated:
 
 SpectrumModel = Union[Lorentzian, White, Tabulated]
 
-_KIND_TO_CLS = {"Lorentzian": Lorentzian, "White": White, "Tabulated": Tabulated}
-
 
 def evaluate_spectrum(model: SpectrumModel, omega) -> float:
     """Evaluate a spectrum model at angular frequency ``omega`` (rad/us)."""
     if not np.all(np.isfinite(omega)):
         raise SpectraError(f"spectrum evaluation requires finite omega, got {omega}")
     return model.value(omega)
-
-
-def spectrum_to_json(model: SpectrumModel) -> dict:
-    kind = type(model).__name__
-    if isinstance(model, Lorentzian):
-        params = {"omega0": model.omega0, "tc": model.tc}
-    elif isinstance(model, White):
-        params = {"level": model.level}
-    elif isinstance(model, Tabulated):
-        params = {"grid": list(model.grid), "values": list(model.values)}
-    else:
-        raise SpectraError(f"unknown spectrum model {model!r}")
-    return {"kind": kind, "params": params}
-
-
-def spectrum_from_json(obj: Mapping) -> SpectrumModel:
-    try:
-        cls = _KIND_TO_CLS[obj["kind"]]
-    except KeyError as exc:
-        raise SpectraError(f"unknown spectrum kind in {obj!r}") from exc
-    return cls(**obj["params"])
 
 
 def split_classical_quantum(s_value: complex, s_mirror_value: complex) -> tuple[complex, complex]:

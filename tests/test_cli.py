@@ -35,6 +35,7 @@ def test_run_exits_with_estimation_error_when_every_frequency_fails(tmp_path, ca
     config = copy.deepcopy(CLOSED_FORM_P4)
     config["seed"] = 1
     config["plan"]["omegas_MHz"] = [1.0]
+    config["plan"]["times_us"] = [30, 60, 90]
     assert run(tmp_path, config) == EXIT_ESTIMATION
     err = capsys.readouterr().err
     assert "only 1 usable time points" in err

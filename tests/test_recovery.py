@@ -77,6 +77,8 @@ def analytic_report(protocol: int, plan: dict, *, with_spam: bool) -> dict:
         config["spam"] = dict(SPAM)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        # exact data must never look like SPAM intercepts that disagree
+        warnings.filterwarnings("error", "SPAM intercepts disagree")
         return run_campaign(config).report
 
 
@@ -112,4 +114,6 @@ def test_analytic_campaign_recovers_injected_rates(name):
         alpha = SPAM["alpha_sp"] * SPAM["alpha_m"]
         assert report["spam"]["alpha_m"]["value"] == pytest.approx(alpha, rel=REL_TOL)
         assert report["spam"]["delta"]["value"] == pytest.approx(SPAM["delta"], rel=1e-6)
+    if path == "multi_axis":
+        assert all(r["intercepts_consistent"] for r in report["spam_per_frequency"])
 

@@ -275,3 +275,15 @@ class TestShotDataset:
     def test_times_lookup(self):
         ds = self._dataset()
         assert ds.times("x", 2.5, "x+", "x") == [4.0]
+
+        for t in (9.0, 1.0, 6.5):
+            ds.add(MeasurementKey("x", 2.5, "x+", "x", t), ShotRecord.exact(0.5))
+        assert ds.times("x", 2.5, "x+", "x") == [1.0, 4.0, 6.5, 9.0]
+
+        assert ds.times("x", 2.5, "z+", "x") == []
+        assert ds.times("x", 3.5, "x+", "x") == []
+
+        rebuilt = ShotDataset.from_csv(io.StringIO(ds.csv_text()))
+        merged = ShotDataset().merge(ShotDataset()).merge(ds)
+        for series in {key[:4] for key, _ in ds}:
+            assert rebuilt.times(*series) == merged.times(*series) == ds.times(*series)

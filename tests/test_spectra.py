@@ -1,7 +1,5 @@
 """Spectrum models, spherical representation, and symmetry laws."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,8 +14,6 @@ from slqns.spectra import (
     evaluate_spectrum,
     mhz_to_rad_per_us,
     rad_per_us_to_mhz,
-    spectrum_from_json,
-    spectrum_to_json,
     spherical_from_cartesian,
     split_classical_quantum,
 )
@@ -67,11 +63,6 @@ class TestSpectrumModels:
             Lorentzian(omega0=4.0, tc=0.0)
         with pytest.raises(SpectraError):
             White(level=-1.0)
-
-    @pytest.mark.parametrize("model", [LOR, White(0.3), Tabulated((0.0, 1.0, 2.0), (0.0, 1.0, 0.0))])
-    def test_json_round_trip(self, model):
-        blob = json.dumps(spectrum_to_json(model))
-        assert spectrum_from_json(json.loads(blob)) == model
 
     def test_unit_conversions(self):
         assert mhz_to_rad_per_us(1.0) == pytest.approx(2.0 * np.pi)
