@@ -52,6 +52,8 @@ __all__ = [
     "tcl_expectation_x_drive",
     "tcl_expectation_z_drive",
     "tcl_evolve_state",
+    "tcl_evolve_states",
+    "expectations",
     "frame_aligned_times",
     "toggling_to_rotating",
     "check_secular_validity",
@@ -94,6 +96,24 @@ _EIGENVECTORS = {
 }
 
 
+def _check_states(matrices: np.ndarray) -> None:
+    """Raise :class:`DynamicsError` unless every matrix of an (n, 2, 2) stack is a state."""
+    trace = np.trace(matrices, axis1=-2, axis2=-1)
+    if np.max(np.abs(trace - 1.0)) > TRACE_TOL:
+        raise DynamicsError(f"state trace {trace[np.argmax(np.abs(trace - 1.0))]} differs from 1 beyond tolerance")
+    adjoint = np.conj(np.swapaxes(matrices, -1, -2))
+    if np.max(np.abs(matrices - adjoint)) > HERMITICITY_TOL:
+        raise DynamicsError("state is not Hermitian within tolerance")
+    lowest = np.linalg.eigvalsh(0.5 * (matrices + adjoint))[..., 0].min()
+    if lowest < -EIGENVALUE_TOL:
+        raise DynamicsError(f"state has negative eigenvalue {lowest}")
+
+
+def expectations(matrices: np.ndarray, axes) -> np.ndarray:
+    """<sigma_axes[k]> of matrix k of an (n, 2, 2) stack of states."""
+    return np.real(np.trace(np.array([SIGMA[a] for a in axes]) @ matrices, axis1=-2, axis2=-1))
+
+
 class QubitState:
     """Validated 2x2 density matrix."""
 
@@ -103,13 +123,7 @@ class QubitState:
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (2, 2):
             raise DynamicsError(f"qubit state must be 2x2, got shape {m.shape}")
-        if abs(np.trace(m) - 1.0) > TRACE_TOL:
-            raise DynamicsError(f"state trace {np.trace(m)} differs from 1 beyond tolerance")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise DynamicsError("state is not Hermitian within tolerance")
-        eigs = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-        if eigs.min() < -EIGENVALUE_TOL:
-            raise DynamicsError(f"state has negative eigenvalue {eigs.min()}")
+        _check_states(m[None])
         self._matrix = m
 
     @property
@@ -131,7 +145,7 @@ class QubitState:
         return tuple(self.expectation(u) for u in "xyz")
 
     def expectation(self, axis: str) -> float:
-        return float(np.real(np.trace(SIGMA[axis] @ self._matrix)))
+        return float(expectations(self._matrix[None], [axis])[0])
 
     def coherence_in_basis(self, axis: str) -> complex:
         """Upper coherence element <u+| rho |u-> in the sigma_axis eigenbasis."""
@@ -144,19 +158,19 @@ class QubitState:
         return f"QubitState(bloch=({rx:.6g}, {ry:.6g}, {rz:.6g}))"
 
 
-def _state_from_basis_components(axis: str, population_diff: float, coherence: complex) -> QubitState:
-    """Assemble a state from its sigma_axis populations and upper coherence."""
-    plus = _EIGENVECTORS[(axis, +1)]
-    minus = _EIGENVECTORS[(axis, -1)]
-    p_plus = 0.5 * (1.0 + population_diff)
-    p_minus = 0.5 * (1.0 - population_diff)
+def _states_from_basis_components(axis: str, population_diff, coherence) -> np.ndarray:
+    """Validated (n, 2, 2) states from their sigma_axis populations and upper coherences."""
+    plus, minus = _EIGENVECTORS[(axis, +1)], _EIGENVECTORS[(axis, -1)]
+    p_plus = (0.5 * (1.0 + population_diff))[:, None, None]
+    p_minus = (0.5 * (1.0 - population_diff))[:, None, None]
     m = (
         p_plus * np.outer(plus, plus.conj())
         + p_minus * np.outer(minus, minus.conj())
-        + coherence * np.outer(plus, minus.conj())
-        + np.conj(coherence) * np.outer(minus, plus.conj())
+        + coherence[:, None, None] * np.outer(plus, minus.conj())
+        + np.conj(coherence)[:, None, None] * np.outer(minus, plus.conj())
     )
-    return QubitState(m)
+    _check_states(m)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -310,95 +324,89 @@ def check_secular_validity(decay_rate: float, omega: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _decay_weight(rate: float, duration: float) -> float:
+# math.exp elementwise: numpy's vectorised exp is not bit-equal to it
+_exp = np.vectorize(math.exp, otypes=[float])
+
+
+def _decay_weight(rate: float, duration):
     """(1 - exp(-rate * duration)) / rate, stable through rate -> 0."""
     if rate == 0.0:
         return duration
     return -np.expm1(-rate * duration) / rate
 
 
-def _extract_sx0(initial) -> float:
-    if isinstance(initial, QubitState):
-        return initial.expectation("x")
-    return float(initial)
-
-
-def tcl_expectation_x_drive(a_rate: float, b_rate: float, initial, duration: float) -> float:
+def tcl_expectation_x_drive(a_rate: float, b_rate: float, initial, duration):
     """<sigma_x(T)> under a constant x drive with rates (A, B).
 
-    ``initial`` is either <sigma_x(0)> or a :class:`QubitState`.  The
+    ``initial`` is <sigma_x(0)>; it and ``duration`` may be arrays.  The
     dephasing-only case is recovered with ``A = S+`` and ``B = S-``.
     """
     if not (np.isfinite(a_rate) and a_rate > 0.0):
         raise DynamicsError(f"decay rate A must be > 0, got {a_rate}")
-    sx0 = _extract_sx0(initial)
-    return math.exp(-a_rate * duration) * sx0 + b_rate * _decay_weight(a_rate, duration)
+    return _exp(-a_rate * duration) * initial + b_rate * _decay_weight(a_rate, duration)
 
 
 def tcl_expectation_z_drive(
     rate_down: float,
     rate_up: float,
     initial,
-    duration: float,
+    duration,
     *,
     s00_zero: float = 0.0,
     coherence0: complex = 0.0j,
-) -> tuple[float, float]:
+):
     """(<sigma_z(T)>, |coherence(T)|) under a constant z drive.
 
     ``rate_down`` and ``rate_up`` are the z+ -> z- and z- -> z+ transition
     coefficients; populations relax at ``2 (rate_down + rate_up)`` toward
     ``(rate_up - rate_down) / (rate_up + rate_down)``.  Both rates zero
     freezes the populations.  The toggling-frame coherence magnitude decays
-    at ``rate_down + rate_up + 2 s00_zero``.
+    at ``rate_down + rate_up + 2 s00_zero``.  ``initial`` is <sigma_z(0)>;
+    it and ``duration`` may be arrays.
     """
     for name, rate in (("rate_down", rate_down), ("rate_up", rate_up)):
         if not np.isfinite(rate) or rate < -1e-15:
             raise DynamicsError(f"{name} must be finite and >= 0, got {rate}")
-    if isinstance(initial, QubitState):
-        sz0 = initial.expectation("z")
-        coherence0 = initial.coherence_in_basis("z")
-    else:
-        sz0 = float(initial)
     total = rate_down + rate_up
     if total == 0.0:
-        sz = sz0
+        sz = initial * np.ones_like(duration)
     else:
-        decay = math.exp(-2.0 * total * duration)
-        sz = decay * sz0 + (rate_up - rate_down) / total * (1.0 - decay)
+        decay = _exp(-2.0 * total * duration)
+        sz = decay * initial + (rate_up - rate_down) / total * (1.0 - decay)
     coherence_rate = total + 2.0 * s00_zero
-    coherence_mag = abs(coherence0) * math.exp(-coherence_rate * duration)
+    coherence_mag = abs(coherence0) * _exp(-coherence_rate * duration)
     return sz, coherence_mag
 
 
-def tcl_evolve_state(
-    drive: DriveConfig,
-    spectra: SphericalSpectraSet,
-    device: DeviceParams,
-    rho0: QubitState,
-    duration: float | None = None,
-) -> QubitState:
-    """Closed-form secular-TCL evolution of a full state, rotating frame.
+def tcl_evolve_states(
+    drive: DriveConfig, spectra: SphericalSpectraSet, device: DeviceParams, rho0s, durations
+) -> np.ndarray:
+    """Validated rotating-frame states, (n, 2, 2), of each ``rho0s[k]`` after ``durations[k]``.
 
     Populations along the drive axis follow the two-rate kinetics; the
     drive-basis coherence decays at the derived rate and picks up the
     toggling-to-rotating phase ``exp(-i W t)``.
     """
-    t = drive.duration if duration is None else float(duration)
-    omega_eff = drive.effective_amplitude
-    if drive.axis is DriveAxis.X_PLUS:
+    omega_eff, t = drive.effective_amplitude, np.asarray(durations, dtype=float)
+    basis = "x" if drive.axis is DriveAxis.X_PLUS else "z"
+    initial = {rho: (rho.expectation(basis), rho.coherence_in_basis(basis)) for rho in set(rho0s)}
+    population0, coherence0 = (np.array(values) for values in zip(*(initial[rho] for rho in rho0s)))
+    if basis == "x":
         rates = compute_AB(spectra, omega_eff, device)
-        sx = tcl_expectation_x_drive(rates.a_rate, rates.b_rate, rho0.expectation("x"), t)
+        diff = tcl_expectation_x_drive(rates.a_rate, rates.b_rate, population0, t)
         gamma_c = x_drive_coherence_rate(spectra, omega_eff, device)
-        coh = rho0.coherence_in_basis("x") * math.exp(-gamma_c * t) * np.exp(-1j * omega_eff * t)
-        return _state_from_basis_components("x", sx, coh)
+    else:
+        diff, _ = tcl_expectation_z_drive(*z_drive_rates(spectra, omega_eff, device), population0, t)
+        gamma_c = z_drive_coherence_rate(spectra, omega_eff, device)
+    coherence = toggling_to_rotating(coherence0 * _exp(-gamma_c * t), omega_eff, t)
+    return _states_from_basis_components(basis, diff, coherence)
 
-    rate_down, rate_up = z_drive_rates(spectra, omega_eff, device)
-    s00_zero = _real(spectra.value(0, 0, 0.0), "S[0,0](0)")
-    sz, _ = tcl_expectation_z_drive(rate_down, rate_up, rho0.expectation("z"), t)
-    gamma_c = rate_down + rate_up + 2.0 * s00_zero
-    coh = rho0.coherence_in_basis("z") * math.exp(-gamma_c * t) * np.exp(-1j * omega_eff * t)
-    return _state_from_basis_components("z", sz, coh)
+
+def tcl_evolve_state(
+    drive: DriveConfig, spectra: SphericalSpectraSet, device: DeviceParams, rho0: QubitState
+) -> QubitState:
+    """Closed-form secular-TCL evolution of one state for the drive's duration."""
+    return QubitState(tcl_evolve_states(drive, spectra, device, [rho0], [drive.duration])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +424,14 @@ def frame_aligned_times(omega: float, n_list) -> np.ndarray:
     return 2.0 * math.pi * n / abs(omega)
 
 
-def toggling_to_rotating(coherence: complex, omega: float, t: float) -> complex:
+def toggling_to_rotating(coherence, omega: float, t):
     """Map the upper drive-basis coherence from the toggling to the rotating frame.
 
-    Populations are frame-invariant and pass through unchanged elsewhere.
+    Populations are frame-invariant and pass through unchanged elsewhere.  The
+    product is taken in real arithmetic so that arrays round as scalars do.
     """
-    return complex(coherence) * np.exp(-1j * omega * t)
+    c, phase = np.asarray(coherence, dtype=complex), np.exp(-1j * omega * np.asarray(t))
+    return (c.real * phase.real - c.imag * phase.imag) + 1j * (c.real * phase.imag + c.imag * phase.real)
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +739,7 @@ def tcl_sinc_integrator(
         r_out, r_in = rates(t)
         return -(r_out + r_in) * e + (r_in - r_out)
 
-    e = _extract_sx0(initial)
+    e = float(initial)
     h = duration / n_steps
     t = 0.0
     for _ in range(n_steps):

@@ -3,17 +3,17 @@
 Protocols 1/2 drive along x and measure sigma_x from the two x preparations
 (protocol 2 over a time series); protocols 3/4 add the two z drives with z
 preparations plus an optional frame-aligned coherence block (x preparations
-under the +z drive).  Each requested point is served by a backend:
+under the +z drive).  A backend is handed every point of one drive frequency:
 
 * :class:`ClosedFormTclBackend` evaluates the secular-TCL closed forms with
   injected spherical spectra and SPAM parameters (optionally bypassing shot
-  sampling in analytic mode);
+  sampling in analytic mode), a drive axis at a time;
 * :class:`TrajectoryBackend` Monte-Carlo averages the exact piecewise-
-  constant propagation of the dephasing toy bath.
+  constant propagation of the dephasing toy bath, point by point.
 
-Every measurement draws its shots from a child seed derived from the plan
-seed and the point's address, so datasets are bit-reproducible and
-independent of execution order.
+Every point draws its shots from its own child seed, derived from the plan
+seed and the point's address, so datasets are bit-reproducible whatever the
+grouping of points, the execution order or ``--jobs``.
 """
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ from .dynamics import (
     ToyBathNoise,
     check_secular_validity,
     compute_AB,
+    expectations,
     frame_aligned_times,
-    tcl_evolve_state,
+    tcl_evolve_states,
+    tcl_evolve_state,  # noqa: F401 - resolved here by the benchmark tracer
 )
 from .noisegen import BathConfig, DSAConfig, DSARealization, build_toy_bath
 from .seeding import derive_seed
@@ -40,8 +42,9 @@ from .spam import (
     ShotDataset,
     ShotRecord,
     SpamParams,
+    draw_shots,
     faulty_state,
-    povm_probabilities,
+    outcome_probability,
     sample_shots,
 )
 from .spectra import DeviceParams, SphericalSpectraSet, mhz_to_rad_per_us
@@ -144,21 +147,20 @@ class ProtocolPlan:
 
 
 class Backend:
-    """Point evaluator contract: one measured expectation per request."""
+    """Evaluator of one drive frequency: one record per point, each drawn from
+    the point's own seed, so records do not depend on grouping or ``--jobs``.
+    The default measures the points one at a time."""
 
     analytic: bool = False
 
-    def measure(
-        self,
-        drive_axis: str,
-        omega: float,
-        init: str,
-        observable: str,
-        time: float,
-        n_shots: int,
-        seed: int,
-    ) -> ShotRecord:  # pragma: no cover - interface
-        raise NotImplementedError
+    def measure_omega(self, omega: float, points, n_shots: int, seeds) -> list[ShotRecord]:
+        return [
+            self.measure(drive_axis, omega, init, observable, time, n_shots, seed)
+            for (drive_axis, init, observable, time), seed in zip(points, seeds)
+        ]
+
+    def measure(self, drive_axis, omega, init, observable, time, n_shots, seed) -> ShotRecord:
+        raise NotImplementedError  # pragma: no cover - interface
 
 
 def _drive_config(drive_axis: str, omega: float, time: float) -> DriveConfig:
@@ -183,18 +185,26 @@ class ClosedFormTclBackend(Backend):
         self.device = device
         self.spam = spam if spam is not None else SpamParams.ideal()
         self.analytic = analytic
+        self._prepared = {i: faulty_state(i[0], +1 if i[1] == "+" else -1, self.spam) for i in _INIT_CODE}
+
+    def measure_omega(self, omega, points, n_shots, seeds) -> list[ShotRecord]:
+        self.device.check_drive_amplitude(omega)
+        p_plus = np.empty(len(points))
+        for drive_axis in dict.fromkeys(point[0] for point in points):
+            block = [k for k, point in enumerate(points) if point[0] == drive_axis]
+            _, inits, observables, times = zip(*(points[k] for k in block))
+            # the rates do not depend on the duration the drive is built with
+            drive = _drive_config(drive_axis, omega, times[0])
+            rates = compute_AB(self.spectra, drive.effective_amplitude, self.device)
+            check_secular_validity(rates.a_rate, drive.effective_amplitude)
+            states = tcl_evolve_states(drive, self.spectra, self.device, [self._prepared[i] for i in inits], times)
+            p_plus[block] = outcome_probability(expectations(states, observables), self.spam)
+        if self.analytic:
+            return [ShotRecord.exact(value) for value in 2.0 * p_plus - 1.0]
+        return draw_shots(np.clip(p_plus, 0.0, 1.0), n_shots, seeds)
 
     def measure(self, drive_axis, omega, init, observable, time, n_shots, seed) -> ShotRecord:
-        self.device.check_drive_amplitude(omega)
-        drive = _drive_config(drive_axis, omega, time)
-        rates = compute_AB(self.spectra, drive.effective_amplitude, self.device)
-        check_secular_validity(rates.a_rate, drive.effective_amplitude)
-        rho0 = faulty_state(init[0], +1 if init[1] == "+" else -1, self.spam)
-        final = tcl_evolve_state(drive, self.spectra, self.device, rho0)
-        p_plus, _ = povm_probabilities(final, observable, self.spam)
-        if self.analytic:
-            return ShotRecord.exact(2.0 * p_plus - 1.0)
-        return sample_shots(min(max(p_plus, 0.0), 1.0), n_shots, seed)
+        return self.measure_omega(omega, [(drive_axis, init, observable, time)], n_shots, [seed])[0]
 
 
 class TrajectoryBackend(Backend):
@@ -246,7 +256,7 @@ class TrajectoryBackend(Backend):
             derive_seed(seed, 0),
             dt,
         )
-        p_plus = 0.5 * ((1.0 + self.spam.delta) + self.spam.alpha_m * mean)
+        p_plus = outcome_probability(mean, self.spam)
         if self.analytic:
             record = ShotRecord(
                 n_shots=0,
@@ -279,13 +289,14 @@ def _protocol_points(plan: ProtocolPlan, omega: float):
 
 def run_for_omega(backend: Backend, plan: ProtocolPlan, omega: float, omega_index: int = 0) -> ShotDataset:
     """Execute one protocol at one drive amplitude."""
+    points = _protocol_points(plan, omega)
+    seeds = [
+        derive_seed(plan.seed, plan.protocol_id, omega_index, _DRIVE_CODE[d], _INIT_CODE[i], _OBS_CODE[o], j)
+        for d, i, o, _, j in points
+    ]
+    records = backend.measure_omega(omega, [point[:4] for point in points], plan.n_shots, seeds)
     dataset = ShotDataset()
-    for drive_axis, init, observable, time, time_index in _protocol_points(plan, omega):
-        seed = derive_seed(
-            plan.seed, plan.protocol_id, omega_index,
-            _DRIVE_CODE[drive_axis], _INIT_CODE[init], _OBS_CODE[observable], time_index,
-        )
-        record = backend.measure(drive_axis, omega, init, observable, time, plan.n_shots, seed)
+    for (drive_axis, init, observable, time, _), record in zip(points, records):
         dataset.add(MeasurementKey(drive_axis, omega, init, observable, float(time)), record)
     return dataset
 

@@ -42,7 +42,9 @@ __all__ = [
     "faulty_state",
     "povm_elements",
     "povm_probabilities",
+    "outcome_probability",
     "sample_shots",
+    "draw_shots",
     "spam_corrupted_expectation",
     "expectation_std_error",
 ]
@@ -116,9 +118,14 @@ def povm_elements(basis: str, params: SpamParams) -> tuple[np.ndarray, np.ndarra
     return pi_plus, IDENTITY2 - pi_plus
 
 
+def outcome_probability(expectation, params: SpamParams):
+    """P(+) of the faulty measurement given the ideal <sigma_u> (scalar or array)."""
+    return 0.5 * ((1.0 + params.delta) + params.alpha_m * expectation)
+
+
 def povm_probabilities(rho: QubitState, basis: str, params: SpamParams) -> tuple[float, float]:
     """Outcome probabilities (P+, P-) of the faulty measurement of sigma_basis."""
-    p_plus = 0.5 * ((1.0 + params.delta) + params.alpha_m * rho.expectation(basis))
+    p_plus = outcome_probability(rho.expectation(basis), params)
     return p_plus, 1.0 - p_plus
 
 
@@ -199,15 +206,20 @@ class ShotRecord:
         return cls(n_shots=0, n_plus=0, expectation=float(expectation), variance=0.0, analytic=True)
 
 
-def sample_shots(p_plus: float, n_shots: int, seed: int) -> ShotRecord:
-    """Binomial shot sampling by inverse-CDF from the deterministic stream."""
-    if not (0.0 <= p_plus <= 1.0):
-        raise ValueError(f"P(+) must lie in [0, 1], got {p_plus}")
+def draw_shots(p_plus, n_shots: int, seeds) -> list[ShotRecord]:
+    """Binomial shot sampling by inverse CDF, one record per (P(+), seed) pair."""
+    outside = [p for p in p_plus if not 0.0 <= p <= 1.0]
+    if outside:
+        raise ValueError(f"P(+) must lie in [0, 1], got {outside[0]}")
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
-    u = spawn_rng(seed).random()
-    n_plus = int(stats.binom.ppf(u, n_shots, p_plus))
-    return ShotRecord.from_counts(n_shots, n_plus)
+    n_plus = stats.binom.ppf([spawn_rng(seed).random() for seed in seeds], n_shots, p_plus)
+    return [ShotRecord.from_counts(n_shots, int(k)) for k in n_plus]
+
+
+def sample_shots(p_plus: float, n_shots: int, seed: int) -> ShotRecord:
+    """Binomial shot sampling by inverse-CDF from the deterministic stream."""
+    return draw_shots([p_plus], n_shots, [seed])[0]
 
 
 def expectation_std_error(record: ShotRecord) -> float:

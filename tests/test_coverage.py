@@ -29,7 +29,7 @@ CONFIG = dict(
 )
 
 # as many seeds as fit in about 10 s of tier-1 on a 2-core machine
-P4_SEEDS = range(1, 31)
+P4_SEEDS = range(1, 41)
 P4_CONFIG = dict(CONFIG, protocol=4, plan=dict(CONFIG["plan"], aligned_n=[20, 40, 60]))
 
 

@@ -46,6 +46,9 @@ CLOSED_FORM_P4 = dict(
 )
 
 
+CLOSED_FORM_P4_ANALYTIC = dict(CLOSED_FORM_P4, backend={"type": "closed_form", "analytic": True})
+
+
 # the series is long enough that every frequency takes the nonlinear fit
 CLOSED_FORM_P2 = dict(
     PHYSICS,
@@ -81,8 +84,8 @@ def test_invalid_trajectory_config_exits_with_config_error(tmp_path, capsys, blo
     assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("config", [CLOSED_FORM_P4, TRAJECTORY, CLOSED_FORM_P2],
-                         ids=["closed-form-p4", "trajectory-p2", "closed-form-p2"])
+@pytest.mark.parametrize("config", [CLOSED_FORM_P4, TRAJECTORY, CLOSED_FORM_P2, CLOSED_FORM_P4_ANALYTIC],
+                         ids=["closed-form-p4", "trajectory-p2", "closed-form-p2", "closed-form-p4-analytic"])
 def test_outputs_do_not_depend_on_jobs(tmp_path, config):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
