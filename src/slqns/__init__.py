@@ -14,9 +14,6 @@ from .spectra import (
     White,
     evaluate_spectrum,
     mhz_to_rad_per_us,
-    rad_per_us_to_mhz,
-    spherical_from_cartesian,
-    split_classical_quantum,
 )
 from .noisegen import (
     BathConfig,
@@ -26,12 +23,9 @@ from .noisegen import (
     NoiseTrajectory,
     build_toy_bath,
     default_dsa_config,
-    dsa_sample,
     target_spectra,
-    theoretical_autocorrelation,
 )
 from .dynamics import (
-    ClassicalDephasingNoise,
     DriveAxis,
     DriveConfig,
     DynamicsError,
@@ -39,14 +33,12 @@ from .dynamics import (
     RateCoefficients,
     ToyBathNoise,
     compute_AB,
-    discretized_z_drive,
     ensemble_expectation,
     frame_aligned_times,
     simulate_trajectory,
     tcl_expectation_x_drive,
     tcl_expectation_z_drive,
     tcl_evolve_state,
-    tcl_sinc_integrator,
     toggling_to_rotating,
     x_drive_coherence_rate,
     z_drive_rates,
@@ -55,13 +47,9 @@ from .spam import (
     MeasurementKey,
     ShotDataset,
     ShotRecord,
-    SpamMode,
     SpamParams,
     faulty_state,
-    povm_elements,
-    povm_probabilities,
     sample_shots,
-    spam_corrupted_expectation,
 )
 from .estimation import (
     EstimationError,

@@ -4,9 +4,11 @@ Two independent routes to the same observables:
 
 * closed-form solutions of the secular second-order TCL master equation for
   constant drives along x or +/-z (the estimation theory is built on these);
-* an exact trajectory simulator propagating the joint system(+toy-bath)
+* an exact trajectory simulator propagating the joint system + toy-bath
   state by per-step matrix exponentials of the piecewise-constant
-  rotating-frame Hamiltonian (used as an independent oracle).
+  rotating-frame Hamiltonian (used as an independent oracle).  The toy bath
+  (one bath qubit, :class:`ToyBathNoise`) is the only noise model it
+  propagates.
 
 Conventions.  Everything lives in the frame co-rotating with the qubit
 splitting ``omega_q`` (the RWA has already been applied); a constant drive
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import derive_seed
-from .spectra import DeviceParams, SphericalSpectraSet, Tabulated
+from .spectra import DeviceParams, SphericalSpectraSet
 
 __all__ = [
     "QubitState",
@@ -57,12 +59,9 @@ __all__ = [
     "frame_aligned_times",
     "toggling_to_rotating",
     "check_secular_validity",
-    "ClassicalDephasingNoise",
     "ToyBathNoise",
     "simulate_trajectory",
     "ensemble_expectation",
-    "discretized_z_drive",
-    "tcl_sinc_integrator",
 ]
 
 
@@ -346,23 +345,15 @@ def tcl_expectation_x_drive(a_rate: float, b_rate: float, initial, duration):
     return _exp(-a_rate * duration) * initial + b_rate * _decay_weight(a_rate, duration)
 
 
-def tcl_expectation_z_drive(
-    rate_down: float,
-    rate_up: float,
-    initial,
-    duration,
-    *,
-    s00_zero: float = 0.0,
-    coherence0: complex = 0.0j,
-):
-    """(<sigma_z(T)>, |coherence(T)|) under a constant z drive.
+def tcl_expectation_z_drive(rate_down: float, rate_up: float, initial, duration):
+    """<sigma_z(T)> under a constant z drive.
 
     ``rate_down`` and ``rate_up`` are the z+ -> z- and z- -> z+ transition
     coefficients; populations relax at ``2 (rate_down + rate_up)`` toward
     ``(rate_up - rate_down) / (rate_up + rate_down)``.  Both rates zero
-    freezes the populations.  The toggling-frame coherence magnitude decays
-    at ``rate_down + rate_up + 2 s00_zero``.  ``initial`` is <sigma_z(0)>;
-    it and ``duration`` may be arrays.
+    freezes the populations.  ``initial`` is <sigma_z(0)>; it and
+    ``duration`` may be arrays.  The coherence decays at
+    :func:`z_drive_coherence_rate`.
     """
     for name, rate in (("rate_down", rate_down), ("rate_up", rate_up)):
         if not np.isfinite(rate) or rate < -1e-15:
@@ -373,9 +364,7 @@ def tcl_expectation_z_drive(
     else:
         decay = _exp(-2.0 * total * duration)
         sz = decay * initial + (rate_up - rate_down) / total * (1.0 - decay)
-    coherence_rate = total + 2.0 * s00_zero
-    coherence_mag = abs(coherence0) * _exp(-coherence_rate * duration)
-    return sz, coherence_mag
+    return sz
 
 
 def tcl_evolve_states(
@@ -396,7 +385,7 @@ def tcl_evolve_states(
         diff = tcl_expectation_x_drive(rates.a_rate, rates.b_rate, population0, t)
         gamma_c = x_drive_coherence_rate(spectra, omega_eff, device)
     else:
-        diff, _ = tcl_expectation_z_drive(*z_drive_rates(spectra, omega_eff, device), population0, t)
+        diff = tcl_expectation_z_drive(*z_drive_rates(spectra, omega_eff, device), population0, t)
         gamma_c = z_drive_coherence_rate(spectra, omega_eff, device)
     coherence = toggling_to_rotating(coherence0 * _exp(-gamma_c * t), omega_eff, t)
     return _states_from_basis_components(basis, diff, coherence)
@@ -444,45 +433,22 @@ STEP_NOISE_FRACTION = 0.05
 _BATH_GROUND = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)  # bath starts in z+
 
 
-class ClassicalDephasingNoise:
-    """Scalar classical process beta(t) coupled as beta(t) sigma_z."""
-
-    dimension = 2
-
-    def __init__(self, beta, *, correlation_time: float | None = None):
-        self._beta = beta
-        self.correlation_time = correlation_time
-        if correlation_time is None:
-            cfg = getattr(beta, "config", None)
-            if cfg is not None:
-                self.correlation_time = cfg.correlation_time
-
-    def __call__(self, t):
-        return np.asarray(self._beta(t), dtype=float)
-
-
 class ToyBathNoise:
     """Bath-qubit coupling sigma_z x (b_x tau_x + b_y tau_y + b_z tau_z)/2."""
 
-    dimension = 4
-
     def __init__(self, coefficients, *, correlation_time: float | None = None):
         self._coefficients = coefficients
-        self.correlation_time = correlation_time
-        if correlation_time is None:
-            traj = getattr(coefficients, "trajectory", None)
-            if traj is not None:
-                self.correlation_time = traj.config.correlation_time
+        self.correlation_time = correlation_time  # None: only the drive bounds the step
 
     def __call__(self, t):
         bx, by, bz = self._coefficients(t)
         return np.asarray(bx, float), np.asarray(by, float), np.asarray(bz, float)
 
 
-def _validate_step(drive: DriveConfig, noise, dt: float) -> None:
+def _validate_step(drive: DriveConfig, noise: ToyBathNoise, dt: float) -> None:
     limit = STEP_DRIVE_FRACTION / abs(drive.effective_amplitude)
     reason = "0.05/|Omega|"
-    t_corr = getattr(noise, "correlation_time", None)
+    t_corr = noise.correlation_time
     if t_corr is not None and STEP_NOISE_FRACTION * t_corr < limit:
         limit = STEP_NOISE_FRACTION * t_corr
         reason = "0.05 * noise correlation time"
@@ -524,16 +490,6 @@ def _rotation_from_hamiltonians(h_stack: np.ndarray, lam: np.ndarray, dt: float)
     cos, sinc = _cos_sinc(lam, dt)
     eye = np.eye(h_stack.shape[-1], dtype=complex)
     return cos[:, None, None] * eye - 1j * sinc[:, None, None] * h_stack
-
-
-def _x_drive_unitaries_classical(omega_eff: float, beta: np.ndarray, dt: float) -> np.ndarray:
-    # H = (W/2) sx + beta sz; sx and sz anticommute so H^2 = ((W/2)^2 + beta^2) I
-    n = beta.shape[0]
-    h = np.zeros((n, 2, 2), dtype=complex)
-    h += 0.5 * omega_eff * SIGMA["x"]
-    h += beta[:, None, None] * SIGMA["z"]
-    lam = np.sqrt((0.5 * omega_eff) ** 2 + beta**2)
-    return _rotation_from_hamiltonians(h, lam, dt)
 
 
 def _x_drive_unitaries_bath(omega_eff: float, b: tuple, dt: float) -> np.ndarray:
@@ -585,11 +541,11 @@ def _reduce_system(rho_joint: np.ndarray) -> QubitState:
 
 def simulate_trajectory(
     drive: DriveConfig,
-    noise,
+    noise: ToyBathNoise,
     rho0: QubitState,
     dt: float,
 ) -> QubitState:
-    """Propagate one noise realization exactly; returns the reduced state at T.
+    """Propagate one toy-bath realization exactly; returns the reduced state at T.
 
     The Hamiltonian is held constant on each step (coefficients sampled at
     the step midpoint) and exponentiated exactly, so every step is unitary
@@ -598,19 +554,6 @@ def simulate_trajectory(
     _validate_step(drive, noise, dt)
     n, h, mids = _steps(drive.duration, dt)
     omega_eff = drive.effective_amplitude
-
-    if noise.dimension == 2:
-        beta = np.asarray(noise(mids), dtype=float)
-        if drive.axis is DriveAxis.X_PLUS:
-            unitaries = _x_drive_unitaries_classical(omega_eff, beta, h)
-            u_total = _product_in_order(unitaries)
-        else:
-            # drive and noise are both along z: exact diagonal propagator
-            angle_up = -(0.5 * omega_eff * drive.duration + np.sum(beta) * h)
-            u_total = np.diag([np.exp(1j * angle_up), np.exp(-1j * angle_up)])
-        rho = u_total @ rho0.matrix @ u_total.conj().T
-        return QubitState(0.5 * (rho + rho.conj().T))
-
     b = noise(mids)
     if drive.axis is DriveAxis.X_PLUS:
         unitaries = _x_drive_unitaries_bath(omega_eff, b, h)
@@ -650,103 +593,3 @@ def ensemble_expectation(
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(n_realizations))
     return mean, std_error
-
-
-def discretized_z_drive(
-    omega: float,
-    duration: float,
-    steps: int,
-    noise,
-    rho0: QubitState,
-) -> QubitState:
-    """Trotterized z drive: instantaneous z rotations between free noisy steps.
-
-    Converges (first order in dt) to the continuous z drive; with zero noise
-    the two are identical because all factors commute.
-    """
-    if steps < 100:
-        raise DynamicsError(f"discretized z drive needs >= 100 steps, got {steps}")
-    h = duration / steps
-    # noise held at its step-start value (first-order scheme)
-    starts = np.arange(steps) * h
-    rz = np.diag([np.exp(-1j * 0.5 * omega * h), np.exp(1j * 0.5 * omega * h)])
-
-    if noise.dimension == 2:
-        beta = np.asarray(noise(starts), dtype=float)
-        # free evolution and control both diagonal: closed product
-        angle_up = -(0.5 * omega * duration + np.sum(beta) * h)
-        u_total = np.diag([np.exp(1j * angle_up), np.exp(-1j * angle_up)])
-        rho = u_total @ rho0.matrix @ u_total.conj().T
-        return QubitState(0.5 * (rho + rho.conj().T))
-
-    b = noise(starts)
-    upper_free, lower_free = _z_drive_blocks(0.0, b, h)
-    upper = rz[0, 0] * upper_free
-    lower = rz[1, 1] * lower_free
-    u_total = np.zeros((4, 4), dtype=complex)
-    u_total[0:2, 0:2] = _product_in_order(upper)
-    u_total[2:4, 2:4] = _product_in_order(lower)
-    rho_joint = np.kron(rho0.matrix, _BATH_GROUND)
-    rho_joint = u_total @ rho_joint @ u_total.conj().T
-    return _reduce_system(rho_joint)
-
-
-# ---------------------------------------------------------------------------
-# pre-delta-approximation TCL oracle (retained frequency integral)
-# ---------------------------------------------------------------------------
-
-
-def tcl_sinc_integrator(
-    spectrum: Tabulated,
-    omega: float,
-    initial,
-    duration: float,
-    n_steps: int | None = None,
-) -> float:
-    """<sigma_x(T)> from the single-axis TCL with the sinc kernels retained.
-
-    Integrates the x-drive population equation with time-dependent rates
-
-        R_out(t) = (1/pi) \\int dw S(w) sin((w + Omega) t) / (w + Omega)
-        R_in(t)  = (1/pi) \\int dw S(w) sin((w - Omega) t) / (w - Omega)
-
-    which tend to S(-Omega), S(Omega) in the long-time limit.  Used only to
-    validate the delta approximation behind the closed forms.
-    """
-    grid = np.asarray(spectrum.grid, dtype=float)
-    values = np.asarray(spectrum.values, dtype=float)
-    spacing = np.max(np.diff(grid))
-    if spacing * duration > 0.5:
-        raise DynamicsError(
-            f"tabulated grid spacing {spacing:.3g} rad/us cannot resolve 1/T "
-            f"features at T = {duration:.3g} us; refine the grid"
-        )
-    if n_steps is None:
-        n_steps = max(400, int(40 * abs(omega) * duration / (2 * math.pi)))
-
-    def rates(t: float) -> tuple[float, float]:
-        if t == 0.0:
-            return 0.0, 0.0
-        x_out = grid + omega
-        x_in = grid - omega
-        k_out = np.where(np.abs(x_out) < 1e-12, t, np.sin(x_out * t) / np.where(np.abs(x_out) < 1e-12, 1.0, x_out))
-        k_in = np.where(np.abs(x_in) < 1e-12, t, np.sin(x_in * t) / np.where(np.abs(x_in) < 1e-12, 1.0, x_in))
-        r_out = np.trapezoid(values * k_out, grid) / math.pi
-        r_in = np.trapezoid(values * k_in, grid) / math.pi
-        return r_out, r_in
-
-    def rhs(t: float, e: float) -> float:
-        r_out, r_in = rates(t)
-        return -(r_out + r_in) * e + (r_in - r_out)
-
-    e = float(initial)
-    h = duration / n_steps
-    t = 0.0
-    for _ in range(n_steps):
-        k1 = rhs(t, e)
-        k2 = rhs(t + 0.5 * h, e + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, e + 0.5 * h * k2)
-        k4 = rhs(t + h, e + h * k3)
-        e += h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-    return float(e)

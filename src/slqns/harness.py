@@ -33,17 +33,20 @@ dephasing block instead of evaluating it analytically; its block also takes
 ``bath_variant`` (``"main_text"``, the default, or ``"three_axis"``).
 
 Optional plan keys: ``aligned_n`` (frame-aligned indices n, T = 2 pi n /
-|Omega|, of the protocol 3/4 coherence block), ``include_aligned`` (run that
-block; defaults to whether ``aligned_n`` is non-empty), ``allow_low_frequency``
-(admit drives below the 2.3 kHz exclusion window, default false) and
-``long_time_threshold`` (minimum |Omega| T, default 10).
+|Omega|, of the protocol 3/4 coherence block, which runs exactly when the
+list is non-empty), ``allow_low_frequency`` (admit drives below the 2.3 kHz
+exclusion window, default false) and ``long_time_threshold`` (minimum
+|Omega| T, default 10).
 
 The ``alpha_m`` fields that protocols 2 and 4 report (per frequency and
 combined) hold the combined ``alpha = alpha_sp * alpha_m``: the estimators
 cannot separate preparation from measurement contrast.  Next to their robust
 rows, protocols 2 and 4 also emit ``standard`` comparison rows (the
-single-time inversion at the longest plan time); a frequency whose
-comparison fails has none.
+single-time inversion at the longest plan time).  A frequency whose
+comparison fails has none; ``report.json`` then names it, with the cause,
+under ``standard_dropped`` (``{repr(omega): cause}``, ``{}`` when nothing was
+dropped), and ``run.log`` gets a ``DROPPED standard omega=...: cause`` line.
+These are not ``failures``: the frequency's robust estimates stand.
 
 ``run_campaign`` writes ``datasets.csv``, ``estimates.csv``, ``report.json``,
 ``manifest.json`` and ``run.log`` into the output directory; identical config
@@ -67,6 +70,7 @@ from .estimation import (
     EstimationError,
     LinearizationGuardError,
     SpectralEstimate,
+    _combine_inverse_variance,
     estimate_single_axis_standard,
     invert_multi_axis,
     robust_multi_axis,
@@ -232,7 +236,6 @@ def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
             seed=master_seed,
             long_time_threshold=float(plan_cfg.get("long_time_threshold", 10.0)),
             allow_low_frequency=bool(plan_cfg.get("allow_low_frequency", False)),
-            include_aligned=bool(plan_cfg.get("include_aligned", bool(plan_cfg.get("aligned_n")))),
         )
     except PlanError as exc:
         raise ConfigError(f"invalid plan: {exc}") from exc
@@ -324,12 +327,12 @@ def _spam_row(omega: float, path: str, alpha, alpha_err, delta, delta_err) -> di
 
 
 def _estimate_frequency(campaign: Campaign, dataset, omega: float):
-    """All estimates for one drive amplitude: (rows, spam_row or None).
+    """All estimates for one drive amplitude: (rows, spam_row or None, dropped).
 
     Protocols 2 and 4 first run their SPAM-robust estimator.  Every protocol
     then inverts its expectations at the longest plan time: for protocols 1
     and 3 this is the estimate, for 2 and 4 a comparison that is dropped when
-    it fails.
+    it fails; ``dropped`` is then the cause, otherwise None.
     """
     plan, omega_q = campaign.plan, campaign.device.omega_q
     robust, spam_row = [], None
@@ -351,6 +354,7 @@ def _estimate_frequency(campaign: Campaign, dataset, omega: float):
         spam_row["intercepts_consistent"] = result.intercept_consistent
 
     t_max = max(plan.times)
+    dropped = None
     try:
         if campaign.protocol in (1, 2):
             rec_p = dataset.get("x", omega, "x+", "x", t_max)
@@ -359,28 +363,23 @@ def _estimate_frequency(campaign: Campaign, dataset, omega: float):
         else:
             aligned = plan.aligned_times(omega)
             aligned_t = None
-            if plan.include_aligned and aligned.size:
+            if aligned.size:
                 aligned_t = float(aligned[0] if campaign.protocol == 3 else aligned[-1])
             standard = invert_multi_axis(dataset, omega, omega_q, t_max, aligned_t).estimates.values()
-    except EstimationError:
+    except EstimationError as exc:
         if not robust:
             raise
-        standard = ()
+        standard, dropped = (), str(exc)
     rows = [_estimate_to_row(omega, est) for est in (*robust, *standard)]
-    return rows, spam_row
+    return rows, spam_row, dropped
 
 
 def _combine_spam(spam_rows: list[dict]) -> dict:
     out = {}
     for name in ("alpha_m", "delta"):
-        vals = np.array([r[name] for r in spam_rows])
-        errs = np.array([r[f"{name}_std_error"] for r in spam_rows])
-        if np.all(errs > 0.0):
-            w = 1.0 / errs**2
-            value = float(np.sum(w * vals) / np.sum(w))
-            err = float(math.sqrt(1.0 / np.sum(w)))
-        else:
-            value, err = float(vals.mean()), 0.0
+        value, err = _combine_inverse_variance(
+            [r[name] for r in spam_rows], [r[f"{name}_std_error"] ** 2 for r in spam_rows]
+        )
         out[name] = {"value": value, "std_error": err}
     return out
 
@@ -407,12 +406,15 @@ def run_campaign(config, *, out_dir=None, seed=None, analytic=None, jobs: int = 
     rows: list[dict] = []
     spam_rows: list[dict] = []
     failures: dict[str, str] = {}
+    standard_dropped: dict[str, str] = {}
     for omega in campaign.plan.omegas:
         try:
-            freq_rows, spam_row = _estimate_frequency(campaign, dataset, omega)
+            freq_rows, spam_row, dropped = _estimate_frequency(campaign, dataset, omega)
             rows.extend(freq_rows)
             if spam_row is not None:
                 spam_rows.append(spam_row)
+            if dropped is not None:
+                standard_dropped[repr(omega)] = dropped
         except EstimationError as exc:
             failures[repr(omega)] = str(exc)
 
@@ -428,6 +430,7 @@ def run_campaign(config, *, out_dir=None, seed=None, analytic=None, jobs: int = 
         "spam_per_frequency": spam_rows,
         "spam": _combine_spam(spam_rows) if spam_rows else None,
         "failures": failures,
+        "standard_dropped": standard_dropped,
     }
 
     out_path = None
@@ -463,6 +466,8 @@ def run_campaign(config, *, out_dir=None, seed=None, analytic=None, jobs: int = 
         ]
         for key, msg in failures.items():
             lines.append(f"FAILED omega={key}: {msg}")
+        for key, msg in standard_dropped.items():
+            lines.append(f"DROPPED standard omega={key}: {msg}")
         (out_path / "run.log").write_text("\n".join(lines) + "\n")
 
     return CampaignResult(report=report, dataset=dataset, out_dir=out_path, failures=failures)

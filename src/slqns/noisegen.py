@@ -50,8 +50,6 @@ __all__ = [
     "BathConfig",
     "BathCoefficients",
     "BathVariant",
-    "dsa_sample",
-    "theoretical_autocorrelation",
     "build_toy_bath",
     "target_spectra",
     "default_dsa_config",
@@ -170,7 +168,7 @@ class DSARealization:
     """Frozen draw of the white-noise coefficients for one trajectory.
 
     The trajectory is an analytic function of time, so it can be evaluated on
-    any grid; :func:`dsa_sample` is the grid-sampled view.
+    any grid; :meth:`trajectory` is the grid-sampled view.
     """
 
     def __init__(self, config: DSAConfig, seed: int):
@@ -225,19 +223,6 @@ def _phase_tables(d_omega: float, n_omega: int, n_t: int, h: float) -> tuple[np.
     coarse.flags.writeable = False
     fine.flags.writeable = False
     return coarse, fine
-
-
-def dsa_sample(config: DSAConfig, time_grid, seed: int) -> NoiseTrajectory:
-    """Deterministically sample one noise trajectory on ``time_grid``."""
-    return DSARealization(config, seed).trajectory(time_grid)
-
-
-def theoretical_autocorrelation(config: DSAConfig, tau) -> np.ndarray:
-    """Exact ensemble autocorrelation ``sum_j G_j^2 cos(omega_j tau)``."""
-    tau = np.asarray(tau, dtype=float)
-    g2 = config.amplitudes**2
-    out = np.cos(np.multiply.outer(tau, config.frequencies)) @ g2
-    return float(out) if out.ndim == 0 else out
 
 
 class BathVariant(enum.Enum):

@@ -87,7 +87,6 @@ class ProtocolPlan:
     seed: int = 0
     long_time_threshold: float = dynamics.DEFAULT_LONG_TIME_THRESHOLD
     allow_low_frequency: bool = False
-    include_aligned: bool = True
 
     def __post_init__(self):
         if self.protocol_id not in (1, 2, 3, 4):
@@ -109,10 +108,6 @@ class ProtocolPlan:
         if self.n_shots < 1:
             raise PlanError("n_shots must be >= 1")
         aligned_n = tuple(int(n) for n in self.aligned_n)
-        if self.protocol_id in (3, 4) and self.include_aligned and not aligned_n:
-            raise PlanError(
-                f"protocol {self.protocol_id} needs aligned_n (or include_aligned=False)"
-            )
         if any(n < 1 for n in aligned_n):
             raise PlanError("aligned_n entries must be integers >= 1")
         for w in omegas:
@@ -280,7 +275,7 @@ def _protocol_points(plan: ProtocolPlan, omega: float):
             points.append(("z-", "z-", "z", t, j))
         points.append(("x", "x+", "x", t, j))
         points.append(("x", "x-", "x", t, j))
-    if three_drive and plan.include_aligned:
+    if three_drive:
         for j, t in enumerate(plan.aligned_times(omega)):
             points.append(("z+", "x+", "x", float(t), 1000 + j))
             points.append(("z+", "x-", "x", float(t), 1000 + j))

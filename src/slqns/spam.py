@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import enum
 import io
 import json
 import math
@@ -35,17 +34,13 @@ from .seeding import spawn_rng
 
 __all__ = [
     "SpamParams",
-    "SpamMode",
     "ShotRecord",
     "MeasurementKey",
     "ShotDataset",
     "faulty_state",
-    "povm_elements",
-    "povm_probabilities",
     "outcome_probability",
     "sample_shots",
     "draw_shots",
-    "spam_corrupted_expectation",
     "expectation_std_error",
 ]
 
@@ -112,54 +107,9 @@ def faulty_state(axis: str, sign: int, params: SpamParams) -> QubitState:
     return QubitState(m)
 
 
-def povm_elements(basis: str, params: SpamParams) -> tuple[np.ndarray, np.ndarray]:
-    """POVM pair (Pi_plus, Pi_minus) for a faulty measurement along ``basis``."""
-    pi_plus = 0.5 * params.alpha_m * SIGMA[basis] + 0.5 * (1.0 + params.delta) * IDENTITY2
-    return pi_plus, IDENTITY2 - pi_plus
-
-
 def outcome_probability(expectation, params: SpamParams):
     """P(+) of the faulty measurement given the ideal <sigma_u> (scalar or array)."""
     return 0.5 * ((1.0 + params.delta) + params.alpha_m * expectation)
-
-
-def povm_probabilities(rho: QubitState, basis: str, params: SpamParams) -> tuple[float, float]:
-    """Outcome probabilities (P+, P-) of the faulty measurement of sigma_basis."""
-    p_plus = outcome_probability(rho.expectation(basis), params)
-    return p_plus, 1.0 - p_plus
-
-
-class SpamMode(enum.Enum):
-    """Which protocol observable the corrupted-expectation formula models."""
-
-    X_DRIVE_X = "x_drive_x"    # x drive, x-prepared states, measure sigma_x
-    Z_DRIVE_Z = "z_drive_z"    # z drive, z-prepared states, measure sigma_z
-    Z_DRIVE_X = "z_drive_x"    # z drive, x-prepared states, measure sigma_x (aligned times)
-
-
-def spam_corrupted_expectation(
-    ideal: float,
-    decay_factor: float,
-    sign: int,
-    params: SpamParams,
-    mode: SpamMode,
-) -> float:
-    """Measured expectation for an ideal value under static SPAM errors.
-
-    ``decay_factor`` is ``exp(-G T)`` with the mode's decay rate: A(Omega)
-    for the x drive, twice the transverse classical spectrum for the z-drive
-    populations, and the coherence rate for the z-drive/x-state mode.  For
-    the population modes the preparation error enters as an extra
-    ``-sign (1 - alpha_sp) decay_factor`` inside the measurement bias; for
-    the coherence mode the whole signal is scaled by alpha = alpha_sp alpha_m.
-    """
-    if not (0.0 < decay_factor <= 1.0):
-        raise ValueError(f"decay_factor must lie in (0, 1], got {decay_factor}")
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    if mode is SpamMode.Z_DRIVE_X:
-        return params.alpha * ideal + params.delta
-    return params.alpha_m * (ideal - sign * (1.0 - params.alpha_sp) * decay_factor) + params.delta
 
 
 class MeasurementKey(NamedTuple):

@@ -1,8 +1,8 @@
 """Noise spectrum models and their spherical-basis representation.
 
 All angular frequencies are in rad/us and spectral densities in 1/us
-(hbar = 1); conversion to/from ordinary frequency in MHz happens only at
-I/O boundaries via :func:`mhz_to_rad_per_us` / :func:`rad_per_us_to_mhz`.
+(hbar = 1); ordinary frequencies in MHz are converted only at the config
+boundary, by :func:`mhz_to_rad_per_us`.
 
 A two-point bath correlator in the spherical basis indexed by
 ``(alpha, beta)`` with ``alpha, beta in {-1, 0, +1}`` is represented in the
@@ -33,10 +33,7 @@ __all__ = [
     "SphericalSpectraSet",
     "SpectraError",
     "evaluate_spectrum",
-    "split_classical_quantum",
-    "spherical_from_cartesian",
     "mhz_to_rad_per_us",
-    "rad_per_us_to_mhz",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -53,11 +50,6 @@ class SpectraError(ValueError):
 def mhz_to_rad_per_us(f_mhz):
     """Ordinary frequency in MHz to angular frequency in rad/us."""
     return TWO_PI * np.asarray(f_mhz, dtype=float) if np.ndim(f_mhz) else TWO_PI * float(f_mhz)
-
-
-def rad_per_us_to_mhz(omega):
-    """Angular frequency in rad/us to ordinary frequency in MHz."""
-    return np.asarray(omega, dtype=float) / TWO_PI if np.ndim(omega) else float(omega) / TWO_PI
 
 
 @dataclass(frozen=True)
@@ -125,25 +117,6 @@ def evaluate_spectrum(model: SpectrumModel, omega) -> float:
     if not np.all(np.isfinite(omega)):
         raise SpectraError(f"spectrum evaluation requires finite omega, got {omega}")
     return model.value(omega)
-
-
-def split_classical_quantum(s_value: complex, s_mirror_value: complex) -> tuple[complex, complex]:
-    """Split ``S[a,b](w)`` and its mirror ``S[b,a](-w)`` into (S+, S-).
-
-    The round trip ``S[a,b](w) == (S+ + S-) / 2`` is exact.
-    """
-    a, b = complex(s_value), complex(s_mirror_value)
-    if not all(np.isfinite([a.real, a.imag, b.real, b.imag])):
-        raise SpectraError("split requires finite inputs")
-    return a + b, a - b
-
-
-def spherical_from_cartesian(sxx, syy, sxy, syx, szz):
-    """Map Cartesian spectra at one frequency to (S[0,0], S[-1,1], S[1,-1])."""
-    s00 = szz
-    s_m1p1 = sxx + syy + 1j * (sxy - syx)
-    s_p1m1 = sxx + syy - 1j * (sxy - syx)
-    return s00, s_m1p1, s_p1m1
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ def test_protocol4_skips_an_aligned_block_left_with_one_usable_time():
 
 
 @pytest.mark.parametrize("name", ["p1", "p3", "p2-linearized", "p4-aligned"])
-def test_a_failed_standard_inversion_fails_only_protocols_without_a_robust_step(monkeypatch, name):
+def test_a_failed_standard_inversion_fails_only_protocols_without_a_robust_step(monkeypatch, tmp_path, name):
     protocol, with_spam, plan, *_ = CASES[name]
     full = analytic_report(protocol, plan, with_spam=with_spam)
 
@@ -57,16 +57,26 @@ def test_a_failed_standard_inversion_fails_only_protocols_without_a_robust_step(
 
     monkeypatch.setattr(harness, "estimate_single_axis_standard", refuse)
     monkeypatch.setattr(harness, "invert_multi_axis", refuse)
-    report = analytic_report(protocol, plan, with_spam=with_spam)
+    report = analytic_report(protocol, plan, with_spam=with_spam, out_dir=tmp_path)
+    log = (tmp_path / "run.log").read_text().splitlines()
 
     assert any(row["method"] == "standard" for row in full["estimates"])
+    assert full["standard_dropped"] == {}
     if protocol in (1, 3):
         assert report["estimates"] == []
         assert list(report["failures"].values()) == ["standard inversion refused"] * len(plan["omegas_MHz"])
+        assert report["standard_dropped"] == {}
+        assert not any(line.startswith("DROPPED") for line in log)
     else:
         assert report["failures"] == {}
         assert report["estimates"] == [row for row in full["estimates"] if row["method"] != "standard"]
         assert report["spam_per_frequency"] == full["spam_per_frequency"]
+        assert report["standard_dropped"] == {
+            repr(omega): "standard inversion refused" for omega in report["frequencies_rad_per_us"]
+        }
+        assert len(report["standard_dropped"]) == len(plan["omegas_MHz"])
+        for omega in report["frequencies_rad_per_us"]:
+            assert f"DROPPED standard omega={omega!r}: standard inversion refused" in log
 
 
 @pytest.mark.parametrize("protocol, index", [(3, 0), (4, -1)])

@@ -10,11 +10,11 @@ from slqns.noisegen import (
     DSARealization,
     build_toy_bath,
     default_dsa_config,
-    dsa_sample,
     target_spectra,
-    theoretical_autocorrelation,
 )
 from slqns.spectra import Lorentzian, Tabulated, White
+
+from oracles import dsa_sample, theoretical_autocorrelation
 
 LOR = Lorentzian(omega0=4.0, tc=0.5)
 

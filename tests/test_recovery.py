@@ -64,13 +64,12 @@ CASES = {
     "p4-two-aligned": (4, True, {"omegas_MHz": [10.0, 30.0], "times_us": SERIES_US,
                                  "aligned_n": [20, 40]},
                        "robust_linear", "multi_axis", THREE_DRIVE),
-    "p4-no-aligned": (4, True, {"omegas_MHz": [10.0, 30.0], "times_us": SERIES_US,
-                                "include_aligned": False},
+    "p4-no-aligned": (4, True, {"omegas_MHz": [10.0, 30.0], "times_us": SERIES_US},
                       "robust_linear", "multi_axis", THREE_DRIVE),
 }
 
 
-def analytic_report(protocol: int, plan: dict, *, with_spam: bool) -> dict:
+def analytic_report(protocol: int, plan: dict, *, with_spam: bool, out_dir=None) -> dict:
     config = copy.deepcopy(BASE)
     config.update(protocol=protocol, plan=dict(plan, shots=1000))
     if with_spam:
@@ -79,7 +78,7 @@ def analytic_report(protocol: int, plan: dict, *, with_spam: bool) -> dict:
         warnings.simplefilter("ignore")
         # exact data must never look like SPAM intercepts that disagree
         warnings.filterwarnings("error", "SPAM intercepts disagree")
-        return run_campaign(config).report
+        return run_campaign(config, out_dir=out_dir).report
 
 
 def truth(row: dict) -> float:

