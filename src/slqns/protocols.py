@@ -12,8 +12,10 @@ under the +z drive).  A backend is handed every point of one drive frequency:
   constant propagation of the dephasing toy bath, point by point.
 
 Every point draws its shots from its own child seed, derived from the plan
-seed and the point's address, so datasets are bit-reproducible whatever the
-grouping of points, the execution order or ``--jobs``.
+seed and the point's address.  :func:`run_plan` derives every point's stream
+in one array pass, but each is still addressed by its point's key alone, so
+datasets are bit-reproducible whatever the grouping of points, the execution
+order or ``--jobs``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .dynamics import (
     tcl_evolve_state,  # noqa: F401 - resolved here by the benchmark tracer
 )
 from .noisegen import BathConfig, DSAConfig, DSARealization, build_toy_bath
-from .seeding import derive_seed
+from .seeding import derive_seed, derive_seeds, first_uniforms
 from .spam import (
     MeasurementKey,
     ShotDataset,
@@ -107,6 +109,8 @@ class ProtocolPlan:
             raise PlanError(f"protocol {self.protocol_id} needs at least 3 distinct times")
         if self.n_shots < 1:
             raise PlanError("n_shots must be >= 1")
+        if self.seed < 0:
+            raise PlanError(f"seed must be >= 0, got {self.seed}")
         aligned_n = tuple(int(n) for n in self.aligned_n)
         if any(n < 1 for n in aligned_n):
             raise PlanError("aligned_n entries must be integers >= 1")
@@ -143,12 +147,13 @@ class ProtocolPlan:
 
 class Backend:
     """Evaluator of one drive frequency: one record per point, each drawn from
-    the point's own seed, so records do not depend on grouping or ``--jobs``.
-    The default measures the points one at a time."""
+    the point's own seed (or its ``first_uniforms`` value, when given), so
+    records do not depend on grouping or ``--jobs``.  The default measures
+    the points one at a time."""
 
     analytic: bool = False
 
-    def measure_omega(self, omega: float, points, n_shots: int, seeds) -> list[ShotRecord]:
+    def measure_omega(self, omega: float, points, n_shots: int, seeds, uniforms=None) -> list[ShotRecord]:
         return [
             self.measure(drive_axis, omega, init, observable, time, n_shots, seed)
             for (drive_axis, init, observable, time), seed in zip(points, seeds)
@@ -182,7 +187,7 @@ class ClosedFormTclBackend(Backend):
         self.analytic = analytic
         self._prepared = {i: faulty_state(i[0], +1 if i[1] == "+" else -1, self.spam) for i in _INIT_CODE}
 
-    def measure_omega(self, omega, points, n_shots, seeds) -> list[ShotRecord]:
+    def measure_omega(self, omega, points, n_shots, seeds, uniforms=None) -> list[ShotRecord]:
         self.device.check_drive_amplitude(omega)
         p_plus = np.empty(len(points))
         for drive_axis in dict.fromkeys(point[0] for point in points):
@@ -196,7 +201,8 @@ class ClosedFormTclBackend(Backend):
             p_plus[block] = outcome_probability(expectations(states, observables), self.spam)
         if self.analytic:
             return [ShotRecord.exact(value) for value in 2.0 * p_plus - 1.0]
-        return draw_shots(np.clip(p_plus, 0.0, 1.0), n_shots, seeds)
+        uniforms = first_uniforms(seeds) if uniforms is None else uniforms
+        return draw_shots(np.clip(p_plus, 0.0, 1.0), n_shots, uniforms)
 
     def measure(self, drive_axis, omega, init, observable, time, n_shots, seed) -> ShotRecord:
         return self.measure_omega(omega, [(drive_axis, init, observable, time)], n_shots, [seed])[0]
@@ -282,14 +288,23 @@ def _protocol_points(plan: ProtocolPlan, omega: float):
     return points
 
 
-def run_for_omega(backend: Backend, plan: ProtocolPlan, omega: float, omega_index: int = 0) -> ShotDataset:
-    """Execute one protocol at one drive amplitude."""
+def _stream_keys(plan: ProtocolPlan, points, omega_indices) -> np.ndarray:
+    """Keys (protocol, frequency index, drive, init, observable, time index) of
+    ``points`` at each frequency index: the frequency enters only as its index."""
+    pattern = [(plan.protocol_id, 0, _DRIVE_CODE[d], _INIT_CODE[i], _OBS_CODE[o], j) for d, i, o, _, j in points]
+    keys = np.tile(pattern, (len(omega_indices), 1))
+    keys[:, 1] = np.repeat(omega_indices, len(points))
+    return keys
+
+
+def run_for_omega(backend: Backend, plan: ProtocolPlan, omega: float, omega_index: int = 0,
+                  seeds=None, uniforms=None) -> ShotDataset:
+    """Execute one protocol at one drive amplitude, from this frequency's row of
+    the plan's stream table when given."""
     points = _protocol_points(plan, omega)
-    seeds = [
-        derive_seed(plan.seed, plan.protocol_id, omega_index, _DRIVE_CODE[d], _INIT_CODE[i], _OBS_CODE[o], j)
-        for d, i, o, _, j in points
-    ]
-    records = backend.measure_omega(omega, [point[:4] for point in points], plan.n_shots, seeds)
+    if seeds is None:
+        seeds = derive_seeds(plan.seed, _stream_keys(plan, points, [omega_index]))
+    records = backend.measure_omega(omega, [point[:4] for point in points], plan.n_shots, seeds, uniforms)
     dataset = ShotDataset()
     for (drive_axis, init, observable, time, _), record in zip(points, records):
         dataset.add(MeasurementKey(drive_axis, omega, init, observable, float(time)), record)
@@ -297,23 +312,22 @@ def run_for_omega(backend: Backend, plan: ProtocolPlan, omega: float, omega_inde
 
 
 def run_plan(backend: Backend, plan: ProtocolPlan, jobs: int = 1) -> ShotDataset:
-    """Execute a plan over its full drive-amplitude grid.
-
-    Frequencies are independent; with ``jobs > 1`` they are dispatched to a
-    thread pool and merged by key, which cannot change the result.
-    """
+    """Execute a plan over its full drive-amplitude grid, every point's seed and
+    first uniform coming from one pass over its key table.  Frequencies are
+    independent; with ``jobs > 1`` they are dispatched to a thread pool and
+    merged by key, which cannot change the result."""
+    keys = _stream_keys(plan, _protocol_points(plan, plan.omegas[0]), range(len(plan.omegas)))
+    seeds = derive_seeds(plan.seed, keys).reshape(len(plan.omegas), -1)
+    uniforms = first_uniforms(seeds.ravel()).reshape(seeds.shape)
+    calls = [(backend, plan, omega, i, seeds[i], uniforms[i]) for i, omega in enumerate(plan.omegas)]
     merged = ShotDataset()
     if jobs <= 1:
-        for i, omega in enumerate(plan.omegas):
-            merged.merge(run_for_omega(backend, plan, omega, i))
+        for call in calls:
+            merged.merge(run_for_omega(*call))
         return merged
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(run_for_omega, backend, plan, omega, i)
-            for i, omega in enumerate(plan.omegas)
-        ]
-        for future in futures:
+        for future in [pool.submit(run_for_omega, *call) for call in calls]:
             merged.merge(future.result())
     return merged

@@ -156,20 +156,20 @@ class ShotRecord:
         return cls(n_shots=0, n_plus=0, expectation=float(expectation), variance=0.0, analytic=True)
 
 
-def draw_shots(p_plus, n_shots: int, seeds) -> list[ShotRecord]:
-    """Binomial shot sampling by inverse CDF, one record per (P(+), seed) pair."""
+def draw_shots(p_plus, n_shots: int, uniforms) -> list[ShotRecord]:
+    """Binomial shot sampling by inverse CDF, one record per (P(+), uniform) pair."""
     outside = [p for p in p_plus if not 0.0 <= p <= 1.0]
     if outside:
         raise ValueError(f"P(+) must lie in [0, 1], got {outside[0]}")
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
-    n_plus = stats.binom.ppf([spawn_rng(seed).random() for seed in seeds], n_shots, p_plus)
+    n_plus = stats.binom.ppf(uniforms, n_shots, p_plus)
     return [ShotRecord.from_counts(n_shots, int(k)) for k in n_plus]
 
 
 def sample_shots(p_plus: float, n_shots: int, seed: int) -> ShotRecord:
     """Binomial shot sampling by inverse-CDF from the deterministic stream."""
-    return draw_shots([p_plus], n_shots, [seed])[0]
+    return draw_shots([p_plus], n_shots, [spawn_rng(seed).random()])[0]
 
 
 def expectation_std_error(record: ShotRecord) -> float:
@@ -264,17 +264,22 @@ class ShotDataset:
             return ds
 
     def to_manifest(self, **metadata) -> str:
-        """JSON manifest: metadata plus every record, stably ordered."""
+        """JSON manifest: metadata plus every record, stably ordered; the text of
+        ``json.dumps(..., sort_keys=True, indent=1)``, but each flat record goes
+        through the C encoder, which an indent would bypass."""
+        head = json.dumps({"metadata": metadata, "records": []}, sort_keys=True, indent=1)
+        encode = json.JSONEncoder(sort_keys=True, separators=(",\n   ", ": ")).encode
         rows = [
-            {
+            "{\n   " + encode({
                 "axis": k.drive_axis, "omega_rad_per_us": k.omega, "init": k.init,
                 "obs": k.observable, "T_us": k.time, "n_shots": r.n_shots,
                 "n_plus": r.n_plus, "expectation": r.expectation,
                 "variance": r.variance, "analytic": r.analytic,
-            }
+            })[1:-1] + "\n  }"
             for k, r in self
         ]
-        return json.dumps({"metadata": metadata, "records": rows}, sort_keys=True, indent=1)
+        # the records list is the last key: open up its "[]" at the tail
+        return head[: -len("[]\n}")] + "[\n  " + ",\n  ".join(rows) + "\n ]\n}" if rows else head
 
     def csv_text(self) -> str:
         buffer = io.StringIO()

@@ -19,6 +19,9 @@ program's own output with a second route to the same number:
 * :func:`theoretical_autocorrelation`: the exact ensemble autocorrelation of
   the synthesis, against sample autocorrelations of
   ``noisegen.DSARealization`` trajectories.
+* :func:`manifest_reference`: ``spam.ShotDataset.to_manifest`` as one
+  ``json.dumps`` with an indent, against the program's text, which encodes
+  each record with the C encoder and joins the rows itself.
 * :func:`dsa_sample` and :func:`rad_per_us_to_mhz`: one-line shorthands for
   ``DSARealization(config, seed).trajectory(grid)`` and the inverse of
   ``spectra.mhz_to_rad_per_us``.
@@ -27,6 +30,7 @@ program's own output with a second route to the same number:
 from __future__ import annotations
 
 import enum
+import json
 import math
 
 import numpy as np
@@ -43,7 +47,7 @@ from slqns.dynamics import (
     _z_drive_blocks,
 )
 from slqns.noisegen import DSAConfig, DSARealization, NoiseTrajectory
-from slqns.spam import SpamParams, outcome_probability
+from slqns.spam import ShotDataset, SpamParams, outcome_probability
 from slqns.spectra import TWO_PI, Tabulated
 
 
@@ -176,6 +180,20 @@ def povm_probabilities(rho: QubitState, basis: str, params: SpamParams) -> tuple
     """Outcome probabilities (P+, P-) of the faulty measurement of sigma_basis."""
     p_plus = outcome_probability(rho.expectation(basis), params)
     return p_plus, 1.0 - p_plus
+
+
+def manifest_reference(dataset: ShotDataset, **metadata) -> str:
+    """The manifest text, encoded in one ``json.dumps`` call."""
+    rows = [
+        {
+            "axis": k.drive_axis, "omega_rad_per_us": k.omega, "init": k.init,
+            "obs": k.observable, "T_us": k.time, "n_shots": r.n_shots,
+            "n_plus": r.n_plus, "expectation": r.expectation,
+            "variance": r.variance, "analytic": r.analytic,
+        }
+        for k, r in dataset
+    ]
+    return json.dumps({"metadata": metadata, "records": rows}, sort_keys=True, indent=1)
 
 
 def theoretical_autocorrelation(config: DSAConfig, tau) -> np.ndarray:

@@ -73,3 +73,22 @@ def test_compare_exits_with_config_error_on_missing_file(reports, tmp_path, caps
 def test_compare_exits_with_config_error_on_different_grids(reports, capsys):
     assert main(["compare", reports["a"], reports["grid"]]) == EXIT_CONFIG
     assert "different" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-5, "seed must be >= 0"),
+    (1.7, "seed must be an integer"),
+], ids=["negative", "fractional"])
+def test_validate_and_run_exit_with_config_error_on_a_bad_seed(tmp_path, capsys, seed, message):
+    config = dict(copy.deepcopy(CLOSED_FORM_P4), seed=seed)
+    assert main(["validate", write_config(tmp_path, config)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert run(tmp_path, config) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_exits_with_config_error_on_a_negative_seed_flag(tmp_path, capsys):
+    path = write_config(tmp_path, CLOSED_FORM_P4)
+    assert main(["run", path, "--seed", "-1", "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "seed must be >= 0" in capsys.readouterr().err

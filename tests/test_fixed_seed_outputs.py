@@ -1,0 +1,75 @@
+"""A fixed seed gives the same output bytes: pinned SHA-256 digests.
+
+The two campaigns are the 16-frequency twins of the closed-form benchmark
+sweeps (protocol 4 with the aligned block, and the protocol 2 series) at
+seed 1, in shot mode.  The digests were recorded at commit e6581fb, before
+the array seeding path (``seeding.derive_seeds``/``first_uniforms``)
+replaced the per-point ``SeedSequence`` construction, with numpy 2.4 and
+scipy 1.17 on x86-64 Linux.  A speed-up of the closed-form path must keep
+them; a change that means to alter the outputs re-records them and says why.
+"""
+
+from __future__ import annotations
+
+import copy
+import hashlib
+import warnings
+
+import pytest
+
+from slqns.harness import run_campaign
+
+PHYSICS = {
+    "device": {"qubit_frequency_MHz": 4970.0},
+    "spam": {"alpha_sp": 0.98, "alpha_m": 0.95, "delta": 0.01},
+    "spectra": {
+        "dephasing": {
+            "model": {
+                "kind": "Lorentzian",
+                "params": {"peak_frequency_MHz": 0.6366, "correlation_time_us": 0.5},
+            },
+            "scale": 1.0,
+            "quantum_lag_us": 0.3,
+        },
+        "transverse": {"model": {"kind": "White", "params": {"level_per_us": 0.01}}},
+    },
+}
+OMEGAS_MHZ = [1.0 + 39.0 * k / 15 for k in range(16)]
+TIMES_US = [2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
+
+CAMPAIGNS = {
+    "p4-wide-twin": dict(
+        copy.deepcopy(PHYSICS), protocol=4, seed=1,
+        backend={"type": "closed_form", "analytic": False},
+        plan={"omegas_MHz": OMEGAS_MHZ, "times_us": TIMES_US, "aligned_n": [20, 40, 60], "shots": 1000},
+    ),
+    "p2-series-twin": dict(
+        copy.deepcopy(PHYSICS), protocol=2, seed=1,
+        backend={"type": "closed_form", "analytic": False},
+        plan={"omegas_MHz": OMEGAS_MHZ, "times_us": TIMES_US, "shots": 1000},
+    ),
+}
+
+DIGESTS = {
+    "p4-wide-twin": {
+        "report.json": "abef7467ca40ae901c3a4fe01cb08ae82079e7d03391e6fd94caf9d8fdea5dfe",
+        "datasets.csv": "a1af287f9664096b7fa9ff9026a6b097bf085c6f74104fbf452cb6b038298046",
+        "estimates.csv": "f77a405b0036c392e51e23bd4eac9f4241a14448ba3f66635e9e50498758806c",
+        "manifest.json": "7f6ff863c1757153d84793cf6b8015083e5a5f73a702e6a480f7610406cb37c1",
+    },
+    "p2-series-twin": {
+        "report.json": "d3e1f5e8ea23b492531cf109820d233f0c30e2b960b4dbc2c4370535b72f81e6",
+        "datasets.csv": "dffba99a4c2a57038de119c93c847e012d4ff4944b4b100fda18d3bb1f5863cc",
+        "estimates.csv": "65bbab7f701878465389405219e7d43283c5dd586c6d221dc7e7d6ee012f15ae",
+        "manifest.json": "69d047005166ad922673d9684635d90a13c0cd24951b02d66a1ccfdfeab9d4a3",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_outputs_match_the_pinned_digests(tmp_path, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_campaign(CAMPAIGNS[name], out_dir=tmp_path)
+    digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in DIGESTS[name]}
+    assert digests == DIGESTS[name]

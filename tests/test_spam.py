@@ -29,7 +29,13 @@ from slqns.spam import (
 )
 from slqns.spectra import DeviceParams, Lorentzian, SphericalSpectraSet
 
-from oracles import SpamMode, povm_elements, povm_probabilities, spam_corrupted_expectation
+from oracles import (
+    SpamMode,
+    manifest_reference,
+    povm_elements,
+    povm_probabilities,
+    spam_corrupted_expectation,
+)
 
 DEVICE = DeviceParams(omega_q=2.0 * np.pi * 4970.0)
 
@@ -285,3 +291,23 @@ class TestShotDataset:
         merged = ShotDataset().merge(ShotDataset()).merge(ds)
         for series in {key[:4] for key, _ in ds}:
             assert rebuilt.times(*series) == merged.times(*series) == ds.times(*series)
+
+
+def _manifest_dataset(records):
+    ds = ShotDataset()
+    for k, record in enumerate(records):
+        ds.add(MeasurementKey("x" if k % 2 else "z+", 2.5 + k, "x+", "x", 4.0 / (k + 1)), record)
+    return ds
+
+
+@pytest.mark.parametrize("records, metadata", [
+    ([], {"config_digest": "ab", "protocol": 4, "seed": 1}),
+    ([ShotRecord.from_counts(1000, 700), ShotRecord.from_counts(1000, 0), ShotRecord.from_counts(7, 7)],
+     {"protocol": 2, "seed": 2**64 + 3}),
+    ([ShotRecord.exact(0.25), ShotRecord.exact(-1.0 / 3.0), ShotRecord.from_counts(10, 3)], {}),
+    ([ShotRecord.exact(1e-300)],
+     {"nested": {"list": [1, 2.5, "s"], "empty": {}, "deep": {"b": [], "a": None}}, "records": True}),
+], ids=["empty", "shots", "analytic-and-shots", "nested-metadata"])
+def test_manifest_equals_one_indented_json_dump(records, metadata):
+    ds = _manifest_dataset(records)
+    assert ds.to_manifest(**metadata) == manifest_reference(ds, **metadata)
