@@ -60,6 +60,7 @@ __all__ = [
     "toggling_to_rotating",
     "check_secular_validity",
     "ToyBathNoise",
+    "step_limit",
     "simulate_trajectory",
     "ensemble_expectation",
 ]
@@ -445,13 +446,17 @@ class ToyBathNoise:
         return np.asarray(bx, float), np.asarray(by, float), np.asarray(bz, float)
 
 
+def step_limit(omega_eff: float, correlation_time: float | None) -> tuple[float, str]:
+    """Largest trajectory step, 0.05/|Omega| or 0.05 times the noise
+    correlation time when that is smaller, with the name of the bound."""
+    limit, reason = STEP_DRIVE_FRACTION / abs(omega_eff), "0.05/|Omega|"
+    if correlation_time is not None and STEP_NOISE_FRACTION * correlation_time < limit:
+        limit, reason = STEP_NOISE_FRACTION * correlation_time, "0.05 * noise correlation time"
+    return limit, reason
+
+
 def _validate_step(drive: DriveConfig, noise: ToyBathNoise, dt: float) -> None:
-    limit = STEP_DRIVE_FRACTION / abs(drive.effective_amplitude)
-    reason = "0.05/|Omega|"
-    t_corr = noise.correlation_time
-    if t_corr is not None and STEP_NOISE_FRACTION * t_corr < limit:
-        limit = STEP_NOISE_FRACTION * t_corr
-        reason = "0.05 * noise correlation time"
+    limit, reason = step_limit(drive.effective_amplitude, noise.correlation_time)
     if dt > limit * (1.0 + 1e-9):
         raise DynamicsError(
             f"step dt = {dt:.3g} us exceeds {limit:.3g} us ({reason}); "

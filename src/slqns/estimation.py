@@ -19,6 +19,10 @@ means over the two preparations and ``alpha = alpha_sp * alpha_m``::
 so classical spectra and alpha come out of straight-line fits, while the
 quantum spectra are identifiable only as alpha_m-scaled products unless
 alpha is approximately alpha_m (negligible preparation errors).
+
+Every estimator returns one :class:`EstimatorResult`: its spectral estimates
+keyed by component, the path taken, the SPAM parameters (robust paths only)
+and the diagnostics the estimator computed on the way.
 """
 
 from __future__ import annotations
@@ -48,10 +52,7 @@ __all__ = [
     "invert_multi_axis",
     "robust_multi_axis",
     "single_axis_forward",
-    "RobustLinearizedResult",
-    "NonlinearFitResult",
-    "MultiAxisStandardResult",
-    "RobustMultiAxisResult",
+    "EstimatorResult",
 ]
 
 Z_95 = 1.959963984540054  # two-sided 95 % normal quantile
@@ -94,6 +95,76 @@ class SpectralEstimate:
     def covers(self, truth: float) -> bool:
         lo, hi = self.ci95
         return lo <= truth <= hi
+
+
+# component -> frequency-argument label
+_COMPONENTS = {
+    "S+_{1,-1}": "Omega+omega_q",
+    "S-_{-1,1}": "-Omega-omega_q",
+    "S+_{-1,1}": "Omega-omega_q",
+    "S-_{1,-1}": "-Omega+omega_q",
+    "S_{0,0}": "0",
+    "S+_{0,0}": "Omega",
+    "S-_{0,0}": "Omega",
+    "alpha_m*S-_{0,0}": "Omega",
+    "A": "Omega",
+    "B": "Omega",
+}
+
+
+def _freq_value(label: str, omega: float, omega_q: float) -> float:
+    return {
+        "Omega+omega_q": omega + omega_q,
+        "-Omega-omega_q": -omega - omega_q,
+        "Omega-omega_q": omega - omega_q,
+        "-Omega+omega_q": -omega + omega_q,
+        "Omega": omega,
+        "0": 0.0,
+    }[label]
+
+
+def _estimates(method: Method, omega: float, rows, omega_q: float = 0.0) -> dict:
+    """Ordered ``component -> SpectralEstimate`` from ``(component, value, std_error)``
+    rows; ``omega_q`` enters only the sideband components of the multi-axis estimators."""
+    estimates = {}
+    for comp, value, err in rows:
+        label = _COMPONENTS[comp]
+        estimates[comp] = SpectralEstimate(comp, label, _freq_value(label, omega, omega_q), value, err, method)
+    return estimates
+
+
+@dataclass(frozen=True)
+class EstimatorResult:
+    """What every estimator returns for one drive frequency.
+
+    ``path`` is ``"standard"`` for the single-time inversions and
+    ``"linearized"``, ``"nonlinear"`` or ``"multi_axis"`` for the robust
+    estimators.  ``alpha`` is the combined ``alpha = alpha_sp * alpha_m``
+    (the robust estimators cannot separate the two factors; the nonlinear
+    model sets ``alpha = alpha_m``); it, ``delta`` and their std errors are
+    None for the standard inversions.  ``diagnostics`` holds what the
+    estimator computed on the way: ``guard_value``, ``dropped_times`` and
+    ``fits`` (linearized), ``covariance`` over (S+, S-, alpha, delta) and
+    ``nfev`` (nonlinear), ``fits``, ``dropped_times`` per block,
+    ``intercept_max_z`` and ``intercepts_consistent`` (multi-axis).
+    """
+
+    estimates: dict  # component -> SpectralEstimate, in report order
+    path: str
+    alpha: float | None = None
+    alpha_err: float | None = None
+    delta: float | None = None
+    delta_err: float | None = None
+    diagnostics: dict = field(repr=False, default_factory=dict)
+
+    def __getitem__(self, component: str) -> SpectralEstimate:
+        return self.estimates[component]
+
+    @property
+    def iterations(self) -> int:
+        """The nonlinear solver's ``nfev``: its residual evaluations, not
+        counting those of the finite-difference Jacobian."""
+        return self.diagnostics["nfev"]
 
 
 # ---------------------------------------------------------------------------
@@ -212,21 +283,15 @@ def single_axis_forward(
     duration,
     sign: int,
     *,
-    alpha_sp: float = 1.0,
     alpha_m: float = 1.0,
     delta: float = 0.0,
-    rate_scale: float = 1.0,
 ) -> np.ndarray:
-    """SPAM-corrupted x-drive expectation(s) for the |x_sign> preparation.
-
-    ``rate_scale = 2`` reuses the same form for the z-drive populations,
-    whose decay rate is twice the classical transverse spectrum.
-    """
+    """SPAM-corrupted x-drive expectation(s) for the |x_sign> preparation,
+    with no preparation error (``alpha = alpha_m``)."""
     t = np.asarray(duration, dtype=float)
-    decay = np.exp(-rate_scale * s_plus * t)
-    drift = (s_minus / s_plus) * (1.0 - decay) if s_plus != 0.0 else rate_scale * s_minus * t
-    ideal = sign * alpha_sp * decay + drift
-    return alpha_m * ideal + delta
+    decay = np.exp(-s_plus * t)
+    drift = (s_minus / s_plus) * (1.0 - decay) if s_plus != 0.0 else s_minus * t
+    return alpha_m * (sign * decay + drift) + delta
 
 
 def estimate_single_axis_standard(
@@ -234,7 +299,7 @@ def estimate_single_axis_standard(
     rec_minus: ShotRecord,
     duration: float,
     omega: float,
-) -> tuple[SpectralEstimate, SpectralEstimate]:
+) -> EstimatorResult:
     """Protocol-1 inversion with shot-noise error bars."""
 
     def f(e):
@@ -243,10 +308,8 @@ def estimate_single_axis_standard(
     inputs = np.array([rec_plus.expectation, rec_minus.expectation])
     variances = np.array([expectation_std_error(rec_plus) ** 2, expectation_std_error(rec_minus) ** 2])
     values, errs = _propagate(f, inputs, variances)
-    return (
-        SpectralEstimate("S+_{0,0}", "Omega", omega, values[0], errs[0], Method.STANDARD),
-        SpectralEstimate("S-_{0,0}", "Omega", omega, values[1], errs[1], Method.STANDARD),
-    )
+    rows = zip(("S+_{0,0}", "S-_{0,0}"), values, errs)
+    return EstimatorResult(_estimates(Method.STANDARD, omega, rows), "standard")
 
 
 def _series(dataset: ShotDataset, drive_axis: str, omega: float, inits: tuple[str, str], observable: str):
@@ -320,33 +383,20 @@ def _pair_block(dataset, drive_axis, omega, inits, observable, *, half: bool = F
 LINEARIZATION_GUARD = 0.1
 
 
-@dataclass(frozen=True)
-class RobustLinearizedResult:
-    s_plus: SpectralEstimate
-    am_s_minus: SpectralEstimate  # alpha_m-scaled quantum spectrum
-    alpha: float
-    alpha_err: float
-    delta: float
-    delta_err: float
-    classical_fit: RegressionResult
-    quantum_fit: RegressionResult
-    guard_value: float
-    dropped_times: tuple = ()
-
-
 def robust_single_axis_linearized(
     dataset: ShotDataset,
     omega: float,
     *,
     enforce_guard: bool = True,
-) -> RobustLinearizedResult:
+) -> EstimatorResult:
     """Small-decay robust estimation: two straight-line fits.
 
     Classical path: ``ln[2/(e+ - e-)]`` vs T gives the classical spectrum as
     the slope and ``-ln(alpha)`` as the intercept (this line is exact).
     Quantum path: ``(e+ + e-)/2`` vs T gives ``alpha_m S-`` as the slope and
     ``delta`` as the intercept, valid only while ``S+ T`` stays small; the
-    guard rejects data outside that regime.
+    guard rejects data outside that regime.  The quantum estimate is the
+    component ``alpha_m*S-_{0,0}``.
     """
     block = _pair_block(dataset, "x", omega, ("x+", "x-"), "x")
     classical_fit = block.fit
@@ -361,41 +411,23 @@ def robust_single_axis_linearized(
     quantum_fit = block.quantum_fit(block.times)
 
     alpha = math.exp(-classical_fit.intercept)
-    alpha_err = alpha * classical_fit.intercept_err
-    return RobustLinearizedResult(
-        s_plus=SpectralEstimate(
-            "S+_{0,0}", "Omega", omega, s_plus_val, classical_fit.slope_err, Method.ROBUST_LINEAR
-        ),
-        am_s_minus=SpectralEstimate(
-            "alpha_m*S-_{0,0}", "Omega", omega, quantum_fit.slope, quantum_fit.slope_err, Method.ROBUST_LINEAR
-        ),
+    rows = [
+        ("S+_{0,0}", s_plus_val, classical_fit.slope_err),
+        ("alpha_m*S-_{0,0}", quantum_fit.slope, quantum_fit.slope_err),
+    ]
+    return EstimatorResult(
+        _estimates(Method.ROBUST_LINEAR, omega, rows),
+        "linearized",
         alpha=alpha,
-        alpha_err=alpha_err,
+        alpha_err=alpha * classical_fit.intercept_err,
         delta=quantum_fit.intercept,
         delta_err=quantum_fit.intercept_err,
-        classical_fit=classical_fit,
-        quantum_fit=quantum_fit,
-        guard_value=guard_value,
-        dropped_times=block.dropped,
+        diagnostics={
+            "guard_value": guard_value,
+            "dropped_times": block.dropped,
+            "fits": {"classical": classical_fit, "quantum": quantum_fit},
+        },
     )
-
-
-@dataclass(frozen=True)
-class NonlinearFitResult:
-    """Joint fit; ``alpha_m`` absorbs ``alpha_sp`` since the model sets ``alpha = alpha_m``.
-
-    ``iterations`` is the solver's ``nfev``: its residual evaluations, not
-    counting those of the finite-difference Jacobian.
-    """
-
-    s_plus: SpectralEstimate
-    s_minus: SpectralEstimate
-    alpha_m: float
-    alpha_m_err: float
-    delta: float
-    delta_err: float
-    covariance: np.ndarray  # 4x4 over (S+, S-, alpha_m, delta)
-    iterations: int
 
 
 # xtol, ftol and gtol of the solver; scipy's 1e-8 default stops ~1e-7 short
@@ -403,13 +435,14 @@ class NonlinearFitResult:
 FIT_TOLERANCE = 1e-12
 
 
-def robust_single_axis_nonlinear(dataset: ShotDataset, omega: float) -> NonlinearFitResult:
+def robust_single_axis_nonlinear(dataset: ShotDataset, omega: float) -> EstimatorResult:
     """Joint bounded least-squares fit of (S+, S-, alpha_m, delta).
 
     Models both preparation series with ``alpha approx alpha_m`` (negligible
-    preparation errors) and minimises the standardised residuals with
-    scipy's trust-region-reflective solver (Branch, Coleman & Li, SIAM J.
-    Sci. Comput. 21, 1999), started from the unguarded linearized estimate.
+    preparation errors; the fitted ``alpha_m`` is reported as ``alpha``) and
+    minimises the standardised residuals with scipy's trust-region-reflective
+    solver (Branch, Coleman & Li, SIAM J. Sci. Comput. 21, 1999), started
+    from the unguarded linearized estimate.
     The bounds are independent: ``S+ >= 0`` and ``alpha_m, delta`` in
     [0, 1].  The joint physical region ``alpha_m + delta <= 1`` is not a box
     and is not imposed, so a noisy fit may exceed it slightly; clipping such
@@ -433,7 +466,8 @@ def robust_single_axis_nonlinear(dataset: ShotDataset, omega: float) -> Nonlinea
 
     bounds = ([0.0, -np.inf, 0.0, 0.0], [np.inf, np.inf, 1.0, 1.0])
     lin = robust_single_axis_linearized(dataset, omega, enforce_guard=False)
-    start = np.clip([lin.s_plus.value, lin.am_s_minus.value / lin.alpha, lin.alpha, lin.delta], *bounds)
+    start = [lin["S+_{0,0}"].value, lin["alpha_m*S-_{0,0}"].value / lin.alpha, lin.alpha, lin.delta]
+    start = np.clip(start, *bounds)
     fit = least_squares(
         residuals, start, bounds=bounds,
         xtol=FIT_TOLERANCE, ftol=FIT_TOLERANCE, gtol=FIT_TOLERANCE,
@@ -449,16 +483,15 @@ def robust_single_axis_nonlinear(dataset: ShotDataset, omega: float) -> Nonlinea
         covariance = covariance * (2.0 * fit.cost / dof)
     errs = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
     theta = fit.x
-
-    return NonlinearFitResult(
-        s_plus=SpectralEstimate("S+_{0,0}", "Omega", omega, theta[0], errs[0], Method.ROBUST_NONLINEAR),
-        s_minus=SpectralEstimate("S-_{0,0}", "Omega", omega, theta[1], errs[1], Method.ROBUST_NONLINEAR),
-        alpha_m=theta[2],
-        alpha_m_err=errs[2],
+    rows = zip(("S+_{0,0}", "S-_{0,0}"), theta[:2], errs[:2])
+    return EstimatorResult(
+        _estimates(Method.ROBUST_NONLINEAR, omega, rows),
+        "nonlinear",
+        alpha=theta[2],
+        alpha_err=errs[2],
         delta=theta[3],
         delta_err=errs[3],
-        covariance=covariance,
-        iterations=fit.nfev,
+        diagnostics={"covariance": covariance, "nfev": fit.nfev},
     )
 
 
@@ -466,46 +499,13 @@ def robust_single_axis_nonlinear(dataset: ShotDataset, omega: float) -> Nonlinea
 # multi-axis estimators
 # ---------------------------------------------------------------------------
 
-_COMPONENTS = {
-    "S+_{1,-1}": "Omega+omega_q",
-    "S-_{-1,1}": "-Omega-omega_q",
-    "S+_{-1,1}": "Omega-omega_q",
-    "S-_{1,-1}": "-Omega+omega_q",
-    "S_{0,0}": "0",
-    "S+_{0,0}": "Omega",
-    "S-_{0,0}": "Omega",
-    "A": "Omega",
-    "B": "Omega",
-}
-
-
-def _freq_value(label: str, omega: float, omega_q: float) -> float:
-    return {
-        "Omega+omega_q": omega + omega_q,
-        "-Omega-omega_q": -omega - omega_q,
-        "Omega-omega_q": omega - omega_q,
-        "-Omega+omega_q": -omega + omega_q,
-        "Omega": omega,
-        "0": 0.0,
-    }[label]
-
-
-@dataclass(frozen=True)
-class MultiAxisStandardResult:
-    estimates: dict
-    omega: float
-
-    def __getitem__(self, component: str) -> SpectralEstimate:
-        return self.estimates[component]
-
-
 def invert_multi_axis(
     dataset: ShotDataset,
     omega: float,
     omega_q: float,
     duration: float,
     aligned_duration: float | None = None,
-) -> MultiAxisStandardResult:
+) -> EstimatorResult:
     """Single-time multi-axis inversion (no SPAM correction).
 
     Requires the six (or eight, with the aligned coherence pair) expectations
@@ -565,35 +565,7 @@ def invert_multi_axis(
     order = ["S+_{1,-1}", "S-_{-1,1}", "S+_{-1,1}", "S-_{1,-1}", "A", "B", "S+_{0,0}", "S-_{0,0}"]
     if has_aligned:
         order.append("S_{0,0}")
-    estimates = {}
-    for comp, value, err in zip(order, values, errs):
-        label = _COMPONENTS[comp]
-        estimates[comp] = SpectralEstimate(
-            comp, label, _freq_value(label, omega, omega_q), value, err, Method.STANDARD
-        )
-    return MultiAxisStandardResult(estimates=estimates, omega=omega)
-
-
-@dataclass(frozen=True)
-class RobustMultiAxisResult:
-    """Robust multi-axis estimates.
-
-    ``alpha_m`` is the combined ``alpha = alpha_sp * alpha_m`` read off the
-    intercepts; the two factors are not separately identifiable.
-    """
-
-    estimates: dict
-    omega: float
-    alpha_m: float
-    alpha_m_err: float
-    delta: float
-    delta_err: float
-    intercept_max_z: float
-    intercept_consistent: bool
-    fits: dict = field(repr=False, default_factory=dict)
-
-    def __getitem__(self, component: str) -> SpectralEstimate:
-        return self.estimates[component]
+    return EstimatorResult(_estimates(Method.STANDARD, omega, zip(order, values, errs), omega_q), "standard")
 
 
 INTERCEPT_CONSISTENCY_Z = 3.0
@@ -617,7 +589,7 @@ def robust_multi_axis(
     dataset: ShotDataset,
     omega: float,
     omega_q: float,
-) -> RobustMultiAxisResult:
+) -> EstimatorResult:
     """Time-series SPAM-robust multi-axis estimation.
 
     Classical spectra come from the slopes of the log-difference lines (the
@@ -667,8 +639,8 @@ def robust_multi_axis(
             UserWarning,
             stacklevel=2,
         )
-    alpha_m = math.exp(ln_alpha)
-    alpha_m_err = alpha_m * ln_alpha_err
+    alpha = math.exp(ln_alpha)
+    alpha_err = alpha * ln_alpha_err
 
     zp, zm, x = blocks["zp"], blocks["zm"], blocks["x"]
     s_plus_up = zp.fit.slope      # S+[1,-1](W+wq)
@@ -687,17 +659,17 @@ def robust_multi_axis(
     delta, delta_err = _combine_inverse_variance(delta_vals, delta_vars)
 
     def unscale(slope, slope_err, s_plus_val, s_plus_err):
-        value = slope * s_plus_val / alpha_m
+        value = slope * s_plus_val / alpha
         if value == 0.0 or slope == 0.0:
             err = math.sqrt(
-                (s_plus_val / alpha_m * slope_err) ** 2
-                + (slope / alpha_m * s_plus_err) ** 2
+                (s_plus_val / alpha * slope_err) ** 2
+                + (slope / alpha * s_plus_err) ** 2
             )
             return value, err
         rel = (
             (slope_err / slope) ** 2
             + (s_plus_err / s_plus_val) ** 2
-            + (alpha_m_err / alpha_m) ** 2
+            + (alpha_err / alpha) ** 2
         )
         return value, abs(value) * math.sqrt(rel)
 
@@ -710,39 +682,35 @@ def robust_multi_axis(
     s00_minus = b_rate + 0.5 * (s_minus_up + s_minus_dn)
     s00_minus_err = math.sqrt(b_rate_err**2 + 0.25 * (s_minus_up_err**2 + s_minus_dn_err**2))
 
-    def est(comp, value, err):
-        label = _COMPONENTS[comp]
-        return SpectralEstimate(
-            comp, label, _freq_value(label, omega, omega_q), value, err, Method.ROBUST_LINEAR
-        )
-
-    estimates = {
-        "S+_{1,-1}": est("S+_{1,-1}", s_plus_up, s_plus_up_err),
-        "S-_{-1,1}": est("S-_{-1,1}", s_minus_up, s_minus_up_err),
-        "S+_{-1,1}": est("S+_{-1,1}", s_plus_dn, s_plus_dn_err),
-        "S-_{1,-1}": est("S-_{1,-1}", s_minus_dn, s_minus_dn_err),
-        "A": est("A", a_rate, a_rate_err),
-        "B": est("B", b_rate, b_rate_err),
-        "S+_{0,0}": est("S+_{0,0}", s00_plus, s00_plus_err),
-        "S-_{0,0}": est("S-_{0,0}", s00_minus, s00_minus_err),
-    }
+    rows = [
+        ("S+_{1,-1}", s_plus_up, s_plus_up_err),
+        ("S-_{-1,1}", s_minus_up, s_minus_up_err),
+        ("S+_{-1,1}", s_plus_dn, s_plus_dn_err),
+        ("S-_{1,-1}", s_minus_dn, s_minus_dn_err),
+        ("A", a_rate, a_rate_err),
+        ("B", b_rate, b_rate_err),
+        ("S+_{0,0}", s00_plus, s00_plus_err),
+        ("S-_{0,0}", s00_minus, s00_minus_err),
+    ]
     fits = {name: block.fit for name, block in blocks.items()}
     fits.update(q_zp=qf_zp, q_zm=qf_zm, q_x=qf_x)
     if "aligned" in blocks:
         # aligned-line slope is the coherence rate S+[1,-1](W+wq) + 2 S00(0)
         fit = blocks["aligned"].fit
         s00_zero = 0.5 * (fit.slope - s_plus_up)
-        s00_zero_err = 0.5 * math.sqrt(fit.slope_err**2 + s_plus_up_err**2)
-        estimates["S_{0,0}"] = est("S_{0,0}", s00_zero, s00_zero_err)
+        rows.append(("S_{0,0}", s00_zero, 0.5 * math.sqrt(fit.slope_err**2 + s_plus_up_err**2)))
 
-    return RobustMultiAxisResult(
-        estimates=estimates,
-        omega=omega,
-        alpha_m=alpha_m,
-        alpha_m_err=alpha_m_err,
+    return EstimatorResult(
+        _estimates(Method.ROBUST_LINEAR, omega, rows, omega_q),
+        "multi_axis",
+        alpha=alpha,
+        alpha_err=alpha_err,
         delta=delta,
         delta_err=delta_err,
-        intercept_max_z=max_z,
-        intercept_consistent=consistent,
-        fits=fits,
+        diagnostics={
+            "fits": fits,
+            "dropped_times": {name: block.dropped for name, block in blocks.items()},
+            "intercept_max_z": max_z,
+            "intercepts_consistent": consistent,
+        },
     )

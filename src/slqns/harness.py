@@ -38,9 +38,15 @@ list is non-empty), ``allow_low_frequency`` (admit drives below the 2.3 kHz
 exclusion window, default false) and ``long_time_threshold`` (minimum
 |Omega| T, default 10).
 
-The ``alpha_m`` fields that protocols 2 and 4 report (per frequency and
-combined) hold the combined ``alpha = alpha_sp * alpha_m``: the estimators
-cannot separate preparation from measurement contrast.  Next to their robust
+Protocols 2 and 4 report SPAM parameters per frequency under
+``spam_per_frequency`` and combined under ``spam``.  Each per-frequency row
+copies the robust estimator's ``EstimatorResult``: ``path``
+(``"linearized"``, ``"nonlinear"`` or ``"multi_axis"``), ``alpha_m`` and
+``alpha_m_std_error`` (its ``alpha`` and ``alpha_err``), ``delta`` and
+``delta_std_error``, with ``omega_rad_per_us``; protocol 4 adds
+``intercepts_consistent`` from its diagnostics.  The ``alpha_m`` fields hold
+the combined ``alpha = alpha_sp * alpha_m``: the estimators cannot separate
+preparation from measurement contrast.  Next to their robust
 rows, protocols 2 and 4 also emit ``standard`` comparison rows (the
 single-time inversion at the longest plan time).  A frequency whose
 comparison fails has none; ``report.json`` then names it, with the cause,
@@ -71,6 +77,7 @@ import numpy as np
 
 from .estimation import (
     EstimationError,
+    EstimatorResult,
     LinearizationGuardError,
     SpectralEstimate,
     _combine_inverse_variance,
@@ -80,7 +87,7 @@ from .estimation import (
     robust_single_axis_linearized,
     robust_single_axis_nonlinear,
 )
-from .noisegen import BathConfig, default_dsa_config
+from .noisegen import BathConfig, BathVariant, default_dsa_config
 from .protocols import (
     ClosedFormTclBackend,
     PlanError,
@@ -128,20 +135,47 @@ def _require(mapping, key, context):
         raise ConfigError(f"missing '{key}' in {context}") from None
 
 
+_KINDS = {int: "an integer", float: "a number", bool: "true or false"}
+
+
+def _typed(value, kind, key):
+    """``value`` as ``kind`` (int, float or bool), or a ConfigError naming ``key``.
+
+    An integer may be written as an integral float (``2.0``); a boolean is
+    not a number, and nothing is parsed from a string.
+    """
+    if kind is bool:
+        ok = isinstance(value, bool)
+    else:
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if kind is int:
+            ok = ok and (isinstance(value, numbers.Integral) or float(value).is_integer())
+    if not ok:
+        raise ConfigError(f"{key} must be {_KINDS[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _typed_list(value, kind, key):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return tuple(_typed(item, kind, key) for item in value)
+
+
 def _model_from_config(block, context):
     kind = _require(block, "kind", context)
     params = _require(block, "params", context)
+
+    def read(key, reader=_typed):
+        return reader(_require(params, key, context), float, f"{context}.params.{key}")
+
     try:
         if kind == "Lorentzian":
-            return Lorentzian(
-                omega0=mhz_to_rad_per_us(_require(params, "peak_frequency_MHz", context)),
-                tc=float(_require(params, "correlation_time_us", context)),
-            )
+            return Lorentzian(omega0=mhz_to_rad_per_us(read("peak_frequency_MHz")), tc=read("correlation_time_us"))
         if kind == "White":
-            return White(level=float(_require(params, "level_per_us", context)))
+            return White(level=read("level_per_us"))
         if kind == "Tabulated":
-            grid = [mhz_to_rad_per_us(f) for f in _require(params, "frequency_grid_MHz", context)]
-            return Tabulated(grid=tuple(grid), values=tuple(_require(params, "values_per_us", context)))
+            grid = [mhz_to_rad_per_us(f) for f in read("frequency_grid_MHz", _typed_list)]
+            return Tabulated(grid=tuple(grid), values=read("values_per_us", _typed_list))
     except SpectraError as exc:
         raise ConfigError(f"invalid spectrum in {context}: {exc}") from exc
     raise ConfigError(f"unknown spectrum kind {kind!r} in {context}")
@@ -175,8 +209,8 @@ def _dephasing(config):
     """(model, scale, lag) of the validated ``spectra.dephasing`` block."""
     deph = _require(_require(config, "spectra", "config"), "dephasing", "spectra")
     model = _model_from_config(_require(deph, "model", "spectra.dephasing"), "spectra.dephasing.model")
-    scale = float(deph.get("scale", 1.0))
-    lag = float(deph.get("quantum_lag_us", 0.0))
+    scale = _typed(deph.get("scale", 1.0), float, "spectra.dephasing.scale")
+    lag = _typed(deph.get("quantum_lag_us", 0.0), float, "spectra.dephasing.quantum_lag_us")
     if scale <= 0.0:
         raise ConfigError("spectra.dephasing.scale must be > 0")
     if lag < 0.0:
@@ -200,7 +234,7 @@ def _build_spectra(config) -> SphericalSpectraSet:
     trans = config["spectra"].get("transverse")
     if trans is not None:
         t_model = _model_from_config(_require(trans, "model", "spectra.transverse"), "spectra.transverse.model")
-        t_scale = float(trans.get("scale", 1.0))
+        t_scale = _typed(trans.get("scale", 1.0), float, "spectra.transverse.scale")
         if t_scale <= 0.0:
             raise ConfigError("spectra.transverse.scale must be > 0")
         spectra = spectra.with_transverse(lambda omega: t_scale * t_model.value(omega))
@@ -209,39 +243,42 @@ def _build_spectra(config) -> SphericalSpectraSet:
 
 def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
     """Construct and validate every campaign component from a config dict."""
-    protocol = int(_require(config, "protocol", "config"))
-    master_seed = config.get("seed", 0) if seed is None else seed
-    if not (isinstance(master_seed, numbers.Integral) or isinstance(master_seed, float) and master_seed.is_integer()):
-        raise ConfigError(f"seed must be an integer, got {master_seed!r}")
-    master_seed = int(master_seed)
+    protocol = _typed(_require(config, "protocol", "config"), int, "protocol")
+    master_seed = _typed(config.get("seed", 0) if seed is None else seed, int, "seed")
 
     device_cfg = _require(config, "device", "config")
-    device = DeviceParams(omega_q=mhz_to_rad_per_us(_require(device_cfg, "qubit_frequency_MHz", "device")))
+    qubit_mhz = _typed(_require(device_cfg, "qubit_frequency_MHz", "device"), float, "device.qubit_frequency_MHz")
+    device = DeviceParams(omega_q=mhz_to_rad_per_us(qubit_mhz))
 
     spam_cfg = config.get("spam", {})
+    spam_values = {
+        key: _typed(spam_cfg.get(key, default), float, f"spam.{key}")
+        for key, default in (("alpha_sp", 1.0), ("c_re", 0.0), ("c_im", 0.0), ("alpha_m", 1.0), ("delta", 0.0))
+    }
     try:
         spam = SpamParams(
-            alpha_sp=float(spam_cfg.get("alpha_sp", 1.0)),
-            c_u=complex(float(spam_cfg.get("c_re", 0.0)), float(spam_cfg.get("c_im", 0.0))),
-            alpha_m=float(spam_cfg.get("alpha_m", 1.0)),
-            delta=float(spam_cfg.get("delta", 0.0)),
+            alpha_sp=spam_values["alpha_sp"],
+            c_u=complex(spam_values["c_re"], spam_values["c_im"]),
+            alpha_m=spam_values["alpha_m"],
+            delta=spam_values["delta"],
         )
     except ValueError as exc:
         raise ConfigError(f"invalid spam block: {exc}") from exc
 
     plan_cfg = _require(config, "plan", "config")
-    omegas = tuple(mhz_to_rad_per_us(f) for f in _require(plan_cfg, "omegas_MHz", "plan"))
-    times = tuple(float(t) for t in _require(plan_cfg, "times_us", "plan"))
+    omegas = tuple(
+        mhz_to_rad_per_us(f) for f in _typed_list(_require(plan_cfg, "omegas_MHz", "plan"), float, "plan.omegas_MHz")
+    )
     try:
         plan = ProtocolPlan(
             protocol_id=protocol,
             omegas=omegas,
-            times=times,
-            aligned_n=tuple(int(n) for n in plan_cfg.get("aligned_n", ())),
-            n_shots=int(plan_cfg.get("shots", 1000)),
+            times=_typed_list(_require(plan_cfg, "times_us", "plan"), float, "plan.times_us"),
+            aligned_n=_typed_list(plan_cfg.get("aligned_n", ()), int, "plan.aligned_n"),
+            n_shots=_typed(plan_cfg.get("shots", 1000), int, "plan.shots"),
             seed=master_seed,
-            long_time_threshold=float(plan_cfg.get("long_time_threshold", 10.0)),
-            allow_low_frequency=bool(plan_cfg.get("allow_low_frequency", False)),
+            long_time_threshold=_typed(plan_cfg.get("long_time_threshold", 10.0), float, "plan.long_time_threshold"),
+            allow_low_frequency=_typed(plan_cfg.get("allow_low_frequency", False), bool, "plan.allow_low_frequency"),
         )
     except PlanError as exc:
         raise ConfigError(f"invalid plan: {exc}") from exc
@@ -254,15 +291,17 @@ def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
 
     backend_cfg = config.get("backend", {"type": "closed_form"})
     backend_kind = backend_cfg.get("type", "closed_form")
-    use_analytic = bool(backend_cfg.get("analytic", False) if analytic is None else analytic)
+    if analytic is None:
+        analytic = _typed(backend_cfg.get("analytic", False), bool, "backend.analytic")
+    use_analytic = bool(analytic)
 
     if backend_kind == "closed_form":
         spectra = _build_spectra(config)
         backend = ClosedFormTclBackend(spectra, device, spam, analytic=use_analytic)
     elif backend_kind == "trajectory":
         model, scale, lag = _dephasing(config)
-        n_omega = int(backend_cfg.get("n_omega", 512))
-        n_realizations = int(backend_cfg.get("n_realizations", 400))
+        n_omega = _typed(backend_cfg.get("n_omega", 512), int, "backend.n_omega")
+        n_realizations = _typed(backend_cfg.get("n_realizations", 400), int, "backend.n_realizations")
         if n_realizations < 2:
             raise ConfigError(f"backend.n_realizations must be >= 2, got {n_realizations}")
         try:
@@ -275,15 +314,13 @@ def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
         except ValueError as exc:
             raise ConfigError(f"invalid trajectory backend: {exc}") from exc
         variant = backend_cfg.get("bath_variant", "main_text")
-        if variant == "main_text":
-            bath = BathConfig.main_text(lag)
-        elif variant == "three_axis":
-            bath = BathConfig.three_axis(lag)
-        else:
-            raise ConfigError(f"unknown bath_variant {variant!r}")
+        try:
+            variant = BathVariant(variant)
+        except ValueError:
+            raise ConfigError(f"unknown bath_variant {variant!r}") from None
         backend = TrajectoryBackend(
             dsa,
-            bath,
+            BathConfig(lag, variant),
             spam,
             n_realizations=n_realizations,
             analytic=use_analytic,
@@ -324,11 +361,11 @@ def _estimate_to_row(omega: float, est: SpectralEstimate) -> dict:
     }
 
 
-def _spam_row(omega: float, path: str, alpha, alpha_err, delta, delta_err) -> dict:
+def _spam_row(omega: float, result: EstimatorResult) -> dict:
     """Per-frequency SPAM record; ``alpha_m`` holds the combined alpha."""
     return {
-        "omega_rad_per_us": omega, "alpha_m": alpha, "alpha_m_std_error": alpha_err,
-        "delta": delta, "delta_std_error": delta_err, "path": path,
+        "omega_rad_per_us": omega, "alpha_m": result.alpha, "alpha_m_std_error": result.alpha_err,
+        "delta": result.delta, "delta_std_error": result.delta_err, "path": result.path,
     }
 
 
@@ -341,23 +378,18 @@ def _estimate_frequency(campaign: Campaign, dataset, omega: float):
     it fails; ``dropped`` is then the cause, otherwise None.
     """
     plan, omega_q = campaign.plan, campaign.device.omega_q
-    robust, spam_row = [], None
+    results, spam_row = [], None
     if campaign.protocol == 2:
         try:
-            lin = robust_single_axis_linearized(dataset, omega)
-            robust = [lin.s_plus, lin.am_s_minus]
-            spam_row = _spam_row(omega, "linearized", lin.alpha, lin.alpha_err, lin.delta, lin.delta_err)
+            results.append(robust_single_axis_linearized(dataset, omega))
         except LinearizationGuardError:
-            fit = robust_single_axis_nonlinear(dataset, omega)
-            robust = [fit.s_plus, fit.s_minus]
-            spam_row = _spam_row(omega, "nonlinear", fit.alpha_m, fit.alpha_m_err, fit.delta, fit.delta_err)
+            results.append(robust_single_axis_nonlinear(dataset, omega))
     elif campaign.protocol == 4:
-        result = robust_multi_axis(dataset, omega, omega_q)
-        robust = result.estimates.values()
-        spam_row = _spam_row(
-            omega, "multi_axis", result.alpha_m, result.alpha_m_err, result.delta, result.delta_err
-        )
-        spam_row["intercepts_consistent"] = result.intercept_consistent
+        results.append(robust_multi_axis(dataset, omega, omega_q))
+    if results:
+        spam_row = _spam_row(omega, results[0])
+        if campaign.protocol == 4:
+            spam_row["intercepts_consistent"] = results[0].diagnostics["intercepts_consistent"]
 
     t_max = max(plan.times)
     dropped = None
@@ -365,18 +397,18 @@ def _estimate_frequency(campaign: Campaign, dataset, omega: float):
         if campaign.protocol in (1, 2):
             rec_p = dataset.get("x", omega, "x+", "x", t_max)
             rec_m = dataset.get("x", omega, "x-", "x", t_max)
-            standard = estimate_single_axis_standard(rec_p, rec_m, t_max, omega)
+            results.append(estimate_single_axis_standard(rec_p, rec_m, t_max, omega))
         else:
             aligned = plan.aligned_times(omega)
             aligned_t = None
             if aligned.size:
                 aligned_t = float(aligned[0] if campaign.protocol == 3 else aligned[-1])
-            standard = invert_multi_axis(dataset, omega, omega_q, t_max, aligned_t).estimates.values()
+            results.append(invert_multi_axis(dataset, omega, omega_q, t_max, aligned_t))
     except EstimationError as exc:
-        if not robust:
+        if not results:
             raise
-        standard, dropped = (), str(exc)
-    rows = [_estimate_to_row(omega, est) for est in (*robust, *standard)]
+        dropped = str(exc)
+    rows = [_estimate_to_row(omega, est) for result in results for est in result.estimates.values()]
     return rows, spam_row, dropped
 
 
@@ -562,6 +594,13 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="slqns",
@@ -574,7 +613,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--out-dir", default=None, help="override the output directory")
     p_run.add_argument("--analytic", action="store_true", help="bypass shot sampling")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel frequencies (set OPENBLAS_NUM_THREADS=1)")
+    p_run.add_argument("--jobs", type=_jobs, default=1, help="parallel frequencies (set OPENBLAS_NUM_THREADS=1)")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="validate a campaign config")

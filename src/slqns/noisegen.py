@@ -237,31 +237,19 @@ class BathConfig:
     """Single-bath-qubit coupling layout; the bath starts in its z+ state."""
 
     lag_gamma: float = 0.0
-    couple_x: bool = True
-    couple_y: bool = True
-    couple_z: bool = False
+    variant: BathVariant = BathVariant.MAIN_TEXT
 
     def __post_init__(self):
         if self.lag_gamma < 0.0 or not np.isfinite(self.lag_gamma):
             raise ValueError(f"lag_gamma must be finite and >= 0, got {self.lag_gamma}")
-        if not (self.couple_x or self.couple_y or self.couple_z):
-            raise ValueError("at least one bath coupling must be enabled")
 
     @classmethod
     def main_text(cls, lag_gamma: float) -> "BathConfig":
-        return cls(lag_gamma=lag_gamma, couple_x=True, couple_y=True, couple_z=False)
+        return cls(lag_gamma, BathVariant.MAIN_TEXT)
 
     @classmethod
     def three_axis(cls, lag_gamma: float) -> "BathConfig":
-        return cls(lag_gamma=lag_gamma, couple_x=True, couple_y=True, couple_z=True)
-
-    @property
-    def variant(self) -> BathVariant:
-        if self.couple_x and self.couple_y and not self.couple_z:
-            return BathVariant.MAIN_TEXT
-        if self.couple_x and self.couple_y and self.couple_z:
-            return BathVariant.THREE_AXIS
-        raise ValueError("coupling layout matches no named variant")
+        return cls(lag_gamma, BathVariant.THREE_AXIS)
 
 
 @dataclass(frozen=True)
@@ -297,11 +285,8 @@ class BathCoefficients:
             )
         beta_t = self.trajectory(t)
         beta_lag = self.trajectory(t + self.config.lag_gamma) if self.config.lag_gamma else beta_t
-        zeros = np.zeros_like(beta_t)
-        bx = beta_t if self.config.couple_x else zeros
-        by = beta_lag if self.config.couple_y else zeros
-        bz = beta_t if self.config.couple_z else zeros
-        return bx, by, bz
+        bz = beta_t if self.config.variant is BathVariant.THREE_AXIS else np.zeros_like(beta_t)
+        return beta_t, beta_lag, bz
 
 
 def build_toy_bath(beta: NoiseTrajectory, bath: BathConfig) -> BathCoefficients:

@@ -226,11 +226,6 @@ class TrajectoryBackend(Backend):
         self.n_realizations = int(n_realizations)
         self.analytic = analytic
 
-    def _step(self, omega: float) -> float:
-        limit = dynamics.STEP_DRIVE_FRACTION / abs(omega)
-        t_corr = self.dsa_config.correlation_time
-        return 0.9 * min(limit, dynamics.STEP_NOISE_FRACTION * t_corr)
-
     def _noise_factory(self, omega: float, time: float, dt: float):
         horizon = time + self.bath_config.lag_gamma + _GRID_MARGIN
         grid = np.arange(0.0, horizon + dt, dt)
@@ -246,7 +241,7 @@ class TrajectoryBackend(Backend):
 
     def measure(self, drive_axis, omega, init, observable, time, n_shots, seed) -> ShotRecord:
         drive = _drive_config(drive_axis, omega, time)
-        dt = self._step(drive.effective_amplitude)
+        dt = 0.9 * dynamics.step_limit(drive.effective_amplitude, self.dsa_config.correlation_time)[0]
         rho0 = faulty_state(init[0], +1 if init[1] == "+" else -1, self.spam)
         mean, std_error = dynamics.ensemble_expectation(
             drive,

@@ -92,3 +92,37 @@ def test_run_exits_with_config_error_on_a_negative_seed_flag(tmp_path, capsys):
     path = write_config(tmp_path, CLOSED_FORM_P4)
     assert main(["run", path, "--seed", "-1", "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base, path, value, message", [
+    (CLOSED_FORM_P4, ("plan", "times_us"), ["a", 4, 6], "plan.times_us must be a number, got 'a'"),
+    (CLOSED_FORM_P4, ("plan", "omegas_MHz"), ["x", 10], "plan.omegas_MHz must be a number, got 'x'"),
+    (CLOSED_FORM_P4, ("plan", "omegas_MHz"), 5.0, "plan.omegas_MHz must be a list, got 5.0"),
+    (CLOSED_FORM_P4, ("plan", "shots"), "many", "plan.shots must be an integer, got 'many'"),
+    (CLOSED_FORM_P4, ("protocol",), "two", "protocol must be an integer, got 'two'"),
+    (CLOSED_FORM_P4, ("spectra", "dephasing", "scale"), "big", "spectra.dephasing.scale must be a number"),
+    (CLOSED_FORM_P4, ("plan", "shots"), 1.7, "plan.shots must be an integer, got 1.7"),
+    (CLOSED_FORM_P4, ("plan", "aligned_n"), [20.9], "plan.aligned_n must be an integer, got 20.9"),
+    (TRAJECTORY, ("backend", "n_realizations"), 2.9, "backend.n_realizations must be an integer, got 2.9"),
+    (CLOSED_FORM_P4, ("backend", "analytic"), "false", "backend.analytic must be true or false, got 'false'"),
+], ids=["time-string", "omega-string", "omegas-scalar", "shots-string", "protocol-string",
+        "scale-string", "shots-fractional", "aligned-n-fractional", "realizations-fractional",
+        "analytic-string"])
+def test_validate_exits_with_config_error_on_a_mistyped_value(tmp_path, capsys, base, path, value, message):
+    config = copy.deepcopy(base)
+    target = config
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    assert main(["validate", write_config(tmp_path, config)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_run_rejects_jobs_below_one_as_a_usage_error(tmp_path, capsys, jobs):
+    path = write_config(tmp_path, CLOSED_FORM_P4)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", path, "--jobs", jobs, "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--jobs: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -11,7 +11,7 @@ import pytest
 
 from slqns import harness
 from slqns.dynamics import frame_aligned_times
-from slqns.estimation import EstimationError, Method, SpectralEstimate, invert_multi_axis
+from slqns.estimation import EstimationError, EstimatorResult, Method, SpectralEstimate, invert_multi_axis
 from slqns.harness import run_campaign
 from test_harness import CLOSED_FORM_P4
 from test_recovery import BASE, CASES, DEVICE, SERIES_US, SPAM, analytic_report
@@ -95,3 +95,48 @@ def test_protocol3_inverts_at_the_first_aligned_time_and_protocol4_at_the_last(p
         aligned_t = float(frame_aligned_times(omega, aligned_n)[index])
         expected = invert_multi_axis(result.dataset, omega, DEVICE.omega_q, max(times), aligned_t)
         assert value == expected["S_{0,0}"].value
+
+
+DIAGNOSTICS = {
+    "standard": set(),
+    "linearized": {"guard_value", "dropped_times", "fits"},
+    "nonlinear": {"covariance", "nfev"},
+    "multi_axis": {"fits", "dropped_times", "intercept_max_z", "intercepts_consistent"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_estimator_returns_one_result_type_that_the_report_copies(monkeypatch, name):
+    protocol, with_spam, plan, _, spam_path, _ = CASES[name]
+    results = []
+
+    def capture(fn):
+        def wrapper(*args, **kwargs):
+            results.append(fn(*args, **kwargs))
+            return results[-1]
+        return wrapper
+
+    for fn in ("estimate_single_axis_standard", "invert_multi_axis", "robust_multi_axis",
+               "robust_single_axis_linearized", "robust_single_axis_nonlinear"):
+        monkeypatch.setattr(harness, fn, capture(getattr(harness, fn)))
+    report = analytic_report(protocol, plan, with_spam=with_spam)
+
+    assert all(type(result) is EstimatorResult for result in results)
+    robust = [result for result in results if result.path != "standard"]
+    assert [result.path for result in robust] == [spam_path] * len(robust)
+    assert len(results) == len(plan["omegas_MHz"]) * (2 if robust else 1)
+    for result in results:
+        assert set(result.diagnostics) == DIAGNOSTICS[result.path]
+        spam = (result.alpha, result.alpha_err, result.delta, result.delta_err)
+        assert (None in spam) == (result.path == "standard")
+        if result.path == "nonlinear":
+            assert result.iterations == result.diagnostics["nfev"] > 0
+    rows = [(est.component, est.method.value, est.value)
+            for result in results for est in result.estimates.values()]
+    assert rows == [(row["component"], row["method"], row["value"]) for row in report["estimates"]]
+    assert report["spam_per_frequency"] == [
+        dict({"omega_rad_per_us": omega, "alpha_m": result.alpha, "alpha_m_std_error": result.alpha_err,
+              "delta": result.delta, "delta_std_error": result.delta_err, "path": result.path},
+             **({"intercepts_consistent": True} if protocol == 4 else {}))
+        for omega, result in zip(report["frequencies_rad_per_us"], robust)
+    ]

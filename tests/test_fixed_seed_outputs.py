@@ -1,12 +1,17 @@
 """A fixed seed gives the same output bytes: pinned SHA-256 digests.
 
-The two campaigns are the 16-frequency twins of the closed-form benchmark
-sweeps (protocol 4 with the aligned block, and the protocol 2 series) at
-seed 1, in shot mode.  The digests were recorded at commit e6581fb, before
-the array seeding path (``seeding.derive_seeds``/``first_uniforms``)
-replaced the per-point ``SeedSequence`` construction, with numpy 2.4 and
-scipy 1.17 on x86-64 Linux.  A speed-up of the closed-form path must keep
-them; a change that means to alter the outputs re-records them and says why.
+The first two campaigns are the 16-frequency twins of the closed-form
+benchmark sweeps (protocol 4 with the aligned block, and the protocol 2
+series) at seed 1, in shot mode.  Their digests were recorded at commit
+e6581fb, before the array seeding path (``seeding.derive_seeds``/
+``first_uniforms``) replaced the per-point ``SeedSequence`` construction,
+with numpy 2.4 and scipy 1.17 on x86-64 Linux.  The other three (the
+protocol 4 twin in analytic mode, and protocol 1 and protocol 3 on the same
+drives at one evolution time, in shot mode) cover the standard inversions
+and the estimator result code; their digests were recorded at commit
+f0fd00e, before the estimators shared one result type.  A speed-up of the
+closed-form path must keep them; a change that means to alter the outputs
+re-records them and says why.
 """
 
 from __future__ import annotations
@@ -48,6 +53,21 @@ CAMPAIGNS = {
         backend={"type": "closed_form", "analytic": False},
         plan={"omegas_MHz": OMEGAS_MHZ, "times_us": TIMES_US, "shots": 1000},
     ),
+    "p4-wide-analytic-twin": dict(
+        copy.deepcopy(PHYSICS), protocol=4, seed=1,
+        backend={"type": "closed_form", "analytic": True},
+        plan={"omegas_MHz": OMEGAS_MHZ, "times_us": TIMES_US, "aligned_n": [20, 40, 60], "shots": 1000},
+    ),
+    "p1-twin": dict(
+        copy.deepcopy(PHYSICS), protocol=1, seed=1,
+        backend={"type": "closed_form", "analytic": False},
+        plan={"omegas_MHz": OMEGAS_MHZ, "times_us": [2.0], "shots": 1000},
+    ),
+    "p3-twin": dict(
+        copy.deepcopy(PHYSICS), protocol=3, seed=1,
+        backend={"type": "closed_form", "analytic": False},
+        plan={"omegas_MHz": OMEGAS_MHZ, "times_us": [2.0], "aligned_n": [20], "shots": 1000},
+    ),
 }
 
 DIGESTS = {
@@ -62,6 +82,24 @@ DIGESTS = {
         "datasets.csv": "dffba99a4c2a57038de119c93c847e012d4ff4944b4b100fda18d3bb1f5863cc",
         "estimates.csv": "65bbab7f701878465389405219e7d43283c5dd586c6d221dc7e7d6ee012f15ae",
         "manifest.json": "69d047005166ad922673d9684635d90a13c0cd24951b02d66a1ccfdfeab9d4a3",
+    },
+    "p4-wide-analytic-twin": {
+        "report.json": "c561c3748e34bf129ae89d4a27b5a823d1c4357796715c1fd5edab8702080e34",
+        "datasets.csv": "6ea91d2f3a0c26fe7848e2330b53d46a387d084a680385bf3faaeb00be032f0f",
+        "estimates.csv": "ea1401c9872dc2eddfbcc41f4b02a80376050c67223905461e09cedad358b59b",
+        "manifest.json": "453b0f6072130dcff56d3a902673e5837b5ae85247b68d9bea7b34adfac2ebc8",
+    },
+    "p1-twin": {
+        "report.json": "6b7dba921821393a305d261d7fe5a30781ca1b2b36ddba82bce8f810badd2a90",
+        "datasets.csv": "10e241299847371e08bbbbbf52663afe262022c53257242a00fb28c33b284c5d",
+        "estimates.csv": "f23c88db11e8fab059eb7b72d78b2e6a35085bec0fcecc04cbb6ac51a6dcc00f",
+        "manifest.json": "c3060773669fcd1c9c79394f779b984cc2203e5ad5d752f3e8c566a1d3e41f01",
+    },
+    "p3-twin": {
+        "report.json": "0757c608e63c0a3a64ff824d024252c9a39b2091e8435a5a7f5f9a672d43d6d5",
+        "datasets.csv": "2fa7ae26d20db4ce083a5ed5e35e71e956ea76c0bbdac3cb00722cc83e3c62f4",
+        "estimates.csv": "02e2c3df976ff53b6692ae0d09f3c1618d34bad7258cd1757f0dd51dc9a0a851",
+        "manifest.json": "81137d6c7af114ac1525bb7bc6b72e2b9b39a5e3a749a96cd2669159ee0a5ca1",
     },
 }
 

@@ -140,10 +140,6 @@ class TestToyBath:
         with pytest.raises(ValueError):
             coeffs(1.8)
 
-    def test_at_least_one_coupling_required(self):
-        with pytest.raises(ValueError):
-            BathConfig(lag_gamma=0.0, couple_x=False, couple_y=False, couple_z=False)
-
 
 class TestTargetSpectra:
     def test_zero_lag_is_classical(self, lor_config):
