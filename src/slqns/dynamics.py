@@ -48,13 +48,13 @@ __all__ = [
     "DynamicsError",
     "SIGMA",
     "compute_AB",
-    "x_drive_coherence_rate",
-    "z_drive_rates",
-    "z_drive_coherence_rate",
     "tcl_expectation_x_drive",
     "tcl_expectation_z_drive",
     "tcl_evolve_state",
     "tcl_evolve_states",
+    "DriveRates",
+    "closed_form_states",
+    "check_states",
     "expectations",
     "frame_aligned_times",
     "toggling_to_rotating",
@@ -96,7 +96,7 @@ _EIGENVECTORS = {
 }
 
 
-def _check_states(matrices: np.ndarray) -> None:
+def check_states(matrices: np.ndarray) -> None:
     """Raise :class:`DynamicsError` unless every matrix of an (n, 2, 2) stack is a state."""
     trace = np.trace(matrices, axis1=-2, axis2=-1)
     if np.max(np.abs(trace - 1.0)) > TRACE_TOL:
@@ -123,7 +123,7 @@ class QubitState:
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (2, 2):
             raise DynamicsError(f"qubit state must be 2x2, got shape {m.shape}")
-        _check_states(m[None])
+        check_states(m[None])
         self._matrix = m
 
     @property
@@ -159,18 +159,16 @@ class QubitState:
 
 
 def _states_from_basis_components(axis: str, population_diff, coherence) -> np.ndarray:
-    """Validated (n, 2, 2) states from their sigma_axis populations and upper coherences."""
+    """Unchecked (n, 2, 2) states from their sigma_axis populations and upper coherences."""
     plus, minus = _EIGENVECTORS[(axis, +1)], _EIGENVECTORS[(axis, -1)]
     p_plus = (0.5 * (1.0 + population_diff))[:, None, None]
     p_minus = (0.5 * (1.0 - population_diff))[:, None, None]
-    m = (
+    return (
         p_plus * np.outer(plus, plus.conj())
         + p_minus * np.outer(minus, minus.conj())
         + coherence[:, None, None] * np.outer(plus, minus.conj())
         + np.conj(coherence)[:, None, None] * np.outer(minus, plus.conj())
     )
-    _check_states(m)
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +255,16 @@ def _real(value: complex, label: str) -> float:
     return value.real
 
 
-def _x_drive_in_out_rates(spectra: SphericalSpectraSet, omega: float, omega_q: float):
-    """Dressed-frame feeding/removal rates of the x+ population.
+def _x_drive_in_out_rates(spectra: SphericalSpectraSet, omega, omega_q: float):
+    """Dressed-frame feeding/removal rates of the x+ population, complex: the
+    rates are their real parts.  ``omega`` may be an array.
 
     Both sample the carrier frequencies {0, -wq, +wq} shifted by +Omega (in)
     or -Omega (out).
     """
     def sideband(shift):
-        return _real(
-            spectra.value(0, 0, shift)
-            + 0.5 * (spectra.value(-1, 1, shift - omega_q) + spectra.value(1, -1, shift + omega_q)),
-            "x-drive rate",
+        return spectra.value(0, 0, shift) + 0.5 * (
+            spectra.value(-1, 1, shift - omega_q) + spectra.value(1, -1, shift + omega_q)
         )
 
     return sideband(omega), sideband(-omega)
@@ -275,15 +272,12 @@ def _x_drive_in_out_rates(spectra: SphericalSpectraSet, omega: float, omega_q: f
 
 def compute_AB(spectra: SphericalSpectraSet, omega: float, device: DeviceParams) -> RateCoefficients:
     """Rate coefficients A(Omega), B(Omega) for a constant x drive."""
-    r_in, r_out = _x_drive_in_out_rates(spectra, omega, device.omega_q)
-    return RateCoefficients(a_rate=r_in + r_out, b_rate=r_in - r_out)
+    return DriveRates(DriveAxis.X_PLUS, omega, spectra, device).coefficients()
 
 
 def x_drive_coherence_rate(spectra: SphericalSpectraSet, omega: float, device: DeviceParams) -> float:
     """Decay rate of the x-basis coherence under a constant x drive."""
-    rates = compute_AB(spectra, omega, device)
-    carrier = _real(spectra.s_plus(1, -1, device.omega_q), "transverse carrier spectrum")
-    return 0.5 * rates.a_rate + carrier
+    return DriveRates(DriveAxis.X_PLUS, omega, spectra, device).coherence_rate()
 
 
 def z_drive_rates(spectra: SphericalSpectraSet, omega_eff: float, device: DeviceParams) -> tuple[float, float]:
@@ -293,16 +287,12 @@ def z_drive_rates(spectra: SphericalSpectraSet, omega_eff: float, device: Device
     populations relax at ``2 (rate_down + rate_up)``.  ``omega_eff`` is the
     signed drive amplitude.
     """
-    wq = device.omega_q
-    rate_down = _real(spectra.value(-1, 1, -omega_eff - wq), "S[-1,1](-W-wq)")
-    rate_up = _real(spectra.value(1, -1, omega_eff + wq), "S[1,-1](W+wq)")
-    return rate_down, rate_up
+    return DriveRates(DriveAxis.Z_PLUS, omega_eff, spectra, device).z_rates()
 
 
 def z_drive_coherence_rate(spectra: SphericalSpectraSet, omega_eff: float, device: DeviceParams) -> float:
     """Decay rate of the z-basis coherence under a z drive."""
-    rate_down, rate_up = z_drive_rates(spectra, omega_eff, device)
-    return rate_down + rate_up + 2.0 * _real(spectra.value(0, 0, 0.0), "S[0,0](0)")
+    return DriveRates(DriveAxis.Z_PLUS, omega_eff, spectra, device).coherence_rate()
 
 
 SECULAR_RATIO_LIMIT = 0.05
@@ -319,6 +309,89 @@ def check_secular_validity(decay_rate: float, omega: float) -> None:
         )
 
 
+def _check_decay_rate(a_rate) -> None:
+    """DynamicsError unless A, or every A of an array, is finite and > 0."""
+    a_rate = np.asarray(a_rate)
+    bad = ~(np.isfinite(a_rate) & (a_rate > 0.0))
+    if bad.any():
+        raise DynamicsError(f"decay rate A must be > 0, got {a_rate[bad][0]}")
+
+
+def _check_z_rates(rate_down, rate_up) -> None:
+    """DynamicsError unless both z rates (or arrays of them) are finite and >= 0."""
+    for name, rate in (("rate_down", rate_down), ("rate_up", rate_up)):
+        rate = np.asarray(rate)
+        bad = ~(np.isfinite(rate) & (rate >= -1e-15))
+        if bad.any():
+            raise DynamicsError(f"{name} must be finite and >= 0, got {rate[bad][0]}")
+
+
+class DriveRates:
+    """Secular-TCL rates of one drive axis at every signed amplitude of an array.
+
+    ``axis`` tells the x drive from a z drive; ``omega_eff`` carries the
+    sign.  Each spectrum component is sampled once on the whole array and
+    every rate formula is evaluated there.  ``a_rate`` and ``b_rate`` are the
+    x-drive coefficients A(W) and B(W), which the secular check reads on
+    every axis; ``population`` is the pair (A, B) of an x drive or
+    (rate_down, rate_up) of a z drive, and ``coherence`` the decay rate of
+    the drive-basis coherence.  These arrays are the real parts of complex
+    spectral sums and are not checked: the methods that take an index ``k``
+    read one amplitude's rates with their checks, so that a caller looping
+    over its drive frequencies raises and warns in its own order.  The
+    scalar rate functions above are their one-amplitude case.
+    """
+
+    def __init__(self, axis: DriveAxis, omega_eff, spectra: SphericalSpectraSet, device: DeviceParams):
+        wq = device.omega_q
+        self.axis = axis
+        self.omega_eff = w = np.atleast_1d(np.asarray(omega_eff, dtype=float))
+        self._x_sums = _x_drive_in_out_rates(spectra, w, wq)
+        rate_in, rate_out = (s.real for s in self._x_sums)
+        self.a_rate, self.b_rate = rate_in + rate_out, rate_in - rate_out
+        if axis is DriveAxis.X_PLUS:
+            self._carrier = spectra.s_plus(1, -1, wq)
+            self.population = (self.a_rate, self.b_rate)
+            self.coherence = 0.5 * self.a_rate + self._carrier.real
+        else:
+            self._z_sums = (spectra.value(-1, 1, -w - wq), spectra.value(1, -1, w + wq))
+            self._dephasing_at_zero = spectra.value(0, 0, 0.0)
+            self.population = tuple(s.real for s in self._z_sums)
+            self.coherence = self.population[0] + self.population[1] + 2.0 * self._dephasing_at_zero.real
+
+    def coefficients(self, k: int = 0) -> RateCoefficients:
+        """A and B at amplitude ``k``."""
+        for s in self._x_sums:
+            _real(s[k], "x-drive rate")
+        return RateCoefficients(a_rate=float(self.a_rate[k]), b_rate=float(self.b_rate[k]))
+
+    def z_rates(self, k: int = 0) -> tuple[float, float]:
+        """(rate_down, rate_up) of a z drive at amplitude ``k``."""
+        down, up = self._z_sums
+        return _real(down[k], "S[-1,1](-W-wq)"), _real(up[k], "S[1,-1](W+wq)")
+
+    def coherence_rate(self, k: int = 0) -> float:
+        """Decay rate of the drive-basis coherence at amplitude ``k``."""
+        if self.axis is DriveAxis.X_PLUS:
+            self.coefficients(k)
+            _real(self._carrier, "transverse carrier spectrum")
+        else:
+            self.z_rates(k)
+            _real(self._dephasing_at_zero, "S[0,0](0)")
+        return float(self.coherence[k])
+
+    def check(self, k: int) -> None:
+        """Every check of amplitude ``k``, in the order the single-drive chain
+        runs them: the coefficients and the secular strain, A > 0 or
+        non-negative z rates, then the coherence rate."""
+        check_secular_validity(self.coefficients(k).a_rate, float(self.omega_eff[k]))
+        if self.axis is DriveAxis.X_PLUS:
+            _check_decay_rate(self.a_rate[k])
+        else:
+            _check_z_rates(*self.z_rates(k))
+        self.coherence_rate(k)
+
+
 # ---------------------------------------------------------------------------
 # closed-form TCL solutions
 # ---------------------------------------------------------------------------
@@ -328,68 +401,70 @@ def check_secular_validity(decay_rate: float, omega: float) -> None:
 _exp = np.vectorize(math.exp, otypes=[float])
 
 
-def _decay_weight(rate: float, duration):
-    """(1 - exp(-rate * duration)) / rate, stable through rate -> 0."""
-    if rate == 0.0:
+def _decay_weight(rate, duration):
+    """(1 - exp(-rate * duration)) / rate, stable through a scalar rate -> 0."""
+    if np.ndim(rate) == 0 and rate == 0.0:
         return duration
     return -np.expm1(-rate * duration) / rate
 
 
-def tcl_expectation_x_drive(a_rate: float, b_rate: float, initial, duration):
+def tcl_expectation_x_drive(a_rate, b_rate, initial, duration):
     """<sigma_x(T)> under a constant x drive with rates (A, B).
 
-    ``initial`` is <sigma_x(0)>; it and ``duration`` may be arrays.  The
-    dephasing-only case is recovered with ``A = S+`` and ``B = S-``.
+    Any argument may be an array.  The dephasing-only case is recovered with
+    ``A = S+`` and ``B = S-``; ``initial`` is <sigma_x(0)>.
     """
-    if not (np.isfinite(a_rate) and a_rate > 0.0):
-        raise DynamicsError(f"decay rate A must be > 0, got {a_rate}")
+    _check_decay_rate(a_rate)
     return _exp(-a_rate * duration) * initial + b_rate * _decay_weight(a_rate, duration)
 
 
-def tcl_expectation_z_drive(rate_down: float, rate_up: float, initial, duration):
+def tcl_expectation_z_drive(rate_down, rate_up, initial, duration):
     """<sigma_z(T)> under a constant z drive.
 
     ``rate_down`` and ``rate_up`` are the z+ -> z- and z- -> z+ transition
     coefficients; populations relax at ``2 (rate_down + rate_up)`` toward
     ``(rate_up - rate_down) / (rate_up + rate_down)``.  Both rates zero
-    freezes the populations.  ``initial`` is <sigma_z(0)>; it and
-    ``duration`` may be arrays.  The coherence decays at
-    :func:`z_drive_coherence_rate`.
+    freezes the populations.  ``initial`` is <sigma_z(0)>; any argument may
+    be an array.  The coherence decays at :func:`z_drive_coherence_rate`.
     """
-    for name, rate in (("rate_down", rate_down), ("rate_up", rate_up)):
-        if not np.isfinite(rate) or rate < -1e-15:
-            raise DynamicsError(f"{name} must be finite and >= 0, got {rate}")
+    _check_z_rates(rate_down, rate_up)
     total = rate_down + rate_up
-    if total == 0.0:
-        sz = initial * np.ones_like(duration)
-    else:
-        decay = _exp(-2.0 * total * duration)
-        sz = decay * initial + (rate_up - rate_down) / total * (1.0 - decay)
-    return sz
+    decay = _exp(-2.0 * total * duration)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        relaxed = decay * initial + np.divide(rate_up - rate_down, total) * (1.0 - decay)
+    return np.where(total == 0.0, initial * np.ones_like(duration), relaxed)[()]
+
+
+def closed_form_states(rates: DriveRates, rows, rho0s, durations) -> np.ndarray:
+    """Rotating-frame states, (n, 2, 2), of each ``rho0s[k]`` after
+    ``durations[k]`` under the drive of amplitude ``rates.omega_eff[rows[k]]``.
+
+    Populations along the drive axis follow the two-rate kinetics; the
+    drive-basis coherence decays at the derived rate and picks up the
+    toggling-to-rotating phase ``exp(-i W t)``.  Validate the result with
+    :func:`check_states`.
+    """
+    rows, t = np.asarray(rows, dtype=int), np.asarray(durations, dtype=float)
+    basis = "x" if rates.axis is DriveAxis.X_PLUS else "z"
+    initial = {rho: (rho.expectation(basis), rho.coherence_in_basis(basis)) for rho in set(rho0s)}
+    population0, coherence0 = (np.array(values) for values in zip(*(initial[rho] for rho in rho0s)))
+    evolve = tcl_expectation_x_drive if basis == "x" else tcl_expectation_z_drive
+    diff = evolve(*(rate[rows] for rate in rates.population), population0, t)
+    coherence = toggling_to_rotating(coherence0 * _exp(-rates.coherence[rows] * t), rates.omega_eff[rows], t)
+    return _states_from_basis_components(basis, diff, coherence)
 
 
 def tcl_evolve_states(
     drive: DriveConfig, spectra: SphericalSpectraSet, device: DeviceParams, rho0s, durations
 ) -> np.ndarray:
-    """Validated rotating-frame states, (n, 2, 2), of each ``rho0s[k]`` after ``durations[k]``.
-
-    Populations along the drive axis follow the two-rate kinetics; the
-    drive-basis coherence decays at the derived rate and picks up the
-    toggling-to-rotating phase ``exp(-i W t)``.
-    """
-    omega_eff, t = drive.effective_amplitude, np.asarray(durations, dtype=float)
-    basis = "x" if drive.axis is DriveAxis.X_PLUS else "z"
-    initial = {rho: (rho.expectation(basis), rho.coherence_in_basis(basis)) for rho in set(rho0s)}
-    population0, coherence0 = (np.array(values) for values in zip(*(initial[rho] for rho in rho0s)))
-    if basis == "x":
-        rates = compute_AB(spectra, omega_eff, device)
-        diff = tcl_expectation_x_drive(rates.a_rate, rates.b_rate, population0, t)
-        gamma_c = x_drive_coherence_rate(spectra, omega_eff, device)
-    else:
-        diff = tcl_expectation_z_drive(*z_drive_rates(spectra, omega_eff, device), population0, t)
-        gamma_c = z_drive_coherence_rate(spectra, omega_eff, device)
-    coherence = toggling_to_rotating(coherence0 * _exp(-gamma_c * t), omega_eff, t)
-    return _states_from_basis_components(basis, diff, coherence)
+    """Validated rotating-frame states, (n, 2, 2), of each ``rho0s[k]`` after
+    ``durations[k]``: the one-drive case of :func:`closed_form_states`, with
+    the drive's rate checks."""
+    rates = DriveRates(drive.axis, [drive.effective_amplitude], spectra, device)
+    rates.check(0)
+    states = closed_form_states(rates, np.zeros(len(rho0s), dtype=int), rho0s, durations)
+    check_states(states)
+    return states
 
 
 def tcl_evolve_state(

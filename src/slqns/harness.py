@@ -55,10 +55,12 @@ dropped), and ``run.log`` gets a ``DROPPED standard omega=...: cause`` line.
 These are not ``failures``: the frequency's robust estimates stand.
 
 ``run_campaign`` writes ``datasets.csv``, ``estimates.csv``, ``report.json``,
-``manifest.json`` and ``run.log`` into the output directory; identical config
-and seed give byte-identical outputs, whatever ``--jobs`` is.  Each ``--jobs`` thread
-calls BLAS, so set ``OPENBLAS_NUM_THREADS=1`` for ``--jobs > 1``: on a busy 2-vCPU VM,
-a small complex product took 30 ms on two OpenBLAS threads and 0.07 ms on one.
+``manifest.json`` and ``run.log`` into the output directory.  ``--jobs N``
+cuts the drive-frequency grid into N contiguous blocks and measures them in N
+threads; identical config and seed give byte-identical outputs, whatever N is.
+Each thread calls BLAS, so set ``OPENBLAS_NUM_THREADS=1`` for ``--jobs > 1``: on
+a busy 2-vCPU VM, a small complex product took 30 ms on two OpenBLAS threads and
+0.07 ms on one.
 """
 
 from __future__ import annotations
@@ -153,6 +155,14 @@ def _typed(value, kind, key):
     if not ok:
         raise ConfigError(f"{key} must be {_KINDS[kind]}, got {value!r}")
     return kind(value)
+
+
+def _object(config, key, default):
+    """The ``key`` block of the config, which must be a JSON object when present."""
+    block = config.get(key, default)
+    if not isinstance(block, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {block!r}")
+    return block
 
 
 def _typed_list(value, kind, key):
@@ -250,7 +260,7 @@ def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
     qubit_mhz = _typed(_require(device_cfg, "qubit_frequency_MHz", "device"), float, "device.qubit_frequency_MHz")
     device = DeviceParams(omega_q=mhz_to_rad_per_us(qubit_mhz))
 
-    spam_cfg = config.get("spam", {})
+    spam_cfg = _object(config, "spam", {})
     spam_values = {
         key: _typed(spam_cfg.get(key, default), float, f"spam.{key}")
         for key, default in (("alpha_sp", 1.0), ("c_re", 0.0), ("c_im", 0.0), ("alpha_m", 1.0), ("delta", 0.0))
@@ -289,7 +299,7 @@ def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
         except SpectraError as exc:
             raise ConfigError(str(exc)) from exc
 
-    backend_cfg = config.get("backend", {"type": "closed_form"})
+    backend_cfg = _object(config, "backend", {"type": "closed_form"})
     backend_kind = backend_cfg.get("type", "closed_form")
     if analytic is None:
         analytic = _typed(backend_cfg.get("analytic", False), bool, "backend.analytic")
@@ -613,7 +623,9 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--out-dir", default=None, help="override the output directory")
     p_run.add_argument("--analytic", action="store_true", help="bypass shot sampling")
-    p_run.add_argument("--jobs", type=_jobs, default=1, help="parallel frequencies (set OPENBLAS_NUM_THREADS=1)")
+    p_run.add_argument("--jobs", type=_jobs, default=1,
+                       help="measure the frequency grid as this many contiguous blocks in parallel "
+                       "threads (set OPENBLAS_NUM_THREADS=1)")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="validate a campaign config")

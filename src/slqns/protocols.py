@@ -3,19 +3,21 @@
 Protocols 1/2 drive along x and measure sigma_x from the two x preparations
 (protocol 2 over a time series); protocols 3/4 add the two z drives with z
 preparations plus an optional frame-aligned coherence block (x preparations
-under the +z drive).  A backend is handed every point of one drive frequency:
+under the +z drive).  A backend is handed every point of a block of drive
+frequencies, the whole grid or, with ``--jobs``, a contiguous slice of it:
 
 * :class:`ClosedFormTclBackend` evaluates the secular-TCL closed forms with
   injected spherical spectra and SPAM parameters (optionally bypassing shot
-  sampling in analytic mode), a drive axis at a time;
+  sampling in analytic mode) in one array pass over the block, after a
+  scalar loop over its frequencies has run their checks in plan order;
 * :class:`TrajectoryBackend` Monte-Carlo averages the exact piecewise-
   constant propagation of the dephasing toy bath, point by point.
 
 Every point draws its shots from its own child seed, derived from the plan
 seed and the point's address.  :func:`run_plan` derives every point's stream
 in one array pass, but each is still addressed by its point's key alone, so
-datasets are bit-reproducible whatever the grouping of points, the execution
-order or ``--jobs``.
+datasets are bit-reproducible whatever the blocking of frequencies, the
+execution order or ``--jobs``.
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ from . import dynamics
 from .dynamics import (
     DriveAxis,
     DriveConfig,
+    DriveRates,
     ToyBathNoise,
-    check_secular_validity,
-    compute_AB,
+    check_states,
+    closed_form_states,
+    compute_AB,  # noqa: F401 - resolved here by the benchmark tracer
     expectations,
     frame_aligned_times,
-    tcl_evolve_states,
     tcl_evolve_state,  # noqa: F401 - resolved here by the benchmark tracer
 )
 from .noisegen import BathConfig, DSAConfig, DSARealization, build_toy_bath
@@ -146,18 +149,24 @@ class ProtocolPlan:
 
 
 class Backend:
-    """Evaluator of one drive frequency: one record per point, each drawn from
-    the point's own seed (or its ``first_uniforms`` value, when given), so
-    records do not depend on grouping or ``--jobs``.  The default measures
-    the points one at a time."""
+    """Evaluator of a block of drive frequencies: one record per point, each
+    drawn from the point's own seed (or its ``first_uniforms`` value, when
+    given), so records do not depend on the blocking or on ``--jobs``.  The
+    default measures the points one at a time."""
 
     analytic: bool = False
 
-    def measure_omega(self, omega: float, points, n_shots: int, seeds, uniforms=None) -> list[ShotRecord]:
+    def measure_block(self, omegas, points, n_shots: int, seeds, uniforms=None) -> list[ShotRecord]:
+        """Records of every point of ``points[i]`` at ``omegas[i]``, frequency by
+        frequency; ``seeds[i][k]`` (``uniforms[i][k]``) belongs to ``points[i][k]``."""
         return [
             self.measure(drive_axis, omega, init, observable, time, n_shots, seed)
-            for (drive_axis, init, observable, time), seed in zip(points, seeds)
+            for omega, row, row_seeds in zip(omegas, points, seeds)
+            for (drive_axis, init, observable, time), seed in zip(row, row_seeds)
         ]
+
+    def measure_omega(self, omega: float, points, n_shots: int, seeds, uniforms=None) -> list[ShotRecord]:
+        return self.measure_block([omega], [points], n_shots, [seeds], None if uniforms is None else [uniforms])
 
     def measure(self, drive_axis, omega, init, observable, time, n_shots, seed) -> ShotRecord:
         raise NotImplementedError  # pragma: no cover - interface
@@ -168,6 +177,12 @@ def _drive_config(drive_axis: str, omega: float, time: float) -> DriveConfig:
     amplitude = omega if axis is DriveAxis.X_PLUS else abs(omega)
     # plan-level policy already enforced the long-time condition
     return DriveConfig(axis=axis, amplitude=amplitude, duration=time, long_time_threshold=0.0)
+
+
+def _effective_amplitudes(drive_axis: str, omegas) -> np.ndarray:
+    """``_drive_config(drive_axis, omega, ...).effective_amplitude`` at every omega."""
+    omegas = np.asarray(omegas, dtype=float)
+    return {"x": omegas, "z+": np.abs(omegas), "z-": -np.abs(omegas)}[drive_axis]
 
 
 class ClosedFormTclBackend(Backend):
@@ -187,21 +202,33 @@ class ClosedFormTclBackend(Backend):
         self.analytic = analytic
         self._prepared = {i: faulty_state(i[0], +1 if i[1] == "+" else -1, self.spam) for i in _INIT_CODE}
 
-    def measure_omega(self, omega, points, n_shots, seeds, uniforms=None) -> list[ShotRecord]:
-        self.device.check_drive_amplitude(omega)
-        p_plus = np.empty(len(points))
-        for drive_axis in dict.fromkeys(point[0] for point in points):
-            block = [k for k, point in enumerate(points) if point[0] == drive_axis]
-            _, inits, observables, times = zip(*(points[k] for k in block))
-            # the rates do not depend on the duration the drive is built with
-            drive = _drive_config(drive_axis, omega, times[0])
-            rates = compute_AB(self.spectra, drive.effective_amplitude, self.device)
-            check_secular_validity(rates.a_rate, drive.effective_amplitude)
-            states = tcl_evolve_states(drive, self.spectra, self.device, [self._prepared[i] for i in inits], times)
-            p_plus[block] = outcome_probability(expectations(states, observables), self.spam)
+    def measure_block(self, omegas, points, n_shots, seeds, uniforms=None) -> list[ShotRecord]:
+        flat = [(i, *point) for i, row in enumerate(points) for point in row]
+        axes = dict.fromkeys(point[1] for point in flat)
+        rates = {d: DriveRates(_AXIS_ENUM[d], _effective_amplitudes(d, omegas), self.spectra, self.device) for d in axes}
+        # the checks of each frequency, drive axis by drive axis, in plan order
+        for i, (omega, row) in enumerate(zip(omegas, points)):
+            self.device.check_drive_amplitude(omega)
+            first_times = {}
+            for drive_axis, _, _, time in row:
+                first_times.setdefault(drive_axis, time)
+            for drive_axis, time in first_times.items():
+                _drive_config(drive_axis, omega, time)
+                rates[drive_axis].check(i)
+        order, states = [], []
+        for drive_axis in axes:
+            block = [k for k, point in enumerate(flat) if point[1] == drive_axis]
+            rows, _, inits, _, times = zip(*(flat[k] for k in block))
+            order += block
+            states.append(closed_form_states(rates[drive_axis], rows, [self._prepared[i] for i in inits], times))
+        states = np.concatenate(states)
+        check_states(states)
+        p_plus = np.empty(len(flat))
+        p_plus[order] = outcome_probability(expectations(states, [flat[k][3] for k in order]), self.spam)
         if self.analytic:
             return [ShotRecord.exact(value) for value in 2.0 * p_plus - 1.0]
-        uniforms = first_uniforms(seeds) if uniforms is None else uniforms
+        seeds = [seed for row in seeds for seed in row]
+        uniforms = first_uniforms(seeds) if uniforms is None else [u for row in uniforms for u in row]
         return draw_shots(np.clip(p_plus, 0.0, 1.0), n_shots, uniforms)
 
     def measure(self, drive_axis, omega, init, observable, time, n_shots, seed) -> ShotRecord:
@@ -292,37 +319,45 @@ def _stream_keys(plan: ProtocolPlan, points, omega_indices) -> np.ndarray:
     return keys
 
 
+def _run_block(backend: Backend, plan: ProtocolPlan, omegas, omega_indices, seeds=None, uniforms=None) -> ShotDataset:
+    """Execute one protocol at a block of drive amplitudes, from their rows of
+    the plan's stream table when given."""
+    points = [_protocol_points(plan, omega) for omega in omegas]
+    if seeds is None:
+        seeds = derive_seeds(plan.seed, _stream_keys(plan, points[0], omega_indices)).reshape(len(omegas), -1)
+    records = iter(backend.measure_block(
+        omegas, [[point[:4] for point in row] for row in points], plan.n_shots, seeds, uniforms))
+    dataset = ShotDataset()
+    for omega, row in zip(omegas, points):
+        for drive_axis, init, observable, time, _ in row:
+            dataset.add(MeasurementKey(drive_axis, omega, init, observable, float(time)), next(records))
+    return dataset
+
+
 def run_for_omega(backend: Backend, plan: ProtocolPlan, omega: float, omega_index: int = 0,
                   seeds=None, uniforms=None) -> ShotDataset:
-    """Execute one protocol at one drive amplitude, from this frequency's row of
-    the plan's stream table when given."""
-    points = _protocol_points(plan, omega)
-    if seeds is None:
-        seeds = derive_seeds(plan.seed, _stream_keys(plan, points, [omega_index]))
-    records = backend.measure_omega(omega, [point[:4] for point in points], plan.n_shots, seeds, uniforms)
-    dataset = ShotDataset()
-    for (drive_axis, init, observable, time, _), record in zip(points, records):
-        dataset.add(MeasurementKey(drive_axis, omega, init, observable, float(time)), record)
-    return dataset
+    """Execute one protocol at one drive amplitude: the one-frequency block."""
+    return _run_block(backend, plan, [omega], [omega_index], None if seeds is None else [seeds],
+                      None if uniforms is None else [uniforms])
 
 
 def run_plan(backend: Backend, plan: ProtocolPlan, jobs: int = 1) -> ShotDataset:
     """Execute a plan over its full drive-amplitude grid, every point's seed and
-    first uniform coming from one pass over its key table.  Frequencies are
-    independent; with ``jobs > 1`` they are dispatched to a thread pool and
-    merged by key, which cannot change the result."""
+    first uniform coming from one pass over its key table.  The grid is one
+    block; with ``jobs > 1`` it is cut into ``jobs`` contiguous blocks that run
+    in a thread pool and are merged in grid order, which cannot change the
+    result."""
     keys = _stream_keys(plan, _protocol_points(plan, plan.omegas[0]), range(len(plan.omegas)))
     seeds = derive_seeds(plan.seed, keys).reshape(len(plan.omegas), -1)
     uniforms = first_uniforms(seeds.ravel()).reshape(seeds.shape)
-    calls = [(backend, plan, omega, i, seeds[i], uniforms[i]) for i, omega in enumerate(plan.omegas)]
-    merged = ShotDataset()
-    if jobs <= 1:
-        for call in calls:
-            merged.merge(run_for_omega(*call))
-        return merged
+    blocks = [b for b in np.array_split(np.arange(len(plan.omegas)), max(jobs, 1)) if b.size]
+    calls = [(backend, plan, [plan.omegas[i] for i in b], b, seeds[b], uniforms[b]) for b in blocks]
+    if len(calls) == 1:
+        return _run_block(*calls[0])
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for future in [pool.submit(run_for_omega, *call) for call in calls]:
+    merged = ShotDataset()
+    with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+        for future in [pool.submit(_run_block, *call) for call in calls]:
             merged.merge(future.result())
     return merged

@@ -158,8 +158,9 @@ class ShotRecord:
 
 def draw_shots(p_plus, n_shots: int, uniforms) -> list[ShotRecord]:
     """Binomial shot sampling by inverse CDF, one record per (P(+), uniform) pair."""
-    outside = [p for p in p_plus if not 0.0 <= p <= 1.0]
-    if outside:
+    p_plus = np.asarray(p_plus, dtype=float)
+    outside = p_plus[~((p_plus >= 0.0) & (p_plus <= 1.0))]
+    if outside.size:
         raise ValueError(f"P(+) must lie in [0, 1], got {outside[0]}")
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
@@ -263,19 +264,25 @@ class ShotDataset:
                 ds.add(key, rec)
             return ds
 
+    # one record as json.dumps(..., sort_keys=True, indent=1) lays it out
+    _MANIFEST_ROW = (
+        '{\n   "T_us": %r,\n   "analytic": %s,\n   "axis": "%s",\n   "expectation": %r,\n'
+        '   "init": "%s",\n   "n_plus": %d,\n   "n_shots": %d,\n   "obs": "%s",\n'
+        '   "omega_rad_per_us": %r,\n   "variance": %r\n  }'
+    )
+
     def to_manifest(self, **metadata) -> str:
         """JSON manifest: metadata plus every record, stably ordered; the text of
-        ``json.dumps(..., sort_keys=True, indent=1)``, but each flat record goes
-        through the C encoder, which an indent would bypass."""
+        ``json.dumps(..., sort_keys=True, indent=1)``.  Each record is one
+        ``%`` row: its labels are plain ASCII, its counts ints and its values
+        finite, and the ``repr`` of a float is JSON's text for it."""
         head = json.dumps({"metadata": metadata, "records": []}, sort_keys=True, indent=1)
-        encode = json.JSONEncoder(sort_keys=True, separators=(",\n   ", ": ")).encode
+        row = self._MANIFEST_ROW
         rows = [
-            "{\n   " + encode({
-                "axis": k.drive_axis, "omega_rad_per_us": k.omega, "init": k.init,
-                "obs": k.observable, "T_us": k.time, "n_shots": r.n_shots,
-                "n_plus": r.n_plus, "expectation": r.expectation,
-                "variance": r.variance, "analytic": r.analytic,
-            })[1:-1] + "\n  }"
+            row % (
+                float(k.time), "true" if r.analytic else "false", k.drive_axis, float(r.expectation),
+                k.init, r.n_plus, r.n_shots, k.observable, float(k.omega), float(r.variance),
+            )
             for k, r in self
         ]
         # the records list is the last key: open up its "[]" at the tail

@@ -151,13 +151,25 @@ def _as_component(entry) -> Component:
     raise SpectraError(f"component {entry!r} is neither a SpectrumModel nor a callable")
 
 
+def _on_array(comp: Component, omegas: np.ndarray) -> np.ndarray:
+    """A component at every frequency of an array: one call when it takes
+    arrays (a constant may come back as a scalar), one call per frequency,
+    each on a Python float, when it is written for scalars only."""
+    try:
+        values = np.asarray(comp(omegas), dtype=complex)
+    except (TypeError, ValueError):
+        return np.array([complex(comp(w)) for w in omegas.ravel().tolist()], dtype=complex).reshape(omegas.shape)
+    return np.broadcast_to(values, omegas.shape)
+
+
 class SphericalSpectraSet:
     """Collection of spherical spectra ``S[alpha,beta](omega)``.
 
     Components are callables (or :class:`SpectrumModel` instances) evaluated
-    lazily.  Missing components are configuration errors rather than implicit
-    zeros, so a dephasing-only set must register explicit zero transverse
-    entries (see :meth:`dephasing_only`).
+    lazily, on a frequency or on an array of them (:meth:`value`).  Missing
+    components are configuration errors rather than implicit zeros, so a
+    dephasing-only set must register explicit zero transverse entries (see
+    :meth:`dephasing_only`).
     """
 
     def __init__(self, components: Mapping[tuple[int, int], object], *, classical: bool = False):
@@ -175,15 +187,18 @@ class SphericalSpectraSet:
     def has(self, alpha: int, beta: int) -> bool:
         return (alpha, beta) in self._components
 
-    def value(self, alpha: int, beta: int, omega: float) -> complex:
-        """``S[alpha,beta](omega)``; raises if the component is absent."""
+    def value(self, alpha: int, beta: int, omega):
+        """``S[alpha,beta](omega)``, complex, or a complex array for an array of
+        ``omega``; raises if the component is absent."""
         try:
             comp = self._components[(alpha, beta)]
         except KeyError:
             raise SpectraError(
                 f"spectra set has no (alpha,beta)=({alpha},{beta}) component"
             ) from None
-        return complex(comp(omega))
+        if np.ndim(omega) == 0:
+            return complex(comp(omega))
+        return _on_array(comp, np.asarray(omega, dtype=float))
 
     def s_plus(self, alpha: int, beta: int, omega: float) -> complex:
         """Classical combination ``S[a,b](w) + S[b,a](-w)``."""

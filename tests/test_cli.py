@@ -118,6 +118,22 @@ def test_validate_exits_with_config_error_on_a_mistyped_value(tmp_path, capsys, 
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("spam", 5),
+    ("backend", "closed_form"),
+    ("spam", [0.98, 0.95]),
+    ("backend", None),
+], ids=["spam-number", "backend-string", "spam-list", "backend-null"])
+def test_validate_and_run_exit_with_config_error_on_a_block_that_is_not_an_object(tmp_path, capsys, key, value):
+    config = dict(copy.deepcopy(CLOSED_FORM_P4), **{key: value})
+    message = f"{key} must be a JSON object, got {value!r}"
+    assert main(["validate", write_config(tmp_path, config)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert run(tmp_path, config) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_run_rejects_jobs_below_one_as_a_usage_error(tmp_path, capsys, jobs):
     path = write_config(tmp_path, CLOSED_FORM_P4)

@@ -1,0 +1,88 @@
+"""``run_plan`` evaluates its drive frequencies in contiguous blocks.
+
+With ``--jobs 1`` the whole grid is one block; with more jobs it is cut into
+that many blocks.  Neither the records, nor their insertion order, nor the
+warnings and the first error may depend on the blocking: each must be what
+evaluating the frequencies one at a time, in plan order, gives.
+"""
+
+from __future__ import annotations
+
+import copy
+import warnings
+
+import numpy as np
+import pytest
+
+from slqns.dynamics import DynamicsError
+from slqns.harness import build_campaign
+from slqns.protocols import ClosedFormTclBackend, ProtocolPlan, run_for_omega, run_plan
+from slqns.spectra import DeviceParams, SphericalSpectraSet, Tabulated, mhz_to_rad_per_us
+from test_harness import CLOSED_FORM_P4, TRAJECTORY
+
+# 7 frequencies: divisible neither by 2 nor by 3 jobs
+P4_SEVEN = copy.deepcopy(CLOSED_FORM_P4)
+P4_SEVEN["plan"]["omegas_MHz"] = np.linspace(1.0, 40.0, 7).tolist()
+
+
+def one_at_a_time(backend, plan):
+    """Entries of the plan measured a frequency at a time, in plan order."""
+    entries = []
+    for i, omega in enumerate(plan.omegas):
+        entries += run_for_omega(backend, plan, omega, i).entries.items()
+    return entries
+
+
+@pytest.mark.parametrize("config", [P4_SEVEN, TRAJECTORY], ids=["closed-form-p4-7", "trajectory-p2-2"])
+def test_entries_and_their_order_do_not_depend_on_jobs(config):
+    campaign = build_campaign(config)
+    backend, plan = campaign.backend, campaign.plan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        runs = {jobs: list(run_plan(backend, plan, jobs=jobs).entries.items()) for jobs in (1, 2, 3)}
+        reference = one_at_a_time(backend, plan)
+    assert len({key.omega for key, _ in reference}) == len(plan.omegas)
+    for jobs, entries in runs.items():
+        assert entries == reference, jobs
+
+
+DEVICE = DeviceParams(omega_q=mhz_to_rad_per_us(4970.0))
+# dephasing of 4 /us on 1-10 MHz and none outside: A = 0 off the band, and
+# |A / Omega| > 0.05 strains the drives inside it
+BAND = Tabulated(
+    grid=tuple(mhz_to_rad_per_us(f) for f in (0.5, 1.0, 10.0, 10.5)),
+    values=(0.0, 4.0, 4.0, 0.0),
+)
+BAND_PLAN = ProtocolPlan(
+    protocol_id=4,
+    omegas=[mhz_to_rad_per_us(f) for f in (3.0, 7.0, 15.0, 5.0, 20.0)],
+    times=[2.0, 4.0, 6.0],
+    aligned_n=(20,),
+    seed=4,
+)
+
+
+def test_first_error_and_the_warnings_before_it_follow_plan_order():
+    backend = ClosedFormTclBackend(SphericalSpectraSet.dephasing_only(BAND), DEVICE)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DynamicsError) as first:
+            for i, omega in enumerate(BAND_PLAN.omegas):
+                run_for_omega(backend, BAND_PLAN, omega, i)
+    expected = [str(w.message) for w in caught]
+    # the 15 MHz drive, third in plan order, is the first off the band
+    assert str(first.value) == "decay rate A must be > 0, got 0.0"
+    assert len(set(expected)) == 2 and all("secular" in message for message in expected)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DynamicsError) as error:
+            run_plan(backend, BAND_PLAN)
+    assert str(error.value) == str(first.value)
+    assert [str(w.message) for w in caught] == expected
+    for jobs in (2, 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(DynamicsError) as error:
+                run_plan(backend, BAND_PLAN, jobs=jobs)
+        assert str(error.value) == str(first.value), jobs
