@@ -40,8 +40,6 @@ from .dynamics import (
     tcl_expectation_z_drive,
     tcl_evolve_state,
     toggling_to_rotating,
-    x_drive_coherence_rate,
-    z_drive_rates,
 )
 from .spam import (
     MeasurementKey,

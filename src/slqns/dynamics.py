@@ -275,26 +275,6 @@ def compute_AB(spectra: SphericalSpectraSet, omega: float, device: DeviceParams)
     return DriveRates(DriveAxis.X_PLUS, omega, spectra, device).coefficients()
 
 
-def x_drive_coherence_rate(spectra: SphericalSpectraSet, omega: float, device: DeviceParams) -> float:
-    """Decay rate of the x-basis coherence under a constant x drive."""
-    return DriveRates(DriveAxis.X_PLUS, omega, spectra, device).coherence_rate()
-
-
-def z_drive_rates(spectra: SphericalSpectraSet, omega_eff: float, device: DeviceParams) -> tuple[float, float]:
-    """(rate_down, rate_up) transition-rate coefficients under a z drive.
-
-    ``rate_down`` drives z+ -> z- and ``rate_up`` drives z- -> z+ ; the
-    populations relax at ``2 (rate_down + rate_up)``.  ``omega_eff`` is the
-    signed drive amplitude.
-    """
-    return DriveRates(DriveAxis.Z_PLUS, omega_eff, spectra, device).z_rates()
-
-
-def z_drive_coherence_rate(spectra: SphericalSpectraSet, omega_eff: float, device: DeviceParams) -> float:
-    """Decay rate of the z-basis coherence under a z drive."""
-    return DriveRates(DriveAxis.Z_PLUS, omega_eff, spectra, device).coherence_rate()
-
-
 SECULAR_RATIO_LIMIT = 0.05
 
 
@@ -425,7 +405,7 @@ def tcl_expectation_z_drive(rate_down, rate_up, initial, duration):
     coefficients; populations relax at ``2 (rate_down + rate_up)`` toward
     ``(rate_up - rate_down) / (rate_up + rate_down)``.  Both rates zero
     freezes the populations.  ``initial`` is <sigma_z(0)>; any argument may
-    be an array.  The coherence decays at :func:`z_drive_coherence_rate`.
+    be an array.  The coherence decays at ``DriveRates.coherence_rate``.
     """
     _check_z_rates(rate_down, rate_up)
     total = rate_down + rate_up

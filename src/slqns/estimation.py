@@ -313,16 +313,18 @@ def estimate_single_axis_standard(
 
 
 def _series(dataset: ShotDataset, drive_axis: str, omega: float, inits: tuple[str, str], observable: str):
-    """Paired time series for the two preparations; times must match."""
-    t_plus = dataset.times(drive_axis, omega, inits[0], observable)
-    t_minus = dataset.times(drive_axis, omega, inits[1], observable)
-    if not t_plus or t_plus != t_minus:
+    """Paired time series for the two preparations: their times and the
+    dataset rows of the first preparation followed by those of the second,
+    each ordered by time; the two must have the same times."""
+    rows_plus = dataset.series(drive_axis, omega, inits[0], observable)
+    rows_minus = dataset.series(drive_axis, omega, inits[1], observable)
+    time = dataset.column("time")
+    times = time[rows_plus]
+    if not times.size or not np.array_equal(times, time[rows_minus]):
         raise EstimationError(
             f"dataset lacks matching {inits} time series for drive {drive_axis} at omega={omega}"
         )
-    recs_plus = [dataset.get(drive_axis, omega, inits[0], observable, t) for t in t_plus]
-    recs_minus = [dataset.get(drive_axis, omega, inits[1], observable, t) for t in t_plus]
-    return np.asarray(t_plus, dtype=float), recs_plus, recs_minus
+    return times, np.concatenate((rows_plus, rows_minus))
 
 
 MIN_REGRESSION_POINTS = 3
@@ -358,13 +360,12 @@ class _PairBlock:
 
 def _pair_block(dataset, drive_axis, omega, inits, observable, *, half: bool = False) -> _PairBlock:
     """Fit (1/2)^half * ln(2/diff) against time, dropping non-positive gaps."""
-    times, recs_plus, recs_minus = _series(dataset, drive_axis, omega, inits, observable)
-    analytic = all(r.analytic for r in recs_plus + recs_minus)
-    e_plus = np.array([r.expectation for r in recs_plus])
-    e_minus = np.array([r.expectation for r in recs_minus])
-    var_plus = np.array([expectation_std_error(r) ** 2 for r in recs_plus])
-    var_minus = np.array([expectation_std_error(r) ** 2 for r in recs_minus])
-    diffs, var_sums = e_plus - e_minus, var_plus + var_minus
+    times, rows = _series(dataset, drive_axis, omega, inits, observable)
+    analytic = bool(dataset.column("analytic")[rows].all())
+    expectation, variance = dataset.column("expectation")[rows], dataset.column("expectation_variance")[rows]
+    n = times.size
+    e_plus, e_minus = expectation[:n], expectation[n:]
+    diffs, var_sums = e_plus - e_minus, variance[:n] + variance[n:]
     keep = diffs > 0.0
     dropped = tuple(float(t) for t in times[~keep])
     if keep.sum() < MIN_REGRESSION_POINTS:
@@ -448,13 +449,13 @@ def robust_single_axis_nonlinear(dataset: ShotDataset, omega: float) -> Estimato
     and is not imposed, so a noisy fit may exceed it slightly; clipping such
     fits would bias the estimate.
     """
-    times, recs_plus, recs_minus = _series(dataset, "x", omega, ("x+", "x-"), "x")
+    times, rows = _series(dataset, "x", omega, ("x+", "x-"), "x")
     if times.size < 4:
         raise EstimationError("non-linear fit needs at least 4 time points")
-    recs = recs_plus + recs_minus
-    analytic = all(r.analytic for r in recs)
-    y = np.array([r.expectation for r in recs])
-    sig = np.ones_like(y) if analytic else np.array([expectation_std_error(r) for r in recs])
+    values = dataset.take(rows)
+    analytic = bool(values.analytic.all())
+    y = values.expectation
+    sig = np.ones_like(y) if analytic else expectation_std_error(values)
 
     def residuals(theta):
         s_plus, s_minus, alpha_m, delta = theta
@@ -511,20 +512,20 @@ def invert_multi_axis(
     Requires the six (or eight, with the aligned coherence pair) expectations
     of the three-drive protocol at one evolution time per drive.
     """
-    rec = {
-        "zp_p": dataset.get("z+", omega, "z+", "z", duration),
-        "zp_m": dataset.get("z+", omega, "z-", "z", duration),
-        "zm_p": dataset.get("z-", omega, "z+", "z", duration),
-        "zm_m": dataset.get("z-", omega, "z-", "z", duration),
-        "x_p": dataset.get("x", omega, "x+", "x", duration),
-        "x_m": dataset.get("x", omega, "x-", "x", duration),
+    points = {
+        "zp_p": ("z+", "z+", "z", duration),
+        "zp_m": ("z+", "z-", "z", duration),
+        "zm_p": ("z-", "z+", "z", duration),
+        "zm_m": ("z-", "z-", "z", duration),
+        "x_p": ("x", "x+", "x", duration),
+        "x_m": ("x", "x-", "x", duration),
     }
-    names = ["zp_p", "zp_m", "zm_p", "zm_m", "x_p", "x_m"]
     has_aligned = aligned_duration is not None
     if has_aligned:
-        rec["c_p"] = dataset.get("z+", omega, "x+", "x", aligned_duration)
-        rec["c_m"] = dataset.get("z+", omega, "x-", "x", aligned_duration)
-        names += ["c_p", "c_m"]
+        points["c_p"] = ("z+", "x+", "x", aligned_duration)
+        points["c_m"] = ("z+", "x-", "x", aligned_duration)
+    names = list(points)
+    rows = [dataset.row(d, omega, i, o, t) for d, i, o, t in points.values()]
 
     def f(e):
         vals = dict(zip(names, e))
@@ -558,9 +559,7 @@ def invert_multi_axis(
             out.append(0.5 * (gamma_hat - s_plus_up))
         return np.array(out)
 
-    inputs = np.array([rec[n].expectation for n in names])
-    variances = np.array([expectation_std_error(rec[n]) ** 2 for n in names])
-    values, errs = _propagate(f, inputs, variances)
+    values, errs = _propagate(f, dataset.column("expectation")[rows], dataset.column("expectation_variance")[rows])
 
     order = ["S+_{1,-1}", "S-_{-1,1}", "S+_{-1,1}", "S-_{1,-1}", "A", "B", "S+_{0,0}", "S-_{0,0}"]
     if has_aligned:
@@ -607,7 +606,7 @@ def robust_multi_axis(
         "zm": _pair_block(dataset, "z-", omega, ("z+", "z-"), "z", half=True),
         "x": _pair_block(dataset, "x", omega, ("x+", "x-"), "x"),
     }
-    n_aligned = len(dataset.times("z+", omega, "x+", "x"))
+    n_aligned = dataset.series("z+", omega, "x+", "x").size
     if n_aligned:
         try:
             blocks["aligned"] = _pair_block(dataset, "z+", omega, ("x+", "x-"), "x")

@@ -432,6 +432,26 @@ def _combine_spam(spam_rows: list[dict]) -> dict:
     return out
 
 
+# one report row as the C encoder writes it, its items on the lines that
+# json.dumps(..., indent=1) gives a row of a top-level list
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n   ", ": "))
+
+
+def _report_text(report: dict) -> str:
+    """The text of ``json.dumps(report, sort_keys=True, indent=1)``.
+
+    The flat rows of ``estimates`` and ``spam_per_frequency``, thousands on a
+    wide sweep, are encoded one at a time by the C encoder and spliced into
+    the indented rest of the report.
+    """
+    text = json.dumps({**report, "estimates": [], "spam_per_frequency": []}, sort_keys=True, indent=1)
+    for key in ("estimates", "spam_per_frequency"):
+        if report[key]:
+            rows = ",\n  ".join("{\n   " + _ROW_ENCODER.encode(row)[1:-1] + "\n  }" for row in report[key])
+            text = text.replace(f'\n "{key}": []', f'\n "{key}": [\n  {rows}\n ]', 1)
+    return text
+
+
 @dataclass
 class CampaignResult:
     report: dict
@@ -498,7 +518,7 @@ def run_campaign(config, *, out_dir=None, seed=None, analytic=None, jobs: int = 
                     repr(row["omega_rad_per_us"]), repr(row["value"]),
                     repr(row["std_error"]), row["method"],
                 ])
-        (out_path / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1))
+        (out_path / "report.json").write_text(_report_text(report))
         manifest = dataset.to_manifest(
             config_digest=campaign.config_digest,
             protocol=campaign.protocol,
@@ -524,7 +544,10 @@ def run_campaign(config, *, out_dir=None, seed=None, analytic=None, jobs: int = 
 def compare_reports(report_a: dict, report_b: dict) -> list[dict]:
     """Per-(component, frequency) z-scores between two reconstructions.
 
-    Refuses to compare reports whose (component, omega, freq) grids differ.
+    ``z = (value_a - value_b) / hypot(std_error_a, std_error_b)``: 0 where the
+    values agree, and an infinity of the sign of the difference where they
+    differ with both std errors 0 (as on analytic standard rows).  Refuses to
+    compare reports whose (component, omega, freq) grids differ.
     """
     def keyed(report):
         table = {}
@@ -540,7 +563,7 @@ def compare_reports(report_a: dict, report_b: dict) -> list[dict]:
     for key in sorted(ta):
         (va, ea), (vb, eb) = ta[key], tb[key]
         denom = math.hypot(ea, eb)
-        z = 0.0 if va == vb else (math.inf if denom == 0.0 else (va - vb) / denom)
+        z = 0.0 if va == vb else (math.copysign(math.inf, va - vb) if denom == 0.0 else (va - vb) / denom)
         rows.append({
             "component": key[0], "method": key[1], "omega_rad_per_us": key[2],
             "freq_rad_per_us": key[3], "value_a": va, "value_b": vb, "z": z,

@@ -13,6 +13,9 @@ frequencies, the whole grid or, with ``--jobs``, a contiguous slice of it:
 * :class:`TrajectoryBackend` Monte-Carlo averages the exact piecewise-
   constant propagation of the dephasing toy bath, point by point.
 
+Either returns the block's values as one ``spam.ShotColumns`` in plan order,
+which the block's dataset takes as columns in one ``ShotDataset.extend``.
+
 Every point draws its shots from its own child seed, derived from the plan
 seed and the point's address.  :func:`run_plan` derives every point's stream
 in one array pass, but each is still addressed by its point's key alone, so
@@ -43,7 +46,10 @@ from .dynamics import (
 from .noisegen import BathConfig, DSAConfig, DSARealization, build_toy_bath
 from .seeding import derive_seed, derive_seeds, first_uniforms
 from .spam import (
-    MeasurementKey,
+    DRIVE_AXES,
+    INITS,
+    OBSERVABLES,
+    ShotColumns,
     ShotDataset,
     ShotRecord,
     SpamParams,
@@ -71,9 +77,10 @@ LOW_FREQUENCY_CUTOFF = mhz_to_rad_per_us(2.3e-3)
 _GRID_MARGIN = 1e-9
 
 _AXIS_ENUM = {"x": DriveAxis.X_PLUS, "z+": DriveAxis.Z_PLUS, "z-": DriveAxis.Z_MINUS}
-_DRIVE_CODE = {"x": 0, "z+": 1, "z-": 2}
-_INIT_CODE = {"x+": 0, "x-": 1, "z+": 2, "z-": 3}
-_OBS_CODE = {"x": 0, "y": 1, "z": 2}
+# the dataset's label codes, which also key the shot streams
+_DRIVE_CODE = {label: code for code, label in enumerate(DRIVE_AXES)}
+_INIT_CODE = {label: code for code, label in enumerate(INITS)}
+_OBS_CODE = {label: code for code, label in enumerate(OBSERVABLES)}
 
 
 class PlanError(ValueError):
@@ -149,24 +156,29 @@ class ProtocolPlan:
 
 
 class Backend:
-    """Evaluator of a block of drive frequencies: one record per point, each
+    """Evaluator of a block of drive frequencies: one value row per point, each
     drawn from the point's own seed (or its ``first_uniforms`` value, when
-    given), so records do not depend on the blocking or on ``--jobs``.  The
+    given), so values do not depend on the blocking or on ``--jobs``.  The
     default measures the points one at a time."""
 
     analytic: bool = False
 
-    def measure_block(self, omegas, points, n_shots: int, seeds, uniforms=None) -> list[ShotRecord]:
-        """Records of every point of ``points[i]`` at ``omegas[i]``, frequency by
-        frequency; ``seeds[i][k]`` (``uniforms[i][k]``) belongs to ``points[i][k]``."""
-        return [
+    def measure_block(self, omegas, points, n_shots: int, seeds, uniforms=None) -> ShotColumns:
+        """The values of every point of ``points[i]`` at ``omegas[i]``,
+        frequency by frequency, as one :class:`ShotColumns` with a row per
+        point in that order; ``seeds[i][k]`` (``uniforms[i][k]``) belongs to
+        ``points[i][k]``.  The default builds it from one :meth:`measure`
+        record per point."""
+        return ShotColumns.from_records([
             self.measure(drive_axis, omega, init, observable, time, n_shots, seed)
             for omega, row, row_seeds in zip(omegas, points, seeds)
             for (drive_axis, init, observable, time), seed in zip(row, row_seeds)
-        ]
+        ])
 
     def measure_omega(self, omega: float, points, n_shots: int, seeds, uniforms=None) -> list[ShotRecord]:
-        return self.measure_block([omega], [points], n_shots, [seeds], None if uniforms is None else [uniforms])
+        """The records of the points of one frequency: the one-frequency block."""
+        uniforms = None if uniforms is None else [uniforms]
+        return self.measure_block([omega], [points], n_shots, [seeds], uniforms).records()
 
     def measure(self, drive_axis, omega, init, observable, time, n_shots, seed) -> ShotRecord:
         raise NotImplementedError  # pragma: no cover - interface
@@ -202,7 +214,7 @@ class ClosedFormTclBackend(Backend):
         self.analytic = analytic
         self._prepared = {i: faulty_state(i[0], +1 if i[1] == "+" else -1, self.spam) for i in _INIT_CODE}
 
-    def measure_block(self, omegas, points, n_shots, seeds, uniforms=None) -> list[ShotRecord]:
+    def measure_block(self, omegas, points, n_shots, seeds, uniforms=None) -> ShotColumns:
         flat = [(i, *point) for i, row in enumerate(points) for point in row]
         axes = dict.fromkeys(point[1] for point in flat)
         rates = {d: DriveRates(_AXIS_ENUM[d], _effective_amplitudes(d, omegas), self.spectra, self.device) for d in axes}
@@ -226,10 +238,10 @@ class ClosedFormTclBackend(Backend):
         p_plus = np.empty(len(flat))
         p_plus[order] = outcome_probability(expectations(states, [flat[k][3] for k in order]), self.spam)
         if self.analytic:
-            return [ShotRecord.exact(value) for value in 2.0 * p_plus - 1.0]
+            return ShotColumns.exact(2.0 * p_plus - 1.0)
         seeds = [seed for row in seeds for seed in row]
         uniforms = first_uniforms(seeds) if uniforms is None else [u for row in uniforms for u in row]
-        return draw_shots(np.clip(p_plus, 0.0, 1.0), n_shots, uniforms)
+        return ShotColumns.from_counts(n_shots, draw_shots(np.clip(p_plus, 0.0, 1.0), n_shots, uniforms))
 
     def measure(self, drive_axis, omega, init, observable, time, n_shots, seed) -> ShotRecord:
         return self.measure_omega(omega, [(drive_axis, init, observable, time)], n_shots, [seed])[0]
@@ -325,12 +337,14 @@ def _run_block(backend: Backend, plan: ProtocolPlan, omegas, omega_indices, seed
     points = [_protocol_points(plan, omega) for omega in omegas]
     if seeds is None:
         seeds = derive_seeds(plan.seed, _stream_keys(plan, points[0], omega_indices)).reshape(len(omegas), -1)
-    records = iter(backend.measure_block(
-        omegas, [[point[:4] for point in row] for row in points], plan.n_shots, seeds, uniforms))
+    values = backend.measure_block(
+        omegas, [[point[:4] for point in row] for row in points], plan.n_shots, seeds, uniforms)
+    # every frequency has the same points but for the aligned times
+    codes = [(_DRIVE_CODE[d], _INIT_CODE[i], _OBS_CODE[o]) for d, i, o, _, _ in points[0]]
+    drive, init, observable = (np.tile(column, len(omegas)) for column in zip(*codes))
     dataset = ShotDataset()
-    for omega, row in zip(omegas, points):
-        for drive_axis, init, observable, time, _ in row:
-            dataset.add(MeasurementKey(drive_axis, omega, init, observable, float(time)), next(records))
+    dataset.extend(drive, np.repeat(omegas, len(codes)), init, observable,
+                   [point[3] for row in points for point in row], values)
     return dataset
 
 

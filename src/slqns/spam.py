@@ -14,6 +14,12 @@ the two-outcome POVM (after an ideal basis change to z)
 whose outcome probability is ``P(+) = [(1 + delta) + a_m <sigma_u>] / 2``.
 Completeness is exact by construction; positivity of both elements requires
 ``a_m + delta <= 1``.
+
+Shot data are columns.  :func:`draw_shots` turns an array of P(+) into counts
+in one inverse-CDF call; :class:`ShotColumns` holds the :class:`ShotRecord`
+fields of a block of points as arrays, and a :class:`ShotRecord` is the view
+of one point.  :class:`ShotDataset` stores a campaign's points as one set of
+columns with a series index, and writes them without building a record.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ import contextlib
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -35,8 +40,12 @@ from .seeding import spawn_rng
 __all__ = [
     "SpamParams",
     "ShotRecord",
+    "ShotColumns",
     "MeasurementKey",
     "ShotDataset",
+    "DRIVE_AXES",
+    "INITS",
+    "OBSERVABLES",
     "faulty_state",
     "outcome_probability",
     "sample_shots",
@@ -112,6 +121,14 @@ def outcome_probability(expectation, params: SpamParams):
     return 0.5 * ((1.0 + params.delta) + params.alpha_m * expectation)
 
 
+# The labels of the key columns, each tuple sorted, so that a label's code (its
+# index) sorts as the label does.  Plans key their shot streams by the same
+# codes: append a label, never reorder.
+DRIVE_AXES = ("x", "z+", "z-")
+INITS = ("x+", "x-", "z+", "z-")
+OBSERVABLES = ("x", "y", "z")
+
+
 class MeasurementKey(NamedTuple):
     """Addresses one (drive, frequency, preparation, observable, time) point."""
 
@@ -122,9 +139,28 @@ class MeasurementKey(NamedTuple):
     time: float       # us
 
 
+def _moments(n_shots, n_plus):
+    """(expectation, outcome-probability variance) of shot counts, scalar or array."""
+    p_plus = n_plus / n_shots
+    return (2.0 * n_plus - n_shots) / n_shots, p_plus * (1.0 - p_plus) / n_shots
+
+
+def _check_values(values) -> None:
+    """Range and consistency check of one ShotRecord or of every row of a
+    ShotColumns; analytic rows are exempt, and the first bad row names the error."""
+    n_shots, n_plus, expectation = (np.atleast_1d(v) for v in (values.n_shots, values.n_plus, values.expectation))
+    counted = ~np.atleast_1d(values.analytic).astype(bool)
+    bad_counts = counted & ((n_shots < 1) | (n_plus < 0) | (n_plus > n_shots))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad_value = counted & (np.abs((2.0 * n_plus - n_shots) / n_shots - expectation) > 1e-12)
+    bad = np.flatnonzero(bad_counts | bad_value)
+    if bad.size:
+        raise ValueError("invalid shot counts" if bad_counts[bad[0]] else "expectation inconsistent with shot counts")
+
+
 @dataclass(frozen=True)
 class ShotRecord:
-    """Estimated expectation at one measurement point."""
+    """Estimated expectation at one measurement point: one row of a dataset."""
 
     n_shots: int
     n_plus: int
@@ -133,57 +169,93 @@ class ShotRecord:
     analytic: bool = False
 
     def __post_init__(self):
-        if self.analytic:
-            return
-        if self.n_shots < 1 or not (0 <= self.n_plus <= self.n_shots):
-            raise ValueError("invalid shot counts")
-        expected = (2.0 * self.n_plus - self.n_shots) / self.n_shots
-        if abs(expected - self.expectation) > 1e-12:
-            raise ValueError("expectation inconsistent with shot counts")
+        _check_values(self)
 
     @classmethod
     def from_counts(cls, n_shots: int, n_plus: int) -> "ShotRecord":
-        p_plus = n_plus / n_shots
-        return cls(
-            n_shots=n_shots,
-            n_plus=n_plus,
-            expectation=(2.0 * n_plus - n_shots) / n_shots,
-            variance=p_plus * (1.0 - p_plus) / n_shots,
-        )
+        expectation, variance = _moments(n_shots, n_plus)
+        return cls(n_shots=n_shots, n_plus=n_plus, expectation=expectation, variance=variance)
 
     @classmethod
     def exact(cls, expectation: float) -> "ShotRecord":
         return cls(n_shots=0, n_plus=0, expectation=float(expectation), variance=0.0, analytic=True)
 
 
-def draw_shots(p_plus, n_shots: int, uniforms) -> list[ShotRecord]:
-    """Binomial shot sampling by inverse CDF, one record per (P(+), uniform) pair."""
+# dtype of each ShotRecord field as a column
+_VALUE_DTYPES = {"n_shots": np.int64, "n_plus": np.int64, "expectation": float, "variance": float, "analytic": bool}
+
+
+class ShotColumns(NamedTuple):
+    """The ShotRecord fields of a block of points as arrays, one entry per point."""
+
+    n_shots: np.ndarray
+    n_plus: np.ndarray
+    expectation: np.ndarray
+    variance: np.ndarray
+    analytic: np.ndarray
+
+    @classmethod
+    def of(cls, *columns) -> "ShotColumns":
+        """The five columns, each as an array of its field's dtype."""
+        return cls(*(np.asarray(c, dtype=d) for c, d in zip(columns, _VALUE_DTYPES.values())))
+
+    @classmethod
+    def from_counts(cls, n_shots: int, n_plus) -> "ShotColumns":
+        n_plus = np.asarray(n_plus, dtype=np.int64)
+        return cls.of(np.full(n_plus.size, n_shots), n_plus, *_moments(n_shots, n_plus), np.zeros(n_plus.size))
+
+    @classmethod
+    def exact(cls, expectation) -> "ShotColumns":
+        expectation = np.asarray(expectation, dtype=float)
+        zeros = np.zeros(expectation.size)
+        return cls.of(zeros, zeros, expectation, zeros, np.ones(expectation.size))
+
+    @classmethod
+    def from_records(cls, records) -> "ShotColumns":
+        rows = [(r.n_shots, r.n_plus, r.expectation, r.variance, r.analytic) for r in records]
+        return cls.of(*(zip(*rows) if rows else [()] * len(cls._fields)))
+
+    def records(self) -> list[ShotRecord]:
+        return [ShotRecord(*row) for row in zip(*(column.tolist() for column in self))]
+
+
+def draw_shots(p_plus, n_shots: int, uniforms) -> np.ndarray:
+    """Binomial shot sampling by inverse CDF: the number of + outcomes for each
+    (P(+), uniform) pair, as an int64 array."""
     p_plus = np.asarray(p_plus, dtype=float)
     outside = p_plus[~((p_plus >= 0.0) & (p_plus <= 1.0))]
     if outside.size:
         raise ValueError(f"P(+) must lie in [0, 1], got {outside[0]}")
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
-    n_plus = stats.binom.ppf(uniforms, n_shots, p_plus)
-    return [ShotRecord.from_counts(n_shots, int(k)) for k in n_plus]
+    return stats.binom.ppf(uniforms, n_shots, p_plus).astype(np.int64)
 
 
 def sample_shots(p_plus: float, n_shots: int, seed: int) -> ShotRecord:
     """Binomial shot sampling by inverse-CDF from the deterministic stream."""
-    return draw_shots([p_plus], n_shots, [spawn_rng(seed).random()])[0]
+    return ShotRecord.from_counts(n_shots, int(draw_shots([p_plus], n_shots, [spawn_rng(seed).random()])[0]))
 
 
-def expectation_std_error(record: ShotRecord) -> float:
-    """Standard error of the expectation estimate, never exactly zero.
+def expectation_std_error(values):
+    """Standard error of the expectation estimate: a float for one ShotRecord,
+    an array for the rows of a ShotColumns; 0 for an analytic record, never
+    exactly zero for shot counts.
 
     The expectation is ``2 P(+) - 1``, so its variance is four times the
     stored outcome-probability variance; a Laplace-smoothed probability
     keeps the weight finite when every shot agreed.
     """
-    if record.analytic:
-        return 0.0
-    p_smooth = (record.n_plus + 1.0) / (record.n_shots + 2.0)
-    return 2.0 * math.sqrt(p_smooth * (1.0 - p_smooth) / record.n_shots)
+    analytic = np.asarray(values.analytic, dtype=bool)
+    n_shots = np.where(analytic, 1, values.n_shots)
+    p_smooth = (values.n_plus + 1.0) / (n_shots + 2.0)
+    error = np.where(analytic, 0.0, 2.0 * np.sqrt(p_smooth * (1.0 - p_smooth) / n_shots))
+    return error if error.ndim else float(error)
+
+
+# a square as Python's ``float ** 2`` (libm ``pow``) gives it, which differs
+# from ``x * x`` in the last bit for about 1 value in 1,200: the estimators have
+# always weighted by these bits
+_squared = np.frompyfunc(lambda value: value**2, 1, 1)
 
 
 def _opened(path_or_buffer, mode: str):
@@ -193,82 +265,232 @@ def _opened(path_or_buffer, mode: str):
     return contextlib.nullcontext(path_or_buffer)
 
 
-class ShotDataset:
-    """Keyed collection of measurement records with CSV/JSON persistence.
+# the key columns, in MeasurementKey order, and the labels of the coded ones
+_KEY_DTYPES = {"drive": np.int8, "omega": float, "init": np.int8, "observable": np.int8, "time": float}
+_LABELS = {"drive": DRIVE_AXES, "init": INITS, "observable": OBSERVABLES}
+_LABEL_ARRAYS = {name: np.array(labels, dtype=object) for name, labels in _LABELS.items()}
+_CODES = {name: {label: code for code, label in enumerate(labels)} for name, labels in _LABELS.items()}
+_NO_ROWS = np.empty(0, dtype=np.intp)
+# every column of the store: the key columns, the ShotRecord fields and the
+# variance that the estimators weight each expectation by
+_COLUMN_DTYPES = {**_KEY_DTYPES, **_VALUE_DTYPES, "expectation_variance": float}
 
-    Besides ``entries`` (key -> record), ``add`` files each key's time under
-    its series, the ``(drive_axis, omega, init, observable)`` head of the key,
-    so :meth:`times` is one lookup rather than a scan of every entry.
+
+def _listed(name: str, column: np.ndarray) -> list:
+    """A column as a list of Python values, a coded one as its labels."""
+    return (_LABEL_ARRAYS[name][column] if name in _LABELS else column).tolist()
+
+
+def _float_text(column: np.ndarray) -> list[str]:
+    """The ``repr`` of every value of a float column, each distinct value
+    formatted once: a shot-count column holds at most n_shots + 1 of them."""
+    values, inverse = np.unique(column, return_inverse=True)
+    text = np.array(list(map(repr, values.tolist())), dtype=object)[inverse]
+    zero = column == 0.0  # np.unique merges -0.0 into 0.0
+    text[zero] = np.where(np.signbit(column[zero]), "-0.0", "0.0")
+    return text.tolist()
+
+
+def _codes(name: str, labels) -> list[int]:
+    try:
+        return [_CODES[name][label] for label in labels]
+    except KeyError as exc:
+        raise ValueError(f"unknown {name} label {exc.args[0]!r}; expected one of {_LABELS[name]}") from None
+
+
+class ShotDataset:
+    """The measurement records of a campaign, stored as columns.
+
+    Layout: one array per column, rows in insertion order.  The key columns
+    are ``drive``, ``init`` and ``observable`` (int8 codes into
+    :data:`DRIVE_AXES`, :data:`INITS` and :data:`OBSERVABLES`), ``omega`` and
+    ``time``; the value columns are the :class:`ShotRecord` fields
+    ``n_shots``, ``n_plus``, ``expectation``, ``variance`` and ``analytic``;
+    ``expectation_variance``, the square of each row's
+    :func:`expectation_std_error`, is derived from them on entry for the
+    estimators to weight by.
+    A series index maps each ``(drive_axis, omega, init, observable)`` head
+    of a key to the row indices of its points, ordered by time.
+
+    Rows enter a block at a time through :meth:`extend`, which checks them
+    all at once, and are read a column or a series at a time through
+    :meth:`column`, :meth:`series`, :meth:`row` and :meth:`take`.  The
+    writers sort the rows once by key and format whole columns.  The
+    per-record interface is a set of views over the same store: :meth:`add`
+    and :meth:`merge` extend it; :meth:`get`, ``entries`` (key -> record, in
+    insertion order), iteration (sorted by key) and :meth:`times` build their
+    keys and records on demand.
     """
 
     def __init__(self):
-        self.entries: dict[MeasurementKey, ShotRecord] = {}
-        self._series: dict[tuple, list[float]] = {}
+        self._size = 0
+        self._store = {name: np.empty(0, dtype) for name, dtype in _COLUMN_DTYPES.items()}
+        self._series: dict[tuple, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return self._size
+
+    def column(self, name: str) -> np.ndarray:
+        """The ``name`` column of every row, in insertion order (a view: do not write)."""
+        return self._store[name][: self._size]
+
+    def series(self, drive_axis: str, omega: float, init: str, observable: str) -> np.ndarray:
+        """Row indices of one series, ordered by time; empty if it has no rows."""
+        return self._series.get((drive_axis, omega, init, observable), _NO_ROWS)
+
+    def row(self, drive_axis: str, omega: float, init: str, observable: str, time: float) -> int:
+        """Index of the row with this key; KeyError if there is none."""
+        rows = self.series(drive_axis, omega, init, observable)
+        hit = rows[self._store["time"][rows] == time]
+        if not hit.size:
+            raise KeyError(MeasurementKey(drive_axis, float(omega), init, observable, float(time)))
+        return int(hit[0])
+
+    def take(self, rows) -> ShotColumns:
+        """The value columns at ``rows`` (an index array, a list or a slice)."""
+        return ShotColumns(*(self.column(name)[rows] for name in ShotColumns._fields))
+
+    def extend(self, drive, omega, init, observable, time, values: ShotColumns) -> None:
+        """Append one row per entry of the arrays, in their order.
+
+        ``drive``, ``init`` and ``observable`` hold codes, ``omega`` and
+        ``time`` floats, and ``values`` the same rows' ShotColumns.  Every row
+        is checked as a ShotRecord is; a bad row, or a key that is already
+        present, rejects the whole block.
+        """
+        keys = zip(_KEY_DTYPES.items(), (drive, omega, init, observable, time))
+        new = {name: np.asarray(column, dtype=dtype) for (name, dtype), column in keys}
+        values = ShotColumns.of(*values)
+        new.update(values._asdict())
+        n = new["time"].size
+        if any(column.shape != (n,) for column in new.values()):
+            raise ValueError("dataset columns must be 1-D and of equal length")
+        for name, labels in _LABELS.items():
+            if n and not (new[name].min() >= 0 and new[name].max() < len(labels)):
+                raise ValueError(f"{name} codes must lie in [0, {len(labels)})")
+        _check_values(values)
+        if not n:
+            return
+        new["expectation_variance"] = _squared(expectation_std_error(values)).astype(float)
+        # write past the end first; the rows count only once the block passes
+        start = self._size
+        self._reserve(n)
+        for name, column in new.items():
+            self._store[name][start:start + n] = column
+        _, omega_index = np.unique(new["omega"], return_inverse=True)
+        series = ((omega_index * len(DRIVE_AXES) + new["drive"]) * len(INITS) + new["init"]) * len(OBSERVABLES)
+        series += new["observable"]
+        order = np.lexsort((new["time"], series))
+        series, times = series[order], new["time"][order]
+        same = series[1:] == series[:-1]
+        repeated = np.flatnonzero(same & (times[1:] == times[:-1]))
+        if repeated.size:
+            raise self._duplicate(start + order[repeated[0] + 1])
+        starts = np.flatnonzero(np.r_[True, ~same])
+        heads = self._keys(start + order[starts])
+        updates = {}
+        for head, rows in zip(heads, np.split(start + order, starts[1:])):
+            known = self._series.get(head[:4])
+            if known is not None:
+                rows = np.concatenate((known, rows))
+                rows = rows[np.argsort(self._store["time"][rows], kind="stable")]
+                ordered = self._store["time"][rows]
+                repeated = np.flatnonzero(ordered[1:] == ordered[:-1])
+                if repeated.size:
+                    raise self._duplicate(rows[repeated[0] + 1])
+            updates[head[:4]] = rows
+        self._series.update(updates)
+        self._size += n
+
+    def _reserve(self, n: int) -> None:
+        capacity = self._store["time"].size
+        if self._size + n > capacity:
+            capacity = max(2 * capacity, self._size + n)
+            for name, column in self._store.items():
+                grown = np.empty(capacity, dtype=column.dtype)
+                grown[: self._size] = column[: self._size]
+                self._store[name] = grown
+
+    def _keys(self, rows) -> list[MeasurementKey]:
+        """The keys of ``rows``, which may lie past the end of the counted rows."""
+        return list(map(MeasurementKey._make, zip(*(_listed(name, self._store[name][rows]) for name in _KEY_DTYPES))))
+
+    def _duplicate(self, row) -> ValueError:
+        return ValueError(f"duplicate measurement key {self._keys([row])[0]}")
 
     def add(self, key: MeasurementKey, record: ShotRecord) -> None:
-        if key in self.entries:
-            raise ValueError(f"duplicate measurement key {key}")
-        self.entries[key] = record
-        self._series.setdefault(key[:4], []).append(key.time)
+        drive_axis, omega, init, observable, time = key
+        self.extend(_codes("drive", [drive_axis]), [omega], _codes("init", [init]),
+                    _codes("observable", [observable]), [time], ShotColumns.from_records([record]))
 
     def get(self, drive_axis: str, omega: float, init: str, observable: str, time: float) -> ShotRecord:
-        return self.entries[MeasurementKey(drive_axis, float(omega), init, observable, float(time))]
+        return self.take([self.row(drive_axis, omega, init, observable, time)]).records()[0]
 
     def merge(self, other: "ShotDataset") -> "ShotDataset":
-        for key, record in other.entries.items():
-            self.add(key, record)
+        self.extend(*(other.column(name) for name in _KEY_DTYPES), other.take(slice(None)))
         return self
 
     def times(self, drive_axis: str, omega: float, init: str, observable: str) -> list[float]:
-        return sorted(self._series.get((drive_axis, omega, init, observable), ()))
+        return self._store["time"][self.series(drive_axis, omega, init, observable)].tolist()
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    @property
+    def entries(self) -> dict[MeasurementKey, ShotRecord]:
+        """Every row as key -> record, in insertion order."""
+        return dict(zip(self._keys(slice(0, self._size)), self.take(slice(None)).records()))
 
     def __iter__(self) -> Iterator[tuple[MeasurementKey, ShotRecord]]:
-        return iter(sorted(self.entries.items()))
+        order = self._key_order()
+        return zip(self._keys(order), self.take(order).records())
+
+    def _key_order(self) -> np.ndarray:
+        """Row indices in MeasurementKey order; code order is label order."""
+        return np.lexsort([self.column(name) for name in reversed(_KEY_DTYPES)])
+
+    def _sorted(self, *names) -> list[list]:
+        """The ``names`` columns as lists in key order: coded columns as their
+        labels, float columns as the ``repr`` of each value, other columns as
+        Python values."""
+        order = self._key_order()
+        columns = [self.column(name)[order] for name in names]
+        return [_float_text(c) if c.dtype == float else _listed(name, c) for name, c in zip(names, columns)]
 
     _FIELDS = (
         "axis", "omega_rad_per_us", "init", "obs", "T_us",
         "n_shots", "n_plus", "expectation", "variance", "analytic",
     )
 
+    # one record as csv.writer lays it out: no label needs quoting, and the
+    # floats are written as their repr
+    _CSV_ROW = "%s,%s,%s,%s,%s,%d,%d,%s,%s,%d\r\n"
+
     def to_csv(self, path_or_buffer) -> None:
+        rows = zip(*self._sorted(*_KEY_DTYPES, *_VALUE_DTYPES))
         with _opened(path_or_buffer, "w") as buffer:
-            writer = csv.writer(buffer)
-            writer.writerow(self._FIELDS)
-            for key, rec in self:
-                writer.writerow([
-                    key.drive_axis, repr(key.omega), key.init, key.observable, repr(key.time),
-                    rec.n_shots, rec.n_plus, repr(rec.expectation), repr(rec.variance),
-                    int(rec.analytic),
-                ])
+            buffer.write(",".join(self._FIELDS) + "\r\n" + "".join(map(self._CSV_ROW.__mod__, rows)))
 
     @classmethod
     def from_csv(cls, path_or_buffer) -> "ShotDataset":
         with _opened(path_or_buffer, "r") as buffer:
-            reader = csv.DictReader(buffer)
-            ds = cls()
-            for row in reader:
-                key = MeasurementKey(
-                    row["axis"], float(row["omega_rad_per_us"]), row["init"],
-                    row["obs"], float(row["T_us"]),
-                )
-                rec = ShotRecord(
-                    n_shots=int(row["n_shots"]),
-                    n_plus=int(row["n_plus"]),
-                    expectation=float(row["expectation"]),
-                    variance=float(row["variance"]),
-                    analytic=bool(int(row["analytic"])),
-                )
-                ds.add(key, rec)
-            return ds
+            header, *rows = [row for row in csv.reader(buffer) if row] or [cls._FIELDS]
+        fields = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+
+        def parsed(field, kind):
+            return [kind(text) for text in fields[field]]
+
+        dataset = cls()
+        dataset.extend(
+            _codes("drive", fields["axis"]), parsed("omega_rad_per_us", float), _codes("init", fields["init"]),
+            _codes("observable", fields["obs"]), parsed("T_us", float),
+            ShotColumns.of(parsed("n_shots", int), parsed("n_plus", int), parsed("expectation", float),
+                           parsed("variance", float), [bool(int(text)) for text in fields["analytic"]]),
+        )
+        return dataset
 
     # one record as json.dumps(..., sort_keys=True, indent=1) lays it out
     _MANIFEST_ROW = (
-        '{\n   "T_us": %r,\n   "analytic": %s,\n   "axis": "%s",\n   "expectation": %r,\n'
+        '{\n   "T_us": %s,\n   "analytic": %s,\n   "axis": "%s",\n   "expectation": %s,\n'
         '   "init": "%s",\n   "n_plus": %d,\n   "n_shots": %d,\n   "obs": "%s",\n'
-        '   "omega_rad_per_us": %r,\n   "variance": %r\n  }'
+        '   "omega_rad_per_us": %s,\n   "variance": %s\n  }'
     )
 
     def to_manifest(self, **metadata) -> str:
@@ -277,14 +499,10 @@ class ShotDataset:
         ``%`` row: its labels are plain ASCII, its counts ints and its values
         finite, and the ``repr`` of a float is JSON's text for it."""
         head = json.dumps({"metadata": metadata, "records": []}, sort_keys=True, indent=1)
-        row = self._MANIFEST_ROW
-        rows = [
-            row % (
-                float(k.time), "true" if r.analytic else "false", k.drive_axis, float(r.expectation),
-                k.init, r.n_plus, r.n_shots, k.observable, float(k.omega), float(r.variance),
-            )
-            for k, r in self
-        ]
+        columns = self._sorted(
+            "time", "analytic", "drive", "expectation", "init", "n_plus", "n_shots", "observable", "omega", "variance")
+        columns[1] = [("false", "true")[analytic] for analytic in columns[1]]
+        rows = list(map(self._MANIFEST_ROW.__mod__, zip(*columns)))
         # the records list is the last key: open up its "[]" at the tail
         return head[: -len("[]\n}")] + "[\n  " + ",\n  ".join(rows) + "\n ]\n}" if rows else head
 

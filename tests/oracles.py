@@ -20,8 +20,16 @@ program's own output with a second route to the same number:
   the synthesis, against sample autocorrelations of
   ``noisegen.DSARealization`` trajectories.
 * :func:`manifest_reference`: ``spam.ShotDataset.to_manifest`` as one
-  ``json.dumps`` with an indent, against the program's text, which encodes
-  each record with the C encoder and joins the rows itself.
+  ``json.dumps`` with an indent, against the program's text, which formats
+  sorted columns with a ``%`` row template.
+* :func:`csv_reference`: ``spam.ShotDataset.to_csv`` as a ``csv.writer``
+  fed record by record, against the program's column-formatted text.
+* :func:`report_reference`: ``report.json`` as one ``json.dumps`` with an
+  indent, against the program's text, which encodes the estimate and SPAM
+  rows one at a time and splices them in.
+* :func:`x_drive_coherence_rate`, :func:`z_drive_rates` and
+  :func:`z_drive_coherence_rate`: one-amplitude readings of
+  ``dynamics.DriveRates`` under the names of the paper's rates.
 * :func:`dsa_sample` and :func:`rad_per_us_to_mhz`: one-line shorthands for
   ``DSARealization(config, seed).trajectory(grid)`` and the inverse of
   ``spectra.mhz_to_rad_per_us``.
@@ -29,7 +37,9 @@ program's own output with a second route to the same number:
 
 from __future__ import annotations
 
+import csv
 import enum
+import io
 import json
 import math
 
@@ -39,6 +49,8 @@ from slqns.dynamics import (
     _BATH_GROUND,
     IDENTITY2,
     SIGMA,
+    DriveAxis,
+    DriveRates,
     DynamicsError,
     QubitState,
     ToyBathNoise,
@@ -48,7 +60,7 @@ from slqns.dynamics import (
 )
 from slqns.noisegen import DSAConfig, DSARealization, NoiseTrajectory
 from slqns.spam import ShotDataset, SpamParams, outcome_probability
-from slqns.spectra import TWO_PI, Tabulated
+from slqns.spectra import TWO_PI, DeviceParams, SphericalSpectraSet, Tabulated
 
 
 def discretized_z_drive(
@@ -194,6 +206,45 @@ def manifest_reference(dataset: ShotDataset, **metadata) -> str:
         for k, r in dataset
     ]
     return json.dumps({"metadata": metadata, "records": rows}, sort_keys=True, indent=1)
+
+
+def csv_reference(dataset: ShotDataset) -> str:
+    """The ``datasets.csv`` text, written record by record with ``csv.writer``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(ShotDataset._FIELDS)
+    for key, rec in dataset:
+        writer.writerow([
+            key.drive_axis, repr(key.omega), key.init, key.observable, repr(key.time),
+            rec.n_shots, rec.n_plus, repr(rec.expectation), repr(rec.variance),
+            int(rec.analytic),
+        ])
+    return buffer.getvalue()
+
+
+def report_reference(report: dict) -> str:
+    """The ``report.json`` text, encoded in one ``json.dumps`` call."""
+    return json.dumps(report, sort_keys=True, indent=1)
+
+
+def x_drive_coherence_rate(spectra: SphericalSpectraSet, omega: float, device: DeviceParams) -> float:
+    """Decay rate of the x-basis coherence under a constant x drive."""
+    return DriveRates(DriveAxis.X_PLUS, omega, spectra, device).coherence_rate()
+
+
+def z_drive_rates(spectra: SphericalSpectraSet, omega_eff: float, device: DeviceParams) -> tuple[float, float]:
+    """(rate_down, rate_up) transition-rate coefficients under a z drive.
+
+    ``rate_down`` drives z+ -> z- and ``rate_up`` drives z- -> z+ ; the
+    populations relax at ``2 (rate_down + rate_up)``.  ``omega_eff`` is the
+    signed drive amplitude.
+    """
+    return DriveRates(DriveAxis.Z_PLUS, omega_eff, spectra, device).z_rates()
+
+
+def z_drive_coherence_rate(spectra: SphericalSpectraSet, omega_eff: float, device: DeviceParams) -> float:
+    """Decay rate of the z-basis coherence under a z drive."""
+    return DriveRates(DriveAxis.Z_PLUS, omega_eff, spectra, device).coherence_rate()
 
 
 def theoretical_autocorrelation(config: DSAConfig, tau) -> np.ndarray:

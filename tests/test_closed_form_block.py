@@ -26,14 +26,13 @@ from slqns.dynamics import (
     check_secular_validity,
     compute_AB,
     tcl_evolve_states,
-    x_drive_coherence_rate,
-    z_drive_rates,
 )
 from slqns.harness import build_campaign
 from slqns.protocols import ClosedFormTclBackend, ProtocolPlan, run_for_omega, run_plan
 from slqns.seeding import derive_seed, spawn_rng
 from slqns.spam import ShotRecord, faulty_state
 from slqns.spectra import DeviceParams, SpectraError, SphericalSpectraSet, mhz_to_rad_per_us
+from oracles import x_drive_coherence_rate, z_drive_rates
 from test_harness import PHYSICS
 
 OMEGAS_MHZ = np.linspace(1.0, 40.0, 12).tolist()

@@ -20,14 +20,12 @@ from slqns.dynamics import (
     tcl_expectation_x_drive,
     tcl_expectation_z_drive,
     toggling_to_rotating,
-    x_drive_coherence_rate,
-    z_drive_rates,
 )
 from slqns.noisegen import BathConfig, BathVariant, DSAConfig, build_toy_bath, target_spectra
 from slqns.seeding import spawn_rng
 from slqns.spectra import DeviceParams, Lorentzian, SphericalSpectraSet, Tabulated
 
-from oracles import discretized_z_drive, dsa_sample, tcl_sinc_integrator
+from oracles import discretized_z_drive, dsa_sample, tcl_sinc_integrator, x_drive_coherence_rate, z_drive_rates
 
 DEVICE = DeviceParams(omega_q=2.0 * np.pi * 4970.0)
 

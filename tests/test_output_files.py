@@ -1,0 +1,105 @@
+"""The five output files: ``report.json`` as one indented ``json.dumps``
+gives it, byte-identical files at every ``--jobs``, and the pinned bytes of
+the trajectory path."""
+
+from __future__ import annotations
+
+import copy
+import hashlib
+import warnings
+
+import pytest
+
+from slqns.harness import run_campaign
+
+from oracles import report_reference
+from test_harness import (
+    CLOSED_FORM_P2,
+    CLOSED_FORM_P4,
+    CLOSED_FORM_P4_ANALYTIC,
+    OUTPUT_FILES,
+    TRAJECTORY,
+)
+
+
+def with_plan(config, seed, **plan):
+    config = copy.deepcopy(config)
+    config["seed"] = seed
+    config["plan"].update(plan)
+    return config
+
+
+LOW = [1.0, 2.0, 14.0]
+REPORTS = {
+    "p1": dict(with_plan(CLOSED_FORM_P2, 1, times_us=[2.0]), protocol=1),
+    "p2-standard-dropped": with_plan(CLOSED_FORM_P2, 1, omegas_MHz=LOW),
+    "p3": dict(with_plan(CLOSED_FORM_P4, 1, times_us=[2.0], aligned_n=[20]), protocol=3),
+    "p4-standard-dropped": with_plan(CLOSED_FORM_P4, 1, omegas_MHz=LOW),
+    "p4-one-failure": with_plan(CLOSED_FORM_P4, 1, omegas_MHz=LOW, times_us=[10.0, 20.0, 30.0]),
+    "p4-every-failure": with_plan(CLOSED_FORM_P4, 1, omegas_MHz=LOW, times_us=[30.0, 60.0, 90.0]),
+    "p4-analytic": CLOSED_FORM_P4_ANALYTIC,
+    "trajectory-p2": TRAJECTORY,
+}
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """name -> (report, text of its report.json) of every REPORTS campaign."""
+    out = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name, config in REPORTS.items():
+            path = tmp_path_factory.mktemp(name)
+            out[name] = run_campaign(config, out_dir=path).report, (path / "report.json").read_text()
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_json_is_one_indented_json_dump(written, name):
+    report, text = written[name]
+    assert text == report_reference(report)
+
+
+def test_the_report_cases_cover_failures_drops_and_no_spam(written):
+    reports = {name: report for name, (report, _) in written.items()}
+    assert {report["protocol"] for report in reports.values()} == {1, 2, 3, 4}
+    assert reports["p2-standard-dropped"]["standard_dropped"]
+    assert reports["p4-standard-dropped"]["standard_dropped"]
+    assert reports["p4-one-failure"]["failures"] and reports["p4-one-failure"]["estimates"]
+    assert reports["p4-every-failure"]["estimates"] == [] and reports["p4-every-failure"]["spam"] is None
+    assert reports["p1"]["spam"] is None and reports["p3"]["spam"] is None
+
+
+@pytest.mark.parametrize("config", [CLOSED_FORM_P4, TRAJECTORY, CLOSED_FORM_P2, CLOSED_FORM_P4_ANALYTIC],
+                         ids=["closed-form-p4", "trajectory-p2", "closed-form-p2", "closed-form-p4-analytic"])
+def test_all_five_files_are_identical_at_one_two_and_three_jobs(tmp_path, config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for jobs in (1, 2, 3):
+            run_campaign(config, out_dir=tmp_path / f"jobs{jobs}", jobs=jobs)
+    for name in OUTPUT_FILES:
+        serial = (tmp_path / "jobs1" / name).read_bytes()
+        for jobs in (2, 3):
+            assert (tmp_path / f"jobs{jobs}" / name).read_bytes() == serial, (name, jobs)
+
+
+# The trajectory path: protocol 2 at 4 and 5 MHz with 2 realizations per
+# point, seed 1, in shot mode (the benchmark's trajectory --jobs twin).  The
+# digests were recorded at commit 32b94ce, before the dataset became
+# columnar, with numpy 2.4 and scipy 1.17 on x86-64 Linux, and were the same
+# with one and with two OpenBLAS threads.
+TRAJECTORY_TWIN = dict(copy.deepcopy(TRAJECTORY), seed=1)
+TRAJECTORY_DIGESTS = {
+    "report.json": "44429b4c5b021920725c2034ef401b8586eeb83129944a8aa6636c4f04be5730",
+    "datasets.csv": "3bcb338fa28afd93ea4b66f6e7c1fc9aabdb004b9d04d6fe2838b3800d970ab2",
+    "estimates.csv": "f7b722defbaef8d64623abb38edac48ddb8cc0a7a347e2892768aa7709fc3517",
+    "manifest.json": "874d7d36517517ee394f270f46d2f6e02f28c1f13c7419e48aff32fec404c495",
+}
+
+
+def test_trajectory_outputs_match_the_pinned_digests(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_campaign(TRAJECTORY_TWIN, out_dir=tmp_path)
+    digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in TRAJECTORY_DIGESTS}
+    assert digests == TRAJECTORY_DIGESTS

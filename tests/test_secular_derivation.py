@@ -16,12 +16,11 @@ import pytest
 from slqns.dynamics import (
     SIGMA,
     compute_AB,
-    x_drive_coherence_rate,
-    z_drive_coherence_rate,
-    z_drive_rates,
 )
 from slqns.seeding import spawn_rng
 from slqns.spectra import DeviceParams, SphericalSpectraSet
+
+from oracles import x_drive_coherence_rate, z_drive_coherence_rate, z_drive_rates
 
 SQRT2 = np.sqrt(2.0)
 SPHERICAL = {

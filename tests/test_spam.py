@@ -14,9 +14,6 @@ from slqns.dynamics import (
     tcl_evolve_state,
     tcl_expectation_x_drive,
     tcl_expectation_z_drive,
-    x_drive_coherence_rate,
-    z_drive_coherence_rate,
-    z_drive_rates,
 )
 from slqns.spam import (
     MeasurementKey,
@@ -35,6 +32,9 @@ from oracles import (
     povm_elements,
     povm_probabilities,
     spam_corrupted_expectation,
+    x_drive_coherence_rate,
+    z_drive_coherence_rate,
+    z_drive_rates,
 )
 
 DEVICE = DeviceParams(omega_q=2.0 * np.pi * 4970.0)
