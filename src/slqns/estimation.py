@@ -23,6 +23,27 @@ alpha is approximately alpha_m (negligible preparation errors).
 Every estimator returns one :class:`EstimatorResult`: its spectral estimates
 keyed by component, the path taken, the SPAM parameters (robust paths only)
 and the diagnostics the estimator computed on the way.
+
+Grid estimators.  :func:`robust_multi_axis`, :func:`invert_multi_axis` and
+:func:`estimate_single_axis_standard` take a whole drive-frequency grid and
+return one outcome per frequency, in grid order: the frequency's
+``EstimatorResult``, or the :class:`EstimationError` that fails it (a
+frequency's failure leaves the others standing).  Their numerics run once
+over the grid: every straight-line fit of a pair block is one row of a
+stacked regression (:func:`_linreg_stack`, whose one-row case is
+:func:`weighted_linreg`), and the delta-method inversions evaluate every
+central and bumped input of the grid in one array pass (:func:`_propagate`).
+Warnings are emitted afterwards, frequency by frequency in grid order.  The
+protocol 2 robust estimators work one frequency at a time, on one-frequency
+grids.
+
+The outputs keep the bits of a scalar evaluation, one frequency at a time: a
+stacked matrix product or solve runs the same BLAS/LAPACK call on each
+matrix, and where a scalar formula used ``math.log``, ``math.exp`` or a
+Python ``float ** 2`` (libm ``pow``), the array form calls the same libm
+function elementwise (``_log``, ``dynamics._exp``, ``spam._squared``):
+numpy's vectorised ``log`` and ``square`` differ from them in the last bit
+for a few values in ten thousand.
 """
 
 from __future__ import annotations
@@ -30,13 +51,15 @@ from __future__ import annotations
 import enum
 import math
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .dynamics import _decay_weight
-from .spam import ShotDataset, ShotRecord, expectation_std_error
+from .dynamics import _decay_weight, _exp
+from .spam import ShotDataset, _squared, expectation_std_error
 
 __all__ = [
     "EstimationError",
@@ -44,8 +67,6 @@ __all__ = [
     "Method",
     "SpectralEstimate",
     "RegressionResult",
-    "weighted_linreg",
-    "invert_single_axis",
     "estimate_single_axis_standard",
     "robust_single_axis_linearized",
     "robust_single_axis_nonlinear",
@@ -84,7 +105,7 @@ class SpectralEstimate:
     method: Method
 
     def __post_init__(self):
-        if not (np.isfinite(self.value) and np.isfinite(self.std_error) and self.std_error >= 0.0):
+        if not (math.isfinite(self.value) and math.isfinite(self.std_error) and self.std_error >= 0.0):
             raise EstimationError(f"invalid estimate {self.component}: {self.value} +- {self.std_error}")
 
     @property
@@ -111,16 +132,19 @@ _COMPONENTS = {
     "B": "Omega",
 }
 
+# frequency-argument label -> its value at (omega, omega_q)
+_FREQ_VALUES = {
+    "Omega+omega_q": lambda omega, omega_q: omega + omega_q,
+    "-Omega-omega_q": lambda omega, omega_q: -omega - omega_q,
+    "Omega-omega_q": lambda omega, omega_q: omega - omega_q,
+    "-Omega+omega_q": lambda omega, omega_q: -omega + omega_q,
+    "Omega": lambda omega, omega_q: omega,
+    "0": lambda omega, omega_q: 0.0,
+}
+
 
 def _freq_value(label: str, omega: float, omega_q: float) -> float:
-    return {
-        "Omega+omega_q": omega + omega_q,
-        "-Omega-omega_q": -omega - omega_q,
-        "Omega-omega_q": omega - omega_q,
-        "-Omega+omega_q": -omega + omega_q,
-        "Omega": omega,
-        "0": 0.0,
-    }[label]
+    return _FREQ_VALUES[label](omega, omega_q)
 
 
 def _estimates(method: Method, omega: float, rows, omega_q: float = 0.0) -> dict:
@@ -167,6 +191,20 @@ class EstimatorResult:
         return self.diagnostics["nfev"]
 
 
+# math.log elementwise: numpy's vectorised log is not bit-equal to it
+_log = np.vectorize(math.log, otypes=[float])
+
+
+def _squares(values) -> np.ndarray:
+    """Python's ``float ** 2`` of every value, as a float array."""
+    return _squared(values).astype(float)
+
+
+def _nonnegative(values) -> np.ndarray:
+    """``max(value, 0.0)`` of every value, NaN and -0.0 kept as Python's max keeps them."""
+    return np.where(values < 0.0, 0.0, values)
+
+
 # ---------------------------------------------------------------------------
 # weighted linear regression
 # ---------------------------------------------------------------------------
@@ -189,50 +227,97 @@ class RegressionResult:
         return math.sqrt(max(self.covariance[1, 1], 0.0))
 
 
-def weighted_linreg(x, y, sigma=None) -> RegressionResult:
-    """Straight-line fit by normal equations.
+class _Lines(NamedTuple):
+    """Straight-line fits of the rows of a stack: arrays over the rows (NaN
+    where a row failed) and each row's EstimationError, or None."""
+
+    slope: np.ndarray       # (k,)
+    intercept: np.ndarray   # (k,)
+    covariance: np.ndarray  # (k, 2, 2)
+    residuals: np.ndarray   # (k, n)
+    weights: np.ndarray     # (k, n)
+    errors: list
+
+    def result(self, row: int) -> RegressionResult:
+        """The fit of one row; its EstimationError if it failed."""
+        if self.errors[row] is not None:
+            raise self.errors[row]
+        return RegressionResult(float(self.slope[row]), float(self.intercept[row]), self.covariance[row],
+                                self.residuals[row], self.weights[row])
+
+
+def _solve_lines(x, y, weights, scaled: bool):
+    """Normal-equation fits of the rows of (k, n) arrays as stacked products and
+    solves; each 2x2 system gets the BLAS and LAPACK calls a single one gets.
+    Raises LinAlgError if any normal matrix is singular."""
+    design = np.empty(x.shape + (2,))  # (k, n, 2)
+    design[..., 0], design[..., 1] = x, 1.0
+    design_t = np.swapaxes(design, -1, -2)
+    normal = design_t @ (weights[..., None] * design)
+    rhs = design_t @ (weights * y)[..., None]
+    params = np.linalg.solve(normal, rhs)
+    normal_inv = np.linalg.inv(normal)
+    residuals = y - (design @ params)[..., 0]
+    if scaled:
+        dof = x.shape[-1] - 2
+        rss = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
+        scale = rss / dof if dof > 0 else np.zeros(len(x))
+        normal_inv = scale[:, None, None] * normal_inv
+    return params[:, 0, 0], params[:, 1, 0], normal_inv, residuals
+
+
+def _linreg_stack(x, y, sigma=None) -> _Lines:
+    """Straight-line fit of every row of the (k, n) arrays ``x`` and ``y``.
 
     With per-point standard errors ``sigma`` the parameter covariance is the
     inverse normal matrix (errors taken as known absolute scales); without
     them an ordinary fit is done and the covariance is scaled by the
-    residual variance.
+    residual variance.  A row with fewer than 2 distinct x, a std error
+    <= 0 or a singular normal matrix fails alone.
     """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or x.shape != y.shape or x.shape[1] < 2:
+        raise EstimationError("regression needs 1-D x, y of equal length >= 2")
+    errors = [None] * len(x)
+    same_x = (x == x[:, :1]).all(axis=1)
+    if sigma is not None:
+        sigma = np.asarray(sigma, dtype=float)
+        bad_sigma = (sigma <= 0.0).any(axis=1)
+    failed = same_x if sigma is None else same_x | bad_sigma
+    with np.errstate(divide="ignore"):
+        weights = np.ones_like(x) if sigma is None else 1.0 / sigma**2
+    if not failed.any():
+        try:
+            return _Lines(*_solve_lines(x, y, weights, sigma is None), weights, errors)
+        except np.linalg.LinAlgError:
+            pass
+    # some rows fail: fit the others one at a time, which makes the same calls
+    for row in np.flatnonzero(failed):
+        errors[row] = EstimationError(
+            "regression needs at least 2 distinct x values" if same_x[row] else "regression std errors must be > 0")
+    rows = np.flatnonzero(~failed)
+    slope, intercept = np.full(len(x), np.nan), np.full(len(x), np.nan)
+    covariance, residuals = np.full((len(x), 2, 2), np.nan), np.full(x.shape, np.nan)
+    for row in rows:
+        try:
+            solved = _solve_lines(x[[row]], y[[row]], weights[[row]], sigma is None)
+        except np.linalg.LinAlgError:
+            errors[row] = EstimationError("degenerate design matrix")
+            continue
+        slope[row], intercept[row], covariance[row], residuals[row] = (part[0] for part in solved)
+    return _Lines(slope, intercept, covariance, residuals, weights, errors)
+
+
+def weighted_linreg(x, y, sigma=None) -> RegressionResult:
+    """Straight-line fit by normal equations: the one-row case of the stacked
+    regression (see :func:`_linreg_stack` for the covariance)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape or x.size < 2:
         raise EstimationError("regression needs 1-D x, y of equal length >= 2")
-    if np.unique(x).size < 2:
-        raise EstimationError("regression needs at least 2 distinct x values")
-    if sigma is not None:
-        sigma = np.asarray(sigma, dtype=float)
-        if np.any(sigma <= 0.0):
-            raise EstimationError("regression std errors must be > 0")
-        weights = 1.0 / sigma**2
-    else:
-        weights = np.ones_like(x)
-
-    design = np.column_stack([x, np.ones_like(x)])
-    normal = design.T @ (weights[:, None] * design)
-    rhs = design.T @ (weights * y)
-    try:
-        params = np.linalg.solve(normal, rhs)
-        normal_inv = np.linalg.inv(normal)
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError("degenerate design matrix") from exc
-    residuals = y - design @ params
-    if sigma is None:
-        dof = x.size - 2
-        scale = float(residuals @ residuals) / dof if dof > 0 else 0.0
-        covariance = scale * normal_inv
-    else:
-        covariance = normal_inv
-    return RegressionResult(
-        slope=float(params[0]),
-        intercept=float(params[1]),
-        covariance=covariance,
-        residuals=residuals,
-        weights=weights,
-    )
+    sigma = None if sigma is None else np.asarray(sigma, dtype=float)[None]
+    return _linreg_stack(x[None], y[None], sigma).result(0)
 
 
 # ---------------------------------------------------------------------------
@@ -240,23 +325,97 @@ def weighted_linreg(x, y, sigma=None) -> RegressionResult:
 # ---------------------------------------------------------------------------
 
 
-def _propagate(func, inputs: np.ndarray, variances: np.ndarray):
-    """First-order propagation of independent input variances through func."""
+def _propagate(func, inputs, variances):
+    """First-order propagation of independent input variances through ``func``
+    at every row of a grid of inputs, by central differences.
+
+    ``inputs`` and ``variances`` are (r, m) arrays.  ``func`` maps inputs of
+    shape (..., m) to ``(values (..., p), failed (..., c))``: its outputs and
+    which of its c checks fail, in the order they are made.  All 2m + 1
+    inputs of a row (central, then each input bumped up and then down) are
+    evaluated in one call.  Returns the values (r, p), their std errors
+    (r, p) and, for each row, None or ``(inputs, check)`` of its first
+    failed check: at the central inputs, then at the bumped ones in order.
+    A row whose variances are all 0 is not bumped: its std errors are 0.
+    """
     inputs = np.asarray(inputs, dtype=float)
     variances = np.asarray(variances, dtype=float)
-    values = np.atleast_1d(np.asarray(func(inputs), dtype=float))
-    if np.all(variances == 0.0):
-        return values, np.zeros_like(values)
-    jac = np.empty((values.size, inputs.size))
-    for i in range(inputs.size):
-        h = 1e-6 * max(abs(inputs[i]), 1.0)
-        bumped_up = inputs.copy()
-        bumped_up[i] += h
-        bumped_dn = inputs.copy()
-        bumped_dn[i] -= h
-        jac[:, i] = (np.atleast_1d(func(bumped_up)) - np.atleast_1d(func(bumped_dn))) / (2.0 * h)
-    var_out = jac @ np.diag(variances) @ jac.T
-    return values, np.sqrt(np.clip(np.diag(var_out), 0.0, None))
+    r, m = inputs.shape
+    h = 1e-6 * np.maximum(np.abs(inputs), 1.0)
+    bumped = np.repeat(inputs[:, None, :], 2 * m + 1, axis=1)
+    index = np.arange(m)
+    bumped[:, 1 + 2 * index, index] += h
+    bumped[:, 2 + 2 * index, index] -= h
+    with np.errstate(all="ignore"):
+        values, failed = func(bumped)
+        # (r, p, m), C-ordered as a single frequency's jacobian is
+        jac = np.ascontiguousarray(np.swapaxes((values[:, 1::2] - values[:, 2::2]) / (2.0 * h[..., None]), 1, 2))
+        spread = np.zeros((r, m, m))
+        spread[:, index, index] = variances
+        var_out = jac @ spread @ np.swapaxes(jac, 1, 2)
+    errs = np.sqrt(np.clip(np.diagonal(var_out, axis1=1, axis2=2), 0.0, None))
+    exact = np.all(variances == 0.0, axis=1)
+    errs[exact] = 0.0
+    failed[exact, 1:] = False
+    flat = failed.reshape(r, -1)
+    first = flat.argmax(axis=1)
+    checks = failed.shape[-1]
+    failures = [
+        (bumped[row, first[row] // checks], first[row] % checks) if flat[row, first[row]] else None
+        for row in range(r)
+    ]
+    return values[:, 0], errs, failures
+
+
+def _decay_weights(rate, duration):
+    """``dynamics._decay_weight`` of every rate, ``duration`` where the rate is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(rate == 0.0, duration, _decay_weight(rate, duration))
+
+
+def _point_rows(dataset: ShotDataset, point, omegas, times) -> np.ndarray:
+    """Row of the ``(drive_axis, init, observable)`` point at each frequency,
+    at that frequency's time; -1 where the dataset has none."""
+    drive_axis, init, observable = point
+    series = [dataset.series(drive_axis, omega, init, observable) for omega in omegas]
+    owner = np.repeat(np.arange(len(series)), [rows.size for rows in series])
+    rows = np.concatenate(series) if series else np.empty(0, dtype=np.intp)
+    hits = np.flatnonzero(dataset.column("time")[rows] == np.asarray(times, dtype=float)[owner])
+    found, first = np.unique(owner[hits], return_index=True)
+    out = np.full(len(series), -1, dtype=np.intp)
+    out[found] = rows[hits[first]]
+    return out
+
+
+def _inversion_inputs(dataset: ShotDataset, points, omegas, times):
+    """(expectations, variances) of the ``points`` (name -> (drive_axis, init,
+    observable)) at every frequency and its time in ``times`` (name -> (r,)
+    times), each (r, len(points)); KeyError naming the first missing point of
+    the first frequency that lacks one."""
+    rows = np.stack([_point_rows(dataset, point, omegas, times[name]) for name, point in points.items()], axis=1)
+    missing = np.flatnonzero((rows < 0).any(axis=1))
+    if missing.size:
+        i = missing[0]
+        name = list(points)[np.flatnonzero(rows[i] < 0)[0]]
+        drive_axis, init, observable = points[name]
+        dataset.row(drive_axis, omegas[i], init, observable, times[name][i])  # raises the KeyError
+    return dataset.column("expectation")[rows], dataset.column("expectation_variance")[rows]
+
+
+def _inversion_outcomes(omegas, names, values, errs, failures, error, omega_q=0.0) -> list:
+    """One standard result per frequency, or the EstimationError that ``error(inputs,
+    check)`` gives for the frequency's first failed check."""
+    outcomes = []
+    for i, omega in enumerate(omegas):
+        if failures[i] is not None:
+            outcomes.append(error(*failures[i]))
+            continue
+        try:
+            estimates = _estimates(Method.STANDARD, omega, zip(names, values[i], errs[i]), omega_q)
+            outcomes.append(EstimatorResult(estimates, "standard"))
+        except EstimationError as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +423,27 @@ def _propagate(func, inputs: np.ndarray, variances: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+def _single_axis_rates(e, duration):
+    """(S+, S-) of x-drive expectations ``e[..., 0:2]`` (the two preparations)
+    at one time, and whether the gap falls outside (0, 2]."""
+    diff = e[..., 0] - e[..., 1]
+    failed = ~((0.0 < diff) & (diff <= 2.0 + 1e-12))
+    s_plus = _log(np.where(failed, 1.0, 2.0 / diff)) / duration
+    mean = 0.5 * (e[..., 0] + e[..., 1])
+    s_minus = mean / _decay_weights(s_plus, duration)
+    return np.stack((s_plus, s_minus), axis=-1), failed[..., None]
+
+
+def _gap_error(diff) -> EstimationError:
+    return EstimationError(f"expectation gap {diff:.3g} outside (0, 2]: decoherence floor reached")
+
+
 def invert_single_axis(exp_plus: float, exp_minus: float, duration: float) -> tuple[float, float]:
     """Closed-form (S+, S-) from the two x-drive expectations at one time."""
-    diff = exp_plus - exp_minus
-    if not (0.0 < diff <= 2.0 + 1e-12):
-        raise EstimationError(
-            f"expectation gap {diff:.3g} outside (0, 2]: decoherence floor reached"
-        )
-    s_plus = math.log(2.0 / diff) / duration
-    mean = 0.5 * (exp_plus + exp_minus)
-    s_minus = mean / _decay_weight(s_plus, duration)
-    return s_plus, s_minus
+    (rates,), (failed,) = _single_axis_rates(np.array([[exp_plus, exp_minus]], dtype=float), duration)
+    if failed[0]:
+        raise _gap_error(exp_plus - exp_minus)
+    return float(rates[0]), float(rates[1])
 
 
 def single_axis_forward(
@@ -294,37 +463,65 @@ def single_axis_forward(
     return alpha_m * (sign * decay + drift) + delta
 
 
-def estimate_single_axis_standard(
-    rec_plus: ShotRecord,
-    rec_minus: ShotRecord,
-    duration: float,
-    omega: float,
-) -> EstimatorResult:
-    """Protocol-1 inversion with shot-noise error bars."""
+def estimate_single_axis_standard(dataset: ShotDataset, omegas, duration: float) -> list:
+    """Protocol-1 inversion with shot-noise error bars at every frequency of
+    ``omegas``, from its two x-drive expectations at ``duration``."""
+    omegas = list(omegas)
+    points = {"x_p": ("x", "x+", "x"), "x_m": ("x", "x-", "x")}
+    at = np.full(len(omegas), float(duration))
+    inputs, variances = _inversion_inputs(dataset, points, omegas, dict.fromkeys(points, at))
+    values, errs, failures = _propagate(lambda e: _single_axis_rates(e, duration), inputs, variances)
+    return _inversion_outcomes(omegas, ("S+_{0,0}", "S-_{0,0}"), values, errs, failures,
+                               lambda e, check: _gap_error(e[0] - e[1]))
 
-    def f(e):
-        return np.array(invert_single_axis(e[0], e[1], duration))
 
-    inputs = np.array([rec_plus.expectation, rec_minus.expectation])
-    variances = np.array([expectation_std_error(rec_plus) ** 2, expectation_std_error(rec_minus) ** 2])
-    values, errs = _propagate(f, inputs, variances)
-    rows = zip(("S+_{0,0}", "S-_{0,0}"), values, errs)
-    return EstimatorResult(_estimates(Method.STANDARD, omega, rows), "standard")
+def _paired_series(dataset: ShotDataset, drive_axis, omegas, inits, observable):
+    """The two preparations' time series at every frequency, stacked by length.
+
+    Returns ``(stacks, errors)``: ``stacks`` maps a series length n to the
+    frequency indices (k,), their times (k, n) and the dataset rows of the
+    first and of the second preparation (k, n), each series ordered by time;
+    ``errors[i]`` is the EstimationError of a frequency whose preparations
+    lack matching times, else None.
+    """
+    time = dataset.column("time")
+    errors = [None] * len(omegas)
+    by_length = defaultdict(list)
+    series = []
+    for i, omega in enumerate(omegas):
+        pair = (dataset.series(drive_axis, omega, inits[0], observable),
+                dataset.series(drive_axis, omega, inits[1], observable))
+        series.append(pair)
+        if pair[0].size and pair[0].size == pair[1].size:
+            by_length[pair[0].size].append(i)
+        else:
+            errors[i] = _unmatched(drive_axis, omegas[i], inits)
+    stacks = {}
+    for n, index in by_length.items():
+        index = np.array(index)
+        plus, minus = (np.array([series[i][k] for i in index.tolist()]) for k in (0, 1))
+        times = time[plus]
+        same = (times == time[minus]).all(axis=1)
+        if not same.all():
+            for i in index[~same].tolist():
+                errors[i] = _unmatched(drive_axis, omegas[i], inits)
+            index, times, plus, minus = index[same], times[same], plus[same], minus[same]
+        stacks[n] = (index, times, plus, minus)
+    return stacks, errors
+
+
+def _unmatched(drive_axis, omega, inits) -> EstimationError:
+    return EstimationError(f"dataset lacks matching {inits} time series for drive {drive_axis} at omega={omega}")
 
 
 def _series(dataset: ShotDataset, drive_axis: str, omega: float, inits: tuple[str, str], observable: str):
-    """Paired time series for the two preparations: their times and the
-    dataset rows of the first preparation followed by those of the second,
-    each ordered by time; the two must have the same times."""
-    rows_plus = dataset.series(drive_axis, omega, inits[0], observable)
-    rows_minus = dataset.series(drive_axis, omega, inits[1], observable)
-    time = dataset.column("time")
-    times = time[rows_plus]
-    if not times.size or not np.array_equal(times, time[rows_minus]):
-        raise EstimationError(
-            f"dataset lacks matching {inits} time series for drive {drive_axis} at omega={omega}"
-        )
-    return times, np.concatenate((rows_plus, rows_minus))
+    """Paired time series at one frequency: its times and the dataset rows of
+    the first preparation followed by those of the second."""
+    stacks, (error,) = _paired_series(dataset, drive_axis, [omega], inits, observable)
+    if error is not None:
+        raise error
+    ((_, times, plus, minus),) = stacks.values()
+    return times[0], np.concatenate((plus[0], minus[0]))
 
 
 MIN_REGRESSION_POINTS = 3
@@ -334,50 +531,125 @@ class _TooFewPointsError(EstimationError):
     """A pair block keeps fewer than ``MIN_REGRESSION_POINTS`` times."""
 
 
+class _Stack(NamedTuple):
+    """The frequencies of a pair block that keep the same number of times and
+    share the analytic flag, with their kept points."""
+
+    index: np.ndarray     # (k,) frequency indices
+    times: np.ndarray     # (k, m) kept times
+    means: np.ndarray     # (k, m) (e+ + e-)/2 at the kept times
+    sigma: np.ndarray | None  # (k, m) std errors of the means, None if analytic
+
+
+class _GridFits:
+    """Straight-line fits at every frequency of a grid, gathered from stacked
+    fits: (r,) arrays, NaN where a frequency has no fit, and each frequency's
+    EstimationError or None."""
+
+    def __init__(self, size: int):
+        self._values = np.full((4, size), np.nan)
+        self.slope, self.intercept, self.slope_err, self.intercept_err = self._values
+        self.errors = [None] * size
+        self._rows = {}  # frequency index -> (lines, row)
+
+    def add(self, index, lines: _Lines) -> None:
+        self.slope[index], self.intercept[index] = lines.slope, lines.intercept
+        self._values[2:, index] = np.sqrt(_nonnegative(np.diagonal(lines.covariance, axis1=1, axis2=2))).T
+        for row, i in enumerate(index.tolist()):
+            self.errors[i] = lines.errors[row]
+            self._rows[i] = (lines, row)
+
+    def result(self, i: int) -> RegressionResult:
+        """The fit at frequency i; its EstimationError if it has none."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        lines, row = self._rows[i]
+        return lines.result(row)
+
+
 @dataclass(frozen=True)
 class _PairBlock:
-    """One preparation pair's time series with its log-difference fit.
+    """One preparation pair's time series at every frequency of a grid, with
+    their log-difference fits ``(1/2)^half ln(2/diff)`` against time.
 
-    The quantum fit is a method because its regressor depends on the
-    fitted slope (and the linearized path checks its guard first).
+    ``times`` and ``dropped`` hold each frequency's series times and the
+    times dropped for a non-positive gap (empty where the series failed).
+    ``errors[i]`` is the EstimationError that fails frequency i, before or in
+    its fit.  The quantum fits are a method because their regressor depends
+    on the fitted slope.
     """
 
-    times: np.ndarray
-    means: np.ndarray      # (e+ + e-)/2
-    var_sums: np.ndarray   # var(e+) + var(e-)
-    keep: np.ndarray       # times with a positive expectation gap
-    dropped: tuple
-    analytic: bool
-    half: bool
-    fit: RegressionResult  # (1/2)^half ln(2/diff) against time
+    times: list
+    dropped: list
+    stacks: list  # of _Stack
+    fits: _GridFits
 
-    def quantum_fit(self, regressor: np.ndarray) -> RegressionResult:
-        """WLS of the preparation mean against ``regressor`` at the kept times."""
-        keep = self.keep
-        sigma = None if self.analytic else 0.5 * np.sqrt(self.var_sums[keep])
-        return weighted_linreg(regressor[keep], self.means[keep], sigma)
+    @property
+    def errors(self) -> list:
+        return self.fits.errors
+
+    def quantum_fits(self, regressor, alive=None) -> _GridFits:
+        """WLS of the preparation means against ``regressor(slope (k, 1), times
+        (k, m))`` at the kept times of every fitted frequency (of the ``alive``
+        mask, when given)."""
+        fits = _GridFits(len(self.times))
+        for stack in self.stacks:
+            rows = slice(None) if alive is None or alive[stack.index].all() else np.flatnonzero(alive[stack.index])
+            index = stack.index[rows]
+            if index.size:
+                x = regressor(self.fits.slope[index][:, None], stack.times[rows])
+                sigma = None if stack.sigma is None else stack.sigma[rows]
+                fits.add(index, _linreg_stack(x, stack.means[rows], sigma))
+        return fits
 
 
-def _pair_block(dataset, drive_axis, omega, inits, observable, *, half: bool = False) -> _PairBlock:
-    """Fit (1/2)^half * ln(2/diff) against time, dropping non-positive gaps."""
-    times, rows = _series(dataset, drive_axis, omega, inits, observable)
-    analytic = bool(dataset.column("analytic")[rows].all())
-    expectation, variance = dataset.column("expectation")[rows], dataset.column("expectation_variance")[rows]
-    n = times.size
-    e_plus, e_minus = expectation[:n], expectation[n:]
-    diffs, var_sums = e_plus - e_minus, variance[:n] + variance[n:]
-    keep = diffs > 0.0
-    dropped = tuple(float(t) for t in times[~keep])
-    if keep.sum() < MIN_REGRESSION_POINTS:
-        cause = f" after dropping non-positive expectation gaps at T = {list(dropped)}" if dropped else ""
-        raise _TooFewPointsError(f"only {int(keep.sum())} usable time points{cause}")
+def _pair_block(dataset, drive_axis, omegas, inits, observable, *, half: bool = False) -> _PairBlock:
+    """Fit (1/2)^half * ln(2/diff) against time at every frequency, dropping
+    non-positive gaps; one stacked fit per (kept-time count, analytic flag)."""
+    stacks, errors = _paired_series(dataset, drive_axis, omegas, inits, observable)
+    expectation, variance = dataset.column("expectation"), dataset.column("expectation_variance")
+    analytic = dataset.column("analytic")
     factor = 0.5 if half else 1.0
-    y = factor * np.log(2.0 / diffs[keep])
-    sigma = None
-    if not analytic:
-        sigma = factor * np.sqrt(var_sums[keep]) / diffs[keep]
-    fit = weighted_linreg(times[keep], y, sigma)
-    return _PairBlock(times, 0.5 * (e_plus + e_minus), var_sums, keep, dropped, analytic, half, fit)
+    times_of, dropped_of = [()] * len(omegas), [()] * len(omegas)
+    fits, block_stacks = _GridFits(len(omegas)), []
+    for index, times, plus, minus in stacks.values():
+        e_plus, e_minus = expectation[plus], expectation[minus]
+        diffs, var_sums = e_plus - e_minus, variance[plus] + variance[minus]
+        means = 0.5 * (e_plus + e_minus)
+        exact = analytic[plus].all(axis=1) & analytic[minus].all(axis=1)
+        keep = diffs > 0.0
+        kept = keep.sum(axis=1)
+        n = times.shape[1]
+        for j, i in enumerate(index.tolist()):
+            times_of[i] = times[j]
+        for j in np.flatnonzero((kept < n) | (kept < MIN_REGRESSION_POINTS)).tolist():
+            i = index[j]
+            dropped_of[i] = tuple(times[j][~keep[j]].tolist())
+            if kept[j] < MIN_REGRESSION_POINTS:
+                cause = ""
+                if dropped_of[i]:
+                    cause = f" after dropping non-positive expectation gaps at T = {list(dropped_of[i])}"
+                errors[i] = _TooFewPointsError(f"only {int(kept[j])} usable time points{cause}")
+        # one stack per (kept-time count, analytic flag)
+        keys = (2 * kept + exact).tolist()
+        for key in sorted(set(keys)):
+            m, is_exact = divmod(key, 2)
+            if m < MIN_REGRESSION_POINTS:
+                continue
+            rows = slice(None) if keys.count(key) == len(keys) else np.flatnonzero(np.equal(keys, key))
+
+            def at_kept(values):
+                return values[rows] if m == n else values[rows][keep[rows]].reshape(-1, m)
+
+            x, d, spread = at_kept(times), at_kept(diffs), at_kept(var_sums)
+            y = factor * np.log(2.0 / d)
+            sigma = None if is_exact else factor * np.sqrt(spread) / d
+            fits.add(index[rows], _linreg_stack(x, y, sigma))
+            block_stacks.append(_Stack(index[rows], x, at_kept(means), None if is_exact else 0.5 * np.sqrt(spread)))
+    for i, error in enumerate(errors):
+        if error is not None:
+            fits.errors[i] = error
+    return _PairBlock(times_of, dropped_of, block_stacks, fits)
 
 
 # largest S+ T at which the linearized quantum line is trusted
@@ -399,17 +671,17 @@ def robust_single_axis_linearized(
     guard rejects data outside that regime.  The quantum estimate is the
     component ``alpha_m*S-_{0,0}``.
     """
-    block = _pair_block(dataset, "x", omega, ("x+", "x-"), "x")
-    classical_fit = block.fit
+    block = _pair_block(dataset, "x", [omega], ("x+", "x-"), "x")
+    classical_fit = block.fits.result(0)
     s_plus_val = classical_fit.slope
-    guard_value = float(np.max(s_plus_val * block.times))
+    guard_value = float(np.max(s_plus_val * block.times[0]))
     if enforce_guard and guard_value > LINEARIZATION_GUARD:
         raise LinearizationGuardError(
             f"max(S+ T) = {guard_value:.3g} exceeds the linearization guard "
             f"{LINEARIZATION_GUARD:g}; use robust_single_axis_nonlinear"
         )
 
-    quantum_fit = block.quantum_fit(block.times)
+    quantum_fit = block.quantum_fits(lambda slope, times: times).result(0)
 
     alpha = math.exp(-classical_fit.intercept)
     rows = [
@@ -425,7 +697,7 @@ def robust_single_axis_linearized(
         delta_err=quantum_fit.intercept_err,
         diagnostics={
             "guard_value": guard_value,
-            "dropped_times": block.dropped,
+            "dropped_times": block.dropped[0],
             "fits": {"classical": classical_fit, "quantum": quantum_fit},
         },
     )
@@ -500,96 +772,134 @@ def robust_single_axis_nonlinear(dataset: ShotDataset, omega: float) -> Estimato
 # multi-axis estimators
 # ---------------------------------------------------------------------------
 
+# the points of the single-time multi-axis inversion, as pairs in check order:
+# name -> (drive_axis, init, observable); the coherence pair "c" is optional
+_MULTI_AXIS_POINTS = {
+    "zp_p": ("z+", "z+", "z"), "zp_m": ("z+", "z-", "z"),
+    "zm_p": ("z-", "z+", "z"), "zm_m": ("z-", "z-", "z"),
+    "x_p": ("x", "x+", "x"), "x_m": ("x", "x-", "x"),
+    "c_p": ("z+", "x+", "x"), "c_m": ("z+", "x-", "x"),
+}
+_MULTI_AXIS_COMPONENTS = ("S+_{1,-1}", "S-_{-1,1}", "S+_{-1,1}", "S-_{1,-1}", "A", "B", "S+_{0,0}", "S-_{0,0}", "S_{0,0}")
+
+
+def _multi_axis_rates(e, duration, aligned_duration=None):
+    """The multi-axis inversion of expectations ``e[..., :]`` (the points of
+    ``_MULTI_AXIS_POINTS`` in order; the coherence pair only with an
+    ``aligned_duration``, broadcast against ``e[..., 0]``), and which pair
+    gaps are <= 0 (the decoherence floor)."""
+    diffs = e[..., 0::2] - e[..., 1::2]  # zp, zm, x (, c)
+    failed = diffs <= 0.0
+    logs = _log(np.where(failed, 1.0, 2.0 / diffs))
+    s_plus_up = 0.5 * logs[..., 0] / duration     # S+[1,-1](W+wq)
+    s_plus_dn = 0.5 * logs[..., 1] / duration     # S+[-1,1](W-wq)
+    a_rate = 1.0 * logs[..., 2] / duration        # A(W)
+
+    mean_zp = 0.5 * (e[..., 0] + e[..., 1])
+    mean_zm = 0.5 * (e[..., 2] + e[..., 3])
+    mean_x = 0.5 * (e[..., 4] + e[..., 5])
+    s_minus_up = -mean_zp / (2.0 * _decay_weights(2.0 * s_plus_up, duration))  # S-[-1,1](-W-wq)
+    s_minus_dn = mean_zm / (2.0 * _decay_weights(2.0 * s_plus_dn, duration))   # S-[1,-1](-W+wq)
+    b_rate = mean_x / _decay_weights(a_rate, duration)                          # B(W)
+
+    s00_plus = a_rate - 0.5 * (s_plus_up + s_plus_dn)
+    s00_minus = b_rate + 0.5 * (s_minus_up + s_minus_dn)
+
+    out = [s_plus_up, s_minus_up, s_plus_dn, s_minus_dn, a_rate, b_rate, s00_plus, s00_minus]
+    if aligned_duration is not None:
+        # coherence rate is S+[1,-1](W+wq) + 2 S00(0)
+        gamma_hat = 1.0 * logs[..., 3] / aligned_duration
+        out.append(0.5 * (gamma_hat - s_plus_up))
+    return np.stack(out, axis=-1), failed
+
+
+def _floor_error(inputs, check) -> EstimationError:
+    p, m = list(_MULTI_AXIS_POINTS)[2 * check: 2 * check + 2]
+    diff = inputs[2 * check] - inputs[2 * check + 1]
+    return EstimationError(f"expectation gap for ({p},{m}) is {diff:.3g} <= 0: decoherence floor")
+
+
 def invert_multi_axis(
     dataset: ShotDataset,
-    omega: float,
+    omegas,
     omega_q: float,
     duration: float,
-    aligned_duration: float | None = None,
-) -> EstimatorResult:
-    """Single-time multi-axis inversion (no SPAM correction).
+    aligned_durations=None,
+) -> list:
+    """Single-time multi-axis inversion (no SPAM correction) at every frequency
+    of ``omegas``.
 
-    Requires the six (or eight, with the aligned coherence pair) expectations
-    of the three-drive protocol at one evolution time per drive.
+    Requires the six expectations of the three-drive protocol at
+    ``duration``, and with ``aligned_durations`` (one time per frequency) the
+    aligned coherence pair at that time.
     """
-    points = {
-        "zp_p": ("z+", "z+", "z", duration),
-        "zp_m": ("z+", "z-", "z", duration),
-        "zm_p": ("z-", "z+", "z", duration),
-        "zm_m": ("z-", "z-", "z", duration),
-        "x_p": ("x", "x+", "x", duration),
-        "x_m": ("x", "x-", "x", duration),
-    }
-    has_aligned = aligned_duration is not None
+    omegas = list(omegas)
+    has_aligned = aligned_durations is not None
+    points = dict(list(_MULTI_AXIS_POINTS.items())[: 8 if has_aligned else 6])
+    times = dict.fromkeys(points, np.full(len(omegas), float(duration)))
     if has_aligned:
-        points["c_p"] = ("z+", "x+", "x", aligned_duration)
-        points["c_m"] = ("z+", "x-", "x", aligned_duration)
-    names = list(points)
-    rows = [dataset.row(d, omega, i, o, t) for d, i, o, t in points.values()]
-
-    def f(e):
-        vals = dict(zip(names, e))
-
-        def log_pair(p, m, t, half):
-            diff = vals[p] - vals[m]
-            if diff <= 0.0:
-                raise EstimationError(
-                    f"expectation gap for ({p},{m}) is {diff:.3g} <= 0: decoherence floor"
-                )
-            return (0.5 if half else 1.0) * math.log(2.0 / diff) / t
-
-        s_plus_up = log_pair("zp_p", "zp_m", duration, half=True)       # S+[1,-1](W+wq)
-        s_plus_dn = log_pair("zm_p", "zm_m", duration, half=True)       # S+[-1,1](W-wq)
-        a_rate = log_pair("x_p", "x_m", duration, half=False)           # A(W)
-
-        mean_zp = 0.5 * (vals["zp_p"] + vals["zp_m"])
-        mean_zm = 0.5 * (vals["zm_p"] + vals["zm_m"])
-        mean_x = 0.5 * (vals["x_p"] + vals["x_m"])
-        s_minus_up = -mean_zp / (2.0 * _decay_weight(2.0 * s_plus_up, duration))  # S-[-1,1](-W-wq)
-        s_minus_dn = mean_zm / (2.0 * _decay_weight(2.0 * s_plus_dn, duration))   # S-[1,-1](-W+wq)
-        b_rate = mean_x / _decay_weight(a_rate, duration)                          # B(W)
-
-        s00_plus = a_rate - 0.5 * (s_plus_up + s_plus_dn)
-        s00_minus = b_rate + 0.5 * (s_minus_up + s_minus_dn)
-
-        out = [s_plus_up, s_minus_up, s_plus_dn, s_minus_dn, a_rate, b_rate, s00_plus, s00_minus]
-        if has_aligned:
-            # coherence rate is S+[1,-1](W+wq) + 2 S00(0)
-            gamma_hat = log_pair("c_p", "c_m", aligned_duration, half=False)
-            out.append(0.5 * (gamma_hat - s_plus_up))
-        return np.array(out)
-
-    values, errs = _propagate(f, dataset.column("expectation")[rows], dataset.column("expectation_variance")[rows])
-
-    order = ["S+_{1,-1}", "S-_{-1,1}", "S+_{-1,1}", "S-_{1,-1}", "A", "B", "S+_{0,0}", "S-_{0,0}"]
-    if has_aligned:
-        order.append("S_{0,0}")
-    return EstimatorResult(_estimates(Method.STANDARD, omega, zip(order, values, errs), omega_q), "standard")
+        aligned = np.asarray(aligned_durations, dtype=float)
+        times.update(c_p=aligned, c_m=aligned)
+    inputs, variances = _inversion_inputs(dataset, points, omegas, times)
+    aligned_at = aligned[:, None] if has_aligned else None
+    values, errs, failures = _propagate(lambda e: _multi_axis_rates(e, duration, aligned_at), inputs, variances)
+    names = _MULTI_AXIS_COMPONENTS[: 9 if has_aligned else 8]
+    return _inversion_outcomes(omegas, names, values, errs, failures, _floor_error, omega_q)
 
 
 INTERCEPT_CONSISTENCY_Z = 3.0
 # floor on an intercept std error in its z-score: on exact data the intercept
 # spread and the fitted std errors are both float round-off
 INTERCEPT_ROUND_OFF = 1e-12
+# floor on a variance in an inverse-variance weight
+_VARIANCE_FLOOR = 1e-30
 
 
-def _combine_inverse_variance(values, variances):
+def _combine_inverse_variance(values, variances, present=True):
+    """Inverse-variance mean and its std error along the last axis, over the
+    ``present`` entries: their plain mean, with std error 0, where every
+    present variance is 0.  Sums run in entry order, as a scalar loop's do."""
     values = np.asarray(values, dtype=float)
     variances = np.asarray(variances, dtype=float)
-    if np.all(variances == 0.0):
-        return float(values.mean()), 0.0
-    floor = max(np.min(variances[variances > 0.0], initial=1e-30), 1e-30)
-    w = 1.0 / np.maximum(variances, floor)
-    mean = float(np.sum(w * values) / np.sum(w))
-    return mean, float(math.sqrt(1.0 / np.sum(w)))
+    present = np.broadcast_to(present, values.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = np.where(present, 1.0 / np.maximum(variances, _VARIANCE_FLOOR), 0.0)
+        values = np.where(present, values, 0.0)
+        total = np.sum(weights, axis=-1)
+        exact = np.all((variances == 0.0) | ~present, axis=-1)
+        mean = np.where(exact, np.sum(values, axis=-1) / np.sum(present, axis=-1),
+                        np.sum(weights * values, axis=-1) / total)
+        return mean, np.where(exact, 0.0, np.sqrt(1.0 / total))
+
+
+def _first_max(values, present) -> np.ndarray:
+    """Python's ``max`` of the present entries of each row: the first entry
+    that no later one exceeds (NaN compares as Python compares it)."""
+    best = values[..., 0]
+    for j in range(1, values.shape[-1]):
+        best = np.where(present[..., j] & (values[..., j] > best), values[..., j], best)
+    return best
+
+
+def _unscale(slope, slope_err, s_plus, s_plus_err, alpha, alpha_err):
+    """Quantum spectrum ``slope * S+ / alpha`` and its first-order std error; a
+    zero value or slope takes the absolute form of the error."""
+    value = slope * s_plus / alpha
+    err = np.empty_like(value)
+    plain = (value == 0.0) | (slope == 0.0)
+    p, r = np.flatnonzero(plain), np.flatnonzero(~plain)
+    err[p] = np.sqrt(_squares(s_plus[p] / alpha[p] * slope_err[p]) + _squares(slope[p] / alpha[p] * s_plus_err[p]))
+    err[r] = np.abs(value[r]) * np.sqrt(
+        _squares(slope_err[r] / slope[r]) + _squares(s_plus_err[r] / s_plus[r]) + _squares(alpha_err[r] / alpha[r]))
+    return value, err
 
 
 def robust_multi_axis(
     dataset: ShotDataset,
-    omega: float,
+    omegas,
     omega_q: float,
-) -> EstimatorResult:
-    """Time-series SPAM-robust multi-axis estimation.
+) -> list:
+    """Time-series SPAM-robust multi-axis estimation at every frequency of ``omegas``.
 
     Classical spectra come from the slopes of the log-difference lines (the
     z-drive lines are halved so their slopes are the spectra directly and
@@ -600,116 +910,140 @@ def robust_multi_axis(
     coherence block is optional; without it, or with fewer than
     ``MIN_REGRESSION_POINTS`` aligned times of positive expectation gap
     (skipped with a warning), ``S[0,0](0)`` is not estimated.
+
+    A frequency fails at the first failure among its zp, zm, x and aligned
+    blocks (a short aligned block is skipped, not failed), then its zp, zm
+    and x quantum fits, then its estimates.
     """
-    blocks = {
-        "zp": _pair_block(dataset, "z+", omega, ("z+", "z-"), "z", half=True),
-        "zm": _pair_block(dataset, "z-", omega, ("z+", "z-"), "z", half=True),
-        "x": _pair_block(dataset, "x", omega, ("x+", "x-"), "x"),
-    }
-    n_aligned = dataset.series("z+", omega, "x+", "x").size
-    if n_aligned:
-        try:
-            blocks["aligned"] = _pair_block(dataset, "z+", omega, ("x+", "x-"), "x")
-        except _TooFewPointsError as exc:
+    omegas = list(omegas)
+    r = len(omegas)
+    zp = _pair_block(dataset, "z+", omegas, ("z+", "z-"), "z", half=True)
+    zm = _pair_block(dataset, "z-", omegas, ("z+", "z-"), "z", half=True)
+    x = _pair_block(dataset, "x", omegas, ("x+", "x-"), "x")
+    n_aligned = [dataset.series("z+", omega, "x+", "x").size for omega in omegas]
+    aligned = _pair_block(dataset, "z+", omegas, ("x+", "x-"), "x")
+    errors = [
+        next((e for e in (zp.errors[i], zm.errors[i], x.errors[i]) if e is not None), None)
+        for i in range(r)
+    ]
+    skipped = [None] * r  # the _TooFewPointsError of a skipped aligned block
+    for i in range(r):
+        error = aligned.errors[i]
+        if errors[i] is None and n_aligned[i] and error is not None:
+            if isinstance(error, _TooFewPointsError):
+                skipped[i] = error
+            else:
+                errors[i] = error
+    alive = np.array([error is None for error in errors], dtype=bool)
+    has_aligned = np.array([bool(n) and s is None for n, s in zip(n_aligned, skipped)], dtype=bool)
+    a = np.flatnonzero(alive)
+
+    # intercepts -> ln(alpha): halved lines carry -(1/2) ln alpha
+    blocks = {"zp": zp, "zm": zm, "x": x, "aligned": aligned}
+    factors = np.array([2.0, 2.0, 1.0, 1.0])
+    present = np.ones((a.size, 4), dtype=bool)
+    present[:, 3] = has_aligned[a]
+    intercepts = np.stack([block.fits.intercept[a] for block in blocks.values()], axis=1)
+    intercept_errs = np.stack([block.fits.intercept_err[a] for block in blocks.values()], axis=1)
+    ln_alpha_vals = -factors * intercepts
+    ln_alpha_vars = _squares(np.where(present, factors * intercept_errs, 0.0))
+    ln_alpha, ln_alpha_err = _combine_inverse_variance(ln_alpha_vals, ln_alpha_vars, present)
+    with np.errstate(invalid="ignore"):
+        z_scores = np.abs(ln_alpha_vals - ln_alpha[:, None]) / np.maximum(np.sqrt(ln_alpha_vars),
+                                                                          INTERCEPT_ROUND_OFF)
+    max_z = _first_max(z_scores, present)
+    consistent = max_z <= INTERCEPT_CONSISTENCY_Z
+    alpha = _exp(ln_alpha)
+    alpha_err = alpha * ln_alpha_err
+
+    # quantum regressions on exact decay regressors
+    qf_zp = zp.quantum_fits(lambda s, t: np.expm1(-2.0 * s * t), alive)
+    qf_zm = zm.quantum_fits(lambda s, t: -np.expm1(-2.0 * s * t), alive)
+    qf_x = x.quantum_fits(lambda s, t: -np.expm1(-s * t), alive)
+    quantum_errors = [
+        next((e for e in (qf_zp.errors[i], qf_zm.errors[i], qf_x.errors[i]) if e is not None), None)
+        for i in range(r)
+    ]
+    g = np.flatnonzero(alive & np.array([e is None for e in quantum_errors], dtype=bool))
+    ga = np.searchsorted(a, g)  # rows of g among the alive arrays
+    delta, delta_err = _combine_inverse_variance(
+        np.stack([q.intercept[g] for q in (qf_zp, qf_zm, qf_x)], axis=1),
+        np.stack([_squares(q.intercept_err[g]) for q in (qf_zp, qf_zm, qf_x)], axis=1),
+    )
+    s_plus_up, s_plus_dn, a_rate = zp.fits.slope[g], zm.fits.slope[g], x.fits.slope[g]
+    s_plus_up_err, s_plus_dn_err, a_rate_err = zp.fits.slope_err[g], zm.fits.slope_err[g], x.fits.slope_err[g]
+    alpha_g, alpha_err_g = alpha[ga], alpha_err[ga]
+    s_minus_up, s_minus_up_err = _unscale(
+        qf_zp.slope[g], qf_zp.slope_err[g], s_plus_up, s_plus_up_err, alpha_g, alpha_err_g)
+    s_minus_dn, s_minus_dn_err = _unscale(
+        qf_zm.slope[g], qf_zm.slope_err[g], s_plus_dn, s_plus_dn_err, alpha_g, alpha_err_g)
+    b_rate, b_rate_err = _unscale(qf_x.slope[g], qf_x.slope_err[g], a_rate, a_rate_err, alpha_g, alpha_err_g)
+
+    s00_plus = a_rate - 0.5 * (s_plus_up + s_plus_dn)
+    s00_plus_err = np.sqrt(_squares(a_rate_err) + 0.25 * (_squares(s_plus_up_err) + _squares(s_plus_dn_err)))
+    s00_minus = b_rate + 0.5 * (s_minus_up + s_minus_dn)
+    s00_minus_err = np.sqrt(_squares(b_rate_err) + 0.25 * (_squares(s_minus_up_err) + _squares(s_minus_dn_err)))
+    # aligned-line slope is the coherence rate S+[1,-1](W+wq) + 2 S00(0)
+    s00_zero = 0.5 * (aligned.fits.slope[g] - s_plus_up)
+    s00_zero_err = 0.5 * np.sqrt(_squares(aligned.fits.slope_err[g]) + _squares(s_plus_up_err))
+
+    columns = np.stack([
+        s_plus_up, s_plus_up_err, s_minus_up, s_minus_up_err, s_plus_dn, s_plus_dn_err,
+        s_minus_dn, s_minus_dn_err, a_rate, a_rate_err, b_rate, b_rate_err,
+        s00_plus, s00_plus_err, s00_minus, s00_minus_err, s00_zero, s00_zero_err,
+    ], axis=1).tolist()
+    spam = np.stack([alpha_g, alpha_err_g, delta, delta_err], axis=1).tolist()
+    row_of = dict(zip(g.tolist(), range(g.size)))
+    alive_row = dict(zip(a.tolist(), range(a.size)))
+
+    outcomes = []
+    for i, omega in enumerate(omegas):
+        if errors[i] is not None:
+            outcomes.append(errors[i])
+            continue
+        if skipped[i] is not None:
             warnings.warn(
-                f"skipping the aligned coherence block: {n_aligned} aligned times, {exc} "
+                f"skipping the aligned coherence block: {n_aligned[i]} aligned times, {skipped[i]} "
                 f"(fewer than {MIN_REGRESSION_POINTS}); S_{{0,0}}(0) is not estimated",
                 UserWarning,
                 stacklevel=2,
             )
-
-    # intercepts -> ln(alpha): halved lines carry -(1/2) ln alpha
-    ln_alpha_vals, ln_alpha_vars = [], []
-    for block in blocks.values():
-        factor = 2.0 if block.half else 1.0
-        ln_alpha_vals.append(-factor * block.fit.intercept)
-        ln_alpha_vars.append((factor * block.fit.intercept_err) ** 2)
-    ln_alpha, ln_alpha_err = _combine_inverse_variance(ln_alpha_vals, ln_alpha_vars)
-    z_scores = [
-        abs(v - ln_alpha) / max(math.sqrt(var), INTERCEPT_ROUND_OFF)
-        for v, var in zip(ln_alpha_vals, ln_alpha_vars)
-    ]
-    max_z = max(z_scores)
-    consistent = max_z <= INTERCEPT_CONSISTENCY_Z
-    if not consistent:
-        warnings.warn(
-            f"SPAM intercepts disagree at z = {max_z:.2f} (> {INTERCEPT_CONSISTENCY_Z}); "
-            "the combined alpha estimate may be unreliable",
-            UserWarning,
-            stacklevel=2,
-        )
-    alpha = math.exp(ln_alpha)
-    alpha_err = alpha * ln_alpha_err
-
-    zp, zm, x = blocks["zp"], blocks["zm"], blocks["x"]
-    s_plus_up = zp.fit.slope      # S+[1,-1](W+wq)
-    s_plus_dn = zm.fit.slope      # S+[-1,1](W-wq)
-    a_rate = x.fit.slope          # A(W)
-    s_plus_up_err = zp.fit.slope_err
-    s_plus_dn_err = zm.fit.slope_err
-    a_rate_err = x.fit.slope_err
-
-    # quantum regressions on exact decay regressors
-    qf_zp = zp.quantum_fit(np.expm1(-2.0 * s_plus_up * zp.times))
-    qf_zm = zm.quantum_fit(-np.expm1(-2.0 * s_plus_dn * zm.times))
-    qf_x = x.quantum_fit(-np.expm1(-a_rate * x.times))
-    delta_vals = [qf_zp.intercept, qf_zm.intercept, qf_x.intercept]
-    delta_vars = [qf_zp.intercept_err**2, qf_zm.intercept_err**2, qf_x.intercept_err**2]
-    delta, delta_err = _combine_inverse_variance(delta_vals, delta_vars)
-
-    def unscale(slope, slope_err, s_plus_val, s_plus_err):
-        value = slope * s_plus_val / alpha
-        if value == 0.0 or slope == 0.0:
-            err = math.sqrt(
-                (s_plus_val / alpha * slope_err) ** 2
-                + (slope / alpha * s_plus_err) ** 2
+        k = alive_row[i]
+        if not consistent[k]:
+            warnings.warn(
+                f"SPAM intercepts disagree at z = {float(max_z[k]):.2f} (> {INTERCEPT_CONSISTENCY_Z}); "
+                "the combined alpha estimate may be unreliable",
+                UserWarning,
+                stacklevel=2,
             )
-            return value, err
-        rel = (
-            (slope_err / slope) ** 2
-            + (s_plus_err / s_plus_val) ** 2
-            + (alpha_err / alpha) ** 2
-        )
-        return value, abs(value) * math.sqrt(rel)
-
-    s_minus_up, s_minus_up_err = unscale(qf_zp.slope, qf_zp.slope_err, s_plus_up, s_plus_up_err)
-    s_minus_dn, s_minus_dn_err = unscale(qf_zm.slope, qf_zm.slope_err, s_plus_dn, s_plus_dn_err)
-    b_rate, b_rate_err = unscale(qf_x.slope, qf_x.slope_err, a_rate, a_rate_err)
-
-    s00_plus = a_rate - 0.5 * (s_plus_up + s_plus_dn)
-    s00_plus_err = math.sqrt(a_rate_err**2 + 0.25 * (s_plus_up_err**2 + s_plus_dn_err**2))
-    s00_minus = b_rate + 0.5 * (s_minus_up + s_minus_dn)
-    s00_minus_err = math.sqrt(b_rate_err**2 + 0.25 * (s_minus_up_err**2 + s_minus_dn_err**2))
-
-    rows = [
-        ("S+_{1,-1}", s_plus_up, s_plus_up_err),
-        ("S-_{-1,1}", s_minus_up, s_minus_up_err),
-        ("S+_{-1,1}", s_plus_dn, s_plus_dn_err),
-        ("S-_{1,-1}", s_minus_dn, s_minus_dn_err),
-        ("A", a_rate, a_rate_err),
-        ("B", b_rate, b_rate_err),
-        ("S+_{0,0}", s00_plus, s00_plus_err),
-        ("S-_{0,0}", s00_minus, s00_minus_err),
-    ]
-    fits = {name: block.fit for name, block in blocks.items()}
-    fits.update(q_zp=qf_zp, q_zm=qf_zm, q_x=qf_x)
-    if "aligned" in blocks:
-        # aligned-line slope is the coherence rate S+[1,-1](W+wq) + 2 S00(0)
-        fit = blocks["aligned"].fit
-        s00_zero = 0.5 * (fit.slope - s_plus_up)
-        rows.append(("S_{0,0}", s00_zero, 0.5 * math.sqrt(fit.slope_err**2 + s_plus_up_err**2)))
-
-    return EstimatorResult(
-        _estimates(Method.ROBUST_LINEAR, omega, rows, omega_q),
-        "multi_axis",
-        alpha=alpha,
-        alpha_err=alpha_err,
-        delta=delta,
-        delta_err=delta_err,
-        diagnostics={
-            "fits": fits,
-            "dropped_times": {name: block.dropped for name, block in blocks.items()},
-            "intercept_max_z": max_z,
-            "intercepts_consistent": consistent,
-        },
-    )
+        if quantum_errors[i] is not None:
+            outcomes.append(quantum_errors[i])
+            continue
+        values = columns[row_of[i]]
+        rows = list(zip(_MULTI_AXIS_COMPONENTS[:8], values[0:16:2], values[1:16:2]))
+        if has_aligned[i]:
+            rows.append(("S_{0,0}", values[16], values[17]))
+        try:
+            estimates = _estimates(Method.ROBUST_LINEAR, omega, rows, omega_q)
+        except EstimationError as exc:
+            outcomes.append(exc)
+            continue
+        used = [name for name in blocks if name != "aligned" or has_aligned[i]]
+        fits = {name: blocks[name].fits.result(i) for name in used}
+        fits.update(q_zp=qf_zp.result(i), q_zm=qf_zm.result(i), q_x=qf_x.result(i))
+        alpha_i, alpha_err_i, delta_i, delta_err_i = spam[row_of[i]]
+        outcomes.append(EstimatorResult(
+            estimates,
+            "multi_axis",
+            alpha=alpha_i,
+            alpha_err=alpha_err_i,
+            delta=delta_i,
+            delta_err=delta_err_i,
+            diagnostics={
+                "fits": fits,
+                "dropped_times": {name: blocks[name].dropped[i] for name in used},
+                "intercept_max_z": float(max_z[k]),
+                "intercepts_consistent": bool(consistent[k]),
+            },
+        ))
+    return outcomes

@@ -54,6 +54,13 @@ under ``standard_dropped`` (``{repr(omega): cause}``, ``{}`` when nothing was
 dropped), and ``run.log`` gets a ``DROPPED standard omega=...: cause`` line.
 These are not ``failures``: the frequency's robust estimates stand.
 
+Estimation takes the whole drive grid at once.  Protocol 4's robust
+estimator and every protocol's standard inversion are one grid call each per
+campaign, returning one outcome per frequency in plan order (a result, or the
+``EstimationError`` of that frequency alone); protocol 2's robust fits run
+one frequency at a time.  An ``EstimationError`` raised by a whole grid call
+is the outcome of every frequency of the grid.
+
 ``run_campaign`` writes ``datasets.csv``, ``estimates.csv``, ``report.json``,
 ``manifest.json`` and ``run.log`` into the output directory.  ``--jobs N``
 cuts the drive-frequency grid into N contiguous blocks and measures them in N
@@ -379,47 +386,77 @@ def _spam_row(omega: float, result: EstimatorResult) -> dict:
     }
 
 
-def _estimate_frequency(campaign: Campaign, dataset, omega: float):
-    """All estimates for one drive amplitude: (rows, spam_row or None, dropped).
+def _grid_outcomes(estimator, size: int, *args) -> list:
+    """One outcome per frequency of a grid estimator call; an EstimationError
+    raised by the whole call is the outcome of every frequency."""
+    try:
+        return estimator(*args)
+    except EstimationError as exc:
+        return [exc] * size
 
-    Protocols 2 and 4 first run their SPAM-robust estimator.  Every protocol
-    then inverts its expectations at the longest plan time: for protocols 1
-    and 3 this is the estimate, for 2 and 4 a comparison that is dropped when
-    it fails; ``dropped`` is then the cause, otherwise None.
+
+def _robust_single_axis(dataset, omega: float):
+    """Protocol 2's robust outcome at one frequency: the linearized fit, or the
+    nonlinear one where the linearization guard trips."""
+    try:
+        try:
+            return robust_single_axis_linearized(dataset, omega)
+        except LinearizationGuardError:
+            return robust_single_axis_nonlinear(dataset, omega)
+    except EstimationError as exc:
+        return exc
+
+
+def _estimate_grid(campaign: Campaign, dataset) -> list:
+    """All estimates at every drive amplitude of the plan, in plan order: for
+    each, (rows, spam_row or None, dropped), or the EstimationError that fails it.
+
+    Protocols 2 and 4 first run their SPAM-robust estimator (protocol 2 one
+    frequency at a time, protocol 4 in one grid call).  Every protocol then
+    inverts its expectations at the longest plan time in one grid call: for
+    protocols 1 and 3 this is the estimate, for 2 and 4 a comparison that is
+    dropped where it fails, and ``dropped`` is then the cause, otherwise None.
+    A frequency whose robust fit fails is failed and gets no comparison.
     """
     plan, omega_q = campaign.plan, campaign.device.omega_q
-    results, spam_row = [], None
+    omegas, size = list(plan.omegas), len(plan.omegas)
     if campaign.protocol == 2:
-        try:
-            results.append(robust_single_axis_linearized(dataset, omega))
-        except LinearizationGuardError:
-            results.append(robust_single_axis_nonlinear(dataset, omega))
+        robust = [_robust_single_axis(dataset, omega) for omega in omegas]
     elif campaign.protocol == 4:
-        results.append(robust_multi_axis(dataset, omega, omega_q))
-    if results:
-        spam_row = _spam_row(omega, results[0])
-        if campaign.protocol == 4:
-            spam_row["intercepts_consistent"] = results[0].diagnostics["intercepts_consistent"]
+        robust = _grid_outcomes(robust_multi_axis, size, dataset, omegas, omega_q)
+    else:
+        robust = [None] * size
 
     t_max = max(plan.times)
-    dropped = None
-    try:
-        if campaign.protocol in (1, 2):
-            rec_p = dataset.get("x", omega, "x+", "x", t_max)
-            rec_m = dataset.get("x", omega, "x-", "x", t_max)
-            results.append(estimate_single_axis_standard(rec_p, rec_m, t_max, omega))
+    if campaign.protocol in (1, 2):
+        standard = _grid_outcomes(estimate_single_axis_standard, size, dataset, omegas, t_max)
+    else:
+        aligned = None
+        if plan.aligned_n:
+            aligned = [float(plan.aligned_times(omega)[0 if campaign.protocol == 3 else -1]) for omega in omegas]
+        standard = _grid_outcomes(invert_multi_axis, size, dataset, omegas, omega_q, t_max, aligned)
+
+    estimated = []
+    for omega, robust_result, standard_result in zip(omegas, robust, standard):
+        failure = robust_result if isinstance(robust_result, EstimationError) else None
+        if robust_result is None and isinstance(standard_result, EstimationError):
+            failure = standard_result
+        if failure is not None:
+            estimated.append(failure)
+            continue
+        results, spam_row, dropped = [], None, None
+        if robust_result is not None:
+            results.append(robust_result)
+            spam_row = _spam_row(omega, robust_result)
+            if campaign.protocol == 4:
+                spam_row["intercepts_consistent"] = robust_result.diagnostics["intercepts_consistent"]
+        if isinstance(standard_result, EstimationError):
+            dropped = str(standard_result)
         else:
-            aligned = plan.aligned_times(omega)
-            aligned_t = None
-            if aligned.size:
-                aligned_t = float(aligned[0] if campaign.protocol == 3 else aligned[-1])
-            results.append(invert_multi_axis(dataset, omega, omega_q, t_max, aligned_t))
-    except EstimationError as exc:
-        if not results:
-            raise
-        dropped = str(exc)
-    rows = [_estimate_to_row(omega, est) for result in results for est in result.estimates.values()]
-    return rows, spam_row, dropped
+            results.append(standard_result)
+        rows = [_estimate_to_row(omega, est) for result in results for est in result.estimates.values()]
+        estimated.append((rows, spam_row, dropped))
+    return estimated
 
 
 def _combine_spam(spam_rows: list[dict]) -> dict:
@@ -428,7 +465,7 @@ def _combine_spam(spam_rows: list[dict]) -> dict:
         value, err = _combine_inverse_variance(
             [r[name] for r in spam_rows], [r[f"{name}_std_error"] ** 2 for r in spam_rows]
         )
-        out[name] = {"value": value, "std_error": err}
+        out[name] = {"value": float(value), "std_error": float(err)}
     return out
 
 
@@ -475,16 +512,16 @@ def run_campaign(config, *, out_dir=None, seed=None, analytic=None, jobs: int = 
     spam_rows: list[dict] = []
     failures: dict[str, str] = {}
     standard_dropped: dict[str, str] = {}
-    for omega in campaign.plan.omegas:
-        try:
-            freq_rows, spam_row, dropped = _estimate_frequency(campaign, dataset, omega)
-            rows.extend(freq_rows)
-            if spam_row is not None:
-                spam_rows.append(spam_row)
-            if dropped is not None:
-                standard_dropped[repr(omega)] = dropped
-        except EstimationError as exc:
-            failures[repr(omega)] = str(exc)
+    for omega, estimated in zip(campaign.plan.omegas, _estimate_grid(campaign, dataset)):
+        if isinstance(estimated, EstimationError):
+            failures[repr(omega)] = str(estimated)
+            continue
+        freq_rows, spam_row, dropped = estimated
+        rows.extend(freq_rows)
+        if spam_row is not None:
+            spam_rows.append(spam_row)
+        if dropped is not None:
+            standard_dropped[repr(omega)] = dropped
 
     report = {
         "protocol": campaign.protocol,

@@ -27,6 +27,15 @@ program's own output with a second route to the same number:
 * :func:`report_reference`: ``report.json`` as one ``json.dumps`` with an
   indent, against the program's text, which encodes the estimate and SPAM
   rows one at a time and splices them in.
+* :func:`weighted_linreg_reference`: one straight-line fit with 2-D
+  ``np.linalg.solve``/``inv`` calls, against every row of
+  ``estimation._linreg_stack``, which fits a stack of lines at once.
+* :func:`propagate_reference` with :func:`single_axis_inversion` and
+  :func:`multi_axis_inversion`: the delta-method standard inversions one
+  frequency at a time, through scalar ``math.log`` and
+  ``dynamics._decay_weight`` calls and one bumped input at a time, against
+  ``estimation._propagate``, which evaluates a grid of central and bumped
+  inputs in one array pass.
 * :func:`x_drive_coherence_rate`, :func:`z_drive_rates` and
   :func:`z_drive_coherence_rate`: one-amplitude readings of
   ``dynamics.DriveRates`` under the names of the paper's rates.
@@ -47,6 +56,7 @@ import numpy as np
 
 from slqns.dynamics import (
     _BATH_GROUND,
+    _decay_weight,
     IDENTITY2,
     SIGMA,
     DriveAxis,
@@ -58,6 +68,7 @@ from slqns.dynamics import (
     _reduce_system,
     _z_drive_blocks,
 )
+from slqns.estimation import EstimationError, RegressionResult
 from slqns.noisegen import DSAConfig, DSARealization, NoiseTrajectory
 from slqns.spam import ShotDataset, SpamParams, outcome_probability
 from slqns.spectra import TWO_PI, DeviceParams, SphericalSpectraSet, Tabulated
@@ -225,6 +236,114 @@ def csv_reference(dataset: ShotDataset) -> str:
 def report_reference(report: dict) -> str:
     """The ``report.json`` text, encoded in one ``json.dumps`` call."""
     return json.dumps(report, sort_keys=True, indent=1)
+
+
+def weighted_linreg_reference(x, y, sigma=None) -> RegressionResult:
+    """Straight-line fit by normal equations, one line at a time."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape or x.size < 2:
+        raise EstimationError("regression needs 1-D x, y of equal length >= 2")
+    if np.unique(x).size < 2:
+        raise EstimationError("regression needs at least 2 distinct x values")
+    if sigma is not None:
+        sigma = np.asarray(sigma, dtype=float)
+        if np.any(sigma <= 0.0):
+            raise EstimationError("regression std errors must be > 0")
+        weights = 1.0 / sigma**2
+    else:
+        weights = np.ones_like(x)
+
+    design = np.column_stack([x, np.ones_like(x)])
+    normal = design.T @ (weights[:, None] * design)
+    rhs = design.T @ (weights * y)
+    try:
+        params = np.linalg.solve(normal, rhs)
+        normal_inv = np.linalg.inv(normal)
+    except np.linalg.LinAlgError as exc:
+        raise EstimationError("degenerate design matrix") from exc
+    residuals = y - design @ params
+    if sigma is None:
+        dof = x.size - 2
+        scale = float(residuals @ residuals) / dof if dof > 0 else 0.0
+        covariance = scale * normal_inv
+    else:
+        covariance = normal_inv
+    return RegressionResult(
+        slope=float(params[0]),
+        intercept=float(params[1]),
+        covariance=covariance,
+        residuals=residuals,
+        weights=weights,
+    )
+
+
+def propagate_reference(func, inputs: np.ndarray, variances: np.ndarray):
+    """First-order propagation of independent input variances through func,
+    at one input vector."""
+    inputs = np.asarray(inputs, dtype=float)
+    variances = np.asarray(variances, dtype=float)
+    values = np.atleast_1d(np.asarray(func(inputs), dtype=float))
+    if np.all(variances == 0.0):
+        return values, np.zeros_like(values)
+    jac = np.empty((values.size, inputs.size))
+    for i in range(inputs.size):
+        h = 1e-6 * max(abs(inputs[i]), 1.0)
+        bumped_up = inputs.copy()
+        bumped_up[i] += h
+        bumped_dn = inputs.copy()
+        bumped_dn[i] -= h
+        jac[:, i] = (np.atleast_1d(func(bumped_up)) - np.atleast_1d(func(bumped_dn))) / (2.0 * h)
+    var_out = jac @ np.diag(variances) @ jac.T
+    return values, np.sqrt(np.clip(np.diag(var_out), 0.0, None))
+
+
+def single_axis_inversion(duration: float):
+    """The protocol 1 inversion of (e+, e-) at one time, for propagate_reference."""
+
+    def f(e):
+        diff = e[0] - e[1]
+        if not (0.0 < diff <= 2.0 + 1e-12):
+            raise EstimationError(f"expectation gap {diff:.3g} outside (0, 2]: decoherence floor reached")
+        s_plus = math.log(2.0 / diff) / duration
+        mean = 0.5 * (e[0] + e[1])
+        return np.array([s_plus, mean / _decay_weight(s_plus, duration)])
+
+    return f
+
+
+def multi_axis_inversion(duration: float, aligned_duration: float | None = None):
+    """The multi-axis inversion of the six (eight with the coherence pair)
+    expectations at one time, for propagate_reference."""
+    names = ["zp_p", "zp_m", "zm_p", "zm_m", "x_p", "x_m"] + (["c_p", "c_m"] if aligned_duration is not None else [])
+
+    def f(e):
+        vals = dict(zip(names, e))
+
+        def log_pair(p, m, t, half):
+            diff = vals[p] - vals[m]
+            if diff <= 0.0:
+                raise EstimationError(f"expectation gap for ({p},{m}) is {diff:.3g} <= 0: decoherence floor")
+            return (0.5 if half else 1.0) * math.log(2.0 / diff) / t
+
+        s_plus_up = log_pair("zp_p", "zp_m", duration, half=True)
+        s_plus_dn = log_pair("zm_p", "zm_m", duration, half=True)
+        a_rate = log_pair("x_p", "x_m", duration, half=False)
+        mean_zp = 0.5 * (vals["zp_p"] + vals["zp_m"])
+        mean_zm = 0.5 * (vals["zm_p"] + vals["zm_m"])
+        mean_x = 0.5 * (vals["x_p"] + vals["x_m"])
+        s_minus_up = -mean_zp / (2.0 * _decay_weight(2.0 * s_plus_up, duration))
+        s_minus_dn = mean_zm / (2.0 * _decay_weight(2.0 * s_plus_dn, duration))
+        b_rate = mean_x / _decay_weight(a_rate, duration)
+        s00_plus = a_rate - 0.5 * (s_plus_up + s_plus_dn)
+        s00_minus = b_rate + 0.5 * (s_minus_up + s_minus_dn)
+        out = [s_plus_up, s_minus_up, s_plus_dn, s_minus_dn, a_rate, b_rate, s00_plus, s00_minus]
+        if aligned_duration is not None:
+            gamma_hat = log_pair("c_p", "c_m", aligned_duration, half=False)
+            out.append(0.5 * (gamma_hat - s_plus_up))
+        return np.array(out)
+
+    return f
 
 
 def x_drive_coherence_rate(spectra: SphericalSpectraSet, omega: float, device: DeviceParams) -> float:

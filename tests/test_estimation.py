@@ -17,10 +17,17 @@ from test_harness import CLOSED_FORM_P4
 from test_recovery import BASE, CASES, DEVICE, SERIES_US, SPAM, analytic_report
 
 
-@pytest.mark.parametrize("std_error", [math.nan, math.inf, -1.0])
-def test_spectral_estimate_rejects_invalid_std_error(std_error):
+@pytest.mark.parametrize("value, std_error", [
+    pytest.param(0.1, math.nan, id="nan"),
+    pytest.param(0.1, math.inf, id="inf"),
+    pytest.param(0.1, -1.0, id="-1.0"),
+    pytest.param(math.nan, 0.1, id="value-nan"),
+    pytest.param(math.inf, 0.1, id="value-inf"),
+    pytest.param(-math.inf, 0.1, id="value--inf"),
+])
+def test_spectral_estimate_rejects_invalid_std_error(value, std_error):
     with pytest.raises(EstimationError):
-        SpectralEstimate("S+_{0,0}", "Omega", 1.0, 0.1, std_error, Method.STANDARD)
+        SpectralEstimate("S+_{0,0}", "Omega", 1.0, value, std_error, Method.STANDARD)
 
 
 def test_protocol4_skips_an_aligned_block_of_two_times_with_a_warning():
@@ -93,7 +100,7 @@ def test_protocol3_inverts_at_the_first_aligned_time_and_protocol4_at_the_last(p
     assert len(standard) == len(plan["omegas_MHz"])
     for omega, value in standard.items():
         aligned_t = float(frame_aligned_times(omega, aligned_n)[index])
-        expected = invert_multi_axis(result.dataset, omega, DEVICE.omega_q, max(times), aligned_t)
+        (expected,) = invert_multi_axis(result.dataset, [omega], DEVICE.omega_q, max(times), [aligned_t])
         assert value == expected["S_{0,0}"].value
 
 
@@ -112,14 +119,18 @@ def test_every_estimator_returns_one_result_type_that_the_report_copies(monkeypa
 
     def capture(fn):
         def wrapper(*args, **kwargs):
-            results.append(fn(*args, **kwargs))
-            return results[-1]
+            result = fn(*args, **kwargs)
+            results.extend(result if isinstance(result, list) else [result])
+            return result
         return wrapper
 
     for fn in ("estimate_single_axis_standard", "invert_multi_axis", "robust_multi_axis",
                "robust_single_axis_linearized", "robust_single_axis_nonlinear"):
         monkeypatch.setattr(harness, fn, capture(getattr(harness, fn)))
     report = analytic_report(protocol, plan, with_spam=with_spam)
+    # the grid calls return every robust result, then every standard one: per frequency, robust then standard
+    n = len(plan["omegas_MHz"])
+    results = [result for i in range(n) for result in results[i::n]]
 
     assert all(type(result) is EstimatorResult for result in results)
     robust = [result for result in results if result.path != "standard"]

@@ -12,13 +12,21 @@ and the estimator result code; their digests were recorded at commit
 f0fd00e, before the estimators shared one result type.  A speed-up of the
 closed-form path must keep them; a change that means to alter the outputs
 re-records them and says why.
+
+The protocol 4 twin is also run in fresh processes at one and at two
+OpenBLAS threads: the estimators' stacked matrix products and solves must
+give the same bits whatever the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -111,3 +119,24 @@ def test_outputs_match_the_pinned_digests(tmp_path, name):
         run_campaign(CAMPAIGNS[name], out_dir=tmp_path)
     digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in DIGESTS[name]}
     assert digests == DIGESTS[name]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# writes the outputs of one CAMPAIGNS entry into a directory
+RUN_ONE = """
+import sys, warnings
+from test_fixed_seed_outputs import CAMPAIGNS
+from slqns.harness import run_campaign
+warnings.simplefilter("ignore")
+run_campaign(CAMPAIGNS[sys.argv[1]], out_dir=sys.argv[2])
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_p4_twin_digests_hold_at_one_and_two_blas_threads(tmp_path, threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+    subprocess.run([sys.executable, "-c", RUN_ONE, "p4-wide-twin", str(tmp_path)],
+                   env=env, check=True, timeout=300, cwd=ROOT)
+    digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in DIGESTS["p4-wide-twin"]}
+    assert digests == DIGESTS["p4-wide-twin"]
