@@ -57,12 +57,10 @@ from .estimation import (
     SpectralEstimate,
     estimate_single_axis_standard,
     invert_multi_axis,
-    invert_single_axis,
     robust_multi_axis,
     robust_single_axis_linearized,
     robust_single_axis_nonlinear,
     single_axis_forward,
-    weighted_linreg,
 )
 from .protocols import (
     Backend,

@@ -382,10 +382,9 @@ _exp = np.vectorize(math.exp, otypes=[float])
 
 
 def _decay_weight(rate, duration):
-    """(1 - exp(-rate * duration)) / rate, stable through a scalar rate -> 0."""
-    if np.ndim(rate) == 0 and rate == 0.0:
-        return duration
-    return -np.expm1(-rate * duration) / rate
+    """(1 - exp(-rate * duration)) / rate of every rate, ``duration`` where a rate is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(rate == 0.0, duration, -np.expm1(-rate * duration) / rate)
 
 
 def tcl_expectation_x_drive(a_rate, b_rate, initial, duration):

@@ -31,11 +31,12 @@ return one outcome per frequency, in grid order: the frequency's
 frequency's failure leaves the others standing).  Their numerics run once
 over the grid: every straight-line fit of a pair block is one row of a
 stacked regression (:func:`_linreg_stack`, whose one-row case is
-:func:`weighted_linreg`), and the delta-method inversions evaluate every
-central and bumped input of the grid in one array pass (:func:`_propagate`).
-Warnings are emitted afterwards, frequency by frequency in grid order.  The
-protocol 2 robust estimators work one frequency at a time, on one-frequency
-grids.
+:func:`weighted_linreg`), :func:`robust_multi_axis` combines the fits in
+arrays over the whole grid (NaN at a failed frequency, which is never read),
+and the delta-method inversions evaluate every central and bumped input of
+the grid in one array pass (:func:`_propagate`).  Warnings are emitted
+afterwards, frequency by frequency in grid order.  The protocol 2 robust
+estimators work one frequency at a time, on one-frequency grids.
 
 The outputs keep the bits of a scalar evaluation, one frequency at a time: a
 stacked matrix product or solve runs the same BLAS/LAPACK call on each
@@ -279,33 +280,31 @@ def _linreg_stack(x, y, sigma=None) -> _Lines:
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or x.shape != y.shape or x.shape[1] < 2:
         raise EstimationError("regression needs 1-D x, y of equal length >= 2")
-    errors = [None] * len(x)
     same_x = (x == x[:, :1]).all(axis=1)
-    if sigma is not None:
-        sigma = np.asarray(sigma, dtype=float)
-        bad_sigma = (sigma <= 0.0).any(axis=1)
-    failed = same_x if sigma is None else same_x | bad_sigma
-    with np.errstate(divide="ignore"):
-        weights = np.ones_like(x) if sigma is None else 1.0 / sigma**2
-    if not failed.any():
-        try:
-            return _Lines(*_solve_lines(x, y, weights, sigma is None), weights, errors)
-        except np.linalg.LinAlgError:
-            pass
-    # some rows fail: fit the others one at a time, which makes the same calls
-    for row in np.flatnonzero(failed):
+    sigma = None if sigma is None else np.asarray(sigma, dtype=float)
+    failed = same_x if sigma is None else same_x | (sigma <= 0.0).any(axis=1)
+    errors = [None] * len(x)
+    for row in np.flatnonzero(failed).tolist():
         errors[row] = EstimationError(
             "regression needs at least 2 distinct x values" if same_x[row] else "regression std errors must be > 0")
-    rows = np.flatnonzero(~failed)
+    with np.errstate(divide="ignore"):
+        weights = np.ones_like(x) if sigma is None else 1.0 / sigma**2
     slope, intercept = np.full(len(x), np.nan), np.full(len(x), np.nan)
     covariance, residuals = np.full((len(x), 2, 2), np.nan), np.full(x.shape, np.nan)
-    for row in rows:
-        try:
-            solved = _solve_lines(x[[row]], y[[row]], weights[[row]], sigma is None)
-        except np.linalg.LinAlgError:
-            errors[row] = EstimationError("degenerate design matrix")
-            continue
-        slope[row], intercept[row], covariance[row], residuals[row] = (part[0] for part in solved)
+    rows = np.flatnonzero(~failed) if failed.any() else slice(None)
+    # one solve for every row that passed the checks; a singular normal matrix
+    # fails that solve, and then each row is solved alone, with the same calls
+    try:
+        solved = [(rows, _solve_lines(x[rows], y[rows], weights[rows], sigma is None))]
+    except np.linalg.LinAlgError:
+        solved = []
+        for row in np.flatnonzero(~failed).tolist():
+            try:
+                solved.append(([row], _solve_lines(x[[row]], y[[row]], weights[[row]], sigma is None)))
+            except np.linalg.LinAlgError:
+                errors[row] = EstimationError("degenerate design matrix")
+    for index, fit in solved:
+        slope[index], intercept[index], covariance[index], residuals[index] = fit
     return _Lines(slope, intercept, covariance, residuals, weights, errors)
 
 
@@ -367,12 +366,6 @@ def _propagate(func, inputs, variances):
     return values[:, 0], errs, failures
 
 
-def _decay_weights(rate, duration):
-    """``dynamics._decay_weight`` of every rate, ``duration`` where the rate is 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(rate == 0.0, duration, _decay_weight(rate, duration))
-
-
 def _point_rows(dataset: ShotDataset, point, omegas, times) -> np.ndarray:
     """Row of the ``(drive_axis, init, observable)`` point at each frequency,
     at that frequency's time; -1 where the dataset has none."""
@@ -430,20 +423,12 @@ def _single_axis_rates(e, duration):
     failed = ~((0.0 < diff) & (diff <= 2.0 + 1e-12))
     s_plus = _log(np.where(failed, 1.0, 2.0 / diff)) / duration
     mean = 0.5 * (e[..., 0] + e[..., 1])
-    s_minus = mean / _decay_weights(s_plus, duration)
+    s_minus = mean / _decay_weight(s_plus, duration)
     return np.stack((s_plus, s_minus), axis=-1), failed[..., None]
 
 
 def _gap_error(diff) -> EstimationError:
     return EstimationError(f"expectation gap {diff:.3g} outside (0, 2]: decoherence floor reached")
-
-
-def invert_single_axis(exp_plus: float, exp_minus: float, duration: float) -> tuple[float, float]:
-    """Closed-form (S+, S-) from the two x-drive expectations at one time."""
-    (rates,), (failed,) = _single_axis_rates(np.array([[exp_plus, exp_minus]], dtype=float), duration)
-    if failed[0]:
-        raise _gap_error(exp_plus - exp_minus)
-    return float(rates[0]), float(rates[1])
 
 
 def single_axis_forward(
@@ -512,16 +497,6 @@ def _paired_series(dataset: ShotDataset, drive_axis, omegas, inits, observable):
 
 def _unmatched(drive_axis, omega, inits) -> EstimationError:
     return EstimationError(f"dataset lacks matching {inits} time series for drive {drive_axis} at omega={omega}")
-
-
-def _series(dataset: ShotDataset, drive_axis: str, omega: float, inits: tuple[str, str], observable: str):
-    """Paired time series at one frequency: its times and the dataset rows of
-    the first preparation followed by those of the second."""
-    stacks, (error,) = _paired_series(dataset, drive_axis, [omega], inits, observable)
-    if error is not None:
-        raise error
-    ((_, times, plus, minus),) = stacks.values()
-    return times[0], np.concatenate((plus[0], minus[0]))
 
 
 MIN_REGRESSION_POINTS = 3
@@ -721,10 +696,13 @@ def robust_single_axis_nonlinear(dataset: ShotDataset, omega: float) -> Estimato
     and is not imposed, so a noisy fit may exceed it slightly; clipping such
     fits would bias the estimate.
     """
-    times, rows = _series(dataset, "x", omega, ("x+", "x-"), "x")
+    stacks, (error,) = _paired_series(dataset, "x", [omega], ("x+", "x-"), "x")
+    if error is not None:
+        raise error
+    ((_, (times,), (plus,), (minus,)),) = stacks.values()
     if times.size < 4:
         raise EstimationError("non-linear fit needs at least 4 time points")
-    values = dataset.take(rows)
+    values = dataset.take(np.concatenate((plus, minus)))
     analytic = bool(values.analytic.all())
     y = values.expectation
     sig = np.ones_like(y) if analytic else expectation_std_error(values)
@@ -798,9 +776,9 @@ def _multi_axis_rates(e, duration, aligned_duration=None):
     mean_zp = 0.5 * (e[..., 0] + e[..., 1])
     mean_zm = 0.5 * (e[..., 2] + e[..., 3])
     mean_x = 0.5 * (e[..., 4] + e[..., 5])
-    s_minus_up = -mean_zp / (2.0 * _decay_weights(2.0 * s_plus_up, duration))  # S-[-1,1](-W-wq)
-    s_minus_dn = mean_zm / (2.0 * _decay_weights(2.0 * s_plus_dn, duration))   # S-[1,-1](-W+wq)
-    b_rate = mean_x / _decay_weights(a_rate, duration)                          # B(W)
+    s_minus_up = -mean_zp / (2.0 * _decay_weight(2.0 * s_plus_up, duration))  # S-[-1,1](-W-wq)
+    s_minus_dn = mean_zm / (2.0 * _decay_weight(2.0 * s_plus_dn, duration))   # S-[1,-1](-W+wq)
+    b_rate = mean_x / _decay_weight(a_rate, duration)                          # B(W)
 
     s00_plus = a_rate - 0.5 * (s_plus_up + s_plus_dn)
     s00_minus = b_rate + 0.5 * (s_minus_up + s_minus_dn)
@@ -936,15 +914,14 @@ def robust_multi_axis(
                 errors[i] = error
     alive = np.array([error is None for error in errors], dtype=bool)
     has_aligned = np.array([bool(n) and s is None for n, s in zip(n_aligned, skipped)], dtype=bool)
-    a = np.flatnonzero(alive)
 
     # intercepts -> ln(alpha): halved lines carry -(1/2) ln alpha
     blocks = {"zp": zp, "zm": zm, "x": x, "aligned": aligned}
     factors = np.array([2.0, 2.0, 1.0, 1.0])
-    present = np.ones((a.size, 4), dtype=bool)
-    present[:, 3] = has_aligned[a]
-    intercepts = np.stack([block.fits.intercept[a] for block in blocks.values()], axis=1)
-    intercept_errs = np.stack([block.fits.intercept_err[a] for block in blocks.values()], axis=1)
+    present = np.ones((r, 4), dtype=bool)
+    present[:, 3] = has_aligned
+    intercepts = np.stack([block.fits.intercept for block in blocks.values()], axis=1)
+    intercept_errs = np.stack([block.fits.intercept_err for block in blocks.values()], axis=1)
     ln_alpha_vals = -factors * intercepts
     ln_alpha_vars = _squares(np.where(present, factors * intercept_errs, 0.0))
     ln_alpha, ln_alpha_err = _combine_inverse_variance(ln_alpha_vals, ln_alpha_vars, present)
@@ -964,37 +941,30 @@ def robust_multi_axis(
         next((e for e in (qf_zp.errors[i], qf_zm.errors[i], qf_x.errors[i]) if e is not None), None)
         for i in range(r)
     ]
-    g = np.flatnonzero(alive & np.array([e is None for e in quantum_errors], dtype=bool))
-    ga = np.searchsorted(a, g)  # rows of g among the alive arrays
     delta, delta_err = _combine_inverse_variance(
-        np.stack([q.intercept[g] for q in (qf_zp, qf_zm, qf_x)], axis=1),
-        np.stack([_squares(q.intercept_err[g]) for q in (qf_zp, qf_zm, qf_x)], axis=1),
+        np.stack([q.intercept for q in (qf_zp, qf_zm, qf_x)], axis=1),
+        np.stack([_squares(q.intercept_err) for q in (qf_zp, qf_zm, qf_x)], axis=1),
     )
-    s_plus_up, s_plus_dn, a_rate = zp.fits.slope[g], zm.fits.slope[g], x.fits.slope[g]
-    s_plus_up_err, s_plus_dn_err, a_rate_err = zp.fits.slope_err[g], zm.fits.slope_err[g], x.fits.slope_err[g]
-    alpha_g, alpha_err_g = alpha[ga], alpha_err[ga]
-    s_minus_up, s_minus_up_err = _unscale(
-        qf_zp.slope[g], qf_zp.slope_err[g], s_plus_up, s_plus_up_err, alpha_g, alpha_err_g)
-    s_minus_dn, s_minus_dn_err = _unscale(
-        qf_zm.slope[g], qf_zm.slope_err[g], s_plus_dn, s_plus_dn_err, alpha_g, alpha_err_g)
-    b_rate, b_rate_err = _unscale(qf_x.slope[g], qf_x.slope_err[g], a_rate, a_rate_err, alpha_g, alpha_err_g)
+    s_plus_up, s_plus_dn, a_rate = zp.fits.slope, zm.fits.slope, x.fits.slope
+    s_plus_up_err, s_plus_dn_err, a_rate_err = zp.fits.slope_err, zm.fits.slope_err, x.fits.slope_err
+    s_minus_up, s_minus_up_err = _unscale(qf_zp.slope, qf_zp.slope_err, s_plus_up, s_plus_up_err, alpha, alpha_err)
+    s_minus_dn, s_minus_dn_err = _unscale(qf_zm.slope, qf_zm.slope_err, s_plus_dn, s_plus_dn_err, alpha, alpha_err)
+    b_rate, b_rate_err = _unscale(qf_x.slope, qf_x.slope_err, a_rate, a_rate_err, alpha, alpha_err)
 
     s00_plus = a_rate - 0.5 * (s_plus_up + s_plus_dn)
     s00_plus_err = np.sqrt(_squares(a_rate_err) + 0.25 * (_squares(s_plus_up_err) + _squares(s_plus_dn_err)))
     s00_minus = b_rate + 0.5 * (s_minus_up + s_minus_dn)
     s00_minus_err = np.sqrt(_squares(b_rate_err) + 0.25 * (_squares(s_minus_up_err) + _squares(s_minus_dn_err)))
     # aligned-line slope is the coherence rate S+[1,-1](W+wq) + 2 S00(0)
-    s00_zero = 0.5 * (aligned.fits.slope[g] - s_plus_up)
-    s00_zero_err = 0.5 * np.sqrt(_squares(aligned.fits.slope_err[g]) + _squares(s_plus_up_err))
+    s00_zero = 0.5 * (aligned.fits.slope - s_plus_up)
+    s00_zero_err = 0.5 * np.sqrt(_squares(aligned.fits.slope_err) + _squares(s_plus_up_err))
 
     columns = np.stack([
         s_plus_up, s_plus_up_err, s_minus_up, s_minus_up_err, s_plus_dn, s_plus_dn_err,
         s_minus_dn, s_minus_dn_err, a_rate, a_rate_err, b_rate, b_rate_err,
         s00_plus, s00_plus_err, s00_minus, s00_minus_err, s00_zero, s00_zero_err,
     ], axis=1).tolist()
-    spam = np.stack([alpha_g, alpha_err_g, delta, delta_err], axis=1).tolist()
-    row_of = dict(zip(g.tolist(), range(g.size)))
-    alive_row = dict(zip(a.tolist(), range(a.size)))
+    spam = np.stack([alpha, alpha_err, delta, delta_err], axis=1).tolist()
 
     outcomes = []
     for i, omega in enumerate(omegas):
@@ -1008,10 +978,9 @@ def robust_multi_axis(
                 UserWarning,
                 stacklevel=2,
             )
-        k = alive_row[i]
-        if not consistent[k]:
+        if not consistent[i]:
             warnings.warn(
-                f"SPAM intercepts disagree at z = {float(max_z[k]):.2f} (> {INTERCEPT_CONSISTENCY_Z}); "
+                f"SPAM intercepts disagree at z = {float(max_z[i]):.2f} (> {INTERCEPT_CONSISTENCY_Z}); "
                 "the combined alpha estimate may be unreliable",
                 UserWarning,
                 stacklevel=2,
@@ -1019,7 +988,7 @@ def robust_multi_axis(
         if quantum_errors[i] is not None:
             outcomes.append(quantum_errors[i])
             continue
-        values = columns[row_of[i]]
+        values = columns[i]
         rows = list(zip(_MULTI_AXIS_COMPONENTS[:8], values[0:16:2], values[1:16:2]))
         if has_aligned[i]:
             rows.append(("S_{0,0}", values[16], values[17]))
@@ -1031,7 +1000,7 @@ def robust_multi_axis(
         used = [name for name in blocks if name != "aligned" or has_aligned[i]]
         fits = {name: blocks[name].fits.result(i) for name in used}
         fits.update(q_zp=qf_zp.result(i), q_zm=qf_zm.result(i), q_x=qf_x.result(i))
-        alpha_i, alpha_err_i, delta_i, delta_err_i = spam[row_of[i]]
+        alpha_i, alpha_err_i, delta_i, delta_err_i = spam[i]
         outcomes.append(EstimatorResult(
             estimates,
             "multi_axis",
@@ -1042,8 +1011,8 @@ def robust_multi_axis(
             diagnostics={
                 "fits": fits,
                 "dropped_times": {name: blocks[name].dropped[i] for name in used},
-                "intercept_max_z": float(max_z[k]),
-                "intercepts_consistent": bool(consistent[k]),
+                "intercept_max_z": float(max_z[i]),
+                "intercepts_consistent": bool(consistent[i]),
             },
         ))
     return outcomes

@@ -407,16 +407,16 @@ def _robust_single_axis(dataset, omega: float):
         return exc
 
 
-def _estimate_grid(campaign: Campaign, dataset) -> list:
-    """All estimates at every drive amplitude of the plan, in plan order: for
-    each, (rows, spam_row or None, dropped), or the EstimationError that fails it.
+def _estimate_grid(campaign: Campaign, dataset) -> tuple[list, list, dict, dict]:
+    """The report's ``(estimates, spam_per_frequency, failures, standard_dropped)``,
+    in plan order; the last two map ``repr(omega)`` to the cause.
 
     Protocols 2 and 4 first run their SPAM-robust estimator (protocol 2 one
     frequency at a time, protocol 4 in one grid call).  Every protocol then
     inverts its expectations at the longest plan time in one grid call: for
     protocols 1 and 3 this is the estimate, for 2 and 4 a comparison that is
-    dropped where it fails, and ``dropped`` is then the cause, otherwise None.
-    A frequency whose robust fit fails is failed and gets no comparison.
+    dropped where it fails.  A frequency whose robust fit fails is failed and
+    gets no comparison.
     """
     plan, omega_q = campaign.plan, campaign.device.omega_q
     omegas, size = list(plan.omegas), len(plan.omegas)
@@ -436,27 +436,27 @@ def _estimate_grid(campaign: Campaign, dataset) -> list:
             aligned = [float(plan.aligned_times(omega)[0 if campaign.protocol == 3 else -1]) for omega in omegas]
         standard = _grid_outcomes(invert_multi_axis, size, dataset, omegas, omega_q, t_max, aligned)
 
-    estimated = []
+    rows, spam_rows, failures, standard_dropped = [], [], {}, {}
     for omega, robust_result, standard_result in zip(omegas, robust, standard):
         failure = robust_result if isinstance(robust_result, EstimationError) else None
         if robust_result is None and isinstance(standard_result, EstimationError):
             failure = standard_result
         if failure is not None:
-            estimated.append(failure)
+            failures[repr(omega)] = str(failure)
             continue
-        results, spam_row, dropped = [], None, None
+        results = []
         if robust_result is not None:
             results.append(robust_result)
             spam_row = _spam_row(omega, robust_result)
             if campaign.protocol == 4:
                 spam_row["intercepts_consistent"] = robust_result.diagnostics["intercepts_consistent"]
+            spam_rows.append(spam_row)
         if isinstance(standard_result, EstimationError):
-            dropped = str(standard_result)
+            standard_dropped[repr(omega)] = str(standard_result)
         else:
             results.append(standard_result)
-        rows = [_estimate_to_row(omega, est) for result in results for est in result.estimates.values()]
-        estimated.append((rows, spam_row, dropped))
-    return estimated
+        rows += [_estimate_to_row(omega, est) for result in results for est in result.estimates.values()]
+    return rows, spam_rows, failures, standard_dropped
 
 
 def _combine_spam(spam_rows: list[dict]) -> dict:
@@ -508,20 +508,7 @@ def run_campaign(config, *, out_dir=None, seed=None, analytic=None, jobs: int = 
     campaign = build_campaign(config, seed=seed, analytic=analytic)
     dataset = run_plan(campaign.backend, campaign.plan, jobs=jobs)
 
-    rows: list[dict] = []
-    spam_rows: list[dict] = []
-    failures: dict[str, str] = {}
-    standard_dropped: dict[str, str] = {}
-    for omega, estimated in zip(campaign.plan.omegas, _estimate_grid(campaign, dataset)):
-        if isinstance(estimated, EstimationError):
-            failures[repr(omega)] = str(estimated)
-            continue
-        freq_rows, spam_row, dropped = estimated
-        rows.extend(freq_rows)
-        if spam_row is not None:
-            spam_rows.append(spam_row)
-        if dropped is not None:
-            standard_dropped[repr(omega)] = dropped
+    rows, spam_rows, failures, standard_dropped = _estimate_grid(campaign, dataset)
 
     report = {
         "protocol": campaign.protocol,
@@ -552,8 +539,8 @@ def run_campaign(config, *, out_dir=None, seed=None, analytic=None, jobs: int = 
             for row in rows:
                 writer.writerow([
                     row["component"], row["freq_label"], repr(row["freq_rad_per_us"]),
-                    repr(row["omega_rad_per_us"]), repr(row["value"]),
-                    repr(row["std_error"]), row["method"],
+                    repr(row["omega_rad_per_us"]), repr(float(row["value"])),
+                    repr(float(row["std_error"])), row["method"],
                 ])
         (out_path / "report.json").write_text(_report_text(report))
         manifest = dataset.to_manifest(

@@ -175,10 +175,9 @@ class Backend:
             for (drive_axis, init, observable, time), seed in zip(row, row_seeds)
         ])
 
-    def measure_omega(self, omega: float, points, n_shots: int, seeds, uniforms=None) -> list[ShotRecord]:
+    def measure_omega(self, omega: float, points, n_shots: int, seeds) -> list[ShotRecord]:
         """The records of the points of one frequency: the one-frequency block."""
-        uniforms = None if uniforms is None else [uniforms]
-        return self.measure_block([omega], [points], n_shots, [seeds], uniforms).records()
+        return self.measure_block([omega], [points], n_shots, [seeds]).records()
 
     def measure(self, drive_axis, omega, init, observable, time, n_shots, seed) -> ShotRecord:
         raise NotImplementedError  # pragma: no cover - interface
@@ -348,11 +347,9 @@ def _run_block(backend: Backend, plan: ProtocolPlan, omegas, omega_indices, seed
     return dataset
 
 
-def run_for_omega(backend: Backend, plan: ProtocolPlan, omega: float, omega_index: int = 0,
-                  seeds=None, uniforms=None) -> ShotDataset:
+def run_for_omega(backend: Backend, plan: ProtocolPlan, omega: float, omega_index: int = 0) -> ShotDataset:
     """Execute one protocol at one drive amplitude: the one-frequency block."""
-    return _run_block(backend, plan, [omega], [omega_index], None if seeds is None else [seeds],
-                      None if uniforms is None else [uniforms])
+    return _run_block(backend, plan, [omega], [omega_index])
 
 
 def run_plan(backend: Backend, plan: ProtocolPlan, jobs: int = 1) -> ShotDataset:

@@ -19,7 +19,8 @@ Shot data are columns.  :func:`draw_shots` turns an array of P(+) into counts
 in one inverse-CDF call; :class:`ShotColumns` holds the :class:`ShotRecord`
 fields of a block of points as arrays, and a :class:`ShotRecord` is the view
 of one point.  :class:`ShotDataset` stores a campaign's points as one set of
-columns with a series index, and writes them without building a record.
+columns with a series index, and writes them without building a record; each
+block it takes is concatenated onto the columns, and the index is rebuilt.
 """
 
 from __future__ import annotations
@@ -291,6 +292,29 @@ def _float_text(column: np.ndarray) -> list[str]:
     return text.tolist()
 
 
+def _keys(columns: dict, rows) -> list[MeasurementKey]:
+    """The keys of ``rows`` of the key ``columns``."""
+    return list(map(MeasurementKey._make, zip(*(_listed(name, columns[name][rows]) for name in _KEY_DTYPES))))
+
+
+def _series_index(columns: dict) -> dict[tuple, np.ndarray]:
+    """Each ``(drive_axis, omega, init, observable)`` head of the keys of
+    ``columns`` -> the row indices of its points, ordered by time, from one
+    sort of every row; ValueError naming a key that two rows share."""
+    _, omega_index = np.unique(columns["omega"], return_inverse=True)
+    series = ((omega_index * len(DRIVE_AXES) + columns["drive"]) * len(INITS) + columns["init"]) * len(OBSERVABLES)
+    series += columns["observable"]
+    order = np.lexsort((columns["time"], series))
+    series, times = series[order], columns["time"][order]
+    same = series[1:] == series[:-1]
+    repeated = np.flatnonzero(same & (times[1:] == times[:-1]))
+    if repeated.size:
+        raise ValueError(f"duplicate measurement key {_keys(columns, [order[repeated[0] + 1]])[0]}")
+    starts = np.flatnonzero(np.r_[True, ~same])
+    heads = _keys(columns, order[starts])
+    return {head[:4]: rows for head, rows in zip(heads, np.split(order, starts[1:]))}
+
+
 def _codes(name: str, labels) -> list[int]:
     try:
         return [_CODES[name][label] for label in labels]
@@ -312,8 +336,8 @@ class ShotDataset:
     A series index maps each ``(drive_axis, omega, init, observable)`` head
     of a key to the row indices of its points, ordered by time.
 
-    Rows enter a block at a time through :meth:`extend`, which checks them
-    all at once, and are read a column or a series at a time through
+    Rows enter a block at a time through :meth:`extend` (a campaign makes one
+    call per job block), and are read a column or a series at a time through
     :meth:`column`, :meth:`series`, :meth:`row` and :meth:`take`.  The
     writers sort the rows once by key and format whole columns.  The
     per-record interface is a set of views over the same store: :meth:`add`
@@ -323,16 +347,15 @@ class ShotDataset:
     """
 
     def __init__(self):
-        self._size = 0
-        self._store = {name: np.empty(0, dtype) for name, dtype in _COLUMN_DTYPES.items()}
+        self._columns = {name: np.empty(0, dtype) for name, dtype in _COLUMN_DTYPES.items()}
         self._series: dict[tuple, np.ndarray] = {}
 
     def __len__(self) -> int:
-        return self._size
+        return self._columns["time"].size
 
     def column(self, name: str) -> np.ndarray:
-        """The ``name`` column of every row, in insertion order (a view: do not write)."""
-        return self._store[name][: self._size]
+        """The ``name`` column of every row, in insertion order (do not write)."""
+        return self._columns[name]
 
     def series(self, drive_axis: str, omega: float, init: str, observable: str) -> np.ndarray:
         """Row indices of one series, ordered by time; empty if it has no rows."""
@@ -341,7 +364,7 @@ class ShotDataset:
     def row(self, drive_axis: str, omega: float, init: str, observable: str, time: float) -> int:
         """Index of the row with this key; KeyError if there is none."""
         rows = self.series(drive_axis, omega, init, observable)
-        hit = rows[self._store["time"][rows] == time]
+        hit = rows[self.column("time")[rows] == time]
         if not hit.size:
             raise KeyError(MeasurementKey(drive_axis, float(omega), init, observable, float(time)))
         return int(hit[0])
@@ -356,7 +379,8 @@ class ShotDataset:
         ``drive``, ``init`` and ``observable`` hold codes, ``omega`` and
         ``time`` floats, and ``values`` the same rows' ShotColumns.  Every row
         is checked as a ShotRecord is; a bad row, or a key that is already
-        present, rejects the whole block.
+        present, rejects the whole block.  The block is concatenated onto
+        each column, and the series index is rebuilt from every row.
         """
         keys = zip(_KEY_DTYPES.items(), (drive, omega, init, observable, time))
         new = {name: np.asarray(column, dtype=dtype) for (name, dtype), column in keys}
@@ -372,51 +396,10 @@ class ShotDataset:
         if not n:
             return
         new["expectation_variance"] = _squared(expectation_std_error(values)).astype(float)
-        # write past the end first; the rows count only once the block passes
-        start = self._size
-        self._reserve(n)
-        for name, column in new.items():
-            self._store[name][start:start + n] = column
-        _, omega_index = np.unique(new["omega"], return_inverse=True)
-        series = ((omega_index * len(DRIVE_AXES) + new["drive"]) * len(INITS) + new["init"]) * len(OBSERVABLES)
-        series += new["observable"]
-        order = np.lexsort((new["time"], series))
-        series, times = series[order], new["time"][order]
-        same = series[1:] == series[:-1]
-        repeated = np.flatnonzero(same & (times[1:] == times[:-1]))
-        if repeated.size:
-            raise self._duplicate(start + order[repeated[0] + 1])
-        starts = np.flatnonzero(np.r_[True, ~same])
-        heads = self._keys(start + order[starts])
-        updates = {}
-        for head, rows in zip(heads, np.split(start + order, starts[1:])):
-            known = self._series.get(head[:4])
-            if known is not None:
-                rows = np.concatenate((known, rows))
-                rows = rows[np.argsort(self._store["time"][rows], kind="stable")]
-                ordered = self._store["time"][rows]
-                repeated = np.flatnonzero(ordered[1:] == ordered[:-1])
-                if repeated.size:
-                    raise self._duplicate(rows[repeated[0] + 1])
-            updates[head[:4]] = rows
-        self._series.update(updates)
-        self._size += n
-
-    def _reserve(self, n: int) -> None:
-        capacity = self._store["time"].size
-        if self._size + n > capacity:
-            capacity = max(2 * capacity, self._size + n)
-            for name, column in self._store.items():
-                grown = np.empty(capacity, dtype=column.dtype)
-                grown[: self._size] = column[: self._size]
-                self._store[name] = grown
-
-    def _keys(self, rows) -> list[MeasurementKey]:
-        """The keys of ``rows``, which may lie past the end of the counted rows."""
-        return list(map(MeasurementKey._make, zip(*(_listed(name, self._store[name][rows]) for name in _KEY_DTYPES))))
-
-    def _duplicate(self, row) -> ValueError:
-        return ValueError(f"duplicate measurement key {self._keys([row])[0]}")
+        # the dataset takes the block only once its keys pass
+        columns = {name: np.concatenate((column, new[name])) for name, column in self._columns.items()}
+        self._series = _series_index(columns)
+        self._columns = columns
 
     def add(self, key: MeasurementKey, record: ShotRecord) -> None:
         drive_axis, omega, init, observable, time = key
@@ -431,16 +414,16 @@ class ShotDataset:
         return self
 
     def times(self, drive_axis: str, omega: float, init: str, observable: str) -> list[float]:
-        return self._store["time"][self.series(drive_axis, omega, init, observable)].tolist()
+        return self.column("time")[self.series(drive_axis, omega, init, observable)].tolist()
 
     @property
     def entries(self) -> dict[MeasurementKey, ShotRecord]:
         """Every row as key -> record, in insertion order."""
-        return dict(zip(self._keys(slice(0, self._size)), self.take(slice(None)).records()))
+        return dict(zip(_keys(self._columns, slice(None)), self.take(slice(None)).records()))
 
     def __iter__(self) -> Iterator[tuple[MeasurementKey, ShotRecord]]:
         order = self._key_order()
-        return zip(self._keys(order), self.take(order).records())
+        return zip(_keys(self._columns, order), self.take(order).records())
 
     def _key_order(self) -> np.ndarray:
         """Row indices in MeasurementKey order; code order is label order."""

@@ -91,6 +91,22 @@ def test_a_failing_row_fails_alone_with_the_one_line_message():
     assert same_bits(lines.result(0).covariance, reference.covariance)
 
 
+def test_a_singular_row_fails_alone_and_the_others_keep_their_bits():
+    # x one ulp apart passes the distinct-x check but makes the normal matrix singular
+    close = [1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)]
+    x = np.array([[1.0, 2.0, 4.0], close, [0.5, 1.5, 3.0]])
+    y = np.array([[1.0, 2.0, 2.5], [1.0, 2.0, 3.0], [0.5, 1.0, 3.0]])
+    sigma = np.array([[0.1, 0.2, 0.3], [0.1, 0.1, 0.1], [0.2, 0.1, 0.3]])
+    lines = _linreg_stack(x, y, sigma)
+    for fit in (lambda: lines.result(1), lambda: weighted_linreg_reference(x[1], y[1], sigma[1])):
+        with pytest.raises(EstimationError, match="degenerate design matrix"):
+            fit()
+    for row in (0, 2):
+        fit, reference = lines.result(row), weighted_linreg_reference(x[row], y[row], sigma[row])
+        for name in ("slope", "intercept", "covariance", "residuals", "weights"):
+            assert same_bits(getattr(fit, name), getattr(reference, name)), name
+
+
 # expectation gaps: mostly ordinary, some at or below the decoherence floor
 # and some a bump away from it
 GAP = st.one_of(
@@ -198,7 +214,7 @@ WIDE_P4 = dict(
 )
 WIDE_P4_DIGESTS = {
     "report.json": "ddb7ce2bfc50a2f190573f9cc335655f4009e1981ccf738c3b57b9ec6bcc051c",
-    "estimates.csv": "84279351aaf6623b84a873ada619b26c3c5864b91fbb0f7845c2245d679218bc",
+    "estimates.csv": "9797a2c90aa910b8acdc1f740c46abb3da718ac10ac8693e9a5bfd069b957755",
 }
 
 

@@ -35,6 +35,18 @@ def test_every_package_import_resolves():
             assert getattr(slqns, alias.name) is getattr(module, alias.name), alias.name
 
 
+def test_every_package_import_is_in_its_module_all():
+    tree = ast.parse(Path(slqns.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    unlisted = [
+        f"{node.module}.{alias.name}"
+        for node in imports
+        for alias in node.names
+        if alias.name not in getattr(importlib.import_module(f"slqns.{node.module}"), "__all__", ())
+    ]
+    assert unlisted == []
+
+
 def _referenced_names(path: Path) -> set[str]:
     """Names, attributes and import aliases of a file, its ``__all__`` list left out."""
     tree = ast.parse(path.read_text())

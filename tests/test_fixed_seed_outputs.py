@@ -82,31 +82,31 @@ DIGESTS = {
     "p4-wide-twin": {
         "report.json": "abef7467ca40ae901c3a4fe01cb08ae82079e7d03391e6fd94caf9d8fdea5dfe",
         "datasets.csv": "a1af287f9664096b7fa9ff9026a6b097bf085c6f74104fbf452cb6b038298046",
-        "estimates.csv": "f77a405b0036c392e51e23bd4eac9f4241a14448ba3f66635e9e50498758806c",
+        "estimates.csv": "675ed1197a135a69f4c24118cc4f629ad6b8d2d5f9ac290b4ef4884844d8b4ac",
         "manifest.json": "7f6ff863c1757153d84793cf6b8015083e5a5f73a702e6a480f7610406cb37c1",
     },
     "p2-series-twin": {
         "report.json": "d3e1f5e8ea23b492531cf109820d233f0c30e2b960b4dbc2c4370535b72f81e6",
         "datasets.csv": "dffba99a4c2a57038de119c93c847e012d4ff4944b4b100fda18d3bb1f5863cc",
-        "estimates.csv": "65bbab7f701878465389405219e7d43283c5dd586c6d221dc7e7d6ee012f15ae",
+        "estimates.csv": "1ca5a7dbad567936febda273f6402bb89948f30ba974392b8ef97ce108f7134c",
         "manifest.json": "69d047005166ad922673d9684635d90a13c0cd24951b02d66a1ccfdfeab9d4a3",
     },
     "p4-wide-analytic-twin": {
         "report.json": "c561c3748e34bf129ae89d4a27b5a823d1c4357796715c1fd5edab8702080e34",
         "datasets.csv": "6ea91d2f3a0c26fe7848e2330b53d46a387d084a680385bf3faaeb00be032f0f",
-        "estimates.csv": "ea1401c9872dc2eddfbcc41f4b02a80376050c67223905461e09cedad358b59b",
+        "estimates.csv": "d2f2b5af0415d7de96f61a9e8ae2ac43db0ecd2e6dc22d926aecab96e0a221f6",
         "manifest.json": "453b0f6072130dcff56d3a902673e5837b5ae85247b68d9bea7b34adfac2ebc8",
     },
     "p1-twin": {
         "report.json": "6b7dba921821393a305d261d7fe5a30781ca1b2b36ddba82bce8f810badd2a90",
         "datasets.csv": "10e241299847371e08bbbbbf52663afe262022c53257242a00fb28c33b284c5d",
-        "estimates.csv": "f23c88db11e8fab059eb7b72d78b2e6a35085bec0fcecc04cbb6ac51a6dcc00f",
+        "estimates.csv": "5d561e09c346923900305957846f253859362bfa563f675bc22ce6231fc9fd8e",
         "manifest.json": "c3060773669fcd1c9c79394f779b984cc2203e5ad5d752f3e8c566a1d3e41f01",
     },
     "p3-twin": {
         "report.json": "0757c608e63c0a3a64ff824d024252c9a39b2091e8435a5a7f5f9a672d43d6d5",
         "datasets.csv": "2fa7ae26d20db4ce083a5ed5e35e71e956ea76c0bbdac3cb00722cc83e3c62f4",
-        "estimates.csv": "02e2c3df976ff53b6692ae0d09f3c1618d34bad7258cd1757f0dd51dc9a0a851",
+        "estimates.csv": "2a4d2747a7fc75ce28587e9fd8d8f7361e455ea62ec7054eeddc4abbc30b3aca",
         "manifest.json": "81137d6c7af114ac1525bb7bc6b72e2b9b39a5e3a749a96cd2669159ee0a5ca1",
     },
 }

@@ -5,6 +5,7 @@ the trajectory path."""
 from __future__ import annotations
 
 import copy
+import csv
 import hashlib
 import warnings
 
@@ -92,7 +93,7 @@ TRAJECTORY_TWIN = dict(copy.deepcopy(TRAJECTORY), seed=1)
 TRAJECTORY_DIGESTS = {
     "report.json": "44429b4c5b021920725c2034ef401b8586eeb83129944a8aa6636c4f04be5730",
     "datasets.csv": "3bcb338fa28afd93ea4b66f6e7c1fc9aabdb004b9d04d6fe2838b3800d970ab2",
-    "estimates.csv": "f7b722defbaef8d64623abb38edac48ddb8cc0a7a347e2892768aa7709fc3517",
+    "estimates.csv": "e3268302b9ebafdbb75cc1453be0227dc159ebfb003406c2c67ae58c035cba00",
     "manifest.json": "874d7d36517517ee394f270f46d2f6e02f28c1f13c7419e48aff32fec404c495",
 }
 
@@ -103,3 +104,15 @@ def test_trajectory_outputs_match_the_pinned_digests(tmp_path):
         run_campaign(TRAJECTORY_TWIN, out_dir=tmp_path)
     digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in TRAJECTORY_DIGESTS}
     assert digests == TRAJECTORY_DIGESTS
+
+
+@pytest.mark.parametrize("name", ["p1", "p2-standard-dropped", "p3", "p4-standard-dropped"])
+def test_estimates_csv_holds_plain_numbers(tmp_path, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_campaign(REPORTS[name], out_dir=tmp_path)
+    with open(tmp_path / "estimates.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["method"] for row in rows} >= {"standard"}
+    for row in rows:
+        float(row["value"]), float(row["std_error"])

@@ -9,10 +9,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slqns.harness import build_campaign
 from slqns.protocols import run_plan
-from slqns.spam import MeasurementKey, ShotColumns, ShotDataset, ShotRecord
+from slqns.spam import DRIVE_AXES, INITS, OBSERVABLES, MeasurementKey, ShotColumns, ShotDataset, ShotRecord
 
 from oracles import csv_reference
 from test_fixed_seed_outputs import CAMPAIGNS, DIGESTS
@@ -110,6 +112,34 @@ def test_series_rows_are_ordered_by_time_across_blocks():
         MeasurementKey("z+", 2.5, "z+", "z", 3.0), MeasurementKey("x", 2.5, "x+", "x", 4.0),
         MeasurementKey("x", 2.5, "x-", "x", 4.0),
     ]
+
+
+@st.composite
+def split_blocks(draw):
+    """(key columns, values, cut points) of distinct rows cut into blocks anywhere."""
+    keys = draw(st.lists(
+        st.tuples(st.integers(0, len(DRIVE_AXES) - 1), st.sampled_from([-1.5, 2.5, 3.0]),
+                  st.integers(0, len(INITS) - 1), st.integers(0, len(OBSERVABLES) - 1),
+                  st.sampled_from([1.0, 2.0, 4.0, 6.5, 9.0])),
+        max_size=30, unique=True))
+    cuts = sorted(draw(st.lists(st.integers(0, len(keys)), max_size=5)))
+    values = ShotColumns.exact(draw(st.lists(st.floats(-1.0, 1.0), min_size=len(keys), max_size=len(keys))))
+    return keys, values, cuts
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_blocks())
+def test_extending_block_by_block_equals_one_extend(blocks):
+    keys, values, cuts = blocks
+    columns = [list(column) for column in zip(*keys)] if keys else [[]] * 5
+    whole = ShotDataset()
+    whole.extend(*columns, values)
+    split = ShotDataset()
+    for lo, hi in zip([0, *cuts], [*cuts, len(keys)]):
+        split.extend(*(column[lo:hi] for column in columns), ShotColumns(*(v[lo:hi] for v in values)))
+    assert split.entries == whole.entries
+    for series in {key[:4] for key in whole.entries}:
+        assert split.series(*series).tolist() == whole.series(*series).tolist()
 
 
 def test_to_csv_equals_the_record_by_record_writer(twin_datasets):
