@@ -98,6 +98,8 @@ _EIGENVECTORS = {
 
 def check_states(matrices: np.ndarray) -> None:
     """Raise :class:`DynamicsError` unless every matrix of an (n, 2, 2) stack is a state."""
+    if not np.isfinite(matrices).all():
+        raise DynamicsError("state has non-finite entries")
     trace = np.trace(matrices, axis1=-2, axis2=-1)
     if np.max(np.abs(trace - 1.0)) > TRACE_TOL:
         raise DynamicsError(f"state trace {trace[np.argmax(np.abs(trace - 1.0))]} differs from 1 beyond tolerance")
@@ -330,14 +332,14 @@ class DriveRates:
         rate_in, rate_out = (s.real for s in self._x_sums)
         self.a_rate, self.b_rate = rate_in + rate_out, rate_in - rate_out
         if axis is DriveAxis.X_PLUS:
-            self._carrier = spectra.s_plus(1, -1, wq)
+            self._coherence_term = (spectra.s_plus(1, -1, wq), "transverse carrier spectrum")
             self.population = (self.a_rate, self.b_rate)
-            self.coherence = 0.5 * self.a_rate + self._carrier.real
+            self.coherence = 0.5 * self.a_rate + self._coherence_term[0].real
         else:
             self._z_sums = (spectra.value(-1, 1, -w - wq), spectra.value(1, -1, w + wq))
-            self._dephasing_at_zero = spectra.value(0, 0, 0.0)
+            self._coherence_term = (spectra.value(0, 0, 0.0), "S[0,0](0)")
             self.population = tuple(s.real for s in self._z_sums)
-            self.coherence = self.population[0] + self.population[1] + 2.0 * self._dephasing_at_zero.real
+            self.coherence = self.population[0] + self.population[1] + 2.0 * self._coherence_term[0].real
 
     def coefficients(self, k: int = 0) -> RateCoefficients:
         """A and B at amplitude ``k``."""
@@ -354,22 +356,21 @@ class DriveRates:
         """Decay rate of the drive-basis coherence at amplitude ``k``."""
         if self.axis is DriveAxis.X_PLUS:
             self.coefficients(k)
-            _real(self._carrier, "transverse carrier spectrum")
         else:
             self.z_rates(k)
-            _real(self._dephasing_at_zero, "S[0,0](0)")
+        _real(*self._coherence_term)
         return float(self.coherence[k])
 
     def check(self, k: int) -> None:
-        """Every check of amplitude ``k``, in the order the single-drive chain
-        runs them: the coefficients and the secular strain, A > 0 or
-        non-negative z rates, then the coherence rate."""
+        """Every check of amplitude ``k``, each run once, in the order the
+        single-drive chain runs them: the coefficients and the secular strain,
+        A > 0 or non-negative z rates, then the coherence rate's spectrum."""
         check_secular_validity(self.coefficients(k).a_rate, float(self.omega_eff[k]))
         if self.axis is DriveAxis.X_PLUS:
             _check_decay_rate(self.a_rate[k])
         else:
             _check_z_rates(*self.z_rates(k))
-        self.coherence_rate(k)
+        _real(*self._coherence_term)
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,13 @@ class EstimationError(RuntimeError):
 
 
 class LinearizationGuardError(EstimationError):
-    """Data violate the small-decay guard; use the non-linear path."""
+    """Data violate the small-decay guard; use the non-linear path.  ``block``
+    is the rejected linearized fit (the one-frequency pair block with its
+    classical line), which the non-linear fit starts from."""
+
+    def __init__(self, message: str, block: _PairBlock):
+        super().__init__(message)
+        self.block = block
 
 
 class Method(enum.Enum):
@@ -631,36 +637,20 @@ def _pair_block(dataset, drive_axis, omegas, inits, observable, *, half: bool = 
 LINEARIZATION_GUARD = 0.1
 
 
-def robust_single_axis_linearized(
-    dataset: ShotDataset,
-    omega: float,
-    *,
-    enforce_guard: bool = True,
-) -> EstimatorResult:
-    """Small-decay robust estimation: two straight-line fits.
+def _guard_value(block: _PairBlock) -> float:
+    """max(S+ T) of a one-frequency pair block, from its classical line."""
+    return float(np.max(block.fits.result(0).slope * block.times[0]))
 
-    Classical path: ``ln[2/(e+ - e-)]`` vs T gives the classical spectrum as
-    the slope and ``-ln(alpha)`` as the intercept (this line is exact).
-    Quantum path: ``(e+ + e-)/2`` vs T gives ``alpha_m S-`` as the slope and
-    ``delta`` as the intercept, valid only while ``S+ T`` stays small; the
-    guard rejects data outside that regime.  The quantum estimate is the
-    component ``alpha_m*S-_{0,0}``.
-    """
-    block = _pair_block(dataset, "x", [omega], ("x+", "x-"), "x")
+
+def _linearized_result(block: _PairBlock, omega: float) -> EstimatorResult:
+    """The linearized estimate of a one-frequency pair block: its classical
+    line and the quantum line fitted here."""
     classical_fit = block.fits.result(0)
-    s_plus_val = classical_fit.slope
-    guard_value = float(np.max(s_plus_val * block.times[0]))
-    if enforce_guard and guard_value > LINEARIZATION_GUARD:
-        raise LinearizationGuardError(
-            f"max(S+ T) = {guard_value:.3g} exceeds the linearization guard "
-            f"{LINEARIZATION_GUARD:g}; use robust_single_axis_nonlinear"
-        )
-
     quantum_fit = block.quantum_fits(lambda slope, times: times).result(0)
 
     alpha = math.exp(-classical_fit.intercept)
     rows = [
-        ("S+_{0,0}", s_plus_val, classical_fit.slope_err),
+        ("S+_{0,0}", classical_fit.slope, classical_fit.slope_err),
         ("alpha_m*S-_{0,0}", quantum_fit.slope, quantum_fit.slope_err),
     ]
     return EstimatorResult(
@@ -671,11 +661,33 @@ def robust_single_axis_linearized(
         delta=quantum_fit.intercept,
         delta_err=quantum_fit.intercept_err,
         diagnostics={
-            "guard_value": guard_value,
+            "guard_value": _guard_value(block),
             "dropped_times": block.dropped[0],
             "fits": {"classical": classical_fit, "quantum": quantum_fit},
         },
     )
+
+
+def robust_single_axis_linearized(dataset: ShotDataset, omega: float) -> EstimatorResult:
+    """Small-decay robust estimation: two straight-line fits.
+
+    Classical path: ``ln[2/(e+ - e-)]`` vs T gives the classical spectrum as
+    the slope and ``-ln(alpha)`` as the intercept (this line is exact).
+    Quantum path: ``(e+ + e-)/2`` vs T gives ``alpha_m S-`` as the slope and
+    ``delta`` as the intercept, valid only while ``S+ T`` stays small; the
+    guard rejects data outside that regime after the classical fit, with a
+    :class:`LinearizationGuardError` that carries the fitted block.  The
+    quantum estimate is the component ``alpha_m*S-_{0,0}``.
+    """
+    block = _pair_block(dataset, "x", [omega], ("x+", "x-"), "x")
+    guard_value = _guard_value(block)
+    if guard_value > LINEARIZATION_GUARD:
+        raise LinearizationGuardError(
+            f"max(S+ T) = {guard_value:.3g} exceeds the linearization guard "
+            f"{LINEARIZATION_GUARD:g}; use robust_single_axis_nonlinear",
+            block,
+        )
+    return _linearized_result(block, omega)
 
 
 # xtol, ftol and gtol of the solver; scipy's 1e-8 default stops ~1e-7 short
@@ -683,14 +695,16 @@ def robust_single_axis_linearized(
 FIT_TOLERANCE = 1e-12
 
 
-def robust_single_axis_nonlinear(dataset: ShotDataset, omega: float) -> EstimatorResult:
+def robust_single_axis_nonlinear(dataset: ShotDataset, omega: float, start: _PairBlock) -> EstimatorResult:
     """Joint bounded least-squares fit of (S+, S-, alpha_m, delta).
 
     Models both preparation series with ``alpha approx alpha_m`` (negligible
     preparation errors; the fitted ``alpha_m`` is reported as ``alpha``) and
     minimises the standardised residuals with scipy's trust-region-reflective
     solver (Branch, Coleman & Li, SIAM J. Sci. Comput. 21, 1999), started
-    from the unguarded linearized estimate.
+    from the linearized estimate of ``start``, the fitted block that the guard
+    rejected at ``omega`` (``LinearizationGuardError.block``); its quantum
+    line is fitted after this fit's own checks.
     The bounds are independent: ``S+ >= 0`` and ``alpha_m, delta`` in
     [0, 1].  The joint physical region ``alpha_m + delta <= 1`` is not a box
     and is not imposed, so a noisy fit may exceed it slightly; clipping such
@@ -716,11 +730,10 @@ def robust_single_axis_nonlinear(dataset: ShotDataset, omega: float) -> Estimato
         return (np.concatenate(model) - y) / sig
 
     bounds = ([0.0, -np.inf, 0.0, 0.0], [np.inf, np.inf, 1.0, 1.0])
-    lin = robust_single_axis_linearized(dataset, omega, enforce_guard=False)
-    start = [lin["S+_{0,0}"].value, lin["alpha_m*S-_{0,0}"].value / lin.alpha, lin.alpha, lin.delta]
-    start = np.clip(start, *bounds)
+    lin = _linearized_result(start, omega)
+    theta0 = [lin["S+_{0,0}"].value, lin["alpha_m*S-_{0,0}"].value / lin.alpha, lin.alpha, lin.delta]
     fit = least_squares(
-        residuals, start, bounds=bounds,
+        residuals, np.clip(theta0, *bounds), bounds=bounds,
         xtol=FIT_TOLERANCE, ftol=FIT_TOLERANCE, gtol=FIT_TOLERANCE,
     )
     if not fit.success:

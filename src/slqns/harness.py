@@ -58,8 +58,9 @@ Estimation takes the whole drive grid at once.  Protocol 4's robust
 estimator and every protocol's standard inversion are one grid call each per
 campaign, returning one outcome per frequency in plan order (a result, or the
 ``EstimationError`` of that frequency alone); protocol 2's robust fits run
-one frequency at a time.  An ``EstimationError`` raised by a whole grid call
-is the outcome of every frequency of the grid.
+one frequency at a time, the nonlinear one from the linearized fit that the
+guard rejected.  An ``EstimationError`` raised by a whole grid call is the
+outcome of every frequency of the grid.
 
 ``run_campaign`` writes ``datasets.csv``, ``estimates.csv``, ``report.json``,
 ``manifest.json`` and ``run.log`` into the output directory.  ``--jobs N``
@@ -151,7 +152,8 @@ def _typed(value, kind, key):
     """``value`` as ``kind`` (int, float or bool), or a ConfigError naming ``key``.
 
     An integer may be written as an integral float (``2.0``); a boolean is
-    not a number, and nothing is parsed from a string.
+    not a number, ``NaN`` and ``Infinity`` are refused, and nothing is
+    parsed from a string.
     """
     if kind is bool:
         ok = isinstance(value, bool)
@@ -161,6 +163,8 @@ def _typed(value, kind, key):
             ok = ok and (isinstance(value, numbers.Integral) or float(value).is_integer())
     if not ok:
         raise ConfigError(f"{key} must be {_KINDS[kind]}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
     return kind(value)
 
 
@@ -401,8 +405,8 @@ def _robust_single_axis(dataset, omega: float):
     try:
         try:
             return robust_single_axis_linearized(dataset, omega)
-        except LinearizationGuardError:
-            return robust_single_axis_nonlinear(dataset, omega)
+        except LinearizationGuardError as guard:
+            return robust_single_axis_nonlinear(dataset, omega, guard.block)
     except EstimationError as exc:
         return exc
 

@@ -8,8 +8,8 @@ frequencies, the whole grid or, with ``--jobs``, a contiguous slice of it:
 
 * :class:`ClosedFormTclBackend` evaluates the secular-TCL closed forms with
   injected spherical spectra and SPAM parameters (optionally bypassing shot
-  sampling in analytic mode) in one array pass over the block, after a
-  scalar loop over its frequencies has run their checks in plan order;
+  sampling in analytic mode) in one array pass over the block's columns,
+  after a loop over its frequencies has run each drive's checks once;
 * :class:`TrajectoryBackend` Monte-Carlo averages the exact piecewise-
   constant propagation of the dephasing toy bath, point by point.
 
@@ -17,8 +17,8 @@ Either returns the block's values as one ``spam.ShotColumns`` in plan order,
 which the block's dataset takes as columns in one ``ShotDataset.extend``.
 
 Every point draws its shots from its own child seed, derived from the plan
-seed and the point's address.  :func:`run_plan` derives every point's stream
-in one array pass, but each is still addressed by its point's key alone, so
+seed and the point's key.  A block derives all its points' streams in one
+array pass, but each is still addressed by its point's key alone, so
 datasets are bit-reproducible whatever the blocking of frequencies, the
 execution order or ``--jobs``.
 """
@@ -35,6 +35,7 @@ from .dynamics import (
     DriveAxis,
     DriveConfig,
     DriveRates,
+    DynamicsError,
     ToyBathNoise,
     check_states,
     closed_form_states,
@@ -46,13 +47,12 @@ from .dynamics import (
 from .noisegen import BathConfig, DSAConfig, DSARealization, build_toy_bath
 from .seeding import derive_seed, derive_seeds, first_uniforms
 from .spam import (
-    DRIVE_AXES,
     INITS,
-    OBSERVABLES,
     ShotColumns,
     ShotDataset,
     ShotRecord,
     SpamParams,
+    _codes,
     draw_shots,
     faulty_state,
     outcome_probability,
@@ -77,10 +77,6 @@ LOW_FREQUENCY_CUTOFF = mhz_to_rad_per_us(2.3e-3)
 _GRID_MARGIN = 1e-9
 
 _AXIS_ENUM = {"x": DriveAxis.X_PLUS, "z+": DriveAxis.Z_PLUS, "z-": DriveAxis.Z_MINUS}
-# the dataset's label codes, which also key the shot streams
-_DRIVE_CODE = {label: code for code, label in enumerate(DRIVE_AXES)}
-_INIT_CODE = {label: code for code, label in enumerate(INITS)}
-_OBS_CODE = {label: code for code, label in enumerate(OBSERVABLES)}
 
 
 class PlanError(ValueError):
@@ -157,18 +153,16 @@ class ProtocolPlan:
 
 class Backend:
     """Evaluator of a block of drive frequencies: one value row per point, each
-    drawn from the point's own seed (or its ``first_uniforms`` value, when
-    given), so values do not depend on the blocking or on ``--jobs``.  The
-    default measures the points one at a time."""
+    drawn from the point's own seed, so values do not depend on the blocking
+    or on ``--jobs``.  The default measures the points one at a time."""
 
     analytic: bool = False
 
-    def measure_block(self, omegas, points, n_shots: int, seeds, uniforms=None) -> ShotColumns:
+    def measure_block(self, omegas, points, n_shots: int, seeds) -> ShotColumns:
         """The values of every point of ``points[i]`` at ``omegas[i]``,
         frequency by frequency, as one :class:`ShotColumns` with a row per
-        point in that order; ``seeds[i][k]`` (``uniforms[i][k]``) belongs to
-        ``points[i][k]``.  The default builds it from one :meth:`measure`
-        record per point."""
+        point in that order; ``seeds[i][k]`` belongs to ``points[i][k]``.
+        The default builds it from one :meth:`measure` record per point."""
         return ShotColumns.from_records([
             self.measure(drive_axis, omega, init, observable, time, n_shots, seed)
             for omega, row, row_seeds in zip(omegas, points, seeds)
@@ -190,12 +184,6 @@ def _drive_config(drive_axis: str, omega: float, time: float) -> DriveConfig:
     return DriveConfig(axis=axis, amplitude=amplitude, duration=time, long_time_threshold=0.0)
 
 
-def _effective_amplitudes(drive_axis: str, omegas) -> np.ndarray:
-    """``_drive_config(drive_axis, omega, ...).effective_amplitude`` at every omega."""
-    omegas = np.asarray(omegas, dtype=float)
-    return {"x": omegas, "z+": np.abs(omegas), "z-": -np.abs(omegas)}[drive_axis]
-
-
 class ClosedFormTclBackend(Backend):
     """Secular-TCL closed forms with injected spectra and SPAM errors."""
 
@@ -211,35 +199,35 @@ class ClosedFormTclBackend(Backend):
         self.device = device
         self.spam = spam if spam is not None else SpamParams.ideal()
         self.analytic = analytic
-        self._prepared = {i: faulty_state(i[0], +1 if i[1] == "+" else -1, self.spam) for i in _INIT_CODE}
+        self._prepared = {i: faulty_state(i[0], +1 if i[1] == "+" else -1, self.spam) for i in INITS}
 
-    def measure_block(self, omegas, points, n_shots, seeds, uniforms=None) -> ShotColumns:
-        flat = [(i, *point) for i, row in enumerate(points) for point in row]
-        axes = dict.fromkeys(point[1] for point in flat)
-        rates = {d: DriveRates(_AXIS_ENUM[d], _effective_amplitudes(d, omegas), self.spectra, self.device) for d in axes}
+    def measure_block(self, omegas, points, n_shots, seeds) -> ShotColumns:
+        rows = np.repeat(np.arange(len(points)), [len(row) for row in points])
+        drive, init, observable, time = (np.array(column) for column in zip(*(p for row in points for p in row)))
+        # each drive's effective amplitude at every frequency, as _drive_config gives it
+        amplitudes = {"x": omegas, "z+": np.abs(omegas), "z-": -np.abs(omegas)}
+        rates = {d: DriveRates(_AXIS_ENUM[d], amplitudes[d], self.spectra, self.device) for d in dict.fromkeys(drive)}
         # the checks of each frequency, drive axis by drive axis, in plan order
         for i, (omega, row) in enumerate(zip(omegas, points)):
             self.device.check_drive_amplitude(omega)
             first_times = {}
-            for drive_axis, _, _, time in row:
-                first_times.setdefault(drive_axis, time)
-            for drive_axis, time in first_times.items():
-                _drive_config(drive_axis, omega, time)
+            for drive_axis, _, _, t in row:
+                first_times.setdefault(drive_axis, t)
+            for drive_axis, t in first_times.items():
+                _drive_config(drive_axis, omega, t)
                 rates[drive_axis].check(i)
-        order, states = [], []
-        for drive_axis in axes:
-            block = [k for k, point in enumerate(flat) if point[1] == drive_axis]
-            rows, _, inits, _, times = zip(*(flat[k] for k in block))
-            order += block
-            states.append(closed_form_states(rates[drive_axis], rows, [self._prepared[i] for i in inits], times))
-        states = np.concatenate(states)
+        bad = ~(np.isfinite(time) & (time > 0.0))
+        if bad.any():
+            raise DynamicsError(f"drive duration must be finite and > 0, got {time[bad][0]}")
+        states = np.empty((time.size, 2, 2), dtype=complex)
+        for drive_axis, axis_rates in rates.items():
+            k = np.flatnonzero(drive == drive_axis)
+            states[k] = closed_form_states(axis_rates, rows[k], [self._prepared[i] for i in init[k]], time[k])
         check_states(states)
-        p_plus = np.empty(len(flat))
-        p_plus[order] = outcome_probability(expectations(states, [flat[k][3] for k in order]), self.spam)
+        p_plus = outcome_probability(expectations(states, observable), self.spam)
         if self.analytic:
             return ShotColumns.exact(2.0 * p_plus - 1.0)
-        seeds = [seed for row in seeds for seed in row]
-        uniforms = first_uniforms(seeds) if uniforms is None else [u for row in uniforms for u in row]
+        uniforms = first_uniforms([seed for row in seeds for seed in row])
         return ShotColumns.from_counts(n_shots, draw_shots(np.clip(p_plus, 0.0, 1.0), n_shots, uniforms))
 
     def measure(self, drive_axis, omega, init, observable, time, n_shots, seed) -> ShotRecord:
@@ -321,28 +309,22 @@ def _protocol_points(plan: ProtocolPlan, omega: float):
     return points
 
 
-def _stream_keys(plan: ProtocolPlan, points, omega_indices) -> np.ndarray:
-    """Keys (protocol, frequency index, drive, init, observable, time index) of
-    ``points`` at each frequency index: the frequency enters only as its index."""
-    pattern = [(plan.protocol_id, 0, _DRIVE_CODE[d], _INIT_CODE[i], _OBS_CODE[o], j) for d, i, o, _, j in points]
-    keys = np.tile(pattern, (len(omega_indices), 1))
-    keys[:, 1] = np.repeat(omega_indices, len(points))
-    return keys
-
-
-def _run_block(backend: Backend, plan: ProtocolPlan, omegas, omega_indices, seeds=None, uniforms=None) -> ShotDataset:
-    """Execute one protocol at a block of drive amplitudes, from their rows of
-    the plan's stream table when given."""
+def _run_block(backend: Backend, plan: ProtocolPlan, omegas, omega_indices) -> ShotDataset:
+    """Execute one protocol at a block of drive amplitudes, the ``omega_indices``
+    of the plan's grid.  Each point draws its shots from the stream keyed by
+    (protocol, frequency index, drive, init, observable, time index): the
+    frequency enters only as its index, and the labels as the dataset's codes."""
     points = [_protocol_points(plan, omega) for omega in omegas]
-    if seeds is None:
-        seeds = derive_seeds(plan.seed, _stream_keys(plan, points[0], omega_indices)).reshape(len(omegas), -1)
-    values = backend.measure_block(
-        omegas, [[point[:4] for point in row] for row in points], plan.n_shots, seeds, uniforms)
     # every frequency has the same points but for the aligned times
-    codes = [(_DRIVE_CODE[d], _INIT_CODE[i], _OBS_CODE[o]) for d, i, o, _, _ in points[0]]
-    drive, init, observable = (np.tile(column, len(omegas)) for column in zip(*codes))
+    drives, inits, observables, _, time_indices = zip(*points[0])
+    n = len(drives)
+    pattern = _codes("drive", drives), _codes("init", inits), _codes("observable", observables), time_indices
+    keys = np.column_stack((np.full(len(omegas) * n, plan.protocol_id), np.repeat(omega_indices, n),
+                            *(np.tile(column, len(omegas)) for column in pattern)))
+    seeds = derive_seeds(plan.seed, keys).reshape(len(omegas), n)
+    values = backend.measure_block(omegas, [[point[:4] for point in row] for row in points], plan.n_shots, seeds)
     dataset = ShotDataset()
-    dataset.extend(drive, np.repeat(omegas, len(codes)), init, observable,
+    dataset.extend(keys[:, 2], np.repeat(omegas, n), keys[:, 3], keys[:, 4],
                    [point[3] for row in points for point in row], values)
     return dataset
 
@@ -353,16 +335,12 @@ def run_for_omega(backend: Backend, plan: ProtocolPlan, omega: float, omega_inde
 
 
 def run_plan(backend: Backend, plan: ProtocolPlan, jobs: int = 1) -> ShotDataset:
-    """Execute a plan over its full drive-amplitude grid, every point's seed and
-    first uniform coming from one pass over its key table.  The grid is one
-    block; with ``jobs > 1`` it is cut into ``jobs`` contiguous blocks that run
-    in a thread pool and are merged in grid order, which cannot change the
-    result."""
-    keys = _stream_keys(plan, _protocol_points(plan, plan.omegas[0]), range(len(plan.omegas)))
-    seeds = derive_seeds(plan.seed, keys).reshape(len(plan.omegas), -1)
-    uniforms = first_uniforms(seeds.ravel()).reshape(seeds.shape)
+    """Execute a plan over its full drive-amplitude grid.  The grid is one
+    block; with ``jobs > 1`` it is cut into ``jobs`` contiguous blocks of
+    frequency indices that run in a thread pool and are merged in grid order,
+    which cannot change the result."""
     blocks = [b for b in np.array_split(np.arange(len(plan.omegas)), max(jobs, 1)) if b.size]
-    calls = [(backend, plan, [plan.omegas[i] for i in b], b, seeds[b], uniforms[b]) for b in blocks]
+    calls = [(backend, plan, [plan.omegas[i] for i in b], b) for b in blocks]
     if len(calls) == 1:
         return _run_block(*calls[0])
     from concurrent.futures import ThreadPoolExecutor

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import warnings
 
 import pytest
@@ -105,9 +106,15 @@ def test_run_exits_with_config_error_on_a_negative_seed_flag(tmp_path, capsys):
     (CLOSED_FORM_P4, ("plan", "aligned_n"), [20.9], "plan.aligned_n must be an integer, got 20.9"),
     (TRAJECTORY, ("backend", "n_realizations"), 2.9, "backend.n_realizations must be an integer, got 2.9"),
     (CLOSED_FORM_P4, ("backend", "analytic"), "false", "backend.analytic must be true or false, got 'false'"),
+    (CLOSED_FORM_P4, ("plan", "times_us"), [2.0, math.nan, 6.0], "plan.times_us must be finite, got nan"),
+    (CLOSED_FORM_P4, ("plan", "omegas_MHz"), [10.0, math.nan], "plan.omegas_MHz must be finite, got nan"),
+    (CLOSED_FORM_P4, ("plan", "times_us"), [2.0, 4.0, math.inf], "plan.times_us must be finite, got inf"),
+    (CLOSED_FORM_P4, ("spectra", "dephasing", "quantum_lag_us"), math.nan,
+     "spectra.dephasing.quantum_lag_us must be finite, got nan"),
+    (CLOSED_FORM_P4, ("plan", "long_time_threshold"), math.nan, "plan.long_time_threshold must be finite, got nan"),
 ], ids=["time-string", "omega-string", "omegas-scalar", "shots-string", "protocol-string",
         "scale-string", "shots-fractional", "aligned-n-fractional", "realizations-fractional",
-        "analytic-string"])
+        "analytic-string", "time-nan", "omega-nan", "time-infinity", "lag-nan", "threshold-nan"])
 def test_validate_exits_with_config_error_on_a_mistyped_value(tmp_path, capsys, base, path, value, message):
     config = copy.deepcopy(base)
     target = config
@@ -116,6 +123,24 @@ def test_validate_exits_with_config_error_on_a_mistyped_value(tmp_path, capsys, 
     target[path[-1]] = value
     assert main(["validate", write_config(tmp_path, config)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value", [
+    (("plan", "times_us"), [2.0, math.nan, 6.0]),
+    (("plan", "omegas_MHz"), [10.0, math.nan]),
+    (("plan", "times_us"), [2.0, 4.0, math.inf]),
+    (("spectra", "dephasing", "quantum_lag_us"), math.nan),
+    (("plan", "long_time_threshold"), math.nan),
+], ids=["time-nan", "omega-nan", "time-infinity", "lag-nan", "threshold-nan"])
+def test_run_exits_with_config_error_on_a_non_finite_number(tmp_path, capsys, path, value):
+    config = copy.deepcopy(CLOSED_FORM_P4)
+    target = config
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    assert run(tmp_path, config) == EXIT_CONFIG
+    assert f"{'.'.join(path)} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key, value", [

@@ -238,3 +238,35 @@ def test_states_outside_the_bloch_ball_fail_the_stacked_check():
         warnings.simplefilter("ignore")
         with pytest.raises(DynamicsError, match="negative eigenvalue"):
             backend.measure_omega(mhz_to_rad_per_us(5.0), points, 10, [1, 2])
+
+
+@pytest.mark.parametrize("duration", [math.nan, math.inf])
+def test_every_duration_of_the_block_is_checked(duration):
+    # the checks of a frequency's drive used to read only its first duration
+    backend = build_campaign(CONFIGS["p2"], analytic=True).backend
+    points = [("x", "x+", "x", 2.0), ("x", "x-", "x", duration)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(DynamicsError, match="drive duration must be finite and > 0"):
+            backend.measure_omega(mhz_to_rad_per_us(14.0), points, 10, [1, 2])
+
+
+def test_invalid_rates_warn_once_per_frequency_and_drive_axis():
+    # S00 < 0 below zero frequency gives A < |B| at every drive amplitude
+    spectra = SphericalSpectraSet.dephasing_only(lambda w: 0.2 if w > 0 else -0.05)
+    backend = ClosedFormTclBackend(spectra, DEVICE, analytic=True)
+    omegas = [mhz_to_rad_per_us(5.0), mhz_to_rad_per_us(7.0)]
+    points = [("x", "x+", "x", 1.0), ("x", "x-", "x", 2.0), ("z+", "z+", "z", 1.0), ("z-", "z-", "z", 1.0)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for omega in omegas:
+            for omega_eff in (omega, abs(omega), -abs(omega)):
+                compute_AB(spectra, omega_eff, DEVICE)
+    expected = [str(w.message) for w in caught]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DynamicsError, match="negative eigenvalue"):
+            backend.measure_block(omegas, [points, points], 10, [[1, 2, 3, 4]] * 2)
+    seen = [str(w.message) for w in caught if "< |B|" in str(w.message)]
+    assert len(expected) == 6
+    assert seen == expected

@@ -12,6 +12,7 @@ from slqns.dynamics import (
     RateCoefficients,
     ToyBathNoise,
     check_secular_validity,
+    check_states,
     compute_AB,
     ensemble_expectation,
     frame_aligned_times,
@@ -56,6 +57,22 @@ class TestQubitState:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(DynamicsError):
             QubitState.from_bloch(1.2, 0.0, 0.0)
+
+    @pytest.mark.parametrize("matrix", [
+        np.full((2, 2), np.nan),
+        np.array([[1.0, np.nan], [np.nan, 0.0]]),
+    ], ids=["all-nan", "nan-coherence"])
+    def test_non_finite_entries_rejected(self, matrix):
+        with pytest.raises(DynamicsError, match="non-finite"):
+            QubitState(matrix)
+
+    def test_a_non_finite_state_does_not_hide_another_in_its_stack(self):
+        # NaN compares false against every tolerance, so the stack's minimum
+        # eigenvalue used to come out NaN and pass
+        stack = np.stack([QubitState.ket("x", +1).matrix, np.full((2, 2), np.nan)])
+        stack[0, 0, 0] += 0.5
+        with pytest.raises(DynamicsError, match="non-finite"):
+            check_states(stack)
 
     def test_bloch_round_trip(self):
         state = QubitState.from_bloch(0.3, -0.2, 0.5)

@@ -13,6 +13,11 @@ f0fd00e, before the estimators shared one result type.  A speed-up of the
 closed-form path must keep them; a change that means to alter the outputs
 re-records them and says why.
 
+The warnings each twin emits under ``simplefilter("always")``, as the
+(category, message) list in emission order, are pinned the same way; they
+were recorded at commit cd42ec8, before the closed-form block evaluator ran
+each drive's rate checks once.
+
 The protocol 4 twin is also run in fresh processes at one and at two
 OpenBLAS threads: the estimators' stacked matrix products and solves must
 give the same bits whatever the BLAS thread count.
@@ -119,6 +124,24 @@ def test_outputs_match_the_pinned_digests(tmp_path, name):
         run_campaign(CAMPAIGNS[name], out_dir=tmp_path)
     digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in DIGESTS[name]}
     assert digests == DIGESTS[name]
+
+
+WARNING_DIGESTS = {
+    "p4-wide-twin": "620e039a5da4138e65be4c1d34c91a735a45f46456ae88d197c7702157804c59",
+    "p2-series-twin": "576e1e3b5a23e629718ae271413686de923d997e72492c9bc8d9e19443b419dc",
+    "p4-wide-analytic-twin": "26f9ec4ae3eceb0697f62add6f79332b6930f81b1d904f99940997ea1d43a358",
+    "p1-twin": "576e1e3b5a23e629718ae271413686de923d997e72492c9bc8d9e19443b419dc",
+    "p3-twin": "26f9ec4ae3eceb0697f62add6f79332b6930f81b1d904f99940997ea1d43a358",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_warning_sequences_match_the_pinned_digests(tmp_path, name):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_campaign(CAMPAIGNS[name], out_dir=tmp_path)
+    sequence = [(w.category.__name__, str(w.message)) for w in caught]
+    assert hashlib.sha256(repr(sequence).encode()).hexdigest() == WARNING_DIGESTS[name]
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from slqns import estimation, harness
 from slqns.dynamics import compute_AB
 from slqns.harness import run_campaign
 from slqns.spectra import DeviceParams, Lorentzian, SphericalSpectraSet, White, mhz_to_rad_per_us
@@ -116,3 +117,22 @@ def test_analytic_campaign_recovers_injected_rates(name):
     if path == "multi_axis":
         assert all(r["intercepts_consistent"] for r in report["spam_per_frequency"])
 
+
+
+def test_a_guarded_frequency_is_fitted_linearly_once(monkeypatch):
+    # the nonlinear fit starts from the block the guard rejected instead of
+    # refitting it through the linearized estimator
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args[1])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (harness, estimation):
+        monkeypatch.setattr(module, "robust_single_axis_linearized", counted(module.robust_single_axis_linearized))
+    protocol, with_spam, plan, _, path, _ = CASES["p2-nonlinear"]
+    report = analytic_report(protocol, plan, with_spam=with_spam)
+    assert {row["path"] for row in report["spam_per_frequency"]} == {path}
+    assert sorted(calls) == sorted(report["frequencies_rad_per_us"])
