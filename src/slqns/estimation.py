@@ -2,7 +2,10 @@
 
 Closed-form inversions, weighted linear regression, a bounded non-linear
 least-squares fit (``scipy.optimize.least_squares``), and first-order
-(delta-method) uncertainty propagation.
+(delta-method) uncertainty propagation.  ``least_squares`` is imported inside
+:func:`robust_single_axis_nonlinear`, its only caller, so that campaigns which
+never run the nonlinear fit (protocols 1, 3 and 4) never import
+``scipy.optimize``, about half a second of start-up.
 
 The regression identities behind a drive of amplitude ``W`` are, with
 ``d(T) = e+ - e-`` and ``m(T) = (e+ + e-)/2`` the measured differences and
@@ -57,7 +60,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .dynamics import _decay_weight, _exp
 from .spam import ShotDataset, _squared, expectation_std_error
@@ -710,6 +712,8 @@ def robust_single_axis_nonlinear(dataset: ShotDataset, omega: float, start: _Pai
     and is not imposed, so a noisy fit may exceed it slightly; clipping such
     fits would bias the estimate.
     """
+    from scipy.optimize import least_squares
+
     stacks, (error,) = _paired_series(dataset, "x", [omega], ("x+", "x-"), "x")
     if error is not None:
         raise error

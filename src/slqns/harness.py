@@ -76,6 +76,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import numbers
@@ -148,22 +149,33 @@ def _require(mapping, key, context):
 _KINDS = {int: "an integer", float: "a number", bool: "true or false"}
 
 
+def _finite(value) -> bool:
+    """Whether the real ``value`` is a finite float; an integer too large for
+    a float (``10**400`` written as a JSON integer) is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _typed(value, kind, key):
     """``value`` as ``kind`` (int, float or bool), or a ConfigError naming ``key``.
 
     An integer may be written as an integral float (``2.0``); a boolean is
-    not a number, ``NaN`` and ``Infinity`` are refused, and nothing is
-    parsed from a string.
+    not a number, ``NaN``, ``Infinity`` and numbers beyond the float range
+    are refused, and nothing is parsed from a string.
     """
+    finite = True
     if kind is bool:
         ok = isinstance(value, bool)
     else:
         ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        finite = ok and _finite(value)
         if kind is int:
-            ok = ok and (isinstance(value, numbers.Integral) or float(value).is_integer())
+            ok = ok and (isinstance(value, numbers.Integral) or (finite and float(value).is_integer()))
     if not ok:
         raise ConfigError(f"{key} must be {_KINDS[kind]}, got {value!r}")
-    if kind is float and not math.isfinite(value):
+    if not finite:
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return kind(value)
 
@@ -477,19 +489,70 @@ def _combine_spam(spam_rows: list[dict]) -> dict:
 # json.dumps(..., indent=1) gives a row of a top-level list
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n   ", ": "))
 
+# an estimates row written the same way, its fields in the order of
+# _estimate_texts, and its line in estimates.csv as csv.writer writes it
+_ESTIMATE_JSON = (
+    '{{\n   "component": {0},\n   "freq_label": {1},\n   "freq_rad_per_us": {2},\n'
+    '   "method": {6},\n   "omega_rad_per_us": {3},\n   "std_error": {5},\n   "value": {4}\n  }}'
+)
+_ESTIMATE_CSV = "{0},{1},{2},{3},{4},{5},{6}\r\n"
+_ESTIMATES_CSV_HEADER = "component,freq_label,freq_rad_per_us,omega_rad_per_us,value,std_error,method\r\n"
 
-def _report_text(report: dict) -> str:
+
+def _estimate_texts(rows) -> tuple[list[str], list[str]]:
+    """The estimates rows' texts in report.json and their lines in estimates.csv.
+
+    A row's numbers are formatted once for both files, by ``float.__repr__``
+    (some values are ``np.float64``, whose ``repr`` is not a number):
+    estimates are finite, so this is also the JSON encoder's text.  Labels
+    and frequencies repeat from row to row, so each distinct one is formatted
+    once; a label's CSV text comes from ``csv.writer``, which quotes labels
+    such as ``S+_{1,-1}``.
+    """
+    labels, floats = {}, {}
+
+    def label(text):
+        if text not in labels:
+            field = io.StringIO()
+            csv.writer(field).writerow([text])
+            labels[text] = (json.dumps(text), field.getvalue()[:-2])
+        return labels[text]
+
+    def number(x):
+        text = floats.get(x)
+        if text is None:
+            text = float.__repr__(x)
+            if x:  # 0.0 and -0.0 share a key
+                floats[x] = text
+        return text
+
+    json_texts, csv_lines = [], []
+    for row in rows:
+        (component_json, component_csv), (freq_label_json, freq_label_csv), (method_json, method_csv) = (
+            label(row["component"]), label(row["freq_label"]), label(row["method"])
+        )
+        shared = (
+            number(row["freq_rad_per_us"]), number(row["omega_rad_per_us"]),
+            float.__repr__(row["value"]), float.__repr__(row["std_error"]),
+        )
+        json_texts.append(_ESTIMATE_JSON.format(component_json, freq_label_json, *shared, method_json))
+        csv_lines.append(_ESTIMATE_CSV.format(component_csv, freq_label_csv, *shared, method_csv))
+    return json_texts, csv_lines
+
+
+def _report_text(report: dict, estimate_texts: list[str]) -> str:
     """The text of ``json.dumps(report, sort_keys=True, indent=1)``.
 
-    The flat rows of ``estimates`` and ``spam_per_frequency``, thousands on a
-    wide sweep, are encoded one at a time by the C encoder and spliced into
-    the indented rest of the report.
+    The flat rows of ``estimates`` (``estimate_texts``, their texts) and
+    ``spam_per_frequency``, thousands on a wide sweep, are spliced into the
+    indented rest of the report; the C encoder writes each
+    ``spam_per_frequency`` row.
     """
     text = json.dumps({**report, "estimates": [], "spam_per_frequency": []}, sort_keys=True, indent=1)
-    for key in ("estimates", "spam_per_frequency"):
-        if report[key]:
-            rows = ",\n  ".join("{\n   " + _ROW_ENCODER.encode(row)[1:-1] + "\n  }" for row in report[key])
-            text = text.replace(f'\n "{key}": []', f'\n "{key}": [\n  {rows}\n ]', 1)
+    spam_texts = ["{\n   " + _ROW_ENCODER.encode(row)[1:-1] + "\n  }" for row in report["spam_per_frequency"]]
+    for key, rows in (("estimates", estimate_texts), ("spam_per_frequency", spam_texts)):
+        if rows:
+            text = text.replace(f'\n "{key}": []', f'\n "{key}": [\n  ' + ",\n  ".join(rows) + "\n ]", 1)
     return text
 
 
@@ -534,19 +597,9 @@ def run_campaign(config, *, out_dir=None, seed=None, analytic=None, jobs: int = 
         out_path = Path(out_dir if out_dir is not None else config["output_dir"])
         out_path.mkdir(parents=True, exist_ok=True)
         dataset.to_csv(out_path / "datasets.csv")
-        with open(out_path / "estimates.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["component", "freq_label", "freq_rad_per_us", "omega_rad_per_us",
-                 "value", "std_error", "method"]
-            )
-            for row in rows:
-                writer.writerow([
-                    row["component"], row["freq_label"], repr(row["freq_rad_per_us"]),
-                    repr(row["omega_rad_per_us"]), repr(float(row["value"])),
-                    repr(float(row["std_error"])), row["method"],
-                ])
-        (out_path / "report.json").write_text(_report_text(report))
+        estimate_json, estimate_csv = _estimate_texts(rows)
+        (out_path / "estimates.csv").write_text(_ESTIMATES_CSV_HEADER + "".join(estimate_csv), newline="")
+        (out_path / "report.json").write_text(_report_text(report, estimate_json))
         manifest = dataset.to_manifest(
             config_digest=campaign.config_digest,
             protocol=campaign.protocol,

@@ -101,6 +101,11 @@ class ProtocolPlan:
             raise PlanError(f"protocol_id must be 1..4, got {self.protocol_id}")
         omegas = tuple(float(w) for w in self.omegas)
         times = tuple(float(t) for t in self.times)
+        threshold = (self.long_time_threshold,)
+        for name, values in (("drive amplitudes", omegas), ("plan times", times), ("long_time_threshold", threshold)):
+            for value in values:
+                if not math.isfinite(value):
+                    raise PlanError(f"{name} must be finite, got {value}")
         if not omegas:
             raise PlanError("plan needs at least one drive amplitude")
         if len(set(omegas)) != len(omegas):

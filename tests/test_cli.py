@@ -112,9 +112,13 @@ def test_run_exits_with_config_error_on_a_negative_seed_flag(tmp_path, capsys):
     (CLOSED_FORM_P4, ("spectra", "dephasing", "quantum_lag_us"), math.nan,
      "spectra.dephasing.quantum_lag_us must be finite, got nan"),
     (CLOSED_FORM_P4, ("plan", "long_time_threshold"), math.nan, "plan.long_time_threshold must be finite, got nan"),
+    (CLOSED_FORM_P4, ("spectra", "dephasing", "scale"), 10**400, "spectra.dephasing.scale must be finite, got 1000"),
+    (CLOSED_FORM_P4, ("plan", "shots"), 10**400, "plan.shots must be finite, got 1000"),
+    (CLOSED_FORM_P4, ("plan", "aligned_n"), [20, 10**400], "plan.aligned_n must be finite, got 1000"),
 ], ids=["time-string", "omega-string", "omegas-scalar", "shots-string", "protocol-string",
         "scale-string", "shots-fractional", "aligned-n-fractional", "realizations-fractional",
-        "analytic-string", "time-nan", "omega-nan", "time-infinity", "lag-nan", "threshold-nan"])
+        "analytic-string", "time-nan", "omega-nan", "time-infinity", "lag-nan", "threshold-nan",
+        "scale-huge-integer", "shots-huge-integer", "aligned-n-huge-integer"])
 def test_validate_exits_with_config_error_on_a_mistyped_value(tmp_path, capsys, base, path, value, message):
     config = copy.deepcopy(base)
     target = config
@@ -131,7 +135,8 @@ def test_validate_exits_with_config_error_on_a_mistyped_value(tmp_path, capsys, 
     (("plan", "times_us"), [2.0, 4.0, math.inf]),
     (("spectra", "dephasing", "quantum_lag_us"), math.nan),
     (("plan", "long_time_threshold"), math.nan),
-], ids=["time-nan", "omega-nan", "time-infinity", "lag-nan", "threshold-nan"])
+    (("plan", "shots"), 10**400),
+], ids=["time-nan", "omega-nan", "time-infinity", "lag-nan", "threshold-nan", "shots-huge-integer"])
 def test_run_exits_with_config_error_on_a_non_finite_number(tmp_path, capsys, path, value):
     config = copy.deepcopy(CLOSED_FORM_P4)
     target = config

@@ -9,6 +9,7 @@ evaluating the frequencies one at a time, in plan order, gives.
 from __future__ import annotations
 
 import copy
+import math
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 
 from slqns.dynamics import DynamicsError
 from slqns.harness import build_campaign
-from slqns.protocols import ClosedFormTclBackend, ProtocolPlan, run_for_omega, run_plan
+from slqns.protocols import ClosedFormTclBackend, PlanError, ProtocolPlan, run_for_omega, run_plan
 from slqns.spectra import DeviceParams, SphericalSpectraSet, Tabulated, mhz_to_rad_per_us
 from test_harness import CLOSED_FORM_P4, TRAJECTORY
 
@@ -86,3 +87,15 @@ def test_first_error_and_the_warnings_before_it_follow_plan_order():
             with pytest.raises(DynamicsError) as error:
                 run_plan(backend, BAND_PLAN, jobs=jobs)
         assert str(error.value) == str(first.value), jobs
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["omegas", "times", "long_time_threshold"])
+def test_a_plan_refuses_a_non_finite_drive_time_or_threshold(field, value):
+    grid = {"omegas": [mhz_to_rad_per_us(4.0)], "times": [2.0, 4.0, 6.0]}
+    if field == "long_time_threshold":
+        grid[field] = value
+    else:
+        grid[field] = [*grid[field][:1], value, *grid[field][1:]]
+    with pytest.raises(PlanError, match=f"must be finite, got {value}"):
+        ProtocolPlan(protocol_id=2, **grid)

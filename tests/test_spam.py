@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from slqns.dynamics import (
     DriveAxis,
@@ -20,6 +21,7 @@ from slqns.spam import (
     ShotDataset,
     ShotRecord,
     SpamParams,
+    draw_shots,
     expectation_std_error,
     faulty_state,
     sample_shots,
@@ -148,6 +150,35 @@ class TestSampleShots:
     def test_std_error_never_zero_for_sampled(self):
         record = sample_shots(1.0, 100, seed=1)
         assert expectation_std_error(record) > 0.0
+
+
+class TestDrawShots:
+    """``draw_shots`` calls scipy's Boost binomial quantile without importing
+    ``scipy.stats``; ``scipy.stats.binom.ppf`` is its oracle on (0, 1)."""
+
+    @pytest.mark.parametrize("n_shots", [1, 7, 1000])
+    def test_counts_equal_scipy_stats_on_the_open_unit_interval(self, n_shots):
+        rng = np.random.default_rng(20240219)
+        p_plus = np.concatenate((
+            [0.0, 1.0, 5e-324, 1e-300, 1e-12, 1.0 - 1e-12, np.nextafter(1.0, 0.0)],
+            rng.uniform(0.0, 1e-6, 40),
+            1.0 - rng.uniform(0.0, 1e-6, 40),
+            rng.random(120),
+        ))
+        uniforms = np.concatenate((
+            [[5e-324], [1e-300], [1e-12], [0.5], [1.0 - 1e-12], [np.nextafter(1.0, 0.0)]],
+            rng.random((100, 1)),
+        ))
+        uniforms = np.broadcast_to(uniforms, (uniforms.shape[0], p_plus.size))
+        assert ((uniforms > 0.0) & (uniforms < 1.0)).all()
+        expected = stats.binom.ppf(uniforms, n_shots, p_plus).astype(np.int64)
+        np.testing.assert_array_equal(draw_shots(p_plus, n_shots, uniforms), expected)
+
+    @pytest.mark.parametrize("n_shots", [1, 7, 1000])
+    def test_a_zero_uniform_gives_no_plus_outcome(self, n_shots):
+        p_plus = np.array([0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0])
+        counts = draw_shots(p_plus, n_shots, np.zeros_like(p_plus))
+        np.testing.assert_array_equal(counts, np.zeros(p_plus.size, dtype=np.int64))
 
 
 class TestSpamCorruptedExpectation:
