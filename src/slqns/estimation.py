@@ -5,7 +5,8 @@ least-squares fit (``scipy.optimize.least_squares``), and first-order
 (delta-method) uncertainty propagation.  ``least_squares`` is imported inside
 :func:`robust_single_axis_nonlinear`, its only caller, so that campaigns which
 never run the nonlinear fit (protocols 1, 3 and 4) never import
-``scipy.optimize``, about half a second of start-up.
+``scipy.optimize``, about half a second of start-up.  It is the only scipy
+that ``slqns`` uses: protocol 2 is the one campaign that loads scipy.
 
 The regression identities behind a drive of amplitude ``W`` are, with
 ``d(T) = e+ - e-`` and ``m(T) = (e+ + e-)/2`` the measured differences and

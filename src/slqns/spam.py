@@ -16,10 +16,10 @@ Completeness is exact by construction; positivity of both elements requires
 ``a_m + delta <= 1``.
 
 Shot data are columns.  :func:`draw_shots` turns an array of P(+) into counts
-in one inverse-CDF call to ``scipy.special._ufuncs._binom_ppf``, the Boost
-binomial quantile behind ``scipy.stats.binom.ppf``: importing ``scipy.stats``
-for this one call would cost every campaign about a second of start-up (2-vCPU
-VM), against about a quarter of one for ``scipy.special``.
+by an inverse CDF in numpy (inversion by search, as in Devroye, *Non-Uniform
+Random Variate Generation*, 1986, ch. III.2 and X.4): each draw cumulates the
+pmf over a window that a Chernoff tail bound sizes from its own uniform.  It
+imports no scipy, whose ``scipy.special`` was most of a campaign's start-up.
 :class:`ShotColumns` holds the :class:`ShotRecord` fields of a block of points
 as arrays, and a :class:`ShotRecord` is the view of one point.
 :class:`ShotDataset` stores a campaign's points as one set of columns with a
@@ -31,13 +31,15 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy.special._ufuncs import _binom_ppf
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import SIGMA, IDENTITY2, QubitState
 from .seeding import spawn_rng
@@ -224,24 +226,150 @@ class ShotColumns(NamedTuple):
         return [ShotRecord(*row) for row in zip(*(column.tolist() for column in self))]
 
 
+# A draw's window leaves out at most 2**-60 of min(u, 1 - u) of the mass, far
+# below the rounding of the pmf; two Newton steps reach the Chernoff edge.
+_TAIL_LOG2 = 60.0
+_NEWTON_STEPS = 2
+# pmf entries per chunk of rows: 32 KiB temporaries stay in the malloc heap
+# and are reused chunk after chunk; 256-row chunks (about 300 KiB each) left
+# about 0.2 MB more resident after a --jobs 2 campaign.
+_CHUNK_ENTRIES = 4096
+
+
+@functools.lru_cache(maxsize=8)
+def _log_binomials(n_shots: int) -> np.ndarray:
+    """log C(n, k) for k = 0..n from ``math.lgamma``, with n + 1 entries of -inf
+    on each side, so that any window of at most n + 1 entries that starts in
+    [0, n] reads zero mass outside the support.  Read-only and cached per n
+    (a campaign has one); ``lru_cache`` is safe under the ``--jobs`` thread
+    pool."""
+    head = math.lgamma(n_shots + 1)
+    inner = [head - math.lgamma(k + 1) - math.lgamma(n_shots - k + 1) for k in range(n_shots + 1)]
+    pad = np.full(n_shots + 1, -np.inf)
+    table = np.concatenate((pad, inner, pad))
+    table.setflags(write=False)
+    return table
+
+
+def _tail_edge(n_shots: int, p, log_p, log_q, log_tail) -> np.ndarray:
+    """Per row, an index m with P(K < m) <= exp(-log_tail) for K ~ Bin(n, p).
+
+    Chernoff: P(K <= n a) <= exp(-n KL(a || p)) for a <= p.  The start point
+    already meets the bound: Bernstein's, or the sub-Gaussian one where
+    p <= 1/2 and the lower tail moves away from 1/2.  Newton steps on the
+    convex KL from that side stay on it and close in on the edge.  ``log_p``
+    and ``log_q`` are log p and log(1 - p), passed in so that a mirrored p
+    keeps exact logs; m is 0 where the bound needs no cut.
+    """
+    variance = n_shots * p * (1.0 - p)
+    t = log_tail / 3.0 + np.sqrt(log_tail * log_tail / 9.0 + 2.0 * log_tail * variance)
+    t = np.where(p <= 0.5, np.minimum(t, np.sqrt(2.0 * log_tail * variance)), t)
+    a = p - t / n_shots
+    edge = np.zeros(a.size, dtype=np.int64)
+    cut = np.flatnonzero(a > 0.0)
+    a, log_p, log_q, log_tail = a[cut], log_p[cut], log_q[cut], log_tail[cut]
+    for _ in range(_NEWTON_STEPS):
+        log_a, log_b = np.log(a), np.log1p(-a)
+        excess = n_shots * (a * (log_a - log_p) + (1.0 - a) * (log_b - log_q)) - log_tail
+        a = a - excess / (n_shots * (log_a - log_p - log_b + log_q))
+    edge[cut] = np.floor(n_shots * a)
+    return edge
+
+
 def draw_shots(p_plus, n_shots: int, uniforms) -> np.ndarray:
     """Binomial shot sampling by inverse CDF: the number of + outcomes for each
-    (P(+), uniform) pair, as an int64 array.
+    (P(+), uniform) pair, as an int64 array of their broadcast shape.
 
-    The quantile is the Boost ufunc ``scipy.special._ufuncs._binom_ppf``, the
-    one that ``scipy.stats.binom.ppf`` calls for every u in (0, 1), so the
-    counts are those of ``scipy.stats`` bit for bit (``tests/test_spam.py``
-    holds it to that oracle) without importing ``scipy.stats``.  At u == 0
-    it gives the correct count 0, where the ``scipy.stats`` wrapper returns
-    the out-of-support -1.
+    The count is the binomial quantile, the smallest k with F(k) >= u, which
+    is the number of k with F(k) < u.  u = 0 and p = 0 give 0; p = 1 and
+    u = 1 give n.  Otherwise the count is read from a window of the pmf,
+    ``exp(log C(n, k) + k log p + (n - k) log(1 - p))`` with log C from a
+    cached ``math.lgamma`` table:
+
+    - u <= 1/2: the count lies below the median, so the window runs from an
+      edge lo up to ceil(np) + 1, the pmf is cumulated from lo, and the count
+      is lo plus the number of partial sums below u.
+    - u > 1/2: the same from the top with the upper tail, P(K > k) > 1 - u
+      (1 - u is exact there), over a window from hi down to floor(np) - 1.
+
+    Each row's edge comes from its own u by the Chernoff bound
+    ``exp(-n KL(k/n || p))``: the mass beyond it is at most 2**-60 of
+    min(u, 1 - u), far below 2**-53 and below the pmf's own rounding.  A
+    fixed multiple of sigma would not guarantee that at small p, where the
+    upper tail is heavier than a Gaussian's.  An extreme u gets a wide
+    window, up to the whole support on its side, and the pmf is divided by
+    u (or 1 - u) before it is cumulated, so that the terms which decide the
+    count stay normal doubles down to u = 5e-324.  Rows are sorted by window
+    width and evaluated in chunks of about 4096 pmf entries.
+
+    Exactness: the count is the exact quantile unless u lies within the
+    pmf's rounding (about 1e-12 relative at n = 1000, from the lgamma table)
+    of a CDF value, a chance of order 1e-11 per draw.  ``tests/test_spam.py``
+    holds it to ``scipy.stats.binom.ppf`` on 10**6 random pairs and to
+    mpmath's exact CDF at the edges of p and u, where Boost's quantile is
+    off.  No floating-point warning is emitted.
     """
-    p_plus = np.asarray(p_plus, dtype=float)
-    outside = p_plus[~((p_plus >= 0.0) & (p_plus <= 1.0))]
-    if outside.size:
-        raise ValueError(f"P(+) must lie in [0, 1], got {outside[0]}")
+    p_plus, uniforms = _in_unit_interval(p_plus, "P(+)"), _in_unit_interval(uniforms, "uniforms")
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
-    return _binom_ppf(uniforms, n_shots, p_plus).astype(np.int64)
+    p, u = (a.ravel() for a in np.broadcast_arrays(p_plus, uniforms))
+    counts = np.where(((p == 1.0) | (u == 1.0)) & (p > 0.0) & (u > 0.0), n_shots, 0)
+    rows = np.flatnonzero((p > 0.0) & (p < 1.0) & (u > 0.0) & (u < 1.0))
+    if rows.size:
+        counts[rows] = _inverse_cdf(n_shots, p[rows], u[rows])
+    return counts.reshape(np.broadcast_shapes(p_plus.shape, uniforms.shape))
+
+
+def _in_unit_interval(values, name: str) -> np.ndarray:
+    """``values`` as a float array; ValueError naming the first one outside [0, 1], NaN included."""
+    values = np.asarray(values, dtype=float)
+    outside = values[~((values >= 0.0) & (values <= 1.0))]
+    if outside.size:
+        raise ValueError(f"{name} must lie in [0, 1], got {outside[0]}")
+    return values
+
+
+def _inverse_cdf(n: int, p, u) -> np.ndarray:
+    """The counts of ``draw_shots`` for 0 < p < 1 and 0 < u < 1."""
+    lower = u <= 0.5
+    target = np.where(lower, u, 1.0 - u)
+    log_target = np.log(target)
+    log_p, log_q = np.log(p), np.log1p(-p)
+    edge = _tail_edge(
+        n, np.where(lower, p, 1.0 - p), np.where(lower, log_p, log_q), np.where(lower, log_q, log_p),
+        _TAIL_LOG2 * math.log(2.0) - log_target,
+    )
+    mean = n * p
+    start = np.where(lower, edge, n - edge)
+    stop = np.where(lower, np.minimum(np.ceil(mean) + 1.0, n), np.maximum(np.floor(mean) - 1.0, 0.0))
+    width = np.abs(stop.astype(np.int64) - start) + 1
+    step = np.where(lower, 1, -1)
+    # log pmf(start + step j) - log target = table[first + j] + base + slope j,
+    # the table being symmetric, log C(n, k) = log C(n, n - k)
+    first = np.where(lower, start, n - start) + (n + 1)
+    base = start * log_p + (n - start) * log_q - log_target
+    slope = step * (log_p - log_q)
+    # lower rows count partial sums < 1, upper rows those <= 1
+    limit = np.where(lower, 1.0, np.nextafter(1.0, 2.0))
+    order = np.argsort(width, kind="stable")
+    width, first, base, slope, limit = width[order], first[order], base[order], slope[order], limit[order]
+    windows = sliding_window_view(_log_binomials(n), int(width[-1]))
+    ramp = np.arange(width[-1], dtype=float)
+    hits = np.empty(u.size, dtype=np.int64)
+    begin = 0
+    # a tiny target scales the bulk past the largest double; inf stays >= 1
+    with np.errstate(over="ignore"):
+        while begin < u.size:
+            end = min(begin + max(1, _CHUNK_ENTRIES // int(width[begin])), u.size)
+            w = int(width[end - 1])
+            mass = windows[first[begin:end], :w]
+            mass += base[begin:end, None]
+            mass += slope[begin:end, None] * ramp[:w]
+            np.exp(mass, out=mass)
+            np.cumsum(mass, axis=1, out=mass)
+            hits[order[begin:end]] = np.count_nonzero(mass < limit[begin:end, None], axis=1)
+            begin = end
+    return start + step * hits
 
 
 def sample_shots(p_plus: float, n_shots: int, seed: int) -> ShotRecord:

@@ -39,6 +39,9 @@ program's own output with a second route to the same number:
 * :func:`x_drive_coherence_rate`, :func:`z_drive_rates` and
   :func:`z_drive_coherence_rate`: one-amplitude readings of
   ``dynamics.DriveRates`` under the names of the paper's rates.
+* :func:`binomial_quantile_reference`: the exact binomial quantile from a
+  40-digit mpmath CDF, against ``spam.draw_shots`` where p or u is extreme
+  and wherever ``draw_shots`` and ``scipy.stats.binom.ppf`` disagree.
 * :func:`dsa_sample` and :func:`rad_per_us_to_mhz`: one-line shorthands for
   ``DSARealization(config, seed).trajectory(grid)`` and the inverse of
   ``spectra.mhz_to_rad_per_us``.
@@ -46,12 +49,15 @@ program's own output with a second route to the same number:
 
 from __future__ import annotations
 
+import bisect
 import csv
 import enum
 import io
+import itertools
 import json
 import math
 
+import mpmath
 import numpy as np
 
 from slqns.dynamics import (
@@ -236,6 +242,32 @@ def csv_reference(dataset: ShotDataset) -> str:
 def report_reference(report: dict) -> str:
     """The ``report.json`` text, encoded in one ``json.dumps`` call."""
     return json.dumps(report, sort_keys=True, indent=1)
+
+
+def _binomial_pmf(p, n_shots: int):
+    """P(K = k) for k = 0..n - 1 by the ratio recurrence, at the working precision."""
+    if p == 1:
+        yield from itertools.repeat(mpmath.mpf(0), n_shots)
+        return
+    term, ratio = (1 - p) ** n_shots, p / (1 - p)
+    for k in range(n_shots):
+        yield term
+        term = term * (n_shots - k) / (k + 1) * ratio
+
+
+def binomial_quantile_reference(p_plus, n_shots: int, uniforms) -> np.ndarray:
+    """The smallest k with F(k) >= u for each (P(+), u) pair, F the Bin(n, p)
+    CDF summed exactly enough (40 digits) at the exact binary p and u."""
+    p_plus, uniforms = np.broadcast_arrays(np.asarray(p_plus, dtype=float), np.asarray(uniforms, dtype=float))
+    counts = np.empty(p_plus.shape, dtype=np.int64)
+    cdfs = {}
+    with mpmath.workdps(40):
+        for index in np.ndindex(p_plus.shape):
+            p = float(p_plus[index])
+            if p not in cdfs:
+                cdfs[p] = [*itertools.accumulate(_binomial_pmf(mpmath.mpf(p), n_shots)), mpmath.mpf(1)]
+            counts[index] = bisect.bisect_left(cdfs[p], mpmath.mpf(float(uniforms[index])))
+    return counts
 
 
 def weighted_linreg_reference(x, y, sigma=None) -> RegressionResult:

@@ -5,8 +5,12 @@ benchmark sweeps (protocol 4 with the aligned block, and the protocol 2
 series) at seed 1, in shot mode.  Their digests were recorded at commit
 e6581fb, before the array seeding path (``seeding.derive_seeds``/
 ``first_uniforms``) replaced the per-point ``SeedSequence`` construction,
-with numpy 2.4 and scipy 1.17 on x86-64 Linux.  The other three (the
-protocol 4 twin in analytic mode, and protocol 1 and protocol 3 on the same
+with numpy 2.4 and scipy 1.17 on x86-64 Linux.  The shot counts have not
+depended on scipy since they are drawn by a numpy inverse CDF
+(``spam.draw_shots``), and every digest held through that change; only the
+protocol 2 estimates still go through scipy (``scipy.optimize``).  The
+other three (the protocol 4 twin in analytic mode, and protocol 1 and
+protocol 3 on the same
 drives at one evolution time, in shot mode) cover the standard inversions
 and the estimator result code; their digests were recorded at commit
 f0fd00e, before the estimators shared one result type.  A speed-up of the

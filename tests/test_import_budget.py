@@ -1,13 +1,17 @@
-"""Start-up cost: ``import slqns`` loads only the scipy that a campaign runs.
+"""Start-up cost: ``import slqns`` loads no scipy, and a campaign loads only
+the scipy that it runs.
 
-``scipy.stats`` is never needed (shots use scipy.special's binomial quantile)
-and ``scipy.optimize`` only by protocol 2's nonlinear fit; each costs about
-half a second or more to import.  The checks run in a fresh interpreter and
-read module names, not timings.
+Shots are drawn by a numpy inverse CDF (``spam.draw_shots``), so protocols 1,
+3 and 4, ``validate`` and ``compare`` run on numpy alone.  Protocol 2's
+nonlinear fit is the one user of scipy: ``scipy.optimize``, imported inside
+``estimation.robust_single_axis_nonlinear``, costs about half a second.  The
+checks run in a fresh interpreter and read module names, not timings; a
+static check keeps every scipy import in ``src/slqns`` inside a function.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -17,39 +21,96 @@ from pathlib import Path
 import slqns
 from test_harness import CLOSED_FORM_P2, CLOSED_FORM_P4
 
+SRC = Path(slqns.__file__).resolve().parent
+
 SCRIPT = """
 import json, sys
+
+def scipy_loaded():
+    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+
+import slqns
+loaded = {"import slqns": scipy_loaded()}
 from slqns.harness import EXIT_OK, main, run_campaign
 
-p4, p2, out = json.loads(sys.argv[1]), json.loads(sys.argv[2]), sys.argv[3]
-with open(out + "/p4.json", "w") as fh:
-    json.dump(p4, fh)
-assert main(["run", out + "/p4.json", "--out-dir", out + "/p4"]) == EXIT_OK
-assert main(["validate", out + "/p4.json"]) == EXIT_OK
-assert main(["compare", out + "/p4/report.json", out + "/p4/report.json"]) == EXIT_OK
-loaded = {name: name in sys.modules for name in ("scipy.special", "scipy.stats", "scipy.optimize")}
-run_campaign(p2)
+configs, out = json.loads(sys.argv[1]), sys.argv[2]
+for name in ("p1", "p3", "p4"):
+    with open(f"{out}/{name}.json", "w") as fh:
+        json.dump(configs[name], fh)
+    assert main(["run", f"{out}/{name}.json", "--out-dir", f"{out}/{name}"]) == EXIT_OK
+assert main(["validate", f"{out}/p4.json"]) == EXIT_OK
+assert main(["compare", f"{out}/p4/report.json", f"{out}/p4/report.json"]) == EXIT_OK
+loaded["protocols 1, 3 and 4, validate and compare"] = scipy_loaded()
+run_campaign(configs["p2"])
 loaded["scipy.optimize after protocol 2"] = "scipy.optimize" in sys.modules
 print(json.dumps(loaded))
 """
 
 
-def two_frequencies(config):
-    return dict(config, plan=dict(config["plan"], omegas_MHz=config["plan"]["omegas_MHz"][:2]))
+def two_frequencies(config, **changes):
+    plan = dict(config["plan"], omegas_MHz=config["plan"]["omegas_MHz"][:2])
+    return dict(config, plan=dict(plan, **changes.pop("plan", {})), **changes)
 
 
 def test_a_protocol_4_campaign_imports_neither_scipy_stats_nor_scipy_optimize(tmp_path):
-    src = str(Path(slqns.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    configs = {
+        "p1": two_frequencies(CLOSED_FORM_P4, protocol=1, plan={"times_us": [2.0], "aligned_n": []}),
+        "p3": two_frequencies(CLOSED_FORM_P4, protocol=3, plan={"times_us": [2.0], "aligned_n": [20]}),
+        "p4": two_frequencies(CLOSED_FORM_P4),
+        "p2": two_frequencies(CLOSED_FORM_P2),
+    }
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-W", "ignore", "-c", SCRIPT,
-         json.dumps(two_frequencies(CLOSED_FORM_P4)), json.dumps(two_frequencies(CLOSED_FORM_P2)), str(tmp_path)],
+        [sys.executable, "-W", "ignore", "-c", SCRIPT, json.dumps(configs), str(tmp_path)],
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {
-        "scipy.special": True,
-        "scipy.stats": False,
-        "scipy.optimize": False,
+        "import slqns": [],
+        "protocols 1, 3 and 4, validate and compare": [],
         "scipy.optimize after protocol 2": True,
     }
+
+
+def module_level_scipy_imports(tree: ast.Module) -> list[int]:
+    """Lines of the scipy imports that run when the module is imported: any
+    outside a function body, in a class body or an ``if`` included."""
+    found = []
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            found.append(node.lineno)
+        pending.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_no_module_of_slqns_imports_scipy_at_module_level():
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := module_level_scipy_imports(ast.parse(path.read_text(), filename=str(path))))
+    }
+    assert found == {}
+
+
+def test_the_scipy_import_guard_sees_only_module_level_imports():
+    tree = ast.parse(
+        "import numpy\n"
+        "import scipy.special as sc\n"
+        "if True:\n    from scipy import stats\n"
+        "class A:\n    from scipy.optimize import least_squares\n"
+        "def f():\n    from scipy.optimize import least_squares\n"
+        "async def g():\n    import scipy\n"
+        "h = lambda: __import__('scipy')\n"
+        "from .scipy_like import x\n"
+        "import scipyx\n"
+    )
+    assert module_level_scipy_imports(tree) == [2, 4, 6]

@@ -1,6 +1,9 @@
 """SPAM error injection: faulty states, POVM, sampling, corrupted forms."""
 
 import io
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from slqns.spectra import DeviceParams, Lorentzian, SphericalSpectraSet
 
 from oracles import (
     SpamMode,
+    binomial_quantile_reference,
     manifest_reference,
     povm_elements,
     povm_probabilities,
@@ -152,33 +156,108 @@ class TestSampleShots:
         assert expectation_std_error(record) > 0.0
 
 
+def _edge_grid():
+    """(P(+), uniforms) broadcast over 207 p values, the edges of [0, 1] among
+    them, and 106 u values, the edges of (0, 1) among them."""
+    rng = np.random.default_rng(20240219)
+    p_plus = np.concatenate((
+        [0.0, 1.0, 5e-324, 1e-300, 1e-12, 1.0 - 1e-12, np.nextafter(1.0, 0.0)],
+        rng.uniform(0.0, 1e-6, 40),
+        1.0 - rng.uniform(0.0, 1e-6, 40),
+        rng.random(120),
+    ))
+    uniforms = np.concatenate((
+        [[5e-324], [1e-300], [1e-12], [0.5], [1.0 - 1e-12], [np.nextafter(1.0, 0.0)]],
+        rng.random((100, 1)),
+    ))
+    return p_plus, np.broadcast_to(uniforms, (uniforms.shape[0], p_plus.size))
+
+
+def _refereed_scipy_counts(p_plus, n_shots, uniforms, counts):
+    """``scipy.stats.binom.ppf``, with mpmath's exact count wherever it and
+    ``counts`` disagree.
+
+    Boost's quantile behind scipy misses the exact count on 71 pairs of the
+    edge grid (at n = 1000, 33 with u = 5e-324, 11 with u = 1e-300 and 26
+    with u = 1 - 2**-53; at n = 1, u = 1 - 1e-12 with p = 1e-12), and warns
+    "Unable to bracket root" or "Unable to locate solution" at 21, two of
+    which it gets right.  Its warnings are the oracle's, not the sampler's.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        expected = stats.binom.ppf(uniforms, n_shots, p_plus).astype(np.int64)
+    p_plus, uniforms = np.broadcast_arrays(p_plus, uniforms)
+    disputed = np.nonzero(counts != expected)
+    expected[disputed] = binomial_quantile_reference(p_plus[disputed], n_shots, uniforms[disputed])
+    return expected
+
+
 class TestDrawShots:
-    """``draw_shots`` calls scipy's Boost binomial quantile without importing
-    ``scipy.stats``; ``scipy.stats.binom.ppf`` is its oracle on (0, 1)."""
+    """``draw_shots`` is a numpy inverse CDF; ``scipy.stats.binom.ppf`` is its
+    oracle on (0, 1), refereed by mpmath's exact CDF where the two disagree,
+    and mpmath alone at the extremes of p and u."""
 
     @pytest.mark.parametrize("n_shots", [1, 7, 1000])
     def test_counts_equal_scipy_stats_on_the_open_unit_interval(self, n_shots):
-        rng = np.random.default_rng(20240219)
-        p_plus = np.concatenate((
-            [0.0, 1.0, 5e-324, 1e-300, 1e-12, 1.0 - 1e-12, np.nextafter(1.0, 0.0)],
-            rng.uniform(0.0, 1e-6, 40),
-            1.0 - rng.uniform(0.0, 1e-6, 40),
-            rng.random(120),
-        ))
-        uniforms = np.concatenate((
-            [[5e-324], [1e-300], [1e-12], [0.5], [1.0 - 1e-12], [np.nextafter(1.0, 0.0)]],
-            rng.random((100, 1)),
-        ))
-        uniforms = np.broadcast_to(uniforms, (uniforms.shape[0], p_plus.size))
+        p_plus, uniforms = _edge_grid()
         assert ((uniforms > 0.0) & (uniforms < 1.0)).all()
-        expected = stats.binom.ppf(uniforms, n_shots, p_plus).astype(np.int64)
-        np.testing.assert_array_equal(draw_shots(p_plus, n_shots, uniforms), expected)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = draw_shots(p_plus, n_shots, uniforms)
+        np.testing.assert_array_equal(counts, _refereed_scipy_counts(p_plus, n_shots, uniforms, counts))
+
+    def test_counts_equal_scipy_stats_on_a_million_pcg64_draws(self):
+        rng = np.random.default_rng(20260219)
+        half = 500_000
+        p_plus = np.concatenate((rng.random(half), rng.beta(0.05, 0.05, half)))
+        uniforms = rng.random(2 * half)
+        counts = draw_shots(p_plus, 1000, uniforms)
+        np.testing.assert_array_equal(counts, _refereed_scipy_counts(p_plus, 1000, uniforms, counts))
+
+    @pytest.mark.parametrize("n_shots", [1, 7, 1000])
+    def test_counts_equal_the_exact_quantile_at_the_edges(self, n_shots):
+        p_plus = np.array([
+            5e-324, 1e-300, 1e-15, 1e-12, 2e-12, 0.3, 0.5518052990852388, 0.9,
+            1.0 - 2e-12, 1.0 - 1e-12, 1.0 - 1e-15, np.nextafter(1.0, 0.0),
+        ])
+        uniforms = np.array([[5e-324], [1e-300], [2.0**-53], [0.5], [1.0 - 2.0**-53]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = draw_shots(p_plus, n_shots, uniforms)
+        np.testing.assert_array_equal(counts, binomial_quantile_reference(p_plus, n_shots, uniforms))
+
+    def test_threads_filling_the_log_binomial_cache_draw_the_same_counts(self):
+        # each n is new to the cache, so the threads race to fill it
+        rng = np.random.default_rng(20260220)
+        p_plus, uniforms = rng.random(500), rng.random(500)
+        shots = [n for n in range(1001, 1009) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(draw_shots, p_plus, n, uniforms) for n in shots]
+                counts = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for n, got in zip(shots, counts):
+            np.testing.assert_array_equal(got, _refereed_scipy_counts(p_plus, n, uniforms, got))
 
     @pytest.mark.parametrize("n_shots", [1, 7, 1000])
     def test_a_zero_uniform_gives_no_plus_outcome(self, n_shots):
         p_plus = np.array([0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0])
         counts = draw_shots(p_plus, n_shots, np.zeros_like(p_plus))
         np.testing.assert_array_equal(counts, np.zeros(p_plus.size, dtype=np.int64))
+
+    @pytest.mark.parametrize("n_shots", [1, 7, 1000])
+    def test_a_unit_uniform_gives_every_shot_unless_p_is_zero(self, n_shots):
+        p_plus = np.array([0.0, 5e-324, 0.5, 1.0])
+        counts = draw_shots(p_plus, n_shots, np.ones_like(p_plus))
+        np.testing.assert_array_equal(counts, [0, n_shots, n_shots, n_shots])
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5, -np.inf, np.inf])
+    def test_uniforms_outside_the_unit_interval_are_refused(self, bad):
+        with pytest.raises(ValueError, match=r"uniforms must lie in \[0, 1\], got"):
+            draw_shots([0.5, 0.5], 1000, [0.25, bad])
 
 
 class TestSpamCorruptedExpectation:
