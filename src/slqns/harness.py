@@ -82,6 +82,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +107,7 @@ from .protocols import (
     TrajectoryBackend,
     run_plan,
 )
-from .spam import SpamParams
+from .spam import SpamParams, _float_text, _joined
 from .spectra import (
     DeviceParams,
     Lorentzian,
@@ -489,71 +490,62 @@ def _combine_spam(spam_rows: list[dict]) -> dict:
 # json.dumps(..., indent=1) gives a row of a top-level list
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n   ", ": "))
 
-# an estimates row written the same way, its fields in the order of
-# _estimate_texts, and its line in estimates.csv as csv.writer writes it
+# the fields of an estimates row in estimates.csv, and in report.json (sorted)
+# with the pieces that json.dumps(..., indent=1) lays out around them
+_ESTIMATE_FIELDS = ("component", "freq_label", "freq_rad_per_us", "omega_rad_per_us", "value", "std_error", "method")
 _ESTIMATE_JSON = (
-    '{{\n   "component": {0},\n   "freq_label": {1},\n   "freq_rad_per_us": {2},\n'
-    '   "method": {6},\n   "omega_rad_per_us": {3},\n   "std_error": {5},\n   "value": {4}\n  }}'
+    '{\n   "component": ', ',\n   "freq_label": ', ',\n   "freq_rad_per_us": ', ',\n   "method": ',
+    ',\n   "omega_rad_per_us": ', ',\n   "std_error": ', ',\n   "value": ', '\n  }',
 )
-_ESTIMATE_CSV = "{0},{1},{2},{3},{4},{5},{6}\r\n"
-_ESTIMATES_CSV_HEADER = "component,freq_label,freq_rad_per_us,omega_rad_per_us,value,std_error,method\r\n"
 
 
-def _estimate_texts(rows) -> tuple[list[str], list[str]]:
-    """The estimates rows' texts in report.json and their lines in estimates.csv.
+def _csv_field(text: str) -> str:
+    field = io.StringIO()
+    csv.writer(field).writerow([text])
+    return field.getvalue()[: -len("\r\n")]
 
-    A row's numbers are formatted once for both files, by ``float.__repr__``
-    (some values are ``np.float64``, whose ``repr`` is not a number):
-    estimates are finite, so this is also the JSON encoder's text.  Labels
-    and frequencies repeat from row to row, so each distinct one is formatted
-    once; a label's CSV text comes from ``csv.writer``, which quotes labels
-    such as ``S+_{1,-1}``.
+
+def _estimate_texts(rows) -> tuple[str, str]:
+    """The ``estimates`` list as it stands in report.json, and the text of
+    estimates.csv.
+
+    Each column is formatted once for both files.  Numbers are written by
+    ``float.__repr__`` (some values are ``np.float64``, whose ``repr`` is not a
+    number): estimates are finite, so this is also the JSON encoder's text.
+    Labels, frequencies and omegas repeat from row to row, so each distinct
+    one is formatted once; a label's CSV text comes from ``csv.writer``,
+    which quotes labels such as ``S+_{1,-1}``.
     """
-    labels, floats = {}, {}
-
-    def label(text):
-        if text not in labels:
-            field = io.StringIO()
-            csv.writer(field).writerow([text])
-            labels[text] = (json.dumps(text), field.getvalue()[:-2])
-        return labels[text]
-
-    def number(x):
-        text = floats.get(x)
-        if text is None:
-            text = float.__repr__(x)
-            if x:  # 0.0 and -0.0 share a key
-                floats[x] = text
-        return text
-
-    json_texts, csv_lines = [], []
-    for row in rows:
-        (component_json, component_csv), (freq_label_json, freq_label_csv), (method_json, method_csv) = (
-            label(row["component"]), label(row["freq_label"]), label(row["method"])
-        )
-        shared = (
-            number(row["freq_rad_per_us"]), number(row["omega_rad_per_us"]),
-            float.__repr__(row["value"]), float.__repr__(row["std_error"]),
-        )
-        json_texts.append(_ESTIMATE_JSON.format(component_json, freq_label_json, *shared, method_json))
-        csv_lines.append(_ESTIMATE_CSV.format(component_csv, freq_label_csv, *shared, method_csv))
-    return json_texts, csv_lines
+    header = ",".join(_ESTIMATE_FIELDS) + "\r\n"
+    if not rows:
+        return "[]", header
+    columns = dict(zip(_ESTIMATE_FIELDS, zip(*map(itemgetter(*_ESTIMATE_FIELDS), rows))))
+    texts = {name: _float_text(np.array(columns[name], float)) for name in ("freq_rad_per_us", "omega_rad_per_us")}
+    texts.update((name, list(map(float.__repr__, columns[name]))) for name in ("value", "std_error"))
+    json_texts, csv_texts = dict(texts), texts
+    for name in ("component", "freq_label", "method"):
+        distinct = set(columns[name])
+        json_texts[name] = list(map({label: json.dumps(label) for label in distinct}.__getitem__, columns[name]))
+        csv_texts[name] = list(map({label: _csv_field(label) for label in distinct}.__getitem__, columns[name]))
+    return (_joined(_ESTIMATE_JSON, [json_texts[name] for name in sorted(_ESTIMATE_FIELDS)], "[\n  ", ",\n  ", "\n ]"),
+            _joined(("", *[","] * 6, "\r\n"), [csv_texts[name] for name in _ESTIMATE_FIELDS], header))
 
 
-def _report_text(report: dict, estimate_texts: list[str]) -> str:
+def _report_text(report: dict, estimates: str) -> str:
     """The text of ``json.dumps(report, sort_keys=True, indent=1)``.
 
-    The flat rows of ``estimates`` (``estimate_texts``, their texts) and
-    ``spam_per_frequency``, thousands on a wide sweep, are spliced into the
-    indented rest of the report; the C encoder writes each
+    The lists ``estimates`` (its text, from :func:`_estimate_texts`) and
+    ``spam_per_frequency``, thousands of rows on a wide sweep, are spliced
+    into the indented rest of the report; the C encoder writes each
     ``spam_per_frequency`` row.
     """
     text = json.dumps({**report, "estimates": [], "spam_per_frequency": []}, sort_keys=True, indent=1)
-    spam_texts = ["{\n   " + _ROW_ENCODER.encode(row)[1:-1] + "\n  }" for row in report["spam_per_frequency"]]
-    for key, rows in (("estimates", estimate_texts), ("spam_per_frequency", spam_texts)):
-        if rows:
-            text = text.replace(f'\n "{key}": []', f'\n "{key}": [\n  ' + ",\n  ".join(rows) + "\n ]", 1)
-    return text
+    spam_rows = ["{\n   " + _ROW_ENCODER.encode(row)[1:-1] + "\n  }" for row in report["spam_per_frequency"]]
+    spam = "[\n  " + ",\n  ".join(spam_rows) + "\n ]" if spam_rows else "[]"
+    # a line that opens with one space and a quote holds a top-level key; "estimates" sorts first
+    head, _, rest = text.partition('\n "estimates": []')
+    middle, _, tail = rest.partition('\n "spam_per_frequency": []')
+    return "".join((head, '\n "estimates": ', estimates, middle, '\n "spam_per_frequency": ', spam, tail))
 
 
 @dataclass
@@ -597,9 +589,9 @@ def run_campaign(config, *, out_dir=None, seed=None, analytic=None, jobs: int = 
         out_path = Path(out_dir if out_dir is not None else config["output_dir"])
         out_path.mkdir(parents=True, exist_ok=True)
         dataset.to_csv(out_path / "datasets.csv")
-        estimate_json, estimate_csv = _estimate_texts(rows)
-        (out_path / "estimates.csv").write_text(_ESTIMATES_CSV_HEADER + "".join(estimate_csv), newline="")
-        (out_path / "report.json").write_text(_report_text(report, estimate_json))
+        estimates_json, estimates_csv = _estimate_texts(rows)
+        (out_path / "estimates.csv").write_text(estimates_csv, newline="")
+        (out_path / "report.json").write_text(_report_text(report, estimates_json))
         manifest = dataset.to_manifest(
             config_digest=campaign.config_digest,
             protocol=campaign.protocol,

@@ -422,14 +422,47 @@ def _listed(name: str, column: np.ndarray) -> list:
     return (_LABEL_ARRAYS[name][column] if name in _LABELS else column).tolist()
 
 
-def _float_text(column: np.ndarray) -> list[str]:
-    """The ``repr`` of every value of a float column, each distinct value
-    formatted once: a shot-count column holds at most n_shots + 1 of them."""
+def _distinct_text(column: np.ndarray, text) -> np.ndarray:
+    """``text`` of every value of a column, as an object array, each distinct
+    value formatted once: a shot-count column holds at most n_shots + 1 of them."""
     values, inverse = np.unique(column, return_inverse=True)
-    text = np.array(list(map(repr, values.tolist())), dtype=object)[inverse]
+    return np.array(list(map(text, values.tolist())), dtype=object)[inverse]
+
+
+def _float_text(column: np.ndarray) -> list[str]:
+    """The ``repr`` of every value of a float column, by :func:`_distinct_text`."""
+    text = _distinct_text(column, repr)
     zero = column == 0.0  # np.unique merges -0.0 into 0.0
     text[zero] = np.where(np.signbit(column[zero]), "-0.0", "0.0")
     return text.tolist()
+
+
+def _column_text(name: str, column: np.ndarray) -> list[str]:
+    """A column's text in datasets.csv: coded columns as their labels, float
+    columns by :func:`_float_text`, counts and flags as ``int`` text."""
+    if name in _LABELS:
+        return _LABEL_ARRAYS[name][column].tolist()
+    return _float_text(column) if column.dtype == float else _distinct_text(column, int.__repr__).tolist()
+
+
+def _joined(literals, columns, head: str = "", separator: str = "", tail: str = "") -> str:
+    """``head + separator.join(rows) + tail``, row i being ``literals[0] +
+    columns[0][i] + literals[1] + ... + columns[-1][i] + literals[-1]``.
+
+    One list holds every piece: it repeats the row of literals and takes each
+    text column by one slice assignment, so a row costs no Python call, and
+    one ``"".join`` writes the text.
+    """
+    width = len(literals) + len(columns)
+    row = [None] * width
+    row[::2] = literals
+    row[0] = separator + literals[0]
+    pieces = [head] + row * len(columns[0]) + [tail]
+    for k, column in enumerate(columns):
+        pieces[2 * k + 2 :: width] = column
+    if len(pieces) > 2:
+        pieces[1] = literals[0]  # no separator before the first row
+    return "".join(pieces)
 
 
 def _keys(columns: dict, rows) -> list[MeasurementKey]:
@@ -479,16 +512,18 @@ class ShotDataset:
     Rows enter a block at a time through :meth:`extend` (a campaign makes one
     call per job block), and are read a column or a series at a time through
     :meth:`column`, :meth:`series`, :meth:`row` and :meth:`take`.  The
-    writers sort the rows once by key and format whole columns.  The
-    per-record interface is a set of views over the same store: :meth:`add`
-    and :meth:`merge` extend it; :meth:`get`, ``entries`` (key -> record, in
-    insertion order), iteration (sorted by key) and :meth:`times` build their
-    keys and records on demand.
+    writers share one text per column, formatted in key order at the first
+    write after an :meth:`extend`, and join each file from those columns.
+    The per-record interface is a set of views over the same store:
+    :meth:`add` and :meth:`merge` extend it; :meth:`get`, ``entries``
+    (key -> record, in insertion order), iteration (sorted by key) and
+    :meth:`times` build their keys and records on demand.
     """
 
     def __init__(self):
         self._columns = {name: np.empty(0, dtype) for name, dtype in _COLUMN_DTYPES.items()}
         self._series: dict[tuple, np.ndarray] = {}
+        self._texts: dict[str, list[str]] = {}
 
     def __len__(self) -> int:
         return self._columns["time"].size
@@ -540,6 +575,7 @@ class ShotDataset:
         columns = {name: np.concatenate((column, new[name])) for name, column in self._columns.items()}
         self._series = _series_index(columns)
         self._columns = columns
+        self._texts = {}
 
     def add(self, key: MeasurementKey, record: ShotRecord) -> None:
         drive_axis, omega, init, observable, time = key
@@ -569,27 +605,27 @@ class ShotDataset:
         """Row indices in MeasurementKey order; code order is label order."""
         return np.lexsort([self.column(name) for name in reversed(_KEY_DTYPES)])
 
-    def _sorted(self, *names) -> list[list]:
-        """The ``names`` columns as lists in key order: coded columns as their
-        labels, float columns as the ``repr`` of each value, other columns as
-        Python values."""
-        order = self._key_order()
-        columns = [self.column(name)[order] for name in names]
-        return [_float_text(c) if c.dtype == float else _listed(name, c) for name, c in zip(names, columns)]
+    def _sorted(self) -> dict[str, list[str]]:
+        """Every :func:`_column_text` in key order, in the field order of
+        datasets.csv, formatted at the first call after an :meth:`extend`."""
+        if not self._texts:
+            order = self._key_order()
+            self._texts = {name: _column_text(name, self.column(name)[order]) for name in _KEY_DTYPES | _VALUE_DTYPES}
+        return self._texts
 
     _FIELDS = (
         "axis", "omega_rad_per_us", "init", "obs", "T_us",
         "n_shots", "n_plus", "expectation", "variance", "analytic",
     )
 
-    # one record as csv.writer lays it out: no label needs quoting, and the
-    # floats are written as their repr
-    _CSV_ROW = "%s,%s,%s,%s,%s,%d,%d,%s,%s,%d\r\n"
+    # the pieces of a record as csv.writer lays it out around its _FIELDS
+    # columns: no label needs quoting, and the floats are written as their repr
+    _CSV_ROW = ("", *[","] * 9, "\r\n")
 
     def to_csv(self, path_or_buffer) -> None:
-        rows = zip(*self._sorted(*_KEY_DTYPES, *_VALUE_DTYPES))
+        text = _joined(self._CSV_ROW, list(self._sorted().values()), ",".join(self._FIELDS) + "\r\n")
         with _opened(path_or_buffer, "w") as buffer:
-            buffer.write(",".join(self._FIELDS) + "\r\n" + "".join(map(self._CSV_ROW.__mod__, rows)))
+            buffer.write(text)
 
     @classmethod
     def from_csv(cls, path_or_buffer) -> "ShotDataset":
@@ -609,25 +645,27 @@ class ShotDataset:
         )
         return dataset
 
-    # one record as json.dumps(..., sort_keys=True, indent=1) lays it out
+    # the pieces of a record as json.dumps(..., sort_keys=True, indent=1) lays
+    # it out around its columns, the _FIELDS sorted
     _MANIFEST_ROW = (
-        '{\n   "T_us": %s,\n   "analytic": %s,\n   "axis": "%s",\n   "expectation": %s,\n'
-        '   "init": "%s",\n   "n_plus": %d,\n   "n_shots": %d,\n   "obs": "%s",\n'
-        '   "omega_rad_per_us": %s,\n   "variance": %s\n  }'
+        '{\n   "T_us": ', ',\n   "analytic": ', ',\n   "axis": "', '",\n   "expectation": ',
+        ',\n   "init": "', '",\n   "n_plus": ', ',\n   "n_shots": ', ',\n   "obs": "',
+        '",\n   "omega_rad_per_us": ', ',\n   "variance": ', '\n  }',
     )
 
     def to_manifest(self, **metadata) -> str:
         """JSON manifest: metadata plus every record, stably ordered; the text of
-        ``json.dumps(..., sort_keys=True, indent=1)``.  Each record is one
-        ``%`` row: its labels are plain ASCII, its counts ints and its values
-        finite, and the ``repr`` of a float is JSON's text for it."""
+        ``json.dumps(..., sort_keys=True, indent=1)``.  The records are joined
+        from the column texts that :meth:`to_csv` writes: the labels are plain
+        ASCII, the counts ints and the values finite, and the ``repr`` of a
+        float is JSON's text for it; a flag's ``0``/``1`` becomes a JSON bool."""
         head = json.dumps({"metadata": metadata, "records": []}, sort_keys=True, indent=1)
-        columns = self._sorted(
-            "time", "analytic", "drive", "expectation", "init", "n_plus", "n_shots", "observable", "omega", "variance")
-        columns[1] = [("false", "true")[analytic] for analytic in columns[1]]
-        rows = list(map(self._MANIFEST_ROW.__mod__, zip(*columns)))
+        if not len(self):
+            return head
+        columns = [texts for _, texts in sorted(zip(self._FIELDS, self._sorted().values()))]
+        columns[1] = list(map({"0": "false", "1": "true"}.__getitem__, columns[1]))
         # the records list is the last key: open up its "[]" at the tail
-        return head[: -len("[]\n}")] + "[\n  " + ",\n  ".join(rows) + "\n ]\n}" if rows else head
+        return _joined(self._MANIFEST_ROW, columns, head[: -len("[]\n}")] + "[\n  ", ",\n  ", "\n ]\n}")
 
     def csv_text(self) -> str:
         buffer = io.StringIO()

@@ -20,13 +20,16 @@ program's own output with a second route to the same number:
   the synthesis, against sample autocorrelations of
   ``noisegen.DSARealization`` trajectories.
 * :func:`manifest_reference`: ``spam.ShotDataset.to_manifest`` as one
-  ``json.dumps`` with an indent, against the program's text, which formats
-  sorted columns with a ``%`` row template.
+  ``json.dumps`` with an indent, against the program's text, which joins
+  sorted text columns between the literal pieces of a record.
 * :func:`csv_reference`: ``spam.ShotDataset.to_csv`` as a ``csv.writer``
-  fed record by record, against the program's column-formatted text.
+  fed record by record, against the program's column-joined text.
 * :func:`report_reference`: ``report.json`` as one ``json.dumps`` with an
-  indent, against the program's text, which encodes the estimate and SPAM
-  rows one at a time and splices them in.
+  indent, against the program's text, which joins the estimates from text
+  columns, encodes the SPAM rows one at a time and splices both lists in.
+* :func:`estimates_csv_reference`: ``estimates.csv`` as a ``csv.writer`` fed
+  row by row, against the program's text, which joins the same text columns
+  as the estimates of ``report.json``.
 * :func:`weighted_linreg_reference`: one straight-line fit with 2-D
   ``np.linalg.solve``/``inv`` calls, against every row of
   ``estimation._linreg_stack``, which fits a stack of lines at once.
@@ -242,6 +245,22 @@ def csv_reference(dataset: ShotDataset) -> str:
 def report_reference(report: dict) -> str:
     """The ``report.json`` text, encoded in one ``json.dumps`` call."""
     return json.dumps(report, sort_keys=True, indent=1)
+
+
+def estimates_csv_reference(report: dict) -> str:
+    """The ``estimates.csv`` text, written row by row with ``csv.writer``;
+    numbers as the ``repr`` of a Python float (that of ``np.float64`` is not
+    a number)."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["component", "freq_label", "freq_rad_per_us", "omega_rad_per_us", "value", "std_error", "method"])
+    for row in report["estimates"]:
+        writer.writerow([
+            row["component"], row["freq_label"], repr(float(row["freq_rad_per_us"])),
+            repr(float(row["omega_rad_per_us"])), repr(float(row["value"])), repr(float(row["std_error"])),
+            row["method"],
+        ])
+    return buffer.getvalue()
 
 
 def _binomial_pmf(p, n_shots: int):

@@ -1,6 +1,7 @@
 """The five output files: ``report.json`` as one indented ``json.dumps``
-gives it, byte-identical files at every ``--jobs``, and the pinned bytes of
-the trajectory path."""
+gives it, ``estimates.csv`` as ``csv.writer`` writes it row by row,
+byte-identical files at every ``--jobs``, the pinned bytes of the trajectory
+path, and how often the writers format a column."""
 
 from __future__ import annotations
 
@@ -9,11 +10,13 @@ import csv
 import hashlib
 import warnings
 
+import numpy as np
 import pytest
 
-from slqns.harness import run_campaign
+from slqns import harness, spam
+from slqns.harness import _estimate_texts, _report_text, run_campaign
 
-from oracles import report_reference
+from oracles import estimates_csv_reference, report_reference
 from test_harness import (
     CLOSED_FORM_P2,
     CLOSED_FORM_P4,
@@ -45,20 +48,97 @@ REPORTS = {
 
 @pytest.fixture(scope="module")
 def written(tmp_path_factory):
-    """name -> (report, text of its report.json) of every REPORTS campaign."""
+    """name -> (report, file name -> text of its report.json and
+    estimates.csv) of every REPORTS campaign."""
     out = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for name, config in REPORTS.items():
             path = tmp_path_factory.mktemp(name)
-            out[name] = run_campaign(config, out_dir=path).report, (path / "report.json").read_text()
+            report = run_campaign(config, out_dir=path).report
+            out[name] = report, {f: (path / f).read_bytes().decode() for f in ("report.json", "estimates.csv")}
     return out
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_report_json_is_one_indented_json_dump(written, name):
-    report, text = written[name]
-    assert text == report_reference(report)
+    report, texts = written[name]
+    assert texts["report.json"] == report_reference(report)
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_estimates_csv_is_written_row_by_row(written, name):
+    report, texts = written[name]
+    assert texts["estimates.csv"] == estimates_csv_reference(report)
+
+
+def _estimate(component, freq, omega, value, std_error, method="robust_linear", freq_label="Omega"):
+    return dict(component=component, method=method, freq_label=freq_label, freq_rad_per_us=freq,
+                omega_rad_per_us=omega, value=value, std_error=std_error)
+
+
+# hand-made estimates rows: 0.0 and -0.0 in every number column (a table keyed
+# by value would merge them), np.float64 numbers, and labels that CSV quotes
+EDGE_ROWS = [
+    _estimate("S+_{1,-1}", 0.0, -0.0, -0.0, 0.0),
+    _estimate("S+_{1,-1}", -0.0, 0.0, 0.0, -0.0, freq_label="Omega+omega_q"),
+    _estimate("S-_{0,0}", np.float64(-0.0), np.float64(2.5), np.float64(0.1), np.float64(1e-300), "standard"),
+    _estimate('say "x", twice', 2.5, 2.5, -1.5e300, 5e-324, 'a "quoted", label', "line\nbreak"),
+    _estimate("S+_{1,-1}", 0.0, -0.0, np.float64(-0.0), np.float64(0.0)),
+]
+HAND_MADE_REPORT = {
+    "analytic": False, "failures": {"0.5": "why"}, "protocol": 4, "seed": 3, "spam": None, "standard_dropped": {},
+    "spam_per_frequency": [{"alpha_m": 0.9, "alpha_m_std_error": 0.0, "delta": -0.0, "delta_std_error": 1e-3,
+                            "omega_rad_per_us": -0.0, "path": "multi_axis"}],
+}
+
+
+@pytest.mark.parametrize("rows", [EDGE_ROWS, []], ids=["edge-rows", "no-rows"])
+def test_estimate_texts_of_hand_made_rows(rows):
+    report = dict(HAND_MADE_REPORT, estimates=rows)
+    estimates_json, estimates_csv = _estimate_texts(rows)
+    assert _report_text(report, estimates_json) == report_reference(report)
+    assert estimates_csv == estimates_csv_reference(report)
+
+
+def _count_formatting(monkeypatch) -> list[tuple[str, int]]:
+    """(function, column length) of every call that formats a column."""
+    calls = []
+
+    def counted(name, function):
+        def wrapper(column, *args):
+            calls.append((name, len(column)))
+            return function(column, *args)
+        return wrapper
+
+    float_text = counted("_float_text", spam._float_text)
+    monkeypatch.setattr(spam, "_float_text", float_text)
+    monkeypatch.setattr(harness, "_float_text", float_text)
+    monkeypatch.setattr(spam, "_distinct_text", counted("_distinct_text", spam._distinct_text))
+    return calls
+
+
+def test_each_column_is_formatted_once_for_both_files(tmp_path, monkeypatch):
+    calls = _count_formatting(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = run_campaign(CLOSED_FORM_P4, out_dir=tmp_path)
+    points, rows = len(result.dataset), len(result.report["estimates"])
+    floats = [call for call in calls if call[0] == "_float_text"]
+    # omega, T_us, expectation and variance for datasets.csv and manifest.json;
+    # the frequency and omega for report.json and estimates.csv
+    assert floats == [("_float_text", points)] * 4 + [("_float_text", rows)] * 2
+    # each _float_text formats through _distinct_text, as do n_shots, n_plus
+    # and analytic, the dataset's three other columns that are not labels
+    assert len(calls) - len(floats) == len(floats) + 3
+
+
+def test_a_run_without_out_dir_formats_nothing(monkeypatch):
+    calls = _count_formatting(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_campaign(CLOSED_FORM_P4)
+    assert calls == []
 
 
 def test_the_report_cases_cover_failures_drops_and_no_spam(written):

@@ -1,5 +1,6 @@
 """The columnar ``ShotDataset``: its one vectorised row check, its series
-index and its writers, which format sorted columns instead of records."""
+index and its writers, which share sorted text columns instead of formatting
+records."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from slqns.harness import build_campaign
 from slqns.protocols import run_plan
 from slqns.spam import DRIVE_AXES, INITS, OBSERVABLES, MeasurementKey, ShotColumns, ShotDataset, ShotRecord
 
-from oracles import csv_reference
+from oracles import csv_reference, manifest_reference
 from test_fixed_seed_outputs import CAMPAIGNS, DIGESTS
 
 GOOD_CSV = (
@@ -146,6 +147,28 @@ def test_to_csv_equals_the_record_by_record_writer(twin_datasets):
     for ds in (ShotDataset(), small_dataset(), *twin_datasets.values()):
         assert ds.csv_text() == csv_reference(ds)
     assert ",-0.0,0.0,1\r\n" in small_dataset().csv_text()
+
+
+def _grow(ds: ShotDataset, how: str) -> None:
+    if how == "add":
+        ds.add(MeasurementKey("x", 0.5, "x+", "y", 1.0), ShotRecord.from_counts(10, 4))
+    elif how == "merge":
+        other = ShotDataset()
+        other.extend([2, 0], [-0.0, 7.0], [3, 1], [2, 0], [0.5, 2.0], ShotColumns.from_counts(20, [0, 20]))
+        ds.merge(other)
+    else:  # a block that the store rejects leaves it, and its texts, as they were
+        with pytest.raises(ValueError, match="duplicate measurement key"):
+            ds.extend([0], [2.5], [0], [0], [4.0], ShotColumns.exact([0.1]))
+
+
+@pytest.mark.parametrize("how", ["add", "merge", "rejected"])
+def test_the_writers_follow_the_store_after_a_write(how):
+    ds = small_dataset()
+    assert ds.csv_text() == csv_reference(ds) and ds.to_manifest(seed=1) == manifest_reference(ds, seed=1)
+    _grow(ds, how)
+    assert len(ds) == (6 if how == "rejected" else 7 if how == "add" else 8)
+    assert ds.to_manifest(seed=2) == manifest_reference(ds, seed=2)
+    assert ds.csv_text() == csv_reference(ds)
 
 
 def test_from_csv_reproduces_the_pinned_datasets_csv(twin_datasets):
