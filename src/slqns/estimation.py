@@ -1,8 +1,9 @@
 """Spectral and SPAM-parameter estimators.
 
 Closed-form inversions, weighted linear regression, a bounded non-linear
-least-squares fit (``scipy.optimize.least_squares``), and first-order
-(delta-method) uncertainty propagation.  ``least_squares`` is imported inside
+least-squares fit (``scipy.optimize.least_squares``, given scipy's two-point
+Jacobian in one array call), and first-order (delta-method) uncertainty
+propagation.  ``least_squares`` is imported inside
 :func:`robust_single_axis_nonlinear`, its only caller, so that campaigns which
 never run the nonlinear fit (protocols 1, 3 and 4) never import
 ``scipy.optimize``, about half a second of start-up.  It is the only scipy
@@ -196,8 +197,9 @@ class EstimatorResult:
 
     @property
     def iterations(self) -> int:
-        """The nonlinear solver's ``nfev``: its residual evaluations, not
-        counting those of the finite-difference Jacobian."""
+        """The nonlinear solver's ``nfev``: its residual evaluations.  Each
+        of its Jacobians is one more array evaluation, not counted, of the
+        residuals at the point and at its four forward-difference steps."""
         return self.diagnostics["nfev"]
 
 
@@ -450,10 +452,12 @@ def single_axis_forward(
     delta: float = 0.0,
 ) -> np.ndarray:
     """SPAM-corrupted x-drive expectation(s) for the |x_sign> preparation,
-    with no preparation error (``alpha = alpha_m``)."""
+    with no preparation error (``alpha = alpha_m``).  Every argument
+    broadcasts: columns of parameters give one row of expectations each."""
     t = np.asarray(duration, dtype=float)
     decay = np.exp(-s_plus * t)
-    drift = (s_minus / s_plus) * (1.0 - decay) if s_plus != 0.0 else s_minus * t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        drift = np.where(s_plus != 0.0, np.divide(s_minus, s_plus) * (1.0 - decay), s_minus * t)
     return alpha_m * (sign * decay + drift) + delta
 
 
@@ -645,11 +649,15 @@ def _guard_value(block: _PairBlock) -> float:
     return float(np.max(block.fits.result(0).slope * block.times[0]))
 
 
+def _lines(block: _PairBlock) -> tuple[RegressionResult, RegressionResult]:
+    """The classical line of a one-frequency pair block and the quantum line
+    (preparation means against time) fitted here."""
+    return block.fits.result(0), block.quantum_fits(lambda slope, times: times).result(0)
+
+
 def _linearized_result(block: _PairBlock, omega: float) -> EstimatorResult:
-    """The linearized estimate of a one-frequency pair block: its classical
-    line and the quantum line fitted here."""
-    classical_fit = block.fits.result(0)
-    quantum_fit = block.quantum_fits(lambda slope, times: times).result(0)
+    """The linearized estimate of a one-frequency pair block, from its lines."""
+    classical_fit, quantum_fit = _lines(block)
 
     alpha = math.exp(-classical_fit.intercept)
     rows = [
@@ -696,6 +704,8 @@ def robust_single_axis_linearized(dataset: ShotDataset, omega: float) -> Estimat
 # xtol, ftol and gtol of the solver; scipy's 1e-8 default stops ~1e-7 short
 # of the truth on exact data
 FIT_TOLERANCE = 1e-12
+# relative forward-difference step of scipy's '2-point' Jacobian
+_FD_STEP = np.finfo(float).eps ** 0.5
 
 
 def robust_single_axis_nonlinear(dataset: ShotDataset, omega: float, start: _PairBlock) -> EstimatorResult:
@@ -705,9 +715,12 @@ def robust_single_axis_nonlinear(dataset: ShotDataset, omega: float, start: _Pai
     preparation errors; the fitted ``alpha_m`` is reported as ``alpha``) and
     minimises the standardised residuals with scipy's trust-region-reflective
     solver (Branch, Coleman & Li, SIAM J. Sci. Comput. 21, 1999), started
-    from the linearized estimate of ``start``, the fitted block that the guard
-    rejected at ``omega`` (``LinearizationGuardError.block``); its quantum
-    line is fitted after this fit's own checks.
+    from the lines of ``start``, the fitted block that the guard rejected at
+    ``omega`` (``LinearizationGuardError.block``); its quantum line is fitted
+    after this fit's own checks.  The Jacobian is the forward difference that
+    scipy's ``jac="2-point"`` takes, with its steps and their flips at the
+    bounds, but its five parameter vectors go through one array evaluation
+    of the residuals, so the solver takes the same steps.
     The bounds are independent: ``S+ >= 0`` and ``alpha_m, delta`` in
     [0, 1].  The joint physical region ``alpha_m + delta <= 1`` is not a box
     and is not imposed, so a noisy fit may exceed it slightly; clipping such
@@ -725,20 +738,33 @@ def robust_single_axis_nonlinear(dataset: ShotDataset, omega: float, start: _Pai
     analytic = bool(values.analytic.all())
     y = values.expectation
     sig = np.ones_like(y) if analytic else expectation_std_error(values)
+    signs = np.array([[+1], [-1]])
 
-    def residuals(theta):
-        s_plus, s_minus, alpha_m, delta = theta
-        model = [
-            single_axis_forward(s_plus, s_minus, times, sign, alpha_m=alpha_m, delta=delta)
-            for sign in (+1, -1)
-        ]
-        return (np.concatenate(model) - y) / sig
+    def residuals(thetas):
+        """Standardised residuals (2n,) at parameters (4,), or (k, 2n) at rows (k, 4)."""
+        s_plus, s_minus, alpha_m, delta = thetas.T[..., None, None]
+        model = single_axis_forward(s_plus, s_minus, times, signs, alpha_m=alpha_m, delta=delta)
+        return (model.reshape(thetas.shape[:-1] + (-1,)) - y) / sig
 
-    bounds = ([0.0, -np.inf, 0.0, 0.0], [np.inf, np.inf, 1.0, 1.0])
-    lin = _linearized_result(start, omega)
-    theta0 = [lin["S+_{0,0}"].value, lin["alpha_m*S-_{0,0}"].value / lin.alpha, lin.alpha, lin.delta]
+    lower, upper = bounds = np.array([[0.0, -np.inf, 0.0, 0.0], [np.inf, np.inf, 1.0, 1.0]])
+    params = np.arange(4)
+
+    def jacobian(theta):
+        # a step that leaves the box is flipped; the bounded ranges are far
+        # wider than a step, so scipy never shortens one here
+        h = _FD_STEP * np.where(theta >= 0.0, 1.0, -1.0) * np.maximum(1.0, np.abs(theta))
+        h = np.where((theta + h < lower) | (theta + h > upper), -h, h)
+        stepped = theta + h
+        stencil = np.repeat(theta[None], 5, axis=0)
+        stencil[1 + params, params] = stepped
+        f = residuals(stencil)
+        return ((f[1:] - f[0]) / (stepped - theta)[:, None]).T
+
+    classical, quantum = _lines(start)
+    alpha = math.exp(-classical.intercept)
+    theta0 = [classical.slope, quantum.slope / alpha, alpha, quantum.intercept]
     fit = least_squares(
-        residuals, np.clip(theta0, *bounds), bounds=bounds,
+        residuals, np.clip(theta0, *bounds), jac=jacobian, bounds=bounds,
         xtol=FIT_TOLERANCE, ftol=FIT_TOLERANCE, gtol=FIT_TOLERANCE,
     )
     if not fit.success:

@@ -146,18 +146,20 @@ def test_block_records_equal_the_scalar_chain(name, analytic):
 def test_block_states_equal_the_scalar_chain():
     campaign = build_campaign(CONFIGS["p4-aligned"])
     backend = campaign.backend
-    for omega in campaign.plan.omegas:
-        for drive_axis, axis, amplitude in (
-            ("x", DriveAxis.X_PLUS, omega),
-            ("z+", DriveAxis.Z_PLUS, abs(omega)),
-            ("z-", DriveAxis.Z_MINUS, abs(omega)),
-        ):
-            drive = DriveConfig(axis, amplitude, TIMES_US[0], long_time_threshold=0.0)
-            points = [(init, t) for init in ("x+", "x-", "z+", "z-") for t in TIMES_US]
-            rho0s = [faulty_state(init[0], +1 if init[1] == "+" else -1, backend.spam) for init, _ in points]
-            states = tcl_evolve_states(drive, backend.spectra, backend.device, rho0s, [t for _, t in points])
-            expected = [scalar_final_state(backend, drive_axis, omega, init, t) for init, t in points]
-            assert np.array_equal(states, expected), (omega, drive_axis)
+    # the 1 MHz drive strains the secular description
+    with pytest.warns(UserWarning, match="secular description"):
+        for omega in campaign.plan.omegas:
+            for drive_axis, axis, amplitude in (
+                ("x", DriveAxis.X_PLUS, omega),
+                ("z+", DriveAxis.Z_PLUS, abs(omega)),
+                ("z-", DriveAxis.Z_MINUS, abs(omega)),
+            ):
+                drive = DriveConfig(axis, amplitude, TIMES_US[0], long_time_threshold=0.0)
+                points = [(init, t) for init in ("x+", "x-", "z+", "z-") for t in TIMES_US]
+                rho0s = [faulty_state(init[0], +1 if init[1] == "+" else -1, backend.spam) for init, _ in points]
+                states = tcl_evolve_states(drive, backend.spectra, backend.device, rho0s, [t for _, t in points])
+                expected = [scalar_final_state(backend, drive_axis, omega, init, t) for init, t in points]
+                assert np.array_equal(states, expected), (omega, drive_axis)
 
 
 DEVICE = DeviceParams(omega_q=mhz_to_rad_per_us(4970.0))

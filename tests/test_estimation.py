@@ -7,11 +7,20 @@ import copy
 import math
 import warnings
 
+import numpy as np
 import pytest
+import scipy.optimize
 
 from slqns import harness
 from slqns.dynamics import frame_aligned_times
-from slqns.estimation import EstimationError, EstimatorResult, Method, SpectralEstimate, invert_multi_axis
+from slqns.estimation import (
+    EstimationError,
+    EstimatorResult,
+    Method,
+    SpectralEstimate,
+    invert_multi_axis,
+    single_axis_forward,
+)
 from slqns.harness import run_campaign
 from test_harness import CLOSED_FORM_P4
 from test_recovery import BASE, CASES, DEVICE, SERIES_US, SPAM, analytic_report
@@ -151,3 +160,67 @@ def test_every_estimator_returns_one_result_type_that_the_report_copies(monkeypa
              **({"intercepts_consistent": True} if protocol == 4 else {}))
         for omega, result in zip(report["frequencies_rad_per_us"], robust)
     ]
+
+
+def test_single_axis_forward_broadcasts_over_columns_of_parameters():
+    times = np.array(SERIES_US)
+    s_plus = np.array([0.2, 0.0, 0.05, -0.0, 0.3, 0.0, 0.01, 0.12])
+    s_minus = np.array([0.03, -0.02, -0.04, 0.05, 0.0, 0.01, -0.001, 0.02])
+    alpha_m = np.array([0.95, 0.9, 1.0, 0.8, 0.99, 0.0, 0.93, 0.97])
+    delta = np.array([0.01, 0.0, 0.02, 0.05, 1.0, 0.03, 0.0, 0.005])
+    signs = np.array([+1, -1] * 4)
+    columns = single_axis_forward(s_plus[:, None], s_minus[:, None], times, signs[:, None],
+                                  alpha_m=alpha_m[:, None], delta=delta[:, None])
+    scalar = [
+        single_axis_forward(float(sp), float(sm), times, int(sign), alpha_m=float(a), delta=float(d))
+        for sp, sm, sign, a, d in zip(s_plus, s_minus, signs, alpha_m, delta)
+    ]
+    assert columns.shape == (8, times.size)
+    assert np.array_equal(columns, np.array(scalar))
+    # at S+ = 0 there is no decay and the drift is S- T
+    zero = s_plus == 0.0
+    limit = alpha_m[zero, None] * (signs[zero, None] + s_minus[zero, None] * times) + delta[zero, None]
+    assert np.array_equal(columns[zero], limit)
+
+
+def _bound_starts(x0):
+    """The fit's own start, then starts on or next to each bound."""
+    starts = [np.array(x0, dtype=float)]
+    for index, value in [(0, 0.0), (2, 0.0), (2, 1.0), (2, 1.0 - 2.0**-28), (3, 0.0), (3, 1.0),
+                         (1, -abs(x0[1]) - 0.01)]:
+        start = starts[0].copy()
+        start[index] = value
+        starts.append(start)
+    return starts
+
+
+@pytest.mark.parametrize("analytic", [False, True], ids=["shots", "analytic"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_nonlinear_fit_takes_scipys_two_point_steps(monkeypatch, seed, analytic):
+    # The fit's Jacobian reproduces scipy's jac="2-point" forward differences
+    # in one array call (equal on scipy 1.17.1).  A scipy whose stencil
+    # differs fails this test loudly and leaves the slqns outputs unchanged:
+    # the fit keeps its own Jacobian.
+    solve = scipy.optimize.least_squares
+    problems = []
+
+    def capture(fun, x0, **kwargs):
+        problems.append((fun, x0, kwargs))
+        return solve(fun, x0, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", capture)
+    _, _, plan, *_ = CASES["p2-nonlinear"]
+    config = dict(BASE, protocol=2, spam=SPAM, plan=dict(plan, shots=1000),
+                  backend={"type": "closed_form", "analytic": analytic})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_campaign(config, seed=seed)
+
+    assert len(problems) == len(plan["omegas_MHz"])
+    for fun, x0, kwargs in problems:
+        assert callable(kwargs["jac"])
+        for start in _bound_starts(x0):
+            ours = solve(fun, start, **kwargs)
+            theirs = solve(fun, start, **dict(kwargs, jac="2-point"))
+            for name in ("x", "jac", "cost", "nfev"):
+                assert np.array_equal(getattr(ours, name), getattr(theirs, name)), (start, name)
