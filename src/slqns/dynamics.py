@@ -527,15 +527,24 @@ def _steps(duration: float, dt: float) -> tuple[int, float, np.ndarray]:
 
 
 def _product_in_order(mats: np.ndarray) -> np.ndarray:
-    """Time-ordered product U[n-1] ... U[1] U[0] by pairwise tree reduction."""
-    while mats.shape[0] > 1:
-        if mats.shape[0] % 2 == 1:
-            head, rest = mats[:1], mats[1:]
-            rest = np.matmul(rest[1::2], rest[0::2])
-            mats = np.concatenate([head, rest]) if rest.size else head
-        else:
-            mats = np.matmul(mats[1::2], mats[0::2])
-    return mats[0]
+    """Time-ordered product U[n-1] ... U[1] U[0] of an (n, d, d) stack by
+    pairwise tree reduction.
+
+    Each level multiplies neighbouring pairs, later @ earlier, in one
+    ``np.einsum`` over (d, d, n) storage, the step axis innermost, so no
+    level calls BLAS; an odd first step is carried, unmultiplied, to the
+    next level.  The stack is read through ``mats.transpose(1, 2, 0)``,
+    which is free for the (n, d, d) views of (d, d, n) storage that the step
+    builders return; any other layout works too.
+    """
+    mats = mats.transpose(1, 2, 0)
+    while (n := mats.shape[2]) > 1:
+        head = n % 2
+        level = np.empty(mats.shape[:2] + (head + n // 2,), dtype=mats.dtype)
+        level[..., :head] = mats[..., :head]
+        np.einsum("ilk,ljk->ijk", mats[..., head + 1::2], mats[..., head::2], out=level[..., head:])
+        mats = level
+    return mats[..., 0]
 
 
 def _cos_sinc(lam: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -545,14 +554,10 @@ def _cos_sinc(lam: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(phase), sinc
 
 
-def _rotation_from_hamiltonians(h_stack: np.ndarray, lam: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i H dt) for a stack of H with H^2 = lam^2 * identity."""
-    cos, sinc = _cos_sinc(lam, dt)
-    eye = np.eye(h_stack.shape[-1], dtype=complex)
-    return cos[:, None, None] * eye - 1j * sinc[:, None, None] * h_stack
-
-
 def _x_drive_unitaries_bath(omega_eff: float, b: tuple, dt: float) -> np.ndarray:
+    """Step unitaries of the x drive through the toy bath, as the (n, 4, 4)
+    view of (4, 4, n) storage: each entry is one contiguous row over the
+    steps, which :func:`_product_in_order` reads without a copy."""
     # H = (W/2) sx x I + sz x m.tau with m = (bx, by, bz)/2; the two terms
     # anticommute so H^2 = ((W/2)^2 + |m|^2) I and U = cos(lam dt) I - i sinc H.
     # Its twelve nonzero entries are written directly.
@@ -561,35 +566,41 @@ def _x_drive_unitaries_bath(omega_eff: float, b: tuple, dt: float) -> np.ndarray
     cos, sinc = _cos_sinc(lam, dt)
     sx, sy, sz = sinc * (0.5 * bx), sinc * (0.5 * by), sinc * (0.5 * bz)
     sw = sinc * (0.5 * omega_eff)
-    u = np.zeros((lam.shape[0], 4, 4), dtype=complex)
+    u = np.zeros((4, 4, lam.shape[0]), dtype=complex)
     re, im = u.real, u.imag
     for k in range(4):
-        re[:, k, k] = cos
-    im[:, 0, 0] = im[:, 3, 3] = -sz
-    im[:, 1, 1] = im[:, 2, 2] = sz
-    re[:, 0, 1] = re[:, 3, 2] = -sy
-    re[:, 1, 0] = re[:, 2, 3] = sy
-    im[:, 0, 1] = im[:, 1, 0] = -sx
-    im[:, 2, 3] = im[:, 3, 2] = sx
+        re[k, k] = cos
+    im[0, 0] = im[3, 3] = -sz
+    im[1, 1] = im[2, 2] = sz
+    re[0, 1] = re[3, 2] = -sy
+    re[1, 0] = re[2, 3] = sy
+    im[0, 1] = im[1, 0] = -sx
+    im[2, 3] = im[3, 2] = sx
     for i, j in ((0, 2), (1, 3), (2, 0), (3, 1)):
-        im[:, i, j] = -sw
-    return u
+        im[i, j] = -sw
+    return u.transpose(2, 0, 1)
 
 
 def _z_drive_blocks(omega_eff: float, b: tuple, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    # H = sz x K with K = (W/2) I + m.tau, m = (bx, by, bz)/2;
-    # U = blockdiag(exp(-i K dt), exp(+i K dt))
+    """The two 2x2 blocks of the z drive's step unitaries through the toy
+    bath, each the (n, 2, 2) view of (2, 2, n) storage as in
+    :func:`_x_drive_unitaries_bath`."""
+    # H = sz x K with K = (W/2) I + m.tau, m = (bx, by, bz)/2, and (m.tau)^2 =
+    # |m|^2 I, so U = blockdiag(exp(-i K dt), exp(+i K dt)) with
+    # exp(-i m.tau dt) = cos(|m| dt) I - i sinc m.tau
     bx, by, bz = b
-    m_tau = 0.5 * (
-        bx[:, None, None] * SIGMA["x"]
-        + by[:, None, None] * SIGMA["y"]
-        + bz[:, None, None] * SIGMA["z"]
-    )
-    rot = _rotation_from_hamiltonians(m_tau, np.sqrt(0.25 * (bx**2 + by**2 + bz**2)), dt)
+    cos, sinc = _cos_sinc(np.sqrt(0.25 * (bx**2 + by**2 + bz**2)), dt)
+    sx, sy, sz = sinc * (0.5 * bx), sinc * (0.5 * by), sinc * (0.5 * bz)
+    rot = np.empty((2, 2, cos.shape[0]), dtype=complex)
+    re, im = rot.real, rot.imag
+    re[0, 0] = re[1, 1] = cos
+    im[0, 0], im[1, 1] = -sz, sz
+    re[0, 1], re[1, 0] = -sy, sy
+    im[0, 1] = im[1, 0] = -sx
     upper = np.exp(-1j * 0.5 * omega_eff * dt) * rot
     # exp(+i K dt) is the Hermitian conjugate of exp(-i K dt), phase included
-    lower = np.conj(np.swapaxes(upper, -1, -2))
-    return upper, lower
+    lower = np.conj(upper.transpose(1, 0, 2))
+    return upper.transpose(2, 0, 1), lower.transpose(2, 0, 1)
 
 
 def _reduce_system(rho_joint: np.ndarray) -> QubitState:

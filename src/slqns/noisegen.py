@@ -89,11 +89,13 @@ class DSAConfig:
         """Grid omega_j = j * d_omega, j = 0 .. n_omega - 1."""
         return self.d_omega * np.arange(self.n_omega)
 
-    @property
+    @functools.cached_property
     def amplitudes(self) -> np.ndarray:
-        """Mode amplitudes G_j."""
+        """Mode amplitudes G_j, evaluated once per config and read-only."""
         values = np.asarray(evaluate_spectrum(self.spectrum, self.frequencies), dtype=float)
-        return np.sqrt(self.d_omega * values / np.pi)
+        amplitudes = np.sqrt(self.d_omega * values / np.pi)
+        amplitudes.flags.writeable = False
+        return amplitudes
 
     def cutoff_adequate(self) -> bool:
         """True when the spectrum at the cutoff is <= 1e-3 of its grid maximum."""

@@ -7,6 +7,13 @@ program's own output with a second route to the same number:
   against ``dynamics.simulate_trajectory`` under the continuous z drive
   (first-order convergence in the step) and against the exact rotation when
   the bath is silent.
+* :func:`sequential_product`: the time-ordered product of a stack of step
+  unitaries, one ``@`` at a time, against ``dynamics._product_in_order``,
+  which reduces the stack as a tree with one ``np.einsum`` per level.
+* :func:`stacked_matmul_product`: the same tree reduced with one stacked
+  ``np.matmul`` per level (BLAS, one small product at a time), patched in
+  for ``dynamics._product_in_order`` to bound the drift of whole trajectory
+  campaigns.
 * :func:`tcl_sinc_integrator`: the single-axis TCL with its sinc kernels
   kept, against ``dynamics.tcl_expectation_x_drive``, the closed form that
   the delta approximation gives.
@@ -112,6 +119,28 @@ def discretized_z_drive(
     rho_joint = np.kron(rho0.matrix, _BATH_GROUND)
     rho_joint = u_total @ rho_joint @ u_total.conj().T
     return _reduce_system(rho_joint)
+
+
+def sequential_product(mats: np.ndarray) -> np.ndarray:
+    """U[n-1] @ ... @ U[1] @ U[0] of an (n, d, d) stack, one step at a time."""
+    total = mats[0].copy()
+    for u in mats[1:]:
+        total = u @ total
+    return total
+
+
+def stacked_matmul_product(mats: np.ndarray) -> np.ndarray:
+    """The pairwise tree of ``dynamics._product_in_order``, each level one
+    stacked ``np.matmul`` on (n, d, d) arrays: the same pairs, an odd first
+    step carried to the next level."""
+    while mats.shape[0] > 1:
+        if mats.shape[0] % 2 == 1:
+            head, rest = mats[:1], mats[1:]
+            rest = np.matmul(rest[1::2], rest[0::2])
+            mats = np.concatenate([head, rest]) if rest.size else head
+        else:
+            mats = np.matmul(mats[1::2], mats[0::2])
+    return mats[0]
 
 
 def tcl_sinc_integrator(

@@ -114,3 +114,10 @@ def test_the_scipy_import_guard_sees_only_module_level_imports():
         "import scipyx\n"
     )
     assert module_level_scipy_imports(tree) == [2, 4, 6]
+
+
+def test_blas_threads_are_pinned_before_numpy_loads():
+    import conftest
+
+    assert not conftest.NUMPY_PRELOADED
+    assert all(os.environ.get(var) for var in conftest.BLAS_THREAD_VARS)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from slqns import noisegen
 from slqns.noisegen import (
     BathConfig,
     BathVariant,
@@ -12,7 +13,7 @@ from slqns.noisegen import (
     default_dsa_config,
     target_spectra,
 )
-from slqns.spectra import Lorentzian, Tabulated, White
+from slqns.spectra import Lorentzian, Tabulated, White, evaluate_spectrum
 
 from oracles import dsa_sample, theoretical_autocorrelation
 
@@ -32,6 +33,26 @@ def white_config(level=0.3, omega_max=6.0, n_omega=128):
 class TestDSAConfig:
     def test_default_lorentzian_cutoff_is_adequate(self, lor_config):
         assert lor_config.cutoff_adequate()
+
+    def test_amplitudes_are_evaluated_once_and_read_only(self, monkeypatch):
+        config = default_dsa_config(LOR, n_omega=64)
+        values = evaluate_spectrum(config.spectrum, config.frequencies)
+        expected = np.sqrt(config.d_omega * values / np.pi)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate_spectrum(*args)
+
+        monkeypatch.setattr(noisegen, "evaluate_spectrum", counted)
+        amplitudes = config.amplitudes
+        for seed in range(3):
+            DSARealization(config, seed)
+        assert config.amplitudes is amplitudes and len(calls) == 1
+        assert amplitudes.tobytes() == expected.tobytes()
+        assert not amplitudes.flags.writeable
+        assert config == default_dsa_config(LOR, n_omega=64)
+        assert hash(config) == hash(default_dsa_config(LOR, n_omega=64))
 
     def test_inadequate_cutoff_warns(self):
         with pytest.warns(UserWarning, match="cutoff"):

@@ -1,4 +1,5 @@
-"""Trajectory engine: blocked noise synthesis, direct bath unitaries, drift bound."""
+"""Trajectory engine: blocked noise synthesis, direct bath unitaries, the
+time-ordered product, drift bounds."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from slqns.noisegen import (
 )
 from slqns.spectra import Lorentzian
 
+from oracles import sequential_product, stacked_matmul_product
 from test_harness import OUTPUT_FILES, TRAJECTORY
 
 # the dephasing model of the harness and bench configs, in rad/us
@@ -119,6 +121,41 @@ def test_x_drive_bath_unitaries_match_expm(variant, dt):
 
 
 # ---------------------------------------------------------------------------
+# the time-ordered product against the sequential one
+# ---------------------------------------------------------------------------
+
+
+def random_unitaries(n, d, seed):
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))[0]
+
+
+@pytest.mark.parametrize("layout", ["stack", "steps-innermost"])
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 2645, 2646])
+def test_product_in_order_matches_the_sequential_product(n, d, layout):
+    steps = np.ascontiguousarray(random_unitaries(n, d, seed=10 * n + d))
+    if layout == "steps-innermost":
+        # the (n, d, d) view of (d, d, n) storage that the step builders return
+        steps = np.ascontiguousarray(steps.transpose(1, 2, 0)).transpose(2, 0, 1)
+        assert steps.transpose(1, 2, 0).flags.c_contiguous
+    before = steps.copy()
+    product = dynamics._product_in_order(steps)
+    assert product.shape == (d, d)
+    assert np.max(np.abs(product - sequential_product(steps))) <= 1e-13
+    assert np.array_equal(steps, before)
+
+
+def test_step_builders_store_the_steps_innermost():
+    rng = np.random.default_rng(5)
+    b = (*rng.standard_normal((2, 7)), np.zeros(7))
+    stacks = [dynamics._x_drive_unitaries_bath(-25.0, b, STEP), *dynamics._z_drive_blocks(25.0, b, STEP)]
+    for steps in stacks:
+        assert steps.shape[0] == 7
+        assert steps.strides[0] == steps.itemsize
+
+
+# ---------------------------------------------------------------------------
 # campaign drift against the dense synthesis
 # ---------------------------------------------------------------------------
 
@@ -130,18 +167,20 @@ def dense_trajectory(self, time_grid):
     )
 
 
-def assert_reports_close(a, b, path="report"):
+def assert_reports_close(a, b, path="report", floor=0.0):
+    """Equal keys and labels, and floats within 1e-10 relative (1e-9 for a
+    ``std_error``) or within the absolute ``floor``."""
     if isinstance(a, dict):
         assert a.keys() == b.keys(), path
         for key in a:
-            assert_reports_close(a[key], b[key], f"{path}.{key}")
+            assert_reports_close(a[key], b[key], f"{path}.{key}", floor)
     elif isinstance(a, list):
         assert len(a) == len(b), path
         for k, (x, y) in enumerate(zip(a, b)):
-            assert_reports_close(x, y, f"{path}[{k}]")
+            assert_reports_close(x, y, f"{path}[{k}]", floor)
     elif isinstance(a, float):
         rel = 1e-9 if "std_error" in path else 1e-10
-        assert abs(a - b) <= rel * max(abs(a), abs(b)), (path, a, b)
+        assert abs(a - b) <= max(rel * max(abs(a), abs(b)), floor), (path, a, b)
     else:
         assert a == b, path
 
@@ -172,3 +211,49 @@ def test_campaign_drift_against_dense_synthesis(tmp_path, monkeypatch, analytic)
     else:
         for name in OUTPUT_FILES:
             assert (blocked / name).read_bytes() == (dense / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# campaign drift against the stacked-matmul product
+# ---------------------------------------------------------------------------
+
+# protocol 4 on the trajectory backend: the z drives and the aligned block
+TRAJECTORY_P4 = dict(copy.deepcopy(TRAJECTORY), protocol=4, plan=dict(TRAJECTORY["plan"], aligned_n=[8, 10]))
+
+
+@pytest.mark.parametrize("config", [TRAJECTORY, TRAJECTORY_P4], ids=["p2", "p4"])
+@pytest.mark.parametrize("analytic", [False, True], ids=["shot", "analytic"])
+def test_campaign_drift_against_the_stacked_matmul_product(tmp_path, monkeypatch, config, analytic):
+    """The einsum tree moves a trajectory campaign by rounding only.
+
+    Stated tolerance, against the same tree reduced with stacked
+    ``np.matmul``: in shot mode all five output files are byte-identical; in
+    analytic mode every float of ``report.json`` agrees to 1e-10 relative
+    (1e-9 for a ``std_error``) or to 1e-13 absolute, the floor for values of
+    round-off size such as protocol 4's z-drive quantum rows.
+    """
+    config = copy.deepcopy(config)
+    config["backend"]["analytic"] = analytic
+    calls = []
+
+    def matmul_product(mats):
+        calls.append(mats.shape[0])
+        return stacked_matmul_product(mats)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_campaign(config, out_dir=tmp_path / "einsum")
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_product_in_order", matmul_product)
+            run_campaign(config, out_dir=tmp_path / "matmul")
+    assert calls
+    einsum, matmul = tmp_path / "einsum", tmp_path / "matmul"
+    if analytic:
+        assert_reports_close(
+            json.loads((einsum / "report.json").read_text()),
+            json.loads((matmul / "report.json").read_text()),
+            floor=1e-13,
+        )
+    else:
+        for name in OUTPUT_FILES:
+            assert (einsum / name).read_bytes() == (matmul / name).read_bytes(), name
