@@ -8,7 +8,10 @@ Two independent routes to the same observables:
   state by per-step matrix exponentials of the piecewise-constant
   rotating-frame Hamiltonian (used as an independent oracle).  The toy bath
   (one bath qubit, :class:`ToyBathNoise`) is the only noise model it
-  propagates.
+  propagates.  A z drive conserves sigma_z x I, and an x drive conserves the
+  parity P = sigma_x x tau_z when b_z is zero at every step (the main-text
+  bath), so both propagate two 2x2 blocks; an x drive with b_z != 0 (the
+  three-axis bath) mixes the parity sectors and propagates 4x4 steps.
 
 Conventions.  Everything lives in the frame co-rotating with the qubit
 splitting ``omega_q`` (the RWA has already been applied); a constant drive
@@ -581,6 +584,20 @@ def _x_drive_unitaries_bath(omega_eff: float, b: tuple, dt: float) -> np.ndarray
     return u.transpose(2, 0, 1)
 
 
+def _su2_steps(cos: np.ndarray, sinc: np.ndarray, h: tuple) -> np.ndarray:
+    """(2, 2, n) storage, the step axis innermost, of the 2x2 step unitaries
+    cos I - i sinc (h_x sigma_x + h_y sigma_y + h_z sigma_z); each entry of
+    ``h`` is an array over the steps or a scalar."""
+    sx, sy, sz = (sinc * c for c in h)
+    u = np.empty((2, 2, cos.shape[0]), dtype=complex)
+    re, im = u.real, u.imag
+    re[0, 0] = re[1, 1] = cos
+    im[0, 0], im[1, 1] = -sz, sz
+    re[0, 1], re[1, 0] = -sy, sy
+    im[0, 1] = im[1, 0] = -sx
+    return u
+
+
 def _z_drive_blocks(omega_eff: float, b: tuple, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """The two 2x2 blocks of the z drive's step unitaries through the toy
     bath, each the (n, 2, 2) view of (2, 2, n) storage as in
@@ -590,17 +607,41 @@ def _z_drive_blocks(omega_eff: float, b: tuple, dt: float) -> tuple[np.ndarray, 
     # exp(-i m.tau dt) = cos(|m| dt) I - i sinc m.tau
     bx, by, bz = b
     cos, sinc = _cos_sinc(np.sqrt(0.25 * (bx**2 + by**2 + bz**2)), dt)
-    sx, sy, sz = sinc * (0.5 * bx), sinc * (0.5 * by), sinc * (0.5 * bz)
-    rot = np.empty((2, 2, cos.shape[0]), dtype=complex)
-    re, im = rot.real, rot.imag
-    re[0, 0] = re[1, 1] = cos
-    im[0, 0], im[1, 1] = -sz, sz
-    re[0, 1], re[1, 0] = -sy, sy
-    im[0, 1] = im[1, 0] = -sx
-    upper = np.exp(-1j * 0.5 * omega_eff * dt) * rot
+    upper = np.exp(-1j * 0.5 * omega_eff * dt) * _su2_steps(cos, sinc, (0.5 * bx, 0.5 * by, 0.5 * bz))
     # exp(+i K dt) is the Hermitian conjugate of exp(-i K dt), phase included
     lower = np.conj(upper.transpose(1, 0, 2))
     return upper.transpose(2, 0, 1), lower.transpose(2, 0, 1)
+
+
+# Columns |x+,0>, |x-,1> (P = +1) and |x-,0>, |x+,1> (P = -1) of the parity
+# P = sx x tz, in the joint basis |s, bath> of the trajectory engine; real and
+# orthogonal, so its transpose is its inverse.
+_X_PARITY_BASIS = np.array(
+    [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0], [1.0, 0.0, -1.0, 0.0], [0.0, -1.0, 0.0, 1.0]]
+) / math.sqrt(2.0)
+
+
+def _x_drive_blocks(omega_eff: float, b: tuple, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The P = +1 and P = -1 blocks of the x drive's step unitaries through
+    a toy bath with b_z = 0, in the columns of :data:`_X_PARITY_BASIS`, each
+    the (n, 2, 2) view of (2, 2, n) storage.  b_z is not read: with b_z != 0
+    the step does not conserve P."""
+    # in the two blocks H = +-(W/2) sz + m_x sx + m_y sy, m = (bx, by)/2, with
+    # the 4x4 step's lam, so U = cos(lam dt) I - i sinc H in each
+    bx, by, _ = b
+    lam = np.sqrt((0.5 * omega_eff) ** 2 + 0.25 * (bx**2 + by**2))
+    cos, sinc = _cos_sinc(lam, dt)
+    mx, my = 0.5 * bx, 0.5 * by
+    plus, minus = (_su2_steps(cos, sinc, (mx, my, w)) for w in (0.5 * omega_eff, -0.5 * omega_eff))
+    return plus.transpose(2, 0, 1), minus.transpose(2, 0, 1)
+
+
+def _block_diagonal_product(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """4x4 block diagonal of the time-ordered products of two (n, 2, 2) stacks."""
+    u = np.zeros((4, 4), dtype=complex)
+    u[0:2, 0:2] = _product_in_order(upper)
+    u[2:4, 2:4] = _product_in_order(lower)
+    return u
 
 
 def _reduce_system(rho_joint: np.ndarray) -> QubitState:
@@ -620,20 +661,26 @@ def simulate_trajectory(
 
     The Hamiltonian is held constant on each step (coefficients sampled at
     the step midpoint) and exponentiated exactly, so every step is unitary
-    to machine precision.
+    to machine precision.  A z drive's steps are block diagonal in the joint
+    basis.  Under an x drive, H = (W/2) sx x I + sz x (b_x tx + b_y ty +
+    b_z tz)/2, and the parity P = sx x tz commutes with the drive term and
+    with the b_x and b_y terms (two sign flips: sz against sx, tx or ty
+    against tz) but anticommutes with the b_z term (one flip).  So when b_z
+    is zero at every step the two P sectors are propagated as 2x2 blocks
+    and mapped back through :data:`_X_PARITY_BASIS`; otherwise P is not
+    conserved and the 4x4 steps are multiplied.
     """
     _validate_step(drive, noise, dt)
     n, h, mids = _steps(drive.duration, dt)
     omega_eff = drive.effective_amplitude
     b = noise(mids)
-    if drive.axis is DriveAxis.X_PLUS:
-        unitaries = _x_drive_unitaries_bath(omega_eff, b, h)
-        u_total = _product_in_order(unitaries)
+    if drive.axis is not DriveAxis.X_PLUS:
+        u_total = _block_diagonal_product(*_z_drive_blocks(omega_eff, b, h))
+    elif np.any(b[2]):
+        u_total = _product_in_order(_x_drive_unitaries_bath(omega_eff, b, h))
     else:
-        upper, lower = _z_drive_blocks(omega_eff, b, h)
-        u_total = np.zeros((4, 4), dtype=complex)
-        u_total[0:2, 0:2] = _product_in_order(upper)
-        u_total[2:4, 2:4] = _product_in_order(lower)
+        blocks = _block_diagonal_product(*_x_drive_blocks(omega_eff, b, h))
+        u_total = _X_PARITY_BASIS @ blocks @ _X_PARITY_BASIS.T
     rho_joint = np.kron(rho0.matrix, _BATH_GROUND)
     rho_joint = u_total @ rho_joint @ u_total.conj().T
     return _reduce_system(rho_joint)

@@ -14,6 +14,10 @@ program's own output with a second route to the same number:
   ``np.matmul`` per level (BLAS, one small product at a time), patched in
   for ``dynamics._product_in_order`` to bound the drift of whole trajectory
   campaigns.
+* :func:`x_drive_trajectory`: ``dynamics.simulate_trajectory`` under an x
+  drive from the 4x4 step unitaries of ``dynamics._x_drive_unitaries_bath``
+  and :func:`sequential_product`, whatever b_z, against the engine, which
+  propagates the two 2x2 parity blocks when b_z is zero.
 * :func:`tcl_sinc_integrator`: the single-axis TCL with its sinc kernels
   kept, against ``dynamics.tcl_expectation_x_drive``, the closed form that
   the delta approximation gives.
@@ -72,16 +76,19 @@ import numpy as np
 
 from slqns.dynamics import (
     _BATH_GROUND,
+    _block_diagonal_product,
     _decay_weight,
     IDENTITY2,
     SIGMA,
     DriveAxis,
+    DriveConfig,
     DriveRates,
     DynamicsError,
     QubitState,
     ToyBathNoise,
-    _product_in_order,
     _reduce_system,
+    _steps,
+    _x_drive_unitaries_bath,
     _z_drive_blocks,
 )
 from slqns.estimation import EstimationError, RegressionResult
@@ -111,11 +118,7 @@ def discretized_z_drive(
 
     b = noise(starts)
     upper_free, lower_free = _z_drive_blocks(0.0, b, h)
-    upper = rz[0, 0] * upper_free
-    lower = rz[1, 1] * lower_free
-    u_total = np.zeros((4, 4), dtype=complex)
-    u_total[0:2, 0:2] = _product_in_order(upper)
-    u_total[2:4, 2:4] = _product_in_order(lower)
+    u_total = _block_diagonal_product(rz[0, 0] * upper_free, rz[1, 1] * lower_free)
     rho_joint = np.kron(rho0.matrix, _BATH_GROUND)
     rho_joint = u_total @ rho_joint @ u_total.conj().T
     return _reduce_system(rho_joint)
@@ -127,6 +130,16 @@ def sequential_product(mats: np.ndarray) -> np.ndarray:
     for u in mats[1:]:
         total = u @ total
     return total
+
+
+def x_drive_trajectory(drive: DriveConfig, noise: ToyBathNoise, rho0: QubitState, dt: float) -> QubitState:
+    """The reduced state after an x drive through the toy bath, from the 4x4
+    step unitaries multiplied one step at a time, at the steps and
+    coefficient samples of ``dynamics.simulate_trajectory``."""
+    _, h, mids = _steps(drive.duration, dt)
+    u_total = sequential_product(_x_drive_unitaries_bath(drive.effective_amplitude, noise(mids), h))
+    rho_joint = u_total @ np.kron(rho0.matrix, _BATH_GROUND) @ u_total.conj().T
+    return _reduce_system(rho_joint)
 
 
 def stacked_matmul_product(mats: np.ndarray) -> np.ndarray:

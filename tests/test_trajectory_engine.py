@@ -10,20 +10,23 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from slqns import dynamics
 from slqns.harness import run_campaign
 from slqns.noisegen import (
     SYNTHESIS_BLOCK,
+    BathConfig,
+    BathVariant,
     DSARealization,
     NoiseTrajectory,
     _phase_tables,
+    build_toy_bath,
     default_dsa_config,
 )
 from slqns.spectra import Lorentzian
 
-from oracles import sequential_product, stacked_matmul_product
+from oracles import sequential_product, stacked_matmul_product, x_drive_trajectory
 from test_harness import OUTPUT_FILES, TRAJECTORY
 
 # the dephasing model of the harness and bench configs, in rad/us
@@ -120,6 +123,48 @@ def test_x_drive_bath_unitaries_match_expm(variant, dt):
         assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-13
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+@pytest.mark.parametrize("dt", [STEP, 0.05])
+def test_x_drive_parity_blocks_are_the_4x4_steps(sign, dt):
+    rng = np.random.default_rng(7)
+    beta, beta_lag = 3.0 * rng.standard_normal((2, 50))
+    b = (beta, beta_lag, np.zeros_like(beta))
+    omega_eff = sign * 2.0 * math.pi * 4.0
+    plus, minus = dynamics._x_drive_blocks(omega_eff, b, dt)
+    unitaries = dynamics._x_drive_unitaries_bath(omega_eff, b, dt)
+    basis = dynamics._X_PARITY_BASIS
+    for k, u in enumerate(unitaries):
+        mapped = basis @ block_diag(plus[k], minus[k]) @ basis.T
+        reference = expm(-1j * dt * bath_hamiltonian(omega_eff, *(c[k] for c in b)))
+        assert np.max(np.abs(mapped - u)) < 1e-13
+        assert np.max(np.abs(mapped - reference)) < 1e-13
+
+
+@pytest.mark.parametrize("variant", ["main_text", "three_axis"])
+def test_simulate_trajectory_matches_the_4x4_x_drive(monkeypatch, variant):
+    """The x drive propagates the parity blocks when b_z is zero and the
+    4x4 steps otherwise; either way it agrees to 1e-12 with the 4x4 steps
+    multiplied one at a time."""
+    trajectory = DSARealization(CONFIG, seed=11).trajectory(campaign_grid())
+    bath = BathConfig(lag_gamma=0.3, variant=BathVariant(variant))
+    noise = dynamics.ToyBathNoise(build_toy_bath(trajectory, bath), correlation_time=CONFIG.correlation_time)
+    builder, calls = dynamics._x_drive_unitaries_bath, []
+
+    def counted(*args):
+        calls.append(args[0])
+        return builder(*args)
+
+    monkeypatch.setattr(dynamics, "_x_drive_unitaries_bath", counted)
+    cases = [(sign * 2.0 * math.pi * 4.0, axis, s) for sign in (1, -1) for axis, s in (("x", 1), ("x", -1), ("z", 1))]
+    for omega, axis, s in cases:
+        drive = dynamics.DriveConfig(dynamics.DriveAxis.X_PLUS, amplitude=omega, duration=2.5)
+        dt = 0.9 * dynamics.step_limit(omega, CONFIG.correlation_time)[0]
+        rho0 = dynamics.QubitState.ket(axis, s)
+        state = dynamics.simulate_trajectory(drive, noise, rho0, dt)
+        assert np.max(np.abs(state.matrix - x_drive_trajectory(drive, noise, rho0, dt).matrix)) <= 1e-12
+    assert len(calls) == (len(cases) if variant == "three_axis" else 0)
+
+
 # ---------------------------------------------------------------------------
 # the time-ordered product against the sequential one
 # ---------------------------------------------------------------------------
@@ -149,7 +194,8 @@ def test_product_in_order_matches_the_sequential_product(n, d, layout):
 def test_step_builders_store_the_steps_innermost():
     rng = np.random.default_rng(5)
     b = (*rng.standard_normal((2, 7)), np.zeros(7))
-    stacks = [dynamics._x_drive_unitaries_bath(-25.0, b, STEP), *dynamics._z_drive_blocks(25.0, b, STEP)]
+    stacks = [dynamics._x_drive_unitaries_bath(-25.0, b, STEP), *dynamics._z_drive_blocks(25.0, b, STEP),
+              *dynamics._x_drive_blocks(-25.0, b, STEP)]
     for steps in stacks:
         assert steps.shape[0] == 7
         assert steps.strides[0] == steps.itemsize
@@ -221,39 +267,61 @@ def test_campaign_drift_against_dense_synthesis(tmp_path, monkeypatch, analytic)
 TRAJECTORY_P4 = dict(copy.deepcopy(TRAJECTORY), protocol=4, plan=dict(TRAJECTORY["plan"], aligned_n=[8, 10]))
 
 
+def assert_campaign_drift(tmp_path, monkeypatch, config, analytic, name, replacement):
+    """Run ``config`` as it is and with ``dynamics.<name>`` replaced, and
+    compare the outputs: in shot mode all five files byte-identical; in
+    analytic mode every float of ``report.json`` within 1e-10 relative (1e-9
+    for a ``std_error``) or 1e-13 absolute, the floor for values of
+    round-off size such as protocol 4's z-drive quantum rows."""
+    config = copy.deepcopy(config)
+    config["backend"]["analytic"] = analytic
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_campaign(config, out_dir=tmp_path / "program")
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, name, replacement)
+            run_campaign(config, out_dir=tmp_path / "reference")
+    program, reference = tmp_path / "program", tmp_path / "reference"
+    if analytic:
+        assert_reports_close(
+            json.loads((program / "report.json").read_text()),
+            json.loads((reference / "report.json").read_text()),
+            floor=1e-13,
+        )
+    else:
+        for file_name in OUTPUT_FILES:
+            assert (program / file_name).read_bytes() == (reference / file_name).read_bytes(), file_name
+
+
 @pytest.mark.parametrize("config", [TRAJECTORY, TRAJECTORY_P4], ids=["p2", "p4"])
 @pytest.mark.parametrize("analytic", [False, True], ids=["shot", "analytic"])
 def test_campaign_drift_against_the_stacked_matmul_product(tmp_path, monkeypatch, config, analytic):
-    """The einsum tree moves a trajectory campaign by rounding only.
-
-    Stated tolerance, against the same tree reduced with stacked
-    ``np.matmul``: in shot mode all five output files are byte-identical; in
-    analytic mode every float of ``report.json`` agrees to 1e-10 relative
-    (1e-9 for a ``std_error``) or to 1e-13 absolute, the floor for values of
-    round-off size such as protocol 4's z-drive quantum rows.
-    """
-    config = copy.deepcopy(config)
-    config["backend"]["analytic"] = analytic
+    """The einsum tree moves a trajectory campaign by rounding only, within
+    the tolerance of :func:`assert_campaign_drift`, against the same tree
+    reduced with stacked ``np.matmul``."""
     calls = []
 
     def matmul_product(mats):
         calls.append(mats.shape[0])
         return stacked_matmul_product(mats)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        run_campaign(config, out_dir=tmp_path / "einsum")
-        with monkeypatch.context() as patch:
-            patch.setattr(dynamics, "_product_in_order", matmul_product)
-            run_campaign(config, out_dir=tmp_path / "matmul")
+    assert_campaign_drift(tmp_path, monkeypatch, config, analytic, "_product_in_order", matmul_product)
     assert calls
-    einsum, matmul = tmp_path / "einsum", tmp_path / "matmul"
-    if analytic:
-        assert_reports_close(
-            json.loads((einsum / "report.json").read_text()),
-            json.loads((matmul / "report.json").read_text()),
-            floor=1e-13,
-        )
-    else:
-        for name in OUTPUT_FILES:
-            assert (einsum / name).read_bytes() == (matmul / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("config", [TRAJECTORY, TRAJECTORY_P4], ids=["p2", "p4"])
+@pytest.mark.parametrize("analytic", [False, True], ids=["shot", "analytic"])
+def test_campaign_drift_against_the_4x4_x_drive(tmp_path, monkeypatch, config, analytic):
+    """The x drive's parity blocks move a trajectory campaign by rounding
+    only, within the tolerance of :func:`assert_campaign_drift`, against
+    every x drive propagated through the 4x4 steps one step at a time."""
+    simulate, calls = dynamics.simulate_trajectory, []
+
+    def reference(drive, noise, rho0, dt):
+        if drive.axis is not dynamics.DriveAxis.X_PLUS:
+            return simulate(drive, noise, rho0, dt)
+        calls.append(drive.amplitude)
+        return x_drive_trajectory(drive, noise, rho0, dt)
+
+    assert_campaign_drift(tmp_path, monkeypatch, config, analytic, "simulate_trajectory", reference)
+    assert calls
