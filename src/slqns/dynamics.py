@@ -323,8 +323,7 @@ class DriveRates:
     the drive-basis coherence.  These arrays are the real parts of complex
     spectral sums and are not checked: the methods that take an index ``k``
     read one amplitude's rates with their checks, so that a caller looping
-    over its drive frequencies raises and warns in its own order.  The
-    scalar rate functions above are their one-amplitude case.
+    over its drive frequencies raises and warns in its own order.
     """
 
     def __init__(self, axis: DriveAxis, omega_eff, spectra: SphericalSpectraSet, device: DeviceParams):

@@ -276,7 +276,12 @@ def _build_spectra(config) -> SphericalSpectraSet:
 
 
 def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
-    """Construct and validate every campaign component from a config dict."""
+    """Construct and validate every campaign component from a config dict.
+
+    A trajectory plan is refused if any drive has |Omega| at or above the
+    synthesis cutoff ``omega_max``, where the synthesized noise has no weight.
+    The refusal has no margin beyond the cutoff: a drive just below it runs.
+    """
     protocol = _typed(_require(config, "protocol", "config"), int, "protocol")
     master_seed = _typed(config.get("seed", 0) if seed is None else seed, int, "seed")
 
@@ -300,9 +305,8 @@ def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
         raise ConfigError(f"invalid spam block: {exc}") from exc
 
     plan_cfg = _require(config, "plan", "config")
-    omegas = tuple(
-        mhz_to_rad_per_us(f) for f in _typed_list(_require(plan_cfg, "omegas_MHz", "plan"), float, "plan.omegas_MHz")
-    )
+    omegas_mhz = _typed_list(_require(plan_cfg, "omegas_MHz", "plan"), float, "plan.omegas_MHz")
+    omegas = tuple(mhz_to_rad_per_us(f) for f in omegas_mhz)
     try:
         plan = ProtocolPlan(
             protocol_id=protocol,
@@ -347,6 +351,12 @@ def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
             dsa = default_dsa_config(model, n_omega=n_omega)
         except ValueError as exc:
             raise ConfigError(f"invalid trajectory backend: {exc}") from exc
+        for f_mhz, omega in zip(omegas_mhz, omegas):
+            if abs(omega) >= dsa.omega_max:
+                raise ConfigError(
+                    f"trajectory drive |Omega| = {abs(f_mhz):g} MHz is at or above the noise synthesis "
+                    f"cutoff {dsa.omega_max / (2.0 * math.pi):.4g} MHz"
+                )
         variant = backend_cfg.get("bath_variant", "main_text")
         try:
             variant = BathVariant(variant)

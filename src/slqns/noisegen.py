@@ -117,11 +117,11 @@ class DSAConfig:
 def default_dsa_config(spectrum: SpectrumModel, n_omega: int = 512) -> DSAConfig:
     """Config with a cutoff capturing essentially all spectral weight.
 
-    For a Lorentzian the cutoff ``omega0 + 10/tc`` keeps >= 99.9 % of the
-    weight; other models fall back to a generic decade above their support.
+    For a Lorentzian the cutoff is ``omega0 + 32/tc``, 32 widths beyond the
+    peak, where the tail is below 1e-3 of the maximum; a tabulated spectrum
+    is cut at the end of its grid.  Any other model raises ``ValueError``.
     """
     if isinstance(spectrum, Lorentzian):
-        # 32 widths beyond the peak keeps the tail below 1e-3 of the maximum
         omega_max = spectrum.omega0 + 32.0 / spectrum.tc
     elif hasattr(spectrum, "grid"):
         omega_max = float(spectrum.grid[-1])

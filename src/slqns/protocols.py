@@ -7,14 +7,17 @@ under the +z drive).  A backend is handed every point of a block of drive
 frequencies, the whole grid or, with ``--jobs``, a contiguous slice of it:
 
 * :class:`ClosedFormTclBackend` evaluates the secular-TCL closed forms with
-  injected spherical spectra and SPAM parameters (optionally bypassing shot
-  sampling in analytic mode) in one array pass over the block's columns,
+  injected spherical spectra in one array pass over the block's columns,
   after a loop over its frequencies has run each drive's checks once;
 * :class:`TrajectoryBackend` Monte-Carlo averages the exact piecewise-
-  constant propagation of the dephasing toy bath, point by point.
+  constant propagation of the dephasing toy bath, one ensemble per point.
 
-Either returns the block's values as one ``spam.ShotColumns`` in plan order,
-which the block's dataset takes as columns in one ``ShotDataset.extend``.
+Both prepare the same faulty states and pass the block's ideal expectations
+through one SPAM readout, :meth:`Backend._readout`: the faulty POVM, then
+either exact values (analytic mode) or one binomial draw for the whole
+block.  Either backend returns the block's values as one
+``spam.ShotColumns`` in plan order, which the block's dataset takes as
+columns in one ``ShotDataset.extend``.
 
 Every point draws its shots from its own child seed, derived from the plan
 seed and the point's key.  A block derives all its points' streams in one
@@ -53,10 +56,11 @@ from .spam import (
     ShotRecord,
     SpamParams,
     _codes,
+    _squared,
     draw_shots,
     faulty_state,
     outcome_probability,
-    sample_shots,
+    sample_shots,  # noqa: F401 - resolved here by the benchmark tracer
 )
 from .spectra import DeviceParams, SphericalSpectraSet, mhz_to_rad_per_us
 
@@ -157,29 +161,34 @@ class ProtocolPlan:
 
 
 class Backend:
-    """Evaluator of a block of drive frequencies: one value row per point, each
-    drawn from the point's own seed, so values do not depend on the blocking
-    or on ``--jobs``.  The default measures the points one at a time."""
+    """Evaluator of a block of drive frequencies.  Its ``measure_block(omegas,
+    points, n_shots, seeds)`` returns one :class:`ShotColumns` row for each
+    point of ``points[i]`` at ``omegas[i]``, frequency by frequency, drawn from
+    the point's own seed ``seeds[i][k]``, so values do not depend on the
+    blocking or on ``--jobs``.  Both backends end in :meth:`_readout`."""
 
-    analytic: bool = False
-
-    def measure_block(self, omegas, points, n_shots: int, seeds) -> ShotColumns:
-        """The values of every point of ``points[i]`` at ``omegas[i]``,
-        frequency by frequency, as one :class:`ShotColumns` with a row per
-        point in that order; ``seeds[i][k]`` belongs to ``points[i][k]``.
-        The default builds it from one :meth:`measure` record per point."""
-        return ShotColumns.from_records([
-            self.measure(drive_axis, omega, init, observable, time, n_shots, seed)
-            for omega, row, row_seeds in zip(omegas, points, seeds)
-            for (drive_axis, init, observable, time), seed in zip(row, row_seeds)
-        ])
+    def __init__(self, spam: SpamParams | None, analytic: bool):
+        self.spam = spam if spam is not None else SpamParams.ideal()
+        self.analytic = analytic
+        self._prepared = {i: faulty_state(i[0], +1 if i[1] == "+" else -1, self.spam) for i in INITS}
 
     def measure_omega(self, omega: float, points, n_shots: int, seeds) -> list[ShotRecord]:
         """The records of the points of one frequency: the one-frequency block."""
         return self.measure_block([omega], [points], n_shots, [seeds]).records()
 
     def measure(self, drive_axis, omega, init, observable, time, n_shots, seed) -> ShotRecord:
-        raise NotImplementedError  # pragma: no cover - interface
+        """The record of one point: the one-point block."""
+        return self.measure_omega(omega, [(drive_axis, init, observable, time)], n_shots, [seed])[0]
+
+    def _readout(self, expectations, variances, n_shots: int, shot_seeds) -> ShotColumns:
+        """The faulty POVM on a block's ideal expectations: exact values that
+        carry ``variances`` in analytic mode, else ``n_shots`` binomial shots
+        per point, drawn from the first uniform of its shot seed."""
+        p_plus = outcome_probability(expectations, self.spam)
+        if self.analytic:
+            return ShotColumns.exact(2.0 * p_plus - 1.0)._replace(variance=np.asarray(variances, dtype=float))
+        uniforms = first_uniforms(shot_seeds)
+        return ShotColumns.from_counts(n_shots, draw_shots(np.clip(p_plus, 0.0, 1.0), n_shots, uniforms))
 
 
 def _drive_config(drive_axis: str, omega: float, time: float) -> DriveConfig:
@@ -200,11 +209,9 @@ class ClosedFormTclBackend(Backend):
         *,
         analytic: bool = False,
     ):
+        super().__init__(spam, analytic)
         self.spectra = spectra
         self.device = device
-        self.spam = spam if spam is not None else SpamParams.ideal()
-        self.analytic = analytic
-        self._prepared = {i: faulty_state(i[0], +1 if i[1] == "+" else -1, self.spam) for i in INITS}
 
     def measure_block(self, omegas, points, n_shots, seeds) -> ShotColumns:
         rows = np.repeat(np.arange(len(points)), [len(row) for row in points])
@@ -229,18 +236,16 @@ class ClosedFormTclBackend(Backend):
             k = np.flatnonzero(drive == drive_axis)
             states[k] = closed_form_states(axis_rates, rows[k], [self._prepared[i] for i in init[k]], time[k])
         check_states(states)
-        p_plus = outcome_probability(expectations(states, observable), self.spam)
-        if self.analytic:
-            return ShotColumns.exact(2.0 * p_plus - 1.0)
-        uniforms = first_uniforms([seed for row in seeds for seed in row])
-        return ShotColumns.from_counts(n_shots, draw_shots(np.clip(p_plus, 0.0, 1.0), n_shots, uniforms))
+        return self._readout(expectations(states, observable), np.zeros(time.size), n_shots,
+                             [seed for row in seeds for seed in row])
 
-    def measure(self, drive_axis, omega, init, observable, time, n_shots, seed) -> ShotRecord:
-        return self.measure_omega(omega, [(drive_axis, init, observable, time)], n_shots, [seed])[0]
+    measure = Backend.measure  # resolved here by the benchmark tracer
 
 
 class TrajectoryBackend(Backend):
-    """Monte-Carlo trajectory averaging over the dephasing toy bath."""
+    """Monte-Carlo trajectory averaging over the dephasing toy bath: one
+    ensemble per point, on the stream ``derive_seed(seed, 0)``, and the shots
+    of the block's points from their streams ``derive_seed(seed, 1)``."""
 
     def __init__(
         self,
@@ -251,11 +256,10 @@ class TrajectoryBackend(Backend):
         n_realizations: int = 400,
         analytic: bool = False,
     ):
+        super().__init__(spam, analytic)
         self.dsa_config = dsa_config
         self.bath_config = bath_config
-        self.spam = spam if spam is not None else SpamParams.ideal()
         self.n_realizations = int(n_realizations)
-        self.analytic = analytic
 
     def _noise_factory(self, omega: float, time: float, dt: float):
         horizon = time + self.bath_config.lag_gamma + _GRID_MARGIN
@@ -270,30 +274,21 @@ class TrajectoryBackend(Backend):
 
         return factory
 
-    def measure(self, drive_axis, omega, init, observable, time, n_shots, seed) -> ShotRecord:
-        drive = _drive_config(drive_axis, omega, time)
-        dt = 0.9 * dynamics.step_limit(drive.effective_amplitude, self.dsa_config.correlation_time)[0]
-        rho0 = faulty_state(init[0], +1 if init[1] == "+" else -1, self.spam)
-        mean, std_error = dynamics.ensemble_expectation(
-            drive,
-            self._noise_factory(omega, time, dt),
-            rho0,
-            observable,
-            self.n_realizations,
-            derive_seed(seed, 0),
-            dt,
-        )
-        p_plus = outcome_probability(mean, self.spam)
-        if self.analytic:
-            record = ShotRecord(
-                n_shots=0,
-                n_plus=0,
-                expectation=2.0 * p_plus - 1.0,
-                variance=(self.spam.alpha_m * std_error) ** 2,
-                analytic=True,
-            )
-            return record
-        return sample_shots(min(max(p_plus, 0.0), 1.0), n_shots, derive_seed(seed, 1))
+    def measure_block(self, omegas, points, n_shots, seeds) -> ShotColumns:
+        ensembles = []
+        for omega, row, row_seeds in zip(omegas, points, seeds):
+            for (drive_axis, init, observable, time), seed in zip(row, row_seeds):
+                drive = _drive_config(drive_axis, omega, time)
+                dt = 0.9 * dynamics.step_limit(drive.effective_amplitude, self.dsa_config.correlation_time)[0]
+                noise = self._noise_factory(omega, time, dt)
+                ensembles.append(dynamics.ensemble_expectation(
+                    drive, noise, self._prepared[init], observable, self.n_realizations, derive_seed(seed, 0), dt))
+        means, std_errors = np.array(ensembles).T
+        # squared by Python's float ** 2, whose bits the analytic variances have always had
+        variances = _squared(self.spam.alpha_m * std_errors)
+        return self._readout(means, variances, n_shots, [derive_seed(seed, 1) for row in seeds for seed in row])
+
+    measure = Backend.measure  # resolved here by the benchmark tracer
 
 
 def _protocol_points(plan: ProtocolPlan, omega: float):

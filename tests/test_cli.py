@@ -115,10 +115,12 @@ def test_run_exits_with_config_error_on_a_negative_seed_flag(tmp_path, capsys):
     (CLOSED_FORM_P4, ("spectra", "dephasing", "scale"), 10**400, "spectra.dephasing.scale must be finite, got 1000"),
     (CLOSED_FORM_P4, ("plan", "shots"), 10**400, "plan.shots must be finite, got 1000"),
     (CLOSED_FORM_P4, ("plan", "aligned_n"), [20, 10**400], "plan.aligned_n must be finite, got 1000"),
+    (TRAJECTORY, ("plan", "omegas_MHz"), [4.0, 20.0],
+     "trajectory drive |Omega| = 20 MHz is at or above the noise synthesis cutoff 10.82 MHz"),
 ], ids=["time-string", "omega-string", "omegas-scalar", "shots-string", "protocol-string",
         "scale-string", "shots-fractional", "aligned-n-fractional", "realizations-fractional",
         "analytic-string", "time-nan", "omega-nan", "time-infinity", "lag-nan", "threshold-nan",
-        "scale-huge-integer", "shots-huge-integer", "aligned-n-huge-integer"])
+        "scale-huge-integer", "shots-huge-integer", "aligned-n-huge-integer", "trajectory-omega-out-of-band"])
 def test_validate_exits_with_config_error_on_a_mistyped_value(tmp_path, capsys, base, path, value, message):
     config = copy.deepcopy(base)
     target = config

@@ -33,7 +33,7 @@ from slqns.seeding import derive_seed, spawn_rng
 from slqns.spam import ShotRecord, faulty_state
 from slqns.spectra import DeviceParams, SpectraError, SphericalSpectraSet, mhz_to_rad_per_us
 from oracles import x_drive_coherence_rate, z_drive_rates
-from test_harness import PHYSICS
+from test_harness import PHYSICS, TRAJECTORY
 
 OMEGAS_MHZ = np.linspace(1.0, 40.0, 12).tolist()
 TIMES_US = [2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
@@ -221,14 +221,17 @@ def test_secular_strain_warns_at_every_strained_frequency():
 
 
 def test_one_point_measure_is_the_block_case():
-    backend = build_campaign(CONFIGS["p4-aligned"]).backend
-    omega = mhz_to_rad_per_us(14.0)
+    # the trajectory drive stays inside its noise synthesis band
+    trajectory = dict(TRAJECTORY, protocol=4, plan=dict(TRAJECTORY["plan"], omegas_MHz=[5.0]))
     points = [("x", "x-", "x", 4.0), ("z-", "z+", "z", 6.0), ("z+", "x+", "x", 2.0)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        block = backend.measure_omega(omega, points, 500, [11, 12, 13])
-        single = [backend.measure(d, omega, i, o, t, 500, s) for (d, i, o, t), s in zip(points, [11, 12, 13])]
-    assert block == single
+    for config, omega_mhz in ((CONFIGS["p4-aligned"], 14.0), (trajectory, 5.0)):
+        backend = build_campaign(config).backend
+        omega = mhz_to_rad_per_us(omega_mhz)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            block = backend.measure_omega(omega, points, 500, [11, 12, 13])
+            single = [backend.measure(d, omega, i, o, t, 500, s) for (d, i, o, t), s in zip(points, [11, 12, 13])]
+        assert block == single, type(backend).__name__
 
 
 def test_states_outside_the_bloch_ball_fail_the_stacked_check():

@@ -83,3 +83,41 @@ def test_every_exported_name_is_used_by_the_program_or_the_bench():
         if n not in used
     ]
     assert unused == []
+
+
+TRACER_MARK = "resolved here by the benchmark tracer"
+
+
+def _tracer_only_bindings(module) -> list[tuple[object, str]]:
+    """(module or class, name) of every binding that a line of ``module``
+    marked as resolved by the benchmark tracer makes: a name it imports, or
+    a class attribute it assigns."""
+    source = Path(module.__file__).read_text()
+    marked = {number for number, line in enumerate(source.splitlines(), 1) if TRACER_MARK in line}
+    found, seen = [], set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, getattr(owner, child.name))
+            elif isinstance(child, ast.ImportFrom):
+                for alias in child.names:
+                    if alias.lineno in marked:
+                        found.append((owner, alias.asname or alias.name))
+                        seen.add(alias.lineno)
+            elif isinstance(child, ast.Assign) and child.lineno in marked:
+                found.extend((owner, target.id) for target in child.targets)
+                seen.add(child.lineno)
+
+    visit(ast.parse(source), module)
+    assert seen == marked, f"{module.__name__}: marked lines that bind nothing: {sorted(marked - seen)}"
+    return found
+
+
+def test_code_kept_for_the_tracer_is_wrapped_by_it(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer")
+    wrapped = {(id(binding.owner), binding.attr) for binding in tracer.bindings()}
+    kept = [(owner, name) for module in MODULES for owner, name in _tracer_only_bindings(importlib.import_module(module))]
+    assert kept
+    assert [f"{owner.__name__}.{name}" for owner, name in kept if (id(owner), name) not in wrapped] == []

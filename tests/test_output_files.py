@@ -188,6 +188,27 @@ def test_trajectory_outputs_match_the_pinned_digests(tmp_path):
     assert digests == TRAJECTORY_DIGESTS
 
 
+# The analytic twin of the same campaign: exact expectations that carry the
+# Monte-Carlo variances (alpha_m * std_error) ** 2.  Recorded at commit
+# 5010690, with numpy 2.4 and scipy 1.17 on x86-64 Linux, the same with one
+# and with two OpenBLAS threads.
+TRAJECTORY_ANALYTIC_TWIN = dict(TRAJECTORY_TWIN, backend=dict(TRAJECTORY["backend"], analytic=True))
+TRAJECTORY_ANALYTIC_DIGESTS = {
+    "report.json": "605087d2a181004069e62e9ec00127532a84a4f00d62bb4685d07dde2e83e102",
+    "datasets.csv": "4a1d730ac14e77bbf4dccd2ec74bdb8ae12a3ee34169a3342b4c1fc524c9586d",
+    "estimates.csv": "19af0bd43aebce1b99180e03a1e4b2da6802f2b27cfd7579c1ce2415fefdf955",
+    "manifest.json": "cf0f9502839c78041e07db459d56256e57b23438b36d470ff475fcd8de78e499",
+}
+
+
+def test_analytic_trajectory_outputs_match_the_pinned_digests(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_campaign(TRAJECTORY_ANALYTIC_TWIN, out_dir=tmp_path)
+    digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in TRAJECTORY_ANALYTIC_DIGESTS}
+    assert digests == TRAJECTORY_ANALYTIC_DIGESTS
+
+
 @pytest.mark.parametrize("name", ["p1", "p2-standard-dropped", "p3", "p4-standard-dropped"])
 def test_estimates_csv_holds_plain_numbers(tmp_path, name):
     with warnings.catch_warnings():

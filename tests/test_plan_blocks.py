@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+from slqns import protocols, spam
 from slqns.dynamics import DynamicsError
 from slqns.harness import build_campaign
 from slqns.protocols import ClosedFormTclBackend, PlanError, ProtocolPlan, run_for_omega, run_plan
@@ -45,6 +46,27 @@ def test_entries_and_their_order_do_not_depend_on_jobs(config):
     assert len({key.omega for key, _ in reference}) == len(plan.omegas)
     for jobs, entries in runs.items():
         assert entries == reference, jobs
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_trajectory_block_draws_its_shots_in_one_call(monkeypatch, jobs):
+    campaign = build_campaign(TRAJECTORY)
+    draws = []
+
+    def counted(draw_shots):
+        def wrapper(p_plus, *args):
+            draws.append(len(p_plus))
+            return draw_shots(p_plus, *args)
+        return wrapper
+
+    # a draw may resolve the function through either module
+    monkeypatch.setattr(spam, "draw_shots", counted(spam.draw_shots))
+    monkeypatch.setattr(protocols, "draw_shots", counted(protocols.draw_shots))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dataset = run_plan(campaign.backend, campaign.plan, jobs=jobs)
+    assert len(draws) == jobs
+    assert sum(draws) == len(dataset) == 16
 
 
 DEVICE = DeviceParams(omega_q=mhz_to_rad_per_us(4970.0))
