@@ -35,7 +35,6 @@ from .dynamics import (
     compute_AB,
     ensemble_expectation,
     frame_aligned_times,
-    simulate_trajectory,
     tcl_expectation_x_drive,
     tcl_expectation_z_drive,
     tcl_evolve_state,

@@ -11,7 +11,9 @@ Two independent routes to the same observables:
   propagates.  A z drive conserves sigma_z x I, and an x drive conserves the
   parity P = sigma_x x tau_z when b_z is zero at every step (the main-text
   bath), so both propagate two 2x2 blocks; an x drive with b_z != 0 (the
-  three-axis bath) mixes the parity sectors and propagates 4x4 steps.
+  three-axis bath) mixes the parity sectors and propagates 4x4 steps.  An
+  ensemble propagates its realizations in chunks, each with one step build
+  and one time-ordered product.
 
 Conventions.  Everything lives in the frame co-rotating with the qubit
 splitting ``omega_q`` (the RWA has already been applied); a constant drive
@@ -40,7 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import derive_seed
+from .seeding import (
+    derive_seed,  # noqa: F401 - resolved here by the benchmark tracer
+    derive_seeds,
+)
 from .spectra import DeviceParams, SphericalSpectraSet
 
 __all__ = [
@@ -64,7 +69,6 @@ __all__ = [
     "check_secular_validity",
     "ToyBathNoise",
     "step_limit",
-    "simulate_trajectory",
     "ensemble_expectation",
 ]
 
@@ -528,25 +532,44 @@ def _steps(duration: float, dt: float) -> tuple[int, float, np.ndarray]:
     return n, h, mids
 
 
-def _product_in_order(mats: np.ndarray) -> np.ndarray:
-    """Time-ordered product U[n-1] ... U[1] U[0] of an (n, d, d) stack by
-    pairwise tree reduction.
+# Step storage that one chunk of realizations may hold.  A realization stores
+# at most one 4x4 complex step per step of its trajectory (the parity and z
+# paths store two 2x2 blocks, half of that).  A chunk's peak working memory is
+# its step storage and the first level of the product, half as much again;
+# beyond a few MiB the chunk outgrows the cache and the product slows down.
+CHUNK_STEP_BYTES = 3 << 20
+_STEP_BYTES = 16 * np.dtype(complex).itemsize
 
-    Each level multiplies neighbouring pairs, later @ earlier, in one
-    ``np.einsum`` over (d, d, n) storage, the step axis innermost, so no
-    level calls BLAS; an odd first step is carried, unmultiplied, to the
-    next level.  The stack is read through ``mats.transpose(1, 2, 0)``,
-    which is free for the (n, d, d) views of (d, d, n) storage that the step
-    builders return; any other layout works too.
+
+def _chunk_size(n_steps: int) -> int:
+    """Realizations per chunk at a point of ``n_steps`` steps: as many as
+    :data:`CHUNK_STEP_BYTES` holds, and at least one."""
+    return max(1, CHUNK_STEP_BYTES // (n_steps * _STEP_BYTES))
+
+
+def _product_in_order(mats: np.ndarray) -> np.ndarray:
+    """Time-ordered products U[n-1] ... U[1] U[0] of an (..., n, d, d) stack,
+    one (d, d) product per index of the leading axes, by pairwise tree
+    reduction.
+
+    Each level multiplies neighbouring pairs, later @ earlier, for every
+    leading index at once, in one ``np.einsum`` over (d, d, ..., n) storage,
+    the step axis innermost, so no level calls BLAS; an odd first step is
+    carried, unmultiplied, to the next level.  Each product has the bits that
+    its own (n, d, d) stack gives alone.  The stack is read through
+    ``np.moveaxis``, which is free for the (..., n, d, d) views of
+    (d, d, ..., n) storage that the step builders return; any other layout
+    works too.  The stack is released after the first level, so it is freed
+    there unless the caller keeps a reference to it.
     """
-    mats = mats.transpose(1, 2, 0)
-    while (n := mats.shape[2]) > 1:
+    mats = np.moveaxis(mats, (-2, -1), (0, 1))
+    while (n := mats.shape[-1]) > 1:
         head = n % 2
-        level = np.empty(mats.shape[:2] + (head + n // 2,), dtype=mats.dtype)
+        level = np.empty(mats.shape[:-1] + (head + n // 2,), dtype=mats.dtype)
         level[..., :head] = mats[..., :head]
-        np.einsum("ilk,ljk->ijk", mats[..., head + 1::2], mats[..., head::2], out=level[..., head:])
+        np.einsum("il...k,lj...k->ij...k", mats[..., head + 1::2], mats[..., head::2], out=level[..., head:])
         mats = level
-    return mats[..., 0]
+    return np.moveaxis(mats[..., 0], (0, 1), (-2, -1))
 
 
 def _cos_sinc(lam: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -557,9 +580,10 @@ def _cos_sinc(lam: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _x_drive_unitaries_bath(omega_eff: float, b: tuple, dt: float) -> np.ndarray:
-    """Step unitaries of the x drive through the toy bath, as the (n, 4, 4)
-    view of (4, 4, n) storage: each entry is one contiguous row over the
-    steps, which :func:`_product_in_order` reads without a copy."""
+    """Step unitaries of the x drive through the toy bath, for coefficient
+    arrays of shape (..., n), as the (..., n, 4, 4) view of (4, 4, ..., n)
+    storage: each entry is one contiguous row over the steps, which
+    :func:`_product_in_order` reads without a copy."""
     # H = (W/2) sx x I + sz x m.tau with m = (bx, by, bz)/2; the two terms
     # anticommute so H^2 = ((W/2)^2 + |m|^2) I and U = cos(lam dt) I - i sinc H.
     # Its twelve nonzero entries are written directly.
@@ -568,7 +592,7 @@ def _x_drive_unitaries_bath(omega_eff: float, b: tuple, dt: float) -> np.ndarray
     cos, sinc = _cos_sinc(lam, dt)
     sx, sy, sz = sinc * (0.5 * bx), sinc * (0.5 * by), sinc * (0.5 * bz)
     sw = sinc * (0.5 * omega_eff)
-    u = np.zeros((4, 4, lam.shape[0]), dtype=complex)
+    u = np.zeros((4, 4) + lam.shape, dtype=complex)
     re, im = u.real, u.imag
     for k in range(4):
         re[k, k] = cos
@@ -580,36 +604,45 @@ def _x_drive_unitaries_bath(omega_eff: float, b: tuple, dt: float) -> np.ndarray
     im[2, 3] = im[3, 2] = sx
     for i, j in ((0, 2), (1, 3), (2, 0), (3, 1)):
         im[i, j] = -sw
-    return u.transpose(2, 0, 1)
+    return np.moveaxis(u, (0, 1), (-2, -1))
 
 
-def _su2_steps(cos: np.ndarray, sinc: np.ndarray, h: tuple) -> np.ndarray:
-    """(2, 2, n) storage, the step axis innermost, of the 2x2 step unitaries
-    cos I - i sinc (h_x sigma_x + h_y sigma_y + h_z sigma_z); each entry of
-    ``h`` is an array over the steps or a scalar."""
-    sx, sy, sz = (sinc * c for c in h)
-    u = np.empty((2, 2, cos.shape[0]), dtype=complex)
-    re, im = u.real, u.imag
+def _su2_steps(cos: np.ndarray, sinc: np.ndarray, bx, by, hzs: tuple, out: np.ndarray) -> None:
+    """Write into ``out``, (2, 2, blocks, ..., n) storage with the step axis
+    innermost, the 2x2 step unitaries cos I - i sinc (h_x sigma_x + h_y
+    sigma_y + h_z sigma_z) of each block, with (h_x, h_y) = (b_x, b_y)/2 and
+    the block's own h_z from ``hzs``; b_x, b_y and each h_z are arrays over
+    (..., n) or scalars.  The products are written in place, so that the
+    step storage is the only large array the build leaves."""
+    re, im = out.real, out.imag
     re[0, 0] = re[1, 1] = cos
-    im[0, 0], im[1, 1] = -sz, sz
-    re[0, 1], re[1, 0] = -sy, sy
-    im[0, 1] = im[1, 0] = -sx
-    return u
+    np.multiply(sinc, 0.5 * by, out=re[1, 0])
+    np.negative(re[1, 0], out=re[0, 1])
+    np.multiply(sinc, 0.5 * bx, out=im[1, 0])
+    np.negative(im[1, 0], out=im[1, 0])
+    im[0, 1] = im[1, 0]
+    for block, hz in enumerate(hzs):
+        np.multiply(sinc, hz, out=im[1, 1, block])
+        np.negative(im[1, 1, block], out=im[0, 0, block])
 
 
-def _z_drive_blocks(omega_eff: float, b: tuple, dt: float) -> tuple[np.ndarray, np.ndarray]:
+def _z_drive_blocks(omega_eff: float, b: tuple, dt: float) -> np.ndarray:
     """The two 2x2 blocks of the z drive's step unitaries through the toy
-    bath, each the (n, 2, 2) view of (2, 2, n) storage as in
+    bath, upper then lower, for coefficient arrays of shape (..., n), as the
+    (2, ..., n, 2, 2) view of (2, 2, 2, ..., n) storage as in
     :func:`_x_drive_unitaries_bath`."""
     # H = sz x K with K = (W/2) I + m.tau, m = (bx, by, bz)/2, and (m.tau)^2 =
     # |m|^2 I, so U = blockdiag(exp(-i K dt), exp(+i K dt)) with
     # exp(-i m.tau dt) = cos(|m| dt) I - i sinc m.tau
     bx, by, bz = b
     cos, sinc = _cos_sinc(np.sqrt(0.25 * (bx**2 + by**2 + bz**2)), dt)
-    upper = np.exp(-1j * 0.5 * omega_eff * dt) * _su2_steps(cos, sinc, (0.5 * bx, 0.5 * by, 0.5 * bz))
+    u = np.empty((2, 2, 2) + cos.shape, dtype=complex)
+    _su2_steps(cos, sinc, bx, by, (0.5 * bz,), u[:, :, :1])
+    upper = u[:, :, 0]
+    np.multiply(np.exp(-1j * 0.5 * omega_eff * dt), upper, out=upper)
     # exp(+i K dt) is the Hermitian conjugate of exp(-i K dt), phase included
-    lower = np.conj(upper.transpose(1, 0, 2))
-    return upper.transpose(2, 0, 1), lower.transpose(2, 0, 1)
+    np.conj(upper.swapaxes(0, 1), out=u[:, :, 1])
+    return np.moveaxis(u, (0, 1), (-2, -1))
 
 
 # Columns |x+,0>, |x-,1> (P = +1) and |x-,0>, |x+,1> (P = -1) of the parity
@@ -620,34 +653,78 @@ _X_PARITY_BASIS = np.array(
 ) / math.sqrt(2.0)
 
 
-def _x_drive_blocks(omega_eff: float, b: tuple, dt: float) -> tuple[np.ndarray, np.ndarray]:
+def _x_drive_blocks(omega_eff: float, b: tuple, dt: float) -> np.ndarray:
     """The P = +1 and P = -1 blocks of the x drive's step unitaries through
-    a toy bath with b_z = 0, in the columns of :data:`_X_PARITY_BASIS`, each
-    the (n, 2, 2) view of (2, 2, n) storage.  b_z is not read: with b_z != 0
-    the step does not conserve P."""
+    a toy bath with b_z = 0, in the columns of :data:`_X_PARITY_BASIS`, for
+    coefficient arrays of shape (..., n), as the (2, ..., n, 2, 2) view of
+    (2, 2, 2, ..., n) storage.  b_z is not read: with b_z != 0 the step does
+    not conserve P."""
     # in the two blocks H = +-(W/2) sz + m_x sx + m_y sy, m = (bx, by)/2, with
     # the 4x4 step's lam, so U = cos(lam dt) I - i sinc H in each
     bx, by, _ = b
-    lam = np.sqrt((0.5 * omega_eff) ** 2 + 0.25 * (bx**2 + by**2))
-    cos, sinc = _cos_sinc(lam, dt)
-    mx, my = 0.5 * bx, 0.5 * by
-    plus, minus = (_su2_steps(cos, sinc, (mx, my, w)) for w in (0.5 * omega_eff, -0.5 * omega_eff))
-    return plus.transpose(2, 0, 1), minus.transpose(2, 0, 1)
+    cos, sinc = _cos_sinc(np.sqrt((0.5 * omega_eff) ** 2 + 0.25 * (bx**2 + by**2)), dt)
+    u = np.empty((2, 2, 2) + cos.shape, dtype=complex)
+    _su2_steps(cos, sinc, bx, by, (0.5 * omega_eff, -0.5 * omega_eff), u)
+    return np.moveaxis(u, (0, 1), (-2, -1))
 
 
-def _block_diagonal_product(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """4x4 block diagonal of the time-ordered products of two (n, 2, 2) stacks."""
-    u = np.zeros((4, 4), dtype=complex)
-    u[0:2, 0:2] = _product_in_order(upper)
-    u[2:4, 2:4] = _product_in_order(lower)
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """(..., 4, 4) block diagonals of the pairs of 2x2 blocks of a
+    (2, ..., 2, 2) stack, upper then lower."""
+    upper, lower = blocks
+    u = np.zeros(upper.shape[:-2] + (4, 4), dtype=complex)
+    u[..., 0:2, 0:2] = upper
+    u[..., 2:4, 2:4] = lower
     return u
 
 
-def _reduce_system(rho_joint: np.ndarray) -> QubitState:
-    rho = rho_joint.reshape(2, 2, 2, 2)
-    reduced = np.trace(rho, axis1=1, axis2=3)
-    reduced = 0.5 * (reduced + reduced.conj().T)
-    return QubitState(reduced)
+def _reduce_system(rho_joint: np.ndarray) -> np.ndarray:
+    """Hermitian parts of the system's reduced states of an (..., 4, 4)
+    stack of joint states, unchecked."""
+    rho = rho_joint.reshape(rho_joint.shape[:-2] + (2, 2, 2, 2))
+    reduced = np.trace(rho, axis1=-3, axis2=-1)
+    return 0.5 * (reduced + np.conj(np.swapaxes(reduced, -1, -2)))
+
+
+def _propagate_chunk(drive: DriveConfig, noises, rho0: QubitState, dt: float) -> np.ndarray:
+    """Propagate a chunk of toy-bath realizations exactly, all at once;
+    returns their checked reduced states at T, (c, 2, 2).
+
+    The Hamiltonian is held constant on each step (coefficients sampled at
+    the step midpoint) and exponentiated exactly, so every step is unitary
+    to machine precision.  The coefficients of the chunk are stacked as
+    (c, n) arrays, and one step build and one time-ordered product serve the
+    whole chunk.  A z drive's steps are block diagonal in the joint basis.
+    Under an x drive, H = (W/2) sx x I + sz x (b_x tx + b_y ty + b_z tz)/2,
+    and the parity P = sx x tz commutes with the drive term and with the b_x
+    and b_y terms (two sign flips: sz against sx, tx or ty against tz) but
+    anticommutes with the b_z term (one flip).  So when b_z is zero at every
+    step of every realization (the main-text bath) the two P sectors are
+    propagated as 2x2 blocks and mapped back through
+    :data:`_X_PARITY_BASIS`; otherwise (the three-axis bath) P is not
+    conserved and the 4x4 steps are multiplied.  A state differs from the
+    one its realization gives alone only when the chunk mixes the two cases,
+    and then by rounding.
+    """
+    n, h, mids = _steps(drive.duration, dt)
+    b = np.empty((3, len(noises), n))  # (b_x, b_y, b_z) of each realization at each step
+    for row, noise in enumerate(noises):
+        _validate_step(drive, noise, dt)
+        b[:, row] = noise(mids)
+    omega_eff = drive.effective_amplitude
+    # each step stack goes straight into _product_in_order, which frees it
+    # after the first tree level: the chunk never holds a stack and two levels
+    if drive.axis is not DriveAxis.X_PLUS:
+        u_total = _block_diagonal(_product_in_order(_z_drive_blocks(omega_eff, b, h)))
+    elif np.any(b[2]):
+        u_total = _product_in_order(_x_drive_unitaries_bath(omega_eff, b, h))
+    else:
+        blocks = _block_diagonal(_product_in_order(_x_drive_blocks(omega_eff, b, h)))
+        u_total = _X_PARITY_BASIS @ blocks @ _X_PARITY_BASIS.T
+    rho_joint = u_total @ np.kron(rho0.matrix, _BATH_GROUND) @ np.conj(np.swapaxes(u_total, -1, -2))
+    states = _reduce_system(rho_joint)
+    check_states(states)
+    return states
 
 
 def simulate_trajectory(
@@ -656,33 +733,11 @@ def simulate_trajectory(
     rho0: QubitState,
     dt: float,
 ) -> QubitState:
-    """Propagate one toy-bath realization exactly; returns the reduced state at T.
-
-    The Hamiltonian is held constant on each step (coefficients sampled at
-    the step midpoint) and exponentiated exactly, so every step is unitary
-    to machine precision.  A z drive's steps are block diagonal in the joint
-    basis.  Under an x drive, H = (W/2) sx x I + sz x (b_x tx + b_y ty +
-    b_z tz)/2, and the parity P = sx x tz commutes with the drive term and
-    with the b_x and b_y terms (two sign flips: sz against sx, tx or ty
-    against tz) but anticommutes with the b_z term (one flip).  So when b_z
-    is zero at every step the two P sectors are propagated as 2x2 blocks
-    and mapped back through :data:`_X_PARITY_BASIS`; otherwise P is not
-    conserved and the 4x4 steps are multiplied.
-    """
-    _validate_step(drive, noise, dt)
-    n, h, mids = _steps(drive.duration, dt)
-    omega_eff = drive.effective_amplitude
-    b = noise(mids)
-    if drive.axis is not DriveAxis.X_PLUS:
-        u_total = _block_diagonal_product(*_z_drive_blocks(omega_eff, b, h))
-    elif np.any(b[2]):
-        u_total = _product_in_order(_x_drive_unitaries_bath(omega_eff, b, h))
-    else:
-        blocks = _block_diagonal_product(*_x_drive_blocks(omega_eff, b, h))
-        u_total = _X_PARITY_BASIS @ blocks @ _X_PARITY_BASIS.T
-    rho_joint = np.kron(rho0.matrix, _BATH_GROUND)
-    rho_joint = u_total @ rho_joint @ u_total.conj().T
-    return _reduce_system(rho_joint)
+    """Propagate one toy-bath realization exactly; returns the reduced state
+    at T.  This is the one-realization chunk of :func:`_propagate_chunk`:
+    the tests' reference for the states of a chunk, and a binding of the
+    benchmark tracer.  No campaign calls it, so it is not exported."""
+    return QubitState(_propagate_chunk(drive, [noise], rho0, dt)[0])
 
 
 def ensemble_expectation(
@@ -694,19 +749,27 @@ def ensemble_expectation(
     base_seed: int,
     dt: float,
 ) -> tuple[float, float]:
-    """Monte-Carlo mean of <sigma_obs(T)> over seeded noise realizations.
+    """Monte-Carlo mean of <sigma_obs(T)> over seeded noise realizations,
+    with its standard error.
 
     ``noise_factory(seed)`` must build the noise provider for one
-    realization; realization ``k`` uses the child seed derived from
-    ``(base_seed, k)`` so results are reproducible and order-independent.
+    realization; realization ``k`` uses the child seed
+    ``derive_seed(base_seed, k)``, so results are reproducible and
+    order-independent.  The seeds come from one ``derive_seeds`` pass.  The
+    realizations are propagated in chunks of :func:`_chunk_size`, each with
+    one :func:`_propagate_chunk` and one :func:`expectations` call; with
+    either toy-bath variant each value has the bits that its realization
+    gives alone.
     """
     if n_realizations < 2:
         raise DynamicsError("ensemble needs at least 2 realizations")
+    seeds = derive_seeds(base_seed, np.arange(n_realizations)[:, None]).tolist()
+    chunk = _chunk_size(_steps(drive.duration, dt)[0])
     values = np.empty(n_realizations)
-    for k in range(n_realizations):
-        noise = noise_factory(derive_seed(base_seed, k))
-        state = simulate_trajectory(drive, noise, rho0, dt)
-        values[k] = state.expectation(observable)
+    for start in range(0, n_realizations, chunk):
+        noises = [noise_factory(seed) for seed in seeds[start:start + chunk]]
+        states = _propagate_chunk(drive, noises, rho0, dt)
+        values[start:start + chunk] = expectations(states, [observable] * len(noises))
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(n_realizations))
     return mean, std_error

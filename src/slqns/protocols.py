@@ -256,6 +256,8 @@ class TrajectoryBackend(Backend):
         n_realizations: int = 400,
         analytic: bool = False,
     ):
+        if not (float(n_realizations).is_integer() and n_realizations >= 2):
+            raise DynamicsError(f"n_realizations must be an integer >= 2, got {n_realizations!r}")
         super().__init__(spam, analytic)
         self.dsa_config = dsa_config
         self.bath_config = bath_config

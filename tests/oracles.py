@@ -10,10 +10,10 @@ program's own output with a second route to the same number:
 * :func:`sequential_product`: the time-ordered product of a stack of step
   unitaries, one ``@`` at a time, against ``dynamics._product_in_order``,
   which reduces the stack as a tree with one ``np.einsum`` per level.
-* :func:`stacked_matmul_product`: the same tree reduced with one stacked
-  ``np.matmul`` per level (BLAS, one small product at a time), patched in
-  for ``dynamics._product_in_order`` to bound the drift of whole trajectory
-  campaigns.
+* :func:`stacked_matmul_product`: the same tree reduced with one
+  broadcasting ``np.matmul`` per level (BLAS, one small product at a time)
+  over (..., n, d, d) stacks, patched in for ``dynamics._product_in_order``
+  to bound the drift of whole trajectory campaigns.
 * :func:`x_drive_trajectory`: ``dynamics.simulate_trajectory`` under an x
   drive from the 4x4 step unitaries of ``dynamics._x_drive_unitaries_bath``
   and :func:`sequential_product`, whatever b_z, against the engine, which
@@ -76,7 +76,7 @@ import numpy as np
 
 from slqns.dynamics import (
     _BATH_GROUND,
-    _block_diagonal_product,
+    _block_diagonal,
     _decay_weight,
     IDENTITY2,
     SIGMA,
@@ -86,6 +86,7 @@ from slqns.dynamics import (
     DynamicsError,
     QubitState,
     ToyBathNoise,
+    _product_in_order,
     _reduce_system,
     _steps,
     _x_drive_unitaries_bath,
@@ -118,10 +119,10 @@ def discretized_z_drive(
 
     b = noise(starts)
     upper_free, lower_free = _z_drive_blocks(0.0, b, h)
-    u_total = _block_diagonal_product(rz[0, 0] * upper_free, rz[1, 1] * lower_free)
+    u_total = _block_diagonal(_product_in_order(np.stack([rz[0, 0] * upper_free, rz[1, 1] * lower_free])))
     rho_joint = np.kron(rho0.matrix, _BATH_GROUND)
     rho_joint = u_total @ rho_joint @ u_total.conj().T
-    return _reduce_system(rho_joint)
+    return QubitState(_reduce_system(rho_joint))
 
 
 def sequential_product(mats: np.ndarray) -> np.ndarray:
@@ -139,21 +140,19 @@ def x_drive_trajectory(drive: DriveConfig, noise: ToyBathNoise, rho0: QubitState
     _, h, mids = _steps(drive.duration, dt)
     u_total = sequential_product(_x_drive_unitaries_bath(drive.effective_amplitude, noise(mids), h))
     rho_joint = u_total @ np.kron(rho0.matrix, _BATH_GROUND) @ u_total.conj().T
-    return _reduce_system(rho_joint)
+    return QubitState(_reduce_system(rho_joint))
 
 
 def stacked_matmul_product(mats: np.ndarray) -> np.ndarray:
     """The pairwise tree of ``dynamics._product_in_order``, each level one
-    stacked ``np.matmul`` on (n, d, d) arrays: the same pairs, an odd first
-    step carried to the next level."""
-    while mats.shape[0] > 1:
-        if mats.shape[0] % 2 == 1:
-            head, rest = mats[:1], mats[1:]
-            rest = np.matmul(rest[1::2], rest[0::2])
-            mats = np.concatenate([head, rest]) if rest.size else head
-        else:
-            mats = np.matmul(mats[1::2], mats[0::2])
-    return mats[0]
+    broadcasting ``np.matmul`` on (..., n, d, d) arrays: the same pairs, an
+    odd first step carried to the next level, one product per index of the
+    leading axes."""
+    while (n := mats.shape[-3]) > 1:
+        head = n % 2
+        pairs = np.matmul(mats[..., head + 1::2, :, :], mats[..., head::2, :, :])
+        mats = np.concatenate([mats[..., :head, :, :], pairs], axis=-3)
+    return mats[..., 0, :, :]
 
 
 def tcl_sinc_integrator(

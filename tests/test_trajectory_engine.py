@@ -1,5 +1,5 @@
 """Trajectory engine: blocked noise synthesis, direct bath unitaries, the
-time-ordered product, drift bounds."""
+time-ordered product, realizations in chunks, drift bounds."""
 
 from __future__ import annotations
 
@@ -24,6 +24,8 @@ from slqns.noisegen import (
     build_toy_bath,
     default_dsa_config,
 )
+from slqns.protocols import TrajectoryBackend
+from slqns.seeding import derive_seed
 from slqns.spectra import Lorentzian
 
 from oracles import sequential_product, stacked_matmul_product, x_drive_trajectory
@@ -175,19 +177,25 @@ def random_unitaries(n, d, seed):
     return np.linalg.qr(rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))[0]
 
 
-@pytest.mark.parametrize("layout", ["stack", "steps-innermost"])
+@pytest.mark.parametrize("layout", ["stack", "steps-innermost", "leading-axes"])
 @pytest.mark.parametrize("d", [2, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 2645, 2646])
 def test_product_in_order_matches_the_sequential_product(n, d, layout):
-    steps = np.ascontiguousarray(random_unitaries(n, d, seed=10 * n + d))
-    if layout == "steps-innermost":
-        # the (n, d, d) view of (d, d, n) storage that the step builders return
-        steps = np.ascontiguousarray(steps.transpose(1, 2, 0)).transpose(2, 0, 1)
-        assert steps.transpose(1, 2, 0).flags.c_contiguous
+    """Every (n, d, d) stack of the input, also one of a (2, 3) grid of
+    stacks, reduces to its sequential product; a stack inside the grid gets
+    the bits it gets alone."""
+    leading = (2, 3) if layout == "leading-axes" else ()
+    steps = random_unitaries(math.prod(leading) * n, d, seed=10 * n + d).reshape(leading + (n, d, d))
+    if layout != "stack":
+        # the (..., n, d, d) view of (d, d, ..., n) storage that the step builders return
+        steps = np.moveaxis(np.ascontiguousarray(np.moveaxis(steps, (-2, -1), (0, 1))), (0, 1), (-2, -1))
+        assert np.moveaxis(steps, (-2, -1), (0, 1)).flags.c_contiguous
     before = steps.copy()
     product = dynamics._product_in_order(steps)
-    assert product.shape == (d, d)
-    assert np.max(np.abs(product - sequential_product(steps))) <= 1e-13
+    assert product.shape == leading + (d, d)
+    for index in np.ndindex(leading):
+        assert np.max(np.abs(product[index] - sequential_product(steps[index]))) <= 1e-13
+        assert product[index].tobytes() == dynamics._product_in_order(steps[index]).tobytes()
     assert np.array_equal(steps, before)
 
 
@@ -199,6 +207,107 @@ def test_step_builders_store_the_steps_innermost():
     for steps in stacks:
         assert steps.shape[0] == 7
         assert steps.strides[0] == steps.itemsize
+
+
+# ---------------------------------------------------------------------------
+# realizations propagated in chunks
+# ---------------------------------------------------------------------------
+
+# the drives of the bench trajectory workload, 4 MHz, on each path of the engine
+DRIVES = {"x": dynamics.DriveAxis.X_PLUS, "z+": dynamics.DriveAxis.Z_PLUS, "z-": dynamics.DriveAxis.Z_MINUS}
+PATHS = [("main_text", "x"), ("three_axis", "x"), ("main_text", "z+"), ("three_axis", "z-")]
+PATH_IDS = ["x-parity", "x-4x4", "z-main-text", "z-three-axis"]
+
+
+def campaign_point(variant: str, axis: str, duration: float):
+    """The drive, step and noise factory of a trajectory-backend point."""
+    drive = dynamics.DriveConfig(DRIVES[axis], amplitude=2.0 * math.pi * 4.0, duration=duration)
+    dt = 0.9 * dynamics.step_limit(drive.effective_amplitude, CONFIG.correlation_time)[0]
+    bath = BathConfig(lag_gamma=0.3, variant=BathVariant(variant))
+    grid = np.arange(0.0, duration + 0.3 + 1e-9 + dt, dt)
+
+    def factory(seed):
+        trajectory = DSARealization(CONFIG, seed).trajectory(grid)
+        return dynamics.ToyBathNoise(build_toy_bath(trajectory, bath), correlation_time=CONFIG.correlation_time)
+
+    return drive, dt, factory
+
+
+@pytest.mark.parametrize("n_realizations", [3, 7], ids=["one-full-chunk", "two-chunks-and-a-part"])
+@pytest.mark.parametrize("variant, axis", PATHS, ids=PATH_IDS)
+def test_chunked_ensemble_equals_its_realizations_one_at_a_time(monkeypatch, variant, axis, n_realizations):
+    """Chunks of three realizations give every state the bits that the
+    realization gives alone, on each path of the engine."""
+    drive, dt, factory = campaign_point(variant, axis, duration=0.5)
+    n_steps = dynamics._steps(drive.duration, dt)[0]
+    monkeypatch.setattr(dynamics, "CHUNK_STEP_BYTES", 3 * n_steps * dynamics._STEP_BYTES)
+    assert dynamics._chunk_size(n_steps) == 3
+    propagate, chunks = dynamics._propagate_chunk, []
+
+    def recorder(drive, noises, rho0, dt):
+        states = propagate(drive, noises, rho0, dt)
+        chunks.append((noises, states))
+        return states
+
+    monkeypatch.setattr(dynamics, "_propagate_chunk", recorder)
+    rho0 = dynamics.QubitState.ket(axis[0], -1)
+    mean, _ = dynamics.ensemble_expectation(drive, factory, rho0, axis[0], n_realizations, 9, dt)
+    assert [len(noises) for noises, _ in chunks] == {3: [3], 7: [3, 3, 1]}[n_realizations]
+    monkeypatch.undo()
+    values = []
+    for noises, states in chunks:
+        for noise, state in zip(noises, states):
+            alone = dynamics.simulate_trajectory(drive, noise, rho0, dt)
+            assert state.tobytes() == alone.matrix.tobytes()
+            values.append(alone.expectation(axis[0]))
+    assert mean == float(np.mean(values))
+
+
+def test_ensemble_realization_k_gets_derive_seed_k():
+    drive, dt, factory = campaign_point("main_text", "x", duration=0.5)
+    seeds = []
+
+    def recording_factory(seed):
+        seeds.append(seed)
+        return factory(seed)
+
+    dynamics.ensemble_expectation(drive, recording_factory, dynamics.QubitState.ket("x", 1), "x", 5, 2**40 + 3, dt)
+    assert seeds == [derive_seed(2**40 + 3, k) for k in range(5)]
+    assert all(type(seed) is int for seed in seeds)
+
+
+@pytest.mark.parametrize("variant, axis", PATHS[:3], ids=PATH_IDS[:3])
+def test_chunk_step_storage_stays_within_the_budget(monkeypatch, variant, axis):
+    """At the longest point of the bench trajectory workload (2.5 us, 3,778
+    steps) the chunks hold more than one realization, and no chunk's step
+    storage exceeds CHUNK_STEP_BYTES."""
+    drive, dt, factory = campaign_point(variant, axis, duration=2.5)
+    n_steps = dynamics._steps(drive.duration, dt)[0]
+    assert n_steps == 3778
+    chunk = dynamics._chunk_size(n_steps)
+    assert chunk > 1
+    storage = []
+    for name in ("_x_drive_blocks", "_x_drive_unitaries_bath", "_z_drive_blocks"):
+        def recorded(*args, _builder=getattr(dynamics, name)):
+            steps = _builder(*args)
+            assert steps.shape[-3] == n_steps
+            storage.append(steps.nbytes)
+            return steps
+
+        monkeypatch.setattr(dynamics, name, recorded)
+    dynamics.ensemble_expectation(drive, factory, dynamics.QubitState.ket(axis[0], 1), axis[0], chunk + 1, 4, dt)
+    assert len(storage) == 2
+    assert max(storage) <= dynamics.CHUNK_STEP_BYTES
+
+
+@pytest.mark.parametrize("n_realizations", [2.9, 1, 0, -3, float("nan")])
+def test_trajectory_backend_refuses_a_bad_realization_count(n_realizations):
+    with pytest.raises(dynamics.DynamicsError, match="n_realizations"):
+        TrajectoryBackend(CONFIG, BathConfig.main_text(0.3), n_realizations=n_realizations)
+
+
+def test_trajectory_backend_takes_an_integral_realization_count():
+    assert TrajectoryBackend(CONFIG, BathConfig.main_text(0.3), n_realizations=24.0).n_realizations == 24
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +423,15 @@ def test_campaign_drift_against_the_stacked_matmul_product(tmp_path, monkeypatch
 def test_campaign_drift_against_the_4x4_x_drive(tmp_path, monkeypatch, config, analytic):
     """The x drive's parity blocks move a trajectory campaign by rounding
     only, within the tolerance of :func:`assert_campaign_drift`, against
-    every x drive propagated through the 4x4 steps one step at a time."""
-    simulate, calls = dynamics.simulate_trajectory, []
+    every x-drive realization propagated alone through the 4x4 steps, one
+    step at a time."""
+    propagate, calls = dynamics._propagate_chunk, []
 
-    def reference(drive, noise, rho0, dt):
+    def reference(drive, noises, rho0, dt):
         if drive.axis is not dynamics.DriveAxis.X_PLUS:
-            return simulate(drive, noise, rho0, dt)
+            return propagate(drive, noises, rho0, dt)
         calls.append(drive.amplitude)
-        return x_drive_trajectory(drive, noise, rho0, dt)
+        return np.array([x_drive_trajectory(drive, noise, rho0, dt).matrix for noise in noises])
 
-    assert_campaign_drift(tmp_path, monkeypatch, config, analytic, "simulate_trajectory", reference)
+    assert_campaign_drift(tmp_path, monkeypatch, config, analytic, "_propagate_chunk", reference)
     assert calls
