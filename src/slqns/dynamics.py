@@ -87,6 +87,10 @@ SIGMA = {
     "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
+# the Pauli matrices stacked in SIGMA's order, x, y, z: the order of the
+# observable codes of spam.OBSERVABLES
+_PAULIS = np.array(list(SIGMA.values()))
+_PAULI_CODES = {axis: code for code, axis in enumerate(SIGMA)}
 
 TRACE_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
@@ -119,8 +123,9 @@ def check_states(matrices: np.ndarray) -> None:
 
 
 def expectations(matrices: np.ndarray, axes) -> np.ndarray:
-    """<sigma_axes[k]> of matrix k of an (n, 2, 2) stack of states."""
-    return np.real(np.trace(np.array([SIGMA[a] for a in axes]) @ matrices, axis1=-2, axis2=-1))
+    """<sigma_axes[k]> of matrix k of an (n, 2, 2) stack of states; ``axes``
+    holds codes into SIGMA's order x, y, z."""
+    return np.real(np.trace(_PAULIS[np.asarray(axes, dtype=np.intp)] @ matrices, axis1=-2, axis2=-1))
 
 
 class QubitState:
@@ -154,7 +159,7 @@ class QubitState:
         return tuple(self.expectation(u) for u in "xyz")
 
     def expectation(self, axis: str) -> float:
-        return float(expectations(self._matrix[None], [axis])[0])
+        return float(expectations(self._matrix[None], [_PAULI_CODES[axis]])[0])
 
     def coherence_in_basis(self, axis: str) -> complex:
         """Upper coherence element <u+| rho |u-> in the sigma_axis eigenbasis."""
@@ -421,8 +426,8 @@ def tcl_expectation_z_drive(rate_down, rate_up, initial, duration):
     return np.where(total == 0.0, initial * np.ones_like(duration), relaxed)[()]
 
 
-def closed_form_states(rates: DriveRates, rows, rho0s, durations) -> np.ndarray:
-    """Rotating-frame states, (n, 2, 2), of each ``rho0s[k]`` after
+def closed_form_states(rates: DriveRates, rows, rho0s, which, durations) -> np.ndarray:
+    """Rotating-frame states, (n, 2, 2), of each ``rho0s[which[k]]`` after
     ``durations[k]`` under the drive of amplitude ``rates.omega_eff[rows[k]]``.
 
     Populations along the drive axis follow the two-rate kinetics; the
@@ -432,8 +437,9 @@ def closed_form_states(rates: DriveRates, rows, rho0s, durations) -> np.ndarray:
     """
     rows, t = np.asarray(rows, dtype=int), np.asarray(durations, dtype=float)
     basis = "x" if rates.axis is DriveAxis.X_PLUS else "z"
-    initial = {rho: (rho.expectation(basis), rho.coherence_in_basis(basis)) for rho in set(rho0s)}
-    population0, coherence0 = (np.array(values) for values in zip(*(initial[rho] for rho in rho0s)))
+    which = np.asarray(which, dtype=np.intp)
+    population0 = np.array([rho.expectation(basis) for rho in rho0s])[which]
+    coherence0 = np.array([rho.coherence_in_basis(basis) for rho in rho0s])[which]
     evolve = tcl_expectation_x_drive if basis == "x" else tcl_expectation_z_drive
     diff = evolve(*(rate[rows] for rate in rates.population), population0, t)
     coherence = toggling_to_rotating(coherence0 * _exp(-rates.coherence[rows] * t), rates.omega_eff[rows], t)
@@ -448,7 +454,7 @@ def tcl_evolve_states(
     the drive's rate checks."""
     rates = DriveRates(drive.axis, [drive.effective_amplitude], spectra, device)
     rates.check(0)
-    states = closed_form_states(rates, np.zeros(len(rho0s), dtype=int), rho0s, durations)
+    states = closed_form_states(rates, np.zeros(len(rho0s), dtype=int), rho0s, np.arange(len(rho0s)), durations)
     check_states(states)
     return states
 
@@ -465,14 +471,17 @@ def tcl_evolve_state(
 # ---------------------------------------------------------------------------
 
 
-def frame_aligned_times(omega: float, n_list) -> np.ndarray:
-    """Times ``T = 2 pi n / |Omega|`` at which toggling and rotating frames align."""
-    if omega == 0.0:
+def frame_aligned_times(omega, n_list) -> np.ndarray:
+    """Times ``T = 2 pi n / |Omega|`` at which toggling and rotating frames
+    align, for each distinct ``n`` in increasing order; an array of
+    amplitudes gives one row of times per amplitude."""
+    omega = np.asarray(omega, dtype=float)
+    if np.any(omega == 0.0):
         raise DynamicsError("frame alignment requires a nonzero drive amplitude")
     n = np.asarray(sorted(set(int(k) for k in np.atleast_1d(n_list))), dtype=int)
     if n.size == 0 or n.min() < 1:
         raise DynamicsError("alignment indices must be integers >= 1")
-    return 2.0 * math.pi * n / abs(omega)
+    return 2.0 * math.pi * n / np.abs(omega)[..., None]
 
 
 def toggling_to_rotating(coherence, omega: float, t):
@@ -765,11 +774,12 @@ def ensemble_expectation(
         raise DynamicsError("ensemble needs at least 2 realizations")
     seeds = derive_seeds(base_seed, np.arange(n_realizations)[:, None]).tolist()
     chunk = _chunk_size(_steps(drive.duration, dt)[0])
+    code = _PAULI_CODES[observable]
     values = np.empty(n_realizations)
     for start in range(0, n_realizations, chunk):
         noises = [noise_factory(seed) for seed in seeds[start:start + chunk]]
         states = _propagate_chunk(drive, noises, rho0, dt)
-        values[start:start + chunk] = expectations(states, [observable] * len(noises))
+        values[start:start + chunk] = expectations(states, [code] * len(noises))
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(n_realizations))
     return mean, std_error

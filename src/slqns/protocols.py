@@ -4,13 +4,17 @@ Protocols 1/2 drive along x and measure sigma_x from the two x preparations
 (protocol 2 over a time series); protocols 3/4 add the two z drives with z
 preparations plus an optional frame-aligned coherence block (x preparations
 under the +z drive).  A backend is handed every point of a block of drive
-frequencies, the whole grid or, with ``--jobs``, a contiguous slice of it:
+frequencies, the whole grid or, with ``--jobs``, a contiguous slice of it,
+as one :class:`PointTable`: a (frequencies, points) array per column, the
+drive, preparation and observable as the dataset's codes, the duration and
+its time index, built once per block with no per-point Python object.
 
 * :class:`ClosedFormTclBackend` evaluates the secular-TCL closed forms with
-  injected spherical spectra in one array pass over the block's columns,
+  injected spherical spectra in one array pass over the table's columns,
   after a loop over its frequencies has run each drive's checks once;
 * :class:`TrajectoryBackend` Monte-Carlo averages the exact piecewise-
-  constant propagation of the dephasing toy bath, one ensemble per point.
+  constant propagation of the dephasing toy bath, one ensemble per point,
+  reading the table row by row.
 
 Both prepare the same faulty states and pass the block's ideal expectations
 through one SPAM readout, :meth:`Backend._readout`: the faulty POVM, then
@@ -29,7 +33,9 @@ execution order or ``--jobs``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +56,9 @@ from .dynamics import (
 from .noisegen import BathConfig, DSAConfig, DSARealization, build_toy_bath
 from .seeding import derive_seed, derive_seeds, first_uniforms
 from .spam import (
+    DRIVE_AXES,
     INITS,
+    OBSERVABLES,
     ShotColumns,
     ShotDataset,
     ShotRecord,
@@ -67,6 +75,7 @@ from .spectra import DeviceParams, SphericalSpectraSet, mhz_to_rad_per_us
 __all__ = [
     "PlanError",
     "ProtocolPlan",
+    "PointTable",
     "Backend",
     "ClosedFormTclBackend",
     "TrajectoryBackend",
@@ -80,11 +89,23 @@ LOW_FREQUENCY_CUTOFF = mhz_to_rad_per_us(2.3e-3)
 # slack (us) on the noise horizon T + lag against rounding of the time grid
 _GRID_MARGIN = 1e-9
 
-_AXIS_ENUM = {"x": DriveAxis.X_PLUS, "z+": DriveAxis.Z_PLUS, "z-": DriveAxis.Z_MINUS}
+# the drive axis of each drive code
+_AXES = tuple(DriveAxis(label) for label in DRIVE_AXES)
 
 
 class PlanError(ValueError):
     """Protocol plan violates its invariants."""
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; PlanError naming ``name`` unless it is integral
+    (an integral float such as 1000.0 is)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+    raise PlanError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -122,11 +143,12 @@ class ProtocolPlan:
             raise PlanError(f"protocol {self.protocol_id} takes exactly one evolution time")
         if self.protocol_id in (2, 4) and len(times) < 3:
             raise PlanError(f"protocol {self.protocol_id} needs at least 3 distinct times")
-        if self.n_shots < 1:
+        n_shots, seed = _integer("n_shots", self.n_shots), _integer("seed", self.seed)
+        if n_shots < 1:
             raise PlanError("n_shots must be >= 1")
-        if self.seed < 0:
-            raise PlanError(f"seed must be >= 0, got {self.seed}")
-        aligned_n = tuple(int(n) for n in self.aligned_n)
+        if seed < 0:
+            raise PlanError(f"seed must be >= 0, got {seed}")
+        aligned_n = tuple(_integer("aligned_n entry", n) for n in self.aligned_n)
         if any(n < 1 for n in aligned_n):
             raise PlanError("aligned_n entries must be integers >= 1")
         for w in omegas:
@@ -153,6 +175,8 @@ class ProtocolPlan:
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "aligned_n", aligned_n)
+        object.__setattr__(self, "n_shots", n_shots)
+        object.__setattr__(self, "seed", seed)
 
     def aligned_times(self, omega: float) -> np.ndarray:
         if not self.aligned_n:
@@ -160,17 +184,67 @@ class ProtocolPlan:
         return frame_aligned_times(omega, self.aligned_n)
 
 
+class PointTable(NamedTuple):
+    """The points of a block of drive frequencies: one (frequencies, points)
+    array per column, row ``i`` holding the points of the block's frequency
+    ``i``.  ``drive``, ``init`` and ``observable`` are codes into
+    :data:`~slqns.spam.DRIVE_AXES`, :data:`~slqns.spam.INITS` and
+    :data:`~slqns.spam.OBSERVABLES`; ``time`` is the duration (us) and
+    ``time_index`` the index that keys the point's shot stream: ``j`` for
+    the plan's time ``j`` and ``1000 + j`` for the frame-aligned time ``j``."""
+
+    drive: np.ndarray
+    init: np.ndarray
+    observable: np.ndarray
+    time: np.ndarray
+    time_index: np.ndarray
+
+    @classmethod
+    def of(cls, labels, time, time_index) -> "PointTable":
+        """The table of the (frequencies, points) durations ``time`` whose
+        (drive, init, observable) ``labels`` are listed row after row, or
+        once for a row that every frequency shares; ``time_index`` is
+        broadcast to ``time`` likewise."""
+        time = np.asarray(time, dtype=float)
+        drive, init, observable = (
+            np.broadcast_to(np.array(_codes(name, column), dtype=np.int8).reshape(-1, time.shape[1]), time.shape)
+            for name, column in zip(("drive", "init", "observable"), zip(*labels))
+        )
+        return cls(drive, init, observable, time, np.broadcast_to(time_index, time.shape))
+
+    @classmethod
+    def of_points(cls, points) -> "PointTable":
+        """The table of ``points[i]``, the (drive, init, observable, time)
+        tuples of frequency ``i``, each row as long as the others.  Tuples
+        carry no time index, so it is -1: no evaluator reads it."""
+        if len({len(row) for row in points}) != 1:
+            raise ValueError("every frequency of a block needs the same number of points")
+        flat = [point for row in points for point in row]
+        time = np.array([point[3] for point in flat], dtype=float).reshape(len(points), -1)
+        return cls.of([point[:3] for point in flat], time, -1)
+
+
 class Backend:
-    """Evaluator of a block of drive frequencies.  Its ``measure_block(omegas,
-    points, n_shots, seeds)`` returns one :class:`ShotColumns` row for each
-    point of ``points[i]`` at ``omegas[i]``, frequency by frequency, drawn from
-    the point's own seed ``seeds[i][k]``, so values do not depend on the
-    blocking or on ``--jobs``.  Both backends end in :meth:`_readout`."""
+    """Evaluator of a block of drive frequencies.  Its ``evaluate(omegas,
+    table, n_shots, seeds)`` reads a :class:`PointTable` and returns one
+    :class:`ShotColumns` row for each of its points, row after row, the
+    point in row ``i`` measured at ``omegas[i]`` and drawn from its own seed
+    ``seeds[i, k]``, a (frequencies, points) uint64 array; so values do not
+    depend on the blocking or on ``--jobs``.  Both backends end in
+    :meth:`_readout`.  ``measure_block``, ``measure_omega`` and ``measure``
+    adapt tuples of labels to a table, for callers that hold points one at
+    a time; no campaign calls them."""
 
     def __init__(self, spam: SpamParams | None, analytic: bool):
         self.spam = spam if spam is not None else SpamParams.ideal()
         self.analytic = analytic
-        self._prepared = {i: faulty_state(i[0], +1 if i[1] == "+" else -1, self.spam) for i in INITS}
+        # the faulty preparation of each init code
+        self._prepared = tuple(faulty_state(i[0], +1 if i[1] == "+" else -1, self.spam) for i in INITS)
+
+    def measure_block(self, omegas, points, n_shots: int, seeds) -> ShotColumns:
+        """The values of ``points[i]``, the (drive, init, observable, time)
+        tuples of ``omegas[i]``, drawn from ``seeds[i]``: the tuple adapter."""
+        return self.evaluate(omegas, PointTable.of_points(points), n_shots, np.asarray(seeds, dtype=np.uint64))
 
     def measure_omega(self, omega: float, points, n_shots: int, seeds) -> list[ShotRecord]:
         """The records of the points of one frequency: the one-frequency block."""
@@ -191,8 +265,8 @@ class Backend:
         return ShotColumns.from_counts(n_shots, draw_shots(np.clip(p_plus, 0.0, 1.0), n_shots, uniforms))
 
 
-def _drive_config(drive_axis: str, omega: float, time: float) -> DriveConfig:
-    axis = _AXIS_ENUM[drive_axis]
+def _drive_config(drive: int, omega: float, time: float) -> DriveConfig:
+    axis = _AXES[drive]
     amplitude = omega if axis is DriveAxis.X_PLUS else abs(omega)
     # plan-level policy already enforced the long-time condition
     return DriveConfig(axis=axis, amplitude=amplitude, duration=time, long_time_threshold=0.0)
@@ -213,31 +287,41 @@ class ClosedFormTclBackend(Backend):
         self.spectra = spectra
         self.device = device
 
-    def measure_block(self, omegas, points, n_shots, seeds) -> ShotColumns:
-        rows = np.repeat(np.arange(len(points)), [len(row) for row in points])
-        drive, init, observable, time = (np.array(column) for column in zip(*(p for row in points for p in row)))
-        # each drive's effective amplitude at every frequency, as _drive_config gives it
-        amplitudes = {"x": omegas, "z+": np.abs(omegas), "z-": -np.abs(omegas)}
-        rates = {d: DriveRates(_AXIS_ENUM[d], amplitudes[d], self.spectra, self.device) for d in dict.fromkeys(drive)}
+    def evaluate(self, omegas, table: PointTable, n_shots: int, seeds) -> ShotColumns:
+        omegas = np.asarray(omegas, dtype=float)
+        n_omegas, n_points = table.time.shape
+        drive, init, observable, time = (np.ravel(column) for column in table[:4])
+        rows = np.repeat(np.arange(n_omegas), n_points)
+        # the block's drive codes in order of first appearance, and each one's
+        # effective amplitude at every frequency, as _drive_config gives it
+        codes, flat_first = np.unique(drive, return_index=True)
+        amplitudes = omegas, np.abs(omegas), -np.abs(omegas)
+        rates = {d: DriveRates(_AXES[d], amplitudes[d], self.spectra, self.device)
+                 for d in codes[np.argsort(flat_first)].tolist()}
+        # the column of each drive code's first point in each row (n_points if
+        # it has none) and that point's duration
+        present = table.drive[:, :, None] == np.arange(len(DRIVE_AXES))
+        first = np.where(present.any(axis=1), present.argmax(axis=1), n_points)
+        first_time = np.take_along_axis(table.time, np.minimum(first, n_points - 1), axis=1)
+        order = np.argsort(first, axis=1, kind="stable")
         # the checks of each frequency, drive axis by drive axis, in plan order
-        for i, (omega, row) in enumerate(zip(omegas, points)):
+        for i, (omega, row_order, row_first, row_time) in enumerate(
+            zip(omegas.tolist(), order.tolist(), first.tolist(), first_time.tolist())
+        ):
             self.device.check_drive_amplitude(omega)
-            first_times = {}
-            for drive_axis, _, _, t in row:
-                first_times.setdefault(drive_axis, t)
-            for drive_axis, t in first_times.items():
-                _drive_config(drive_axis, omega, t)
-                rates[drive_axis].check(i)
+            for d in row_order:
+                if row_first[d] < n_points:
+                    _drive_config(d, omega, row_time[d])
+                    rates[d].check(i)
         bad = ~(np.isfinite(time) & (time > 0.0))
         if bad.any():
             raise DynamicsError(f"drive duration must be finite and > 0, got {time[bad][0]}")
         states = np.empty((time.size, 2, 2), dtype=complex)
-        for drive_axis, axis_rates in rates.items():
-            k = np.flatnonzero(drive == drive_axis)
-            states[k] = closed_form_states(axis_rates, rows[k], [self._prepared[i] for i in init[k]], time[k])
+        for d, axis_rates in rates.items():
+            k = np.flatnonzero(drive == d)
+            states[k] = closed_form_states(axis_rates, rows[k], self._prepared, init[k], time[k])
         check_states(states)
-        return self._readout(expectations(states, observable), np.zeros(time.size), n_shots,
-                             [seed for row in seeds for seed in row])
+        return self._readout(expectations(states, observable), np.zeros(time.size), n_shots, np.ravel(seeds))
 
     measure = Backend.measure  # resolved here by the benchmark tracer
 
@@ -276,39 +360,50 @@ class TrajectoryBackend(Backend):
 
         return factory
 
-    def measure_block(self, omegas, points, n_shots, seeds) -> ShotColumns:
+    def evaluate(self, omegas, table: PointTable, n_shots: int, seeds) -> ShotColumns:
         ensembles = []
-        for omega, row, row_seeds in zip(omegas, points, seeds):
-            for (drive_axis, init, observable, time), seed in zip(row, row_seeds):
-                drive = _drive_config(drive_axis, omega, time)
+        rows = zip(np.asarray(omegas, dtype=float).tolist(), *(column.tolist() for column in table[:4]), seeds)
+        for omega, drives, inits, observables, times, row_seeds in rows:
+            for code, init, observable, time, seed in zip(drives, inits, observables, times, row_seeds):
+                drive = _drive_config(code, omega, time)
                 dt = 0.9 * dynamics.step_limit(drive.effective_amplitude, self.dsa_config.correlation_time)[0]
                 noise = self._noise_factory(omega, time, dt)
                 ensembles.append(dynamics.ensemble_expectation(
-                    drive, noise, self._prepared[init], observable, self.n_realizations, derive_seed(seed, 0), dt))
+                    drive, noise, self._prepared[init], OBSERVABLES[observable], self.n_realizations,
+                    derive_seed(seed, 0), dt))
         means, std_errors = np.array(ensembles).T
         # squared by Python's float ** 2, whose bits the analytic variances have always had
         variances = _squared(self.spam.alpha_m * std_errors)
-        return self._readout(means, variances, n_shots, [derive_seed(seed, 1) for row in seeds for seed in row])
+        return self._readout(means, variances, n_shots, [derive_seed(seed, 1) for seed in np.ravel(seeds)])
 
     measure = Backend.measure  # resolved here by the benchmark tracer
 
 
-def _protocol_points(plan: ProtocolPlan, omega: float):
-    three_drive = plan.protocol_id in (3, 4)
-    points = []
-    for j, t in enumerate(plan.times):
-        if three_drive:
-            points.append(("z+", "z+", "z", t, j))
-            points.append(("z+", "z-", "z", t, j))
-            points.append(("z-", "z+", "z", t, j))
-            points.append(("z-", "z-", "z", t, j))
-        points.append(("x", "x+", "x", t, j))
-        points.append(("x", "x-", "x", t, j))
-    if three_drive:
-        for j, t in enumerate(plan.aligned_times(omega)):
-            points.append(("z+", "x+", "x", float(t), 1000 + j))
-            points.append(("z+", "x-", "x", float(t), 1000 + j))
-    return points
+# the (drive, init, observable) of the points at each plan time, and of the
+# coherence pair at each frame-aligned time of protocols 3 and 4
+_Z_POINTS = (("z+", "z+", "z"), ("z+", "z-", "z"), ("z-", "z+", "z"), ("z-", "z-", "z"))
+_X_POINTS = (("x", "x+", "x"), ("x", "x-", "x"))
+_ALIGNED_POINTS = (("z+", "x+", "x"), ("z+", "x-", "x"))
+
+
+def _plan_points(plan: ProtocolPlan, omegas) -> PointTable:
+    """The points of ``plan`` at each of ``omegas``: at each plan time ``j``,
+    the z-drive points of protocols 3 and 4 and then the x-drive points;
+    then, for protocols 3 and 4, the coherence pair at each frame-aligned
+    time of its frequency, all of them from one :func:`frame_aligned_times`
+    array."""
+    timed = (_Z_POINTS if plan.protocol_id in (3, 4) else ()) + _X_POINTS
+    if plan.protocol_id in (3, 4) and plan.aligned_n:
+        aligned = frame_aligned_times(omegas, plan.aligned_n)
+    else:
+        aligned = np.empty((len(omegas), 0))
+    n_times, n_aligned = len(plan.times), aligned.shape[1]
+    plan_times = np.repeat(plan.times, len(timed))
+    time = np.hstack((np.broadcast_to(plan_times, (len(omegas), plan_times.size)),
+                      np.repeat(aligned, len(_ALIGNED_POINTS), axis=1)))
+    time_index = np.concatenate((np.repeat(np.arange(n_times), len(timed)),
+                                 np.repeat(1000 + np.arange(n_aligned), len(_ALIGNED_POINTS))))
+    return PointTable.of(timed * n_times + _ALIGNED_POINTS * n_aligned, time, time_index)
 
 
 def _run_block(backend: Backend, plan: ProtocolPlan, omegas, omega_indices) -> ShotDataset:
@@ -316,18 +411,15 @@ def _run_block(backend: Backend, plan: ProtocolPlan, omegas, omega_indices) -> S
     of the plan's grid.  Each point draws its shots from the stream keyed by
     (protocol, frequency index, drive, init, observable, time index): the
     frequency enters only as its index, and the labels as the dataset's codes."""
-    points = [_protocol_points(plan, omega) for omega in omegas]
-    # every frequency has the same points but for the aligned times
-    drives, inits, observables, _, time_indices = zip(*points[0])
-    n = len(drives)
-    pattern = _codes("drive", drives), _codes("init", inits), _codes("observable", observables), time_indices
-    keys = np.column_stack((np.full(len(omegas) * n, plan.protocol_id), np.repeat(omega_indices, n),
-                            *(np.tile(column, len(omegas)) for column in pattern)))
-    seeds = derive_seeds(plan.seed, keys).reshape(len(omegas), n)
-    values = backend.measure_block(omegas, [[point[:4] for point in row] for row in points], plan.n_shots, seeds)
+    table = _plan_points(plan, omegas)
+    n_omegas, n = table.time.shape
+    keys = np.column_stack((np.full(table.time.size, plan.protocol_id), np.repeat(omega_indices, n),
+                            *(np.ravel(column) for column in (table.drive, table.init, table.observable,
+                                                              table.time_index))))
+    seeds = derive_seeds(plan.seed, keys).reshape(n_omegas, n)
+    values = backend.evaluate(omegas, table, plan.n_shots, seeds)
     dataset = ShotDataset()
-    dataset.extend(keys[:, 2], np.repeat(omegas, n), keys[:, 3], keys[:, 4],
-                   [point[3] for row in points for point in row], values)
+    dataset.extend(keys[:, 2], np.repeat(omegas, n), keys[:, 3], keys[:, 4], np.ravel(table.time), values)
     return dataset
 
 

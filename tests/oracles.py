@@ -56,6 +56,11 @@ program's own output with a second route to the same number:
 * :func:`binomial_quantile_reference`: the exact binomial quantile from a
   40-digit mpmath CDF, against ``spam.draw_shots`` where p or u is extreme
   and wherever ``draw_shots`` and ``scipy.stats.binom.ppf`` disagree.
+* :func:`protocol_points`: the points of a plan at one drive frequency as
+  (drive, init, observable, time, time index) tuples, built one at a time
+  from ``plan.aligned_times(omega)``, against ``protocols._plan_points``,
+  which builds a block's points as (frequencies, points) code and time
+  arrays.
 * :func:`dsa_sample` and :func:`rad_per_us_to_mhz`: one-line shorthands for
   ``DSARealization(config, seed).trajectory(grid)`` and the inverse of
   ``spectra.mhz_to_rad_per_us``.
@@ -456,6 +461,26 @@ def z_drive_rates(spectra: SphericalSpectraSet, omega_eff: float, device: Device
 def z_drive_coherence_rate(spectra: SphericalSpectraSet, omega_eff: float, device: DeviceParams) -> float:
     """Decay rate of the z-basis coherence under a z drive."""
     return DriveRates(DriveAxis.Z_PLUS, omega_eff, spectra, device).coherence_rate()
+
+
+def protocol_points(plan, omega: float) -> list[tuple]:
+    """The (drive, init, observable, time, time index) of every point of
+    ``plan`` at ``omega``, in plan order."""
+    three_drive = plan.protocol_id in (3, 4)
+    points = []
+    for j, t in enumerate(plan.times):
+        if three_drive:
+            points.append(("z+", "z+", "z", t, j))
+            points.append(("z+", "z-", "z", t, j))
+            points.append(("z-", "z+", "z", t, j))
+            points.append(("z-", "z-", "z", t, j))
+        points.append(("x", "x+", "x", t, j))
+        points.append(("x", "x-", "x", t, j))
+    if three_drive:
+        for j, t in enumerate(plan.aligned_times(omega)):
+            points.append(("z+", "x+", "x", float(t), 1000 + j))
+            points.append(("z+", "x-", "x", float(t), 1000 + j))
+    return points
 
 
 def theoretical_autocorrelation(config: DSAConfig, tau) -> np.ndarray:

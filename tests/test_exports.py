@@ -121,3 +121,47 @@ def test_code_kept_for_the_tracer_is_wrapped_by_it(monkeypatch):
     kept = [(owner, name) for module in MODULES for owner, name in _tracer_only_bindings(importlib.import_module(module))]
     assert kept
     assert [f"{owner.__name__}.{name}" for owner, name in kept if (id(owner), name) not in wrapped] == []
+
+
+# Module-level definitions of src/slqns that no src/ code references: the
+# package version, and the per-point helpers and scalar references that only
+# the tests and the bench call (ROADMAP item 9 retires them).  A helper that
+# loses its last caller must go, not join this list.
+UNREFERENCED = {
+    "__init__.__version__",
+    "dynamics.compute_AB",
+    "dynamics.simulate_trajectory",
+    "dynamics.tcl_evolve_state",
+    "estimation.weighted_linreg",
+    "noisegen.target_spectra",
+    "protocols.run_for_omega",
+    "spam.sample_shots",
+}
+
+
+def _unreferenced_definitions() -> set[str]:
+    """``module.name`` of every module-level function, class or assigned
+    name of src/slqns that no src/ code loads, as a name or an attribute;
+    imports and ``__all__`` lists do not count as references."""
+    definitions, loaded = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.add((path.stem, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                definitions.update((path.stem, t.id) for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    return {f"{module}.{name}" for module, name in definitions if name not in loaded and name != "__all__"}
+
+
+def test_no_module_level_definition_goes_unreferenced_by_the_program():
+    unreferenced = _unreferenced_definitions()
+    assert sorted(unreferenced - UNREFERENCED) == []
+    # a listed name that is gone or has a caller again leaves the list
+    assert sorted(UNREFERENCED - unreferenced) == []

@@ -121,3 +121,27 @@ def test_a_plan_refuses_a_non_finite_drive_time_or_threshold(field, value):
         grid[field] = [*grid[field][:1], value, *grid[field][1:]]
     with pytest.raises(PlanError, match=f"must be finite, got {value}"):
         ProtocolPlan(protocol_id=2, **grid)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_shots", 10.5),
+    ("seed", 1.5),
+    ("aligned_n", (20.7,)),
+    ("aligned_n", (20, math.nan)),
+    ("n_shots", "1000"),
+], ids=["n_shots", "seed", "aligned_n", "aligned_n-nan", "n_shots-text"])
+def test_a_plan_refuses_a_non_integral_count_seed_or_aligned_index(field, value):
+    name = "aligned_n entry" if field == "aligned_n" else field
+    with pytest.raises(PlanError, match=f"^{name} must be an integer, got "):
+        ProtocolPlan(protocol_id=4, omegas=[mhz_to_rad_per_us(4.0)], times=[2.0, 4.0, 6.0], **{field: value})
+
+
+def test_a_plan_takes_integral_floats_as_integers():
+    plan = ProtocolPlan(protocol_id=4, omegas=[mhz_to_rad_per_us(4.0)], times=[2.0, 4.0, 6.0],
+                        n_shots=1000.0, seed=3.0, aligned_n=(20.0, np.int64(40)))
+    assert (plan.n_shots, plan.seed, plan.aligned_n) == (1000, 3, (20, 40))
+    assert all(type(n) is int for n in (plan.n_shots, plan.seed, *plan.aligned_n))
+    backend = ClosedFormTclBackend(SphericalSpectraSet.dephasing_only(BAND), DEVICE, analytic=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert len(run_plan(backend, plan)) == 6 * 3 + 2 * 2
