@@ -269,19 +269,18 @@ def _real(value: complex, label: str) -> float:
     return value.real
 
 
-def _x_drive_in_out_rates(spectra: SphericalSpectraSet, omega, omega_q: float):
-    """Dressed-frame feeding/removal rates of the x+ population, complex: the
-    rates are their real parts.  ``omega`` may be an array.
+def _sideband_samples(spectra: SphericalSpectraSet, omega, omega_q: float):
+    """The samples (S[0,0], S[-1,1], S[1,-1]) at the carrier frequencies
+    {0, -wq, +wq} shifted by +Omega and by -Omega; ``omega`` may be an array.
 
-    Both sample the carrier frequencies {0, -wq, +wq} shifted by +Omega (in)
-    or -Omega (out).
+    Shifted by +Omega they give the dressed-frame feeding rate of the x+
+    population, by -Omega its removal rate (the real parts of
+    ``S[0,0] + (S[-1,1] + S[1,-1]) / 2``); a z drive's rates are two of them.
     """
-    def sideband(shift):
-        return spectra.value(0, 0, shift) + 0.5 * (
-            spectra.value(-1, 1, shift - omega_q) + spectra.value(1, -1, shift + omega_q)
-        )
-
-    return sideband(omega), sideband(-omega)
+    return tuple(
+        (spectra.value(0, 0, shift), spectra.value(-1, 1, shift - omega_q), spectra.value(1, -1, shift + omega_q))
+        for shift in (omega, -omega)
+    )
 
 
 def compute_AB(spectra: SphericalSpectraSet, omega: float, device: DeviceParams) -> RateCoefficients:
@@ -324,12 +323,12 @@ class DriveRates:
     """Secular-TCL rates of one drive axis at every signed amplitude of an array.
 
     ``axis`` tells the x drive from a z drive; ``omega_eff`` carries the
-    sign.  Each spectrum component is sampled once on the whole array and
-    every rate formula is evaluated there.  ``a_rate`` and ``b_rate`` are the
-    x-drive coefficients A(W) and B(W), which the secular check reads on
-    every axis; ``population`` is the pair (A, B) of an x drive or
-    (rate_down, rate_up) of a z drive, and ``coherence`` the decay rate of
-    the drive-basis coherence.  These arrays are the real parts of complex
+    sign.  The six sideband samples are taken once, on the whole array, and
+    every rate formula reads them.  ``a_rate`` and ``b_rate`` are the x-drive
+    coefficients A(W) and B(W), which the secular check reads on every axis;
+    ``population`` is the pair (A, B) of an x drive or (rate_down, rate_up)
+    of a z drive, and ``coherence`` the decay rate of the drive-basis
+    coherence.  These arrays are the real parts of complex
     spectral sums and are not checked: the methods that take an index ``k``
     read one amplitude's rates with their checks, so that a caller looping
     over its drive frequencies raises and warns in its own order.
@@ -339,7 +338,8 @@ class DriveRates:
         wq = device.omega_q
         self.axis = axis
         self.omega_eff = w = np.atleast_1d(np.asarray(omega_eff, dtype=float))
-        self._x_sums = _x_drive_in_out_rates(spectra, w, wq)
+        inward, outward = _sideband_samples(spectra, w, wq)
+        self._x_sums = tuple(s00 + 0.5 * (down + up) for s00, down, up in (inward, outward))
         rate_in, rate_out = (s.real for s in self._x_sums)
         self.a_rate, self.b_rate = rate_in + rate_out, rate_in - rate_out
         if axis is DriveAxis.X_PLUS:
@@ -347,7 +347,8 @@ class DriveRates:
             self.population = (self.a_rate, self.b_rate)
             self.coherence = 0.5 * self.a_rate + self._coherence_term[0].real
         else:
-            self._z_sums = (spectra.value(-1, 1, -w - wq), spectra.value(1, -1, w + wq))
+            # S[-1,1](-W-wq) and S[1,-1](W+wq)
+            self._z_sums = (outward[1], inward[2])
             self._coherence_term = (spectra.value(0, 0, 0.0), "S[0,0](0)")
             self.population = tuple(s.real for s in self._z_sums)
             self.coherence = self.population[0] + self.population[1] + 2.0 * self._coherence_term[0].real

@@ -69,6 +69,14 @@ threads; identical config and seed give byte-identical outputs, whatever N is.
 Each thread calls BLAS, so set ``OPENBLAS_NUM_THREADS=1`` for ``--jobs > 1``: on
 a busy 2-vCPU VM, a small complex product took 30 ms on two OpenBLAS threads and
 0.07 ms on one.
+
+``slqns`` exits 0 (``EXIT_OK``) on success, 3 (``EXIT_ESTIMATION``) when
+estimation fails at every frequency, and 2 (``EXIT_CONFIG``) when it cannot
+run: on a config error, which ``validate`` finds too; on a bad ``compare``
+input; on a ``measurement error``, a ``DynamicsError`` that only measuring
+finds (a planned drive whose sampled decay rate A is 0, say), after which no
+output is written; and on an ``output error``, an ``OSError`` from creating or
+writing the output directory.
 """
 
 from __future__ import annotations
@@ -87,6 +95,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dynamics import DynamicsError
 from .estimation import (
     EstimationError,
     EstimatorResult,
@@ -670,6 +679,13 @@ def _cmd_run(args) -> int:
         )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except DynamicsError as exc:
+        print(f"measurement error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # a config that cannot be read is a ConfigError, so this is the output
+        print(f"output error: {exc.filename or args.out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
     n_est = len(result.report["estimates"])
     print(f"estimates: {n_est}, failures: {len(result.failures)}")

@@ -5,16 +5,18 @@ Protocols 1/2 drive along x and measure sigma_x from the two x preparations
 preparations plus an optional frame-aligned coherence block (x preparations
 under the +z drive).  A backend is handed every point of a block of drive
 frequencies, the whole grid or, with ``--jobs``, a contiguous slice of it,
-as one :class:`PointTable`: a (frequencies, points) array per column, the
-drive, preparation and observable as the dataset's codes, the duration and
-its time index, built once per block with no per-point Python object.
+as one :class:`PointTable`.  A protocol measures the same points at every
+drive amplitude, so the table holds one layout that every frequency of the
+block shares (the drive, preparation and observable as the dataset's codes,
+and the time index) and a (frequencies, points) array of durations, built
+once per block with no per-point Python object.
 
 * :class:`ClosedFormTclBackend` evaluates the secular-TCL closed forms with
-  injected spherical spectra in one array pass over the table's columns,
-  after a loop over its frequencies has run each drive's checks once;
+  injected spherical spectra in one array pass over the block, after a loop
+  over its frequencies has run each drive axis's rate checks once;
 * :class:`TrajectoryBackend` Monte-Carlo averages the exact piecewise-
   constant propagation of the dephasing toy bath, one ensemble per point,
-  reading the table row by row.
+  reading the durations row by row.
 
 Both prepare the same faulty states and pass the block's ideal expectations
 through one SPAM readout, :meth:`Backend._readout`: the faulty POVM, then
@@ -185,13 +187,14 @@ class ProtocolPlan:
 
 
 class PointTable(NamedTuple):
-    """The points of a block of drive frequencies: one (frequencies, points)
-    array per column, row ``i`` holding the points of the block's frequency
-    ``i``.  ``drive``, ``init`` and ``observable`` are codes into
+    """The points of a block of drive frequencies: one layout of (points,)
+    columns that every frequency shares, and the (frequencies, points)
+    durations ``time``, row ``i`` those of the block's frequency ``i``.
+    ``drive``, ``init`` and ``observable`` are codes into
     :data:`~slqns.spam.DRIVE_AXES`, :data:`~slqns.spam.INITS` and
-    :data:`~slqns.spam.OBSERVABLES`; ``time`` is the duration (us) and
-    ``time_index`` the index that keys the point's shot stream: ``j`` for
-    the plan's time ``j`` and ``1000 + j`` for the frame-aligned time ``j``."""
+    :data:`~slqns.spam.OBSERVABLES`; ``time`` is in us and ``time_index``
+    keys the point's shot stream: ``j`` for the plan's time ``j`` and
+    ``1000 + j`` for the frame-aligned time ``j``."""
 
     drive: np.ndarray
     init: np.ndarray
@@ -202,26 +205,14 @@ class PointTable(NamedTuple):
     @classmethod
     def of(cls, labels, time, time_index) -> "PointTable":
         """The table of the (frequencies, points) durations ``time`` whose
-        (drive, init, observable) ``labels`` are listed row after row, or
-        once for a row that every frequency shares; ``time_index`` is
-        broadcast to ``time`` likewise."""
+        points have the (drive, init, observable) ``labels``, listed once for
+        every frequency; ``time_index`` is broadcast to the points likewise."""
         time = np.asarray(time, dtype=float)
         drive, init, observable = (
-            np.broadcast_to(np.array(_codes(name, column), dtype=np.int8).reshape(-1, time.shape[1]), time.shape)
+            np.broadcast_to(np.array(_codes(name, column), dtype=np.int8), time.shape[1:])
             for name, column in zip(("drive", "init", "observable"), zip(*labels))
         )
-        return cls(drive, init, observable, time, np.broadcast_to(time_index, time.shape))
-
-    @classmethod
-    def of_points(cls, points) -> "PointTable":
-        """The table of ``points[i]``, the (drive, init, observable, time)
-        tuples of frequency ``i``, each row as long as the others.  Tuples
-        carry no time index, so it is -1: no evaluator reads it."""
-        if len({len(row) for row in points}) != 1:
-            raise ValueError("every frequency of a block needs the same number of points")
-        flat = [point for row in points for point in row]
-        time = np.array([point[3] for point in flat], dtype=float).reshape(len(points), -1)
-        return cls.of([point[:3] for point in flat], time, -1)
+        return cls(drive, init, observable, time, np.broadcast_to(time_index, time.shape[1:]))
 
 
 class Backend:
@@ -231,9 +222,8 @@ class Backend:
     point in row ``i`` measured at ``omegas[i]`` and drawn from its own seed
     ``seeds[i, k]``, a (frequencies, points) uint64 array; so values do not
     depend on the blocking or on ``--jobs``.  Both backends end in
-    :meth:`_readout`.  ``measure_block``, ``measure_omega`` and ``measure``
-    adapt tuples of labels to a table, for callers that hold points one at
-    a time; no campaign calls them."""
+    :meth:`_readout`.  ``measure`` is the one-point block; no campaign
+    calls it."""
 
     def __init__(self, spam: SpamParams | None, analytic: bool):
         self.spam = spam if spam is not None else SpamParams.ideal()
@@ -241,18 +231,10 @@ class Backend:
         # the faulty preparation of each init code
         self._prepared = tuple(faulty_state(i[0], +1 if i[1] == "+" else -1, self.spam) for i in INITS)
 
-    def measure_block(self, omegas, points, n_shots: int, seeds) -> ShotColumns:
-        """The values of ``points[i]``, the (drive, init, observable, time)
-        tuples of ``omegas[i]``, drawn from ``seeds[i]``: the tuple adapter."""
-        return self.evaluate(omegas, PointTable.of_points(points), n_shots, np.asarray(seeds, dtype=np.uint64))
-
-    def measure_omega(self, omega: float, points, n_shots: int, seeds) -> list[ShotRecord]:
-        """The records of the points of one frequency: the one-frequency block."""
-        return self.measure_block([omega], [points], n_shots, [seeds]).records()
-
     def measure(self, drive_axis, omega, init, observable, time, n_shots, seed) -> ShotRecord:
-        """The record of one point: the one-point block."""
-        return self.measure_omega(omega, [(drive_axis, init, observable, time)], n_shots, [seed])[0]
+        """The record of one point: the one-point block, time index -1."""
+        table = PointTable.of([(drive_axis, init, observable)], [[time]], -1)
+        return self.evaluate([omega], table, n_shots, np.array([[seed]], dtype=np.uint64)).records()[0]
 
     def _readout(self, expectations, variances, n_shots: int, shot_seeds) -> ShotColumns:
         """The faulty POVM on a block's ideal expectations: exact values that
@@ -263,13 +245,6 @@ class Backend:
             return ShotColumns.exact(2.0 * p_plus - 1.0)._replace(variance=np.asarray(variances, dtype=float))
         uniforms = first_uniforms(shot_seeds)
         return ShotColumns.from_counts(n_shots, draw_shots(np.clip(p_plus, 0.0, 1.0), n_shots, uniforms))
-
-
-def _drive_config(drive: int, omega: float, time: float) -> DriveConfig:
-    axis = _AXES[drive]
-    amplitude = omega if axis is DriveAxis.X_PLUS else abs(omega)
-    # plan-level policy already enforced the long-time condition
-    return DriveConfig(axis=axis, amplitude=amplitude, duration=time, long_time_threshold=0.0)
 
 
 class ClosedFormTclBackend(Backend):
@@ -288,34 +263,28 @@ class ClosedFormTclBackend(Backend):
         self.device = device
 
     def evaluate(self, omegas, table: PointTable, n_shots: int, seeds) -> ShotColumns:
-        omegas = np.asarray(omegas, dtype=float)
+        omegas, time = np.asarray(omegas, dtype=float), np.ravel(table.time)
         n_omegas, n_points = table.time.shape
-        drive, init, observable, time = (np.ravel(column) for column in table[:4])
-        rows = np.repeat(np.arange(n_omegas), n_points)
-        # the block's drive codes in order of first appearance, and each one's
-        # effective amplitude at every frequency, as _drive_config gives it
-        codes, flat_first = np.unique(drive, return_index=True)
-        amplitudes = omegas, np.abs(omegas), -np.abs(omegas)
-        rates = {d: DriveRates(_AXES[d], amplitudes[d], self.spectra, self.device)
-                 for d in codes[np.argsort(flat_first)].tolist()}
-        # the column of each drive code's first point in each row (n_points if
-        # it has none) and that point's duration
-        present = table.drive[:, :, None] == np.arange(len(DRIVE_AXES))
-        first = np.where(present.any(axis=1), present.argmax(axis=1), n_points)
-        first_time = np.take_along_axis(table.time, np.minimum(first, n_points - 1), axis=1)
-        order = np.argsort(first, axis=1, kind="stable")
-        # the checks of each frequency, drive axis by drive axis, in plan order
-        for i, (omega, row_order, row_first, row_time) in enumerate(
-            zip(omegas.tolist(), order.tolist(), first.tolist(), first_time.tolist())
-        ):
-            self.device.check_drive_amplitude(omega)
-            for d in row_order:
-                if row_first[d] < n_points:
-                    _drive_config(d, omega, row_time[d])
-                    rates[d].check(i)
+        # what a ProtocolPlan guarantees, checked once per block; the amplitude
+        # is named as the block's first drive axis takes it
+        codes = dict.fromkeys(table.drive.tolist())
+        bad = np.isnan(omegas) | (omegas == 0.0)
+        if bad.any():
+            amplitude = abs(omegas[bad][0]) if next(iter(codes)) else omegas[bad][0]
+            raise DynamicsError(f"drive amplitude must be finite and nonzero, got {amplitude}")
         bad = ~(np.isfinite(time) & (time > 0.0))
         if bad.any():
             raise DynamicsError(f"drive duration must be finite and > 0, got {time[bad][0]}")
+        # each drive axis at its effective amplitudes, in the order of its first
+        # point, and the rate checks of each frequency in that order
+        amplitudes = omegas, np.abs(omegas), -np.abs(omegas)
+        rates = {d: DriveRates(_AXES[d], amplitudes[d], self.spectra, self.device) for d in codes}
+        for i, omega in enumerate(omegas.tolist()):
+            self.device.check_drive_amplitude(omega)
+            for axis_rates in rates.values():
+                axis_rates.check(i)
+        rows = np.repeat(np.arange(n_omegas), n_points)
+        drive, init, observable = (np.tile(column, n_omegas) for column in table[:3])
         states = np.empty((time.size, 2, 2), dtype=complex)
         for d, axis_rates in rates.items():
             k = np.flatnonzero(drive == d)
@@ -347,7 +316,7 @@ class TrajectoryBackend(Backend):
         self.bath_config = bath_config
         self.n_realizations = int(n_realizations)
 
-    def _noise_factory(self, omega: float, time: float, dt: float):
+    def _noise_factory(self, time: float, dt: float):
         horizon = time + self.bath_config.lag_gamma + _GRID_MARGIN
         grid = np.arange(0.0, horizon + dt, dt)
 
@@ -362,12 +331,13 @@ class TrajectoryBackend(Backend):
 
     def evaluate(self, omegas, table: PointTable, n_shots: int, seeds) -> ShotColumns:
         ensembles = []
-        rows = zip(np.asarray(omegas, dtype=float).tolist(), *(column.tolist() for column in table[:4]), seeds)
-        for omega, drives, inits, observables, times, row_seeds in rows:
-            for code, init, observable, time, seed in zip(drives, inits, observables, times, row_seeds):
-                drive = _drive_config(code, omega, time)
+        layout = list(zip(*(column.tolist() for column in table[:3])))
+        for omega, times, row_seeds in zip(np.asarray(omegas, dtype=float).tolist(), table.time.tolist(), seeds):
+            for (code, init, observable), time, seed in zip(layout, times, row_seeds):
+                # a z drive takes |Omega|, and the plan enforced the long-time condition
+                drive = DriveConfig(_AXES[code], abs(omega) if code else omega, time, long_time_threshold=0.0)
                 dt = 0.9 * dynamics.step_limit(drive.effective_amplitude, self.dsa_config.correlation_time)[0]
-                noise = self._noise_factory(omega, time, dt)
+                noise = self._noise_factory(time, dt)
                 ensembles.append(dynamics.ensemble_expectation(
                     drive, noise, self._prepared[init], OBSERVABLES[observable], self.n_realizations,
                     derive_seed(seed, 0), dt))
@@ -413,9 +383,9 @@ def _run_block(backend: Backend, plan: ProtocolPlan, omegas, omega_indices) -> S
     frequency enters only as its index, and the labels as the dataset's codes."""
     table = _plan_points(plan, omegas)
     n_omegas, n = table.time.shape
+    layout = (table.drive, table.init, table.observable, table.time_index)
     keys = np.column_stack((np.full(table.time.size, plan.protocol_id), np.repeat(omega_indices, n),
-                            *(np.ravel(column) for column in (table.drive, table.init, table.observable,
-                                                              table.time_index))))
+                            *(np.tile(column, n_omegas) for column in layout)))
     seeds = derive_seeds(plan.seed, keys).reshape(n_omegas, n)
     values = backend.evaluate(omegas, table, plan.n_shots, seeds)
     dataset = ShotDataset()

@@ -485,7 +485,8 @@ def _series_index(columns: dict) -> dict[tuple, np.ndarray]:
         raise ValueError(f"duplicate measurement key {_keys(columns, [order[repeated[0] + 1]])[0]}")
     starts = np.flatnonzero(np.r_[True, ~same])
     heads = _keys(columns, order[starts])
-    return {head[:4]: rows for head, rows in zip(heads, np.split(order, starts[1:]))}
+    bounds = np.r_[starts, order.size].tolist()
+    return {head[:4]: order[start:stop] for head, start, stop in zip(heads, bounds, bounds[1:])}
 
 
 def _codes(name: str, labels) -> list[int]:

@@ -11,7 +11,7 @@ import pytest
 
 from slqns.harness import EXIT_CONFIG, EXIT_ESTIMATION, EXIT_OK, main
 
-from test_harness import CLOSED_FORM_P4, TRAJECTORY, write_config
+from test_harness import CLOSED_FORM_P4, CLOSED_FORM_P4_ANALYTIC, TRAJECTORY, write_config
 
 
 def run(tmp_path, config, name="out") -> int:
@@ -41,6 +41,32 @@ def test_run_exits_with_estimation_error_when_every_frequency_fails(tmp_path, ca
     err = capsys.readouterr().err
     assert "only 1 usable time points" in err
     assert "estimation failed at every frequency" in err
+
+
+def test_run_exits_with_config_error_on_a_measurement_error(tmp_path, capsys):
+    # dephasing on 0.5-10.5 MHz alone: A = 0 at the 15 MHz drive, which only
+    # measuring finds
+    config = copy.deepcopy(CLOSED_FORM_P4_ANALYTIC)
+    del config["spectra"]["transverse"]
+    config["spectra"]["dephasing"]["model"] = {"kind": "Tabulated", "params": {
+        "frequency_grid_MHz": [0.5, 1.0, 10.0, 10.5], "values_per_us": [0.0, 4.0, 4.0, 0.0]}}
+    config["plan"]["omegas_MHz"] = [5.0, 15.0]
+    assert main(["validate", write_config(tmp_path, config)]) == EXIT_OK
+    capsys.readouterr()
+    assert run(tmp_path, config) == EXIT_CONFIG
+    assert capsys.readouterr().err == "measurement error: decay rate A must be > 0, got 0.0\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, cause", [
+    ("file", "File exists"),
+    ("file/out", "Not a directory"),
+], ids=["a-file", "under-a-file"])
+def test_run_exits_with_config_error_when_the_output_directory_cannot_be_made(tmp_path, capsys, name, cause):
+    (tmp_path / "file").write_text("kept\n")
+    assert run(tmp_path, CLOSED_FORM_P4_ANALYTIC, name) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"output error: {tmp_path / name}: {cause}\n"
+    assert (tmp_path / "file").read_text() == "kept\n"
 
 
 @pytest.fixture(scope="module")

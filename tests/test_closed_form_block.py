@@ -28,7 +28,7 @@ from slqns.dynamics import (
     tcl_evolve_states,
 )
 from slqns.harness import build_campaign
-from slqns.protocols import ClosedFormTclBackend, ProtocolPlan, run_for_omega, run_plan
+from slqns.protocols import ClosedFormTclBackend, PointTable, ProtocolPlan, run_for_omega, run_plan
 from slqns.seeding import derive_seed, spawn_rng
 from slqns.spam import ShotRecord, faulty_state
 from slqns.spectra import DeviceParams, SpectraError, SphericalSpectraSet, mhz_to_rad_per_us
@@ -173,13 +173,20 @@ def p4_plan(omegas_mhz):
     )
 
 
+def evaluate(backend, omegas, points, n_shots, seeds):
+    """``backend.evaluate`` of the (drive, init, observable, time) ``points``
+    that every one of ``omegas`` shares, drawn from ``seeds[i]`` at ``omegas[i]``."""
+    table = PointTable.of([p[:3] for p in points], [[p[3] for p in points]] * len(omegas), -1)
+    return backend.evaluate(omegas, table, n_shots, np.asarray(seeds, dtype=np.uint64))
+
+
 def test_too_strong_a_drive_raises_spectra_error():
     backend = ClosedFormTclBackend(ZERO, DEVICE)
-    omega = 2.0 * DEVICE.omega_q
-    with pytest.raises(SpectraError, match="drive too strong"):
-        backend.measure_omega(omega, [("x", "x+", "x", 2.0)], 100, [1])
-    with pytest.raises(SpectraError, match="drive too strong"):
-        backend.measure("z+", omega, "z+", "z", 2.0, 100, 1)
+    for omega in (2.0 * DEVICE.omega_q, math.inf):
+        with pytest.raises(SpectraError, match="drive too strong"):
+            evaluate(backend, [omega], [("x", "x+", "x", 2.0)], 100, [[1]])
+        with pytest.raises(SpectraError, match="drive too strong"):
+            backend.measure("z+", omega, "z+", "z", 2.0, 100, 1)
 
 
 @pytest.mark.parametrize("spectra, match", [
@@ -229,7 +236,7 @@ def test_one_point_measure_is_the_block_case():
         omega = mhz_to_rad_per_us(omega_mhz)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            block = backend.measure_omega(omega, points, 500, [11, 12, 13])
+            block = evaluate(backend, [omega], points, 500, [[11, 12, 13]]).records()
             single = [backend.measure(d, omega, i, o, t, 500, s) for (d, i, o, t), s in zip(points, [11, 12, 13])]
         assert block == single, type(backend).__name__
 
@@ -242,18 +249,24 @@ def test_states_outside_the_bloch_ball_fail_the_stacked_check():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(DynamicsError, match="negative eigenvalue"):
-            backend.measure_omega(mhz_to_rad_per_us(5.0), points, 10, [1, 2])
+            evaluate(backend, [mhz_to_rad_per_us(5.0)], points, 10, [[1, 2]])
 
 
-@pytest.mark.parametrize("duration", [math.nan, math.inf])
-def test_every_duration_of_the_block_is_checked(duration):
+@pytest.mark.parametrize("omega, duration, message", [
+    pytest.param(mhz_to_rad_per_us(14.0), math.nan, "drive duration must be finite and > 0, got nan", id="nan"),
+    pytest.param(mhz_to_rad_per_us(14.0), math.inf, "drive duration must be finite and > 0, got inf", id="inf"),
+    pytest.param(0.0, 2.0, "drive amplitude must be finite and nonzero, got 0.0", id="zero-amplitude"),
+    pytest.param(math.nan, 2.0, "drive amplitude must be finite and nonzero, got nan", id="nan-amplitude"),
+])
+def test_every_duration_of_the_block_is_checked(omega, duration, message):
     # the checks of a frequency's drive used to read only its first duration
     backend = build_campaign(CONFIGS["p2"], analytic=True).backend
     points = [("x", "x+", "x", 2.0), ("x", "x-", "x", duration)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        with pytest.raises(DynamicsError, match="drive duration must be finite and > 0"):
-            backend.measure_omega(mhz_to_rad_per_us(14.0), points, 10, [1, 2])
+        with pytest.raises(DynamicsError) as error:
+            evaluate(backend, [omega], points, 10, [[1, 2]])
+    assert str(error.value) == message
 
 
 def test_invalid_rates_warn_once_per_frequency_and_drive_axis():
@@ -271,7 +284,7 @@ def test_invalid_rates_warn_once_per_frequency_and_drive_axis():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(DynamicsError, match="negative eigenvalue"):
-            backend.measure_block(omegas, [points, points], 10, [[1, 2, 3, 4]] * 2)
+            evaluate(backend, omegas, points, 10, [[1, 2, 3, 4]] * 2)
     seen = [str(w.message) for w in caught if "< |B|" in str(w.message)]
     assert len(expected) == 6
     assert seen == expected

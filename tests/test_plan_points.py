@@ -27,12 +27,13 @@ from oracles import protocol_points
 from test_harness import CLOSED_FORM_P4_ANALYTIC
 
 
-def table_row(table: PointTable, i: int) -> list[tuple]:
-    """Row ``i`` of a table as (drive, init, observable) labels and time index."""
+def table_row(table: PointTable) -> list[tuple]:
+    """The layout that every row of a table shares, as (drive, init,
+    observable) labels and time index."""
     return [
         (DRIVE_AXES[d], INITS[k], OBSERVABLES[o], j)
-        for d, k, o, j in zip(*(column[i].tolist() for column in (table.drive, table.init, table.observable,
-                                                                  table.time_index)))
+        for d, k, o, j in zip(*(column.tolist() for column in (table.drive, table.init, table.observable,
+                                                               table.time_index)))
     ]
 
 
@@ -56,22 +57,12 @@ def test_the_block_table_holds_the_points_of_the_tuple_reference(plan):
     assert table.time.shape[0] == len(plan.omegas)
     for i, omega in enumerate(plan.omegas):
         reference = protocol_points(plan, omega)
-        assert table_row(table, i) == [(d, k, o, j) for d, k, o, _, j in reference]
+        assert table_row(table) == [(d, k, o, j) for d, k, o, _, j in reference]
         assert table.time[i].tobytes() == np.array([t for *_, t, _ in reference]).tobytes()
-        aligned = table.time[i][table.time_index[i] >= 1000]
+        aligned = table.time[i][table.time_index >= 1000]
         assert aligned[::2].tobytes() == aligned[1::2].tobytes()
         expected = plan.aligned_times(omega) if plan.protocol_id in (3, 4) else np.array([])
         assert aligned[::2].tobytes() == expected.tobytes()
-    # the tuple adapter reads the same labels and times
-    adapted = PointTable.of_points([[p[:4] for p in protocol_points(plan, omega)] for omega in plan.omegas])
-    for name in ("drive", "init", "observable", "time"):
-        assert getattr(adapted, name).tobytes() == getattr(table, name).tobytes(), name
-
-
-def test_the_tuple_adapter_refuses_rows_of_unequal_length():
-    points = [[("x", "x+", "x", 2.0)], [("x", "x+", "x", 2.0), ("x", "x-", "x", 2.0)]]
-    with pytest.raises(ValueError, match="same number of points"):
-        PointTable.of_points(points)
 
 
 def test_observable_codes_follow_the_order_of_the_pauli_matrices():
@@ -94,7 +85,7 @@ def test_a_closed_form_campaign_skips_the_tuple_adapter_and_checks_each_drive_on
         checked.append((self.axis, k))
         return check(self, k)
 
-    monkeypatch.setattr(ClosedFormTclBackend, "measure_block", adapter)
+    monkeypatch.setattr(ClosedFormTclBackend, "measure", adapter)
     monkeypatch.setattr(DriveRates, "check", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

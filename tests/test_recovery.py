@@ -8,6 +8,7 @@ from the campaign's own parsed objects.
 from __future__ import annotations
 
 import copy
+import math
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from slqns import estimation, harness
 from slqns.dynamics import compute_AB
 from slqns.harness import run_campaign
 from slqns.spectra import DeviceParams, Lorentzian, SphericalSpectraSet, White, mhz_to_rad_per_us
+from test_harness import CLOSED_FORM_P2, CLOSED_FORM_P4_ANALYTIC
 
 REL_TOL = 1e-9
 SPAM = {"alpha_sp": 0.98, "alpha_m": 0.95, "delta": 0.01}
@@ -117,6 +119,33 @@ def test_analytic_campaign_recovers_injected_rates(name):
     if path == "multi_axis":
         assert all(r["intercepts_consistent"] for r in report["spam_per_frequency"])
 
+
+# the decay-rate rows of each protocol, and the share of the decay exponent
+# that each one's standard inversion reads at T_max: all of A (protocol 2's
+# S+_{0,0} is A), half for each z drive's rate
+RATE_ROWS = {2: {"S+_{0,0}": 1.0}, 4: {"A": 1.0, "S+_{1,-1}": 0.5, "S+_{-1,1}": 0.5}}
+
+
+@pytest.mark.parametrize("config", [
+    CLOSED_FORM_P4_ANALYTIC,
+    dict(CLOSED_FORM_P2, backend={"type": "closed_form", "analytic": True}),
+], ids=["p4", "p2"])
+def test_spam_inflates_the_standard_rates_and_leaves_the_robust_ones_exact(config):
+    # The paper's "overestimated by up to 26.4 %": the standard inversion takes
+    # the contrast alpha = alpha_sp alpha_m at T_max for decay, so it reads A
+    # too high by -ln(alpha) / T_max (29 % at 14-40 MHz here)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = run_campaign(config).report
+    alpha = config["spam"]["alpha_sp"] * config["spam"]["alpha_m"]
+    t_max = max(config["plan"]["times_us"])
+    shares = RATE_ROWS[config["protocol"]]
+    rows = [row for row in report["estimates"] if row["component"] in shares]
+    assert len(rows) == 2 * len(config["plan"]["omegas_MHz"]) * len(shares)
+    for row in rows:
+        standard = row["method"] == "standard"
+        expected = truth(row) - standard * shares[row["component"]] * math.log(alpha) / t_max
+        assert abs(row["value"] - expected) <= REL_TOL * abs(expected), (row["method"], row["component"], row["value"])
 
 
 def test_a_guarded_frequency_is_fitted_linearly_once(monkeypatch):
