@@ -5,7 +5,8 @@ least-squares fit (``scipy.optimize.least_squares``, given scipy's two-point
 Jacobian in one array call), and first-order (delta-method) uncertainty
 propagation.  ``least_squares`` is imported inside
 :func:`robust_single_axis_nonlinear`, its only caller, so that campaigns which
-never run the nonlinear fit (protocols 1, 3 and 4) never import
+never run the nonlinear fit (protocols 1, 3 and 4, and protocol 2 where the
+linearization guard accepts every frequency) never import
 ``scipy.optimize``, about half a second of start-up.  It is the only scipy
 that ``slqns`` uses: protocol 2 is the one campaign that loads scipy.
 
@@ -40,8 +41,12 @@ stacked regression (:func:`_linreg_stack`, whose one-row case is
 arrays over the whole grid (NaN at a failed frequency, which is never read),
 and the delta-method inversions evaluate every central and bumped input of
 the grid in one array pass (:func:`_propagate`).  Warnings are emitted
-afterwards, frequency by frequency in grid order.  The protocol 2 robust
-estimators work one frequency at a time, on one-frequency grids.
+afterwards, frequency by frequency in grid order.
+:func:`robust_single_axis_linearized`, protocol 2's robust estimator, is a
+grid estimator too: it fits every frequency's lines in one pair block and
+returns a :class:`LinearizationGuardError` where its guard rejects them.
+Only :func:`robust_single_axis_nonlinear`, which runs scipy's solver, takes
+one frequency at a time, from the payload of that error.
 
 The outputs keep the bits of a scalar evaluation, one frequency at a time: a
 stacked matrix product or solve runs the same BLAS/LAPACK call on each
@@ -89,13 +94,14 @@ class EstimationError(RuntimeError):
 
 
 class LinearizationGuardError(EstimationError):
-    """Data violate the small-decay guard; use the non-linear path.  ``block``
-    is the rejected linearized fit (the one-frequency pair block with its
-    classical line), which the non-linear fit starts from."""
+    """Data violate the small-decay guard at one frequency; use the non-linear
+    path.  ``start`` is the :class:`_NonlinearStart` of that frequency: the
+    lines of the rejected linearized fit and the gathered series, all that
+    the non-linear fit reads."""
 
-    def __init__(self, message: str, block: _PairBlock):
+    def __init__(self, message: str, start: _NonlinearStart):
         super().__init__(message)
-        self.block = block
+        self.start = start
 
 
 class Method(enum.Enum):
@@ -562,6 +568,8 @@ class _PairBlock:
 
     ``times`` and ``dropped`` hold each frequency's series times and the
     times dropped for a non-positive gap (empty where the series failed).
+    ``series`` is the length stacks of :func:`_paired_series`: every
+    matched frequency's dataset rows, dropped times included.
     ``errors[i]`` is the EstimationError that fails frequency i, before or in
     its fit.  The quantum fits are a method because their regressor depends
     on the fitted slope.
@@ -569,6 +577,7 @@ class _PairBlock:
 
     times: list
     dropped: list
+    series: dict  # series length -> (index, times, plus rows, minus rows)
     stacks: list  # of _Stack
     fits: _GridFits
 
@@ -637,68 +646,93 @@ def _pair_block(dataset, drive_axis, omegas, inits, observable, *, half: bool = 
     for i, error in enumerate(errors):
         if error is not None:
             fits.errors[i] = error
-    return _PairBlock(times_of, dropped_of, block_stacks, fits)
+    return _PairBlock(times_of, dropped_of, stacks, block_stacks, fits)
 
 
 # largest S+ T at which the linearized quantum line is trusted
 LINEARIZATION_GUARD = 0.1
 
 
-def _guard_value(block: _PairBlock) -> float:
-    """max(S+ T) of a one-frequency pair block, from its classical line."""
-    return float(np.max(block.fits.result(0).slope * block.times[0]))
+class _NonlinearStart(NamedTuple):
+    """What the nonlinear fit at one frequency reads: the classical line of
+    the rejected linearized fit, its quantum line (preparation means against
+    time) or the EstimationError that fails that line, and both preparations'
+    series, dropped times included."""
+
+    classical: RegressionResult
+    quantum: RegressionResult | EstimationError
+    times: np.ndarray        # (n,)
+    expectation: np.ndarray  # (2n,): the x+ series, then the x- series
+    std_error: np.ndarray    # (2n,)
+    analytic: bool           # every point of both series is analytic
 
 
-def _lines(block: _PairBlock) -> tuple[RegressionResult, RegressionResult]:
-    """The classical line of a one-frequency pair block and the quantum line
-    (preparation means against time) fitted here."""
-    return block.fits.result(0), block.quantum_fits(lambda slope, times: times).result(0)
+def _gathered_series(dataset: ShotDataset, block: _PairBlock) -> dict:
+    """Frequency index -> (times, expectations, std errors, analytic) of
+    every matched series pair of ``block``, one gather per length stack."""
+    gathered = {}
+    for index, times, plus, minus in block.series.values():
+        values = dataset.take(np.concatenate((plus, minus), axis=1))
+        std_error = expectation_std_error(values)
+        analytic = values.analytic.all(axis=1).tolist()
+        for j, i in enumerate(index.tolist()):
+            gathered[i] = (times[j], values.expectation[j], std_error[j], analytic[j])
+    return gathered
 
 
-def _linearized_result(block: _PairBlock, omega: float) -> EstimatorResult:
-    """The linearized estimate of a one-frequency pair block, from its lines."""
-    classical_fit, quantum_fit = _lines(block)
-
-    alpha = math.exp(-classical_fit.intercept)
-    rows = [
-        ("S+_{0,0}", classical_fit.slope, classical_fit.slope_err),
-        ("alpha_m*S-_{0,0}", quantum_fit.slope, quantum_fit.slope_err),
-    ]
-    return EstimatorResult(
-        _estimates(Method.ROBUST_LINEAR, omega, rows),
-        "linearized",
-        alpha=alpha,
-        alpha_err=alpha * classical_fit.intercept_err,
-        delta=quantum_fit.intercept,
-        delta_err=quantum_fit.intercept_err,
-        diagnostics={
-            "guard_value": _guard_value(block),
-            "dropped_times": block.dropped[0],
-            "fits": {"classical": classical_fit, "quantum": quantum_fit},
-        },
-    )
-
-
-def robust_single_axis_linearized(dataset: ShotDataset, omega: float) -> EstimatorResult:
-    """Small-decay robust estimation: two straight-line fits.
+def robust_single_axis_linearized(dataset: ShotDataset, omegas) -> list:
+    """Small-decay robust estimation at every frequency of ``omegas``: two
+    straight-line fits each.
 
     Classical path: ``ln[2/(e+ - e-)]`` vs T gives the classical spectrum as
     the slope and ``-ln(alpha)`` as the intercept (this line is exact).
     Quantum path: ``(e+ + e-)/2`` vs T gives ``alpha_m S-`` as the slope and
-    ``delta`` as the intercept, valid only while ``S+ T`` stays small; the
-    guard rejects data outside that regime after the classical fit, with a
-    :class:`LinearizationGuardError` that carries the fitted block.  The
+    ``delta`` as the intercept, valid only while ``S+ T`` stays small.  The
     quantum estimate is the component ``alpha_m*S-_{0,0}``.
+
+    Returns one outcome per frequency, in grid order: the EstimatorResult;
+    the EstimationError that fails the frequency; or, where the guard
+    rejects the classical line's ``max(S+ T)``, a
+    :class:`LinearizationGuardError` whose ``start`` the nonlinear fit takes.
     """
-    block = _pair_block(dataset, "x", [omega], ("x+", "x-"), "x")
-    guard_value = _guard_value(block)
-    if guard_value > LINEARIZATION_GUARD:
-        raise LinearizationGuardError(
-            f"max(S+ T) = {guard_value:.3g} exceeds the linearization guard "
-            f"{LINEARIZATION_GUARD:g}; use robust_single_axis_nonlinear",
-            block,
-        )
-    return _linearized_result(block, omega)
+    omegas = list(omegas)
+    block = _pair_block(dataset, "x", omegas, ("x+", "x-"), "x")
+    quantum = block.quantum_fits(lambda slope, times: times)
+    gathered = _gathered_series(dataset, block)
+    outcomes = []
+    for i, omega in enumerate(omegas):
+        try:
+            classical = block.fits.result(i)
+            guard_value = float(np.max(classical.slope * block.times[i]))
+            if guard_value > LINEARIZATION_GUARD:
+                outcomes.append(LinearizationGuardError(
+                    f"max(S+ T) = {guard_value:.3g} exceeds the linearization guard "
+                    f"{LINEARIZATION_GUARD:g}; use robust_single_axis_nonlinear",
+                    _NonlinearStart(classical, quantum.errors[i] or quantum.result(i), *gathered[i]),
+                ))
+                continue
+            quantum_fit = quantum.result(i)
+            alpha = math.exp(-classical.intercept)
+            rows = [
+                ("S+_{0,0}", classical.slope, classical.slope_err),
+                ("alpha_m*S-_{0,0}", quantum_fit.slope, quantum_fit.slope_err),
+            ]
+            outcomes.append(EstimatorResult(
+                _estimates(Method.ROBUST_LINEAR, omega, rows),
+                "linearized",
+                alpha=alpha,
+                alpha_err=alpha * classical.intercept_err,
+                delta=quantum_fit.intercept,
+                delta_err=quantum_fit.intercept_err,
+                diagnostics={
+                    "guard_value": guard_value,
+                    "dropped_times": block.dropped[i],
+                    "fits": {"classical": classical, "quantum": quantum_fit},
+                },
+            ))
+        except EstimationError as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 # xtol, ftol and gtol of the solver; scipy's 1e-8 default stops ~1e-7 short
@@ -708,16 +742,18 @@ FIT_TOLERANCE = 1e-12
 _FD_STEP = np.finfo(float).eps ** 0.5
 
 
-def robust_single_axis_nonlinear(dataset: ShotDataset, omega: float, start: _PairBlock) -> EstimatorResult:
-    """Joint bounded least-squares fit of (S+, S-, alpha_m, delta).
+def robust_single_axis_nonlinear(omega: float, start: _NonlinearStart) -> EstimatorResult:
+    """Joint bounded least-squares fit of (S+, S-, alpha_m, delta) at ``omega``.
 
     Models both preparation series with ``alpha approx alpha_m`` (negligible
     preparation errors; the fitted ``alpha_m`` is reported as ``alpha``) and
     minimises the standardised residuals with scipy's trust-region-reflective
-    solver (Branch, Coleman & Li, SIAM J. Sci. Comput. 21, 1999), started
-    from the lines of ``start``, the fitted block that the guard rejected at
-    ``omega`` (``LinearizationGuardError.block``); its quantum line is fitted
-    after this fit's own checks.  The Jacobian is the forward difference that
+    solver (Branch, Coleman & Li, SIAM J. Sci. Comput. 21, 1999).  ``start``
+    is the payload of the :class:`LinearizationGuardError` that the guard
+    gave at ``omega``: the series to fit (unit residual scales where every
+    point is analytic) and the lines of the rejected linearized fit, which
+    the solver starts from; a failed quantum line fails the fit after its
+    own time-count check.  The Jacobian is the forward difference that
     scipy's ``jac="2-point"`` takes, with its steps and their flips at the
     bounds, but its five parameter vectors go through one array evaluation
     of the residuals, so the solver takes the same steps.
@@ -728,16 +764,10 @@ def robust_single_axis_nonlinear(dataset: ShotDataset, omega: float, start: _Pai
     """
     from scipy.optimize import least_squares
 
-    stacks, (error,) = _paired_series(dataset, "x", [omega], ("x+", "x-"), "x")
-    if error is not None:
-        raise error
-    ((_, (times,), (plus,), (minus,)),) = stacks.values()
+    times, y, analytic = start.times, start.expectation, start.analytic
     if times.size < 4:
         raise EstimationError("non-linear fit needs at least 4 time points")
-    values = dataset.take(np.concatenate((plus, minus)))
-    analytic = bool(values.analytic.all())
-    y = values.expectation
-    sig = np.ones_like(y) if analytic else expectation_std_error(values)
+    sig = np.ones_like(y) if analytic else start.std_error
     signs = np.array([[+1], [-1]])
 
     def residuals(thetas):
@@ -760,7 +790,9 @@ def robust_single_axis_nonlinear(dataset: ShotDataset, omega: float, start: _Pai
         f = residuals(stencil)
         return ((f[1:] - f[0]) / (stepped - theta)[:, None]).T
 
-    classical, quantum = _lines(start)
+    classical, quantum = start.classical, start.quantum
+    if isinstance(quantum, EstimationError):
+        raise quantum
     alpha = math.exp(-classical.intercept)
     theta0 = [classical.slope, quantum.slope / alpha, alpha, quantum.intercept]
     fit = least_squares(

@@ -54,16 +54,18 @@ under ``standard_dropped`` (``{repr(omega): cause}``, ``{}`` when nothing was
 dropped), and ``run.log`` gets a ``DROPPED standard omega=...: cause`` line.
 These are not ``failures``: the frequency's robust estimates stand.
 
-Estimation takes the whole drive grid at once.  Protocol 4's robust
-estimator and every protocol's standard inversion are one grid call each per
-campaign, returning one outcome per frequency in plan order (a result, or the
-``EstimationError`` of that frequency alone); protocol 2's robust fits run
-one frequency at a time, the nonlinear one from the linearized fit that the
-guard rejected.  An ``EstimationError`` raised by a whole grid call is the
-outcome of every frequency of the grid.
+Estimation takes the whole drive grid at once.  The robust estimators of
+protocols 2 and 4 and every protocol's standard inversion are one grid call
+each per campaign, returning one outcome per frequency in plan order (a
+result, or the ``EstimationError`` of that frequency alone).  Where protocol
+2's linearization guard rejects a frequency, its nonlinear fit then runs
+alone, from the ``LinearizationGuardError`` that the grid call returned
+there.  An ``EstimationError`` raised by a whole grid call is the outcome of
+every frequency of the grid.
 
 ``run_campaign`` writes ``datasets.csv``, ``estimates.csv``, ``report.json``,
-``manifest.json`` and ``run.log`` into the output directory.  ``--jobs N``
+``manifest.json`` and ``run.log`` into the output directory, which it creates
+before measuring, and removes again if measuring or estimating fails.  ``--jobs N``
 cuts the drive-frequency grid into N contiguous blocks and measures them in N
 threads; identical config and seed give byte-identical outputs, whatever N is.
 Each thread calls BLAS, so set ``OPENBLAS_NUM_THREADS=1`` for ``--jobs > 1``: on
@@ -431,24 +433,13 @@ def _grid_outcomes(estimator, size: int, *args) -> list:
         return [exc] * size
 
 
-def _robust_single_axis(dataset, omega: float):
-    """Protocol 2's robust outcome at one frequency: the linearized fit, or the
-    nonlinear one where the linearization guard trips."""
-    try:
-        try:
-            return robust_single_axis_linearized(dataset, omega)
-        except LinearizationGuardError as guard:
-            return robust_single_axis_nonlinear(dataset, omega, guard.block)
-    except EstimationError as exc:
-        return exc
-
-
 def _estimate_grid(campaign: Campaign, dataset) -> tuple[list, list, dict, dict]:
     """The report's ``(estimates, spam_per_frequency, failures, standard_dropped)``,
     in plan order; the last two map ``repr(omega)`` to the cause.
 
-    Protocols 2 and 4 first run their SPAM-robust estimator (protocol 2 one
-    frequency at a time, protocol 4 in one grid call).  Every protocol then
+    Protocols 2 and 4 first run their SPAM-robust estimator in one grid call;
+    protocol 2 then runs the nonlinear fit at each frequency where that call
+    returned a LinearizationGuardError.  Every protocol then
     inverts its expectations at the longest plan time in one grid call: for
     protocols 1 and 3 this is the estimate, for 2 and 4 a comparison that is
     dropped where it fails.  A frequency whose robust fit fails is failed and
@@ -457,7 +448,13 @@ def _estimate_grid(campaign: Campaign, dataset) -> tuple[list, list, dict, dict]
     plan, omega_q = campaign.plan, campaign.device.omega_q
     omegas, size = list(plan.omegas), len(plan.omegas)
     if campaign.protocol == 2:
-        robust = [_robust_single_axis(dataset, omega) for omega in omegas]
+        robust = _grid_outcomes(robust_single_axis_linearized, size, dataset, omegas)
+        for i, outcome in enumerate(robust):
+            if isinstance(outcome, LinearizationGuardError):
+                try:
+                    robust[i] = robust_single_axis_nonlinear(omegas[i], outcome.start)
+                except EstimationError as exc:
+                    robust[i] = exc
     elif campaign.protocol == 4:
         robust = _grid_outcomes(robust_multi_axis, size, dataset, omegas, omega_q)
     else:
@@ -584,9 +581,18 @@ def run_campaign(config, *, out_dir=None, seed=None, analytic=None, jobs: int = 
     if not isinstance(config, dict):
         config = load_config(config)
     campaign = build_campaign(config, seed=seed, analytic=analytic)
-    dataset = run_plan(campaign.backend, campaign.plan, jobs=jobs)
-
-    rows, spam_rows, failures, standard_dropped = _estimate_grid(campaign, dataset)
+    out_path, made = None, []
+    if out_dir is not None or "output_dir" in config:
+        out_path = Path(out_dir if out_dir is not None else config["output_dir"])
+        made = [path for path in (out_path, *out_path.parents) if not path.exists()]
+        out_path.mkdir(parents=True, exist_ok=True)
+    try:
+        dataset = run_plan(campaign.backend, campaign.plan, jobs=jobs)
+        rows, spam_rows, failures, standard_dropped = _estimate_grid(campaign, dataset)
+    except BaseException:
+        for path in made:  # deepest first, each still empty
+            path.rmdir()
+        raise
 
     report = {
         "protocol": campaign.protocol,
@@ -603,10 +609,7 @@ def run_campaign(config, *, out_dir=None, seed=None, analytic=None, jobs: int = 
         "standard_dropped": standard_dropped,
     }
 
-    out_path = None
-    if out_dir is not None or "output_dir" in config:
-        out_path = Path(out_dir if out_dir is not None else config["output_dir"])
-        out_path.mkdir(parents=True, exist_ok=True)
+    if out_path is not None:
         dataset.to_csv(out_path / "datasets.csv")
         estimates_json, estimates_csv = _estimate_texts(rows)
         (out_path / "estimates.csv").write_text(estimates_csv, newline="")
@@ -633,17 +636,32 @@ def run_campaign(config, *, out_dir=None, seed=None, analytic=None, jobs: int = 
     return CampaignResult(report=report, dataset=dataset, out_dir=out_path, failures=failures)
 
 
+# the fields of an estimates row that compare_reports reads, with their JSON types
+_COMPARED_FIELDS = {
+    "component": str, "method": str, "omega_rad_per_us": numbers.Real,
+    "freq_rad_per_us": numbers.Real, "value": numbers.Real, "std_error": numbers.Real,
+}
+
+
 def compare_reports(report_a: dict, report_b: dict) -> list[dict]:
     """Per-(component, frequency) z-scores between two reconstructions.
 
     ``z = (value_a - value_b) / hypot(std_error_a, std_error_b)``: 0 where the
     values agree, and an infinity of the sign of the difference where they
-    differ with both std errors 0 (as on analytic standard rows).  Refuses to
-    compare reports whose (component, omega, freq) grids differ.
+    differ with both std errors 0 (as on analytic standard rows).  Refuses,
+    with a ValueError, a report without an ``estimates`` list of rows that
+    hold every compared field, and reports whose (component, omega, freq)
+    grids differ.
     """
     def keyed(report):
+        rows = report.get("estimates") if isinstance(report, dict) else None
+        if not isinstance(rows, list):
+            raise ValueError("not a report: no 'estimates' list")
         table = {}
-        for row in report["estimates"]:
+        for row in rows:
+            if not (isinstance(row, dict)
+                    and all(isinstance(row.get(name), kind) for name, kind in _COMPARED_FIELDS.items())):
+                raise ValueError(f"not an estimates row: {row!r}")
             key = (row["component"], row["method"], row["omega_rad_per_us"], row["freq_rad_per_us"])
             table[key] = (row["value"], row["std_error"])
         return table
@@ -714,7 +732,7 @@ def _cmd_compare(args) -> int:
         report_a = json.loads(Path(args.report_a).read_text())
         report_b = json.loads(Path(args.report_b).read_text())
         rows = compare_reports(report_a, report_b)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"compare error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print("component,method,omega_rad_per_us,freq_rad_per_us,z")

@@ -50,6 +50,12 @@ program's own output with a second route to the same number:
   ``dynamics._decay_weight`` calls and one bumped input at a time, against
   ``estimation._propagate``, which evaluates a grid of central and bumped
   inputs in one array pass.
+* :func:`robust_single_axis_reference`: protocol 2's robust outcome at one
+  frequency, the linearized fit of a one-frequency pair block and, where
+  its guard trips, the nonlinear fit started from that block's lines,
+  against ``estimation.robust_single_axis_linearized``, which fits the
+  whole grid in one pair block, and ``robust_single_axis_nonlinear`` run
+  from the guard error's payload.
 * :func:`x_drive_coherence_rate`, :func:`z_drive_rates` and
   :func:`z_drive_coherence_rate`: one-amplitude readings of
   ``dynamics.DriveRates`` under the names of the paper's rates.
@@ -97,9 +103,21 @@ from slqns.dynamics import (
     _x_drive_unitaries_bath,
     _z_drive_blocks,
 )
-from slqns.estimation import EstimationError, RegressionResult
+from slqns.estimation import (
+    _FD_STEP,
+    FIT_TOLERANCE,
+    LINEARIZATION_GUARD,
+    EstimationError,
+    EstimatorResult,
+    Method,
+    RegressionResult,
+    _estimates,
+    _pair_block,
+    _paired_series,
+    single_axis_forward,
+)
 from slqns.noisegen import DSAConfig, DSARealization, NoiseTrajectory
-from slqns.spam import ShotDataset, SpamParams, outcome_probability
+from slqns.spam import ShotDataset, SpamParams, expectation_std_error, outcome_probability
 from slqns.spectra import TWO_PI, DeviceParams, SphericalSpectraSet, Tabulated
 
 
@@ -441,6 +459,92 @@ def multi_axis_inversion(duration: float, aligned_duration: float | None = None)
         return np.array(out)
 
     return f
+
+
+def robust_single_axis_reference(dataset: ShotDataset, omega: float):
+    """Protocol 2's robust outcome at ``omega``: the EstimatorResult of the
+    linearized fit, or of the nonlinear fit where the guard rejects it, or
+    the EstimationError that fails the frequency."""
+    try:
+        block = _pair_block(dataset, "x", [omega], ("x+", "x-"), "x")
+        classical = block.fits.result(0)
+        guard_value = float(np.max(classical.slope * block.times[0]))
+        if guard_value > LINEARIZATION_GUARD:
+            return _nonlinear_reference(dataset, omega, block)
+        quantum = block.quantum_fits(lambda slope, times: times).result(0)
+        alpha = math.exp(-classical.intercept)
+        rows = [
+            ("S+_{0,0}", classical.slope, classical.slope_err),
+            ("alpha_m*S-_{0,0}", quantum.slope, quantum.slope_err),
+        ]
+        return EstimatorResult(
+            _estimates(Method.ROBUST_LINEAR, omega, rows), "linearized",
+            alpha=alpha, alpha_err=alpha * classical.intercept_err,
+            delta=quantum.intercept, delta_err=quantum.intercept_err,
+            diagnostics={"guard_value": guard_value, "dropped_times": block.dropped[0],
+                         "fits": {"classical": classical, "quantum": quantum}},
+        )
+    except EstimationError as exc:
+        return exc
+
+
+def _nonlinear_reference(dataset: ShotDataset, omega: float, block) -> EstimatorResult:
+    """The nonlinear fit at ``omega``, its series gathered again from the
+    dataset and started from the lines of the one-frequency ``block``."""
+    from scipy.optimize import least_squares
+
+    stacks, (error,) = _paired_series(dataset, "x", [omega], ("x+", "x-"), "x")
+    if error is not None:
+        raise error
+    ((_, (times,), (plus,), (minus,)),) = stacks.values()
+    if times.size < 4:
+        raise EstimationError("non-linear fit needs at least 4 time points")
+    values = dataset.take(np.concatenate((plus, minus)))
+    analytic = bool(values.analytic.all())
+    y = values.expectation
+    sig = np.ones_like(y) if analytic else expectation_std_error(values)
+    signs = np.array([[+1], [-1]])
+
+    def residuals(thetas):
+        s_plus, s_minus, alpha_m, delta = thetas.T[..., None, None]
+        model = single_axis_forward(s_plus, s_minus, times, signs, alpha_m=alpha_m, delta=delta)
+        return (model.reshape(thetas.shape[:-1] + (-1,)) - y) / sig
+
+    lower, upper = bounds = np.array([[0.0, -np.inf, 0.0, 0.0], [np.inf, np.inf, 1.0, 1.0]])
+    params = np.arange(4)
+
+    def jacobian(theta):
+        h = _FD_STEP * np.where(theta >= 0.0, 1.0, -1.0) * np.maximum(1.0, np.abs(theta))
+        h = np.where((theta + h < lower) | (theta + h > upper), -h, h)
+        stepped = theta + h
+        stencil = np.repeat(theta[None], 5, axis=0)
+        stencil[1 + params, params] = stepped
+        f = residuals(stencil)
+        return ((f[1:] - f[0]) / (stepped - theta)[:, None]).T
+
+    classical = block.fits.result(0)
+    quantum = block.quantum_fits(lambda slope, times: times).result(0)
+    alpha = math.exp(-classical.intercept)
+    theta0 = [classical.slope, quantum.slope / alpha, alpha, quantum.intercept]
+    fit = least_squares(
+        residuals, np.clip(theta0, *bounds), jac=jacobian, bounds=bounds,
+        xtol=FIT_TOLERANCE, ftol=FIT_TOLERANCE, gtol=FIT_TOLERANCE,
+    )
+    if not fit.success:
+        raise EstimationError(f"non-linear fit failed after {fit.nfev} evaluations: {fit.message}")
+    try:
+        covariance = np.linalg.inv(fit.jac.T @ fit.jac)
+    except np.linalg.LinAlgError as exc:
+        raise EstimationError("singular covariance in non-linear fit") from exc
+    if analytic:
+        covariance = covariance * (2.0 * fit.cost / max(y.size - 4, 1))
+    errs = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
+    theta = fit.x
+    return EstimatorResult(
+        _estimates(Method.ROBUST_NONLINEAR, omega, zip(("S+_{0,0}", "S-_{0,0}"), theta[:2], errs[:2])),
+        "nonlinear", alpha=theta[2], alpha_err=errs[2], delta=theta[3], delta_err=errs[3],
+        diagnostics={"covariance": covariance, "nfev": fit.nfev},
+    )
 
 
 def x_drive_coherence_rate(spectra: SphericalSpectraSet, omega: float, device: DeviceParams) -> float:

@@ -9,6 +9,7 @@ import warnings
 
 import pytest
 
+from slqns import harness
 from slqns.harness import EXIT_CONFIG, EXIT_ESTIMATION, EXIT_OK, main
 
 from test_harness import CLOSED_FORM_P4, CLOSED_FORM_P4_ANALYTIC, TRAJECTORY, write_config
@@ -69,6 +70,27 @@ def test_run_exits_with_config_error_when_the_output_directory_cannot_be_made(tm
     assert (tmp_path / "file").read_text() == "kept\n"
 
 
+def test_run_refuses_an_output_directory_that_cannot_be_made_before_measuring(tmp_path, capsys, monkeypatch):
+    measured = []
+    monkeypatch.setattr(harness, "run_plan", lambda *args, **kwargs: measured.append(args))
+    (tmp_path / "file").write_text("kept\n")
+    assert run(tmp_path, CLOSED_FORM_P4_ANALYTIC, "file") == EXIT_CONFIG
+    assert capsys.readouterr().err == f"output error: {tmp_path / 'file'}: File exists\n"
+    assert measured == []
+
+
+def test_a_measurement_error_removes_the_directories_the_run_made_and_keeps_the_others(tmp_path, capsys):
+    config = copy.deepcopy(CLOSED_FORM_P4_ANALYTIC)
+    del config["spectra"]["transverse"]
+    config["spectra"]["dephasing"]["model"] = {"kind": "Tabulated", "params": {
+        "frequency_grid_MHz": [0.5, 1.0, 10.0, 10.5], "values_per_us": [0.0, 4.0, 4.0, 0.0]}}
+    config["plan"]["omegas_MHz"] = [5.0, 15.0]
+    (tmp_path / "kept").mkdir()
+    assert run(tmp_path, config, "kept/new/out") == EXIT_CONFIG
+    assert "measurement error" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.rglob("*")) == ["config.json", "kept"]
+
+
 @pytest.fixture(scope="module")
 def reports(tmp_path_factory):
     """report.json of two seeds on one frequency grid and of a third grid."""
@@ -100,6 +122,21 @@ def test_compare_exits_with_config_error_on_missing_file(reports, tmp_path, caps
 def test_compare_exits_with_config_error_on_different_grids(reports, capsys):
     assert main(["compare", reports["a"], reports["grid"]]) == EXIT_CONFIG
     assert "different" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "not a report: no 'estimates' list"),
+    ('{"estimates": 3}', "not a report: no 'estimates' list"),
+    ('{"estimates": [{"method": "standard", "omega_rad_per_us": 6.0, "freq_rad_per_us": 6.0, '
+     '"value": 1.0, "std_error": 0.1}]}', "not an estimates row: {'method': 'standard'"),
+    ('{"estimates": [3]}', "not an estimates row: 3"),
+], ids=["a-list", "estimates-a-number", "row-without-component", "row-a-number"])
+def test_compare_exits_with_config_error_on_json_that_is_not_a_report(reports, tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for pair in ([reports["a"], str(path)], [str(path), reports["a"]]):
+        assert main(["compare", *pair]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"compare error: {message}")
 
 
 @pytest.mark.parametrize("seed, message", [

@@ -16,6 +16,7 @@ from slqns.dynamics import frame_aligned_times
 from slqns.estimation import (
     EstimationError,
     EstimatorResult,
+    LinearizationGuardError,
     Method,
     SpectralEstimate,
     invert_multi_axis,
@@ -127,9 +128,12 @@ def test_every_estimator_returns_one_result_type_that_the_report_copies(monkeypa
     results = []
 
     def capture(fn):
+        # a guard error of protocol 2's grid call is not an outcome: the
+        # nonlinear fit at that frequency gives it
         def wrapper(*args, **kwargs):
             result = fn(*args, **kwargs)
-            results.extend(result if isinstance(result, list) else [result])
+            results.extend(r for r in (result if isinstance(result, list) else [result])
+                           if not isinstance(r, LinearizationGuardError))
             return result
         return wrapper
 

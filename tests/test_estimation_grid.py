@@ -5,7 +5,9 @@ The stacked regression and the stacked delta-method inversion must give the
 references' bits (``tests/oracles.py``), row by row.  A hand-made protocol 4
 dataset drives the failure paths that the benchmark campaigns never reach;
 its outcomes, messages and warnings were recorded with the per-frequency
-estimators that the grid estimators replaced.
+estimators that the grid estimators replaced.  Hand-made protocol 2
+datasets hold protocol 2's grid estimator and the nonlinear fits run from
+its guard errors to the per-frequency chain of ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -19,8 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slqns import estimation
 from slqns.estimation import (
     EstimationError,
+    EstimatorResult,
+    LinearizationGuardError,
+    RegressionResult,
+    SpectralEstimate,
     _floor_error,
     _gap_error,
     _linreg_stack,
@@ -29,6 +36,8 @@ from slqns.estimation import (
     _single_axis_rates,
     invert_multi_axis,
     robust_multi_axis,
+    robust_single_axis_linearized,
+    robust_single_axis_nonlinear,
     weighted_linreg,
 )
 from slqns.harness import run_campaign
@@ -37,10 +46,12 @@ from slqns.spam import DRIVE_AXES, INITS, OBSERVABLES, ShotColumns, ShotDataset
 from oracles import (
     multi_axis_inversion,
     propagate_reference,
+    robust_single_axis_reference,
     single_axis_inversion,
     weighted_linreg_reference,
 )
 from test_fixed_seed_outputs import PHYSICS, TIMES_US
+from test_recovery import BASE, SPAM
 
 
 def same_bits(a, b) -> bool:
@@ -343,3 +354,113 @@ def test_grid_estimators_give_the_recorded_outcomes_messages_and_warnings():
     assert [outcome_text(outcome) for outcome in robust] == ROBUST
     assert [outcome_text(outcome) for outcome in standard] == STANDARD
     assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, text) for text in WARNINGS]
+
+
+# ---------------------------------------------------------------------------
+# protocol 2: the grid estimator against the per-frequency chain
+# ---------------------------------------------------------------------------
+
+P2_SHOTS = 10**5
+# omega -> (decay rate, x+ times, x- times, indices of the x- points whose gap is closed)
+P2_SERIES = {
+    10.0: (0.002, TIMES, TIMES, ()),                 # the guard accepts
+    20.0: (0.08, TIMES, TIMES, ()),                  # guarded: the nonlinear fit
+    30.0: (0.08, TIMES, TIMES[1:], ()),              # the x- series lacks a time
+    40.0: (0.08, TIMES, TIMES, (1, 4)),              # two gaps dropped, then guarded
+    50.0: (0.08, TIMES, TIMES, (0, 2, 3, 5)),        # two usable times left
+    60.0: (0.08, TIMES[:3], TIMES[:3], ()),          # guarded, three times: the nonlinear fit refuses
+    70.0: (0.002, TIMES, TIMES, (2,)),               # one gap dropped, the guard accepts
+    80.0: (0.03, TIMES, TIMES[:-1] + (13.0,), ()),   # as many x- times, one of them unmatched
+    90.0: (0.05, TIMES, TIMES, ()),                  # guarded
+}
+P2_KINDS = ["linearized", "nonlinear", "EstimationError", "nonlinear", "_TooFewPointsError",
+            "EstimationError", "linearized", "EstimationError", "nonlinear"]
+
+
+def p2_dataset(analytic: bool) -> ShotDataset:
+    """The two x-drive series of every P2_SERIES frequency, exact or as shot counts."""
+    dataset = ShotDataset()
+    for omega, (rate, plus_times, minus_times, closed) in P2_SERIES.items():
+        for sign, init, times in ((1, "x+", plus_times), (-1, "x-", minus_times)):
+            times = np.asarray(times)
+            expectation = 0.02 + sign * 0.9 * np.exp(-rate * times)
+            expectation[list(closed)] = 0.02 + 0.9 * np.exp(-rate * times[list(closed)])
+            values = (ShotColumns.exact(expectation) if analytic else
+                      ShotColumns.from_counts(P2_SHOTS, np.rint(P2_SHOTS * (1.0 + expectation) / 2.0)))
+            n = times.size
+            dataset.extend([DRIVE_AXES.index("x")] * n, [omega] * n, [INITS.index(init)] * n,
+                           [OBSERVABLES.index("x")] * n, times, values)
+    return dataset
+
+
+def p2_grid_outcomes(dataset, omegas) -> list:
+    """The grid estimator's outcomes, each guard error replaced by the
+    outcome of the nonlinear fit from its payload, as the harness does."""
+    outcomes = robust_single_axis_linearized(dataset, omegas)
+    for i, outcome in enumerate(outcomes):
+        if isinstance(outcome, LinearizationGuardError):
+            try:
+                outcomes[i] = robust_single_axis_nonlinear(omegas[i], outcome.start)
+            except EstimationError as exc:
+                outcomes[i] = exc
+    return outcomes
+
+
+def bits(value):
+    """A nested outcome as comparable values, every float by its bytes."""
+    if isinstance(value, Exception):
+        return type(value).__name__, str(value)
+    if isinstance(value, EstimatorResult):
+        return bits((value.path, value.alpha, value.alpha_err, value.delta, value.delta_err,
+                     value.estimates, value.diagnostics))
+    if isinstance(value, RegressionResult):
+        return bits((value.slope, value.intercept, value.covariance, value.residuals, value.weights))
+    if isinstance(value, dict):
+        return [(key, bits(item)) for key, item in value.items()]
+    if isinstance(value, (tuple, list)):
+        return [bits(item) for item in value]
+    if isinstance(value, (str, int, type(None))):
+        return value
+    if isinstance(value, SpectralEstimate):
+        return value.component, value.freq_label, value.method, bits((value.freq_value, value.value, value.std_error))
+    array = np.asarray(value, dtype=float)
+    return array.shape, array.tobytes()
+
+
+@pytest.mark.parametrize("analytic", [False, True], ids=["shots", "analytic"])
+def test_protocol2_grid_outcomes_equal_the_per_frequency_chain(analytic):
+    dataset, omegas = p2_dataset(analytic), list(P2_SERIES)
+    with warnings.catch_warnings(record=True) as grid_warnings:
+        warnings.simplefilter("always")
+        grid = p2_grid_outcomes(dataset, omegas)
+    with warnings.catch_warnings(record=True) as reference_warnings:
+        warnings.simplefilter("always")
+        reference = [robust_single_axis_reference(dataset, omega) for omega in omegas]
+
+    assert [getattr(outcome, "path", type(outcome).__name__) for outcome in reference] == P2_KINDS
+    assert [bits(outcome) for outcome in grid] == [bits(outcome) for outcome in reference]
+    assert ([(w.category, str(w.message)) for w in grid_warnings]
+            == [(w.category, str(w.message)) for w in reference_warnings])
+
+
+def test_protocol2_makes_as_many_stacked_fits_at_16_frequencies_as_at_2(monkeypatch):
+    counted = []
+    stack = estimation._linreg_stack
+
+    def counting(*args, **kwargs):
+        counted.append(len(args[0]))
+        return stack(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "_linreg_stack", counting)
+    calls = {}
+    for n in (2, 16):
+        omegas = [10.0 + 30.0 * k / (n - 1) for k in range(n)]
+        config = dict(BASE, protocol=2, spam=SPAM, plan={"omegas_MHz": omegas, "times_us": TIMES_US, "shots": 1000})
+        counted.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = run_campaign(config).report
+        assert {row["path"] for row in report["spam_per_frequency"]} == {"nonlinear"}
+        assert sum(counted) == 2 * n  # every frequency's classical and quantum lines
+        calls[n] = len(counted)
+    assert calls[2] == calls[16]

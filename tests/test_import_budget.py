@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 import slqns
-from test_harness import CLOSED_FORM_P2, CLOSED_FORM_P4
+from test_harness import CLOSED_FORM_P2, CLOSED_FORM_P4, TRAJECTORY
 
 SRC = Path(slqns.__file__).resolve().parent
 
@@ -70,6 +70,27 @@ def test_a_protocol_4_campaign_imports_neither_scipy_stats_nor_scipy_optimize(tm
         "protocols 1, 3 and 4, validate and compare": [],
         "scipy.optimize after protocol 2": True,
     }
+
+
+LINEARIZED_SCRIPT = """
+import json, sys
+from slqns.harness import run_campaign
+
+report = run_campaign(json.loads(sys.argv[1])).report
+scipy = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+print(json.dumps({"paths": sorted({row["path"] for row in report["spam_per_frequency"]}), "scipy": scipy}))
+"""
+
+
+def test_a_protocol_2_campaign_whose_guard_accepts_every_frequency_loads_no_scipy():
+    # the trajectory benchmark's shape: short times, so every frequency takes the linearized fit
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", LINEARIZED_SCRIPT, json.dumps(TRAJECTORY)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"paths": ["linearized"], "scipy": []}
 
 
 def module_level_scipy_imports(tree: ast.Module) -> list[int]:

@@ -149,8 +149,8 @@ def test_spam_inflates_the_standard_rates_and_leaves_the_robust_ones_exact(confi
 
 
 def test_a_guarded_frequency_is_fitted_linearly_once(monkeypatch):
-    # the nonlinear fit starts from the block the guard rejected instead of
-    # refitting it through the linearized estimator
+    # one linearized call fits the whole grid, and the nonlinear fit starts
+    # from the payload of the guard error instead of refitting the lines
     calls = []
 
     def counted(fn):
@@ -164,4 +164,4 @@ def test_a_guarded_frequency_is_fitted_linearly_once(monkeypatch):
     protocol, with_spam, plan, _, path, _ = CASES["p2-nonlinear"]
     report = analytic_report(protocol, plan, with_spam=with_spam)
     assert {row["path"] for row in report["spam_per_frequency"]} == {path}
-    assert sorted(calls) == sorted(report["frequencies_rad_per_us"])
+    assert calls == [report["frequencies_rad_per_us"]]
