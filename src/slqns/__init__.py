@@ -16,12 +16,12 @@ from .spectra import (
     mhz_to_rad_per_us,
 )
 from .noisegen import (
+    BathCoefficients,
     BathConfig,
     BathVariant,
     DSAConfig,
     DSARealization,
     NoiseTrajectory,
-    build_toy_bath,
     default_dsa_config,
     target_spectra,
 )

@@ -527,12 +527,12 @@ class _TooFewPointsError(EstimationError):
 
 class _Stack(NamedTuple):
     """The frequencies of a pair block that keep the same number of times and
-    share the analytic flag, with their kept points."""
+    are all exact or all weighted, with their kept points."""
 
     index: np.ndarray     # (k,) frequency indices
     times: np.ndarray     # (k, m) kept times
     means: np.ndarray     # (k, m) (e+ + e-)/2 at the kept times
-    sigma: np.ndarray | None  # (k, m) std errors of the means, None if analytic
+    sigma: np.ndarray | None  # (k, m) std errors of the means, None if exact
 
 
 class _GridFits:
@@ -602,10 +602,10 @@ class _PairBlock:
 
 def _pair_block(dataset, drive_axis, omegas, inits, observable, *, half: bool = False) -> _PairBlock:
     """Fit (1/2)^half * ln(2/diff) against time at every frequency, dropping
-    non-positive gaps; one stacked fit per (kept-time count, analytic flag)."""
+    non-positive gaps; one stacked fit per (kept-time count, exactness).  A
+    series with summed expectation variance 0 is exact: fitted unweighted."""
     stacks, errors = _paired_series(dataset, drive_axis, omegas, inits, observable)
     expectation, variance = dataset.column("expectation"), dataset.column("expectation_variance")
-    analytic = dataset.column("analytic")
     factor = 0.5 if half else 1.0
     times_of, dropped_of = [()] * len(omegas), [()] * len(omegas)
     fits, block_stacks = _GridFits(len(omegas)), []
@@ -613,7 +613,7 @@ def _pair_block(dataset, drive_axis, omegas, inits, observable, *, half: bool = 
         e_plus, e_minus = expectation[plus], expectation[minus]
         diffs, var_sums = e_plus - e_minus, variance[plus] + variance[minus]
         means = 0.5 * (e_plus + e_minus)
-        exact = analytic[plus].all(axis=1) & analytic[minus].all(axis=1)
+        exact = ~var_sums.any(axis=1)
         keep = diffs > 0.0
         kept = keep.sum(axis=1)
         n = times.shape[1]
@@ -627,7 +627,7 @@ def _pair_block(dataset, drive_axis, omegas, inits, observable, *, half: bool = 
                 if dropped_of[i]:
                     cause = f" after dropping non-positive expectation gaps at T = {list(dropped_of[i])}"
                 errors[i] = _TooFewPointsError(f"only {int(kept[j])} usable time points{cause}")
-        # one stack per (kept-time count, analytic flag)
+        # one stack per (kept-time count, exactness)
         keys = (2 * kept + exact).tolist()
         for key in sorted(set(keys)):
             m, is_exact = divmod(key, 2)

@@ -24,10 +24,12 @@ boundary (internally everything is rad/us).  Schema sketch::
 
 Spectrum kinds: ``Lorentzian`` (peak_frequency_MHz, correlation_time_us),
 ``White`` (level_per_us), ``Tabulated`` (frequency_grid_MHz, values_per_us).
-The dephasing block defines ``S+ = scale * model`` and
-``S- = scale * model * sin(lag * omega)``; a transverse block adds classical
-(even) transverse spectra.  A trajectory backend synthesizes noise from the
-dephasing block instead of evaluating it analytically; its block also takes
+A model is a one-sided spectrum that both backends read at ``|omega|``: the
+dephasing block defines ``S+ = scale * model(|omega|)`` and ``S- = S+ *
+sin(lag * omega)``, a transverse block the classical (even) transverse spectra
+``scale * model(|omega|)``.  A trajectory backend synthesizes noise from the
+dephasing block instead of evaluating it analytically, and validates the
+transverse block but does not simulate it; its block also takes
 ``n_realizations`` (noise realizations averaged per point, >= 2, default
 400), ``n_omega`` (synthesis frequency bins, >= 2, default 512) and
 ``bath_variant`` (``"main_text"``, the default, or ``"three_axis"``).
@@ -122,10 +124,11 @@ from .spam import SpamParams, _float_text, _joined
 from .spectra import (
     DeviceParams,
     Lorentzian,
-    SphericalSpectraSet,
     SpectraError,
     Tabulated,
     White,
+    dephasing_spectra,
+    even_spectrum,
     mhz_to_rad_per_us,
 )
 
@@ -250,40 +253,29 @@ def load_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
-def _dephasing(config):
-    """(model, scale, lag) of the validated ``spectra.dephasing`` block."""
-    deph = _require(_require(config, "spectra", "config"), "dephasing", "spectra")
-    model = _model_from_config(_require(deph, "model", "spectra.dephasing"), "spectra.dephasing.model")
-    scale = _typed(deph.get("scale", 1.0), float, "spectra.dephasing.scale")
-    lag = _typed(deph.get("quantum_lag_us", 0.0), float, "spectra.dephasing.quantum_lag_us")
+def _scaled_model(block, context):
+    """(model, scale) of a spectrum block; the scale is not yet checked > 0."""
+    model = _model_from_config(_require(block, "model", context), f"{context}.model")
+    return model, _typed(block.get("scale", 1.0), float, f"{context}.scale")
+
+
+def _spectra(config):
+    """The validated ``spectra`` block: (model, scale, lag) of its dephasing
+    block, then (model, scale) of its transverse block or None."""
+    spectra = _require(config, "spectra", "config")
+    dephasing = _require(spectra, "dephasing", "spectra")
+    model, scale = _scaled_model(dephasing, "spectra.dephasing")
+    lag = _typed(dephasing.get("quantum_lag_us", 0.0), float, "spectra.dephasing.quantum_lag_us")
     if scale <= 0.0:
         raise ConfigError("spectra.dephasing.scale must be > 0")
     if lag < 0.0:
         raise ConfigError("spectra.dephasing.quantum_lag_us must be >= 0")
-    return model, scale, lag
-
-
-def _build_spectra(config) -> SphericalSpectraSet:
-    model, scale, lag = _dephasing(config)
-
-    def s_plus(omega):
-        return scale * model.value(omega)
-
-    if lag > 0.0:
-        def s_minus(omega):
-            return scale * model.value(omega) * np.sin(lag * omega)
-        spectra = SphericalSpectraSet.from_dephasing_plus_minus(s_plus, s_minus)
-    else:
-        spectra = SphericalSpectraSet.from_dephasing_plus_minus(s_plus)
-
-    trans = config["spectra"].get("transverse")
-    if trans is not None:
-        t_model = _model_from_config(_require(trans, "model", "spectra.transverse"), "spectra.transverse.model")
-        t_scale = _typed(trans.get("scale", 1.0), float, "spectra.transverse.scale")
-        if t_scale <= 0.0:
+    transverse = spectra.get("transverse")
+    if transverse is not None:
+        transverse = _scaled_model(transverse, "spectra.transverse")
+        if transverse[1] <= 0.0:
             raise ConfigError("spectra.transverse.scale must be > 0")
-        spectra = spectra.with_transverse(lambda omega: t_scale * t_model.value(omega))
-    return spectra
+    return model, scale, lag, transverse
 
 
 def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
@@ -343,12 +335,16 @@ def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
     if analytic is None:
         analytic = _typed(backend_cfg.get("analytic", False), bool, "backend.analytic")
     use_analytic = bool(analytic)
+    if backend_kind not in ("closed_form", "trajectory"):
+        raise ConfigError(f"unknown backend type {backend_kind!r}")
+    model, scale, lag, transverse = _spectra(config)
 
     if backend_kind == "closed_form":
-        spectra = _build_spectra(config)
+        spectra = dephasing_spectra(model, scale, lag)
+        if transverse is not None:
+            spectra = spectra.with_transverse(even_spectrum(*transverse))
         backend = ClosedFormTclBackend(spectra, device, spam, analytic=use_analytic)
-    elif backend_kind == "trajectory":
-        model, scale, lag = _dephasing(config)
+    else:
         n_omega = _typed(backend_cfg.get("n_omega", 512), int, "backend.n_omega")
         n_realizations = _typed(backend_cfg.get("n_realizations", 400), int, "backend.n_realizations")
         if n_realizations < 2:
@@ -358,7 +354,7 @@ def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
                 # fold the scale into a tabulated generating spectrum
                 base = default_dsa_config(model, n_omega=n_omega)
                 grid = np.linspace(0.0, base.omega_max, 2049)
-                model = Tabulated(grid=tuple(grid), values=tuple(scale * np.asarray(model.value(grid))))
+                model = Tabulated(grid=tuple(grid), values=tuple(even_spectrum(model, scale)(grid)))
             dsa = default_dsa_config(model, n_omega=n_omega)
         except ValueError as exc:
             raise ConfigError(f"invalid trajectory backend: {exc}") from exc
@@ -380,8 +376,6 @@ def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
             n_realizations=n_realizations,
             analytic=use_analytic,
         )
-    else:
-        raise ConfigError(f"unknown backend type {backend_kind!r}")
 
     digest = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode() + str(master_seed).encode()
@@ -466,7 +460,7 @@ def _estimate_grid(campaign: Campaign, dataset) -> tuple[list, list, dict, dict]
     else:
         aligned = None
         if plan.aligned_n:
-            aligned = [float(plan.aligned_times(omega)[0 if campaign.protocol == 3 else -1]) for omega in omegas]
+            aligned = plan.aligned_times(omegas)[:, 0 if campaign.protocol == 3 else -1]
         standard = _grid_outcomes(invert_multi_axis, size, dataset, omegas, omega_q, t_max, aligned)
 
     rows, spam_rows, failures, standard_dropped = [], [], {}, {}

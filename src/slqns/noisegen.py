@@ -26,9 +26,10 @@ Rev. 44, 191, 1991).  The blocked samples match the dense sum to rounding
 (about 1e-15 of ``sum_j |G_j|``).  Any other grid, and
 :meth:`DSARealization.evaluate` at arbitrary times, uses the dense sum.
 
-Feeding one trajectory into a single bath qubit with a time lag between two
-coupling axes produces a non-commuting (quantum) dephasing environment whose
-classical/quantum spectra follow ``S~`` in closed form.
+Feeding one trajectory into a single bath qubit (:class:`BathCoefficients`)
+with a time lag between two coupling axes produces a non-commuting (quantum)
+dephasing environment whose spectra, :func:`target_spectra`, read the
+one-sided ``S~`` at ``|omega|``, as the closed-form backend reads a model.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seeding import spawn_rng
-from .spectra import SpectrumModel, SphericalSpectraSet, Lorentzian, evaluate_spectrum
+from .spectra import Lorentzian, SpectrumModel, SphericalSpectraSet, dephasing_spectra, evaluate_spectrum
 
 __all__ = [
     "DSAConfig",
@@ -50,7 +51,6 @@ __all__ = [
     "BathConfig",
     "BathCoefficients",
     "BathVariant",
-    "build_toy_bath",
     "target_spectra",
     "default_dsa_config",
 ]
@@ -245,14 +245,6 @@ class BathConfig:
         if self.lag_gamma < 0.0 or not np.isfinite(self.lag_gamma):
             raise ValueError(f"lag_gamma must be finite and >= 0, got {self.lag_gamma}")
 
-    @classmethod
-    def main_text(cls, lag_gamma: float) -> "BathConfig":
-        return cls(lag_gamma, BathVariant.MAIN_TEXT)
-
-    @classmethod
-    def three_axis(cls, lag_gamma: float) -> "BathConfig":
-        return cls(lag_gamma, BathVariant.THREE_AXIS)
-
 
 @dataclass(frozen=True)
 class BathCoefficients:
@@ -291,31 +283,15 @@ class BathCoefficients:
         return beta_t, beta_lag, bz
 
 
-def build_toy_bath(beta: NoiseTrajectory, bath: BathConfig) -> BathCoefficients:
-    """Assemble the single-qubit toy-bath coefficients from a trajectory."""
-    return BathCoefficients(trajectory=beta, config=bath)
-
-
 def target_spectra(config: DSAConfig, gamma: float, variant: BathVariant) -> SphericalSpectraSet:
     """Dephasing spherical spectra generated by the toy bath.
 
     Both variants give the quantum part ``S-(w) = S~(|w|) sin(gamma w)``;
     the classical part is ``S~(|w|)`` for the two-axis layout and
-    ``1.5 S~(|w|)`` when the z coupling is added.  The generating spectrum
-    is read at ``|w|`` because the synthesis only consumes its ``w >= 0``
-    branch and treats it as even.
+    ``1.5 S~(|w|)`` when the z coupling is added: the synthesis consumes only
+    the ``w >= 0`` branch of the generating spectrum.
     """
     if gamma < 0.0:
         raise ValueError("gamma must be >= 0")
-    scale = {BathVariant.MAIN_TEXT: 1.0, BathVariant.THREE_AXIS: 1.5}[variant]
-    spectrum = config.spectrum
-
-    def s_plus(omega):
-        return scale * evaluate_spectrum(spectrum, abs(omega))
-
-    def s_minus(omega):
-        return evaluate_spectrum(spectrum, abs(omega)) * np.sin(gamma * omega)
-
-    if gamma == 0.0:
-        return SphericalSpectraSet.from_dephasing_plus_minus(s_plus)
-    return SphericalSpectraSet.from_dephasing_plus_minus(s_plus, s_minus)
+    classical_scale = {BathVariant.MAIN_TEXT: 1.0, BathVariant.THREE_AXIS: 1.5}[variant]
+    return dephasing_spectra(config.spectrum, lag=gamma, classical_scale=classical_scale)

@@ -55,7 +55,7 @@ from .dynamics import (
     frame_aligned_times,
     tcl_evolve_state,  # noqa: F401 - resolved here by the benchmark tracer
 )
-from .noisegen import BathConfig, DSAConfig, DSARealization, build_toy_bath
+from .noisegen import BathCoefficients, BathConfig, DSAConfig, DSARealization
 from .seeding import derive_seed, derive_seeds, first_uniforms
 from .spam import (
     DRIVE_AXES,
@@ -180,7 +180,8 @@ class ProtocolPlan:
         object.__setattr__(self, "n_shots", n_shots)
         object.__setattr__(self, "seed", seed)
 
-    def aligned_times(self, omega: float) -> np.ndarray:
+    def aligned_times(self, omega) -> np.ndarray:
+        """The frame-aligned times of ``omega``; one row per drive of an array."""
         if not self.aligned_n:
             return np.array([])
         return frame_aligned_times(omega, self.aligned_n)
@@ -323,7 +324,7 @@ class TrajectoryBackend(Backend):
         def factory(seed: int) -> ToyBathNoise:
             trajectory = DSARealization(self.dsa_config, seed).trajectory(grid)
             return ToyBathNoise(
-                build_toy_bath(trajectory, self.bath_config),
+                BathCoefficients(trajectory, self.bath_config),
                 correlation_time=self.dsa_config.correlation_time,
             )
 

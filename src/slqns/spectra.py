@@ -14,6 +14,9 @@ and antisymmetrized ("quantum") combinations are::
 
 For commuting (classical) noise all ``S-`` vanish and self-spectra are even
 in frequency; non-commuting baths give antisymmetric quantum self-spectra.
+
+A :class:`SpectrumModel` is one-sided: both backends read it at ``|omega|``
+(:func:`even_spectrum`) and build dephasing sets with :func:`dephasing_spectra`.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ __all__ = [
     "SphericalSpectraSet",
     "SpectraError",
     "evaluate_spectrum",
+    "even_spectrum",
+    "dephasing_spectra",
     "mhz_to_rad_per_us",
 ]
 
@@ -184,9 +189,6 @@ class SphericalSpectraSet:
         self._components = comps
         self.classical = bool(classical)
 
-    def has(self, alpha: int, beta: int) -> bool:
-        return (alpha, beta) in self._components
-
     def value(self, alpha: int, beta: int, omega):
         """``S[alpha,beta](omega)``, complex, or a complex array for an array of
         ``omega``; raises if the component is absent."""
@@ -235,21 +237,19 @@ class SphericalSpectraSet:
         comps[(-1, 1)] = _as_component(s_m1p1 if s_m1p1 is not None else s_p1m1)
         return SphericalSpectraSet(comps, classical=self.classical)
 
-    def check_conjugation_symmetry(self, omega_grid, rtol: float = 1e-12) -> None:
-        """Verify ``conj(S+[a,b](w)) == S+[-a,-b](w)`` on a sampled grid.
 
-        Only checks pairs whose mirror component is present in the set.
-        """
-        for (alpha, beta) in list(self._components):
-            if not self.has(-alpha, -beta):
-                continue
-            for omega in np.atleast_1d(omega_grid):
-                for combo in ("s_plus", "s_minus"):
-                    fn = getattr(self, combo)
-                    lhs = np.conj(fn(alpha, beta, float(omega)))
-                    rhs = fn(-alpha, -beta, float(omega))
-                    scale = max(abs(lhs), abs(rhs), 1.0)
-                    if abs(lhs - rhs) > rtol * scale:
-                        raise SpectraError(
-                            f"conjugation symmetry violated for ({alpha},{beta}) at omega={omega}"
-                        )
+def even_spectrum(model: SpectrumModel, scale: float = 1.0) -> Component:
+    """``scale * model(|omega|)``, the one-sided ``model`` read as an even
+    spectrum; no finiteness check, so an infinite drive reaches the
+    drive-strength check."""
+    return lambda omega: scale * model.value(np.abs(omega))
+
+
+def dephasing_spectra(model: SpectrumModel, scale=1.0, lag=0.0, classical_scale=1.0) -> SphericalSpectraSet:
+    """Dephasing set of ``S = even_spectrum(model, scale)``: ``S+ =
+    classical_scale * S`` and ``S- = S sin(lag w)``, classical at lag 0."""
+    spectrum = even_spectrum(model, scale)
+    s_plus = lambda omega: classical_scale * spectrum(omega)
+    if lag == 0.0:
+        return SphericalSpectraSet.from_dephasing_plus_minus(s_plus)
+    return SphericalSpectraSet.from_dephasing_plus_minus(s_plus, lambda omega: spectrum(omega) * np.sin(lag * omega))

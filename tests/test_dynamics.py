@@ -22,7 +22,7 @@ from slqns.dynamics import (
     tcl_expectation_z_drive,
     toggling_to_rotating,
 )
-from slqns.noisegen import BathConfig, BathVariant, DSAConfig, build_toy_bath, target_spectra
+from slqns.noisegen import BathCoefficients, BathConfig, BathVariant, DSAConfig, target_spectra
 from slqns.seeding import spawn_rng
 from slqns.spectra import DeviceParams, Lorentzian, SphericalSpectraSet, Tabulated
 
@@ -259,7 +259,7 @@ def toy_bath_factory(config, bath, horizon, dt):
 
     def factory(seed):
         traj = dsa_sample(config, grid, seed)
-        return ToyBathNoise(build_toy_bath(traj, bath), correlation_time=config.correlation_time)
+        return ToyBathNoise(BathCoefficients(traj, bath), correlation_time=config.correlation_time)
 
     return factory
 
@@ -277,7 +277,7 @@ class TestEnsembleExpectation:
         omega, t_final = 20.0, 0.5
         drive = DriveConfig(DriveAxis.X_PLUS, amplitude=omega, duration=t_final)
         dt = 0.9 * min(0.05 / omega, 0.05 * band_config.correlation_time)
-        factory = toy_bath_factory(band_config, BathConfig.main_text(0.0), t_final, dt)
+        factory = toy_bath_factory(band_config, BathConfig(0.0), t_final, dt)
         ses = {}
         for n in (60, 240):
             trial = [
@@ -293,7 +293,7 @@ class TestEnsembleExpectation:
     def test_weak_coupling_matches_tcl(self, band_config):
         # moderate-size version of the trajectory-vs-TCL oracle
         omega, t_final, gamma = 20.0, 1.25, 0.05
-        bath = BathConfig.main_text(gamma)
+        bath = BathConfig(gamma)
         targets = target_spectra(band_config, gamma, BathVariant.MAIN_TEXT)
         s_plus = targets.s_plus(0, 0, omega).real
         s_minus = targets.s_minus(0, 0, omega).real

@@ -165,3 +165,46 @@ def test_no_module_level_definition_goes_unreferenced_by_the_program():
     assert sorted(unreferenced - UNREFERENCED) == []
     # a listed name that is gone or has a caller again leaves the list
     assert sorted(UNREFERENCED - unreferenced) == []
+
+
+# Methods of src/slqns classes that no src/ or bench/ code loads: the
+# conveniences that only the tests call.  A member that loses its last
+# caller must go, not join this list.
+UNREFERENCED_MEMBERS = {
+    "DriveRates.coherence_rate",
+    "QubitState.from_bloch",
+    "QubitState.ket",
+    "ShotDataset.csv_text",
+    "ShotDataset.entries",
+    "ShotDataset.from_csv",
+    "SpamParams.is_ideal",
+}
+
+
+def _unreferenced_members() -> set[str]:
+    """``Class.name`` of every method (dunders left out) of a module-level
+    class of src/slqns whose name no src/ or bench/ code loads, as a name or
+    an attribute."""
+    members, loaded = set(), set()
+    for path in [*PACKAGE.glob("*.py"), *BENCH.glob("*.py")]:
+        tree = ast.parse(path.read_text())
+        if path.parent == PACKAGE:
+            members.update(
+                (node.name, item.name)
+                for node in tree.body if isinstance(node, ast.ClassDef)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+            )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    return {f"{cls}.{name}" for cls, name in members if name not in loaded}
+
+
+def test_no_class_member_goes_unreferenced_by_the_program_or_the_bench():
+    unreferenced = _unreferenced_members()
+    assert sorted(unreferenced - UNREFERENCED_MEMBERS) == []
+    # a listed member that is gone or has a caller again leaves the list
+    assert sorted(UNREFERENCED_MEMBERS - unreferenced) == []

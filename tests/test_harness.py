@@ -1,4 +1,5 @@
-"""Campaign front-end: config validation exit codes and ``--jobs`` determinism."""
+"""Campaign front-end: config validation exit codes, the reading of spectrum
+models and ``--jobs`` determinism."""
 
 from __future__ import annotations
 
@@ -8,7 +9,10 @@ import warnings
 
 import pytest
 
-from slqns.harness import EXIT_CONFIG, EXIT_OK, main, run_campaign
+from slqns.dynamics import compute_AB
+from slqns.harness import EXIT_CONFIG, EXIT_OK, build_campaign, main, run_campaign
+from slqns.noisegen import BathVariant, default_dsa_config, target_spectra
+from slqns.spectra import Tabulated, mhz_to_rad_per_us
 
 OUTPUT_FILES = ("report.json", "estimates.csv", "datasets.csv", "manifest.json", "run.log")
 
@@ -75,13 +79,58 @@ def test_valid_trajectory_config_validates(tmp_path):
     ("dephasing", "scale", -1.5),
     ("backend", "n_omega", 1),
     ("backend", "n_realizations", 1),
+    # a trajectory run does not simulate the transverse block, but validates it
+    pytest.param("transverse", "model", {"kind": "Bogus", "params": {}}, id="transverse-model-Bogus"),
+    ("transverse", "scale", -3),
 ])
 def test_invalid_trajectory_config_exits_with_config_error(tmp_path, capsys, block, key, value):
     config = copy.deepcopy(TRAJECTORY)
-    target = config["spectra"]["dephasing"] if block == "dephasing" else config["backend"]
+    target = config["backend"] if block == "backend" else config["spectra"][block]
     target[key] = value
     assert main(["validate", write_config(tmp_path, config)]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+# one-sided tables (grid in MHz, values in 1/us): a dephasing band and a
+# transverse band that covers the qubit frequency plus and minus every drive
+ONE_SIDED = {
+    "dephasing": ([0.0, 20.0, 40.0], [0.03, 0.05, 0.0]),
+    "transverse": ([0.0, 5000.0, 6000.0], [0.01, 0.02, 0.0]),
+}
+
+
+def campaign_with_table(block, grid_mhz, values, lag):
+    config = copy.deepcopy(CLOSED_FORM_P4)
+    config["spectra"][block]["model"] = {
+        "kind": "Tabulated", "params": {"frequency_grid_MHz": grid_mhz, "values_per_us": values},
+    }
+    config["spectra"]["dephasing"]["quantum_lag_us"] = lag
+    return build_campaign(config)
+
+
+def test_a_one_sided_dephasing_table_gives_the_toy_bath_spectra():
+    # the closed form reads a model as the trajectory oracle's truth does: at |omega|
+    grid, values = ONE_SIDED["dephasing"]
+    campaign = campaign_with_table("dephasing", grid, values, 0.3)
+    model = Tabulated(grid=tuple(mhz_to_rad_per_us(f) for f in grid), values=tuple(values))
+    target = target_spectra(default_dsa_config(model), 0.3, BathVariant.MAIN_TEXT)
+    spectra = campaign.backend.spectra
+    for omega in campaign.plan.omegas:
+        for w in (omega, -omega):
+            assert spectra.s_plus(0, 0, w) == pytest.approx(target.s_plus(0, 0, w), abs=1e-12)
+            assert spectra.s_minus(0, 0, w) == pytest.approx(target.s_minus(0, 0, w), abs=1e-12)
+
+
+@pytest.mark.parametrize("block", sorted(ONE_SIDED))
+def test_a_one_sided_table_is_read_as_the_even_spectrum_it_describes(block):
+    grid, values = ONE_SIDED[block]
+    one_sided = campaign_with_table(block, grid, values, 0.0)
+    mirrored = campaign_with_table(block, [-f for f in grid[:0:-1]] + grid, values[:0:-1] + values, 0.0)
+    for omega in one_sided.plan.omegas:
+        rates = compute_AB(one_sided.backend.spectra, omega, one_sided.device)
+        assert rates.b_rate == 0.0
+        assert rates.a_rate == pytest.approx(compute_AB(mirrored.backend.spectra, omega, mirrored.device).a_rate,
+                                             rel=1e-12)
 
 
 @pytest.mark.parametrize("config", [CLOSED_FORM_P4, TRAJECTORY, CLOSED_FORM_P2, CLOSED_FORM_P4_ANALYTIC],

@@ -5,11 +5,11 @@ import pytest
 
 from slqns import noisegen
 from slqns.noisegen import (
+    BathCoefficients,
     BathConfig,
     BathVariant,
     DSAConfig,
     DSARealization,
-    build_toy_bath,
     default_dsa_config,
     target_spectra,
 )
@@ -129,14 +129,14 @@ class TestTheoreticalAutocorrelation:
 class TestToyBath:
     def test_zero_lag_makes_x_and_y_equal(self, lor_config):
         traj = dsa_sample(lor_config, np.linspace(0.0, 3.0, 301), seed=9)
-        coeffs = build_toy_bath(traj, BathConfig.main_text(0.0))
+        coeffs = BathCoefficients(traj, BathConfig(0.0))
         t = np.linspace(0.0, 3.0, 40)
         bx, by, bz = coeffs(t)
         assert np.array_equal(bx, by)
 
     def test_main_text_has_no_z_coupling(self, lor_config):
         traj = dsa_sample(lor_config, np.linspace(0.0, 3.0, 301), seed=9)
-        coeffs = build_toy_bath(traj, BathConfig.main_text(0.2))
+        coeffs = BathCoefficients(traj, BathConfig(0.2))
         _, _, bz = coeffs(np.linspace(0.0, 2.5, 17))
         assert np.all(bz == 0.0)
 
@@ -145,18 +145,18 @@ class TestToyBath:
         ones = type(flat)(
             times=flat.times, samples=np.ones_like(flat.samples), seed=0, config=lor_config
         )
-        coeffs = build_toy_bath(ones, BathConfig.three_axis(0.5))
+        coeffs = BathCoefficients(ones, BathConfig(0.5, BathVariant.THREE_AXIS))
         bx, by, bz = coeffs(1.0)
         assert (bx, by, bz) == (1.0, 1.0, 1.0)
 
     def test_lag_beyond_coverage_rejected(self, lor_config):
         traj = dsa_sample(lor_config, np.linspace(0.0, 1.0, 11), seed=1)
         with pytest.raises(ValueError):
-            build_toy_bath(traj, BathConfig.main_text(2.0))
+            BathCoefficients(traj, BathConfig(2.0))
 
     def test_lagged_access_outside_domain_rejected(self, lor_config):
         traj = dsa_sample(lor_config, np.linspace(0.0, 2.0, 201), seed=1)
-        coeffs = build_toy_bath(traj, BathConfig.main_text(0.5))
+        coeffs = BathCoefficients(traj, BathConfig(0.5))
         coeffs(1.5)
         with pytest.raises(ValueError):
             coeffs(1.8)

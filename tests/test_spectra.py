@@ -115,16 +115,3 @@ class TestSphericalSpectraSet:
             plus = spectra.s_plus(0, 0, omega)
             minus = spectra.s_minus(0, 0, omega)
             assert (plus + minus) / 2.0 == pytest.approx(spectra.value(0, 0, omega), rel=1e-12)
-
-    def test_conjugation_symmetry_check_passes_for_real_transverse(self):
-        spectra = SphericalSpectraSet.from_dephasing_plus_minus(
-            lambda w: LOR.value(w)
-        ).with_transverse(lambda w: 0.1 + 0.01 * np.cos(w))
-        spectra.check_conjugation_symmetry(np.linspace(-5, 5, 11))
-
-    def test_conjugation_symmetry_check_catches_violation(self):
-        spectra = SphericalSpectraSet(
-            {(0, 0): LOR, (1, -1): lambda w: 1.0 + 1j, (-1, 1): lambda w: 1.0 - 5j}
-        )
-        with pytest.raises(SpectraError):
-            spectra.check_conjugation_symmetry([0.5])

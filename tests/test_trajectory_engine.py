@@ -16,12 +16,12 @@ from slqns import dynamics
 from slqns.harness import run_campaign
 from slqns.noisegen import (
     SYNTHESIS_BLOCK,
+    BathCoefficients,
     BathConfig,
     BathVariant,
     DSARealization,
     NoiseTrajectory,
     _phase_tables,
-    build_toy_bath,
     default_dsa_config,
 )
 from slqns.protocols import TrajectoryBackend
@@ -149,7 +149,7 @@ def test_simulate_trajectory_matches_the_4x4_x_drive(monkeypatch, variant):
     multiplied one at a time."""
     trajectory = DSARealization(CONFIG, seed=11).trajectory(campaign_grid())
     bath = BathConfig(lag_gamma=0.3, variant=BathVariant(variant))
-    noise = dynamics.ToyBathNoise(build_toy_bath(trajectory, bath), correlation_time=CONFIG.correlation_time)
+    noise = dynamics.ToyBathNoise(BathCoefficients(trajectory, bath), correlation_time=CONFIG.correlation_time)
     builder, calls = dynamics._x_drive_unitaries_bath, []
 
     def counted(*args):
@@ -228,7 +228,7 @@ def campaign_point(variant: str, axis: str, duration: float):
 
     def factory(seed):
         trajectory = DSARealization(CONFIG, seed).trajectory(grid)
-        return dynamics.ToyBathNoise(build_toy_bath(trajectory, bath), correlation_time=CONFIG.correlation_time)
+        return dynamics.ToyBathNoise(BathCoefficients(trajectory, bath), correlation_time=CONFIG.correlation_time)
 
     return drive, dt, factory
 
@@ -303,11 +303,11 @@ def test_chunk_step_storage_stays_within_the_budget(monkeypatch, variant, axis):
 @pytest.mark.parametrize("n_realizations", [2.9, 1, 0, -3, float("nan")])
 def test_trajectory_backend_refuses_a_bad_realization_count(n_realizations):
     with pytest.raises(dynamics.DynamicsError, match="n_realizations"):
-        TrajectoryBackend(CONFIG, BathConfig.main_text(0.3), n_realizations=n_realizations)
+        TrajectoryBackend(CONFIG, BathConfig(0.3), n_realizations=n_realizations)
 
 
 def test_trajectory_backend_takes_an_integral_realization_count():
-    assert TrajectoryBackend(CONFIG, BathConfig.main_text(0.3), n_realizations=24.0).n_realizations == 24
+    assert TrajectoryBackend(CONFIG, BathConfig(0.3), n_realizations=24.0).n_realizations == 24
 
 
 # ---------------------------------------------------------------------------
