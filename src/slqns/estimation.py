@@ -33,15 +33,17 @@ and the diagnostics the estimator computed on the way.
 Grid estimators.  :func:`robust_multi_axis`, :func:`invert_multi_axis` and
 :func:`estimate_single_axis_standard` take a whole drive-frequency grid and
 return one outcome per frequency, in grid order: the frequency's
-``EstimatorResult``, or the :class:`EstimationError` that fails it (a
-frequency's failure leaves the others standing).  Their numerics run once
-over the grid: every straight-line fit of a pair block is one row of a
-stacked regression (:func:`_linreg_stack`, whose one-row case is
-:func:`weighted_linreg`), :func:`robust_multi_axis` combines the fits in
-arrays over the whole grid (NaN at a failed frequency, which is never read),
-and the delta-method inversions evaluate every central and bumped input of
-the grid in one array pass (:func:`_propagate`).  Warnings are emitted
-afterwards, frequency by frequency in grid order.
+``EstimatorResult``, or the :class:`EstimationError` that fails it, such as a
+point the dataset lacks there.  A frequency's failure leaves the others
+standing, and no grid call raises.  Their numerics run once over the grid:
+every straight-line fit of a pair block is one row of a stacked regression
+(:func:`_linreg_stack`, whose one-row case is :func:`weighted_linreg`),
+:func:`robust_multi_axis` combines the fits in arrays over the whole grid
+(a failed frequency's entries are never read), and the delta-method
+inversions evaluate every central and bumped input of the grid in one array
+pass (:func:`_propagate`).  Data whose std errors are all 0 are exact: fitted
+unweighted.  Warnings are emitted afterwards, frequency by frequency in grid
+order.
 :func:`robust_single_axis_linearized`, protocol 2's robust estimator, is a
 grid estimator too: it fits every frequency's lines in one pair block and
 returns a :class:`LinearizationGuardError` where its guard rejects them.
@@ -69,7 +71,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import _decay_weight, _exp
-from .spam import ShotDataset, _squared, expectation_std_error
+from .spam import MeasurementKey, ShotDataset, _squared, expectation_std_error
 
 __all__ = [
     "EstimationError",
@@ -135,33 +137,19 @@ class SpectralEstimate:
         return lo <= truth <= hi
 
 
-# component -> frequency-argument label
+# component -> (frequency-argument label, a, b): the argument is a Omega + b omega_q
 _COMPONENTS = {
-    "S+_{1,-1}": "Omega+omega_q",
-    "S-_{-1,1}": "-Omega-omega_q",
-    "S+_{-1,1}": "Omega-omega_q",
-    "S-_{1,-1}": "-Omega+omega_q",
-    "S_{0,0}": "0",
-    "S+_{0,0}": "Omega",
-    "S-_{0,0}": "Omega",
-    "alpha_m*S-_{0,0}": "Omega",
-    "A": "Omega",
-    "B": "Omega",
+    "S+_{1,-1}": ("Omega+omega_q", 1, 1),
+    "S-_{-1,1}": ("-Omega-omega_q", -1, -1),
+    "S+_{-1,1}": ("Omega-omega_q", 1, -1),
+    "S-_{1,-1}": ("-Omega+omega_q", -1, 1),
+    "S_{0,0}": ("0", 0, 0),
+    "S+_{0,0}": ("Omega", 1, 0),
+    "S-_{0,0}": ("Omega", 1, 0),
+    "alpha_m*S-_{0,0}": ("Omega", 1, 0),
+    "A": ("Omega", 1, 0),
+    "B": ("Omega", 1, 0),
 }
-
-# frequency-argument label -> its value at (omega, omega_q)
-_FREQ_VALUES = {
-    "Omega+omega_q": lambda omega, omega_q: omega + omega_q,
-    "-Omega-omega_q": lambda omega, omega_q: -omega - omega_q,
-    "Omega-omega_q": lambda omega, omega_q: omega - omega_q,
-    "-Omega+omega_q": lambda omega, omega_q: -omega + omega_q,
-    "Omega": lambda omega, omega_q: omega,
-    "0": lambda omega, omega_q: 0.0,
-}
-
-
-def _freq_value(label: str, omega: float, omega_q: float) -> float:
-    return _FREQ_VALUES[label](omega, omega_q)
 
 
 def _estimates(method: Method, omega: float, rows, omega_q: float = 0.0) -> dict:
@@ -169,8 +157,8 @@ def _estimates(method: Method, omega: float, rows, omega_q: float = 0.0) -> dict
     rows; ``omega_q`` enters only the sideband components of the multi-axis estimators."""
     estimates = {}
     for comp, value, err in rows:
-        label = _COMPONENTS[comp]
-        estimates[comp] = SpectralEstimate(comp, label, _freq_value(label, omega, omega_q), value, err, method)
+        label, a, b = _COMPONENTS[comp]
+        estimates[comp] = SpectralEstimate(comp, label, a * omega + b * omega_q, value, err, method)
     return estimates
 
 
@@ -398,33 +386,38 @@ def _point_rows(dataset: ShotDataset, point, omegas, times) -> np.ndarray:
 
 
 def _inversion_inputs(dataset: ShotDataset, points, omegas, times):
-    """(expectations, variances) of the ``points`` (name -> (drive_axis, init,
-    observable)) at every frequency and its time in ``times`` (name -> (r,)
-    times), each (r, len(points)); KeyError naming the first missing point of
-    the first frequency that lacks one."""
+    """(expectations, variances, errors) of the ``points`` (name -> (drive_axis,
+    init, observable)) at every frequency and its time in ``times`` (name ->
+    (r,) times).  The arrays are (r, len(points)), NaN at a frequency that
+    lacks a point, which reads none; ``errors[i]`` is the EstimationError
+    naming the first point that frequency i lacks, else None."""
     rows = np.stack([_point_rows(dataset, point, omegas, times[name]) for name, point in points.items()], axis=1)
-    missing = np.flatnonzero((rows < 0).any(axis=1))
-    if missing.size:
-        i = missing[0]
+    lacking = (rows < 0).any(axis=1)
+    errors = [None] * len(omegas)
+    for i in np.flatnonzero(lacking).tolist():
         name = list(points)[np.flatnonzero(rows[i] < 0)[0]]
         drive_axis, init, observable = points[name]
-        dataset.row(drive_axis, omegas[i], init, observable, times[name][i])  # raises the KeyError
-    return dataset.column("expectation")[rows], dataset.column("expectation_variance")[rows]
+        key = MeasurementKey(drive_axis, float(omegas[i]), init, observable, float(times[name][i]))
+        errors[i] = EstimationError(f"dataset lacks {key}")
+    inputs = np.full((2,) + rows.shape, np.nan)
+    inputs[:, ~lacking] = [dataset.column(name)[rows[~lacking]] for name in ("expectation", "expectation_variance")]
+    return *inputs, errors
 
 
-def _inversion_outcomes(omegas, names, values, errs, failures, error, omega_q=0.0) -> list:
-    """One standard result per frequency, or the EstimationError that ``error(inputs,
-    check)`` gives for the frequency's first failed check."""
+def _inversion_outcomes(omegas, names, values, errs, failures, error, missing, omega_q=0.0) -> list:
+    """One standard outcome per frequency: the EstimationError of a missing
+    point, else the one that ``error(inputs, check)`` gives for the
+    frequency's first failed check, else its result."""
     outcomes = []
     for i, omega in enumerate(omegas):
-        if failures[i] is not None:
-            outcomes.append(error(*failures[i]))
-            continue
-        try:
-            estimates = _estimates(Method.STANDARD, omega, zip(names, values[i], errs[i]), omega_q)
-            outcomes.append(EstimatorResult(estimates, "standard"))
-        except EstimationError as exc:
-            outcomes.append(exc)
+        outcome = missing[i] or (error(*failures[i]) if failures[i] else None)
+        if outcome is None:
+            try:
+                estimates = _estimates(Method.STANDARD, omega, zip(names, values[i], errs[i]), omega_q)
+                outcome = EstimatorResult(estimates, "standard")
+            except EstimationError as exc:
+                outcome = exc
+        outcomes.append(outcome)
     return outcomes
 
 
@@ -473,10 +466,10 @@ def estimate_single_axis_standard(dataset: ShotDataset, omegas, duration: float)
     omegas = list(omegas)
     points = {"x_p": ("x", "x+", "x"), "x_m": ("x", "x-", "x")}
     at = np.full(len(omegas), float(duration))
-    inputs, variances = _inversion_inputs(dataset, points, omegas, dict.fromkeys(points, at))
+    inputs, variances, missing = _inversion_inputs(dataset, points, omegas, dict.fromkeys(points, at))
     values, errs, failures = _propagate(lambda e: _single_axis_rates(e, duration), inputs, variances)
     return _inversion_outcomes(omegas, ("S+_{0,0}", "S-_{0,0}"), values, errs, failures,
-                               lambda e, check: _gap_error(e[0] - e[1]))
+                               lambda e, check: _gap_error(e[0] - e[1]), missing)
 
 
 def _paired_series(dataset: ShotDataset, drive_axis, omegas, inits, observable):
@@ -570,8 +563,8 @@ class _PairBlock:
     times dropped for a non-positive gap (empty where the series failed).
     ``series`` is the length stacks of :func:`_paired_series`: every
     matched frequency's dataset rows, dropped times included.
-    ``errors[i]`` is the EstimationError that fails frequency i, before or in
-    its fit.  The quantum fits are a method because their regressor depends
+    ``fits.errors[i]`` is the EstimationError that fails frequency i, before
+    or in its fit.  The quantum fits are a method because their regressor depends
     on the fitted slope.
     """
 
@@ -581,22 +574,13 @@ class _PairBlock:
     stacks: list  # of _Stack
     fits: _GridFits
 
-    @property
-    def errors(self) -> list:
-        return self.fits.errors
-
-    def quantum_fits(self, regressor, alive=None) -> _GridFits:
+    def quantum_fits(self, regressor) -> _GridFits:
         """WLS of the preparation means against ``regressor(slope (k, 1), times
-        (k, m))`` at the kept times of every fitted frequency (of the ``alive``
-        mask, when given)."""
+        (k, m))`` at the kept times of every stacked frequency."""
         fits = _GridFits(len(self.times))
         for stack in self.stacks:
-            rows = slice(None) if alive is None or alive[stack.index].all() else np.flatnonzero(alive[stack.index])
-            index = stack.index[rows]
-            if index.size:
-                x = regressor(self.fits.slope[index][:, None], stack.times[rows])
-                sigma = None if stack.sigma is None else stack.sigma[rows]
-                fits.add(index, _linreg_stack(x, stack.means[rows], sigma))
+            x = regressor(self.fits.slope[stack.index][:, None], stack.times)
+            fits.add(stack.index, _linreg_stack(x, stack.means, stack.sigma))
         return fits
 
 
@@ -664,19 +648,17 @@ class _NonlinearStart(NamedTuple):
     times: np.ndarray        # (n,)
     expectation: np.ndarray  # (2n,): the x+ series, then the x- series
     std_error: np.ndarray    # (2n,)
-    analytic: bool           # every point of both series is analytic
 
 
 def _gathered_series(dataset: ShotDataset, block: _PairBlock) -> dict:
-    """Frequency index -> (times, expectations, std errors, analytic) of
-    every matched series pair of ``block``, one gather per length stack."""
+    """Frequency index -> (times, expectations, std errors) of every matched
+    series pair of ``block``, one gather per length stack."""
     gathered = {}
     for index, times, plus, minus in block.series.values():
         values = dataset.take(np.concatenate((plus, minus), axis=1))
         std_error = expectation_std_error(values)
-        analytic = values.analytic.all(axis=1).tolist()
         for j, i in enumerate(index.tolist()):
-            gathered[i] = (times[j], values.expectation[j], std_error[j], analytic[j])
+            gathered[i] = (times[j], values.expectation[j], std_error[j])
     return gathered
 
 
@@ -750,10 +732,10 @@ def robust_single_axis_nonlinear(omega: float, start: _NonlinearStart) -> Estima
     minimises the standardised residuals with scipy's trust-region-reflective
     solver (Branch, Coleman & Li, SIAM J. Sci. Comput. 21, 1999).  ``start``
     is the payload of the :class:`LinearizationGuardError` that the guard
-    gave at ``omega``: the series to fit (unit residual scales where every
-    point is analytic) and the lines of the rejected linearized fit, which
-    the solver starts from; a failed quantum line fails the fit after its
-    own time-count check.  The Jacobian is the forward difference that
+    gave at ``omega``: the series to fit (exact, with unit residual scales,
+    where every point's std error is 0) and the lines of the rejected
+    linearized fit, which the solver starts from; a failed quantum line fails
+    the fit after its own time-count check.  The Jacobian is the forward difference that
     scipy's ``jac="2-point"`` takes, with its steps and their flips at the
     bounds, but its five parameter vectors go through one array evaluation
     of the residuals, so the solver takes the same steps.
@@ -764,10 +746,11 @@ def robust_single_axis_nonlinear(omega: float, start: _NonlinearStart) -> Estima
     """
     from scipy.optimize import least_squares
 
-    times, y, analytic = start.times, start.expectation, start.analytic
+    times, y = start.times, start.expectation
     if times.size < 4:
         raise EstimationError("non-linear fit needs at least 4 time points")
-    sig = np.ones_like(y) if analytic else start.std_error
+    exact = not start.std_error.any()
+    sig = np.ones_like(y) if exact else start.std_error
     signs = np.array([[+1], [-1]])
 
     def residuals(thetas):
@@ -805,7 +788,7 @@ def robust_single_axis_nonlinear(omega: float, start: _NonlinearStart) -> Estima
         covariance = np.linalg.inv(fit.jac.T @ fit.jac)
     except np.linalg.LinAlgError as exc:
         raise EstimationError("singular covariance in non-linear fit") from exc
-    if analytic:
+    if exact:
         dof = max(y.size - 4, 1)
         covariance = covariance * (2.0 * fit.cost / dof)
     errs = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
@@ -837,6 +820,12 @@ _MULTI_AXIS_POINTS = {
 _MULTI_AXIS_COMPONENTS = ("S+_{1,-1}", "S-_{-1,1}", "S+_{-1,1}", "S-_{1,-1}", "A", "B", "S+_{0,0}", "S-_{0,0}", "S_{0,0}")
 
 
+def _dephasing_rates(a_rate, b_rate, s_plus_up, s_plus_dn, s_minus_up, s_minus_dn):
+    """The dephasing sum rules (S+[0,0](W), S-[0,0](W)): A - (S+[1,-1](W+wq) +
+    S+[-1,1](W-wq))/2 and B + (S-[-1,1](-W-wq) + S-[1,-1](-W+wq))/2."""
+    return a_rate - 0.5 * (s_plus_up + s_plus_dn), b_rate + 0.5 * (s_minus_up + s_minus_dn)
+
+
 def _multi_axis_rates(e, duration, aligned_duration=None):
     """The multi-axis inversion of expectations ``e[..., :]`` (the points of
     ``_MULTI_AXIS_POINTS`` in order; the coherence pair only with an
@@ -856,8 +845,7 @@ def _multi_axis_rates(e, duration, aligned_duration=None):
     s_minus_dn = mean_zm / (2.0 * _decay_weight(2.0 * s_plus_dn, duration))   # S-[1,-1](-W+wq)
     b_rate = mean_x / _decay_weight(a_rate, duration)                          # B(W)
 
-    s00_plus = a_rate - 0.5 * (s_plus_up + s_plus_dn)
-    s00_minus = b_rate + 0.5 * (s_minus_up + s_minus_dn)
+    s00_plus, s00_minus = _dephasing_rates(a_rate, b_rate, s_plus_up, s_plus_dn, s_minus_up, s_minus_dn)
 
     out = [s_plus_up, s_minus_up, s_plus_dn, s_minus_dn, a_rate, b_rate, s00_plus, s00_minus]
     if aligned_duration is not None:
@@ -894,11 +882,11 @@ def invert_multi_axis(
     if has_aligned:
         aligned = np.asarray(aligned_durations, dtype=float)
         times.update(c_p=aligned, c_m=aligned)
-    inputs, variances = _inversion_inputs(dataset, points, omegas, times)
+    inputs, variances, missing = _inversion_inputs(dataset, points, omegas, times)
     aligned_at = aligned[:, None] if has_aligned else None
     values, errs, failures = _propagate(lambda e: _multi_axis_rates(e, duration, aligned_at), inputs, variances)
     names = _MULTI_AXIS_COMPONENTS[: 9 if has_aligned else 8]
-    return _inversion_outcomes(omegas, names, values, errs, failures, _floor_error, omega_q)
+    return _inversion_outcomes(omegas, names, values, errs, failures, _floor_error, missing, omega_q)
 
 
 INTERCEPT_CONSISTENCY_Z = 3.0
@@ -924,6 +912,11 @@ def _combine_inverse_variance(values, variances, present=True):
         mean = np.where(exact, np.sum(values, axis=-1) / np.sum(present, axis=-1),
                         np.sum(weights * values, axis=-1) / total)
         return mean, np.where(exact, 0.0, np.sqrt(1.0 / total))
+
+
+def _first_errors(*grids: _GridFits) -> list:
+    """Each frequency's first EstimationError among the fits of ``grids``, or None."""
+    return [next((e for e in errors if e is not None), None) for errors in zip(*(g.errors for g in grids))]
 
 
 def _first_max(values, present) -> np.ndarray:
@@ -976,19 +969,15 @@ def robust_multi_axis(
     x = _pair_block(dataset, "x", omegas, ("x+", "x-"), "x")
     n_aligned = [dataset.series("z+", omega, "x+", "x").size for omega in omegas]
     aligned = _pair_block(dataset, "z+", omegas, ("x+", "x-"), "x")
-    errors = [
-        next((e for e in (zp.errors[i], zm.errors[i], x.errors[i]) if e is not None), None)
-        for i in range(r)
-    ]
+    errors = _first_errors(zp.fits, zm.fits, x.fits)
     skipped = [None] * r  # the _TooFewPointsError of a skipped aligned block
     for i in range(r):
-        error = aligned.errors[i]
+        error = aligned.fits.errors[i]
         if errors[i] is None and n_aligned[i] and error is not None:
             if isinstance(error, _TooFewPointsError):
                 skipped[i] = error
             else:
                 errors[i] = error
-    alive = np.array([error is None for error in errors], dtype=bool)
     has_aligned = np.array([bool(n) and s is None for n, s in zip(n_aligned, skipped)], dtype=bool)
 
     # intercepts -> ln(alpha): halved lines carry -(1/2) ln alpha
@@ -1010,13 +999,10 @@ def robust_multi_axis(
     alpha_err = alpha * ln_alpha_err
 
     # quantum regressions on exact decay regressors
-    qf_zp = zp.quantum_fits(lambda s, t: np.expm1(-2.0 * s * t), alive)
-    qf_zm = zm.quantum_fits(lambda s, t: -np.expm1(-2.0 * s * t), alive)
-    qf_x = x.quantum_fits(lambda s, t: -np.expm1(-s * t), alive)
-    quantum_errors = [
-        next((e for e in (qf_zp.errors[i], qf_zm.errors[i], qf_x.errors[i]) if e is not None), None)
-        for i in range(r)
-    ]
+    qf_zp = zp.quantum_fits(lambda s, t: np.expm1(-2.0 * s * t))
+    qf_zm = zm.quantum_fits(lambda s, t: -np.expm1(-2.0 * s * t))
+    qf_x = x.quantum_fits(lambda s, t: -np.expm1(-s * t))
+    quantum_errors = _first_errors(qf_zp, qf_zm, qf_x)
     delta, delta_err = _combine_inverse_variance(
         np.stack([q.intercept for q in (qf_zp, qf_zm, qf_x)], axis=1),
         np.stack([_squares(q.intercept_err) for q in (qf_zp, qf_zm, qf_x)], axis=1),
@@ -1027,9 +1013,8 @@ def robust_multi_axis(
     s_minus_dn, s_minus_dn_err = _unscale(qf_zm.slope, qf_zm.slope_err, s_plus_dn, s_plus_dn_err, alpha, alpha_err)
     b_rate, b_rate_err = _unscale(qf_x.slope, qf_x.slope_err, a_rate, a_rate_err, alpha, alpha_err)
 
-    s00_plus = a_rate - 0.5 * (s_plus_up + s_plus_dn)
+    s00_plus, s00_minus = _dephasing_rates(a_rate, b_rate, s_plus_up, s_plus_dn, s_minus_up, s_minus_dn)
     s00_plus_err = np.sqrt(_squares(a_rate_err) + 0.25 * (_squares(s_plus_up_err) + _squares(s_plus_dn_err)))
-    s00_minus = b_rate + 0.5 * (s_minus_up + s_minus_dn)
     s00_minus_err = np.sqrt(_squares(b_rate_err) + 0.25 * (_squares(s_minus_up_err) + _squares(s_minus_dn_err)))
     # aligned-line slope is the coherence rate S+[1,-1](W+wq) + 2 S00(0)
     s00_zero = 0.5 * (aligned.fits.slope - s_plus_up)

@@ -59,19 +59,20 @@ These are not ``failures``: the frequency's robust estimates stand.
 Estimation takes the whole drive grid at once.  The robust estimators of
 protocols 2 and 4 and every protocol's standard inversion are one grid call
 each per campaign, returning one outcome per frequency in plan order (a
-result, or the ``EstimationError`` of that frequency alone).  Where protocol
+result, or the ``EstimationError`` of that frequency alone, such as a point
+the dataset lacks there).  No grid call fails as a whole.  Where protocol
 2's linearization guard rejects a frequency, its nonlinear fit then runs
 alone, from the ``LinearizationGuardError`` that the grid call returned
-there.  An ``EstimationError`` raised by a whole grid call is the outcome of
-every frequency of the grid.
+there.
 
 ``run_campaign`` writes ``datasets.csv``, ``estimates.csv``, ``report.json``,
-``manifest.json`` and ``run.log`` into the output directory, which it creates
-before measuring, and removes again if measuring or estimating fails.  ``--jobs N``
-cuts the drive-frequency grid into N contiguous blocks and measures them in N
-threads; identical config and seed give byte-identical outputs, whatever N is.
-Each thread calls BLAS, so set ``OPENBLAS_NUM_THREADS=1`` for ``--jobs > 1``: on
-a busy 2-vCPU VM, a small complex product took 30 ms on two OpenBLAS threads and
+``manifest.json`` and ``run.log`` into ``out_dir`` (``--out-dir``; no config
+key names it) when one is given.  It creates the directory before measuring,
+and removes it again if measuring or estimating fails.  ``--jobs N`` cuts the
+drive-frequency grid into N contiguous blocks and measures them in N threads;
+identical config and seed give byte-identical outputs, whatever N is.  Each
+thread calls BLAS, so set ``OPENBLAS_NUM_THREADS=1`` for ``--jobs > 1``: on a
+busy 2-vCPU VM, a small complex product took 30 ms on two OpenBLAS threads and
 0.07 ms on one.
 
 ``slqns`` exits 0 (``EXIT_OK``) on success, 3 (``EXIT_ESTIMATION``) when
@@ -418,15 +419,6 @@ def _spam_row(omega: float, result: EstimatorResult) -> dict:
     }
 
 
-def _grid_outcomes(estimator, size: int, *args) -> list:
-    """One outcome per frequency of a grid estimator call; an EstimationError
-    raised by the whole call is the outcome of every frequency."""
-    try:
-        return estimator(*args)
-    except EstimationError as exc:
-        return [exc] * size
-
-
 def _estimate_grid(campaign: Campaign, dataset) -> tuple[list, list, dict, dict]:
     """The report's ``(estimates, spam_per_frequency, failures, standard_dropped)``,
     in plan order; the last two map ``repr(omega)`` to the cause.
@@ -440,9 +432,9 @@ def _estimate_grid(campaign: Campaign, dataset) -> tuple[list, list, dict, dict]
     gets no comparison.
     """
     plan, omega_q = campaign.plan, campaign.device.omega_q
-    omegas, size = list(plan.omegas), len(plan.omegas)
+    omegas = list(plan.omegas)
     if campaign.protocol == 2:
-        robust = _grid_outcomes(robust_single_axis_linearized, size, dataset, omegas)
+        robust = robust_single_axis_linearized(dataset, omegas)
         for i, outcome in enumerate(robust):
             if isinstance(outcome, LinearizationGuardError):
                 try:
@@ -450,18 +442,16 @@ def _estimate_grid(campaign: Campaign, dataset) -> tuple[list, list, dict, dict]
                 except EstimationError as exc:
                     robust[i] = exc
     elif campaign.protocol == 4:
-        robust = _grid_outcomes(robust_multi_axis, size, dataset, omegas, omega_q)
+        robust = robust_multi_axis(dataset, omegas, omega_q)
     else:
-        robust = [None] * size
+        robust = [None] * len(omegas)
 
     t_max = max(plan.times)
     if campaign.protocol in (1, 2):
-        standard = _grid_outcomes(estimate_single_axis_standard, size, dataset, omegas, t_max)
+        standard = estimate_single_axis_standard(dataset, omegas, t_max)
     else:
-        aligned = None
-        if plan.aligned_n:
-            aligned = plan.aligned_times(omegas)[:, 0 if campaign.protocol == 3 else -1]
-        standard = _grid_outcomes(invert_multi_axis, size, dataset, omegas, omega_q, t_max, aligned)
+        aligned = plan.aligned_times(omegas)[:, 0 if campaign.protocol == 3 else -1] if plan.aligned_n else None
+        standard = invert_multi_axis(dataset, omegas, omega_q, t_max, aligned)
 
     rows, spam_rows, failures, standard_dropped = [], [], {}, {}
     for omega, robust_result, standard_result in zip(omegas, robust, standard):
@@ -571,13 +561,14 @@ class CampaignResult:
 
 
 def run_campaign(config, *, out_dir=None, seed=None, analytic=None, jobs: int = 1) -> CampaignResult:
-    """Run a full campaign from a config dict or path; optionally persist."""
+    """Run a full campaign from a config dict or path; write its outputs
+    into ``out_dir`` when one is given."""
     if not isinstance(config, dict):
         config = load_config(config)
     campaign = build_campaign(config, seed=seed, analytic=analytic)
     out_path, made = None, []
-    if out_dir is not None or "output_dir" in config:
-        out_path = Path(out_dir if out_dir is not None else config["output_dir"])
+    if out_dir is not None:
+        out_path = Path(out_dir)
         made = [path for path in (out_path, *out_path.parents) if not path.exists()]
         out_path.mkdir(parents=True, exist_ok=True)
     try:
@@ -755,7 +746,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a campaign config")
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--out-dir", default=None, help="override the output directory")
+    p_run.add_argument("--out-dir", default=None, help="write the outputs into this directory")
     p_run.add_argument("--analytic", action="store_true", help="bypass shot sampling")
     p_run.add_argument("--jobs", type=_jobs, default=1,
                        help="measure the frequency grid as this many contiguous blocks in parallel "

@@ -273,6 +273,9 @@ class ClosedFormTclBackend(Backend):
         if bad.any():
             amplitude = abs(omegas[bad][0]) if next(iter(codes)) else omegas[bad][0]
             raise DynamicsError(f"drive amplitude must be finite and nonzero, got {amplitude}")
+        # a drive too strong for the device is refused before the spectra are read there
+        for omega in omegas.tolist():
+            self.device.check_drive_amplitude(omega)
         bad = ~(np.isfinite(time) & (time > 0.0))
         if bad.any():
             raise DynamicsError(f"drive duration must be finite and > 0, got {time[bad][0]}")
@@ -280,8 +283,7 @@ class ClosedFormTclBackend(Backend):
         # point, and the rate checks of each frequency in that order
         amplitudes = omegas, np.abs(omegas), -np.abs(omegas)
         rates = {d: DriveRates(_AXES[d], amplitudes[d], self.spectra, self.device) for d in codes}
-        for i, omega in enumerate(omegas.tolist()):
-            self.device.check_drive_amplitude(omega)
+        for i in range(n_omegas):
             for axis_rates in rates.values():
                 axis_rates.check(i)
         rows = np.repeat(np.arange(n_omegas), n_points)

@@ -11,6 +11,8 @@ import pytest
 
 from slqns import harness
 from slqns.harness import EXIT_CONFIG, EXIT_ESTIMATION, EXIT_OK, main
+from slqns.protocols import LOW_FREQUENCY_CUTOFF
+from slqns.spectra import mhz_to_rad_per_us
 
 from test_harness import CLOSED_FORM_P4, CLOSED_FORM_P4_ANALYTIC, TRAJECTORY, write_config
 
@@ -237,3 +239,46 @@ def test_run_rejects_jobs_below_one_as_a_usage_error(tmp_path, capsys, jobs):
     assert exc.value.code == EXIT_CONFIG
     assert "--jobs: must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# every refusal of ProtocolPlan that a config reaches: (protocol, plan keys) -> message
+PLAN_REFUSALS = {
+    "protocol": (5, {}, "protocol_id must be 1..4, got 5"),
+    "no-drives": (4, {"omegas_MHz": []}, "plan needs at least one drive amplitude"),
+    "duplicate-drives": (4, {"omegas_MHz": [14.0, 14.0]}, "duplicate drive amplitudes in plan"),
+    "no-times": (4, {"times_us": []}, "plan times must be non-empty and distinct"),
+    "duplicate-times": (4, {"times_us": [2.0, 2.0, 4.0]}, "plan times must be non-empty and distinct"),
+    "protocol1-times": (1, {}, "protocol 1 takes exactly one evolution time"),
+    "protocol4-times": (4, {"times_us": [2.0, 4.0]}, "protocol 4 needs at least 3 distinct times"),
+    "shots": (4, {"shots": 0}, "n_shots must be >= 1"),
+    "aligned-n": (4, {"aligned_n": [20, 0]}, "aligned_n entries must be integers >= 1"),
+    "zero-drive": (4, {"omegas_MHz": [14.0, 0.0]}, "drive amplitude must be nonzero"),
+    "low-frequency": (4, {"omegas_MHz": [0.001]},
+                      f"|Omega| = {mhz_to_rad_per_us(0.001)} rad/us is inside the low-frequency exclusion window "
+                      f"(< {LOW_FREQUENCY_CUTOFF:.3g}); set allow_low_frequency to override"),
+    "long-time": (4, {"omegas_MHz": [0.1]}, "|Omega| T = 1.26 violates the long-time condition (threshold 10)"),
+    "aligned-long-time": (4, {"aligned_n": [1]},
+                          "aligned index n = 1 gives |Omega| T = 6.28 below the long-time threshold"),
+}
+
+
+@pytest.mark.parametrize("name", PLAN_REFUSALS)
+def test_validate_exits_with_config_error_on_each_plan_refusal(tmp_path, capsys, name):
+    protocol, keys, message = PLAN_REFUSALS[name]
+    config = dict(copy.deepcopy(CLOSED_FORM_P4), protocol=protocol)
+    config["plan"].update(keys)
+    assert main(["validate", write_config(tmp_path, config)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: invalid plan: {message}\n"
+
+
+@pytest.mark.parametrize("value", [5, "elsewhere"])
+def test_an_output_dir_config_key_writes_no_files(tmp_path, monkeypatch, capsys, value):
+    # only --out-dir names the output directory
+    monkeypatch.chdir(tmp_path)
+    config = dict(copy.deepcopy(CLOSED_FORM_P4_ANALYTIC), output_dir=value)
+    path = write_config(tmp_path, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["run", path]) == EXIT_OK
+    assert "outputs written" not in capsys.readouterr().out
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]

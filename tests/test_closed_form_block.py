@@ -193,6 +193,15 @@ def test_too_strong_a_drive_raises_spectra_error():
                 backend.measure("z+", omega, "z+", "z", 2.0, 100, 1)
 
 
+def test_a_too_strong_drive_is_refused_before_the_spectra_are_read():
+    # no RuntimeWarning from sin(lag * inf) of a campaign's lagged spectra
+    backend = build_campaign(CONFIGS["p2"]).backend
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpectraError, match="drive too strong"):
+            evaluate(backend, [14.0, math.inf], [("x", "x+", "x", 2.0)], 100, [[1], [2]])
+
+
 @pytest.mark.parametrize("spectra, match", [
     (ZERO, "decay rate A must be > 0"),
     (SphericalSpectraSet({(0, 0): lambda w: 0.1, (1, -1): lambda w: 0.01, (-1, 1): lambda w: -0.01}),

@@ -69,8 +69,8 @@ def test_a_failed_standard_inversion_fails_only_protocols_without_a_robust_step(
     protocol, with_spam, plan, *_ = CASES[name]
     full = analytic_report(protocol, plan, with_spam=with_spam)
 
-    def refuse(*args, **kwargs):
-        raise EstimationError("standard inversion refused")
+    def refuse(dataset, omegas, *args):
+        return [EstimationError("standard inversion refused")] * len(omegas)
 
     monkeypatch.setattr(harness, "estimate_single_axis_standard", refuse)
     monkeypatch.setattr(harness, "invert_multi_axis", refuse)

@@ -34,14 +34,16 @@ from slqns.estimation import (
     _multi_axis_rates,
     _propagate,
     _single_axis_rates,
+    estimate_single_axis_standard,
     invert_multi_axis,
     robust_multi_axis,
     robust_single_axis_linearized,
     robust_single_axis_nonlinear,
     weighted_linreg,
 )
-from slqns.harness import run_campaign
-from slqns.spam import DRIVE_AXES, INITS, OBSERVABLES, ShotColumns, ShotDataset
+from slqns.harness import build_campaign, run_campaign
+from slqns.protocols import run_plan
+from slqns.spam import DRIVE_AXES, INITS, OBSERVABLES, MeasurementKey, ShotColumns, ShotDataset
 
 from oracles import (
     multi_axis_inversion,
@@ -51,6 +53,7 @@ from oracles import (
     weighted_linreg_reference,
 )
 from test_fixed_seed_outputs import PHYSICS, TIMES_US
+from test_harness import CLOSED_FORM_P2, CLOSED_FORM_P4
 from test_recovery import BASE, SPAM
 
 
@@ -464,3 +467,62 @@ def test_protocol2_makes_as_many_stacked_fits_at_16_frequencies_as_at_2(monkeypa
         assert sum(counted) == 2 * n  # every frequency's classical and quantum lines
         calls[n] = len(counted)
     assert calls[2] == calls[16]
+
+
+def without_points(dataset: ShotDataset, omega: float, time: float, aligned_time: float) -> ShotDataset:
+    """``dataset`` less every point at ``omega`` and ``time``, and less its
+    aligned pair (z+ drive, x observable) at ``aligned_time``."""
+    aligned = ((dataset.column("drive") == DRIVE_AXES.index("z+"))
+               & (dataset.column("observable") == OBSERVABLES.index("x")))
+    times = dataset.column("time")
+    drop = (dataset.column("omega") == omega) & ((times == time) | (aligned & (times == aligned_time)))
+    keep = np.flatnonzero(~drop)
+    out = ShotDataset()
+    out.extend(*(dataset.column(name)[keep] for name in ("drive", "omega", "init", "observable", "time")),
+               dataset.take(keep))
+    return out
+
+
+@pytest.mark.parametrize("protocol", [2, 4])
+def test_a_frequency_that_lacks_its_longest_time_fails_alone_in_every_grid_estimator(protocol):
+    # one outcome per frequency: the standard inversion of the lacking
+    # frequency names the missing point, and every other frequency keeps the
+    # bits it has on the full dataset
+    campaign = build_campaign(CLOSED_FORM_P2 if protocol == 2 else CLOSED_FORM_P4)
+    plan, omega_q = campaign.plan, campaign.device.omega_q
+    omegas, t_max, lacking = list(plan.omegas), max(plan.times), 1
+    if protocol == 2:
+        aligned = None
+        robust, standard = p2_grid_outcomes, lambda d, w: estimate_single_axis_standard(d, w, t_max)
+        missing = MeasurementKey("x", omegas[lacking], "x+", "x", t_max)
+    else:
+        aligned = plan.aligned_times(omegas)[:, -1]
+        robust, standard = (lambda d, w: robust_multi_axis(d, w, omega_q),
+                            lambda d, w: invert_multi_axis(d, w, omega_q, t_max, aligned))
+        missing = MeasurementKey("z+", omegas[lacking], "z+", "z", t_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 1 MHz strains the secular description
+        full = run_plan(campaign.backend, plan)
+    dataset = without_points(full, omegas[lacking], t_max, np.nan if aligned is None else aligned[lacking])
+    assert len(dataset) < len(full)
+    for estimator in (robust, standard):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            reference, outcomes = estimator(full, omegas), estimator(dataset, omegas)
+        assert len(outcomes) == len(omegas)
+        assert [bits(outcome) for i, outcome in enumerate(outcomes) if i != lacking] == [
+            bits(outcome) for i, outcome in enumerate(reference) if i != lacking]
+    # the last outcomes are the standard inversion's
+    assert isinstance(outcomes[lacking], EstimationError)
+    assert str(outcomes[lacking]) == f"dataset lacks {missing}"
+
+
+def test_every_grid_estimator_fails_each_frequency_of_an_empty_dataset_alone():
+    omegas, omega_q, empty = [62.8, 125.6], 31_000.0, ShotDataset()
+    for outcomes in (robust_single_axis_linearized(empty, omegas), estimate_single_axis_standard(empty, omegas, 2.0),
+                     robust_multi_axis(empty, omegas, omega_q),
+                     invert_multi_axis(empty, omegas, omega_q, 2.0, [2.0, 4.0])):
+        assert len(outcomes) == len(omegas)
+        assert all(isinstance(outcome, EstimationError) for outcome in outcomes)
+    assert [str(outcome) for outcome in estimate_single_axis_standard(empty, omegas, 2.0)] == [
+        f"dataset lacks {MeasurementKey('x', omega, 'x+', 'x', 2.0)}" for omega in omegas]

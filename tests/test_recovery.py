@@ -147,6 +147,18 @@ def test_spam_inflates_the_standard_rates_and_leaves_the_robust_ones_exact(confi
         standard = row["method"] == "standard"
         expected = truth(row) - standard * shares[row["component"]] * math.log(alpha) / t_max
         assert abs(row["value"] - expected) <= REL_TOL * abs(expected), (row["method"], row["component"], row["value"])
+    if config["protocol"] == 4:
+        # S_{0,0} = (coherence rate - S+_{1,-1}) / 2: the standard inversion
+        # reads the coherence rate too high by -ln(alpha) / T_c at the aligned
+        # time T_c = 2 pi max(n) / |Omega| of its comparison, and S+_{1,-1}
+        # by -ln(alpha) / (2 T_max)
+        rows = [row for row in report["estimates"] if row["component"] == "S_{0,0}"]
+        assert len(rows) == 2 * len(config["plan"]["omegas_MHz"])
+        for row in rows:
+            t_c = 2.0 * math.pi * max(config["plan"]["aligned_n"]) / abs(row["omega_rad_per_us"])
+            bias = 0.5 * math.log(alpha) * (1.0 / (2.0 * t_max) - 1.0 / t_c)
+            expected = truth(row) + (row["method"] == "standard") * bias
+            assert abs(row["value"] - expected) <= REL_TOL * abs(expected), (row["method"], row["value"], expected)
 
 
 def test_a_guarded_frequency_is_fitted_linearly_once(monkeypatch):
