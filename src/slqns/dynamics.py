@@ -36,6 +36,7 @@ secular generator, which is the authority if doubt ever arises.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -259,6 +260,8 @@ class RateCoefficients:
 
 
 _IMAG_TOL = 1e-12
+# relative slack on the thresholds of DriveRates.flagged
+_CHECK_SLACK = 1e-9
 
 
 def _real(value: complex, label: str) -> float:
@@ -373,10 +376,27 @@ class DriveRates:
         _real(*self._coherence_term)
         return float(self.coherence[k])
 
+    @functools.cached_property
+    def flagged(self) -> np.ndarray:
+        """Whether :meth:`check` could warn or raise at each amplitude, in one
+        array pass: each threshold tightened by a relative ``_CHECK_SLACK``
+        and each non-finite rate flagged, a superset of where checks fire."""
+        keep, a, b, x_axis = 1.0 - _CHECK_SLACK, self.a_rate, self.b_rate, self.axis is DriveAxis.X_PLUS
+        with np.errstate(all="ignore"):
+            fine = np.isfinite(a) & np.isfinite(b) & (a >= abs(b) - keep * 1e-12)
+            fine &= np.abs(a / self.omega_eff) <= keep * SECULAR_RATIO_LIMIT
+            fine &= (a > 0.0) if x_axis else np.all([np.isfinite(r) & (r >= -keep * 1e-15) for r in self.population], 0)
+            for value in (*self._x_sums, self._coherence_term[0], *(() if x_axis else self._z_sums)):
+                fine &= np.abs(np.imag(value)) <= keep * _IMAG_TOL * np.maximum(np.abs(value), 1.0)
+        return ~fine
+
     def check(self, k: int) -> None:
         """Every check of amplitude ``k``, each run once, in the order the
         single-drive chain runs them: the coefficients and the secular strain,
-        A > 0 or non-negative z rates, then the coherence rate's spectrum."""
+        A > 0 or non-negative z rates, then the coherence rate's spectrum.
+        An amplitude that is not :attr:`flagged` passes them all."""
+        if not self.flagged[k]:
+            return
         check_secular_validity(self.coefficients(k).a_rate, float(self.omega_eff[k]))
         if self.axis is DriveAxis.X_PLUS:
             _check_decay_rate(self.a_rate[k])

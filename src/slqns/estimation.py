@@ -26,29 +26,25 @@ so classical spectra and alpha come out of straight-line fits, while the
 quantum spectra are identifiable only as alpha_m-scaled products unless
 alpha is approximately alpha_m (negligible preparation errors).
 
-Every estimator returns one :class:`EstimatorResult`: its spectral estimates
-keyed by component, the path taken, the SPAM parameters (robust paths only)
-and the diagnostics the estimator computed on the way.
-
-Grid estimators.  :func:`robust_multi_axis`, :func:`invert_multi_axis` and
-:func:`estimate_single_axis_standard` take a whole drive-frequency grid and
-return one outcome per frequency, in grid order: the frequency's
-``EstimatorResult``, or the :class:`EstimationError` that fails it, such as a
-point the dataset lacks there.  A frequency's failure leaves the others
-standing, and no grid call raises.  Their numerics run once over the grid:
-every straight-line fit of a pair block is one row of a stacked regression
-(:func:`_linreg_stack`, whose one-row case is :func:`weighted_linreg`),
-:func:`robust_multi_axis` combines the fits in arrays over the whole grid
-(a failed frequency's entries are never read), and the delta-method
-inversions evaluate every central and bumped input of the grid in one array
-pass (:func:`_propagate`).  Data whose std errors are all 0 are exact: fitted
-unweighted.  Warnings are emitted afterwards, frequency by frequency in grid
-order.
-:func:`robust_single_axis_linearized`, protocol 2's robust estimator, is a
-grid estimator too: it fits every frequency's lines in one pair block and
-returns a :class:`LinearizationGuardError` where its guard rejects them.
-Only :func:`robust_single_axis_nonlinear`, which runs scipy's solver, takes
-one frequency at a time, from the payload of that error.
+Grid estimators.  :func:`robust_multi_axis`, :func:`invert_multi_axis`,
+:func:`estimate_single_axis_standard` and :func:`robust_single_axis_linearized`
+take a whole drive-frequency grid and return one :class:`EstimateTable`: every
+frequency's estimates as (frequencies, components) arrays, with its path, its
+SPAM parameters (robust estimators only) and the :class:`EstimationError`
+that fails it, if any, such as a point the dataset lacks there.  A failure is
+a value: it leaves the other frequencies standing, and no grid call raises.
+``table.outcomes()`` rebuilds one :class:`EstimatorResult` per frequency, with
+the diagnostics the estimator computed on the way.  The numerics run once
+over the grid: every straight-line fit of a pair block is one row of a
+stacked regression (:func:`_linreg_stack`, whose one-row case is
+:func:`weighted_linreg`), :func:`robust_multi_axis` combines the fits in
+arrays (a failed frequency's entries are never read), and the delta-method
+inversions evaluate every central and bumped input in one array pass
+(:func:`_propagate`).  Data whose std errors are all 0 are exact: fitted
+unweighted.  Warnings are emitted afterwards, in grid order.  Where protocol
+2's guard rejects a frequency, its table holds a
+:class:`LinearizationGuardError`, whose payload
+:func:`robust_single_axis_nonlinear`, scipy's solver at one frequency, takes.
 
 The outputs keep the bits of a scalar evaluation, one frequency at a time: a
 stacked matrix product or solve runs the same BLAS/LAPACK call on each
@@ -86,6 +82,7 @@ __all__ = [
     "robust_multi_axis",
     "single_axis_forward",
     "EstimatorResult",
+    "EstimateTable",
 ]
 
 Z_95 = 1.959963984540054  # two-sided 95 % normal quantile
@@ -125,7 +122,7 @@ class SpectralEstimate:
 
     def __post_init__(self):
         if not (math.isfinite(self.value) and math.isfinite(self.std_error) and self.std_error >= 0.0):
-            raise EstimationError(f"invalid estimate {self.component}: {self.value} +- {self.std_error}")
+            raise _invalid_estimate(self.component, self.value, self.std_error)
 
     @property
     def ci95(self) -> tuple[float, float]:
@@ -152,6 +149,10 @@ _COMPONENTS = {
 }
 
 
+def _invalid_estimate(component: str, value, std_error) -> EstimationError:
+    return EstimationError(f"invalid estimate {component}: {value} +- {std_error}")
+
+
 def _estimates(method: Method, omega: float, rows, omega_q: float = 0.0) -> dict:
     """Ordered ``component -> SpectralEstimate`` from ``(component, value, std_error)``
     rows; ``omega_q`` enters only the sideband components of the multi-axis estimators."""
@@ -162,9 +163,74 @@ def _estimates(method: Method, omega: float, rows, omega_q: float = 0.0) -> dict
     return estimates
 
 
+_SPAM_FIELDS = ("alpha", "alpha_err", "delta", "delta_err")
+
+
+class EstimateTable:
+    """What a grid estimator returns: its outcome at every frequency, as columns.
+
+    ``value`` and ``std_error`` are (frequencies, components) arrays over
+    ``components``, read where ``present``; ``freq`` holds each entry's
+    frequency argument ``a Omega + b omega_q`` (``_COMPONENTS``).  Per
+    frequency: ``method``, ``path``, ``spam`` (alpha, alpha_err, delta,
+    delta_err; None for the standard inversions), protocol 4's ``consistent``
+    intercepts (else None) and ``errors``, the EstimationError that fails the
+    frequency or None; a failed frequency's other columns are not read.  The
+    first non-finite estimate or negative std error fails a frequency that
+    nothing else fails.  :meth:`outcomes` rebuilds the results, with
+    ``diagnostics(i)``.
+    """
+
+    def __init__(self, omegas, errors, method: Method, path: str, components, value, std_error, *,
+                 omega_q=0.0, present=True, spam=None, consistent=None, diagnostics=lambda i: {}):
+        self.omegas = np.asarray(omegas, dtype=float)
+        self.components, self.value, self.std_error, self.omega_q = tuple(components), value, std_error, omega_q
+        self.present = np.array(np.broadcast_to(present, value.shape))
+        a, b = np.array([_COMPONENTS[c][1:] for c in components], dtype=float).reshape(-1, 2).T
+        self.freq = a * self.omegas[:, None] + b * omega_q
+        self.method, self.path = [method] * len(self.omegas), [path] * len(self.omegas)
+        self.spam, self.consistent, self.diagnostics = spam, consistent, diagnostics
+        self.errors, self._put = list(errors), {}
+        with np.errstate(invalid="ignore"):
+            invalid = self.present & ~(np.isfinite(self.value) & np.isfinite(self.std_error) & (self.std_error >= 0.0))
+        for i, j in zip(*np.nonzero(invalid)):  # in row order, so a row keeps its first
+            value, err = float(self.value[i, j]), float(self.std_error[i, j])
+            self.errors[i] = self.errors[i] or _invalid_estimate(components[j], value, err)
+
+    def put(self, i: int, outcome) -> None:
+        """Make ``outcome``, an EstimatorResult over this table's components
+        or an EstimationError, the outcome at frequency ``i``."""
+        self._put[i] = outcome
+        self.errors[i] = outcome if isinstance(outcome, EstimationError) else None
+        if self.errors[i] is None:
+            estimates = list(outcome.estimates.values())
+            self.present[i] = [c in outcome.estimates for c in self.components]
+            self.value[i, self.present[i]] = [est.value for est in estimates]
+            self.std_error[i, self.present[i]] = [est.std_error for est in estimates]
+            self.method[i], self.path[i] = estimates[0].method, outcome.path
+            self.spam[i] = [getattr(outcome, name) for name in _SPAM_FIELDS]
+
+    def outcomes(self) -> list:
+        """Each frequency's EstimatorResult, or the EstimationError that fails
+        it, in grid order.  The standard inversions' values are numpy scalars,
+        as the rows of their propagated arrays were."""
+        names, outcomes = np.array(self.components, dtype=object), []
+        for i, omega in enumerate(self.omegas.tolist()):
+            outcome, present = self._put.get(i, self.errors[i]), self.present[i]
+            if outcome is None:
+                values, errs = self.value[i, present], self.std_error[i, present]
+                spam = {} if self.spam is None else dict(zip(_SPAM_FIELDS, self.spam[i].tolist()))
+                rows = zip(names[present], *((values, errs) if self.spam is None else (values.tolist(), errs.tolist())))
+                estimates = _estimates(self.method[i], omega, rows, self.omega_q)
+                outcome = EstimatorResult(estimates, self.path[i], **spam, diagnostics=self.diagnostics(i))
+            outcomes.append(outcome)
+        return outcomes
+
+
 @dataclass(frozen=True)
 class EstimatorResult:
-    """What every estimator returns for one drive frequency.
+    """One frequency's outcome: what :func:`robust_single_axis_nonlinear`
+    returns, and :meth:`EstimateTable.outcomes` rebuilds for a grid call.
 
     ``path`` is ``"standard"`` for the single-time inversions and
     ``"linearized"``, ``"nonlinear"`` or ``"multi_axis"`` for the robust
@@ -404,21 +470,11 @@ def _inversion_inputs(dataset: ShotDataset, points, omegas, times):
     return *inputs, errors
 
 
-def _inversion_outcomes(omegas, names, values, errs, failures, error, missing, omega_q=0.0) -> list:
-    """One standard outcome per frequency: the EstimationError of a missing
-    point, else the one that ``error(inputs, check)`` gives for the
-    frequency's first failed check, else its result."""
-    outcomes = []
-    for i, omega in enumerate(omegas):
-        outcome = missing[i] or (error(*failures[i]) if failures[i] else None)
-        if outcome is None:
-            try:
-                estimates = _estimates(Method.STANDARD, omega, zip(names, values[i], errs[i]), omega_q)
-                outcome = EstimatorResult(estimates, "standard")
-            except EstimationError as exc:
-                outcome = exc
-        outcomes.append(outcome)
-    return outcomes
+def _inversion_table(omegas, names, values, errs, failures, error, missing, omega_q=0.0) -> EstimateTable:
+    """The standard outcomes: at each frequency the EstimationError of a missing point,
+    else the one ``error(inputs, check)`` gives for its first failed check, else its estimates."""
+    errors = [missing[i] or (error(*failures[i]) if failures[i] else None) for i in range(len(omegas))]
+    return EstimateTable(omegas, errors, Method.STANDARD, "standard", names, values, errs, omega_q=omega_q)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +516,7 @@ def single_axis_forward(
     return alpha_m * (sign * decay + drift) + delta
 
 
-def estimate_single_axis_standard(dataset: ShotDataset, omegas, duration: float) -> list:
+def estimate_single_axis_standard(dataset: ShotDataset, omegas, duration: float) -> EstimateTable:
     """Protocol-1 inversion with shot-noise error bars at every frequency of
     ``omegas``, from its two x-drive expectations at ``duration``."""
     omegas = list(omegas)
@@ -468,8 +524,8 @@ def estimate_single_axis_standard(dataset: ShotDataset, omegas, duration: float)
     at = np.full(len(omegas), float(duration))
     inputs, variances, missing = _inversion_inputs(dataset, points, omegas, dict.fromkeys(points, at))
     values, errs, failures = _propagate(lambda e: _single_axis_rates(e, duration), inputs, variances)
-    return _inversion_outcomes(omegas, ("S+_{0,0}", "S-_{0,0}"), values, errs, failures,
-                               lambda e, check: _gap_error(e[0] - e[1]), missing)
+    return _inversion_table(omegas, ("S+_{0,0}", "S-_{0,0}"), values, errs, failures,
+                            lambda e, check: _gap_error(e[0] - e[1]), missing)
 
 
 def _paired_series(dataset: ShotDataset, drive_axis, omegas, inits, observable):
@@ -662,7 +718,7 @@ def _gathered_series(dataset: ShotDataset, block: _PairBlock) -> dict:
     return gathered
 
 
-def robust_single_axis_linearized(dataset: ShotDataset, omegas) -> list:
+def robust_single_axis_linearized(dataset: ShotDataset, omegas) -> EstimateTable:
     """Small-decay robust estimation at every frequency of ``omegas``: two
     straight-line fits each.
 
@@ -672,49 +728,42 @@ def robust_single_axis_linearized(dataset: ShotDataset, omegas) -> list:
     ``delta`` as the intercept, valid only while ``S+ T`` stays small.  The
     quantum estimate is the component ``alpha_m*S-_{0,0}``.
 
-    Returns one outcome per frequency, in grid order: the EstimatorResult;
-    the EstimationError that fails the frequency; or, where the guard
-    rejects the classical line's ``max(S+ T)``, a
-    :class:`LinearizationGuardError` whose ``start`` the nonlinear fit takes.
+    Returns the table of every frequency's outcome: its estimates; the
+    EstimationError that fails it; or, where the guard rejects the classical
+    line's ``max(S+ T)``, a :class:`LinearizationGuardError` whose ``start``
+    the nonlinear fit takes.  The table also holds the nonlinear fit's
+    ``S-_{0,0}`` column, which :meth:`EstimateTable.put` fills.
     """
     omegas = list(omegas)
     block = _pair_block(dataset, "x", omegas, ("x+", "x-"), "x")
-    quantum = block.quantum_fits(lambda slope, times: times)
+    classical, quantum = block.fits, block.quantum_fits(lambda slope, times: times)
     gathered = _gathered_series(dataset, block)
-    outcomes = []
-    for i, omega in enumerate(omegas):
-        try:
-            classical = block.fits.result(i)
-            guard_value = float(np.max(classical.slope * block.times[i]))
-            if guard_value > LINEARIZATION_GUARD:
-                outcomes.append(LinearizationGuardError(
-                    f"max(S+ T) = {guard_value:.3g} exceeds the linearization guard "
-                    f"{LINEARIZATION_GUARD:g}; use robust_single_axis_nonlinear",
-                    _NonlinearStart(classical, quantum.errors[i] or quantum.result(i), *gathered[i]),
-                ))
-                continue
-            quantum_fit = quantum.result(i)
-            alpha = math.exp(-classical.intercept)
-            rows = [
-                ("S+_{0,0}", classical.slope, classical.slope_err),
-                ("alpha_m*S-_{0,0}", quantum_fit.slope, quantum_fit.slope_err),
-            ]
-            outcomes.append(EstimatorResult(
-                _estimates(Method.ROBUST_LINEAR, omega, rows),
-                "linearized",
-                alpha=alpha,
-                alpha_err=alpha * classical.intercept_err,
-                delta=quantum_fit.intercept,
-                delta_err=quantum_fit.intercept_err,
-                diagnostics={
-                    "guard_value": guard_value,
-                    "dropped_times": block.dropped[i],
-                    "fits": {"classical": classical, "quantum": quantum_fit},
-                },
-            ))
-        except EstimationError as exc:
-            outcomes.append(exc)
-    return outcomes
+    guard, absent = np.full(len(omegas), np.nan), np.full(len(omegas), np.nan)
+    for index, times, *_ in block.series.values():
+        guard[index] = np.max(classical.slope[index, None] * times, axis=1)
+    errors = list(classical.errors)
+    for i, error in enumerate(errors):
+        if error is None and guard[i] > LINEARIZATION_GUARD:
+            errors[i] = LinearizationGuardError(
+                f"max(S+ T) = {guard[i]:.3g} exceeds the linearization guard "
+                f"{LINEARIZATION_GUARD:g}; use robust_single_axis_nonlinear",
+                _NonlinearStart(classical.result(i), quantum.errors[i] or quantum.result(i), *gathered[i]),
+            )
+        elif error is None:
+            errors[i] = quantum.errors[i]
+    alpha = _exp(-classical.intercept)
+
+    def diagnostics(i):
+        return {"guard_value": float(guard[i]), "dropped_times": block.dropped[i],
+                "fits": {"classical": classical.result(i), "quantum": quantum.result(i)}}
+
+    return EstimateTable(
+        omegas, errors, Method.ROBUST_LINEAR, "linearized", ("S+_{0,0}", "alpha_m*S-_{0,0}", "S-_{0,0}"),
+        np.stack([classical.slope, quantum.slope, absent], axis=1),
+        np.stack([classical.slope_err, quantum.slope_err, absent], axis=1),
+        present=[True, True, False], diagnostics=diagnostics,
+        spam=np.stack([alpha, alpha * classical.intercept_err, quantum.intercept, quantum.intercept_err], axis=1),
+    )
 
 
 # xtol, ftol and gtol of the solver; scipy's 1e-8 default stops ~1e-7 short
@@ -867,7 +916,7 @@ def invert_multi_axis(
     omega_q: float,
     duration: float,
     aligned_durations=None,
-) -> list:
+) -> EstimateTable:
     """Single-time multi-axis inversion (no SPAM correction) at every frequency
     of ``omegas``.
 
@@ -886,7 +935,7 @@ def invert_multi_axis(
     aligned_at = aligned[:, None] if has_aligned else None
     values, errs, failures = _propagate(lambda e: _multi_axis_rates(e, duration, aligned_at), inputs, variances)
     names = _MULTI_AXIS_COMPONENTS[: 9 if has_aligned else 8]
-    return _inversion_outcomes(omegas, names, values, errs, failures, _floor_error, missing, omega_q)
+    return _inversion_table(omegas, names, values, errs, failures, _floor_error, missing, omega_q)
 
 
 INTERCEPT_CONSISTENCY_Z = 3.0
@@ -945,7 +994,7 @@ def robust_multi_axis(
     dataset: ShotDataset,
     omegas,
     omega_q: float,
-) -> list:
+) -> EstimateTable:
     """Time-series SPAM-robust multi-axis estimation at every frequency of ``omegas``.
 
     Classical spectra come from the slopes of the log-difference lines (the
@@ -1020,60 +1069,28 @@ def robust_multi_axis(
     s00_zero = 0.5 * (aligned.fits.slope - s_plus_up)
     s00_zero_err = 0.5 * np.sqrt(_squares(aligned.fits.slope_err) + _squares(s_plus_up_err))
 
-    columns = np.stack([
-        s_plus_up, s_plus_up_err, s_minus_up, s_minus_up_err, s_plus_dn, s_plus_dn_err,
-        s_minus_dn, s_minus_dn_err, a_rate, a_rate_err, b_rate, b_rate_err,
-        s00_plus, s00_plus_err, s00_minus, s00_minus_err, s00_zero, s00_zero_err,
-    ], axis=1).tolist()
-    spam = np.stack([alpha, alpha_err, delta, delta_err], axis=1).tolist()
-
-    outcomes = []
-    for i, omega in enumerate(omegas):
-        if errors[i] is not None:
-            outcomes.append(errors[i])
-            continue
+    for i in np.flatnonzero(np.equal(errors, None) & (np.not_equal(skipped, None) | ~consistent)).tolist():
         if skipped[i] is not None:
-            warnings.warn(
-                f"skipping the aligned coherence block: {n_aligned[i]} aligned times, {skipped[i]} "
-                f"(fewer than {MIN_REGRESSION_POINTS}); S_{{0,0}}(0) is not estimated",
-                UserWarning,
-                stacklevel=2,
-            )
+            warnings.warn(f"skipping the aligned coherence block: {n_aligned[i]} aligned times, {skipped[i]} "
+                          f"(fewer than {MIN_REGRESSION_POINTS}); S_{{0,0}}(0) is not estimated",
+                          UserWarning, stacklevel=2)
         if not consistent[i]:
-            warnings.warn(
-                f"SPAM intercepts disagree at z = {float(max_z[i]):.2f} (> {INTERCEPT_CONSISTENCY_Z}); "
-                "the combined alpha estimate may be unreliable",
-                UserWarning,
-                stacklevel=2,
-            )
-        if quantum_errors[i] is not None:
-            outcomes.append(quantum_errors[i])
-            continue
-        values = columns[i]
-        rows = list(zip(_MULTI_AXIS_COMPONENTS[:8], values[0:16:2], values[1:16:2]))
-        if has_aligned[i]:
-            rows.append(("S_{0,0}", values[16], values[17]))
-        try:
-            estimates = _estimates(Method.ROBUST_LINEAR, omega, rows, omega_q)
-        except EstimationError as exc:
-            outcomes.append(exc)
-            continue
+            warnings.warn(f"SPAM intercepts disagree at z = {float(max_z[i]):.2f} (> {INTERCEPT_CONSISTENCY_Z}); "
+                          "the combined alpha estimate may be unreliable", UserWarning, stacklevel=2)
+
+    def diagnostics(i):
         used = [name for name in blocks if name != "aligned" or has_aligned[i]]
         fits = {name: blocks[name].fits.result(i) for name in used}
         fits.update(q_zp=qf_zp.result(i), q_zm=qf_zm.result(i), q_x=qf_x.result(i))
-        alpha_i, alpha_err_i, delta_i, delta_err_i = spam[i]
-        outcomes.append(EstimatorResult(
-            estimates,
-            "multi_axis",
-            alpha=alpha_i,
-            alpha_err=alpha_err_i,
-            delta=delta_i,
-            delta_err=delta_err_i,
-            diagnostics={
-                "fits": fits,
-                "dropped_times": {name: blocks[name].dropped[i] for name in used},
-                "intercept_max_z": float(max_z[i]),
-                "intercepts_consistent": bool(consistent[i]),
-            },
-        ))
-    return outcomes
+        return {"fits": fits, "dropped_times": {name: blocks[name].dropped[i] for name in used},
+                "intercept_max_z": float(max_z[i]), "intercepts_consistent": bool(consistent[i])}
+
+    values = np.stack([s_plus_up, s_minus_up, s_plus_dn, s_minus_dn, a_rate, b_rate, s00_plus, s00_minus, s00_zero], 1)
+    errs = np.stack([s_plus_up_err, s_minus_up_err, s_plus_dn_err, s_minus_dn_err, a_rate_err, b_rate_err,
+                     s00_plus_err, s00_minus_err, s00_zero_err], 1)
+    return EstimateTable(
+        omegas, [error or quantum for error, quantum in zip(errors, quantum_errors)], Method.ROBUST_LINEAR,
+        "multi_axis", _MULTI_AXIS_COMPONENTS, values, errs, omega_q=omega_q,
+        present=np.arange(9) < 8 + has_aligned[:, None], spam=np.stack([alpha, alpha_err, delta, delta_err], 1),
+        consistent=consistent, diagnostics=diagnostics,
+    )

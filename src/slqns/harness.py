@@ -42,7 +42,7 @@ exclusion window, default false) and ``long_time_threshold`` (minimum
 
 Protocols 2 and 4 report SPAM parameters per frequency under
 ``spam_per_frequency`` and combined under ``spam``.  Each per-frequency row
-copies the robust estimator's ``EstimatorResult``: ``path``
+copies the robust estimator's table row: ``path``
 (``"linearized"``, ``"nonlinear"`` or ``"multi_axis"``), ``alpha_m`` and
 ``alpha_m_std_error`` (its ``alpha`` and ``alpha_err``), ``delta`` and
 ``delta_std_error``, with ``omega_rad_per_us``; protocol 4 adds
@@ -58,12 +58,11 @@ These are not ``failures``: the frequency's robust estimates stand.
 
 Estimation takes the whole drive grid at once.  The robust estimators of
 protocols 2 and 4 and every protocol's standard inversion are one grid call
-each per campaign, returning one outcome per frequency in plan order (a
-result, or the ``EstimationError`` of that frequency alone, such as a point
-the dataset lacks there).  No grid call fails as a whole.  Where protocol
-2's linearization guard rejects a frequency, its nonlinear fit then runs
-alone, from the ``LinearizationGuardError`` that the grid call returned
-there.
+each per campaign, returning one table of estimates over the grid in plan
+order, with the ``EstimationError`` of each failed frequency as a value (a
+point the dataset lacks there, say); no grid call fails as a whole.  Where
+protocol 2's linearization guard rejects a frequency, its nonlinear fit runs
+alone and its outcome replaces that row of the table.
 
 ``run_campaign`` writes ``datasets.csv``, ``estimates.csv``, ``report.json``,
 ``manifest.json`` and ``run.log`` into ``out_dir`` (``--out-dir``; no config
@@ -102,10 +101,9 @@ import numpy as np
 
 from .dynamics import DynamicsError
 from .estimation import (
+    _COMPONENTS,
     EstimationError,
-    EstimatorResult,
     LinearizationGuardError,
-    SpectralEstimate,
     _combine_inverse_variance,
     estimate_single_axis_standard,
     invert_multi_axis,
@@ -399,81 +397,71 @@ def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
 # ---------------------------------------------------------------------------
 
 
-def _estimate_to_row(omega: float, est: SpectralEstimate) -> dict:
-    return {
-        "component": est.component,
-        "method": est.method.value,
-        "freq_label": est.freq_label,
-        "freq_rad_per_us": est.freq_value,
-        "omega_rad_per_us": omega,
-        "value": est.value,
-        "std_error": est.std_error,
-    }
+_SPAM_ROW_FIELDS = ("omega_rad_per_us", "alpha_m", "alpha_m_std_error", "delta", "delta_std_error", "path")
 
 
-def _spam_row(omega: float, result: EstimatorResult) -> dict:
-    """Per-frequency SPAM record; ``alpha_m`` holds the combined alpha."""
-    return {
-        "omega_rad_per_us": omega, "alpha_m": result.alpha, "alpha_m_std_error": result.alpha_err,
-        "delta": result.delta, "delta_std_error": result.delta_err, "path": result.path,
-    }
-
-
-def _estimate_grid(campaign: Campaign, dataset) -> tuple[list, list, dict, dict]:
-    """The report's ``(estimates, spam_per_frequency, failures, standard_dropped)``,
-    in plan order; the last two map ``repr(omega)`` to the cause.
+def _estimate_grid(campaign: Campaign, dataset) -> tuple[dict, list, dict, dict]:
+    """The report's estimates as columns (``_ESTIMATE_FIELDS``, in report
+    order), its ``spam_per_frequency`` rows (``alpha_m`` holds the combined
+    alpha), ``failures`` and ``standard_dropped``, in plan order; the last
+    two map ``repr(omega)`` to the cause.
 
     Protocols 2 and 4 first run their SPAM-robust estimator in one grid call;
-    protocol 2 then runs the nonlinear fit at each frequency where that call
-    returned a LinearizationGuardError.  Every protocol then
-    inverts its expectations at the longest plan time in one grid call: for
-    protocols 1 and 3 this is the estimate, for 2 and 4 a comparison that is
-    dropped where it fails.  A frequency whose robust fit fails is failed and
-    gets no comparison.
+    protocol 2 then puts into that table the nonlinear fit of each frequency
+    where it holds a LinearizationGuardError.  Every protocol then inverts its
+    expectations at the longest plan time in one grid call: for protocols 1
+    and 3 this is the estimate, for 2 and 4 a comparison that is dropped where
+    it fails.  A frequency whose robust fit fails is failed and gets no
+    comparison.  A kept frequency's rows are its robust estimates, then its
+    standard ones: each column is one mask over the tables' entries.
     """
     plan, omega_q = campaign.plan, campaign.device.omega_q
-    omegas = list(plan.omegas)
+    omegas, tables = list(plan.omegas), []
     if campaign.protocol == 2:
-        robust = robust_single_axis_linearized(dataset, omegas)
-        for i, outcome in enumerate(robust):
-            if isinstance(outcome, LinearizationGuardError):
+        tables.append(robust_single_axis_linearized(dataset, omegas))
+        for i, error in enumerate(tables[0].errors):
+            if isinstance(error, LinearizationGuardError):
                 try:
-                    robust[i] = robust_single_axis_nonlinear(omegas[i], outcome.start)
+                    tables[0].put(i, robust_single_axis_nonlinear(omegas[i], error.start))
                 except EstimationError as exc:
-                    robust[i] = exc
+                    # kept without the traceback and chained errors, whose frames hold the dataset
+                    exc.__cause__ = exc.__context__ = None
+                    tables[0].put(i, exc.with_traceback(None))
     elif campaign.protocol == 4:
-        robust = robust_multi_axis(dataset, omegas, omega_q)
-    else:
-        robust = [None] * len(omegas)
-
+        tables.append(robust_multi_axis(dataset, omegas, omega_q))
     t_max = max(plan.times)
     if campaign.protocol in (1, 2):
-        standard = estimate_single_axis_standard(dataset, omegas, t_max)
+        tables.append(estimate_single_axis_standard(dataset, omegas, t_max))
     else:
         aligned = plan.aligned_times(omegas)[:, 0 if campaign.protocol == 3 else -1] if plan.aligned_n else None
-        standard = invert_multi_axis(dataset, omegas, omega_q, t_max, aligned)
+        tables.append(invert_multi_axis(dataset, omegas, omega_q, t_max, aligned))
 
-    rows, spam_rows, failures, standard_dropped = [], [], {}, {}
-    for omega, robust_result, standard_result in zip(omegas, robust, standard):
-        failure = robust_result if isinstance(robust_result, EstimationError) else None
-        if robust_result is None and isinstance(standard_result, EstimationError):
-            failure = standard_result
-        if failure is not None:
-            failures[repr(omega)] = str(failure)
-            continue
-        results = []
-        if robust_result is not None:
-            results.append(robust_result)
-            spam_row = _spam_row(omega, robust_result)
-            if campaign.protocol == 4:
-                spam_row["intercepts_consistent"] = robust_result.diagnostics["intercepts_consistent"]
-            spam_rows.append(spam_row)
-        if isinstance(standard_result, EstimationError):
-            standard_dropped[repr(omega)] = str(standard_result)
-        else:
-            results.append(standard_result)
-        rows += [_estimate_to_row(omega, est) for result in results for est in result.estimates.values()]
-    return rows, spam_rows, failures, standard_dropped
+    # the first table (robust, else standard) decides which frequencies fail
+    ok = [np.equal(table.errors, None) for table in tables]
+    failures = {repr(omegas[i]): str(tables[0].errors[i]) for i in np.flatnonzero(~ok[0]).tolist()}
+    standard_dropped = {repr(omegas[i]): str(tables[-1].errors[i]) for i in np.flatnonzero(ok[0] & ~ok[-1]).tolist()}
+    mask = np.concatenate([t.present & (o & ok[0])[:, None] for t, o in zip(tables, ok)], axis=1)
+
+    def gathered(column):
+        """A report column: ``column(table)``, broadcast over each table's entries, where ``mask`` holds."""
+        return np.concatenate([np.broadcast_to(column(t), t.value.shape) for t in tables], axis=1)[mask].tolist()
+
+    columns = {
+        "component": gathered(lambda t: np.array(t.components, dtype=object)),
+        "method": gathered(lambda t: np.array([[m.value] for m in t.method], dtype=object)),
+        "freq_label": gathered(lambda t: np.array([_COMPONENTS[c][0] for c in t.components], dtype=object)),
+        "freq_rad_per_us": gathered(lambda t: t.freq),
+        "omega_rad_per_us": gathered(lambda t: t.omegas[:, None]),
+        "value": gathered(lambda t: t.value),
+        "std_error": gathered(lambda t: t.std_error),
+    }
+    spam_rows, robust = [], tables[0]
+    for i in np.flatnonzero(ok[0]).tolist() if len(tables) == 2 else ():
+        row = dict(zip(_SPAM_ROW_FIELDS, [omegas[i], *robust.spam[i].tolist(), robust.path[i]]))
+        if robust.consistent is not None:
+            row["intercepts_consistent"] = bool(robust.consistent[i])
+        spam_rows.append(row)
+    return columns, spam_rows, failures, standard_dropped
 
 
 def _combine_spam(spam_rows: list[dict]) -> dict:
@@ -505,9 +493,9 @@ def _csv_field(text: str) -> str:
     return field.getvalue()[: -len("\r\n")]
 
 
-def _estimate_texts(rows) -> tuple[str, str]:
+def _estimate_texts(rows, columns=None) -> tuple[str, str]:
     """The ``estimates`` list as it stands in report.json, and the text of
-    estimates.csv.
+    estimates.csv, from the rows or from their ``columns`` (field -> list).
 
     Each column is formatted once for both files.  Numbers are written by
     ``float.__repr__`` (some values are ``np.float64``, whose ``repr`` is not a
@@ -519,7 +507,7 @@ def _estimate_texts(rows) -> tuple[str, str]:
     header = ",".join(_ESTIMATE_FIELDS) + "\r\n"
     if not rows:
         return "[]", header
-    columns = dict(zip(_ESTIMATE_FIELDS, zip(*map(itemgetter(*_ESTIMATE_FIELDS), rows))))
+    columns = columns or dict(zip(_ESTIMATE_FIELDS, zip(*map(itemgetter(*_ESTIMATE_FIELDS), rows))))
     texts = {name: _float_text(np.array(columns[name], float)) for name in ("freq_rad_per_us", "omega_rad_per_us")}
     texts.update((name, list(map(float.__repr__, columns[name]))) for name in ("value", "std_error"))
     json_texts, csv_texts = dict(texts), texts
@@ -573,12 +561,14 @@ def run_campaign(config, *, out_dir=None, seed=None, analytic=None, jobs: int = 
         out_path.mkdir(parents=True, exist_ok=True)
     try:
         dataset = run_plan(campaign.backend, campaign.plan, jobs=jobs)
-        rows, spam_rows, failures, standard_dropped = _estimate_grid(campaign, dataset)
+        columns, spam_rows, failures, standard_dropped = _estimate_grid(campaign, dataset)
     except BaseException:
         for path in made:  # deepest first, each still empty
             path.rmdir()
         raise
 
+    rows = [{"component": c, "method": m, "freq_label": label, "freq_rad_per_us": f, "omega_rad_per_us": omega,
+             "value": v, "std_error": e} for c, m, label, f, omega, v, e in zip(*columns.values())]
     report = {
         "protocol": campaign.protocol,
         "seed": campaign.seed,
@@ -596,7 +586,7 @@ def run_campaign(config, *, out_dir=None, seed=None, analytic=None, jobs: int = 
 
     if out_path is not None:
         dataset.to_csv(out_path / "datasets.csv")
-        estimates_json, estimates_csv = _estimate_texts(rows)
+        estimates_json, estimates_csv = _estimate_texts(rows, columns)
         (out_path / "estimates.csv").write_text(estimates_csv, newline="")
         (out_path / "report.json").write_text(_report_text(report, estimates_json))
         manifest = dataset.to_manifest(
@@ -644,8 +634,8 @@ def compare_reports(report_a: dict, report_b: dict) -> list[dict]:
             raise ValueError("not a report: no 'estimates' list")
         table = {}
         for row in rows:
-            if not (isinstance(row, dict)
-                    and all(isinstance(row.get(name), kind) for name, kind in _COMPARED_FIELDS.items())):
+            if not (isinstance(row, dict) and all(isinstance(row.get(name), kind) and not isinstance(row[name], bool)
+                                                  for name, kind in _COMPARED_FIELDS.items())):
                 raise ValueError(f"not an estimates row: {row!r}")
             key = (row["component"], row["method"], row["omega_rad_per_us"], row["freq_rad_per_us"])
             table[key] = (row["value"], row["std_error"])

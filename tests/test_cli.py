@@ -132,7 +132,9 @@ def test_compare_exits_with_config_error_on_different_grids(reports, capsys):
     ('{"estimates": [{"method": "standard", "omega_rad_per_us": 6.0, "freq_rad_per_us": 6.0, '
      '"value": 1.0, "std_error": 0.1}]}', "not an estimates row: {'method': 'standard'"),
     ('{"estimates": [3]}', "not an estimates row: 3"),
-], ids=["a-list", "estimates-a-number", "row-without-component", "row-a-number"])
+    ('{"estimates": [{"component": "A", "method": "standard", "omega_rad_per_us": 6.0, "freq_rad_per_us": 6.0, '
+     '"value": true, "std_error": 0.1}]}', "not an estimates row: {'component': 'A'"),
+], ids=["a-list", "estimates-a-number", "row-without-component", "row-a-number", "value-a-boolean"])
 def test_compare_exits_with_config_error_on_json_that_is_not_a_report(reports, tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
     path.write_text(text)

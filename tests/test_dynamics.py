@@ -1,12 +1,17 @@
 """Closed-form TCL solutions, frames, and the exact trajectory engine."""
 
+import copy
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from slqns import dynamics
 from slqns.dynamics import (
     DriveAxis,
     DriveConfig,
+    DriveRates,
     DynamicsError,
     QubitState,
     RateCoefficients,
@@ -26,7 +31,10 @@ from slqns.noisegen import BathCoefficients, BathConfig, BathVariant, DSAConfig,
 from slqns.seeding import spawn_rng
 from slqns.spectra import DeviceParams, Lorentzian, SphericalSpectraSet, Tabulated
 
+from slqns.harness import build_campaign
+
 from oracles import discretized_z_drive, dsa_sample, tcl_sinc_integrator, x_drive_coherence_rate, z_drive_rates
+from test_harness import CLOSED_FORM_P4
 
 DEVICE = DeviceParams(omega_q=2.0 * np.pi * 4970.0)
 
@@ -406,3 +414,98 @@ class TestSincIntegrator:
         tab = Tabulated(grid=(-10.0, 0.0, 10.0), values=(0.0, 0.1, 0.0))
         with pytest.raises(DynamicsError, match="grid"):
             tcl_sinc_integrator(tab, 4.0, 1.0, 10.0)
+
+
+# ---------------------------------------------------------------------------
+# DriveRates.flagged: the array pass in front of the scalar check chain
+# ---------------------------------------------------------------------------
+
+ABOVE_5PCT = np.nextafter(0.05, 1.0)
+ABOVE_IMAG = np.nextafter(1e-12, 1.0)
+BELOW_Z_FLOOR = np.nextafter(-1e-15, -1.0)
+# per amplitude: (|W|, S00 at +W, S00 at -W, the sidebands down and up at +W, then at -W)
+RATE_CASES = [
+    (100.0, 0.1, 0.1, 0.01, 0.01, 0.01, 0.01),              # nothing fires
+    (1.0, 0.025, 0.025, 0.0, 0.0, 0.0, 0.0),                # |A/W| = 0.05 exactly
+    (1.0, ABOVE_5PCT / 2, ABOVE_5PCT / 2, 0.0, 0.0, 0.0, 0.0),  # |A/W| just above 0.05
+    (100.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),                  # A = 0
+    (100.0, 0.3, -0.1, 0.0, 0.0, 0.0, 0.0),                 # A < |B|
+    (100.0, 0.1, -5e-13, 0.0, 0.0, 0.0, 0.0),               # A = |B| - 1e-12, up to rounding
+    (100.0, 0.1, 0.1, 0.0, 0.0, -1e-15, 0.0),               # a z rate at -1e-15
+    (100.0, 0.1, 0.1, 0.0, 0.0, BELOW_Z_FLOOR, 0.0),        # a z rate just below it
+    (100.0, 0.1 + 1e-12j, 0.1, 0.0, 0.0, 0.0, 0.0),         # an imaginary part at the tolerance
+    (100.0, 0.1 + ABOVE_IMAG * 1j, 0.1, 0.0, 0.0, 0.0, 0.0),  # just above it
+    (100.0, 0.1, 0.1, 0.0, 1e-12j, 0.0, 0.0),               # a z rate's imaginary part at it
+    (100.0, 0.1, 0.1, 0.0, ABOVE_IMAG * 1j, 0.0, 0.0),      # just above it
+    (100.0, np.nan, 0.1, 0.0, 0.0, 0.0, 0.0),               # NaN spectrum
+    (100.0, 0.1, np.inf, 0.0, 0.0, 0.0, 0.0),               # infinite spectrum
+    (100.0, 0.1, 0.1, 0.0, 0.0, np.inf, 0.0),               # an infinite z rate
+]
+
+
+class CarrierSpectra:
+    """The two carrier samples that DriveRates reads from its spectra itself."""
+
+    def __init__(self, value):
+        self.carrier = value
+
+    def s_plus(self, a, b, omega):
+        return self.carrier
+
+    def value(self, a, b, omega):
+        return self.carrier
+
+
+def fired(rates: DriveRates, k: int) -> bool:
+    """Whether the scalar check chain of amplitude k warns or raises."""
+    rates.flagged = np.ones(len(rates.omega_eff), dtype=bool)  # run the chain everywhere
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rates.check(k)
+        except DynamicsError:
+            return True
+    return bool(caught)
+
+
+@pytest.mark.parametrize("carrier", [0.01 + 0j, 0.01 + 1e-12j, 0.01 + ABOVE_IMAG * 1j], ids=["real", "at", "above"])
+def test_drive_rates_flag_every_amplitude_at_which_a_check_fires(monkeypatch, carrier):
+    cases = np.array(RATE_CASES, dtype=complex).T
+    width = cases[0].real
+    samples = (tuple(cases[[1, 3, 4]]), tuple(cases[[2, 5, 6]]))
+    monkeypatch.setattr(dynamics, "_sideband_samples", lambda spectra, omega, omega_q: samples)
+    spectra, firing = CarrierSpectra(carrier), {}
+
+    def rates(axis, sign):
+        with np.errstate(invalid="ignore"):  # complex arithmetic on an infinite sample
+            return DriveRates(axis, sign * width, spectra, DEVICE)
+
+    # a carrier sample past the tolerance fails every amplitude's coherence rate
+    everywhere = carrier.imag > 1e-12
+    for axis, sign in ((DriveAxis.X_PLUS, 1.0), (DriveAxis.Z_PLUS, 1.0), (DriveAxis.Z_MINUS, -1.0)):
+        flagged = rates(axis, sign).flagged
+        firing[axis] = [k for k in range(len(width)) if fired(rates(axis, sign), k)]
+        assert flagged[firing[axis]].all(), axis
+        # the slack flags a carrier at the tolerance too, where nothing fires
+        assert flagged[0] == (carrier.imag > 0.0)
+    z_firing = list(range(len(width))) if everywhere else [2, 4, 7, 9, 11, 12, 13, 14]
+    assert firing == {
+        DriveAxis.X_PLUS: list(range(len(width))) if everywhere else [2, 3, 4, 9, 12, 13, 14],
+        DriveAxis.Z_PLUS: z_firing,
+        DriveAxis.Z_MINUS: z_firing,
+    }
+
+
+def test_drive_rates_flag_exactly_the_three_strained_drives_of_the_wide_sweep():
+    config = copy.deepcopy(CLOSED_FORM_P4)
+    config["plan"]["omegas_MHz"] = np.linspace(1.0, 40.0, 256).tolist()
+    campaign = build_campaign(config)
+    omegas = np.asarray(campaign.plan.omegas)
+    pairs, flagged = [], []
+    for axis, amplitudes in ((DriveAxis.Z_PLUS, np.abs(omegas)), (DriveAxis.Z_MINUS, -np.abs(omegas)),
+                             (DriveAxis.X_PLUS, omegas)):
+        rates = DriveRates(axis, amplitudes, campaign.backend.spectra, campaign.device)
+        flagged += [(axis, k) for k in np.flatnonzero(rates.flagged).tolist()]
+        pairs += [(axis, k) for k in range(len(omegas)) if fired(rates, k)]
+    assert len(pairs) == 3
+    assert flagged == pairs

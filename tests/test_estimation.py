@@ -4,8 +4,10 @@ refusals fail a frequency."""
 from __future__ import annotations
 
 import copy
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import scipy.optimize
 from slqns import harness
 from slqns.dynamics import frame_aligned_times
 from slqns.estimation import (
+    EstimateTable,
     EstimationError,
     EstimatorResult,
     LinearizationGuardError,
@@ -23,7 +26,7 @@ from slqns.estimation import (
     single_axis_forward,
 )
 from slqns.harness import run_campaign
-from test_harness import CLOSED_FORM_P4
+from test_harness import CLOSED_FORM_P2, CLOSED_FORM_P4
 from test_recovery import BASE, CASES, DEVICE, SERIES_US, SPAM, analytic_report
 
 
@@ -70,7 +73,9 @@ def test_a_failed_standard_inversion_fails_only_protocols_without_a_robust_step(
     full = analytic_report(protocol, plan, with_spam=with_spam)
 
     def refuse(dataset, omegas, *args):
-        return [EstimationError("standard inversion refused")] * len(omegas)
+        empty = np.empty((len(omegas), 0))
+        return EstimateTable(omegas, [EstimationError("standard inversion refused")] * len(omegas),
+                             Method.STANDARD, "standard", (), empty, empty)
 
     monkeypatch.setattr(harness, "estimate_single_axis_standard", refuse)
     monkeypatch.setattr(harness, "invert_multi_axis", refuse)
@@ -110,7 +115,7 @@ def test_protocol3_inverts_at_the_first_aligned_time_and_protocol4_at_the_last(p
     assert len(standard) == len(plan["omegas_MHz"])
     for omega, value in standard.items():
         aligned_t = float(frame_aligned_times(omega, aligned_n)[index])
-        (expected,) = invert_multi_axis(result.dataset, [omega], DEVICE.omega_q, max(times), [aligned_t])
+        (expected,) = invert_multi_axis(result.dataset, [omega], DEVICE.omega_q, max(times), [aligned_t]).outcomes()
         assert value == expected["S_{0,0}"].value
 
 
@@ -132,7 +137,7 @@ def test_every_estimator_returns_one_result_type_that_the_report_copies(monkeypa
         # nonlinear fit at that frequency gives it
         def wrapper(*args, **kwargs):
             result = fn(*args, **kwargs)
-            results.extend(r for r in (result if isinstance(result, list) else [result])
+            results.extend(r for r in (result.outcomes() if isinstance(result, EstimateTable) else [result])
                            if not isinstance(r, LinearizationGuardError))
             return result
         return wrapper
@@ -228,3 +233,51 @@ def test_the_nonlinear_fit_takes_scipys_two_point_steps(monkeypatch, seed, analy
             theirs = solve(fun, start, **dict(kwargs, jac="2-point"))
             for name in ("x", "jac", "cost", "nfev"):
                 assert np.array_equal(getattr(ours, name), getattr(theirs, name)), (start, name)
+
+
+@pytest.mark.parametrize("protocol", [2, 4])
+def test_a_failed_frequency_keeps_no_reference_to_the_dataset(protocol):
+    # a failure is stored as a value: the error of a nonlinear fit without
+    # the traceback whose frames hold the dataset, so reference counting
+    # alone frees the dataset once the result goes
+    config = copy.deepcopy(CLOSED_FORM_P2 if protocol == 2 else CLOSED_FORM_P4)
+    config["plan"].update(omegas_MHz=[1.0, 14.0], times_us=[30.0, 60.0, 90.0])
+    gc.collect()
+    gc.disable()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = run_campaign(config, seed=1)
+        assert len(result.failures) == 2
+        dataset = weakref.ref(result.dataset)
+        del result
+        assert dataset() is None
+    finally:
+        gc.enable()
+
+
+def test_a_table_fails_a_frequency_at_its_first_invalid_estimate_as_spectral_estimate_does():
+    components = ("S+_{0,0}", "S-_{0,0}", "A")
+    value = np.array([[0.1, np.nan, 0.2], [0.1, 0.2, np.inf], [0.1, 0.2, 0.3], [np.nan, 0.2, 0.3]])
+    std_error = np.array([[0.01, 0.01, -1.0], [-0.5, 0.01, 0.01], [0.01, 0.0, 0.01], [0.01, 0.01, 0.01]])
+    present = [True, True, False]
+    earlier = EstimationError("failed before its estimates")
+    table = EstimateTable([1.0, 2.0, 3.0, 4.0], [None, None, None, earlier], Method.STANDARD, "standard",
+                          components, value, std_error, present=present)
+
+    def scalar(i):
+        try:
+            for component, v, e in zip(np.array(components)[present], value[i][present], std_error[i][present]):
+                SpectralEstimate(component, "Omega", 1.0, v, e, Method.STANDARD)
+        except EstimationError as exc:
+            return str(exc)
+        return None
+
+    assert [None if error is None else str(error) for error in table.errors] == [
+        scalar(0), scalar(1), None, "failed before its estimates"]
+    assert scalar(0) == "invalid estimate S-_{0,0}: nan +- 0.01"
+    assert scalar(1) == "invalid estimate S+_{0,0}: 0.1 +- -0.5"
+    outcomes = table.outcomes()
+    assert outcomes[3] is earlier
+    assert [(est.component, est.value, est.std_error) for est in outcomes[2].estimates.values()] == [
+        ("S+_{0,0}", 0.1, 0.01), ("S-_{0,0}", 0.2, 0.0)]

@@ -352,8 +352,8 @@ def test_grid_estimators_give_the_recorded_outcomes_messages_and_warnings():
     dataset = grid_dataset()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        robust = robust_multi_axis(dataset, OMEGAS, OMEGA_Q)
-        standard = invert_multi_axis(dataset, OMEGAS, OMEGA_Q, max(TIMES), [ALIGNED_TIMES[-1]] * len(OMEGAS))
+        robust = robust_multi_axis(dataset, OMEGAS, OMEGA_Q).outcomes()
+        standard = invert_multi_axis(dataset, OMEGAS, OMEGA_Q, max(TIMES), [ALIGNED_TIMES[-1]] * len(OMEGAS)).outcomes()
     assert [outcome_text(outcome) for outcome in robust] == ROBUST
     assert [outcome_text(outcome) for outcome in standard] == STANDARD
     assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, text) for text in WARNINGS]
@@ -399,7 +399,7 @@ def p2_dataset(analytic: bool) -> ShotDataset:
 def p2_grid_outcomes(dataset, omegas) -> list:
     """The grid estimator's outcomes, each guard error replaced by the
     outcome of the nonlinear fit from its payload, as the harness does."""
-    outcomes = robust_single_axis_linearized(dataset, omegas)
+    outcomes = robust_single_axis_linearized(dataset, omegas).outcomes()
     for i, outcome in enumerate(outcomes):
         if isinstance(outcome, LinearizationGuardError):
             try:
@@ -493,12 +493,12 @@ def test_a_frequency_that_lacks_its_longest_time_fails_alone_in_every_grid_estim
     omegas, t_max, lacking = list(plan.omegas), max(plan.times), 1
     if protocol == 2:
         aligned = None
-        robust, standard = p2_grid_outcomes, lambda d, w: estimate_single_axis_standard(d, w, t_max)
+        robust, standard = p2_grid_outcomes, lambda d, w: estimate_single_axis_standard(d, w, t_max).outcomes()
         missing = MeasurementKey("x", omegas[lacking], "x+", "x", t_max)
     else:
         aligned = plan.aligned_times(omegas)[:, -1]
-        robust, standard = (lambda d, w: robust_multi_axis(d, w, omega_q),
-                            lambda d, w: invert_multi_axis(d, w, omega_q, t_max, aligned))
+        robust, standard = (lambda d, w: robust_multi_axis(d, w, omega_q).outcomes(),
+                            lambda d, w: invert_multi_axis(d, w, omega_q, t_max, aligned).outcomes())
         missing = MeasurementKey("z+", omegas[lacking], "z+", "z", t_max)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # 1 MHz strains the secular description
@@ -519,10 +519,11 @@ def test_a_frequency_that_lacks_its_longest_time_fails_alone_in_every_grid_estim
 
 def test_every_grid_estimator_fails_each_frequency_of_an_empty_dataset_alone():
     omegas, omega_q, empty = [62.8, 125.6], 31_000.0, ShotDataset()
-    for outcomes in (robust_single_axis_linearized(empty, omegas), estimate_single_axis_standard(empty, omegas, 2.0),
-                     robust_multi_axis(empty, omegas, omega_q),
-                     invert_multi_axis(empty, omegas, omega_q, 2.0, [2.0, 4.0])):
+    for outcomes in (robust_single_axis_linearized(empty, omegas).outcomes(),
+                     estimate_single_axis_standard(empty, omegas, 2.0).outcomes(),
+                     robust_multi_axis(empty, omegas, omega_q).outcomes(),
+                     invert_multi_axis(empty, omegas, omega_q, 2.0, [2.0, 4.0]).outcomes()):
         assert len(outcomes) == len(omegas)
         assert all(isinstance(outcome, EstimationError) for outcome in outcomes)
-    assert [str(outcome) for outcome in estimate_single_axis_standard(empty, omegas, 2.0)] == [
+    assert [str(outcome) for outcome in estimate_single_axis_standard(empty, omegas, 2.0).outcomes()] == [
         f"dataset lacks {MeasurementKey('x', omega, 'x+', 'x', 2.0)}" for omega in omegas]

@@ -8,13 +8,16 @@ from __future__ import annotations
 import copy
 import csv
 import hashlib
+import io
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 from slqns import harness, spam
-from slqns.harness import _estimate_texts, _report_text, run_campaign
+from slqns.harness import _estimate_grid, _estimate_texts, _report_text, build_campaign, run_campaign
+from slqns.protocols import run_plan
 
 from oracles import estimates_csv_reference, report_reference
 from test_harness import (
@@ -219,3 +222,39 @@ def test_estimates_csv_holds_plain_numbers(tmp_path, name):
     assert {row["method"] for row in rows} >= {"standard"}
     for row in rows:
         float(row["value"]), float(row["std_error"])
+
+
+# campaigns whose estimates columns are ragged (protocol 4's S_{0,0} is absent
+# where its aligned block is skipped), drop a standard comparison, fail a
+# frequency, or hold no row at all
+COLUMN_CASES = {
+    "p2": (with_plan(CLOSED_FORM_P2, 1, omegas_MHz=LOW), {"dropped"}),
+    "p4-ragged": (with_plan(CLOSED_FORM_P4, 1, omegas_MHz=LOW), {"ragged", "dropped"}),
+    "p4-one-failure": (with_plan(CLOSED_FORM_P4, 1, omegas_MHz=LOW, times_us=[10.0, 20.0, 30.0]),
+                       {"ragged", "failed"}),
+    "p4-every-failure": (with_plan(CLOSED_FORM_P4, 1, omegas_MHz=LOW, times_us=[30.0, 60.0, 90.0]),
+                         {"failed", "no rows"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_CASES))
+def test_estimate_texts_of_the_columns_equal_the_writers_on_the_rows(name):
+    config, shapes = COLUMN_CASES[name]
+    campaign = build_campaign(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dataset = run_plan(campaign.backend, campaign.plan)
+        columns, _, failures, dropped = _estimate_grid(campaign, dataset)
+    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+    aligned = sum(row["component"] == "S_{0,0}" and row["method"] != "standard" for row in rows)
+    assert {
+        "ragged": 0 < aligned < len(LOW), "dropped": bool(dropped), "failed": bool(failures), "no rows": not rows,
+    } == {shape: shape in shapes for shape in ("ragged", "dropped", "failed", "no rows")}
+    estimates_json, estimates_csv = _estimate_texts(rows, columns)
+    assert "{\n \"estimates\": " + estimates_json + "\n}" == json.dumps({"estimates": rows}, sort_keys=True, indent=1)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(harness._ESTIMATE_FIELDS)
+    writer.writerows([repr(row[f]) if isinstance(row[f], float) else row[f] for f in harness._ESTIMATE_FIELDS]
+                     for row in rows)
+    assert estimates_csv == buffer.getvalue()
