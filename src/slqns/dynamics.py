@@ -38,6 +38,8 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -240,6 +242,20 @@ class DriveConfig:
 # ---------------------------------------------------------------------------
 
 
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _warn(message: str) -> None:
+    """Emit a UserWarning attributed to the first caller outside this package,
+    skipping the ``<string>`` frames of generated dataclass code; the
+    outermost frame takes it when every caller is inside."""
+    frame, level = sys._getframe(), 1
+    while frame.f_back is not None and (frame.f_code.co_filename.startswith(_PACKAGE_DIR)
+                                        or frame.f_code.co_filename == "<string>"):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, UserWarning, stacklevel=level)
+
+
 @dataclass(frozen=True)
 class RateCoefficients:
     """Decay rate and drift of <sigma_x> under a constant x drive."""
@@ -251,12 +267,8 @@ class RateCoefficients:
         if not (np.isfinite(self.a_rate) and np.isfinite(self.b_rate)):
             raise DynamicsError("rate coefficients must be finite")
         if self.a_rate < abs(self.b_rate) - 1e-12:
-            warnings.warn(
-                f"A = {self.a_rate:.3g} < |B| = {abs(self.b_rate):.3g}: spectra are not "
-                "physically valid (steady state outside the Bloch ball)",
-                UserWarning,
-                stacklevel=2,
-            )
+            _warn(f"A = {self.a_rate:.3g} < |B| = {abs(self.b_rate):.3g}: spectra are not "
+                  "physically valid (steady state outside the Bloch ball)")
 
 
 _IMAG_TOL = 1e-12
@@ -297,12 +309,8 @@ SECULAR_RATIO_LIMIT = 0.05
 def check_secular_validity(decay_rate: float, omega: float) -> None:
     """Warn when the sampled decay rate is not small against the drive."""
     if omega != 0.0 and abs(decay_rate / omega) > SECULAR_RATIO_LIMIT:
-        warnings.warn(
-            f"|rate/Omega| = {abs(decay_rate / omega):.3g} exceeds {SECULAR_RATIO_LIMIT}; "
-            "the secular description of the driven dynamics is strained",
-            UserWarning,
-            stacklevel=2,
-        )
+        _warn(f"|rate/Omega| = {abs(decay_rate / omega):.3g} exceeds {SECULAR_RATIO_LIMIT}; "
+              "the secular description of the driven dynamics is strained")
 
 
 def _check_decay_rate(a_rate) -> None:

@@ -35,13 +35,16 @@ that fails it, if any, such as a point the dataset lacks there.  A failure is
 a value: it leaves the other frequencies standing, and no grid call raises.
 ``table.outcomes()`` rebuilds one :class:`EstimatorResult` per frequency, with
 the diagnostics the estimator computed on the way.  The numerics run once
-over the grid: every straight-line fit of a pair block is one row of a
-stacked regression (:func:`_linreg_stack`, whose one-row case is
-:func:`weighted_linreg`), :func:`robust_multi_axis` combines the fits in
-arrays (a failed frequency's entries are never read), and the delta-method
-inversions evaluate every central and bumped input in one array pass
-(:func:`_propagate`).  Data whose std errors are all 0 are exact: fitted
-unweighted.  Warnings are emitted afterwards, in grid order.  Where protocol
+over the grid.  Every estimator reads the dataset as padded (frequencies,
+times) tables of series rows, -1 past a shorter series' end
+(:func:`_series_rows`).  Every straight-line fit of a pair block is one row
+of a stacked regression at its kept points (:func:`_kept_fits` over
+:func:`_linreg_stack`, whose one-row case is :func:`weighted_linreg`),
+:func:`robust_multi_axis` combines the fits in arrays (a failed frequency's
+entries are never read), and the delta-method inversions evaluate every
+central and bumped input in one array pass (:func:`_propagate`).  Data
+whose std errors are all 0 are exact: fitted unweighted.  Warnings are
+emitted afterwards, in grid order, at the caller's line.  Where protocol
 2's guard rejects a frequency, its table holds a
 :class:`LinearizationGuardError`, whose payload
 :func:`robust_single_axis_nonlinear`, scipy's solver at one frequency, takes.
@@ -59,14 +62,12 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import _decay_weight, _exp
+from .dynamics import _decay_weight, _exp, _warn
 from .spam import MeasurementKey, ShotDataset, _squared, expectation_std_error
 
 __all__ = [
@@ -437,18 +438,17 @@ def _propagate(func, inputs, variances):
     return values[:, 0], errs, failures
 
 
-def _point_rows(dataset: ShotDataset, point, omegas, times) -> np.ndarray:
-    """Row of the ``(drive_axis, init, observable)`` point at each frequency,
-    at that frequency's time; -1 where the dataset has none."""
-    drive_axis, init, observable = point
-    series = [dataset.series(drive_axis, omega, init, observable) for omega in omegas]
-    owner = np.repeat(np.arange(len(series)), [rows.size for rows in series])
-    rows = np.concatenate(series) if series else np.empty(0, dtype=np.intp)
-    hits = np.flatnonzero(dataset.column("time")[rows] == np.asarray(times, dtype=float)[owner])
-    found, first = np.unique(owner[hits], return_index=True)
-    out = np.full(len(series), -1, dtype=np.intp)
-    out[found] = rows[hits[first]]
-    return out
+def _series_rows(dataset: ShotDataset, points, omegas) -> np.ndarray:
+    """(points, frequencies, n) dataset rows of the ``(drive_axis, init,
+    observable)`` series of ``points`` at every frequency, each ordered by
+    time and -1 past its end; n is the longest series' length."""
+    series = [dataset.series(drive_axis, omega, init, observable)
+              for drive_axis, init, observable in points for omega in omegas]
+    lengths = np.array([rows.size for rows in series], dtype=np.intp).reshape(len(points), len(omegas))
+    rows = np.full(lengths.shape + (lengths.max(initial=0),), -1, dtype=np.intp)
+    if series:
+        rows[np.arange(rows.shape[-1]) < lengths[..., None]] = np.concatenate(series)
+    return rows
 
 
 def _inversion_inputs(dataset: ShotDataset, points, omegas, times):
@@ -457,7 +457,11 @@ def _inversion_inputs(dataset: ShotDataset, points, omegas, times):
     (r,) times).  The arrays are (r, len(points)), NaN at a frequency that
     lacks a point, which reads none; ``errors[i]`` is the EstimationError
     naming the first point that frequency i lacks, else None."""
-    rows = np.stack([_point_rows(dataset, point, omegas, times[name]) for name, point in points.items()], axis=1)
+    series = _series_rows(dataset, list(points.values()), omegas)
+    at = np.stack([times[name] for name in points])[..., None]
+    # a series holds each time once: its row at a time is the one hit, else -1
+    hits = (series >= 0) & (dataset.column("time")[series] == at)
+    rows = np.max(series, axis=-1, where=hits, initial=-1).T
     lacking = (rows < 0).any(axis=1)
     errors = [None] * len(omegas)
     for i in np.flatnonzero(lacking).tolist():
@@ -529,38 +533,20 @@ def estimate_single_axis_standard(dataset: ShotDataset, omegas, duration: float)
 
 
 def _paired_series(dataset: ShotDataset, drive_axis, omegas, inits, observable):
-    """The two preparations' time series at every frequency, stacked by length.
+    """The two preparations' time series at every frequency, as one padded table.
 
-    Returns ``(stacks, errors)``: ``stacks`` maps a series length n to the
-    frequency indices (k,), their times (k, n) and the dataset rows of the
-    first and of the second preparation (k, n), each series ordered by time;
-    ``errors[i]`` is the EstimationError of a frequency whose preparations
-    lack matching times, else None.
+    Returns ``(rows, matched, errors)``: ``rows`` holds the (r, n) dataset
+    rows of the first and of the second preparation (:func:`_series_rows`);
+    ``matched[i]`` is whether frequency i's two series are non-empty and
+    share their times; ``errors[i]`` is the EstimationError of a frequency
+    whose preparations lack matching times, else None.
     """
-    time = dataset.column("time")
-    errors = [None] * len(omegas)
-    by_length = defaultdict(list)
-    series = []
-    for i, omega in enumerate(omegas):
-        pair = (dataset.series(drive_axis, omega, inits[0], observable),
-                dataset.series(drive_axis, omega, inits[1], observable))
-        series.append(pair)
-        if pair[0].size and pair[0].size == pair[1].size:
-            by_length[pair[0].size].append(i)
-        else:
-            errors[i] = _unmatched(drive_axis, omegas[i], inits)
-    stacks = {}
-    for n, index in by_length.items():
-        index = np.array(index)
-        plus, minus = (np.array([series[i][k] for i in index.tolist()]) for k in (0, 1))
-        times = time[plus]
-        same = (times == time[minus]).all(axis=1)
-        if not same.all():
-            for i in index[~same].tolist():
-                errors[i] = _unmatched(drive_axis, omegas[i], inits)
-            index, times, plus, minus = index[same], times[same], plus[same], minus[same]
-        stacks[n] = (index, times, plus, minus)
-    return stacks, errors
+    rows = _series_rows(dataset, [(drive_axis, init, observable) for init in inits], omegas)
+    present, time = rows >= 0, dataset.column("time")
+    same = (present[0] == present[1]) & ((time[rows[0]] == time[rows[1]]) | ~present[0])
+    matched = present[0].any(axis=1) & same.all(axis=1)
+    errors = [None if ok else _unmatched(drive_axis, omega, inits) for ok, omega in zip(matched.tolist(), omegas)]
+    return rows, matched, errors
 
 
 def _unmatched(drive_axis, omega, inits) -> EstimationError:
@@ -572,16 +558,6 @@ MIN_REGRESSION_POINTS = 3
 
 class _TooFewPointsError(EstimationError):
     """A pair block keeps fewer than ``MIN_REGRESSION_POINTS`` times."""
-
-
-class _Stack(NamedTuple):
-    """The frequencies of a pair block that keep the same number of times and
-    are all exact or all weighted, with their kept points."""
-
-    index: np.ndarray     # (k,) frequency indices
-    times: np.ndarray     # (k, m) kept times
-    means: np.ndarray     # (k, m) (e+ + e-)/2 at the kept times
-    sigma: np.ndarray | None  # (k, m) std errors of the means, None if exact
 
 
 class _GridFits:
@@ -610,83 +586,83 @@ class _GridFits:
         return lines.result(row)
 
 
+def _kept_fits(groups, keep, x, y, sigma) -> _GridFits:
+    """Straight-line fits of ``y`` against ``x``, (r, n) arrays, at the
+    ``keep`` points of each frequency of ``groups``: one stacked fit per
+    group of (frequency indices, kept-time count, exactness), weighted by
+    ``sigma`` unless the group is exact."""
+    fits = _GridFits(len(keep))
+    for index, m, exact in groups:
+        kept = keep[index]
+        x_kept, y_kept = x[index][kept].reshape(-1, m), y[index][kept].reshape(-1, m)
+        fits.add(index, _linreg_stack(x_kept, y_kept, None if exact else sigma[index][kept].reshape(-1, m)))
+    return fits
+
+
 @dataclass(frozen=True)
 class _PairBlock:
-    """One preparation pair's time series at every frequency of a grid, with
-    their log-difference fits ``(1/2)^half ln(2/diff)`` against time.
+    """One preparation pair's time series at every frequency of a grid, as
+    padded (r, n) tables, with their log-difference fits ``(1/2)^half
+    ln(2/diff)`` against time.
 
-    ``times`` and ``dropped`` hold each frequency's series times and the
-    times dropped for a non-positive gap (empty where the series failed).
-    ``series`` is the length stacks of :func:`_paired_series`: every
-    matched frequency's dataset rows, dropped times included.
-    ``fits.errors[i]`` is the EstimationError that fails frequency i, before
-    or in its fit.  The quantum fits are a method because their regressor depends
-    on the fitted slope.
+    ``rows`` holds the dataset rows of both preparations, -1 past each
+    series' end (:func:`_paired_series`); ``valid`` marks the points of
+    matched series and ``keep`` those of positive gap, the points every
+    line is fitted at.  ``groups`` splits the fitted frequencies by
+    (kept-time count, exactness) for :func:`_kept_fits`.  ``dropped[i]``
+    holds the times dropped for a non-positive gap (empty where the series
+    failed).  ``fits.errors[i]`` is the EstimationError that fails frequency
+    i, before or in its fit.  The quantum fits are a method because their
+    regressor depends on the fitted slope.
     """
 
-    times: list
+    rows: np.ndarray       # (2, r, n)
+    valid: np.ndarray      # (r, n)
+    keep: np.ndarray       # (r, n)
+    times: np.ndarray      # (r, n)
+    means: np.ndarray      # (r, n) (e+ + e-)/2
+    mean_errs: np.ndarray  # (r, n) std errors of the means
+    groups: list
     dropped: list
-    series: dict  # series length -> (index, times, plus rows, minus rows)
-    stacks: list  # of _Stack
     fits: _GridFits
 
     def quantum_fits(self, regressor) -> _GridFits:
-        """WLS of the preparation means against ``regressor(slope (k, 1), times
-        (k, m))`` at the kept times of every stacked frequency."""
-        fits = _GridFits(len(self.times))
-        for stack in self.stacks:
-            x = regressor(self.fits.slope[stack.index][:, None], stack.times)
-            fits.add(stack.index, _linreg_stack(x, stack.means, stack.sigma))
-        return fits
+        """WLS of the preparation means against ``regressor(slope (r, 1), times
+        (r, n))`` at the kept times of every fitted frequency."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = regressor(self.fits.slope[:, None], self.times)
+        return _kept_fits(self.groups, self.keep, x, self.means, self.mean_errs)
 
 
 def _pair_block(dataset, drive_axis, omegas, inits, observable, *, half: bool = False) -> _PairBlock:
     """Fit (1/2)^half * ln(2/diff) against time at every frequency, dropping
     non-positive gaps; one stacked fit per (kept-time count, exactness).  A
-    series with summed expectation variance 0 is exact: fitted unweighted."""
-    stacks, errors = _paired_series(dataset, drive_axis, omegas, inits, observable)
-    expectation, variance = dataset.column("expectation"), dataset.column("expectation_variance")
+    series with summed expectation variance 0 is exact: fitted unweighted.
+    Every formula runs over the padded tables; only the kept points are fitted."""
+    rows, matched, errors = _paired_series(dataset, drive_axis, omegas, inits, observable)
+    valid = (rows[0] >= 0) & matched[:, None]
+    times = dataset.column("time")[rows[0]]
+    e_plus, e_minus = dataset.column("expectation")[rows]
+    diffs, spread = e_plus - e_minus, dataset.column("expectation_variance")[rows].sum(axis=0)
+    keep = valid & (diffs > 0.0)
+    kept, exact = keep.sum(axis=1), ~(valid & (spread != 0.0)).any(axis=1)
+    dropped = [()] * len(omegas)
+    for i in np.flatnonzero(matched & ((kept < valid.sum(axis=1)) | (kept < MIN_REGRESSION_POINTS))).tolist():
+        dropped[i] = tuple(times[i][valid[i] & ~keep[i]].tolist())
+        if kept[i] < MIN_REGRESSION_POINTS:
+            cause = f" after dropping non-positive expectation gaps at T = {list(dropped[i])}" if dropped[i] else ""
+            errors[i] = _TooFewPointsError(f"only {int(kept[i])} usable time points{cause}")
+    keys = np.where(matched & (kept >= MIN_REGRESSION_POINTS), 2 * kept + exact, -1)
+    groups = [(np.flatnonzero(keys == key), *divmod(key, 2)) for key in sorted(set(keys.tolist()) - {-1})]
     factor = 0.5 if half else 1.0
-    times_of, dropped_of = [()] * len(omegas), [()] * len(omegas)
-    fits, block_stacks = _GridFits(len(omegas)), []
-    for index, times, plus, minus in stacks.values():
-        e_plus, e_minus = expectation[plus], expectation[minus]
-        diffs, var_sums = e_plus - e_minus, variance[plus] + variance[minus]
-        means = 0.5 * (e_plus + e_minus)
-        exact = ~var_sums.any(axis=1)
-        keep = diffs > 0.0
-        kept = keep.sum(axis=1)
-        n = times.shape[1]
-        for j, i in enumerate(index.tolist()):
-            times_of[i] = times[j]
-        for j in np.flatnonzero((kept < n) | (kept < MIN_REGRESSION_POINTS)).tolist():
-            i = index[j]
-            dropped_of[i] = tuple(times[j][~keep[j]].tolist())
-            if kept[j] < MIN_REGRESSION_POINTS:
-                cause = ""
-                if dropped_of[i]:
-                    cause = f" after dropping non-positive expectation gaps at T = {list(dropped_of[i])}"
-                errors[i] = _TooFewPointsError(f"only {int(kept[j])} usable time points{cause}")
-        # one stack per (kept-time count, exactness)
-        keys = (2 * kept + exact).tolist()
-        for key in sorted(set(keys)):
-            m, is_exact = divmod(key, 2)
-            if m < MIN_REGRESSION_POINTS:
-                continue
-            rows = slice(None) if keys.count(key) == len(keys) else np.flatnonzero(np.equal(keys, key))
-
-            def at_kept(values):
-                return values[rows] if m == n else values[rows][keep[rows]].reshape(-1, m)
-
-            x, d, spread = at_kept(times), at_kept(diffs), at_kept(var_sums)
-            y = factor * np.log(2.0 / d)
-            sigma = None if is_exact else factor * np.sqrt(spread) / d
-            fits.add(index[rows], _linreg_stack(x, y, sigma))
-            block_stacks.append(_Stack(index[rows], x, at_kept(means), None if is_exact else 0.5 * np.sqrt(spread)))
+    root = np.sqrt(spread)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y, sigma = factor * np.log(2.0 / diffs), factor * root / diffs
+    fits = _kept_fits(groups, keep, times, y, sigma)
     for i, error in enumerate(errors):
         if error is not None:
             fits.errors[i] = error
-    return _PairBlock(times_of, dropped_of, stacks, block_stacks, fits)
+    return _PairBlock(rows, valid, keep, times, 0.5 * (e_plus + e_minus), 0.5 * root, groups, dropped, fits)
 
 
 # largest S+ T at which the linearized quantum line is trusted
@@ -708,14 +684,11 @@ class _NonlinearStart(NamedTuple):
 
 def _gathered_series(dataset: ShotDataset, block: _PairBlock) -> dict:
     """Frequency index -> (times, expectations, std errors) of every matched
-    series pair of ``block``, one gather per length stack."""
-    gathered = {}
-    for index, times, plus, minus in block.series.values():
-        values = dataset.take(np.concatenate((plus, minus), axis=1))
-        std_error = expectation_std_error(values)
-        for j, i in enumerate(index.tolist()):
-            gathered[i] = (times[j], values.expectation[j], std_error[j])
-    return gathered
+    series pair of ``block``, from one gather of its rows."""
+    values = dataset.take(block.rows)
+    std_error = expectation_std_error(values)
+    return {i: (block.times[i, :n], values.expectation[:, i, :n].ravel(), std_error[:, i, :n].ravel())
+            for i, n in enumerate(block.valid.sum(axis=1).tolist()) if n}
 
 
 def robust_single_axis_linearized(dataset: ShotDataset, omegas) -> EstimateTable:
@@ -738,9 +711,8 @@ def robust_single_axis_linearized(dataset: ShotDataset, omegas) -> EstimateTable
     block = _pair_block(dataset, "x", omegas, ("x+", "x-"), "x")
     classical, quantum = block.fits, block.quantum_fits(lambda slope, times: times)
     gathered = _gathered_series(dataset, block)
-    guard, absent = np.full(len(omegas), np.nan), np.full(len(omegas), np.nan)
-    for index, times, *_ in block.series.values():
-        guard[index] = np.max(classical.slope[index, None] * times, axis=1)
+    guard = np.max(classical.slope[:, None] * block.times, axis=1, where=block.valid, initial=-np.inf)
+    absent = np.full(len(omegas), np.nan)
     errors = list(classical.errors)
     for i, error in enumerate(errors):
         if error is None and guard[i] > LINEARIZATION_GUARD:
@@ -1016,8 +988,8 @@ def robust_multi_axis(
     zp = _pair_block(dataset, "z+", omegas, ("z+", "z-"), "z", half=True)
     zm = _pair_block(dataset, "z-", omegas, ("z+", "z-"), "z", half=True)
     x = _pair_block(dataset, "x", omegas, ("x+", "x-"), "x")
-    n_aligned = [dataset.series("z+", omega, "x+", "x").size for omega in omegas]
     aligned = _pair_block(dataset, "z+", omegas, ("x+", "x-"), "x")
+    n_aligned = (aligned.rows[0] >= 0).sum(axis=1).tolist()
     errors = _first_errors(zp.fits, zm.fits, x.fits)
     skipped = [None] * r  # the _TooFewPointsError of a skipped aligned block
     for i in range(r):
@@ -1071,12 +1043,11 @@ def robust_multi_axis(
 
     for i in np.flatnonzero(np.equal(errors, None) & (np.not_equal(skipped, None) | ~consistent)).tolist():
         if skipped[i] is not None:
-            warnings.warn(f"skipping the aligned coherence block: {n_aligned[i]} aligned times, {skipped[i]} "
-                          f"(fewer than {MIN_REGRESSION_POINTS}); S_{{0,0}}(0) is not estimated",
-                          UserWarning, stacklevel=2)
+            _warn(f"skipping the aligned coherence block: {n_aligned[i]} aligned times, {skipped[i]} "
+                  f"(fewer than {MIN_REGRESSION_POINTS}); S_{{0,0}}(0) is not estimated")
         if not consistent[i]:
-            warnings.warn(f"SPAM intercepts disagree at z = {float(max_z[i]):.2f} (> {INTERCEPT_CONSISTENCY_Z}); "
-                          "the combined alpha estimate may be unreliable", UserWarning, stacklevel=2)
+            _warn(f"SPAM intercepts disagree at z = {float(max_z[i]):.2f} (> {INTERCEPT_CONSISTENCY_Z}); "
+                  "the combined alpha estimate may be unreliable")
 
     def diagnostics(i):
         used = [name for name in blocks if name != "aligned" or has_aligned[i]]

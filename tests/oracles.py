@@ -493,10 +493,10 @@ def _nonlinear_reference(dataset: ShotDataset, omega: float, block) -> Estimator
     dataset and started from the lines of the one-frequency ``block``."""
     from scipy.optimize import least_squares
 
-    stacks, (error,) = _paired_series(dataset, "x", [omega], ("x+", "x-"), "x")
+    ((plus,), (minus,)), _, (error,) = _paired_series(dataset, "x", [omega], ("x+", "x-"), "x")
     if error is not None:
         raise error
-    ((_, (times,), (plus,), (minus,)),) = stacks.values()
+    times = dataset.column("time")[plus]
     if times.size < 4:
         raise EstimationError("non-linear fit needs at least 4 time points")
     values = dataset.take(np.concatenate((plus, minus)))

@@ -515,6 +515,13 @@ def test_a_frequency_that_lacks_its_longest_time_fails_alone_in_every_grid_estim
     # the last outcomes are the standard inversion's
     assert isinstance(outcomes[lacking], EstimationError)
     assert str(outcomes[lacking]) == f"dataset lacks {missing}"
+    # the lacking frequency's robust series is a time short of the others':
+    # padded to the grid's length, it keeps the bits it has alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ragged, alone = robust(dataset, omegas)[lacking], robust(dataset, omegas[lacking:lacking + 1])[0]
+    assert not isinstance(ragged, EstimationError)
+    assert bits(ragged) == bits(alone)
 
 
 def test_every_grid_estimator_fails_each_frequency_of_an_empty_dataset_alone():

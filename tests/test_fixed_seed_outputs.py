@@ -20,7 +20,8 @@ re-records them and says why.
 The warnings each twin emits under ``simplefilter("always")``, as the
 (category, message) list in emission order, are pinned the same way; they
 were recorded at commit cd42ec8, before the closed-form block evaluator ran
-each drive's rate checks once.
+each drive's rate checks once.  Each warning names its caller's line in this
+file, never a line inside the package.
 
 The protocol 4 twin is also run in fresh processes at one and at two
 OpenBLAS threads: the estimators' stacked matrix products and solves must
@@ -146,6 +147,8 @@ def test_warning_sequences_match_the_pinned_digests(tmp_path, name):
         run_campaign(CAMPAIGNS[name], out_dir=tmp_path)
     sequence = [(w.category.__name__, str(w.message)) for w in caught]
     assert hashlib.sha256(repr(sequence).encode()).hexdigest() == WARNING_DIGESTS[name]
+    # every warning names the caller's line, not a line inside the package
+    assert {w.filename for w in caught} == {__file__}
 
 
 ROOT = Path(__file__).resolve().parent.parent

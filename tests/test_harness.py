@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import warnings
 
+import numpy as np
 import pytest
 
 from slqns.dynamics import compute_AB
@@ -131,6 +133,22 @@ def test_a_one_sided_table_is_read_as_the_even_spectrum_it_describes(block):
         assert rates.b_rate == 0.0
         assert rates.a_rate == pytest.approx(compute_AB(mirrored.backend.spectra, omega, mirrored.device).a_rate,
                                              rel=1e-12)
+
+
+def test_the_trajectory_backend_folds_the_dephasing_scale_into_its_generating_spectrum():
+    # a scale of 2 doubles the synthesized spectrum on the same grid and cutoff
+    dsa = {}
+    for scale in (1.0, 2.0):
+        config = copy.deepcopy(TRAJECTORY)
+        config["spectra"]["dephasing"]["scale"] = scale
+        dsa[scale] = build_campaign(config).backend.dsa_config
+    np.testing.assert_allclose(dsa[2.0].amplitudes, math.sqrt(2.0) * dsa[1.0].amplitudes, rtol=0.0, atol=1e-12)
+    assert dsa[2.0].omega_max == dsa[1.0].omega_max
+    assert dsa[2.0].correlation_time == dsa[1.0].correlation_time
+    for f_mhz in (1.0, 4.0):
+        omega = mhz_to_rad_per_us(f_mhz)
+        one, two = (target_spectra(dsa[scale], 0.3, BathVariant.MAIN_TEXT).s_plus(0, 0, omega) for scale in dsa)
+        assert two == pytest.approx(2.0 * one, rel=1e-4)
 
 
 @pytest.mark.parametrize("config", [CLOSED_FORM_P4, TRAJECTORY, CLOSED_FORM_P2, CLOSED_FORM_P4_ANALYTIC],
