@@ -38,9 +38,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import os
-import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +46,7 @@ from .seeding import (
     derive_seed,  # noqa: F401 - resolved here by the benchmark tracer
     derive_seeds,
 )
-from .spectra import DeviceParams, SphericalSpectraSet
+from .spectra import DeviceParams, SphericalSpectraSet, _warn
 
 __all__ = [
     "QubitState",
@@ -240,20 +237,6 @@ class DriveConfig:
 # ---------------------------------------------------------------------------
 # secular TCL rate coefficients
 # ---------------------------------------------------------------------------
-
-
-_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
-
-
-def _warn(message: str) -> None:
-    """Emit a UserWarning attributed to the first caller outside this package,
-    skipping the ``<string>`` frames of generated dataclass code; the
-    outermost frame takes it when every caller is inside."""
-    frame, level = sys._getframe(), 1
-    while frame.f_back is not None and (frame.f_code.co_filename.startswith(_PACKAGE_DIR)
-                                        or frame.f_code.co_filename == "<string>"):
-        frame, level = frame.f_back, level + 1
-    warnings.warn(message, UserWarning, stacklevel=level)
 
 
 @dataclass(frozen=True)

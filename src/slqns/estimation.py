@@ -1,14 +1,9 @@
 """Spectral and SPAM-parameter estimators.
 
-Closed-form inversions, weighted linear regression, a bounded non-linear
-least-squares fit (``scipy.optimize.least_squares``, given scipy's two-point
-Jacobian in one array call), and first-order (delta-method) uncertainty
-propagation.  ``least_squares`` is imported inside
-:func:`robust_single_axis_nonlinear`, its only caller, so that campaigns which
-never run the nonlinear fit (protocols 1, 3 and 4, and protocol 2 where the
-linearization guard accepts every frequency) never import
-``scipy.optimize``, about half a second of start-up.  It is the only scipy
-that ``slqns`` uses: protocol 2 is the one campaign that loads scipy.
+Closed-form inversions, weighted linear regression, an unbounded non-linear
+least-squares fit (Gauss-Newton steps with the model's analytic Jacobian,
+stacked over frequencies), and first-order (delta-method) uncertainty
+propagation, all in numpy.
 
 The regression identities behind a drive of amplitude ``W`` are, with
 ``d(T) = e+ - e-`` and ``m(T) = (e+ + e-)/2`` the measured differences and
@@ -46,8 +41,8 @@ central and bumped input in one array pass (:func:`_propagate`).  Data
 whose std errors are all 0 are exact: fitted unweighted.  Warnings are
 emitted afterwards, in grid order, at the caller's line.  Where protocol
 2's guard rejects a frequency, its table holds a
-:class:`LinearizationGuardError`, whose payload
-:func:`robust_single_axis_nonlinear`, scipy's solver at one frequency, takes.
+:class:`LinearizationGuardError`, and :func:`robust_single_axis_nonlinear`
+fits every such frequency of the table in one stacked solve.
 
 The outputs keep the bits of a scalar evaluation, one frequency at a time: a
 stacked matrix product or solve runs the same BLAS/LAPACK call on each
@@ -60,6 +55,7 @@ for a few values in ten thousand.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass, field
@@ -67,8 +63,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import _decay_weight, _exp, _warn
-from .spam import MeasurementKey, ShotDataset, _squared, expectation_std_error
+from .dynamics import _decay_weight, _exp
+from .spam import MeasurementKey, ShotDataset, _squared
+from .spectra import _warn
 
 __all__ = [
     "EstimationError",
@@ -94,14 +91,9 @@ class EstimationError(RuntimeError):
 
 
 class LinearizationGuardError(EstimationError):
-    """Data violate the small-decay guard at one frequency; use the non-linear
-    path.  ``start`` is the :class:`_NonlinearStart` of that frequency: the
-    lines of the rejected linearized fit and the gathered series, all that
-    the non-linear fit reads."""
-
-    def __init__(self, message: str, start: _NonlinearStart):
-        super().__init__(message)
-        self.start = start
+    """Data violate the small-decay guard at one frequency of a table of
+    :func:`robust_single_axis_linearized`; :func:`robust_single_axis_nonlinear`
+    fits it."""
 
 
 class Method(enum.Enum):
@@ -179,11 +171,13 @@ class EstimateTable:
     frequency or None; a failed frequency's other columns are not read.  The
     first non-finite estimate or negative std error fails a frequency that
     nothing else fails.  :meth:`outcomes` rebuilds the results, with
-    ``diagnostics(i)``.
+    ``diagnostics(i)``.  Protocol 2's tables keep the ``block`` that the
+    linearized fit read, for :func:`robust_single_axis_nonlinear`, whose
+    Gauss-Newton passes over the grid are ``iterations`` (0 where it has not run).
     """
 
     def __init__(self, omegas, errors, method: Method, path: str, components, value, std_error, *,
-                 omega_q=0.0, present=True, spam=None, consistent=None, diagnostics=lambda i: {}):
+                 omega_q=0.0, present=True, spam=None, consistent=None, diagnostics=lambda i: {}, block=None):
         self.omegas = np.asarray(omegas, dtype=float)
         self.components, self.value, self.std_error, self.omega_q = tuple(components), value, std_error, omega_q
         self.present = np.array(np.broadcast_to(present, value.shape))
@@ -191,25 +185,15 @@ class EstimateTable:
         self.freq = a * self.omegas[:, None] + b * omega_q
         self.method, self.path = [method] * len(self.omegas), [path] * len(self.omegas)
         self.spam, self.consistent, self.diagnostics = spam, consistent, diagnostics
-        self.errors, self._put = list(errors), {}
+        self.errors, self.block, self.iterations = list(errors), block, 0
+        self._fail_invalid()
+
+    def _fail_invalid(self) -> None:
         with np.errstate(invalid="ignore"):
             invalid = self.present & ~(np.isfinite(self.value) & np.isfinite(self.std_error) & (self.std_error >= 0.0))
         for i, j in zip(*np.nonzero(invalid)):  # in row order, so a row keeps its first
             value, err = float(self.value[i, j]), float(self.std_error[i, j])
-            self.errors[i] = self.errors[i] or _invalid_estimate(components[j], value, err)
-
-    def put(self, i: int, outcome) -> None:
-        """Make ``outcome``, an EstimatorResult over this table's components
-        or an EstimationError, the outcome at frequency ``i``."""
-        self._put[i] = outcome
-        self.errors[i] = outcome if isinstance(outcome, EstimationError) else None
-        if self.errors[i] is None:
-            estimates = list(outcome.estimates.values())
-            self.present[i] = [c in outcome.estimates for c in self.components]
-            self.value[i, self.present[i]] = [est.value for est in estimates]
-            self.std_error[i, self.present[i]] = [est.std_error for est in estimates]
-            self.method[i], self.path[i] = estimates[0].method, outcome.path
-            self.spam[i] = [getattr(outcome, name) for name in _SPAM_FIELDS]
+            self.errors[i] = self.errors[i] or _invalid_estimate(self.components[j], value, err)
 
     def outcomes(self) -> list:
         """Each frequency's EstimatorResult, or the EstimationError that fails
@@ -217,7 +201,7 @@ class EstimateTable:
         as the rows of their propagated arrays were."""
         names, outcomes = np.array(self.components, dtype=object), []
         for i, omega in enumerate(self.omegas.tolist()):
-            outcome, present = self._put.get(i, self.errors[i]), self.present[i]
+            outcome, present = self.errors[i], self.present[i]
             if outcome is None:
                 values, errs = self.value[i, present], self.std_error[i, present]
                 spam = {} if self.spam is None else dict(zip(_SPAM_FIELDS, self.spam[i].tolist()))
@@ -230,8 +214,7 @@ class EstimateTable:
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    """One frequency's outcome: what :func:`robust_single_axis_nonlinear`
-    returns, and :meth:`EstimateTable.outcomes` rebuilds for a grid call.
+    """One frequency's outcome, as :meth:`EstimateTable.outcomes` rebuilds it.
 
     ``path`` is ``"standard"`` for the single-time inversions and
     ``"linearized"``, ``"nonlinear"`` or ``"multi_axis"`` for the robust
@@ -241,7 +224,7 @@ class EstimatorResult:
     None for the standard inversions.  ``diagnostics`` holds what the
     estimator computed on the way: ``guard_value``, ``dropped_times`` and
     ``fits`` (linearized), ``covariance`` over (S+, S-, alpha, delta) and
-    ``nfev`` (nonlinear), ``fits``, ``dropped_times`` per block,
+    ``iterations`` (nonlinear), ``fits``, ``dropped_times`` per block,
     ``intercept_max_z`` and ``intercepts_consistent`` (multi-axis).
     """
 
@@ -258,10 +241,8 @@ class EstimatorResult:
 
     @property
     def iterations(self) -> int:
-        """The nonlinear solver's ``nfev``: its residual evaluations.  Each
-        of its Jacobians is one more array evaluation, not counted, of the
-        residuals at the point and at its four forward-difference steps."""
-        return self.diagnostics["nfev"]
+        """The Gauss-Newton steps that the nonlinear fit took at this frequency."""
+        return self.diagnostics["iterations"]
 
 
 # math.log elementwise: numpy's vectorised log is not bit-equal to it
@@ -319,17 +300,31 @@ class _Lines(NamedTuple):
                                 self.residuals[row], self.weights[row])
 
 
+def _solve_rows(a, b) -> np.ndarray:
+    """``np.linalg.solve`` of every system of the (k, m, m) and (k, m, p)
+    stacks, NaN where one is singular.  Each system gets the LAPACK call that a
+    single one gets: when one is singular, each is solved alone."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for row in range(len(a)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[row] = np.linalg.solve(a[row], b[row])
+        return out
+
+
 def _solve_lines(x, y, weights, scaled: bool):
     """Normal-equation fits of the rows of (k, n) arrays as stacked products and
     solves; each 2x2 system gets the BLAS and LAPACK calls a single one gets.
-    Raises LinAlgError if any normal matrix is singular."""
+    A row whose normal matrix is singular is NaN."""
     design = np.empty(x.shape + (2,))  # (k, n, 2)
     design[..., 0], design[..., 1] = x, 1.0
     design_t = np.swapaxes(design, -1, -2)
     normal = design_t @ (weights[..., None] * design)
     rhs = design_t @ (weights * y)[..., None]
-    params = np.linalg.solve(normal, rhs)
-    normal_inv = np.linalg.inv(normal)
+    params = _solve_rows(normal, rhs)
+    normal_inv = _solve_rows(normal, np.broadcast_to(np.eye(2), normal.shape))
     residuals = y - (design @ params)[..., 0]
     if scaled:
         dof = x.shape[-1] - 2
@@ -363,20 +358,12 @@ def _linreg_stack(x, y, sigma=None) -> _Lines:
         weights = np.ones_like(x) if sigma is None else 1.0 / sigma**2
     slope, intercept = np.full(len(x), np.nan), np.full(len(x), np.nan)
     covariance, residuals = np.full((len(x), 2, 2), np.nan), np.full(x.shape, np.nan)
+    # one solve for every row that passed the checks
     rows = np.flatnonzero(~failed) if failed.any() else slice(None)
-    # one solve for every row that passed the checks; a singular normal matrix
-    # fails that solve, and then each row is solved alone, with the same calls
-    try:
-        solved = [(rows, _solve_lines(x[rows], y[rows], weights[rows], sigma is None))]
-    except np.linalg.LinAlgError:
-        solved = []
-        for row in np.flatnonzero(~failed).tolist():
-            try:
-                solved.append(([row], _solve_lines(x[[row]], y[[row]], weights[[row]], sigma is None)))
-            except np.linalg.LinAlgError:
-                errors[row] = EstimationError("degenerate design matrix")
-    for index, fit in solved:
-        slope[index], intercept[index], covariance[index], residuals[index] = fit
+    slope[rows], intercept[rows], covariance[rows], residuals[rows] = _solve_lines(
+        x[rows], y[rows], weights[rows], sigma is None)
+    for row in np.flatnonzero(~failed & np.isnan(slope)).tolist():
+        errors[row] = EstimationError("degenerate design matrix")
     return _Lines(slope, intercept, covariance, residuals, weights, errors)
 
 
@@ -608,7 +595,9 @@ class _PairBlock:
     ``rows`` holds the dataset rows of both preparations, -1 past each
     series' end (:func:`_paired_series`); ``valid`` marks the points of
     matched series and ``keep`` those of positive gap, the points every
-    line is fitted at.  ``groups`` splits the fitted frequencies by
+    line is fitted at.  ``expectation`` and ``variance`` hold both
+    preparations' points, and ``exact`` marks the frequencies whose variances
+    are all 0.  ``groups`` splits the fitted frequencies by
     (kept-time count, exactness) for :func:`_kept_fits`.  ``dropped[i]``
     holds the times dropped for a non-positive gap (empty where the series
     failed).  ``fits.errors[i]`` is the EstimationError that fails frequency
@@ -616,12 +605,15 @@ class _PairBlock:
     regressor depends on the fitted slope.
     """
 
-    rows: np.ndarray       # (2, r, n)
-    valid: np.ndarray      # (r, n)
-    keep: np.ndarray       # (r, n)
-    times: np.ndarray      # (r, n)
-    means: np.ndarray      # (r, n) (e+ + e-)/2
-    mean_errs: np.ndarray  # (r, n) std errors of the means
+    rows: np.ndarray         # (2, r, n)
+    valid: np.ndarray        # (r, n)
+    keep: np.ndarray         # (r, n)
+    times: np.ndarray        # (r, n)
+    expectation: np.ndarray  # (2, r, n)
+    variance: np.ndarray     # (2, r, n)
+    exact: np.ndarray        # (r,)
+    means: np.ndarray        # (r, n) (e+ + e-)/2
+    mean_errs: np.ndarray    # (r, n) std errors of the means
     groups: list
     dropped: list
     fits: _GridFits
@@ -642,8 +634,9 @@ def _pair_block(dataset, drive_axis, omegas, inits, observable, *, half: bool = 
     rows, matched, errors = _paired_series(dataset, drive_axis, omegas, inits, observable)
     valid = (rows[0] >= 0) & matched[:, None]
     times = dataset.column("time")[rows[0]]
-    e_plus, e_minus = dataset.column("expectation")[rows]
-    diffs, spread = e_plus - e_minus, dataset.column("expectation_variance")[rows].sum(axis=0)
+    expectation, variance = dataset.column("expectation")[rows], dataset.column("expectation_variance")[rows]
+    (e_plus, e_minus), spread = expectation, variance.sum(axis=0)
+    diffs = e_plus - e_minus
     keep = valid & (diffs > 0.0)
     kept, exact = keep.sum(axis=1), ~(valid & (spread != 0.0)).any(axis=1)
     dropped = [()] * len(omegas)
@@ -662,33 +655,12 @@ def _pair_block(dataset, drive_axis, omegas, inits, observable, *, half: bool = 
     for i, error in enumerate(errors):
         if error is not None:
             fits.errors[i] = error
-    return _PairBlock(rows, valid, keep, times, 0.5 * (e_plus + e_minus), 0.5 * root, groups, dropped, fits)
+    return _PairBlock(rows, valid, keep, times, expectation, variance, exact,
+                      0.5 * (e_plus + e_minus), 0.5 * root, groups, dropped, fits)
 
 
 # largest S+ T at which the linearized quantum line is trusted
 LINEARIZATION_GUARD = 0.1
-
-
-class _NonlinearStart(NamedTuple):
-    """What the nonlinear fit at one frequency reads: the classical line of
-    the rejected linearized fit, its quantum line (preparation means against
-    time) or the EstimationError that fails that line, and both preparations'
-    series, dropped times included."""
-
-    classical: RegressionResult
-    quantum: RegressionResult | EstimationError
-    times: np.ndarray        # (n,)
-    expectation: np.ndarray  # (2n,): the x+ series, then the x- series
-    std_error: np.ndarray    # (2n,)
-
-
-def _gathered_series(dataset: ShotDataset, block: _PairBlock) -> dict:
-    """Frequency index -> (times, expectations, std errors) of every matched
-    series pair of ``block``, from one gather of its rows."""
-    values = dataset.take(block.rows)
-    std_error = expectation_std_error(values)
-    return {i: (block.times[i, :n], values.expectation[:, i, :n].ravel(), std_error[:, i, :n].ravel())
-            for i, n in enumerate(block.valid.sum(axis=1).tolist()) if n}
 
 
 def robust_single_axis_linearized(dataset: ShotDataset, omegas) -> EstimateTable:
@@ -703,26 +675,19 @@ def robust_single_axis_linearized(dataset: ShotDataset, omegas) -> EstimateTable
 
     Returns the table of every frequency's outcome: its estimates; the
     EstimationError that fails it; or, where the guard rejects the classical
-    line's ``max(S+ T)``, a :class:`LinearizationGuardError` whose ``start``
-    the nonlinear fit takes.  The table also holds the nonlinear fit's
-    ``S-_{0,0}`` column, which :meth:`EstimateTable.put` fills.
+    line's ``max(S+ T)``, a :class:`LinearizationGuardError`, which
+    :func:`robust_single_axis_nonlinear` replaces by its fit from the table's
+    ``block`` and lines.  The table also holds that fit's ``S-_{0,0}`` column.
     """
     omegas = list(omegas)
     block = _pair_block(dataset, "x", omegas, ("x+", "x-"), "x")
     classical, quantum = block.fits, block.quantum_fits(lambda slope, times: times)
-    gathered = _gathered_series(dataset, block)
     guard = np.max(classical.slope[:, None] * block.times, axis=1, where=block.valid, initial=-np.inf)
     absent = np.full(len(omegas), np.nan)
-    errors = list(classical.errors)
-    for i, error in enumerate(errors):
-        if error is None and guard[i] > LINEARIZATION_GUARD:
-            errors[i] = LinearizationGuardError(
-                f"max(S+ T) = {guard[i]:.3g} exceeds the linearization guard "
-                f"{LINEARIZATION_GUARD:g}; use robust_single_axis_nonlinear",
-                _NonlinearStart(classical.result(i), quantum.errors[i] or quantum.result(i), *gathered[i]),
-            )
-        elif error is None:
-            errors[i] = quantum.errors[i]
+    errors = [classical.errors[i] or quantum.errors[i] for i in range(len(omegas))]
+    for i in np.flatnonzero(np.equal(errors, None) & (guard > LINEARIZATION_GUARD)).tolist():
+        errors[i] = LinearizationGuardError(f"max(S+ T) = {guard[i]:.3g} exceeds the linearization guard "
+                                            f"{LINEARIZATION_GUARD:g}; use robust_single_axis_nonlinear")
     alpha = _exp(-classical.intercept)
 
     def diagnostics(i):
@@ -733,97 +698,114 @@ def robust_single_axis_linearized(dataset: ShotDataset, omegas) -> EstimateTable
         omegas, errors, Method.ROBUST_LINEAR, "linearized", ("S+_{0,0}", "alpha_m*S-_{0,0}", "S-_{0,0}"),
         np.stack([classical.slope, quantum.slope, absent], axis=1),
         np.stack([classical.slope_err, quantum.slope_err, absent], axis=1),
-        present=[True, True, False], diagnostics=diagnostics,
+        present=[True, True, False], diagnostics=diagnostics, block=block,
         spam=np.stack([alpha, alpha * classical.intercept_err, quantum.intercept, quantum.intercept_err], axis=1),
     )
 
 
-# xtol, ftol and gtol of the solver; scipy's 1e-8 default stops ~1e-7 short
-# of the truth on exact data
+# Gauss-Newton steps after which a frequency that has not converged fails
+MAX_ITERATIONS = 50
+# a frequency has converged once its step is within FIT_TOLERANCE (|theta| + FIT_TOLERANCE)
 FIT_TOLERANCE = 1e-12
-# relative forward-difference step of scipy's '2-point' Jacobian
-_FD_STEP = np.finfo(float).eps ** 0.5
+_SIGNS = np.array([[1.0], [-1.0]])  # the x+ and the x- preparation
 
 
-def robust_single_axis_nonlinear(omega: float, start: _NonlinearStart) -> EstimatorResult:
-    """Joint bounded least-squares fit of (S+, S-, alpha_m, delta) at ``omega``.
+def _residuals_and_jacobian(theta, times, y, sigma):
+    """Standardised residuals (k, 2m) of both preparations' series (x+, then
+    x-) under :func:`single_axis_forward` at the rows ``theta`` (k, 4) of
+    (S+, S-, alpha_m, delta), and their analytic Jacobian (k, 2m, 4).
+    ``times`` is (k, 1, m), ``y`` and ``sigma`` (k, 2, m)."""
+    s_plus, s_minus, alpha_m, delta = theta.T[..., None, None]
+    model = single_axis_forward(s_plus, s_minus, times, _SIGNS, alpha_m=alpha_m, delta=delta)
+    decay = np.exp(-s_plus * times)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # (1 - e^{-S+ T}) / S+ and its S+ derivative, with their limits at S+ = 0
+        gain = np.where(s_plus != 0.0, (1.0 - decay) / s_plus, times)
+        gain_slope = np.where(s_plus != 0.0, (times * decay - gain) / s_plus, -0.5 * times * times)
+    columns = np.broadcast_arrays(alpha_m * (s_minus * gain_slope - _SIGNS * times * decay), alpha_m * gain,
+                                  _SIGNS * decay + s_minus * gain, 1.0)
+    jacobian = np.stack(columns, axis=-1) / sigma[..., None]
+    k, n = len(theta), 2 * times.shape[-1]
+    return ((model - y) / sigma).reshape(k, n), jacobian.reshape(k, n, 4)
+
+
+def robust_single_axis_nonlinear(table: EstimateTable) -> EstimateTable:
+    """Joint least-squares fit of (S+, S-, alpha_m, delta) at every frequency
+    where ``table``, a table of :func:`robust_single_axis_linearized`, holds
+    a :class:`LinearizationGuardError`; puts each outcome in its row and
+    returns ``table``, whose ``iterations`` is then the most steps taken.
 
     Models both preparation series with ``alpha approx alpha_m`` (negligible
     preparation errors; the fitted ``alpha_m`` is reported as ``alpha``) and
-    minimises the standardised residuals with scipy's trust-region-reflective
-    solver (Branch, Coleman & Li, SIAM J. Sci. Comput. 21, 1999).  ``start``
-    is the payload of the :class:`LinearizationGuardError` that the guard
-    gave at ``omega``: the series to fit (exact, with unit residual scales,
-    where every point's std error is 0) and the lines of the rejected
-    linearized fit, which the solver starts from; a failed quantum line fails
-    the fit after its own time-count check.  The Jacobian is the forward difference that
-    scipy's ``jac="2-point"`` takes, with its steps and their flips at the
-    bounds, but its five parameter vectors go through one array evaluation
-    of the residuals, so the solver takes the same steps.
-    The bounds are independent: ``S+ >= 0`` and ``alpha_m, delta`` in
-    [0, 1].  The joint physical region ``alpha_m + delta <= 1`` is not a box
-    and is not imposed, so a noisy fit may exceed it slightly; clipping such
-    fits would bias the estimate.
+    minimises their standardised residuals, with unit scales where every
+    std error is 0 (exact data), by undamped Gauss-Newton steps from the
+    lines of the rejected linearized fit.  The series are the padded arrays
+    of ``table.block``, dropped times included.  Each step is one stacked
+    solve per group of (series length, exactness), and a frequency stops once
+    its step is within ``FIT_TOLERANCE``, so its bits do not depend on the
+    other frequencies.  The covariance is (J^T J)^-1 at the solution, scaled
+    by 2 cost / dof on exact data.  No parameter is bounded: a box such as
+    delta in [0, 1] pins noisy fits to its edge and shrinks their spread
+    below the reported error.  Fewer than 4 times, a non-finite iterate, no
+    convergence in ``MAX_ITERATIONS`` steps or a singular J^T J at the
+    solution fails the frequency with an EstimationError naming the cause.
     """
-    from scipy.optimize import least_squares
-
-    times, y = start.times, start.expectation
-    if times.size < 4:
-        raise EstimationError("non-linear fit needs at least 4 time points")
-    exact = not start.std_error.any()
-    sig = np.ones_like(y) if exact else start.std_error
-    signs = np.array([[+1], [-1]])
-
-    def residuals(thetas):
-        """Standardised residuals (2n,) at parameters (4,), or (k, 2n) at rows (k, 4)."""
-        s_plus, s_minus, alpha_m, delta = thetas.T[..., None, None]
-        model = single_axis_forward(s_plus, s_minus, times, signs, alpha_m=alpha_m, delta=delta)
-        return (model.reshape(thetas.shape[:-1] + (-1,)) - y) / sig
-
-    lower, upper = bounds = np.array([[0.0, -np.inf, 0.0, 0.0], [np.inf, np.inf, 1.0, 1.0]])
-    params = np.arange(4)
-
-    def jacobian(theta):
-        # a step that leaves the box is flipped; the bounded ranges are far
-        # wider than a step, so scipy never shortens one here
-        h = _FD_STEP * np.where(theta >= 0.0, 1.0, -1.0) * np.maximum(1.0, np.abs(theta))
-        h = np.where((theta + h < lower) | (theta + h > upper), -h, h)
-        stepped = theta + h
-        stencil = np.repeat(theta[None], 5, axis=0)
-        stencil[1 + params, params] = stepped
-        f = residuals(stencil)
-        return ((f[1:] - f[0]) / (stepped - theta)[:, None]).T
-
-    classical, quantum = start.classical, start.quantum
-    if isinstance(quantum, EstimationError):
-        raise quantum
-    alpha = math.exp(-classical.intercept)
-    theta0 = [classical.slope, quantum.slope / alpha, alpha, quantum.intercept]
-    fit = least_squares(
-        residuals, np.clip(theta0, *bounds), jac=jacobian, bounds=bounds,
-        xtol=FIT_TOLERANCE, ftol=FIT_TOLERANCE, gtol=FIT_TOLERANCE,
-    )
-    if not fit.success:
-        raise EstimationError(f"non-linear fit failed after {fit.nfev} evaluations: {fit.message}")
-    try:
-        covariance = np.linalg.inv(fit.jac.T @ fit.jac)
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError("singular covariance in non-linear fit") from exc
-    if exact:
-        dof = max(y.size - 4, 1)
-        covariance = covariance * (2.0 * fit.cost / dof)
-    errs = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
-    theta = fit.x
-    rows = zip(("S+_{0,0}", "S-_{0,0}"), theta[:2], errs[:2])
-    return EstimatorResult(
-        _estimates(Method.ROBUST_NONLINEAR, omega, rows),
-        "nonlinear",
-        alpha=theta[2],
-        alpha_err=errs[2],
-        delta=theta[3],
-        delta_err=errs[3],
-        diagnostics={"covariance": covariance, "nfev": fit.nfev},
-    )
+    block = table.block
+    guarded = np.flatnonzero([isinstance(error, LinearizationGuardError) for error in table.errors])
+    value, spam = table.value[guarded], table.spam[guarded]
+    # the classical slope, the quantum slope over alpha, alpha and the quantum intercept
+    theta = np.stack([value[:, 0], value[:, 1] / spam[:, 0], spam[:, 0], spam[:, 2]], axis=1)
+    covariance, steps = np.full((len(guarded), 4, 4), np.nan), np.zeros(len(guarded), dtype=int)
+    lengths = block.valid[guarded].sum(axis=1)
+    errors = [None if n >= 4 else EstimationError("non-linear fit needs at least 4 time points") for n in lengths]
+    keys = np.where(lengths >= 4, 2 * lengths + block.exact[guarded], -1)
+    for key in sorted(set(keys.tolist()) - {-1}):
+        group, (m, exact) = np.flatnonzero(keys == key), divmod(key, 2)
+        index = guarded[group]
+        times, y = block.times[index, None, :m], np.swapaxes(block.expectation[:, index, :m], 0, 1)
+        sigma = np.ones_like(y) if exact else np.sqrt(np.swapaxes(block.variance[:, index, :m], 0, 1))
+        converged, active = np.zeros(len(group), dtype=bool), np.arange(len(group))
+        with np.errstate(all="ignore"):
+            for count in range(1, MAX_ITERATIONS + 1):
+                rows = group[active]
+                residuals, jac = _residuals_and_jacobian(theta[rows], times[active], y[active], sigma[active])
+                jac_t = np.swapaxes(jac, 1, 2)
+                step = _solve_rows(jac_t @ jac, -(jac_t @ residuals[..., None]))[..., 0]
+                theta[rows] += step
+                steps[rows] = count
+                finite = np.isfinite(theta[rows]).all(axis=1)
+                tolerance = FIT_TOLERANCE * (FIT_TOLERANCE + np.linalg.norm(theta[rows], axis=1))
+                converged[active] = finite & (np.linalg.norm(step, axis=1) <= tolerance)
+                active = active[finite & ~converged[active]]
+                if not active.size:
+                    break
+            done = np.flatnonzero(converged)
+            residuals, jac = _residuals_and_jacobian(theta[group[done]], times[done], y[done], sigma[done])
+            jac_t = np.swapaxes(jac, 1, 2)
+            cov = _solve_rows(jac_t @ jac, np.broadcast_to(np.eye(4), (len(done), 4, 4)))
+            if exact:
+                cost = 0.5 * (residuals[:, None, :] @ residuals[:, :, None])
+                cov = cov * (2.0 * cost / (2 * m - 4))
+        covariance[group[done]] = cov
+        for j, ok, fit_cov in zip(group.tolist(), converged.tolist(), covariance[group]):
+            if not ok:
+                errors[j] = EstimationError(f"non-linear fit did not converge in {MAX_ITERATIONS} steps"
+                                            if np.isfinite(theta[j]).all() else
+                                            f"non-linear fit diverged: non-finite parameters after {steps[j]} steps")
+            elif np.isnan(fit_cov).any():
+                errors[j] = EstimationError("singular covariance in non-linear fit")
+    errs = np.sqrt(np.clip(np.diagonal(covariance, axis1=1, axis2=2), 0.0, None))
+    table.value[guarded[:, None], [0, 2]], table.std_error[guarded[:, None], [0, 2]] = theta[:, :2], errs[:, :2]
+    table.spam[guarded] = np.stack([theta[:, 2], errs[:, 2], theta[:, 3], errs[:, 3]], axis=1)
+    table.present[guarded] = [True, False, True]
+    fitted = {}
+    for j, i in enumerate(guarded.tolist()):
+        table.errors[i], table.method[i], table.path[i] = errors[j], Method.ROBUST_NONLINEAR, "nonlinear"
+        fitted[i] = {"covariance": covariance[j], "iterations": int(steps[j])}
+    table._fail_invalid()
+    linearized, table.iterations = table.diagnostics, int(steps.max(initial=0))
+    table.diagnostics = lambda i: fitted[i] if i in fitted else linearized(i)
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -61,8 +61,8 @@ protocols 2 and 4 and every protocol's standard inversion are one grid call
 each per campaign, returning one table of estimates over the grid in plan
 order, with the ``EstimationError`` of each failed frequency as a value (a
 point the dataset lacks there, say); no grid call fails as a whole.  Where
-protocol 2's linearization guard rejects a frequency, its nonlinear fit runs
-alone and its outcome replaces that row of the table.
+protocol 2's linearization guard rejects frequencies, one nonlinear grid call
+fits them all and puts their outcomes in those rows of the table.
 
 ``run_campaign`` writes ``datasets.csv``, ``estimates.csv``, ``report.json``,
 ``manifest.json`` and ``run.log`` into ``out_dir`` (``--out-dir``; no config
@@ -102,7 +102,6 @@ import numpy as np
 from .dynamics import DynamicsError
 from .estimation import (
     _COMPONENTS,
-    EstimationError,
     LinearizationGuardError,
     _combine_inverse_variance,
     estimate_single_axis_standard,
@@ -407,8 +406,8 @@ def _estimate_grid(campaign: Campaign, dataset) -> tuple[dict, list, dict, dict]
     two map ``repr(omega)`` to the cause.
 
     Protocols 2 and 4 first run their SPAM-robust estimator in one grid call;
-    protocol 2 then puts into that table the nonlinear fit of each frequency
-    where it holds a LinearizationGuardError.  Every protocol then inverts its
+    where protocol 2's table holds a LinearizationGuardError, one more grid
+    call fits every such frequency nonlinearly.  Every protocol then inverts its
     expectations at the longest plan time in one grid call: for protocols 1
     and 3 this is the estimate, for 2 and 4 a comparison that is dropped where
     it fails.  A frequency whose robust fit fails is failed and gets no
@@ -419,14 +418,8 @@ def _estimate_grid(campaign: Campaign, dataset) -> tuple[dict, list, dict, dict]
     omegas, tables = list(plan.omegas), []
     if campaign.protocol == 2:
         tables.append(robust_single_axis_linearized(dataset, omegas))
-        for i, error in enumerate(tables[0].errors):
-            if isinstance(error, LinearizationGuardError):
-                try:
-                    tables[0].put(i, robust_single_axis_nonlinear(omegas[i], error.start))
-                except EstimationError as exc:
-                    # kept without the traceback and chained errors, whose frames hold the dataset
-                    exc.__cause__ = exc.__context__ = None
-                    tables[0].put(i, exc.with_traceback(None))
+        if any(isinstance(error, LinearizationGuardError) for error in tables[0].errors):
+            tables[0] = robust_single_axis_nonlinear(tables[0])
     elif campaign.protocol == 4:
         tables.append(robust_multi_axis(dataset, omegas, omega_q))
     t_max = max(plan.times)

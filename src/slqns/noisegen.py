@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import enum
 import functools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .seeding import spawn_rng
-from .spectra import Lorentzian, SpectrumModel, SphericalSpectraSet, dephasing_spectra, evaluate_spectrum
+from .spectra import Lorentzian, SpectrumModel, SphericalSpectraSet, _warn, dephasing_spectra, evaluate_spectrum
 
 __all__ = [
     "DSAConfig",
@@ -73,12 +72,8 @@ class DSAConfig:
         if self.n_omega < 2:
             raise ValueError(f"n_omega must be >= 2, got {self.n_omega}")
         if not self.cutoff_adequate():
-            warnings.warn(
-                "generating spectrum has not decayed to 1e-3 of its peak at the "
-                "cutoff omega_max; synthesized noise will miss spectral weight",
-                UserWarning,
-                stacklevel=2,
-            )
+            _warn("generating spectrum has not decayed to 1e-3 of its peak at the "
+                  "cutoff omega_max; synthesized noise will miss spectral weight")
 
     @property
     def d_omega(self) -> float:

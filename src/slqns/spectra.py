@@ -22,6 +22,9 @@ A :class:`SpectrumModel` is one-sided: both backends read it at ``|omega|``
 from __future__ import annotations
 
 import math
+import os
+import sys
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
@@ -42,6 +45,20 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _warn(message: str) -> None:
+    """Emit a UserWarning attributed to the first caller outside this package,
+    skipping the ``<string>`` frames of generated dataclass code; the
+    outermost frame takes it when every caller is inside."""
+    frame, level = sys._getframe(), 1
+    while frame.f_back is not None and (frame.f_code.co_filename.startswith(_PACKAGE_DIR)
+                                        or frame.f_code.co_filename == "<string>"):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, UserWarning, stacklevel=level)
+
 
 # Drive amplitudes must stay far below the qubit splitting for the secular
 # treatment; checked when protocols are configured.

@@ -52,10 +52,12 @@ program's own output with a second route to the same number:
   inputs in one array pass.
 * :func:`robust_single_axis_reference`: protocol 2's robust outcome at one
   frequency, the linearized fit of a one-frequency pair block and, where
-  its guard trips, the nonlinear fit started from that block's lines,
-  against ``estimation.robust_single_axis_linearized``, which fits the
-  whole grid in one pair block, and ``robust_single_axis_nonlinear`` run
-  from the guard error's payload.
+  its guard trips, scipy's unbounded ``least_squares`` fit of the same
+  model started from that block's lines, against
+  ``estimation.robust_single_axis_linearized``, which fits the whole grid
+  in one pair block, and ``robust_single_axis_nonlinear``, which takes
+  Gauss-Newton steps with the model's analytic Jacobian at every guarded
+  frequency at once.
 * :func:`x_drive_coherence_rate`, :func:`z_drive_rates` and
   :func:`z_drive_coherence_rate`: one-amplitude readings of
   ``dynamics.DriveRates`` under the names of the paper's rates.
@@ -104,8 +106,6 @@ from slqns.dynamics import (
     _z_drive_blocks,
 )
 from slqns.estimation import (
-    _FD_STEP,
-    FIT_TOLERANCE,
     LINEARIZATION_GUARD,
     EstimationError,
     EstimatorResult,
@@ -113,7 +113,6 @@ from slqns.estimation import (
     RegressionResult,
     _estimates,
     _pair_block,
-    _paired_series,
     single_axis_forward,
 )
 from slqns.noisegen import DSAConfig, DSARealization, NoiseTrajectory
@@ -468,10 +467,10 @@ def robust_single_axis_reference(dataset: ShotDataset, omega: float):
     try:
         block = _pair_block(dataset, "x", [omega], ("x+", "x-"), "x")
         classical = block.fits.result(0)
+        quantum = block.quantum_fits(lambda slope, times: times).result(0)
         guard_value = float(np.max(classical.slope * block.times[0]))
         if guard_value > LINEARIZATION_GUARD:
-            return _nonlinear_reference(dataset, omega, block)
-        quantum = block.quantum_fits(lambda slope, times: times).result(0)
+            return _nonlinear_reference(dataset, omega, classical, quantum)
         alpha = math.exp(-classical.intercept)
         rows = [
             ("S+_{0,0}", classical.slope, classical.slope_err),
@@ -488,14 +487,13 @@ def robust_single_axis_reference(dataset: ShotDataset, omega: float):
         return exc
 
 
-def _nonlinear_reference(dataset: ShotDataset, omega: float, block) -> EstimatorResult:
-    """The nonlinear fit at ``omega``, its series gathered again from the
-    dataset and started from the lines of the one-frequency ``block``."""
+def _nonlinear_reference(dataset: ShotDataset, omega: float, classical, quantum) -> EstimatorResult:
+    """The nonlinear fit at ``omega``: scipy's unbounded ``least_squares`` on
+    its own three-point Jacobian, over both series gathered again from the
+    dataset, started from the ``classical`` and ``quantum`` lines."""
     from scipy.optimize import least_squares
 
-    ((plus,), (minus,)), _, (error,) = _paired_series(dataset, "x", [omega], ("x+", "x-"), "x")
-    if error is not None:
-        raise error
+    plus, minus = (dataset.series("x", omega, init, "x") for init in ("x+", "x-"))
     times = dataset.column("time")[plus]
     if times.size < 4:
         raise EstimationError("non-linear fit needs at least 4 time points")
@@ -503,39 +501,18 @@ def _nonlinear_reference(dataset: ShotDataset, omega: float, block) -> Estimator
     analytic = bool(values.analytic.all())
     y = values.expectation
     sig = np.ones_like(y) if analytic else expectation_std_error(values)
-    signs = np.array([[+1], [-1]])
 
-    def residuals(thetas):
-        s_plus, s_minus, alpha_m, delta = thetas.T[..., None, None]
-        model = single_axis_forward(s_plus, s_minus, times, signs, alpha_m=alpha_m, delta=delta)
-        return (model.reshape(thetas.shape[:-1] + (-1,)) - y) / sig
+    def residuals(theta):
+        s_plus, s_minus, alpha_m, delta = theta
+        model = single_axis_forward(s_plus, s_minus, times, np.array([[1], [-1]]), alpha_m=alpha_m, delta=delta)
+        return (model.ravel() - y) / sig
 
-    lower, upper = bounds = np.array([[0.0, -np.inf, 0.0, 0.0], [np.inf, np.inf, 1.0, 1.0]])
-    params = np.arange(4)
-
-    def jacobian(theta):
-        h = _FD_STEP * np.where(theta >= 0.0, 1.0, -1.0) * np.maximum(1.0, np.abs(theta))
-        h = np.where((theta + h < lower) | (theta + h > upper), -h, h)
-        stepped = theta + h
-        stencil = np.repeat(theta[None], 5, axis=0)
-        stencil[1 + params, params] = stepped
-        f = residuals(stencil)
-        return ((f[1:] - f[0]) / (stepped - theta)[:, None]).T
-
-    classical = block.fits.result(0)
-    quantum = block.quantum_fits(lambda slope, times: times).result(0)
     alpha = math.exp(-classical.intercept)
     theta0 = [classical.slope, quantum.slope / alpha, alpha, quantum.intercept]
-    fit = least_squares(
-        residuals, np.clip(theta0, *bounds), jac=jacobian, bounds=bounds,
-        xtol=FIT_TOLERANCE, ftol=FIT_TOLERANCE, gtol=FIT_TOLERANCE,
-    )
+    fit = least_squares(residuals, theta0, jac="3-point", xtol=1e-15, ftol=None, gtol=1e-15)
     if not fit.success:
         raise EstimationError(f"non-linear fit failed after {fit.nfev} evaluations: {fit.message}")
-    try:
-        covariance = np.linalg.inv(fit.jac.T @ fit.jac)
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError("singular covariance in non-linear fit") from exc
+    covariance = np.linalg.inv(fit.jac.T @ fit.jac)
     if analytic:
         covariance = covariance * (2.0 * fit.cost / max(y.size - 4, 1))
     errs = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
@@ -543,7 +520,7 @@ def _nonlinear_reference(dataset: ShotDataset, omega: float, block) -> Estimator
     return EstimatorResult(
         _estimates(Method.ROBUST_NONLINEAR, omega, zip(("S+_{0,0}", "S-_{0,0}"), theta[:2], errs[:2])),
         "nonlinear", alpha=theta[2], alpha_err=errs[2], delta=theta[3], delta_err=errs[3],
-        diagnostics={"covariance": covariance, "nfev": fit.nfev},
+        diagnostics={"covariance": covariance, "iterations": fit.nfev},
     )
 
 

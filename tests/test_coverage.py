@@ -15,6 +15,7 @@ import numpy as np
 from slqns.dynamics import compute_AB
 from slqns.estimation import Z_95
 from slqns.harness import run_campaign
+from slqns.spectra import Lorentzian, SphericalSpectraSet, White, mhz_to_rad_per_us
 from test_harness import PHYSICS
 from test_recovery import DEVICE, SERIES_US, SPECTRA, truth
 
@@ -76,3 +77,25 @@ def test_multi_axis_estimator_never_fails_and_covers_the_truth():
         if component != "S_{0,0}":
             assert len(covered) == len(P4_SEEDS) * len(OMEGAS_MHZ), component
         assert 0.92 <= np.mean(covered) <= 0.98, (component, np.mean(covered))
+
+
+def test_robust_s_minus_z_scores_have_unit_spread_at_zero_lag_on_256_drives():
+    # Calibration of protocol 2's robust S-_{0,0} on the benchmark grid: no
+    # fitted parameter sits on a bound, so its z-scores against B(Omega) have
+    # sd near 1 over 6 seeds x 256 drives (about 1.005; 0.874 when delta
+    # was boxed into [0, 1])
+    config = copy.deepcopy(CONFIG)
+    config["spectra"]["dephasing"]["quantum_lag_us"] = 0.0
+    config["plan"]["omegas_MHz"] = np.linspace(1.0, 40.0, 256).tolist()
+    lorentzian = Lorentzian(omega0=mhz_to_rad_per_us(0.6366), tc=0.5)
+    spectra = SphericalSpectraSet.from_dephasing_plus_minus(lorentzian.value).with_transverse(White(level=0.01))
+    z = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for seed in range(1, 7):
+            for row in run_campaign(config, seed=seed).report["estimates"]:
+                if row["method"] == "robust_nonlinear" and row["component"] == "S-_{0,0}":
+                    b_rate = compute_AB(spectra, row["omega_rad_per_us"], DEVICE).b_rate
+                    z.append((row["value"] - b_rate) / row["std_error"])
+    assert len(z) == 6 * 256
+    assert 0.93 <= np.std(z, ddof=1) <= 1.07, np.std(z, ddof=1)

@@ -11,9 +11,8 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.optimize
 
-from slqns import harness
+from slqns import estimation, harness
 from slqns.dynamics import frame_aligned_times
 from slqns.estimation import (
     EstimateTable,
@@ -122,7 +121,7 @@ def test_protocol3_inverts_at_the_first_aligned_time_and_protocol4_at_the_last(p
 DIAGNOSTICS = {
     "standard": set(),
     "linearized": {"guard_value", "dropped_times", "fits"},
-    "nonlinear": {"covariance", "nfev"},
+    "nonlinear": {"covariance", "iterations"},
     "multi_axis": {"fits", "dropped_times", "intercept_max_z", "intercepts_consistent"},
 }
 
@@ -159,7 +158,7 @@ def test_every_estimator_returns_one_result_type_that_the_report_copies(monkeypa
         spam = (result.alpha, result.alpha_err, result.delta, result.delta_err)
         assert (None in spam) == (result.path == "standard")
         if result.path == "nonlinear":
-            assert result.iterations == result.diagnostics["nfev"] > 0
+            assert result.iterations == result.diagnostics["iterations"] > 0
     rows = [(est.component, est.method.value, est.value)
             for result in results for est in result.estimates.values()]
     assert rows == [(row["component"], row["method"], row["value"]) for row in report["estimates"]]
@@ -192,47 +191,39 @@ def test_single_axis_forward_broadcasts_over_columns_of_parameters():
     assert np.array_equal(columns[zero], limit)
 
 
-def _bound_starts(x0):
-    """The fit's own start, then starts on or next to each bound."""
-    starts = [np.array(x0, dtype=float)]
-    for index, value in [(0, 0.0), (2, 0.0), (2, 1.0), (2, 1.0 - 2.0**-28), (3, 0.0), (3, 1.0),
-                         (1, -abs(x0[1]) - 0.01)]:
-        start = starts[0].copy()
-        start[index] = value
-        starts.append(start)
-    return starts
-
-
 @pytest.mark.parametrize("analytic", [False, True], ids=["shots", "analytic"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_the_nonlinear_fit_takes_scipys_two_point_steps(monkeypatch, seed, analytic):
-    # The fit's Jacobian reproduces scipy's jac="2-point" forward differences
-    # in one array call (equal on scipy 1.17.1).  A scipy whose stencil
-    # differs fails this test loudly and leaves the slqns outputs unchanged:
-    # the fit keeps its own Jacobian.
-    solve = scipy.optimize.least_squares
-    problems = []
-
-    def capture(fun, x0, **kwargs):
-        problems.append((fun, x0, kwargs))
-        return solve(fun, x0, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "least_squares", capture)
+def test_the_nonlinear_fits_jacobian_is_the_derivative_of_its_residuals(seed, analytic):
+    # the analytic Jacobian against central differences of the residuals, at
+    # each guarded frequency's starting point and at its solution
     _, _, plan, *_ = CASES["p2-nonlinear"]
     config = dict(BASE, protocol=2, spam=SPAM, plan=dict(plan, shots=1000),
                   backend={"type": "closed_form", "analytic": analytic})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        run_campaign(config, seed=seed)
-
-    assert len(problems) == len(plan["omegas_MHz"])
-    for fun, x0, kwargs in problems:
-        assert callable(kwargs["jac"])
-        for start in _bound_starts(x0):
-            ours = solve(fun, start, **kwargs)
-            theirs = solve(fun, start, **dict(kwargs, jac="2-point"))
-            for name in ("x", "jac", "cost", "nfev"):
-                assert np.array_equal(getattr(ours, name), getattr(theirs, name)), (start, name)
+        dataset = run_campaign(config, seed=seed).dataset
+    table = estimation.robust_single_axis_linearized(dataset, sorted(set(dataset.column("omega").tolist())))
+    start = np.stack([table.value[:, 0], table.value[:, 1] / table.spam[:, 0], table.spam[:, 0], table.spam[:, 2]], 1)
+    table = estimation.robust_single_axis_nonlinear(table)
+    assert table.path == ["nonlinear"] * len(start) and not any(table.errors)
+    solution = np.stack([table.value[:, 0], table.value[:, 2], table.spam[:, 0], table.spam[:, 2]], 1)
+    block = table.block
+    times = block.times[:, None, :]
+    y = np.swapaxes(block.expectation, 0, 1)
+    sigma = np.ones_like(y) if analytic else np.sqrt(np.swapaxes(block.variance, 0, 1))
+    assert block.valid.all() and block.exact.all() == analytic
+    for theta in (start, solution):
+        _, jacobian = estimation._residuals_and_jacobian(theta, times, y, sigma)
+        h = 1e-6 * np.maximum(np.abs(theta), 1.0)
+        for j in range(4):
+            up, down = theta.copy(), theta.copy()
+            up[:, j] += h[:, j]
+            down[:, j] -= h[:, j]
+            difference = (estimation._residuals_and_jacobian(up, times, y, sigma)[0]
+                          - estimation._residuals_and_jacobian(down, times, y, sigma)[0]) / (2.0 * h[:, j, None])
+            scale = np.abs(jacobian[..., j]).max(axis=1, keepdims=True)
+            error = np.abs(jacobian[..., j] - difference) / scale
+            assert error.max() <= 1e-7, (j, error.max())
 
 
 @pytest.mark.parametrize("protocol", [2, 4])

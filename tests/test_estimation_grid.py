@@ -6,14 +6,17 @@ references' bits (``tests/oracles.py``), row by row.  A hand-made protocol 4
 dataset drives the failure paths that the benchmark campaigns never reach;
 its outcomes, messages and warnings were recorded with the per-frequency
 estimators that the grid estimators replaced.  Hand-made protocol 2
-datasets hold protocol 2's grid estimator and the nonlinear fits run from
-its guard errors to the per-frequency chain of ``tests/oracles.py``.
+datasets hold protocol 2's grid estimator and its nonlinear grid call to the
+per-frequency chain of ``tests/oracles.py``: bit for bit, except the
+nonlinear fits, which must agree with scipy's within 1e-5 std errors, and
+which must keep their bits when fitted one frequency at a time.
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import warnings
 
 import numpy as np
@@ -397,16 +400,11 @@ def p2_dataset(analytic: bool) -> ShotDataset:
 
 
 def p2_grid_outcomes(dataset, omegas) -> list:
-    """The grid estimator's outcomes, each guard error replaced by the
-    outcome of the nonlinear fit from its payload, as the harness does."""
-    outcomes = robust_single_axis_linearized(dataset, omegas).outcomes()
-    for i, outcome in enumerate(outcomes):
-        if isinstance(outcome, LinearizationGuardError):
-            try:
-                outcomes[i] = robust_single_axis_nonlinear(omegas[i], outcome.start)
-            except EstimationError as exc:
-                outcomes[i] = exc
-    return outcomes
+    """The grid estimator's outcomes, its guard errors replaced by the
+    nonlinear grid call's outcomes, as the harness does."""
+    table = robust_single_axis_linearized(dataset, omegas)
+    assert any(isinstance(error, LinearizationGuardError) for error in table.errors)
+    return robust_single_axis_nonlinear(table).outcomes()
 
 
 def bits(value):
@@ -441,9 +439,56 @@ def test_protocol2_grid_outcomes_equal_the_per_frequency_chain(analytic):
         reference = [robust_single_axis_reference(dataset, omega) for omega in omegas]
 
     assert [getattr(outcome, "path", type(outcome).__name__) for outcome in reference] == P2_KINDS
-    assert [bits(outcome) for outcome in grid] == [bits(outcome) for outcome in reference]
+    nonlinear = [getattr(outcome, "path", None) == "nonlinear" for outcome in reference]
+    assert [bits(outcome) for outcome, fitted in zip(grid, nonlinear) if not fitted] == [
+        bits(outcome) for outcome, fitted in zip(reference, nonlinear) if not fitted]
+    for ours, theirs in itertools.compress(zip(grid, reference), nonlinear):
+        assert_same_fit(ours, theirs, analytic)
     assert ([(w.category, str(w.message)) for w in grid_warnings]
             == [(w.category, str(w.message)) for w in reference_warnings])
+
+
+def assert_same_fit(ours, reference, analytic):
+    """The Gauss-Newton fit and scipy's reference fit agree within 1e-5 of the
+    reference's std errors, and so do their std errors.  On exact data the
+    std errors are round-off, and both fits must agree to 1e-12 instead."""
+    assert (ours.path, list(ours.estimates), ours.iterations > 0) == ("nonlinear", ["S+_{0,0}", "S-_{0,0}"], True)
+    pairs = [(ours[c].value, reference[c].value, ours[c].std_error, reference[c].std_error)
+             for c in ("S+_{0,0}", "S-_{0,0}")]
+    pairs += [(ours.alpha, reference.alpha, ours.alpha_err, reference.alpha_err),
+              (ours.delta, reference.delta, ours.delta_err, reference.delta_err)]
+    for value, ref_value, err, ref_err in pairs:
+        floor = 1e-12 if analytic else 0.0
+        assert abs(value - ref_value) <= 1e-5 * ref_err + floor, (value, ref_value, ref_err)
+        assert abs(err - ref_err) <= 1e-5 * ref_err + floor, (err, ref_err)
+
+
+@pytest.mark.parametrize("analytic", [False, True], ids=["shots", "analytic"])
+def test_a_guarded_frequency_fitted_alone_keeps_its_bits(analytic):
+    # a frequency stops at its own convergence, so the other frequencies of
+    # its stacked solve leave its bits alone
+    for dataset, omegas in [(p2_dataset(analytic), list(P2_SERIES)), p2_campaign_dataset(analytic)]:
+        grid = p2_grid_outcomes(dataset, omegas)
+        paths = [getattr(outcome, "path", None) for outcome in grid]
+        assert paths.count("nonlinear") >= 3
+        for omega, outcome in zip(omegas, grid):
+            if isinstance(outcome, EstimatorResult) and outcome.path == "linearized":
+                continue
+            table = robust_single_axis_linearized(dataset, [omega])
+            if isinstance(table.errors[0], LinearizationGuardError):
+                table = robust_single_axis_nonlinear(table)
+            assert bits(table.outcomes()[0]) == bits(outcome), omega
+
+
+def p2_campaign_dataset(analytic: bool):
+    """A 16-drive protocol 2 campaign's dataset and drives, every one guarded."""
+    omegas = np.linspace(1.0, 40.0, 16).tolist()
+    config = dict(BASE, protocol=2, spam=SPAM, plan={"omegas_MHz": omegas, "times_us": TIMES_US, "shots": 1000},
+                  backend={"type": "closed_form", "analytic": analytic})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = run_campaign(config, seed=5)
+    return result.dataset, result.report["frequencies_rad_per_us"]
 
 
 def test_protocol2_makes_as_many_stacked_fits_at_16_frequencies_as_at_2(monkeypatch):

@@ -7,8 +7,10 @@ e6581fb, before the array seeding path (``seeding.derive_seeds``/
 ``first_uniforms``) replaced the per-point ``SeedSequence`` construction,
 with numpy 2.4 and scipy 1.17 on x86-64 Linux.  The shot counts have not
 depended on scipy since they are drawn by a numpy inverse CDF
-(``spam.draw_shots``), and every digest held through that change; only the
-protocol 2 estimates still go through scipy (``scipy.optimize``).  The
+(``spam.draw_shots``), and every digest held through that change.  The
+protocol 2 twin's ``report.json`` and ``estimates.csv`` were re-recorded when
+its nonlinear fit became an unbounded Gauss-Newton solve in numpy, which
+freed delta from the [0, 1] box of scipy's fit.  The
 other three (the protocol 4 twin in analytic mode, and protocol 1 and
 protocol 3 on the same
 drives at one evolution time, in shot mode) cover the standard inversions
@@ -96,9 +98,9 @@ DIGESTS = {
         "manifest.json": "7f6ff863c1757153d84793cf6b8015083e5a5f73a702e6a480f7610406cb37c1",
     },
     "p2-series-twin": {
-        "report.json": "d3e1f5e8ea23b492531cf109820d233f0c30e2b960b4dbc2c4370535b72f81e6",
+        "report.json": "7ef8d7dd0e17ff466acc3bba26de9a227f3f4679fa2dde54018a7933349e8a5b",
         "datasets.csv": "dffba99a4c2a57038de119c93c847e012d4ff4944b4b100fda18d3bb1f5863cc",
-        "estimates.csv": "1ca5a7dbad567936febda273f6402bb89948f30ba974392b8ef97ce108f7134c",
+        "estimates.csv": "7a7f47189e602dec26e28ebee10bd603342a274afb9ed0906e63bef649c0cde1",
         "manifest.json": "69d047005166ad922673d9684635d90a13c0cd24951b02d66a1ccfdfeab9d4a3",
     },
     "p4-wide-analytic-twin": {

@@ -1,12 +1,11 @@
-"""Start-up cost: ``import slqns`` loads no scipy, and a campaign loads only
-the scipy that it runs.
+"""Start-up cost: neither ``import slqns`` nor any campaign loads scipy.
 
-Shots are drawn by a numpy inverse CDF (``spam.draw_shots``), so protocols 1,
-3 and 4, ``validate`` and ``compare`` run on numpy alone.  Protocol 2's
-nonlinear fit is the one user of scipy: ``scipy.optimize``, imported inside
-``estimation.robust_single_axis_nonlinear``, costs about half a second.  The
-checks run in a fresh interpreter and read module names, not timings; a
-static check keeps every scipy import in ``src/slqns`` inside a function.
+Shots are drawn by a numpy inverse CDF (``spam.draw_shots``) and protocol 2's
+nonlinear fit takes its own Gauss-Newton steps, so every protocol,
+``validate`` and ``compare`` run on numpy alone, and scipy is a test-only
+dependency.  The checks run in a fresh interpreter and read module names, not
+timings; a static check keeps any scipy import in ``src/slqns`` inside a
+function.
 """
 
 from __future__ import annotations
@@ -68,11 +67,11 @@ def test_a_protocol_4_campaign_imports_neither_scipy_stats_nor_scipy_optimize(tm
     assert json.loads(proc.stdout.splitlines()[-1]) == {
         "import slqns": [],
         "protocols 1, 3 and 4, validate and compare": [],
-        "scipy.optimize after protocol 2": True,
+        "scipy.optimize after protocol 2": False,
     }
 
 
-LINEARIZED_SCRIPT = """
+PROTOCOL_2_SCRIPT = """
 import json, sys
 from slqns.harness import run_campaign
 
@@ -82,15 +81,25 @@ print(json.dumps({"paths": sorted({row["path"] for row in report["spam_per_frequ
 """
 
 
-def test_a_protocol_2_campaign_whose_guard_accepts_every_frequency_loads_no_scipy():
-    # the trajectory benchmark's shape: short times, so every frequency takes the linearized fit
+def paths_and_scipy(config) -> dict:
+    """The SPAM paths of a protocol 2 campaign run in a fresh interpreter, and the scipy modules it loaded."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-W", "ignore", "-c", LINEARIZED_SCRIPT, json.dumps(TRAJECTORY)],
+        [sys.executable, "-W", "ignore", "-c", PROTOCOL_2_SCRIPT, json.dumps(config)],
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"paths": ["linearized"], "scipy": []}
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_a_protocol_2_campaign_whose_guard_accepts_every_frequency_loads_no_scipy():
+    # the trajectory benchmark's shape: short times, so every frequency takes the linearized fit
+    assert paths_and_scipy(TRAJECTORY) == {"paths": ["linearized"], "scipy": []}
+
+
+def test_a_protocol_2_campaign_whose_guard_rejects_every_frequency_loads_no_scipy():
+    # the series benchmark's shape: every frequency takes the nonlinear fit
+    assert paths_and_scipy(two_frequencies(CLOSED_FORM_P2)) == {"paths": ["nonlinear"], "scipy": []}
 
 
 def module_level_scipy_imports(tree: ast.Module) -> list[int]:

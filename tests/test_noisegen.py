@@ -58,6 +58,12 @@ class TestDSAConfig:
         with pytest.warns(UserWarning, match="cutoff"):
             DSAConfig(spectrum=LOR, omega_max=6.0, n_omega=64)
 
+    def test_inadequate_cutoff_warning_names_the_calling_file(self):
+        # not the "<string>" of the generated dataclass __init__
+        with pytest.warns(UserWarning, match="cutoff") as caught:
+            DSAConfig(spectrum=LOR, omega_max=6.0, n_omega=64)
+        assert [warning.filename for warning in caught] == [__file__]
+
     def test_requires_at_least_two_bins(self):
         with pytest.raises(ValueError):
             DSAConfig(spectrum=LOR, omega_max=30.0, n_omega=1)

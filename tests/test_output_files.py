@@ -171,9 +171,9 @@ def test_all_five_files_are_identical_at_one_two_and_three_jobs(tmp_path, config
 # point, seed 1, in shot mode (the benchmark's trajectory --jobs twin).  The
 # digests were recorded at commit 32b94ce, before the dataset became
 # columnar, with numpy 2.4 and scipy 1.17 on x86-64 Linux, and were the same
-# with one and with two OpenBLAS threads.  The shot counts have not depended
-# on scipy since they are drawn in numpy; protocol 2's nonlinear fit still
-# uses ``scipy.optimize``.
+# with one and with two OpenBLAS threads.  Neither the shot counts, drawn in
+# numpy, nor this twin's estimates, all on the linearized path, depend on
+# scipy.
 TRAJECTORY_TWIN = dict(copy.deepcopy(TRAJECTORY), seed=1)
 TRAJECTORY_DIGESTS = {
     "report.json": "44429b4c5b021920725c2034ef401b8586eeb83129944a8aa6636c4f04be5730",
