@@ -87,9 +87,7 @@ SIGMA = {
     "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
-# the Pauli matrices stacked in SIGMA's order, x, y, z: the order of the
-# observable codes of spam.OBSERVABLES
-_PAULIS = np.array(list(SIGMA.values()))
+# SIGMA's order, x, y, z, is the order of the observable codes of spam.OBSERVABLES
 _PAULI_CODES = {axis: code for code, axis in enumerate(SIGMA)}
 
 TRACE_TOL = 1e-12
@@ -108,24 +106,32 @@ _EIGENVECTORS = {
 
 
 def check_states(matrices: np.ndarray) -> None:
-    """Raise :class:`DynamicsError` unless every matrix of an (n, 2, 2) stack is a state."""
+    """Raise :class:`DynamicsError` unless every matrix of an (n, 2, 2) stack is a state,
+    in closed form: max|M - M^dagger| is max(2 |Im m00|, 2 |Im m11|, |m01 - conj m10|), and the
+    lower eigenvalue of the Hermitian part [[a, h], [h*, d]] is (a + d)/2 - hypot((a - d)/2, |h|)."""
     if not np.isfinite(matrices).all():
         raise DynamicsError("state has non-finite entries")
-    trace = np.trace(matrices, axis1=-2, axis2=-1)
+    m00, m01, m10, m11 = (matrices[..., i, j] for i in (0, 1) for j in (0, 1))
+    trace = m00 + m11
     if np.max(np.abs(trace - 1.0)) > TRACE_TOL:
         raise DynamicsError(f"state trace {trace[np.argmax(np.abs(trace - 1.0))]} differs from 1 beyond tolerance")
-    adjoint = np.conj(np.swapaxes(matrices, -1, -2))
-    if np.max(np.abs(matrices - adjoint)) > HERMITICITY_TOL:
+    skew = np.maximum(2.0 * np.maximum(np.abs(m00.imag), np.abs(m11.imag)), np.abs(m01 - np.conj(m10)))
+    if np.max(skew) > HERMITICITY_TOL:
         raise DynamicsError("state is not Hermitian within tolerance")
-    lowest = np.linalg.eigvalsh(0.5 * (matrices + adjoint))[..., 0].min()
+    a, d = m00.real, m11.real
+    lowest = np.min(0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(0.5 * (m01 + np.conj(m10)))))
     if lowest < -EIGENVALUE_TOL:
         raise DynamicsError(f"state has negative eigenvalue {lowest}")
 
 
 def expectations(matrices: np.ndarray, axes) -> np.ndarray:
     """<sigma_axes[k]> of matrix k of an (n, 2, 2) stack of states; ``axes``
-    holds codes into SIGMA's order x, y, z."""
-    return np.real(np.trace(_PAULIS[np.asarray(axes, dtype=np.intp)] @ matrices, axis1=-2, axis2=-1))
+    holds codes into SIGMA's order x, y, z.  Read from the entries with the
+    one rounding of tr(sigma rho): Re m10 + Re m01, Im m10 - Im m01 and
+    Re m00 - Re m11; adding 0.0 turns a -0.0 into the trace's 0.0."""
+    m00, m01, m10, m11 = (matrices[..., i, j] for i in (0, 1) for j in (0, 1))
+    values = m10.real + m01.real, m10.imag - m01.imag, m00.real - m11.real
+    return np.choose(np.asarray(axes, dtype=np.intp), values) + 0.0
 
 
 class QubitState:
@@ -401,8 +407,16 @@ class DriveRates:
 # ---------------------------------------------------------------------------
 
 
-# math.exp elementwise: numpy's vectorised exp is not bit-equal to it
-_exp = np.vectorize(math.exp, otypes=[float])
+def _mapped(fn, values) -> np.ndarray:
+    """``fn(value)`` of every value as a float array of their shape, one Python call each: numpy's
+    exp, log and square differ from ``math.exp``, ``math.log`` and Python's ``float ** 2`` (libm
+    ``pow``, :data:`_square`) in the last bit for a few values in ten thousand."""
+    values = np.asarray(values, dtype=float)
+    return np.fromiter(map(fn, values.ravel().tolist()), float, values.size).reshape(values.shape)
+
+
+# x -> x ** 2.0, which is Python's float ** 2
+_square = (2.0).__rpow__
 
 
 def _decay_weight(rate, duration):
@@ -418,7 +432,7 @@ def tcl_expectation_x_drive(a_rate, b_rate, initial, duration):
     ``A = S+`` and ``B = S-``; ``initial`` is <sigma_x(0)>.
     """
     _check_decay_rate(a_rate)
-    return _exp(-a_rate * duration) * initial + b_rate * _decay_weight(a_rate, duration)
+    return _mapped(math.exp, -a_rate * duration) * initial + b_rate * _decay_weight(a_rate, duration)
 
 
 def tcl_expectation_z_drive(rate_down, rate_up, initial, duration):
@@ -432,7 +446,7 @@ def tcl_expectation_z_drive(rate_down, rate_up, initial, duration):
     """
     _check_z_rates(rate_down, rate_up)
     total = rate_down + rate_up
-    decay = _exp(-2.0 * total * duration)
+    decay = _mapped(math.exp, -2.0 * total * duration)
     with np.errstate(divide="ignore", invalid="ignore"):
         relaxed = decay * initial + np.divide(rate_up - rate_down, total) * (1.0 - decay)
     return np.where(total == 0.0, initial * np.ones_like(duration), relaxed)[()]
@@ -454,7 +468,8 @@ def closed_form_states(rates: DriveRates, rows, rho0s, which, durations) -> np.n
     coherence0 = np.array([rho.coherence_in_basis(basis) for rho in rho0s])[which]
     evolve = tcl_expectation_x_drive if basis == "x" else tcl_expectation_z_drive
     diff = evolve(*(rate[rows] for rate in rates.population), population0, t)
-    coherence = toggling_to_rotating(coherence0 * _exp(-rates.coherence[rows] * t), rates.omega_eff[rows], t)
+    decay = _mapped(math.exp, -rates.coherence[rows] * t)
+    coherence = toggling_to_rotating(coherence0 * decay, rates.omega_eff[rows], t)
     return _states_from_basis_components(basis, diff, coherence)
 
 

@@ -31,26 +31,26 @@ a value: it leaves the other frequencies standing, and no grid call raises.
 ``table.outcomes()`` rebuilds one :class:`EstimatorResult` per frequency, with
 the diagnostics the estimator computed on the way.  The numerics run once
 over the grid.  Every estimator reads the dataset as padded (frequencies,
-times) tables of series rows, -1 past a shorter series' end
-(:func:`_series_rows`).  Every straight-line fit of a pair block is one row
-of a stacked regression at its kept points (:func:`_kept_fits` over
-:func:`_linreg_stack`, whose one-row case is :func:`weighted_linreg`),
-:func:`robust_multi_axis` combines the fits in arrays (a failed frequency's
-entries are never read), and the delta-method inversions evaluate every
-central and bumped input in one array pass (:func:`_propagate`).  Data
-whose std errors are all 0 are exact: fitted unweighted.  Warnings are
-emitted afterwards, in grid order, at the caller's line.  Where protocol
-2's guard rejects a frequency, its table holds a
+times) tables of series rows, -1 past a shorter series' end, from one
+:meth:`ShotDataset.series_rows` lookup.  Every straight-line fit of a pair
+block is one row of a stacked regression at its kept points
+(:func:`_kept_fits` over :func:`_linreg_stack`, whose one-row case is
+:func:`weighted_linreg`), :func:`robust_multi_axis` combines the fits in
+arrays (a failed frequency's entries are never read), and the delta-method
+inversions evaluate every central and bumped input in one array pass
+(:func:`_propagate`).  Data whose std errors are all 0 are exact: fitted
+unweighted.  Warnings are emitted afterwards, in grid order, at the caller's
+line.  Where protocol 2's guard rejects a frequency, its table holds a
 :class:`LinearizationGuardError`, and :func:`robust_single_axis_nonlinear`
 fits every such frequency of the table in one stacked solve.
 
 The outputs keep the bits of a scalar evaluation, one frequency at a time: a
 stacked matrix product or solve runs the same BLAS/LAPACK call on each
 matrix, and where a scalar formula used ``math.log``, ``math.exp`` or a
-Python ``float ** 2`` (libm ``pow``), the array form calls the same libm
-function elementwise (``_log``, ``dynamics._exp``, ``spam._squared``):
-numpy's vectorised ``log`` and ``square`` differ from them in the last bit
-for a few values in ten thousand.
+Python ``float ** 2`` (libm ``pow``), the array form maps the same Python
+function over the values' list (``dynamics._mapped``, with
+``dynamics._square``): numpy's vectorised ``log`` and ``square`` differ from
+them in the last bit for a few values in ten thousand.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import _decay_weight, _exp
-from .spam import MeasurementKey, ShotDataset, _squared
+from .dynamics import _decay_weight, _mapped, _square
+from .spam import MeasurementKey, ShotDataset
 from .spectra import _warn
 
 __all__ = [
@@ -245,15 +245,6 @@ class EstimatorResult:
         return self.diagnostics["iterations"]
 
 
-# math.log elementwise: numpy's vectorised log is not bit-equal to it
-_log = np.vectorize(math.log, otypes=[float])
-
-
-def _squares(values) -> np.ndarray:
-    """Python's ``float ** 2`` of every value, as a float array."""
-    return _squared(values).astype(float)
-
-
 def _nonnegative(values) -> np.ndarray:
     """``max(value, 0.0)`` of every value, NaN and -0.0 kept as Python's max keeps them."""
     return np.where(values < 0.0, 0.0, values)
@@ -425,26 +416,13 @@ def _propagate(func, inputs, variances):
     return values[:, 0], errs, failures
 
 
-def _series_rows(dataset: ShotDataset, points, omegas) -> np.ndarray:
-    """(points, frequencies, n) dataset rows of the ``(drive_axis, init,
-    observable)`` series of ``points`` at every frequency, each ordered by
-    time and -1 past its end; n is the longest series' length."""
-    series = [dataset.series(drive_axis, omega, init, observable)
-              for drive_axis, init, observable in points for omega in omegas]
-    lengths = np.array([rows.size for rows in series], dtype=np.intp).reshape(len(points), len(omegas))
-    rows = np.full(lengths.shape + (lengths.max(initial=0),), -1, dtype=np.intp)
-    if series:
-        rows[np.arange(rows.shape[-1]) < lengths[..., None]] = np.concatenate(series)
-    return rows
-
-
 def _inversion_inputs(dataset: ShotDataset, points, omegas, times):
     """(expectations, variances, errors) of the ``points`` (name -> (drive_axis,
     init, observable)) at every frequency and its time in ``times`` (name ->
     (r,) times).  The arrays are (r, len(points)), NaN at a frequency that
     lacks a point, which reads none; ``errors[i]`` is the EstimationError
     naming the first point that frequency i lacks, else None."""
-    series = _series_rows(dataset, list(points.values()), omegas)
+    series = dataset.series_rows(list(points.values()), omegas)
     at = np.stack([times[name] for name in points])[..., None]
     # a series holds each time once: its row at a time is the one hit, else -1
     hits = (series >= 0) & (dataset.column("time")[series] == at)
@@ -478,7 +456,7 @@ def _single_axis_rates(e, duration):
     at one time, and whether the gap falls outside (0, 2]."""
     diff = e[..., 0] - e[..., 1]
     failed = ~((0.0 < diff) & (diff <= 2.0 + 1e-12))
-    s_plus = _log(np.where(failed, 1.0, 2.0 / diff)) / duration
+    s_plus = _mapped(math.log, np.where(failed, 1.0, 2.0 / diff)) / duration
     mean = 0.5 * (e[..., 0] + e[..., 1])
     s_minus = mean / _decay_weight(s_plus, duration)
     return np.stack((s_plus, s_minus), axis=-1), failed[..., None]
@@ -523,12 +501,12 @@ def _paired_series(dataset: ShotDataset, drive_axis, omegas, inits, observable):
     """The two preparations' time series at every frequency, as one padded table.
 
     Returns ``(rows, matched, errors)``: ``rows`` holds the (r, n) dataset
-    rows of the first and of the second preparation (:func:`_series_rows`);
+    rows of the first and second preparation (:meth:`ShotDataset.series_rows`);
     ``matched[i]`` is whether frequency i's two series are non-empty and
     share their times; ``errors[i]`` is the EstimationError of a frequency
     whose preparations lack matching times, else None.
     """
-    rows = _series_rows(dataset, [(drive_axis, init, observable) for init in inits], omegas)
+    rows = dataset.series_rows([(drive_axis, init, observable) for init in inits], omegas)
     present, time = rows >= 0, dataset.column("time")
     same = (present[0] == present[1]) & ((time[rows[0]] == time[rows[1]]) | ~present[0])
     matched = present[0].any(axis=1) & same.all(axis=1)
@@ -688,7 +666,7 @@ def robust_single_axis_linearized(dataset: ShotDataset, omegas) -> EstimateTable
     for i in np.flatnonzero(np.equal(errors, None) & (guard > LINEARIZATION_GUARD)).tolist():
         errors[i] = LinearizationGuardError(f"max(S+ T) = {guard[i]:.3g} exceeds the linearization guard "
                                             f"{LINEARIZATION_GUARD:g}; use robust_single_axis_nonlinear")
-    alpha = _exp(-classical.intercept)
+    alpha = _mapped(math.exp, -classical.intercept)
 
     def diagnostics(i):
         return {"guard_value": float(guard[i]), "dropped_times": block.dropped[i],
@@ -836,7 +814,7 @@ def _multi_axis_rates(e, duration, aligned_duration=None):
     gaps are <= 0 (the decoherence floor)."""
     diffs = e[..., 0::2] - e[..., 1::2]  # zp, zm, x (, c)
     failed = diffs <= 0.0
-    logs = _log(np.where(failed, 1.0, 2.0 / diffs))
+    logs = _mapped(math.log, np.where(failed, 1.0, 2.0 / diffs))
     s_plus_up = 0.5 * logs[..., 0] / duration     # S+[1,-1](W+wq)
     s_plus_dn = 0.5 * logs[..., 1] / duration     # S+[-1,1](W-wq)
     a_rate = 1.0 * logs[..., 2] / duration        # A(W)
@@ -938,9 +916,10 @@ def _unscale(slope, slope_err, s_plus, s_plus_err, alpha, alpha_err):
     err = np.empty_like(value)
     plain = (value == 0.0) | (slope == 0.0)
     p, r = np.flatnonzero(plain), np.flatnonzero(~plain)
-    err[p] = np.sqrt(_squares(s_plus[p] / alpha[p] * slope_err[p]) + _squares(slope[p] / alpha[p] * s_plus_err[p]))
-    err[r] = np.abs(value[r]) * np.sqrt(
-        _squares(slope_err[r] / slope[r]) + _squares(s_plus_err[r] / s_plus[r]) + _squares(alpha_err[r] / alpha[r]))
+    a, b = _mapped(_square, [s_plus[p] / alpha[p] * slope_err[p], slope[p] / alpha[p] * s_plus_err[p]])
+    err[p] = np.sqrt(a + b)
+    a, b, c = _mapped(_square, [slope_err[r] / slope[r], s_plus_err[r] / s_plus[r], alpha_err[r] / alpha[r]])
+    err[r] = np.abs(value[r]) * np.sqrt(a + b + c)
     return value, err
 
 
@@ -991,14 +970,14 @@ def robust_multi_axis(
     intercepts = np.stack([block.fits.intercept for block in blocks.values()], axis=1)
     intercept_errs = np.stack([block.fits.intercept_err for block in blocks.values()], axis=1)
     ln_alpha_vals = -factors * intercepts
-    ln_alpha_vars = _squares(np.where(present, factors * intercept_errs, 0.0))
+    ln_alpha_vars = _mapped(_square, np.where(present, factors * intercept_errs, 0.0))
     ln_alpha, ln_alpha_err = _combine_inverse_variance(ln_alpha_vals, ln_alpha_vars, present)
     with np.errstate(invalid="ignore"):
         z_scores = np.abs(ln_alpha_vals - ln_alpha[:, None]) / np.maximum(np.sqrt(ln_alpha_vars),
                                                                           INTERCEPT_ROUND_OFF)
     max_z = _first_max(z_scores, present)
     consistent = max_z <= INTERCEPT_CONSISTENCY_Z
-    alpha = _exp(ln_alpha)
+    alpha = _mapped(math.exp, ln_alpha)
     alpha_err = alpha * ln_alpha_err
 
     # quantum regressions on exact decay regressors
@@ -1008,7 +987,7 @@ def robust_multi_axis(
     quantum_errors = _first_errors(qf_zp, qf_zm, qf_x)
     delta, delta_err = _combine_inverse_variance(
         np.stack([q.intercept for q in (qf_zp, qf_zm, qf_x)], axis=1),
-        np.stack([_squares(q.intercept_err) for q in (qf_zp, qf_zm, qf_x)], axis=1),
+        _mapped(_square, np.stack([q.intercept_err for q in (qf_zp, qf_zm, qf_x)], axis=1)),
     )
     s_plus_up, s_plus_dn, a_rate = zp.fits.slope, zm.fits.slope, x.fits.slope
     s_plus_up_err, s_plus_dn_err, a_rate_err = zp.fits.slope_err, zm.fits.slope_err, x.fits.slope_err
@@ -1017,11 +996,13 @@ def robust_multi_axis(
     b_rate, b_rate_err = _unscale(qf_x.slope, qf_x.slope_err, a_rate, a_rate_err, alpha, alpha_err)
 
     s00_plus, s00_minus = _dephasing_rates(a_rate, b_rate, s_plus_up, s_plus_dn, s_minus_up, s_minus_dn)
-    s00_plus_err = np.sqrt(_squares(a_rate_err) + 0.25 * (_squares(s_plus_up_err) + _squares(s_plus_dn_err)))
-    s00_minus_err = np.sqrt(_squares(b_rate_err) + 0.25 * (_squares(s_minus_up_err) + _squares(s_minus_dn_err)))
+    a2, up2, dn2, b2, minus_up2, minus_dn2, aligned2 = _mapped(_square, [
+        a_rate_err, s_plus_up_err, s_plus_dn_err, b_rate_err, s_minus_up_err, s_minus_dn_err, aligned.fits.slope_err])
+    s00_plus_err = np.sqrt(a2 + 0.25 * (up2 + dn2))
+    s00_minus_err = np.sqrt(b2 + 0.25 * (minus_up2 + minus_dn2))
     # aligned-line slope is the coherence rate S+[1,-1](W+wq) + 2 S00(0)
     s00_zero = 0.5 * (aligned.fits.slope - s_plus_up)
-    s00_zero_err = 0.5 * np.sqrt(_squares(aligned.fits.slope_err) + _squares(s_plus_up_err))
+    s00_zero_err = 0.5 * np.sqrt(aligned2 + up2)
 
     for i in np.flatnonzero(np.equal(errors, None) & (np.not_equal(skipped, None) | ~consistent)).tolist():
         if skipped[i] is not None:

@@ -412,7 +412,7 @@ def _estimate_grid(campaign: Campaign, dataset) -> tuple[dict, list, dict, dict]
     and 3 this is the estimate, for 2 and 4 a comparison that is dropped where
     it fails.  A frequency whose robust fit fails is failed and gets no
     comparison.  A kept frequency's rows are its robust estimates, then its
-    standard ones: each column is one mask over the tables' entries.
+    standard ones: each column is read at the kept entries of each table.
     """
     plan, omega_q = campaign.plan, campaign.device.omega_q
     omegas, tables = list(plan.omegas), []
@@ -433,20 +433,22 @@ def _estimate_grid(campaign: Campaign, dataset) -> tuple[dict, list, dict, dict]
     ok = [np.equal(table.errors, None) for table in tables]
     failures = {repr(omegas[i]): str(tables[0].errors[i]) for i in np.flatnonzero(~ok[0]).tolist()}
     standard_dropped = {repr(omegas[i]): str(tables[-1].errors[i]) for i in np.flatnonzero(ok[0] & ~ok[-1]).tolist()}
-    mask = np.concatenate([t.present & (o & ok[0])[:, None] for t, o in zip(tables, ok)], axis=1)
+    kept = [np.nonzero(t.present & (o & ok[0])[:, None]) for t, o in zip(tables, ok)]
+    # frequency by frequency, the robust entries before the standard ones
+    order = np.argsort(np.concatenate([i for i, _ in kept]), kind="stable")
 
     def gathered(column):
-        """A report column: ``column(table)``, broadcast over each table's entries, where ``mask`` holds."""
-        return np.concatenate([np.broadcast_to(column(t), t.value.shape) for t in tables], axis=1)[mask].tolist()
+        """A report column: ``column(table, i, j)`` at each table's kept entries (i, j), in report order."""
+        return np.concatenate([column(t, i, j) for t, (i, j) in zip(tables, kept)])[order].tolist()
 
     columns = {
-        "component": gathered(lambda t: np.array(t.components, dtype=object)),
-        "method": gathered(lambda t: np.array([[m.value] for m in t.method], dtype=object)),
-        "freq_label": gathered(lambda t: np.array([_COMPONENTS[c][0] for c in t.components], dtype=object)),
-        "freq_rad_per_us": gathered(lambda t: t.freq),
-        "omega_rad_per_us": gathered(lambda t: t.omegas[:, None]),
-        "value": gathered(lambda t: t.value),
-        "std_error": gathered(lambda t: t.std_error),
+        "component": gathered(lambda t, i, j: np.array(t.components, dtype=object)[j]),
+        "method": gathered(lambda t, i, j: np.array([m.value for m in t.method], dtype=object)[i]),
+        "freq_label": gathered(lambda t, i, j: np.array([_COMPONENTS[c][0] for c in t.components], dtype=object)[j]),
+        "freq_rad_per_us": gathered(lambda t, i, j: t.freq[i, j]),
+        "omega_rad_per_us": gathered(lambda t, i, j: t.omegas[i]),
+        "value": gathered(lambda t, i, j: t.value[i, j]),
+        "std_error": gathered(lambda t, i, j: t.std_error[i, j]),
     }
     spam_rows, robust = [], tables[0]
     for i in np.flatnonzero(ok[0]).tolist() if len(tables) == 2 else ():

@@ -54,6 +54,8 @@ from .dynamics import (
     expectations,
     frame_aligned_times,
     tcl_evolve_state,  # noqa: F401 - resolved here by the benchmark tracer
+    _mapped,
+    _square,
 )
 from .noisegen import BathCoefficients, BathConfig, DSAConfig, DSARealization
 from .seeding import derive_seed, derive_seeds, first_uniforms
@@ -66,7 +68,6 @@ from .spam import (
     ShotRecord,
     SpamParams,
     _codes,
-    _squared,
     draw_shots,
     faulty_state,
     outcome_probability,
@@ -346,7 +347,7 @@ class TrajectoryBackend(Backend):
                     derive_seed(seed, 0), dt))
         means, std_errors = np.array(ensembles).T
         # squared by Python's float ** 2, whose bits the analytic variances have always had
-        variances = _squared(self.spam.alpha_m * std_errors)
+        variances = _mapped(_square, self.spam.alpha_m * std_errors)
         return self._readout(means, variances, n_shots, [derive_seed(seed, 1) for seed in np.ravel(seeds)])
 
     measure = Backend.measure  # resolved here by the benchmark tracer

@@ -41,7 +41,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dynamics import SIGMA, IDENTITY2, QubitState
+from .dynamics import SIGMA, IDENTITY2, QubitState, _mapped, _square
 from .seeding import spawn_rng
 
 __all__ = [
@@ -393,12 +393,6 @@ def expectation_std_error(values):
     return error if error.ndim else float(error)
 
 
-# a square as Python's ``float ** 2`` (libm ``pow``) gives it, which differs
-# from ``x * x`` in the last bit for about 1 value in 1,200: the estimators have
-# always weighted by these bits
-_squared = np.frompyfunc(lambda value: value**2, 1, 1)
-
-
 def _opened(path_or_buffer, mode: str):
     """Open a path for CSV I/O, or pass an open buffer through unclosed."""
     if isinstance(path_or_buffer, (str, bytes)) or hasattr(path_or_buffer, "__fspath__"):
@@ -411,7 +405,6 @@ _KEY_DTYPES = {"drive": np.int8, "omega": float, "init": np.int8, "observable": 
 _LABELS = {"drive": DRIVE_AXES, "init": INITS, "observable": OBSERVABLES}
 _LABEL_ARRAYS = {name: np.array(labels, dtype=object) for name, labels in _LABELS.items()}
 _CODES = {name: {label: code for code, label in enumerate(labels)} for name, labels in _LABELS.items()}
-_NO_ROWS = np.empty(0, dtype=np.intp)
 # every column of the store: the key columns, the ShotRecord fields and the
 # variance that the estimators weight each expectation by
 _COLUMN_DTYPES = {**_KEY_DTYPES, **_VALUE_DTYPES, "expectation_variance": float}
@@ -470,23 +463,22 @@ def _keys(columns: dict, rows) -> list[MeasurementKey]:
     return list(map(MeasurementKey._make, zip(*(_listed(name, columns[name][rows]) for name in _KEY_DTYPES))))
 
 
-def _series_index(columns: dict) -> dict[tuple, np.ndarray]:
-    """Each ``(drive_axis, omega, init, observable)`` head of the keys of
-    ``columns`` -> the row indices of its points, ordered by time, from one
-    sort of every row; ValueError naming a key that two rows share."""
-    _, omega_index = np.unique(columns["omega"], return_inverse=True)
-    series = ((omega_index * len(DRIVE_AXES) + columns["drive"]) * len(INITS) + columns["init"]) * len(OBSERVABLES)
-    series += columns["observable"]
+def _series_codes(omega_index, drive, init, observable):
+    """Each series' code from its omega's index among the distinct omegas and its label codes."""
+    return ((omega_index * len(DRIVE_AXES) + drive) * len(INITS) + init) * len(OBSERVABLES) + observable
+
+
+def _series_index(columns: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct omegas of the key ``columns``, then every row's series code and index in
+    series-then-time order, from one sort of every row; ValueError naming a key that two rows share."""
+    omegas, omega_index = np.unique(columns["omega"], return_inverse=True)
+    series = _series_codes(omega_index, columns["drive"], columns["init"], columns["observable"])
     order = np.lexsort((columns["time"], series))
     series, times = series[order], columns["time"][order]
-    same = series[1:] == series[:-1]
-    repeated = np.flatnonzero(same & (times[1:] == times[:-1]))
+    repeated = np.flatnonzero((series[1:] == series[:-1]) & (times[1:] == times[:-1]))
     if repeated.size:
         raise ValueError(f"duplicate measurement key {_keys(columns, [order[repeated[0] + 1]])[0]}")
-    starts = np.flatnonzero(np.r_[True, ~same])
-    heads = _keys(columns, order[starts])
-    bounds = np.r_[starts, order.size].tolist()
-    return {head[:4]: order[start:stop] for head, start, stop in zip(heads, bounds, bounds[1:])}
+    return omegas, series, order
 
 
 def _codes(name: str, labels) -> list[int]:
@@ -507,8 +499,10 @@ class ShotDataset:
     ``expectation_variance``, the square of each row's
     :func:`expectation_std_error`, is derived from them on entry for the
     estimators to weight by.
-    A series index maps each ``(drive_axis, omega, init, observable)`` head
-    of a key to the row indices of its points, ordered by time.
+    The series index is the sorted arrays of one ``lexsort``: the distinct
+    omegas, and every row's series code and the rows, in series-then-time
+    order.  :meth:`series_rows` looks a grid of series up in it by one
+    ``searchsorted``; :meth:`series` is its one-key case.
 
     Rows enter a block at a time through :meth:`extend` (a campaign makes one
     call per job block), and are read a column or a series at a time through
@@ -523,7 +517,7 @@ class ShotDataset:
 
     def __init__(self):
         self._columns = {name: np.empty(0, dtype) for name, dtype in _COLUMN_DTYPES.items()}
-        self._series: dict[tuple, np.ndarray] = {}
+        self._series = _series_index(self._columns)
         self._texts: dict[str, list[str]] = {}
 
     def __len__(self) -> int:
@@ -535,7 +529,22 @@ class ShotDataset:
 
     def series(self, drive_axis: str, omega: float, init: str, observable: str) -> np.ndarray:
         """Row indices of one series, ordered by time; empty if it has no rows."""
-        return self._series.get((drive_axis, omega, init, observable), _NO_ROWS)
+        return self.series_rows([(drive_axis, init, observable)], [omega])[0, 0]
+
+    def series_rows(self, heads, omegas) -> np.ndarray:
+        """(heads, omegas, n) rows of each ``(drive_axis, init, observable)`` series at each omega, by
+        time and -1 past its end, n the longest length; an unknown label or omega off the grid has none."""
+        grid, codes, order = self._series
+        omegas = np.asarray(omegas, dtype=float)
+        index = np.searchsorted(grid, omegas)
+        on_grid = np.append(grid, np.nan)[index] == omegas  # NaN past the end equals nothing
+        labels = [[_CODES[name].get(label, -1) for name, label in zip(_LABELS, head)] for head in heads]
+        drive, init, observable = np.array(labels, dtype=np.intp).reshape(-1, 3).T[..., None]
+        wanted = _series_codes(index, drive, init, observable)
+        wanted[~(on_grid & (drive >= 0) & (init >= 0) & (observable >= 0))] = -1
+        start, stop = np.searchsorted(codes, [wanted, wanted + 1])
+        ramp = np.arange((stop - start).max(initial=0))
+        return np.where(ramp < (stop - start)[..., None], order.take(start[..., None] + ramp, mode="clip"), -1)
 
     def row(self, drive_axis: str, omega: float, init: str, observable: str, time: float) -> int:
         """Index of the row with this key; KeyError if there is none."""
@@ -571,7 +580,9 @@ class ShotDataset:
         _check_values(values)
         if not n:
             return
-        new["expectation_variance"] = _squared(expectation_std_error(values)).astype(float)
+        # a std error takes at most n_shots + 1 values: square each once
+        errors, inverse = np.unique(expectation_std_error(values), return_inverse=True)
+        new["expectation_variance"] = _mapped(_square, errors)[inverse]
         # the dataset takes the block only once its keys pass
         columns = {name: np.concatenate((column, new[name])) for name, column in self._columns.items()}
         self._series = _series_index(columns)

@@ -69,6 +69,15 @@ program's own output with a second route to the same number:
   from ``plan.aligned_times(omega)``, against ``protocols._plan_points``,
   which builds a block's points as (frequencies, points) code and time
   arrays.
+* :func:`pauli_expectations_reference` and :func:`check_states_reference`:
+  <sigma_u> as the real part of tr(sigma_u rho) by a stacked matmul and
+  trace, and the state check with ``np.linalg.eigvalsh`` on the Hermitian
+  part, against ``dynamics.expectations`` and ``dynamics.check_states``,
+  which read the same numbers from the 2x2 entries in closed form.
+* :func:`series_index_reference`: a dataset's series as a dict from
+  ``(drive_axis, omega, init, observable)`` to the rows ordered by time,
+  built one row at a time, against ``spam.ShotDataset.series_rows``, which
+  looks a grid of series up in sorted code arrays.
 * :func:`dsa_sample` and :func:`rad_per_us_to_mhz`: one-line shorthands for
   ``DSARealization(config, seed).trajectory(grid)`` and the inverse of
   ``spectra.mhz_to_rad_per_us``.
@@ -97,7 +106,10 @@ from slqns.dynamics import (
     DriveConfig,
     DriveRates,
     DynamicsError,
+    EIGENVALUE_TOL,
+    HERMITICITY_TOL,
     QubitState,
+    TRACE_TOL,
     ToyBathNoise,
     _product_in_order,
     _reduce_system,
@@ -116,7 +128,9 @@ from slqns.estimation import (
     single_axis_forward,
 )
 from slqns.noisegen import DSAConfig, DSARealization, NoiseTrajectory
-from slqns.spam import ShotDataset, SpamParams, expectation_std_error, outcome_probability
+from slqns.spam import (
+    DRIVE_AXES, INITS, OBSERVABLES, ShotDataset, SpamParams, expectation_std_error, outcome_probability,
+)
 from slqns.spectra import TWO_PI, DeviceParams, SphericalSpectraSet, Tabulated
 
 
@@ -562,6 +576,41 @@ def protocol_points(plan, omega: float) -> list[tuple]:
             points.append(("z+", "x+", "x", float(t), 1000 + j))
             points.append(("z+", "x-", "x", float(t), 1000 + j))
     return points
+
+
+# the Pauli matrices in the order of the observable codes, x, y, z
+PAULIS = np.array([SIGMA[axis] for axis in OBSERVABLES])
+
+
+def pauli_expectations_reference(matrices: np.ndarray, axes) -> np.ndarray:
+    """Re tr(sigma_axes[k] @ matrices[k]) of an (n, 2, 2) stack."""
+    return np.real(np.trace(PAULIS[np.asarray(axes, dtype=np.intp)] @ matrices, axis1=-2, axis2=-1))
+
+
+def check_states_reference(matrices: np.ndarray) -> None:
+    """The state check of an (n, 2, 2) stack with the general 2x2 algebra:
+    max |M - M^dagger| and ``np.linalg.eigvalsh`` of the Hermitian part."""
+    if not np.isfinite(matrices).all():
+        raise DynamicsError("state has non-finite entries")
+    trace = np.trace(matrices, axis1=-2, axis2=-1)
+    if np.max(np.abs(trace - 1.0)) > TRACE_TOL:
+        raise DynamicsError(f"state trace {trace[np.argmax(np.abs(trace - 1.0))]} differs from 1 beyond tolerance")
+    adjoint = np.conj(np.swapaxes(matrices, -1, -2))
+    if np.max(np.abs(matrices - adjoint)) > HERMITICITY_TOL:
+        raise DynamicsError("state is not Hermitian within tolerance")
+    lowest = np.linalg.eigvalsh(0.5 * (matrices + adjoint))[..., 0].min()
+    if lowest < -EIGENVALUE_TOL:
+        raise DynamicsError(f"state has negative eigenvalue {lowest}")
+
+
+def series_index_reference(dataset: ShotDataset) -> dict[tuple, list[int]]:
+    """``(drive_axis, omega, init, observable)`` -> the dataset rows of that
+    series, ordered by time, from the key columns one row at a time."""
+    columns = [dataset.column(name).tolist() for name in ("drive", "omega", "init", "observable", "time")]
+    index = {}
+    for row, (drive, omega, init, observable, time) in enumerate(zip(*columns)):
+        index.setdefault((DRIVE_AXES[drive], omega, INITS[init], OBSERVABLES[observable]), []).append((time, row))
+    return {head: [row for _, row in sorted(points)] for head, points in index.items()}
 
 
 def theoretical_autocorrelation(config: DSAConfig, tau) -> np.ndarray:
