@@ -108,7 +108,10 @@ _EIGENVECTORS = {
 def check_states(matrices: np.ndarray) -> None:
     """Raise :class:`DynamicsError` unless every matrix of an (n, 2, 2) stack is a state,
     in closed form: max|M - M^dagger| is max(2 |Im m00|, 2 |Im m11|, |m01 - conj m10|), and the
-    lower eigenvalue of the Hermitian part [[a, h], [h*, d]] is (a + d)/2 - hypot((a - d)/2, |h|)."""
+    lower eigenvalue of the Hermitian part [[a, h], [h*, d]] is (a + d)/2 - hypot((a - d)/2, |h|).
+    An empty stack passes."""
+    if not matrices.size:
+        return
     if not np.isfinite(matrices).all():
         raise DynamicsError("state has non-finite entries")
     m00, m01, m10, m11 = (matrices[..., i, j] for i in (0, 1) for j in (0, 1))

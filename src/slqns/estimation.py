@@ -32,10 +32,12 @@ a value: it leaves the other frequencies standing, and no grid call raises.
 the diagnostics the estimator computed on the way.  The numerics run once
 over the grid.  Every estimator reads the dataset as padded (frequencies,
 times) tables of series rows, -1 past a shorter series' end, from one
-:meth:`ShotDataset.series_rows` lookup.  Every straight-line fit of a pair
-block is one row of a stacked regression at its kept points
-(:func:`_kept_fits` over :func:`_linreg_stack`, whose one-row case is
-:func:`weighted_linreg`), :func:`robust_multi_axis` combines the fits in
+:meth:`ShotDataset.series_rows` lookup, one pair of ``spam.PAIRS`` at a
+time.  Every straight-line fit of a pair block is one row of a stacked
+regression at its kept points (:func:`_linreg_stack`, whose one-row case is
+:func:`weighted_linreg`), and :func:`_kept_fits` gathers them into one
+:class:`_Lines` table over the grid, whose row view is a
+:class:`RegressionResult`; :func:`robust_multi_axis` combines the fits in
 arrays (a failed frequency's entries are never read), and the delta-method
 inversions evaluate every central and bumped input in one array pass
 (:func:`_propagate`).  Data whose std errors are all 0 are exact: fitted
@@ -64,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import _decay_weight, _mapped, _square
-from .spam import MeasurementKey, ShotDataset
+from .spam import PAIRS, MeasurementKey, ShotDataset
 from .spectra import _warn
 
 __all__ = [
@@ -273,15 +275,24 @@ class RegressionResult:
 
 
 class _Lines(NamedTuple):
-    """Straight-line fits of the rows of a stack: arrays over the rows (NaN
-    where a row failed) and each row's EstimationError, or None."""
+    """Straight-line fits of the rows of a stack, or of the frequencies of a
+    grid: arrays over the rows (NaN where a row has no fit), each row's
+    residuals and weights at its points and its EstimationError, or None."""
 
     slope: np.ndarray       # (k,)
     intercept: np.ndarray   # (k,)
     covariance: np.ndarray  # (k, 2, 2)
-    residuals: np.ndarray   # (k, n)
-    weights: np.ndarray     # (k, n)
+    residuals: list         # (k, n) of a stack; of a grid, each row's at its kept points
+    weights: list           # likewise
     errors: list
+
+    @property
+    def slope_err(self) -> np.ndarray:
+        return np.sqrt(_nonnegative(self.covariance[:, 0, 0]))
+
+    @property
+    def intercept_err(self) -> np.ndarray:
+        return np.sqrt(_nonnegative(self.covariance[:, 1, 1]))
 
     def result(self, row: int) -> RegressionResult:
         """The fit of one row; its EstimationError if it failed."""
@@ -360,13 +371,9 @@ def _linreg_stack(x, y, sigma=None) -> _Lines:
 
 def weighted_linreg(x, y, sigma=None) -> RegressionResult:
     """Straight-line fit by normal equations: the one-row case of the stacked
-    regression (see :func:`_linreg_stack` for the covariance)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape or x.size < 2:
-        raise EstimationError("regression needs 1-D x, y of equal length >= 2")
+    regression (see :func:`_linreg_stack` for the covariance and the checks)."""
     sigma = None if sigma is None else np.asarray(sigma, dtype=float)[None]
-    return _linreg_stack(x[None], y[None], sigma).result(0)
+    return _linreg_stack(np.asarray(x, dtype=float)[None], np.asarray(y, dtype=float)[None], sigma).result(0)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +496,7 @@ def estimate_single_axis_standard(dataset: ShotDataset, omegas, duration: float)
     """Protocol-1 inversion with shot-noise error bars at every frequency of
     ``omegas``, from its two x-drive expectations at ``duration``."""
     omegas = list(omegas)
-    points = {"x_p": ("x", "x+", "x"), "x_m": ("x", "x-", "x")}
+    points = {name: _MULTI_AXIS_POINTS[name] for name in ("x_p", "x_m")}
     at = np.full(len(omegas), float(duration))
     inputs, variances, missing = _inversion_inputs(dataset, points, omegas, dict.fromkeys(points, at))
     values, errs, failures = _propagate(lambda e: _single_axis_rates(e, duration), inputs, variances)
@@ -525,42 +532,23 @@ class _TooFewPointsError(EstimationError):
     """A pair block keeps fewer than ``MIN_REGRESSION_POINTS`` times."""
 
 
-class _GridFits:
-    """Straight-line fits at every frequency of a grid, gathered from stacked
-    fits: (r,) arrays, NaN where a frequency has no fit, and each frequency's
-    EstimationError or None."""
-
-    def __init__(self, size: int):
-        self._values = np.full((4, size), np.nan)
-        self.slope, self.intercept, self.slope_err, self.intercept_err = self._values
-        self.errors = [None] * size
-        self._rows = {}  # frequency index -> (lines, row)
-
-    def add(self, index, lines: _Lines) -> None:
-        self.slope[index], self.intercept[index] = lines.slope, lines.intercept
-        self._values[2:, index] = np.sqrt(_nonnegative(np.diagonal(lines.covariance, axis1=1, axis2=2))).T
-        for row, i in enumerate(index.tolist()):
-            self.errors[i] = lines.errors[row]
-            self._rows[i] = (lines, row)
-
-    def result(self, i: int) -> RegressionResult:
-        """The fit at frequency i; its EstimationError if it has none."""
-        if self.errors[i] is not None:
-            raise self.errors[i]
-        lines, row = self._rows[i]
-        return lines.result(row)
-
-
-def _kept_fits(groups, keep, x, y, sigma) -> _GridFits:
+def _kept_fits(groups, keep, x, y, sigma) -> _Lines:
     """Straight-line fits of ``y`` against ``x``, (r, n) arrays, at the
-    ``keep`` points of each frequency of ``groups``: one stacked fit per
-    group of (frequency indices, kept-time count, exactness), weighted by
-    ``sigma`` unless the group is exact."""
-    fits = _GridFits(len(keep))
+    ``keep`` points of each frequency of ``groups``, as one table over the
+    grid (NaN where a frequency is in no group): one stacked fit per group of
+    (frequency indices, kept-time count, exactness), weighted by ``sigma``
+    unless the group is exact."""
+    r = len(keep)
+    fits = _Lines(np.full(r, np.nan), np.full(r, np.nan), np.full((r, 2, 2), np.nan),
+                  [None] * r, [None] * r, [None] * r)
     for index, m, exact in groups:
         kept = keep[index]
-        x_kept, y_kept = x[index][kept].reshape(-1, m), y[index][kept].reshape(-1, m)
-        fits.add(index, _linreg_stack(x_kept, y_kept, None if exact else sigma[index][kept].reshape(-1, m)))
+        lines = _linreg_stack(x[index][kept].reshape(-1, m), y[index][kept].reshape(-1, m),
+                              None if exact else sigma[index][kept].reshape(-1, m))
+        fits.slope[index], fits.intercept[index] = lines.slope, lines.intercept
+        fits.covariance[index] = lines.covariance
+        for i, residuals, weights, error in zip(index.tolist(), lines.residuals, lines.weights, lines.errors):
+            fits.residuals[i], fits.weights[i], fits.errors[i] = residuals, weights, error
     return fits
 
 
@@ -578,9 +566,10 @@ class _PairBlock:
     are all 0.  ``groups`` splits the fitted frequencies by
     (kept-time count, exactness) for :func:`_kept_fits`.  ``dropped[i]``
     holds the times dropped for a non-positive gap (empty where the series
-    failed).  ``fits.errors[i]`` is the EstimationError that fails frequency
-    i, before or in its fit.  The quantum fits are a method because their
-    regressor depends on the fitted slope.
+    failed).  ``fits`` is the grid's :class:`_Lines` table, and
+    ``fits.errors[i]`` the EstimationError that fails frequency i, before or
+    in its fit.  The quantum fits are a method because their regressor
+    depends on the fitted slope.
     """
 
     rows: np.ndarray         # (2, r, n)
@@ -594,9 +583,9 @@ class _PairBlock:
     mean_errs: np.ndarray    # (r, n) std errors of the means
     groups: list
     dropped: list
-    fits: _GridFits
+    fits: _Lines
 
-    def quantum_fits(self, regressor) -> _GridFits:
+    def quantum_fits(self, regressor) -> _Lines:
         """WLS of the preparation means against ``regressor(slope (r, 1), times
         (r, n))`` at the kept times of every fitted frequency."""
         with np.errstate(over="ignore", invalid="ignore"):
@@ -630,9 +619,7 @@ def _pair_block(dataset, drive_axis, omegas, inits, observable, *, half: bool = 
     with np.errstate(divide="ignore", invalid="ignore"):
         y, sigma = factor * np.log(2.0 / diffs), factor * root / diffs
     fits = _kept_fits(groups, keep, times, y, sigma)
-    for i, error in enumerate(errors):
-        if error is not None:
-            fits.errors[i] = error
+    fits.errors[:] = [error or fit_error for error, fit_error in zip(errors, fits.errors)]
     return _PairBlock(rows, valid, keep, times, expectation, variance, exact,
                       0.5 * (e_plus + e_minus), 0.5 * root, groups, dropped, fits)
 
@@ -658,7 +645,8 @@ def robust_single_axis_linearized(dataset: ShotDataset, omegas) -> EstimateTable
     ``block`` and lines.  The table also holds that fit's ``S-_{0,0}`` column.
     """
     omegas = list(omegas)
-    block = _pair_block(dataset, "x", omegas, ("x+", "x-"), "x")
+    drive_axis, inits, observable = PAIRS["x"]
+    block = _pair_block(dataset, drive_axis, omegas, inits, observable)
     classical, quantum = block.fits, block.quantum_fits(lambda slope, times: times)
     guard = np.max(classical.slope[:, None] * block.times, axis=1, where=block.valid, initial=-np.inf)
     absent = np.full(len(omegas), np.nan)
@@ -790,14 +778,10 @@ def robust_single_axis_nonlinear(table: EstimateTable) -> EstimateTable:
 # multi-axis estimators
 # ---------------------------------------------------------------------------
 
-# the points of the single-time multi-axis inversion, as pairs in check order:
+# the points of the single-time multi-axis inversion, the PAIRS in check order:
 # name -> (drive_axis, init, observable); the coherence pair "c" is optional
-_MULTI_AXIS_POINTS = {
-    "zp_p": ("z+", "z+", "z"), "zp_m": ("z+", "z-", "z"),
-    "zm_p": ("z-", "z+", "z"), "zm_m": ("z-", "z-", "z"),
-    "x_p": ("x", "x+", "x"), "x_m": ("x", "x-", "x"),
-    "c_p": ("z+", "x+", "x"), "c_m": ("z+", "x-", "x"),
-}
+_MULTI_AXIS_POINTS = {f"{name}_{sign}": (drive_axis, init, observable)
+                      for name, (drive_axis, inits, observable) in PAIRS.items() for sign, init in zip("pm", inits)}
 _MULTI_AXIS_COMPONENTS = ("S+_{1,-1}", "S-_{-1,1}", "S+_{-1,1}", "S-_{1,-1}", "A", "B", "S+_{0,0}", "S-_{0,0}", "S_{0,0}")
 
 
@@ -895,7 +879,7 @@ def _combine_inverse_variance(values, variances, present=True):
         return mean, np.where(exact, 0.0, np.sqrt(1.0 / total))
 
 
-def _first_errors(*grids: _GridFits) -> list:
+def _first_errors(*grids: _Lines) -> list:
     """Each frequency's first EstimationError among the fits of ``grids``, or None."""
     return [next((e for e in errors if e is not None), None) for errors in zip(*(g.errors for g in grids))]
 
@@ -946,10 +930,9 @@ def robust_multi_axis(
     """
     omegas = list(omegas)
     r = len(omegas)
-    zp = _pair_block(dataset, "z+", omegas, ("z+", "z-"), "z", half=True)
-    zm = _pair_block(dataset, "z-", omegas, ("z+", "z-"), "z", half=True)
-    x = _pair_block(dataset, "x", omegas, ("x+", "x-"), "x")
-    aligned = _pair_block(dataset, "z+", omegas, ("x+", "x-"), "x")
+    # the z observable's lines are halved
+    zp, zm, x, aligned = (_pair_block(dataset, drive_axis, omegas, inits, observable, half=observable == "z")
+                          for drive_axis, inits, observable in PAIRS.values())
     n_aligned = (aligned.rows[0] >= 0).sum(axis=1).tolist()
     errors = _first_errors(zp.fits, zm.fits, x.fits)
     skipped = [None] * r  # the _TooFewPointsError of a skipped aligned block

@@ -118,7 +118,7 @@ from .protocols import (
     TrajectoryBackend,
     run_plan,
 )
-from .spam import SpamParams, _float_text, _joined
+from .spam import SpamParams, _csv_row, _float_text, _joined, _json_row
 from .spectra import (
     DeviceParams,
     Lorentzian,
@@ -288,7 +288,10 @@ def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
 
     device_cfg = _require(config, "device", "config")
     qubit_mhz = _typed(_require(device_cfg, "qubit_frequency_MHz", "device"), float, "device.qubit_frequency_MHz")
-    device = DeviceParams(omega_q=mhz_to_rad_per_us(qubit_mhz))
+    try:
+        device = DeviceParams(omega_q=mhz_to_rad_per_us(qubit_mhz))
+    except SpectraError as exc:
+        raise ConfigError(f"invalid device block: {exc}") from exc
 
     spam_cfg = _object(config, "spam", {})
     spam_values = {
@@ -474,12 +477,7 @@ def _combine_spam(spam_rows: list[dict]) -> dict:
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n   ", ": "))
 
 # the fields of an estimates row in estimates.csv, and in report.json (sorted)
-# with the pieces that json.dumps(..., indent=1) lays out around them
 _ESTIMATE_FIELDS = ("component", "freq_label", "freq_rad_per_us", "omega_rad_per_us", "value", "std_error", "method")
-_ESTIMATE_JSON = (
-    '{\n   "component": ', ',\n   "freq_label": ', ',\n   "freq_rad_per_us": ', ',\n   "method": ',
-    ',\n   "omega_rad_per_us": ', ',\n   "std_error": ', ',\n   "value": ', '\n  }',
-)
 
 
 def _csv_field(text: str) -> str:
@@ -510,8 +508,9 @@ def _estimate_texts(rows, columns=None) -> tuple[str, str]:
         distinct = set(columns[name])
         json_texts[name] = list(map({label: json.dumps(label) for label in distinct}.__getitem__, columns[name]))
         csv_texts[name] = list(map({label: _csv_field(label) for label in distinct}.__getitem__, columns[name]))
-    return (_joined(_ESTIMATE_JSON, [json_texts[name] for name in sorted(_ESTIMATE_FIELDS)], "[\n  ", ",\n  ", "\n ]"),
-            _joined(("", *[","] * 6, "\r\n"), [csv_texts[name] for name in _ESTIMATE_FIELDS], header))
+    return (_joined(_json_row(_ESTIMATE_FIELDS), [json_texts[name] for name in sorted(_ESTIMATE_FIELDS)],
+                    "[\n  ", ",\n  ", "\n ]"),
+            _joined(_csv_row(_ESTIMATE_FIELDS), [csv_texts[name] for name in _ESTIMATE_FIELDS], header))
 
 
 def _report_text(report: dict, estimates: str) -> str:

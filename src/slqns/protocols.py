@@ -63,6 +63,7 @@ from .spam import (
     DRIVE_AXES,
     INITS,
     OBSERVABLES,
+    PAIRS,
     ShotColumns,
     ShotDataset,
     ShotRecord,
@@ -345,7 +346,7 @@ class TrajectoryBackend(Backend):
                 ensembles.append(dynamics.ensemble_expectation(
                     drive, noise, self._prepared[init], OBSERVABLES[observable], self.n_realizations,
                     derive_seed(seed, 0), dt))
-        means, std_errors = np.array(ensembles).T
+        means, std_errors = np.array(ensembles).reshape(-1, 2).T
         # squared by Python's float ** 2, whose bits the analytic variances have always had
         variances = _mapped(_square, self.spam.alpha_m * std_errors)
         return self._readout(means, variances, n_shots, [derive_seed(seed, 1) for seed in np.ravel(seeds)])
@@ -353,20 +354,14 @@ class TrajectoryBackend(Backend):
     measure = Backend.measure  # resolved here by the benchmark tracer
 
 
-# the (drive, init, observable) of the points at each plan time, and of the
-# coherence pair at each frame-aligned time of protocols 3 and 4
-_Z_POINTS = (("z+", "z+", "z"), ("z+", "z-", "z"), ("z-", "z+", "z"), ("z-", "z-", "z"))
-_X_POINTS = (("x", "x+", "x"), ("x", "x-", "x"))
-_ALIGNED_POINTS = (("z+", "x+", "x"), ("z+", "x-", "x"))
-
-
 def _plan_points(plan: ProtocolPlan, omegas) -> PointTable:
-    """The points of ``plan`` at each of ``omegas``: at each plan time ``j``,
-    the z-drive points of protocols 3 and 4 and then the x-drive points;
-    then, for protocols 3 and 4, the coherence pair at each frame-aligned
-    time of its frequency, all of them from one :func:`frame_aligned_times`
-    array."""
-    timed = (_Z_POINTS if plan.protocol_id in (3, 4) else ()) + _X_POINTS
+    """The points of ``plan`` at each of ``omegas``, each pair of
+    :data:`~slqns.spam.PAIRS` + preparation first: at each plan time ``j``,
+    the z-drive pairs of protocols 3 and 4 and then the x-drive pair; then,
+    for protocols 3 and 4, the coherence pair at each frame-aligned time of
+    its frequency, all of them from one :func:`frame_aligned_times` array."""
+    pairs = {name: [(drive, init, obs) for init in inits] for name, (drive, inits, obs) in PAIRS.items()}
+    timed, coherence = (pairs["zp"] + pairs["zm"] if plan.protocol_id in (3, 4) else []) + pairs["x"], pairs["c"]
     if plan.protocol_id in (3, 4) and plan.aligned_n:
         aligned = frame_aligned_times(omegas, plan.aligned_n)
     else:
@@ -374,10 +369,10 @@ def _plan_points(plan: ProtocolPlan, omegas) -> PointTable:
     n_times, n_aligned = len(plan.times), aligned.shape[1]
     plan_times = np.repeat(plan.times, len(timed))
     time = np.hstack((np.broadcast_to(plan_times, (len(omegas), plan_times.size)),
-                      np.repeat(aligned, len(_ALIGNED_POINTS), axis=1)))
+                      np.repeat(aligned, len(coherence), axis=1)))
     time_index = np.concatenate((np.repeat(np.arange(n_times), len(timed)),
-                                 np.repeat(1000 + np.arange(n_aligned), len(_ALIGNED_POINTS))))
-    return PointTable.of(timed * n_times + _ALIGNED_POINTS * n_aligned, time, time_index)
+                                 np.repeat(1000 + np.arange(n_aligned), len(coherence))))
+    return PointTable.of(timed * n_times + coherence * n_aligned, time, time_index)
 
 
 def _run_block(backend: Backend, plan: ProtocolPlan, omegas, omega_indices) -> ShotDataset:

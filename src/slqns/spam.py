@@ -53,6 +53,7 @@ __all__ = [
     "DRIVE_AXES",
     "INITS",
     "OBSERVABLES",
+    "PAIRS",
     "faulty_state",
     "outcome_probability",
     "sample_shots",
@@ -134,6 +135,10 @@ def outcome_probability(expectation, params: SpamParams):
 DRIVE_AXES = ("x", "z+", "z-")
 INITS = ("x+", "x-", "z+", "z-")
 OBSERVABLES = ("x", "y", "z")
+# each preparation pair that the protocols measure, in plan order: name ->
+# (drive, (+ preparation, - preparation), observable)
+PAIRS = {"zp": ("z+", ("z+", "z-"), "z"), "zm": ("z-", ("z+", "z-"), "z"),
+         "x": ("x", ("x+", "x-"), "x"), "c": ("z+", ("x+", "x-"), "x")}
 
 
 class MeasurementKey(NamedTuple):
@@ -458,21 +463,39 @@ def _joined(literals, columns, head: str = "", separator: str = "", tail: str = 
     return "".join(pieces)
 
 
+def _json_row(fields, quoted=()) -> list[str]:
+    """The literals of :func:`_joined` for the records of a list under a top-level key, as
+    ``json.dumps(..., sort_keys=True, indent=1)`` lays them out around the texts of their
+    ``fields``, sorted; the texts of the ``quoted`` fields stand between quotes."""
+    names = sorted(fields)
+    marks = ['"' if name in quoted else "" for name in names]
+    keys = [f'\n   "{name}": {mark}' for name, mark in zip(names, marks)]
+    return ["{" + keys[0], *(close + "," + key for close, key in zip(marks, keys[1:])), marks[-1] + "\n  }"]
+
+
+def _csv_row(fields) -> tuple:
+    """The literals of :func:`_joined` for the records of these ``fields`` as ``csv.writer``
+    writes them, each text quoted already where it needs to be."""
+    return ("", *[","] * (len(fields) - 1), "\r\n")
+
+
 def _keys(columns: dict, rows) -> list[MeasurementKey]:
     """The keys of ``rows`` of the key ``columns``."""
     return list(map(MeasurementKey._make, zip(*(_listed(name, columns[name][rows]) for name in _KEY_DTYPES))))
 
 
-def _series_codes(omega_index, drive, init, observable):
-    """Each series' code from its omega's index among the distinct omegas and its label codes."""
-    return ((omega_index * len(DRIVE_AXES) + drive) * len(INITS) + init) * len(OBSERVABLES) + observable
+def _series_codes(drive, omega_index, n_omegas: int, init, observable):
+    """Each series' code in MeasurementKey order: its drive code, its omega's index among the
+    ``n_omegas`` distinct omegas, its init and observable codes (int8 codes would overflow)."""
+    return ((drive.astype(np.intp) * n_omegas + omega_index) * len(INITS) + init) * len(OBSERVABLES) + observable
 
 
 def _series_index(columns: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct omegas of the key ``columns``, then every row's series code and index in
-    series-then-time order, from one sort of every row; ValueError naming a key that two rows share."""
+    series-then-time order, which is MeasurementKey order, from one sort of every row; ValueError
+    naming a key that two rows share."""
     omegas, omega_index = np.unique(columns["omega"], return_inverse=True)
-    series = _series_codes(omega_index, columns["drive"], columns["init"], columns["observable"])
+    series = _series_codes(columns["drive"], omega_index, omegas.size, columns["init"], columns["observable"])
     order = np.lexsort((columns["time"], series))
     series, times = series[order], columns["time"][order]
     repeated = np.flatnonzero((series[1:] == series[:-1]) & (times[1:] == times[:-1]))
@@ -501,7 +524,10 @@ class ShotDataset:
     estimators to weight by.
     The series index is the sorted arrays of one ``lexsort``: the distinct
     omegas, and every row's series code and the rows, in series-then-time
-    order.  :meth:`series_rows` looks a grid of series up in it by one
+    order.  A series code orders the drive, the omega, the init and the
+    observable as :class:`MeasurementKey` does, so the index's rows are also
+    in key order, the order that the writers and iteration use.
+    :meth:`series_rows` looks a grid of series up in it by one
     ``searchsorted``; :meth:`series` is its one-key case.
 
     Rows enter a block at a time through :meth:`extend` (a campaign makes one
@@ -511,7 +537,7 @@ class ShotDataset:
     write after an :meth:`extend`, and join each file from those columns.
     The per-record interface is a set of views over the same store:
     :meth:`add` and :meth:`merge` extend it; :meth:`get`, ``entries``
-    (key -> record, in insertion order), iteration (sorted by key) and
+    (key -> record, in insertion order), iteration (in key order) and
     :meth:`times` build their keys and records on demand.
     """
 
@@ -540,7 +566,7 @@ class ShotDataset:
         on_grid = np.append(grid, np.nan)[index] == omegas  # NaN past the end equals nothing
         labels = [[_CODES[name].get(label, -1) for name, label in zip(_LABELS, head)] for head in heads]
         drive, init, observable = np.array(labels, dtype=np.intp).reshape(-1, 3).T[..., None]
-        wanted = _series_codes(index, drive, init, observable)
+        wanted = _series_codes(drive, index, grid.size, init, observable)
         wanted[~(on_grid & (drive >= 0) & (init >= 0) & (observable >= 0))] = -1
         start, stop = np.searchsorted(codes, [wanted, wanted + 1])
         ramp = np.arange((stop - start).max(initial=0))
@@ -610,18 +636,14 @@ class ShotDataset:
         return dict(zip(_keys(self._columns, slice(None)), self.take(slice(None)).records()))
 
     def __iter__(self) -> Iterator[tuple[MeasurementKey, ShotRecord]]:
-        order = self._key_order()
+        order = self._series[2]
         return zip(_keys(self._columns, order), self.take(order).records())
-
-    def _key_order(self) -> np.ndarray:
-        """Row indices in MeasurementKey order; code order is label order."""
-        return np.lexsort([self.column(name) for name in reversed(_KEY_DTYPES)])
 
     def _sorted(self) -> dict[str, list[str]]:
         """Every :func:`_column_text` in key order, in the field order of
         datasets.csv, formatted at the first call after an :meth:`extend`."""
         if not self._texts:
-            order = self._key_order()
+            order = self._series[2]
             self._texts = {name: _column_text(name, self.column(name)[order]) for name in _KEY_DTYPES | _VALUE_DTYPES}
         return self._texts
 
@@ -630,12 +652,8 @@ class ShotDataset:
         "n_shots", "n_plus", "expectation", "variance", "analytic",
     )
 
-    # the pieces of a record as csv.writer lays it out around its _FIELDS
-    # columns: no label needs quoting, and the floats are written as their repr
-    _CSV_ROW = ("", *[","] * 9, "\r\n")
-
     def to_csv(self, path_or_buffer) -> None:
-        text = _joined(self._CSV_ROW, list(self._sorted().values()), ",".join(self._FIELDS) + "\r\n")
+        text = _joined(_csv_row(self._FIELDS), list(self._sorted().values()), ",".join(self._FIELDS) + "\r\n")
         with _opened(path_or_buffer, "w") as buffer:
             buffer.write(text)
 
@@ -657,14 +675,6 @@ class ShotDataset:
         )
         return dataset
 
-    # the pieces of a record as json.dumps(..., sort_keys=True, indent=1) lays
-    # it out around its columns, the _FIELDS sorted
-    _MANIFEST_ROW = (
-        '{\n   "T_us": ', ',\n   "analytic": ', ',\n   "axis": "', '",\n   "expectation": ',
-        ',\n   "init": "', '",\n   "n_plus": ', ',\n   "n_shots": ', ',\n   "obs": "',
-        '",\n   "omega_rad_per_us": ', ',\n   "variance": ', '\n  }',
-    )
-
     def to_manifest(self, **metadata) -> str:
         """JSON manifest: metadata plus every record, stably ordered; the text of
         ``json.dumps(..., sort_keys=True, indent=1)``.  The records are joined
@@ -676,8 +686,9 @@ class ShotDataset:
             return head
         columns = [texts for _, texts in sorted(zip(self._FIELDS, self._sorted().values()))]
         columns[1] = list(map({"0": "false", "1": "true"}.__getitem__, columns[1]))
+        literals = _json_row(self._FIELDS, quoted=("axis", "init", "obs"))
         # the records list is the last key: open up its "[]" at the tail
-        return _joined(self._MANIFEST_ROW, columns, head[: -len("[]\n}")] + "[\n  ", ",\n  ", "\n ]\n}")
+        return _joined(literals, columns, head[: -len("[]\n}")] + "[\n  ", ",\n  ", "\n ]\n}")
 
     def csv_text(self) -> str:
         buffer = io.StringIO()

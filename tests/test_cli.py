@@ -156,6 +156,19 @@ def test_validate_and_run_exit_with_config_error_on_a_bad_seed(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("qubit_mhz", [0.0, -5.0], ids=["zero", "negative"])
+def test_validate_and_run_exit_with_config_error_on_a_qubit_frequency_that_is_not_positive(tmp_path, capsys,
+                                                                                         qubit_mhz):
+    config = dict(copy.deepcopy(CLOSED_FORM_P4), device={"qubit_frequency_MHz": qubit_mhz})
+    omega_q = mhz_to_rad_per_us(qubit_mhz)
+    message = f"config error: invalid device block: omega_q must be finite and > 0, got {omega_q}\n"
+    assert main(["validate", write_config(tmp_path, config)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == message
+    assert run(tmp_path, config) == EXIT_CONFIG
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_exits_with_config_error_on_a_negative_seed_flag(tmp_path, capsys):
     path = write_config(tmp_path, CLOSED_FORM_P4)
     assert main(["run", path, "--seed", "-1", "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG

@@ -175,6 +175,7 @@ UNREFERENCED_MEMBERS = {
     "EstimateTable.outcomes",
     "QubitState.from_bloch",
     "QubitState.ket",
+    "ShotDataset.add",
     "ShotDataset.csv_text",
     "ShotDataset.entries",
     "ShotDataset.from_csv",

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from slqns import protocols, spam
-from slqns.dynamics import DynamicsError
+from slqns.dynamics import DynamicsError, check_states
 from slqns.harness import build_campaign
-from slqns.protocols import ClosedFormTclBackend, PlanError, ProtocolPlan, run_for_omega, run_plan
+from slqns.protocols import ClosedFormTclBackend, PlanError, PointTable, ProtocolPlan, run_for_omega, run_plan
 from slqns.spectra import DeviceParams, SphericalSpectraSet, Tabulated, mhz_to_rad_per_us
 from test_harness import CLOSED_FORM_P4, TRAJECTORY
 
@@ -145,3 +145,17 @@ def test_a_plan_takes_integral_floats_as_integers():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert len(run_plan(backend, plan)) == 6 * 3 + 2 * 2
+
+
+@pytest.mark.parametrize("analytic", [False, True], ids=["shot", "analytic"])
+@pytest.mark.parametrize("config", [CLOSED_FORM_P4, TRAJECTORY], ids=["closed-form", "trajectory"])
+def test_a_block_of_no_frequencies_gives_no_rows(config, analytic):
+    check_states(np.empty((0, 2, 2)))
+    backend = build_campaign(config, analytic=analytic).backend
+    table = PointTable.of([("x", "x+", "x"), ("z+", "z-", "z")], np.empty((0, 2)), -1)
+    values = backend.evaluate([], table, 100, np.empty((0, 2), dtype=np.uint64))
+    assert isinstance(values, spam.ShotColumns)
+    assert [column.shape for column in values] == [(0,)] * len(spam.ShotColumns._fields)
+    dataset = spam.ShotDataset()
+    dataset.extend([], [], [], [], [], values)
+    assert len(dataset) == 0

@@ -19,9 +19,16 @@ from hypothesis import strategies as st
 
 from slqns import dynamics, protocols
 from slqns.dynamics import DriveRates, DynamicsError
+from slqns.estimation import (
+    estimate_single_axis_standard,
+    invert_multi_axis,
+    robust_multi_axis,
+    robust_single_axis_linearized,
+    robust_single_axis_nonlinear,
+)
 from slqns.harness import build_campaign
 from slqns.protocols import ClosedFormTclBackend, PointTable, ProtocolPlan, run_plan
-from slqns.spam import DRIVE_AXES, INITS, OBSERVABLES
+from slqns.spam import DRIVE_AXES, INITS, OBSERVABLES, PAIRS
 from slqns.spectra import DeviceParams, SphericalSpectraSet, Tabulated, mhz_to_rad_per_us
 from oracles import protocol_points
 from test_harness import CLOSED_FORM_P4_ANALYTIC
@@ -66,7 +73,7 @@ def test_the_block_table_holds_the_points_of_the_tuple_reference(plan):
 
 
 def test_observable_codes_follow_the_order_of_the_pauli_matrices():
-    # expectations() indexes its stacked Pauli matrices by observable code
+    # expectations() picks each point's value by observable code, in SIGMA's order x, y, z
     assert OBSERVABLES == tuple(dynamics.SIGMA)
 
 
@@ -127,3 +134,37 @@ def test_warnings_and_the_first_error_of_a_campaign_keep_their_order():
     assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, STRAIN_3MHZ)] * 3 + [
         (UserWarning, STRAIN_7MHZ)
     ] * 3
+
+
+@pytest.mark.parametrize("protocol", [1, 2, 3, 4])
+def test_a_plan_measures_the_pairs_that_the_estimators_read(protocol):
+    # protocols 1 and 2 measure the x pair, 3 and 4 every pair, the coherence
+    # pair at the frame-aligned times
+    config = copy.deepcopy(CLOSED_FORM_P4_ANALYTIC)
+    config["protocol"] = protocol
+    if protocol in (1, 3):
+        config["plan"]["times_us"] = [12.0]
+    if protocol in (1, 2):
+        del config["plan"]["aligned_n"]
+    campaign = build_campaign(config)
+    plan, omega_q = campaign.plan, campaign.device.omega_q
+    omegas, t_max = list(plan.omegas), max(plan.times)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the secular strain of the 1 MHz drive
+        dataset = run_plan(campaign.backend, plan)
+        if protocol in (1, 2):
+            tables = [estimate_single_axis_standard(dataset, omegas, t_max)]
+            if protocol == 2:
+                tables.append(robust_single_axis_nonlinear(robust_single_axis_linearized(dataset, omegas)))
+        else:
+            aligned = plan.aligned_times(omegas)[:, 0 if protocol == 3 else -1]
+            tables = [invert_multi_axis(dataset, omegas, omega_q, t_max, aligned)]
+            if protocol == 4:
+                tables.append(robust_multi_axis(dataset, omegas, omega_q))
+    measured = set(zip(*(dataset.column(name).tolist() for name in ("drive", "init", "observable"))))
+    names = ["x"] if protocol in (1, 2) else list(PAIRS)
+    pairs = {(DRIVE_AXES.index(drive), INITS.index(init), OBSERVABLES.index(observable))
+             for drive, inits, observable in map(PAIRS.get, names) for init in inits}
+    assert measured == pairs
+    lacking = [str(error) for table in tables for error in table.errors if "dataset lacks" in str(error)]
+    assert lacking == []
