@@ -1,44 +1,17 @@
 """Campaign front-end: config loading, end-to-end runs, and report diffs.
 
 A campaign config is a single JSON document with MHz/us units at the
-boundary (internally everything is rad/us).  Schema sketch::
+boundary (internally everything is rad/us).  ``_SCHEMA`` lists its blocks and
+their keys, each with its kind and default; a key that it does not list is a
+config error at every level.  The ``backend`` block takes the keys of its
+``type``, and a spectrum model's ``params`` block those of its ``kind``.
 
-    {
-      "protocol": 2,
-      "seed": 1234,
-      "device": {"qubit_frequency_MHz": 4970.0},
-      "spam": {"alpha_sp": 1.0, "alpha_m": 0.96, "delta": 0.01},
-      "spectra": {
-        "dephasing": {
-          "model": {"kind": "Lorentzian",
-                    "params": {"peak_frequency_MHz": 0.6366, "correlation_time_us": 0.5}},
-          "scale": 1.0,
-          "quantum_lag_us": 0.3
-        },
-        "transverse": {"model": {"kind": "White", "params": {"level_per_us": 0.01}}}
-      },
-      "backend": {"type": "closed_form", "analytic": false},
-      "plan": {"omegas_MHz": [...], "times_us": [...], "aligned_n": [...],
-               "shots": 1000}
-    }
-
-Spectrum kinds: ``Lorentzian`` (peak_frequency_MHz, correlation_time_us),
-``White`` (level_per_us), ``Tabulated`` (frequency_grid_MHz, values_per_us).
 A model is a one-sided spectrum that both backends read at ``|omega|``: the
 dephasing block defines ``S+ = scale * model(|omega|)`` and ``S- = S+ *
 sin(lag * omega)``, a transverse block the classical (even) transverse spectra
 ``scale * model(|omega|)``.  A trajectory backend synthesizes noise from the
 dephasing block instead of evaluating it analytically, and validates the
-transverse block but does not simulate it; its block also takes
-``n_realizations`` (noise realizations averaged per point, >= 2, default
-400), ``n_omega`` (synthesis frequency bins, >= 2, default 512) and
-``bath_variant`` (``"main_text"``, the default, or ``"three_axis"``).
-
-Optional plan keys: ``aligned_n`` (frame-aligned indices n, T = 2 pi n /
-|Omega|, of the protocol 3/4 coherence block, which runs exactly when the
-list is non-empty), ``allow_low_frequency`` (admit drives below the 2.3 kHz
-exclusion window, default false) and ``long_time_threshold`` (minimum
-|Omega| T, default 10).
+transverse block but does not simulate it.
 
 Protocols 2 and 4 report SPAM parameters per frequency under
 ``spam_per_frequency`` and combined under ``spam``.  Each per-frequency row
@@ -152,13 +125,6 @@ class ConfigError(ValueError):
     """Campaign configuration is invalid."""
 
 
-def _require(mapping, key, context):
-    try:
-        return mapping[key]
-    except (KeyError, TypeError):
-        raise ConfigError(f"missing '{key}' in {context}") from None
-
-
 _KINDS = {int: "an integer", float: "a number", bool: "true or false"}
 
 
@@ -193,38 +159,104 @@ def _typed(value, kind, key):
     return kind(value)
 
 
-def _object(config, key, default):
-    """The ``key`` block of the config, which must be a JSON object when present."""
-    block = config.get(key, default)
+# a spectrum model kind -> the keys of its params block, and the model that the read params give
+_MODELS = {
+    "Lorentzian": ({"peak_frequency_MHz": (float, ...), "correlation_time_us": (float, ...)},
+                   lambda p: Lorentzian(omega0=mhz_to_rad_per_us(p["peak_frequency_MHz"]),
+                                        tc=p["correlation_time_us"])),
+    "White": ({"level_per_us": (float, ...)}, lambda p: White(level=p["level_per_us"])),
+    "Tabulated": ({"frequency_grid_MHz": ([float], ...), "values_per_us": ([float], ...)},
+                  lambda p: Tabulated(grid=tuple(map(mhz_to_rad_per_us, p["frequency_grid_MHz"])),
+                                      values=p["values_per_us"])),
+}
+_SPECTRUM = {
+    "model": ({
+        "kind": (({kind: {"params": (params, ...)} for kind, (params, _) in _MODELS.items()},
+                  "unknown spectrum kind {!r} in {}"), ...),
+        "params": ({}, ...),  # its keys are those that the kind picks
+    }, ...),
+    "scale": (float, 1.0),
+}
+
+# Every key of a campaign config: block -> key -> (kind, default), where ``...``
+# marks a required key.  A kind is int, float or bool, a list of one of these
+# ([float]), a nested block, or a pair (choices, message) for a label: its
+# value must be a key of choices, and picks choices[value], more keys of its
+# block; any other value is refused with the message.
+_SCHEMA = {
+    "protocol": (int, ...),
+    "seed": (int, 0),
+    "device": ({"qubit_frequency_MHz": (float, ...)}, ...),
+    "spam": ({"alpha_sp": (float, 1.0), "c_re": (float, 0.0), "c_im": (float, 0.0), "alpha_m": (float, 1.0),
+              "delta": (float, 0.0)}, {}),
+    "spectra": ({"dephasing": ({**_SPECTRUM, "quantum_lag_us": (float, 0.0)}, ...),
+                 "transverse": (_SPECTRUM, None)}, ...),  # a null transverse block is no block
+    "backend": ({
+        "type": (({
+            "closed_form": {},
+            # synthesis frequency bins (>= 2), realizations averaged per point (>= 2)
+            "trajectory": {"n_omega": (int, 512), "n_realizations": (int, 400), "bath_variant": (
+                ({variant.value: {} for variant in BathVariant}, "unknown bath_variant {!r}"), "main_text")},
+        }, "unknown backend type {!r}"), "closed_form"),
+        "analytic": (bool, False),
+    }, {}),
+    "plan": ({
+        "omegas_MHz": ([float], ...),
+        "times_us": ([float], ...),
+        # frame-aligned indices n, T = 2 pi n / |Omega|, of the protocol 3/4
+        # coherence block, which runs exactly when the list is non-empty
+        "aligned_n": ([int], ()),
+        "shots": (int, 1000),
+        "long_time_threshold": (float, 10.0),  # minimum |Omega| T
+        "allow_low_frequency": (bool, False),  # admit drives inside the 2.3 kHz exclusion window
+    }, ...),
+}
+
+
+def _read(block, schema, path=""):
+    """The values of the config ``block`` at ``path`` ("" for the whole
+    config) by ``schema``, with defaults filled in.  A ConfigError names a
+    block that is not a JSON object, then a key that the block does not take,
+    then a key that it lacks or that is of the wrong kind, in table order."""
+    name = path or "config"
     if not isinstance(block, dict):
-        raise ConfigError(f"{key} must be a JSON object, got {block!r}")
-    return block
+        raise ConfigError(f"{name} must be a JSON object, got {block!r}")
+    schema, keys = dict(schema), list(schema)
+    for key in keys:  # with the keys that labels add
+        kind, default = schema[key]
+        if isinstance(kind, tuple) and (key in block or default is not ...):
+            label, (choices, unknown) = block.get(key, default), kind
+            if not (isinstance(label, str) and label in choices):
+                raise ConfigError(unknown.format(label, name))
+            schema.update(choices[label])
+            keys += choices[label]
+    unknown = [key for key in block if key not in schema]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {name}; expected one of {', '.join(schema)}")
+    values = {}
+    for key, (kind, default) in schema.items():
+        if key not in block and default is ...:
+            # a model names itself, not its params block, as the one that lacks a param
+            raise ConfigError(f"missing '{key}' in {name.removesuffix('.params')}")
+        value, at = block.get(key, default), f"{path}.{key}" if path else key
+        if isinstance(kind, dict):
+            value = None if value is None and default is None else _read(value, kind, at)
+        elif isinstance(kind, list):
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{at} must be a list, got {value!r}")
+            value = tuple(_typed(item, kind[0], at) for item in value)
+        elif kind in (int, float, bool):
+            value = _typed(value, kind, at)
+        values[key] = value
+    return values
 
 
-def _typed_list(value, kind, key):
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{key} must be a list, got {value!r}")
-    return tuple(_typed(item, kind, key) for item in value)
-
-
-def _model_from_config(block, context):
-    kind = _require(block, "kind", context)
-    params = _require(block, "params", context)
-
-    def read(key, reader=_typed):
-        return reader(_require(params, key, context), float, f"{context}.params.{key}")
-
+def _model(block, path):
+    """The spectrum model of the read ``model`` block at ``path``."""
     try:
-        if kind == "Lorentzian":
-            return Lorentzian(omega0=mhz_to_rad_per_us(read("peak_frequency_MHz")), tc=read("correlation_time_us"))
-        if kind == "White":
-            return White(level=read("level_per_us"))
-        if kind == "Tabulated":
-            grid = [mhz_to_rad_per_us(f) for f in read("frequency_grid_MHz", _typed_list)]
-            return Tabulated(grid=tuple(grid), values=read("values_per_us", _typed_list))
+        return _MODELS[block["kind"]][1](block["params"])
     except SpectraError as exc:
-        raise ConfigError(f"invalid spectrum in {context}: {exc}") from exc
-    raise ConfigError(f"unknown spectrum kind {kind!r} in {context}")
+        raise ConfigError(f"invalid spectrum in {path}: {exc}") from exc
 
 
 @dataclass
@@ -251,31 +283,6 @@ def load_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
-def _scaled_model(block, context):
-    """(model, scale) of a spectrum block; the scale is not yet checked > 0."""
-    model = _model_from_config(_require(block, "model", context), f"{context}.model")
-    return model, _typed(block.get("scale", 1.0), float, f"{context}.scale")
-
-
-def _spectra(config):
-    """The validated ``spectra`` block: (model, scale, lag) of its dephasing
-    block, then (model, scale) of its transverse block or None."""
-    spectra = _require(config, "spectra", "config")
-    dephasing = _require(spectra, "dephasing", "spectra")
-    model, scale = _scaled_model(dephasing, "spectra.dephasing")
-    lag = _typed(dephasing.get("quantum_lag_us", 0.0), float, "spectra.dephasing.quantum_lag_us")
-    if scale <= 0.0:
-        raise ConfigError("spectra.dephasing.scale must be > 0")
-    if lag < 0.0:
-        raise ConfigError("spectra.dephasing.quantum_lag_us must be >= 0")
-    transverse = spectra.get("transverse")
-    if transverse is not None:
-        transverse = _scaled_model(transverse, "spectra.transverse")
-        if transverse[1] <= 0.0:
-            raise ConfigError("spectra.transverse.scale must be > 0")
-    return model, scale, lag, transverse
-
-
 def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
     """Construct and validate every campaign component from a config dict.
 
@@ -283,45 +290,28 @@ def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
     synthesis cutoff ``omega_max``, where the synthesized noise has no weight.
     The refusal has no margin beyond the cutoff: a drive just below it runs.
     """
-    protocol = _typed(_require(config, "protocol", "config"), int, "protocol")
-    master_seed = _typed(config.get("seed", 0) if seed is None else seed, int, "seed")
+    read = _read(config, _SCHEMA)
+    master_seed = read["seed"] if seed is None else _typed(seed, int, "seed")
 
-    device_cfg = _require(config, "device", "config")
-    qubit_mhz = _typed(_require(device_cfg, "qubit_frequency_MHz", "device"), float, "device.qubit_frequency_MHz")
     try:
-        device = DeviceParams(omega_q=mhz_to_rad_per_us(qubit_mhz))
+        device = DeviceParams(omega_q=mhz_to_rad_per_us(read["device"]["qubit_frequency_MHz"]))
     except SpectraError as exc:
         raise ConfigError(f"invalid device block: {exc}") from exc
 
-    spam_cfg = _object(config, "spam", {})
-    spam_values = {
-        key: _typed(spam_cfg.get(key, default), float, f"spam.{key}")
-        for key, default in (("alpha_sp", 1.0), ("c_re", 0.0), ("c_im", 0.0), ("alpha_m", 1.0), ("delta", 0.0))
-    }
+    spam_cfg = read["spam"]
     try:
-        spam = SpamParams(
-            alpha_sp=spam_values["alpha_sp"],
-            c_u=complex(spam_values["c_re"], spam_values["c_im"]),
-            alpha_m=spam_values["alpha_m"],
-            delta=spam_values["delta"],
-        )
+        spam = SpamParams(alpha_sp=spam_cfg["alpha_sp"], c_u=complex(spam_cfg["c_re"], spam_cfg["c_im"]),
+                          alpha_m=spam_cfg["alpha_m"], delta=spam_cfg["delta"])
     except ValueError as exc:
         raise ConfigError(f"invalid spam block: {exc}") from exc
 
-    plan_cfg = _require(config, "plan", "config")
-    omegas_mhz = _typed_list(_require(plan_cfg, "omegas_MHz", "plan"), float, "plan.omegas_MHz")
-    omegas = tuple(mhz_to_rad_per_us(f) for f in omegas_mhz)
+    plan_cfg = read["plan"]
+    omegas = tuple(mhz_to_rad_per_us(f) for f in plan_cfg["omegas_MHz"])
     try:
-        plan = ProtocolPlan(
-            protocol_id=protocol,
-            omegas=omegas,
-            times=_typed_list(_require(plan_cfg, "times_us", "plan"), float, "plan.times_us"),
-            aligned_n=_typed_list(plan_cfg.get("aligned_n", ()), int, "plan.aligned_n"),
-            n_shots=_typed(plan_cfg.get("shots", 1000), int, "plan.shots"),
-            seed=master_seed,
-            long_time_threshold=_typed(plan_cfg.get("long_time_threshold", 10.0), float, "plan.long_time_threshold"),
-            allow_low_frequency=_typed(plan_cfg.get("allow_low_frequency", False), bool, "plan.allow_low_frequency"),
-        )
+        plan = ProtocolPlan(protocol_id=read["protocol"], omegas=omegas, times=plan_cfg["times_us"],
+                            aligned_n=plan_cfg["aligned_n"], n_shots=plan_cfg["shots"], seed=master_seed,
+                            long_time_threshold=plan_cfg["long_time_threshold"],
+                            allow_low_frequency=plan_cfg["allow_low_frequency"])
     except PlanError as exc:
         raise ConfigError(f"invalid plan: {exc}") from exc
 
@@ -331,14 +321,20 @@ def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
         except SpectraError as exc:
             raise ConfigError(str(exc)) from exc
 
-    backend_cfg = _object(config, "backend", {"type": "closed_form"})
-    backend_kind = backend_cfg.get("type", "closed_form")
-    if analytic is None:
-        analytic = _typed(backend_cfg.get("analytic", False), bool, "backend.analytic")
-    use_analytic = bool(analytic)
-    if backend_kind not in ("closed_form", "trajectory"):
-        raise ConfigError(f"unknown backend type {backend_kind!r}")
-    model, scale, lag, transverse = _spectra(config)
+    backend_cfg = read["backend"]
+    backend_kind = backend_cfg["type"]
+    use_analytic = bool(backend_cfg["analytic"] if analytic is None else analytic)
+    dephasing, transverse = read["spectra"]["dephasing"], read["spectra"]["transverse"]
+    scale, lag = dephasing["scale"], dephasing["quantum_lag_us"]
+    model = _model(dephasing["model"], "spectra.dephasing.model")
+    if scale <= 0.0:
+        raise ConfigError("spectra.dephasing.scale must be > 0")
+    if lag < 0.0:
+        raise ConfigError("spectra.dephasing.quantum_lag_us must be >= 0")
+    if transverse is not None:
+        transverse = _model(transverse["model"], "spectra.transverse.model"), transverse["scale"]
+        if transverse[1] <= 0.0:
+            raise ConfigError("spectra.transverse.scale must be > 0")
 
     if backend_kind == "closed_form":
         spectra = dephasing_spectra(model, scale, lag)
@@ -346,8 +342,7 @@ def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
             spectra = spectra.with_transverse(even_spectrum(*transverse))
         backend = ClosedFormTclBackend(spectra, device, spam, analytic=use_analytic)
     else:
-        n_omega = _typed(backend_cfg.get("n_omega", 512), int, "backend.n_omega")
-        n_realizations = _typed(backend_cfg.get("n_realizations", 400), int, "backend.n_realizations")
+        n_omega, n_realizations = backend_cfg["n_omega"], backend_cfg["n_realizations"]
         if n_realizations < 2:
             raise ConfigError(f"backend.n_realizations must be >= 2, got {n_realizations}")
         try:
@@ -359,20 +354,15 @@ def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
             dsa = default_dsa_config(model, n_omega=n_omega)
         except ValueError as exc:
             raise ConfigError(f"invalid trajectory backend: {exc}") from exc
-        for f_mhz, omega in zip(omegas_mhz, omegas):
+        for f_mhz, omega in zip(plan_cfg["omegas_MHz"], omegas):
             if abs(omega) >= dsa.omega_max:
                 raise ConfigError(
                     f"trajectory drive |Omega| = {abs(f_mhz):g} MHz is at or above the noise synthesis "
                     f"cutoff {dsa.omega_max / (2.0 * math.pi):.4g} MHz"
                 )
-        variant = backend_cfg.get("bath_variant", "main_text")
-        try:
-            variant = BathVariant(variant)
-        except ValueError:
-            raise ConfigError(f"unknown bath_variant {variant!r}") from None
         backend = TrajectoryBackend(
             dsa,
-            BathConfig(lag, variant),
+            BathConfig(lag, BathVariant(backend_cfg["bath_variant"])),
             spam,
             n_realizations=n_realizations,
             analytic=use_analytic,
@@ -381,17 +371,8 @@ def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
     digest = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode() + str(master_seed).encode()
     ).hexdigest()
-    return Campaign(
-        protocol=protocol,
-        seed=master_seed,
-        device=device,
-        spam=spam,
-        plan=plan,
-        backend=backend,
-        backend_kind=backend_kind,
-        analytic=use_analytic,
-        config_digest=digest,
-    )
+    return Campaign(protocol=read["protocol"], seed=master_seed, device=device, spam=spam, plan=plan, backend=backend,
+                    backend_kind=backend_kind, analytic=use_analytic, config_digest=digest)
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +600,8 @@ def compare_reports(report_a: dict, report_b: dict) -> list[dict]:
     values agree, and an infinity of the sign of the difference where they
     differ with both std errors 0 (as on analytic standard rows).  Refuses,
     with a ValueError, a report without an ``estimates`` list of rows that
-    hold every compared field, and reports whose (component, omega, freq)
-    grids differ.
+    hold every compared field, a report that lists a (component, method,
+    omega, freq) twice, and reports whose grids differ.
     """
     def keyed(report):
         rows = report.get("estimates") if isinstance(report, dict) else None
@@ -632,6 +613,8 @@ def compare_reports(report_a: dict, report_b: dict) -> list[dict]:
                                                   for name, kind in _COMPARED_FIELDS.items())):
                 raise ValueError(f"not an estimates row: {row!r}")
             key = (row["component"], row["method"], row["omega_rad_per_us"], row["freq_rad_per_us"])
+            if key in table:
+                raise ValueError(f"duplicate estimates row {key!r}")
             table[key] = (row["value"], row["std_error"])
         return table
 

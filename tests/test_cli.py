@@ -134,7 +134,10 @@ def test_compare_exits_with_config_error_on_different_grids(reports, capsys):
     ('{"estimates": [3]}', "not an estimates row: 3"),
     ('{"estimates": [{"component": "A", "method": "standard", "omega_rad_per_us": 6.0, "freq_rad_per_us": 6.0, '
      '"value": true, "std_error": 0.1}]}', "not an estimates row: {'component': 'A'"),
-], ids=["a-list", "estimates-a-number", "row-without-component", "row-a-number", "value-a-boolean"])
+    ('{"estimates": [' + ", ".join(['{"component": "A", "method": "standard", "omega_rad_per_us": 6.0, '
+                                    f'"freq_rad_per_us": 6.0, "value": {v}, "std_error": 0.1}}' for v in (1.0, 5.0)])
+     + ']}', "duplicate estimates row ('A', 'standard', 6.0, 6.0)"),
+], ids=["a-list", "estimates-a-number", "row-without-component", "row-a-number", "value-a-boolean", "duplicate-row"])
 def test_compare_exits_with_config_error_on_json_that_is_not_a_report(reports, tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -288,12 +291,88 @@ def test_validate_exits_with_config_error_on_each_plan_refusal(tmp_path, capsys,
 
 @pytest.mark.parametrize("value", [5, "elsewhere"])
 def test_an_output_dir_config_key_writes_no_files(tmp_path, monkeypatch, capsys, value):
-    # only --out-dir names the output directory
+    # only --out-dir names the output directory; the config key is refused
     monkeypatch.chdir(tmp_path)
     config = dict(copy.deepcopy(CLOSED_FORM_P4_ANALYTIC), output_dir=value)
     path = write_config(tmp_path, config)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert main(["run", path]) == EXIT_OK
-    assert "outputs written" not in capsys.readouterr().out
+        assert main(["run", path]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "outputs written" not in captured.out
+    assert captured.err.startswith("config error: unknown key 'output_dir' in config; expected one of ")
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+MISSING = object()  # delete the key instead of setting it
+
+TABULATED_MODEL = {"kind": "Tabulated", "params": {"frequency_grid_MHz": [0.0, 20.0, 40.0],
+                                                   "values_per_us": [0.03, 0.05, 0.0]}}
+
+# a config with one defect -> the whole stderr of ``slqns validate``; <path> is the config file
+ONE_DEFECT = {
+    **{f"no-{key}": (CLOSED_FORM_P4, (key,), MISSING, f"missing '{key}' in config")
+       for key in ("protocol", "device", "spectra", "plan")},
+    "no-qubit-frequency": (CLOSED_FORM_P4, ("device", "qubit_frequency_MHz"), MISSING,
+                           "missing 'qubit_frequency_MHz' in device"),
+    "no-omegas": (CLOSED_FORM_P4, ("plan", "omegas_MHz"), MISSING, "missing 'omegas_MHz' in plan"),
+    "no-times": (CLOSED_FORM_P4, ("plan", "times_us"), MISSING, "missing 'times_us' in plan"),
+    "no-dephasing": (CLOSED_FORM_P4, ("spectra", "dephasing"), MISSING, "missing 'dephasing' in spectra"),
+    "no-dephasing-model": (CLOSED_FORM_P4, ("spectra", "dephasing", "model"), MISSING,
+                           "missing 'model' in spectra.dephasing"),
+    "no-kind": (CLOSED_FORM_P4, ("spectra", "dephasing", "model", "kind"), MISSING,
+                "missing 'kind' in spectra.dephasing.model"),
+    "no-params": (CLOSED_FORM_P4, ("spectra", "dephasing", "model", "params"), MISSING,
+                  "missing 'params' in spectra.dephasing.model"),
+    "no-correlation-time": (CLOSED_FORM_P4, ("spectra", "dephasing", "model", "params", "correlation_time_us"),
+                            MISSING, "missing 'correlation_time_us' in spectra.dephasing.model"),
+    "no-peak-frequency": (CLOSED_FORM_P4, ("spectra", "dephasing", "model", "params", "peak_frequency_MHz"),
+                          MISSING, "missing 'peak_frequency_MHz' in spectra.dephasing.model"),
+    "no-transverse-model": (CLOSED_FORM_P4, ("spectra", "transverse", "model"), MISSING,
+                            "missing 'model' in spectra.transverse"),
+    "no-white-level": (CLOSED_FORM_P4, ("spectra", "transverse", "model", "params", "level_per_us"), MISSING,
+                       "missing 'level_per_us' in spectra.transverse.model"),
+    "no-tabulated-values": (dict(CLOSED_FORM_P4, spectra=dict(CLOSED_FORM_P4["spectra"], dephasing={
+        "model": TABULATED_MODEL})), ("spectra", "dephasing", "model", "params", "values_per_us"), MISSING,
+        "missing 'values_per_us' in spectra.dephasing.model"),
+    "lorentzian-params": (CLOSED_FORM_P4, ("spectra", "dephasing", "model", "params", "correlation_time_us"), -0.5,
+                          "invalid spectrum in spectra.dephasing.model: Lorentzian tc must be finite and > 0, got -0.5"),
+    "white-params": (CLOSED_FORM_P4, ("spectra", "transverse", "model", "params", "level_per_us"), -0.01,
+                     "invalid spectrum in spectra.transverse.model: White level must be finite and >= 0, got -0.01"),
+    "tabulated-params": (CLOSED_FORM_P4, ("spectra", "dephasing", "model"),
+                         dict(TABULATED_MODEL, params=dict(TABULATED_MODEL["params"], frequency_grid_MHz=[0.0, 20.0])),
+                         "invalid spectrum in spectra.dephasing.model: "
+                         "Tabulated grid/values must be 1-D with matching length >= 2"),
+    "spectrum-kind": (CLOSED_FORM_P4, ("spectra", "dephasing", "model", "kind"), "Gaussian",
+                      "unknown spectrum kind 'Gaussian' in spectra.dephasing.model"),
+    "spam-block": (CLOSED_FORM_P4, ("spam", "alpha_m"), 1.5, "invalid spam block: require alpha_m, delta in [0, 1]"),
+    "drive-too-strong": (CLOSED_FORM_P4, ("plan", "omegas_MHz"), [14.0, 60.0],
+                         "|Omega|/omega_q = 0.0121 exceeds 0.01; drive too strong for this device"),
+    "backend-type": (CLOSED_FORM_P4, ("backend", "type"), "exact", "unknown backend type 'exact'"),
+    "bath-variant": (TRAJECTORY, ("backend", "bath_variant"), "six_axis", "unknown bath_variant 'six_axis'"),
+    "unreadable": (None, None, MISSING, "cannot read config <path>: [Errno 2] No such file or directory: '<path>'"),
+    "invalid-json": (None, None, '{"protocol": 4,}',
+                     "config <path> is not valid JSON: Expecting property name enclosed in double quotes: "
+                     "line 1 column 16 (char 15)"),
+}
+
+
+@pytest.mark.parametrize("name", ONE_DEFECT)
+def test_validate_names_the_one_defect_of_a_config(tmp_path, capsys, name):
+    base, path, value, message = ONE_DEFECT[name]
+    config_path = tmp_path / "config.json"
+    if base is None:
+        if value is not MISSING:
+            config_path.write_text(value)
+    else:
+        config = copy.deepcopy(base)
+        target = config
+        for key in path[:-1]:
+            target = target[key]
+        if value is MISSING:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        write_config(tmp_path, config)
+    assert main(["validate", str(config_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: " + message.replace("<path>", str(config_path)) + "\n"

@@ -509,3 +509,18 @@ def test_drive_rates_flag_exactly_the_three_strained_drives_of_the_wide_sweep():
         pairs += [(axis, k) for k in range(len(omegas)) if fired(rates, k)]
     assert len(pairs) == 3
     assert flagged == pairs
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ensemble_expectation(None, None, QubitState.ket("x", +1), "x", 1, 0, 0.01),
+     "ensemble needs at least 2 realizations"),
+    (lambda: frame_aligned_times(0.0, [1, 2]), "frame alignment requires a nonzero drive amplitude"),
+    (lambda: frame_aligned_times([3.0, 0.0], [1]), "frame alignment requires a nonzero drive amplitude"),
+    (lambda: frame_aligned_times(3.0, [0, 2]), "alignment indices must be integers >= 1"),
+    (lambda: frame_aligned_times(3.0, []), "alignment indices must be integers >= 1"),
+    (lambda: QubitState(np.eye(3) / 3.0), "qubit state must be 2x2, got shape (3, 3)"),
+], ids=["one-realization", "zero-amplitude", "a-zero-amplitude", "n-zero", "no-n", "not-2x2"])
+def test_the_dynamics_inputs_are_checked(call, message):
+    with pytest.raises(DynamicsError) as exc:
+        call()
+    assert str(exc.value) == message

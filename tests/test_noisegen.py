@@ -234,3 +234,28 @@ class TestGaussianityAndAutocorrelation:
         exkurt = np.mean(x**4) - 3.0
         assert abs(skew) < 5.0 * np.sqrt(6.0 / n)
         assert abs(exkurt) < 5.0 * np.sqrt(24.0 / n)
+
+
+GOOD_TIMES = [0.0, 1.0, 2.0]
+CUTOFF_CONFIG = DSAConfig(LOR, omega_max=100.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: noisegen.NoiseTrajectory(np.zeros((2, 2)), np.zeros((2, 2)), 0, CUTOFF_CONFIG),
+     "times/samples must be 1-D arrays of equal length"),
+    (lambda: noisegen.NoiseTrajectory(GOOD_TIMES, [0.0, 1.0], 0, CUTOFF_CONFIG),
+     "times/samples must be 1-D arrays of equal length"),
+    (lambda: noisegen.NoiseTrajectory([], [], 0, CUTOFF_CONFIG), "time grid must be non-empty"),
+    (lambda: noisegen.NoiseTrajectory([0.0, 2.0, 1.0], [0.0] * 3, 0, CUTOFF_CONFIG),
+     "time grid must be strictly increasing"),
+    (lambda: noisegen.NoiseTrajectory(GOOD_TIMES, [0.0, np.nan, 1.0], 0, CUTOFF_CONFIG), "samples must be finite"),
+    (lambda: DSAConfig(LOR, omega_max=0.0), "omega_max must be finite and > 0, got 0.0"),
+    (lambda: DSAConfig(LOR, omega_max=np.inf), "omega_max must be finite and > 0, got inf"),
+    (lambda: BathConfig(-0.1), "lag_gamma must be finite and >= 0, got -0.1"),
+    (lambda: target_spectra(CUTOFF_CONFIG, -0.1, BathVariant.MAIN_TEXT), "gamma must be >= 0"),
+], ids=["trajectory-2d", "trajectory-lengths", "trajectory-empty", "trajectory-not-increasing",
+        "trajectory-non-finite", "omega-max-zero", "omega-max-infinite", "negative-lag", "negative-gamma"])
+def test_the_noise_constructors_refuse_bad_input(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -177,3 +177,18 @@ def test_from_csv_reproduces_the_pinned_datasets_csv(twin_datasets):
     back = ShotDataset.from_csv(io.StringIO(text))
     assert back.csv_text() == text
     assert back.entries == twin_datasets["p4-wide-twin"].entries
+
+
+@pytest.mark.parametrize("columns, message", [
+    (([0, 0], [6.0], [2, 2], [2, 2], [1.0, 2.0]), "dataset columns must be 1-D and of equal length"),
+    (([[0]], [[6.0]], [[2]], [[2]], [[1.0]]), "dataset columns must be 1-D and of equal length"),
+    (([3], [6.0], [2], [2], [1.0]), "drive codes must lie in [0, 3)"),
+    (([0], [6.0], [-1], [2], [1.0]), "init codes must lie in [0, 4)"),
+    (([0], [6.0], [2], [3], [1.0]), "observable codes must lie in [0, 3)"),
+], ids=["unequal-lengths", "two-dimensional", "drive-code", "init-code", "observable-code"])
+def test_extend_refuses_a_block_of_bad_columns(columns, message):
+    dataset = ShotDataset()
+    with pytest.raises(ValueError) as exc:
+        dataset.extend(*columns, ShotColumns.from_counts(1000, np.full(np.shape(columns[-1]), 500)))
+    assert str(exc.value) == message
+    assert len(dataset) == 0

@@ -115,3 +115,23 @@ class TestSphericalSpectraSet:
             plus = spectra.s_plus(0, 0, omega)
             minus = spectra.s_minus(0, 0, omega)
             assert (plus + minus) / 2.0 == pytest.approx(spectra.value(0, 0, omega), rel=1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Lorentzian(omega0=-1.0, tc=0.5), "Lorentzian omega0 must be finite and >= 0, got -1.0"),
+    (lambda: Lorentzian(omega0=np.nan, tc=0.5), "Lorentzian omega0 must be finite and >= 0, got nan"),
+    (lambda: Tabulated(grid=(0.0, 1.0), values=(1.0,)), "Tabulated grid/values must be 1-D with matching length >= 2"),
+    (lambda: Tabulated(grid=(0.0,), values=(1.0,)), "Tabulated grid/values must be 1-D with matching length >= 2"),
+    (lambda: Tabulated(grid=((0.0, 1.0), (2.0, 3.0)), values=(1.0,) * 4),
+     "Tabulated grid/values must be 1-D with matching length >= 2"),
+    (lambda: Tabulated(grid=(0.0, 1.0, np.inf), values=(1.0,) * 3), "Tabulated grid/values must be finite"),
+    (lambda: Tabulated(grid=(0.0, 1.0), values=(1.0, np.nan)), "Tabulated grid/values must be finite"),
+    (lambda: SphericalSpectraSet({(0, 2): LOR}), "spherical indices must be in {-1,0,1}, got (0, 2)"),
+    (lambda: SphericalSpectraSet({}), "spectra set must contain at least one component"),
+    (lambda: SphericalSpectraSet({(0, 0): 5}), "component 5 is neither a SpectrumModel nor a callable"),
+], ids=["omega0-negative", "omega0-nan", "lengths", "one-point", "two-dimensional", "grid-infinite",
+        "values-nan", "bad-index", "no-components", "bad-component"])
+def test_the_spectrum_constructors_refuse_bad_input(call, message):
+    with pytest.raises(SpectraError) as exc:
+        call()
+    assert str(exc.value) == message
