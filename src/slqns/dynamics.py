@@ -10,10 +10,13 @@ Two independent routes to the same observables:
   (one bath qubit, :class:`ToyBathNoise`) is the only noise model it
   propagates.  A z drive conserves sigma_z x I, and an x drive conserves the
   parity P = sigma_x x tau_z when b_z is zero at every step (the main-text
-  bath), so both propagate two 2x2 blocks; an x drive with b_z != 0 (the
-  three-axis bath) mixes the parity sectors and propagates 4x4 steps.  An
-  ensemble propagates its realizations in chunks, each with one step build
-  and one time-ordered product.
+  bath), so both propagate two 2x2 blocks, the x drive's SU(2) blocks as
+  their first columns alone; an x drive with b_z != 0 (the three-axis bath)
+  mixes the parity sectors and propagates 4x4 steps.  An ensemble reads its
+  noise as one block, one row per realization (several blocks when it would
+  outgrow ``ENSEMBLE_BLOCK_BYTES``), checks its step once per block, and
+  propagates its realizations in chunks, each with one step build and one
+  time-ordered product.
 
 Conventions.  Everything lives in the frame co-rotating with the qubit
 splitting ``omega_q`` (the RWA has already been applied); a constant drive
@@ -572,11 +575,16 @@ def _steps(duration: float, dt: float) -> tuple[int, float, np.ndarray]:
 
 
 # Step storage that one chunk of realizations may hold.  A realization stores
-# at most one 4x4 complex step per step of its trajectory (the parity and z
-# paths store two 2x2 blocks, half of that).  A chunk's peak working memory is
-# its step storage and the first level of the product, half as much again;
-# beyond a few MiB the chunk outgrows the cache and the product slows down.
-CHUNK_STEP_BYTES = 3 << 20
+# at most one 4x4 complex step, 16 complex numbers, per step of its trajectory.
+# The z path stores two 2x2 blocks, 8, and its peak working memory is that and
+# the first level of the product, half as much again.  The x drive's parity
+# path stores the first columns of its two blocks, 4: 8 in all with the second
+# columns of each pair's later step and the first level (see _Workspace).
+# Beyond a few MiB the chunk outgrows the cache and the product slows down;
+# below that, the budget sets the workspace that an evaluation block keeps.
+# On a 2-vCPU Xeon VM, 2 MiB ran the bench's trajectory workload 3 % slower
+# than 3 MiB, with 1.2 MB less peak memory.
+CHUNK_STEP_BYTES = 2 << 20
 _STEP_BYTES = 16 * np.dtype(complex).itemsize
 
 
@@ -584,6 +592,19 @@ def _chunk_size(n_steps: int) -> int:
     """Realizations per chunk at a point of ``n_steps`` steps: as many as
     :data:`CHUNK_STEP_BYTES` holds, and at least one."""
     return max(1, CHUNK_STEP_BYTES // (n_steps * _STEP_BYTES))
+
+
+# Noise that one block of an ensemble's realizations may hold: its samples and
+# its coefficients at the step midpoints, about 3 floats per step and
+# realization.  A larger ensemble is sampled and propagated block by block.
+ENSEMBLE_BLOCK_BYTES = 4 << 20
+_NOISE_STEP_BYTES = 3 * np.dtype(float).itemsize
+
+
+def _block_size(n_steps: int) -> int:
+    """Realizations per noise block at a point of ``n_steps`` steps: as many
+    as :data:`ENSEMBLE_BLOCK_BYTES` holds, and at least one."""
+    return max(1, ENSEMBLE_BLOCK_BYTES // (n_steps * _NOISE_STEP_BYTES))
 
 
 def _product_in_order(mats: np.ndarray) -> np.ndarray:
@@ -612,10 +633,14 @@ def _product_in_order(mats: np.ndarray) -> np.ndarray:
 
 
 def _cos_sinc(lam: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """cos(lam dt) and sin(lam dt) / lam (-> dt at lam = 0)."""
+    """cos(lam dt) and sin(lam dt) / lam (-> dt at lam = 0), computed in
+    place so that a chunk holds few temporaries of its size."""
     phase = lam * dt
-    sinc = np.where(lam > 0.0, np.sin(phase) / np.where(lam > 0.0, lam, 1.0), dt)
-    return np.cos(phase), sinc
+    sinc = np.sin(phase)
+    positive = lam > 0.0
+    sinc /= np.where(positive, lam, 1.0)
+    sinc[~positive] = dt
+    return np.cos(phase, out=phase), sinc
 
 
 def _x_drive_unitaries_bath(omega_eff: float, b: tuple, dt: float) -> np.ndarray:
@@ -692,19 +717,78 @@ _X_PARITY_BASIS = np.array(
 ) / math.sqrt(2.0)
 
 
-def _x_drive_blocks(omega_eff: float, b: tuple, dt: float) -> np.ndarray:
-    """The P = +1 and P = -1 blocks of the x drive's step unitaries through
-    a toy bath with b_z = 0, in the columns of :data:`_X_PARITY_BASIS`, for
-    coefficient arrays of shape (..., n), as the (2, ..., n, 2, 2) view of
-    (2, 2, 2, ..., n) storage.  b_z is not read: with b_z != 0 the step does
-    not conserve P."""
+def _x_drive_columns(omega_eff: float, bx: np.ndarray, by: np.ndarray, dt: float, out: np.ndarray) -> None:
+    """Write into ``out``, (2, 2, c, n) storage, the first columns (a, b) of
+    the P = +1 and P = -1 blocks of the x drive's step unitaries through a
+    toy bath with b_z = 0, in the columns of :data:`_X_PARITY_BASIS`, for
+    (c, n) coefficient arrays: the entries that :func:`_su2_steps` gives
+    these blocks, with the same bits."""
     # in the two blocks H = +-(W/2) sz + m_x sx + m_y sy, m = (bx, by)/2, with
-    # the 4x4 step's lam, so U = cos(lam dt) I - i sinc H in each
-    bx, by, _ = b
+    # the 4x4 step's lam, so U = cos(lam dt) I - i sinc H in each: a = cos -+
+    # i sinc W/2, and b = sinc (m_y - i m_x) in both
+    # Each entry is computed from fresh arrays, never from another view of
+    # ``out``: numpy 2.4 writes the wrong elements when a unary ufunc maps a
+    # (c, 1) float view with 64-byte rows onto such a view.  -(s x) is written
+    # as s (-x), which has the same bits.
     cos, sinc = _cos_sinc(np.sqrt((0.5 * omega_eff) ** 2 + 0.25 * (bx**2 + by**2)), dt)
-    u = np.empty((2, 2, 2) + cos.shape, dtype=complex)
-    _su2_steps(cos, sinc, bx, by, (0.5 * omega_eff, -0.5 * omega_eff), u)
-    return np.moveaxis(u, (0, 1), (-2, -1))
+    a, b = out
+    a.real[...] = cos
+    np.multiply(sinc, -0.5 * omega_eff, out=a.imag[0])
+    np.multiply(sinc, 0.5 * omega_eff, out=a.imag[1])
+    np.multiply(sinc, 0.5 * by, out=b.real[0])
+    np.multiply(sinc, -0.5 * bx, out=b.imag[0])
+    b[1] = b[0]
+
+
+def _front(storage: np.ndarray, shape: tuple) -> np.ndarray:
+    """The front of flat ``storage`` viewed as a C-ordered array of ``shape``."""
+    return storage[:math.prod(shape)].reshape(shape)
+
+
+def _pair_products(later: np.ndarray, earlier: np.ndarray, out: np.ndarray) -> None:
+    """First columns of later @ earlier for SU(2) matrices [[a, -conj b],
+    [b, conj a]] given by their first columns: ``earlier`` (2, ...) and
+    ``later[0]``, whose second columns (-conj b, conj a) are written into
+    ``later[1]``, so that ``later[l, i]`` is entry (i, l).  One
+    ``np.einsum`` writes ``out``: the first column of the full product,
+    with the same arithmetic for each entry, at half its complex
+    multiply-adds."""
+    np.conjugate(later[0, 1], out=later[1, 0])
+    np.negative(later[1, 0], out=later[1, 0])
+    np.conjugate(later[0, 0], out=later[1, 1])
+    np.einsum("li...k,l...k->i...k", later, earlier, out=out)
+
+
+def _x_drive_product(omega_eff: float, bx: np.ndarray, by: np.ndarray, dt: float, workspace: _Workspace) -> np.ndarray:
+    """First columns (a, b), (2, 2, c), of the time-ordered products of the
+    two parity blocks of the x drive's steps (:func:`_x_drive_columns`) for
+    (c, n) coefficient arrays: the pairwise tree of
+    :func:`_product_in_order`, each level one :func:`_pair_products` call,
+    on the first columns alone.  The first level is built straight from the
+    coefficients: the first column of each pair's later step into
+    ``workspace.later``, of its earlier step into ``workspace.columns``, and
+    of an odd first step, carried, into the level, which takes
+    ``workspace.spare``; the levels after it take turns in
+    ``workspace.columns`` and ``workspace.spare``."""
+    n, shape = bx.shape[-1], (2, 2) + bx.shape[:-1]
+    head, half = n % 2, n // 2
+    level = _front(workspace.spare, shape + (head + half,))
+    later = _front(workspace.later, (2,) + shape + (half,))
+    earlier = _front(workspace.columns, shape + (half,))
+    for steps, out in ((slice(head), level[..., :head]), (slice(head + 1, None, 2), later[0]),
+                       (slice(head, None, 2), earlier)):
+        _x_drive_columns(omega_eff, bx[..., steps], by[..., steps], dt, out)
+    _pair_products(later, earlier, level[..., head:])
+    free = workspace.columns
+    while (n := level.shape[-1]) > 1:
+        head, half = n % 2, n // 2
+        later = _front(workspace.later, (2,) + shape + (half,))
+        later[0] = level[..., head + 1::2]
+        following = _front(free, shape + (head + half,))
+        following[..., :head] = level[..., :head]
+        _pair_products(later, level[..., head::2], following[..., head:])
+        level, free = following, level.reshape(-1)
+    return level[..., 0]
 
 
 def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
@@ -725,41 +809,77 @@ def _reduce_system(rho_joint: np.ndarray) -> np.ndarray:
     return 0.5 * (reduced + np.conj(np.swapaxes(reduced, -1, -2)))
 
 
-def _propagate_chunk(drive: DriveConfig, noises, rho0: QubitState, dt: float) -> np.ndarray:
-    """Propagate a chunk of toy-bath realizations exactly, all at once;
-    returns their checked reduced states at T, (c, 2, 2).
+class _Workspace:
+    """Storage for :func:`_x_drive_product`, sized once for ensembles of
+    ``rows`` realizations at points of the step counts ``n_steps`` and
+    reused by every chunk of each: flat complex arrays of which each chunk
+    views the front.  A chunk of c realizations and n steps takes c (n // 2)
+    pairs of steps, 8 complex numbers each in ``later`` and 4 in
+    ``columns``, and c (n - n // 2) first-level products, 4 complex numbers
+    each in ``spare``."""
 
-    The Hamiltonian is held constant on each step (coefficients sampled at
-    the step midpoint) and exponentiated exactly, so every step is unitary
-    to machine precision.  The coefficients of the chunk are stacked as
-    (c, n) arrays, and one step build and one time-ordered product serve the
-    whole chunk.  A z drive's steps are block diagonal in the joint basis.
-    Under an x drive, H = (W/2) sx x I + sz x (b_x tx + b_y ty + b_z tz)/2,
-    and the parity P = sx x tz commutes with the drive term and with the b_x
-    and b_y terms (two sign flips: sz against sx, tx or ty against tz) but
-    anticommutes with the b_z term (one flip).  So when b_z is zero at every
-    step of every realization (the main-text bath) the two P sectors are
-    propagated as 2x2 blocks and mapped back through
-    :data:`_X_PARITY_BASIS`; otherwise (the three-axis bath) P is not
-    conserved and the 4x4 steps are multiplied.  A state differs from the
-    one its realization gives alone only when the chunk mixes the two cases,
-    and then by rounding.
+    def __init__(self, n_steps, rows: int):
+        chunks = [(min(_chunk_size(n), rows), n) for n in n_steps]
+        pairs = max((c * (n // 2) for c, n in chunks), default=0)
+        firsts = max((c * (n - n // 2) for c, n in chunks), default=0)
+        self.later = np.empty(8 * pairs, dtype=complex)
+        self.columns = np.empty(4 * pairs, dtype=complex)
+        self.spare = np.empty(4 * firsts, dtype=complex)
+
+
+def _propagate_chunk(drive: DriveConfig, b, h: float, workspace: _Workspace) -> np.ndarray:
+    """The joint propagators, (c, 4, 4), of a chunk of toy-bath realizations
+    whose coefficients ``b`` = (b_x, b_y, b_z) are (c, n) arrays at the step
+    midpoints, for steps of ``h``.
+
+    The Hamiltonian is held constant on each step and exponentiated exactly,
+    so every step is unitary to machine precision.  One step build and one
+    time-ordered product serve the whole chunk.  A z drive's steps are block
+    diagonal in the joint basis.  Under an x drive, H = (W/2) sx x I + sz x
+    (b_x tx + b_y ty + b_z tz)/2, and the parity P = sx x tz commutes with the
+    drive term and with the b_x and b_y terms (two sign flips: sz against sx,
+    tx or ty against tz) but anticommutes with the b_z term (one flip).  So
+    when b_z is zero at every step of every realization (the main-text bath)
+    the two P sectors are propagated as 2x2 SU(2) blocks, of which
+    :func:`_x_drive_product` multiplies only the first columns in
+    ``workspace``, and mapped back through :data:`_X_PARITY_BASIS`; otherwise
+    (the three-axis bath) P is not conserved and the 4x4 steps are
+    multiplied.  A state differs from the one its realization gives alone
+    only when the chunk mixes the two cases, and then by rounding.
     """
-    n, h, mids = _steps(drive.duration, dt)
-    b = np.empty((3, len(noises), n))  # (b_x, b_y, b_z) of each realization at each step
-    for row, noise in enumerate(noises):
-        _validate_step(drive, noise, dt)
-        b[:, row] = noise(mids)
     omega_eff = drive.effective_amplitude
     # each step stack goes straight into _product_in_order, which frees it
     # after the first tree level: the chunk never holds a stack and two levels
     if drive.axis is not DriveAxis.X_PLUS:
-        u_total = _block_diagonal(_product_in_order(_z_drive_blocks(omega_eff, b, h)))
-    elif np.any(b[2]):
-        u_total = _product_in_order(_x_drive_unitaries_bath(omega_eff, b, h))
-    else:
-        blocks = _block_diagonal(_product_in_order(_x_drive_blocks(omega_eff, b, h)))
-        u_total = _X_PARITY_BASIS @ blocks @ _X_PARITY_BASIS.T
+        return _block_diagonal(_product_in_order(_z_drive_blocks(omega_eff, b, h)))
+    if np.any(b[2]):
+        return _product_in_order(_x_drive_unitaries_bath(omega_eff, b, h))
+    a, lower = _x_drive_product(omega_eff, b[0], b[1], h, workspace)
+    blocks = np.empty(a.shape + (2, 2), dtype=complex)
+    blocks[..., 0, 0], blocks[..., 0, 1] = a, -np.conj(lower)
+    blocks[..., 1, 0], blocks[..., 1, 1] = lower, np.conj(a)
+    return _X_PARITY_BASIS @ _block_diagonal(blocks) @ _X_PARITY_BASIS.T
+
+
+def _propagate(drive: DriveConfig, noise, rho0: QubitState, dt: float, rows: int,
+               workspace: _Workspace | None = None) -> np.ndarray:
+    """Propagate ``rows`` toy-bath realizations exactly, in chunks of
+    :func:`_chunk_size`; returns their checked reduced states at T, (rows,
+    2, 2).  ``noise(t)`` gives each coefficient with one row per realization,
+    or one row that they share, and the step is checked against it once.
+    Every state has the bits that its realization gives alone, whatever the
+    chunks, unless a chunk mixes b_z = 0 and b_z != 0 (see
+    :func:`_propagate_chunk`).  ``workspace`` must be sized for at least
+    this point's steps; without one, the call sizes its own."""
+    _validate_step(drive, noise, dt)
+    n, h, mids = _steps(drive.duration, dt)
+    b = [np.broadcast_to(coefficient, (rows, n)) for coefficient in noise(mids)]
+    del noise  # read once: an ensemble's samples need not outlive it
+    workspace = workspace or _Workspace([n], rows)
+    chunk = _chunk_size(n)
+    u_total = np.empty((rows, 4, 4), dtype=complex)
+    for start in range(0, rows, chunk):
+        u_total[start:start + chunk] = _propagate_chunk(drive, [c[start:start + chunk] for c in b], h, workspace)
     rho_joint = u_total @ np.kron(rho0.matrix, _BATH_GROUND) @ np.conj(np.swapaxes(u_total, -1, -2))
     states = _reduce_system(rho_joint)
     check_states(states)
@@ -773,10 +893,10 @@ def simulate_trajectory(
     dt: float,
 ) -> QubitState:
     """Propagate one toy-bath realization exactly; returns the reduced state
-    at T.  This is the one-realization chunk of :func:`_propagate_chunk`:
-    the tests' reference for the states of a chunk, and a binding of the
-    benchmark tracer.  No campaign calls it, so it is not exported."""
-    return QubitState(_propagate_chunk(drive, [noise], rho0, dt)[0])
+    at T.  This is the one-row case of :func:`_propagate`: the tests'
+    reference for the states of an ensemble, and a binding of the benchmark
+    tracer.  No campaign calls it, so it is not exported."""
+    return QubitState(_propagate(drive, noise, rho0, dt, 1)[0])
 
 
 def ensemble_expectation(
@@ -787,29 +907,31 @@ def ensemble_expectation(
     n_realizations: int,
     base_seed: int,
     dt: float,
+    workspace: _Workspace | None = None,
 ) -> tuple[float, float]:
     """Monte-Carlo mean of <sigma_obs(T)> over seeded noise realizations,
     with its standard error.
 
-    ``noise_factory(seed)`` must build the noise provider for one
-    realization; realization ``k`` uses the child seed
+    ``noise_factory(seeds)`` must build the noise of the realizations of a
+    list of seeds, each coefficient with one row per seed in order (or one
+    row that all share); realization ``k`` uses the child seed
     ``derive_seed(base_seed, k)``, so results are reproducible and
     order-independent.  The seeds come from one ``derive_seeds`` pass.  The
-    realizations are propagated in chunks of :func:`_chunk_size`, each with
-    one :func:`_propagate_chunk` and one :func:`expectations` call; with
-    either toy-bath variant each value has the bits that its realization
-    gives alone.
+    realizations are taken in blocks of :func:`_block_size`, so that an
+    ensemble that fits one block calls the factory once; one
+    :func:`_propagate` takes each block, in the ``workspace`` of the
+    caller's evaluation block when it passes one.  With either toy-bath
+    variant each value has the bits that its realization gives alone.
     """
     if n_realizations < 2:
         raise DynamicsError("ensemble needs at least 2 realizations")
     seeds = derive_seeds(base_seed, np.arange(n_realizations)[:, None]).tolist()
-    chunk = _chunk_size(_steps(drive.duration, dt)[0])
-    code = _PAULI_CODES[observable]
-    values = np.empty(n_realizations)
-    for start in range(0, n_realizations, chunk):
-        noises = [noise_factory(seed) for seed in seeds[start:start + chunk]]
-        states = _propagate_chunk(drive, noises, rho0, dt)
-        values[start:start + chunk] = expectations(states, [code] * len(noises))
+    rows = _block_size(_steps(drive.duration, dt)[0])
+    states = np.concatenate([
+        _propagate(drive, noise_factory(block), rho0, dt, len(block), workspace)
+        for block in (seeds[start:start + rows] for start in range(0, n_realizations, rows))
+    ])
+    values = expectations(states, [_PAULI_CODES[observable]] * n_realizations)
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(n_realizations))
     return mean, std_error

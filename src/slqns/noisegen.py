@@ -26,7 +26,15 @@ Rev. 44, 191, 1991).  The blocked samples match the dense sum to rounding
 (about 1e-15 of ``sum_j |G_j|``).  Any other grid, and
 :meth:`DSARealization.evaluate` at arbitrary times, uses the dense sum.
 
-Feeding one trajectory into a single bath qubit (:class:`BathCoefficients`)
+An ensemble is sampled as one block, :func:`sample_ensemble`: the
+realizations of a list of seeds as the rows of one :class:`NoiseTrajectory`
+on their shared grid.  Each row is its own seed's product, so it has the bits
+that :meth:`DSARealization.trajectory` gives alone; the grid and the samples
+are checked once for the block.  A trajectory is read between its samples by
+linear interpolation with the bits of ``np.interp``, every row at once from
+one index computation.
+
+Feeding a trajectory into a single bath qubit (:class:`BathCoefficients`)
 with a time lag between two coupling axes produces a non-commuting (quantum)
 dephasing environment whose spectra, :func:`target_spectra`, read the
 one-sided ``S~`` at ``|omega|``, as the closed-form backend reads a model.
@@ -52,6 +60,7 @@ __all__ = [
     "BathVariant",
     "target_spectra",
     "default_dsa_config",
+    "sample_ensemble",
 ]
 
 CUTOFF_ADEQUACY_RATIO = 1e-3
@@ -129,17 +138,20 @@ def default_dsa_config(spectrum: SpectrumModel, n_omega: int = 512) -> DSAConfig
 
 @dataclass(frozen=True)
 class NoiseTrajectory:
-    """One sampled realization beta(t_i) with its construction metadata."""
+    """Sampled noise beta(t_i) on one time grid, with its construction
+    metadata: one realization, ``samples`` of shape (n,) and an int
+    ``seed``, or an ensemble, (R, n) samples with one row per realization and
+    the tuple of their seeds.  The grid is checked once for all rows."""
 
     times: np.ndarray
     samples: np.ndarray
-    seed: int
+    seed: int | tuple
     config: DSAConfig
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         samples = np.asarray(self.samples, dtype=float)
-        if times.ndim != 1 or times.shape != samples.shape:
+        if times.ndim != 1 or samples.ndim not in (1, 2) or samples.shape[-1] != times.size:
             raise ValueError("times/samples must be 1-D arrays of equal length")
         if times.size == 0:
             raise ValueError("time grid must be non-empty")
@@ -151,14 +163,52 @@ class NoiseTrajectory:
         object.__setattr__(self, "samples", samples)
 
     def __call__(self, t) -> np.ndarray:
-        """Linear interpolation between grid points; error outside coverage."""
+        """Linear interpolation between grid points, of shape
+        ``samples.shape[:-1] + t.shape``; error outside coverage."""
         t = np.asarray(t, dtype=float)
         if np.any(t < self.times[0] - 1e-12) or np.any(t > self.times[-1] + 1e-12):
             raise ValueError(
                 f"requested times outside trajectory coverage "
                 f"[{self.times[0]}, {self.times[-1]}]"
             )
-        return np.interp(t, self.times, self.samples)
+        return _interpolate(t, self.times, self.samples)
+
+
+def _interpolate(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x, xp, row)`` for every row of finite ``fp`` (..., n), bit
+    for bit, with the index and the grid differences computed once for all rows;
+    the result has shape ``fp.shape[:-1] + x.shape``.  As in ``np.interp``,
+    ``x`` on a grid point, left of the grid or at or right of its last point
+    takes that sample, and any other ``x`` in ``[xp[j], xp[j+1])`` takes
+    ``slope (x - xp[j]) + fp[j]``, ``slope = (fp[j+1] - fp[j]) / (xp[j+1] - xp[j])``.
+    The rows are read one at a time, so that no temporary outgrows a row."""
+    shape, x, n = fp.shape[:-1] + x.shape, x.reshape(-1), xp.size
+    fp = fp.reshape(-1, n)
+    nearest = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, n - 1)
+    if n == 1:
+        return fp[:, nearest].reshape(shape)
+    left = np.minimum(nearest, n - 2)
+    right = left + 1
+    spacing, offset = xp[right] - xp[left], x - xp[left]
+    values = np.empty((fp.shape[0], x.size))
+    for row, samples in zip(values, fp):
+        lower = samples[left]
+        np.subtract(samples[right], lower, out=row)
+        row /= spacing
+        row *= offset
+        row += lower
+    on_sample = (xp[nearest] == x) | (x < xp[0]) | (x >= xp[-1])
+    if on_sample.any():
+        values[:, on_sample] = fp[:, nearest[on_sample]]
+    return values.reshape(shape)
+
+
+def _uniform_step(time_grid: np.ndarray) -> float:
+    """``h`` when ``time_grid`` is exactly ``k * h``, k = 0 .. n - 1, with
+    n >= 2 and h > 0, the grid that the blocked evaluation takes; else 0."""
+    n = time_grid.size
+    h = float(time_grid[1]) if time_grid.ndim == 1 and n >= 2 else 0.0
+    return h if h > 0.0 and np.array_equal(time_grid, np.arange(n) * h) else 0.0
 
 
 class DSARealization:
@@ -187,24 +237,35 @@ class DSARealization:
         out = np.cos(phase) @ self._ga + np.sin(phase) @ self._gb
         return out
 
+    def _samples(self, time_grid: np.ndarray, h: float) -> np.ndarray:
+        """Samples on ``time_grid``, blocked when ``h`` is its
+        :func:`_uniform_step`, else by the dense sum."""
+        if not h:
+            return self.evaluate(time_grid)
+        coarse, fine = _phase_tables(self.config.d_omega, self.config.n_omega, time_grid.size, h)
+        return ((coarse * self._g) @ fine.T).reshape(-1)[:time_grid.size].real
+
     def trajectory(self, time_grid) -> NoiseTrajectory:
         """Samples on ``time_grid``; blocked when ``t_k = k * h`` exactly."""
         time_grid = np.asarray(time_grid, dtype=float)
-        if time_grid.size == 0:
-            raise ValueError("time grid must be non-empty")
-        n = time_grid.size
-        h = float(time_grid[1]) if time_grid.ndim == 1 and n >= 2 else 0.0
-        if h > 0.0 and np.array_equal(time_grid, np.arange(n) * h):
-            coarse, fine = _phase_tables(self.config.d_omega, self.config.n_omega, n, h)
-            samples = ((coarse * self._g) @ fine.T).reshape(-1)[:n].real
-        else:
-            samples = self.evaluate(time_grid)
         return NoiseTrajectory(
             times=time_grid,
-            samples=samples,
+            samples=self._samples(time_grid, _uniform_step(time_grid)),
             seed=self.seed,
             config=self.config,
         )
+
+
+def sample_ensemble(config: DSAConfig, seeds, time_grid) -> NoiseTrajectory:
+    """The realizations of ``seeds`` on ``time_grid`` as the rows of one
+    :class:`NoiseTrajectory`, in the order of ``seeds``: row ``k`` has the
+    bits of ``DSARealization(config, seeds[k]).trajectory(time_grid)``."""
+    time_grid = np.asarray(time_grid, dtype=float)
+    h = _uniform_step(time_grid)
+    samples = np.empty((len(seeds), time_grid.size))
+    for row, seed in zip(samples, seeds):
+        row[:] = DSARealization(config, seed)._samples(time_grid, h)
+    return NoiseTrajectory(times=time_grid, samples=samples, seed=tuple(seeds), config=config)
 
 
 @functools.lru_cache(maxsize=8)
@@ -243,7 +304,9 @@ class BathConfig:
 
 @dataclass(frozen=True)
 class BathCoefficients:
-    """Time-indexed bath coefficient triple built from one trajectory.
+    """Time-indexed bath coefficient triple built from a trajectory, one
+    realization or an ensemble, each coefficient of shape
+    ``trajectory.samples.shape[:-1] + t.shape``.
 
     Valid for ``t`` in ``[t0, t_end - gamma]`` so the lagged access stays on
     the trajectory grid.
@@ -266,15 +329,18 @@ class BathCoefficients:
         object.__setattr__(self, "t_max", float(t_max))
 
     def __call__(self, t):
-        """Coefficients (b_x, b_y, b_z) at times ``t``."""
+        """Coefficients (b_x, b_y, b_z) at times ``t``; the main-text b_z is
+        a read-only view of zeros."""
         t = np.asarray(t, dtype=float)
         if np.any(t < self.t_min - 1e-12) or np.any(t > self.t_max + 1e-12):
             raise ValueError(
                 f"bath coefficients requested outside [{self.t_min}, {self.t_max}]"
             )
-        beta_t = self.trajectory(t)
-        beta_lag = self.trajectory(t + self.config.lag_gamma) if self.config.lag_gamma else beta_t
-        bz = beta_t if self.config.variant is BathVariant.THREE_AXIS else np.zeros_like(beta_t)
+        # t and t + gamma are read in one interpolation, and t once when gamma is 0
+        lag = self.config.lag_gamma
+        beta = np.moveaxis(self.trajectory(np.stack((t, t + lag)) if lag else t[None]), -1 - t.ndim, 0)
+        beta_t, beta_lag = beta[0], beta[-1]
+        bz = beta_t if self.config.variant is BathVariant.THREE_AXIS else np.broadcast_to(0.0, beta_t.shape)
         return beta_t, beta_lag, bz
 
 

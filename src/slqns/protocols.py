@@ -57,7 +57,7 @@ from .dynamics import (
     _mapped,
     _square,
 )
-from .noisegen import BathCoefficients, BathConfig, DSAConfig, DSARealization
+from .noisegen import BathCoefficients, BathConfig, DSAConfig, sample_ensemble
 from .seeding import derive_seed, derive_seeds, first_uniforms
 from .spam import (
     DRIVE_AXES,
@@ -325,28 +325,35 @@ class TrajectoryBackend(Backend):
         horizon = time + self.bath_config.lag_gamma + _GRID_MARGIN
         grid = np.arange(0.0, horizon + dt, dt)
 
-        def factory(seed: int) -> ToyBathNoise:
-            trajectory = DSARealization(self.dsa_config, seed).trajectory(grid)
+        def factory(seeds) -> ToyBathNoise:
+            trajectories = sample_ensemble(self.dsa_config, seeds, grid)
             return ToyBathNoise(
-                BathCoefficients(trajectory, self.bath_config),
+                BathCoefficients(trajectories, self.bath_config),
                 correlation_time=self.dsa_config.correlation_time,
             )
 
         return factory
 
     def evaluate(self, omegas, table: PointTable, n_shots: int, seeds) -> ShotColumns:
-        ensembles = []
+        points = []
         layout = list(zip(*(column.tolist() for column in table[:3])))
         for omega, times, row_seeds in zip(np.asarray(omegas, dtype=float).tolist(), table.time.tolist(), seeds):
             for (code, init, observable), time, seed in zip(layout, times, row_seeds):
                 # a z drive takes |Omega|, and the plan enforced the long-time condition
                 drive = DriveConfig(_AXES[code], abs(omega) if code else omega, time, long_time_threshold=0.0)
                 dt = 0.9 * dynamics.step_limit(drive.effective_amplitude, self.dsa_config.correlation_time)[0]
-                noise = self._noise_factory(time, dt)
-                ensembles.append(dynamics.ensemble_expectation(
-                    drive, noise, self._prepared[init], OBSERVABLES[observable], self.n_realizations,
-                    derive_seed(seed, 0), dt))
-        means, std_errors = np.array(ensembles).reshape(-1, 2).T
+                points.append((drive, init, observable, seed, dt))
+        # one workspace for all the block's points, which run longest first so
+        # that each point's arrays fit where a longer point's were freed
+        n_steps = [dynamics._steps(drive.duration, dt)[0] for drive, *_, dt in points]
+        workspace = dynamics._Workspace(n_steps, self.n_realizations)
+        ensembles = np.empty((len(points), 2))
+        for k in sorted(range(len(points)), key=n_steps.__getitem__, reverse=True):
+            drive, init, observable, seed, dt = points[k]
+            ensembles[k] = dynamics.ensemble_expectation(
+                drive, self._noise_factory(drive.duration, dt), self._prepared[init], OBSERVABLES[observable],
+                self.n_realizations, derive_seed(seed, 0), dt, workspace)
+        means, std_errors = ensembles.T
         # squared by Python's float ** 2, whose bits the analytic variances have always had
         variances = _mapped(_square, self.spam.alpha_m * std_errors)
         return self._readout(means, variances, n_shots, [derive_seed(seed, 1) for seed in np.ravel(seeds)])

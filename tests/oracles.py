@@ -14,10 +14,20 @@ program's own output with a second route to the same number:
   broadcasting ``np.matmul`` per level (BLAS, one small product at a time)
   over (..., n, d, d) stacks, patched in for ``dynamics._product_in_order``
   to bound the drift of whole trajectory campaigns.
+* :func:`matmul_pair_products`: one level of the x drive's column product
+  as one broadcasting ``np.matmul`` of full 2x2 matrices into columns,
+  patched in for ``dynamics._pair_products`` to bound the drift of whole
+  trajectory campaigns.
+* :func:`x_drive_blocks`: the x drive's two 2x2 parity blocks in full, as
+  (d, d, ..., n) step storage for ``dynamics._product_in_order``, against
+  ``dynamics._x_drive_unitaries_bath`` and, through their time-ordered
+  products, against ``dynamics._x_drive_product``, which multiplies their
+  first columns alone.
 * :func:`x_drive_trajectory`: ``dynamics.simulate_trajectory`` under an x
   drive from the 4x4 step unitaries of ``dynamics._x_drive_unitaries_bath``
   and :func:`sequential_product`, whatever b_z, against the engine, which
-  propagates the two 2x2 parity blocks when b_z is zero.
+  propagates the first columns of the two 2x2 parity blocks when b_z is
+  zero.
 * :func:`tcl_sinc_integrator`: the single-axis TCL with its sinc kernels
   kept, against ``dynamics.tcl_expectation_x_drive``, the closed form that
   the delta approximation gives.
@@ -99,6 +109,7 @@ import numpy as np
 from slqns.dynamics import (
     _BATH_GROUND,
     _block_diagonal,
+    _cos_sinc,
     _decay_weight,
     IDENTITY2,
     SIGMA,
@@ -114,6 +125,7 @@ from slqns.dynamics import (
     _product_in_order,
     _reduce_system,
     _steps,
+    _su2_steps,
     _x_drive_unitaries_bath,
     _z_drive_blocks,
 )
@@ -189,6 +201,32 @@ def stacked_matmul_product(mats: np.ndarray) -> np.ndarray:
         pairs = np.matmul(mats[..., head + 1::2, :, :], mats[..., head::2, :, :])
         mats = np.concatenate([mats[..., :head, :, :], pairs], axis=-3)
     return mats[..., 0, :, :]
+
+
+def matmul_pair_products(later: np.ndarray, earlier: np.ndarray, out: np.ndarray) -> None:
+    """``dynamics._pair_products`` by one broadcasting ``np.matmul`` of the
+    full later matrices, (..., 2, 2), into the earlier first columns,
+    (..., 2, 1), after writing the later second columns as it does."""
+    later[1, 0] = -np.conj(later[0, 1])
+    later[1, 1] = np.conj(later[0, 0])
+    full = np.moveaxis(later, (1, 0), (-2, -1))
+    column = np.moveaxis(earlier, 0, -1)[..., None]
+    out[...] = np.moveaxis((full @ column)[..., 0], -1, 0)
+
+
+def x_drive_blocks(omega_eff: float, b: tuple, dt: float) -> np.ndarray:
+    """The P = +1 and P = -1 blocks of the x drive's step unitaries through
+    a toy bath with b_z = 0, in the columns of ``dynamics._X_PARITY_BASIS``,
+    for coefficient arrays of shape (..., n), as the (2, ..., n, 2, 2) view
+    of (2, 2, 2, ..., n) storage.  b_z is not read: with b_z != 0 the step
+    does not conserve P."""
+    # in the two blocks H = +-(W/2) sz + m_x sx + m_y sy, m = (bx, by)/2, with
+    # the 4x4 step's lam, so U = cos(lam dt) I - i sinc H in each
+    bx, by, _ = b
+    cos, sinc = _cos_sinc(np.sqrt((0.5 * omega_eff) ** 2 + 0.25 * (bx**2 + by**2)), dt)
+    u = np.empty((2, 2, 2) + cos.shape, dtype=complex)
+    _su2_steps(cos, sinc, bx, by, (0.5 * omega_eff, -0.5 * omega_eff), u)
+    return np.moveaxis(u, (0, 1), (-2, -1))
 
 
 def tcl_sinc_integrator(

@@ -27,13 +27,13 @@ from slqns.dynamics import (
     tcl_expectation_z_drive,
     toggling_to_rotating,
 )
-from slqns.noisegen import BathCoefficients, BathConfig, BathVariant, DSAConfig, target_spectra
+from slqns.noisegen import BathCoefficients, BathConfig, BathVariant, DSAConfig, sample_ensemble, target_spectra
 from slqns.seeding import spawn_rng
 from slqns.spectra import DeviceParams, Lorentzian, SphericalSpectraSet, Tabulated
 
 from slqns.harness import build_campaign
 
-from oracles import discretized_z_drive, dsa_sample, tcl_sinc_integrator, x_drive_coherence_rate, z_drive_rates
+from oracles import discretized_z_drive, tcl_sinc_integrator, x_drive_coherence_rate, z_drive_rates
 from test_harness import CLOSED_FORM_P4
 
 DEVICE = DeviceParams(omega_q=2.0 * np.pi * 4970.0)
@@ -265,9 +265,9 @@ def band_config():
 def toy_bath_factory(config, bath, horizon, dt):
     grid = np.arange(0.0, horizon + 2 * dt, dt)
 
-    def factory(seed):
-        traj = dsa_sample(config, grid, seed)
-        return ToyBathNoise(BathCoefficients(traj, bath), correlation_time=config.correlation_time)
+    def factory(seeds):
+        trajectories = sample_ensemble(config, seeds, grid)
+        return ToyBathNoise(BathCoefficients(trajectories, bath), correlation_time=config.correlation_time)
 
     return factory
 

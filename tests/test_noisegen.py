@@ -10,7 +10,9 @@ from slqns.noisegen import (
     BathVariant,
     DSAConfig,
     DSARealization,
+    NoiseTrajectory,
     default_dsa_config,
+    sample_ensemble,
     target_spectra,
 )
 from slqns.spectra import Lorentzian, Tabulated, White, evaluate_spectrum
@@ -259,3 +261,69 @@ def test_the_noise_constructors_refuse_bad_input(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------------------
+# an ensemble as one stacked block
+# ---------------------------------------------------------------------------
+
+SEEDS = [3, 2**40 + 1, 17, 5]
+STEP = 0.9 * 0.05 / default_dsa_config(LOR, n_omega=256).omega_max
+
+
+@pytest.mark.parametrize("grid", [
+    np.arange(700) * STEP,
+    np.sort(np.random.default_rng(3).uniform(0.0, 2.0, 90)),
+], ids=["blocked", "dense"])
+def test_each_row_of_an_ensemble_has_the_bits_of_its_realization_alone(lor_config, grid):
+    ensemble = sample_ensemble(lor_config, SEEDS, grid)
+    assert ensemble.samples.shape == (len(SEEDS), grid.size) and ensemble.seed == tuple(SEEDS)
+    for row, seed in zip(ensemble.samples, SEEDS):
+        assert row.tobytes() == DSARealization(lor_config, seed).trajectory(grid).samples.tobytes()
+
+
+def interpolation_points(grid: np.ndarray, lag: float) -> np.ndarray:
+    """Step midpoints of a 1 us point, each also read at the lag, with grid
+    points among them: two interior ones and the last."""
+    n = 1000
+    mids = (np.arange(n) + 0.5) * (1.0 / n)
+    mids[[10, 500]] = grid[[16, 755]]
+    points = np.concatenate((mids, mids + lag, grid[[0, -1]]))
+    assert np.isin(grid[[16, 755, -1]], points).all() and points.max() == grid[-1]
+    return points
+
+
+def test_the_shared_interpolation_has_the_bits_of_np_interp(lor_config):
+    grid = np.arange(int(1.3 / STEP) + 2) * STEP
+    ensemble = sample_ensemble(lor_config, SEEDS, grid)
+    # a row of zeros with a -0.0 at a grid point that is read
+    samples = np.vstack((ensemble.samples, np.zeros(grid.size)))
+    samples[-1, 755] = -0.0
+    block = NoiseTrajectory(grid, samples, (*SEEDS, 0), lor_config)
+    points = interpolation_points(grid, 0.3)
+    values = block(points)
+    assert values.shape == (len(SEEDS) + 1, points.size)
+    for value, row in zip(values, samples):
+        assert value.tobytes() == np.interp(points, grid, row).tobytes()
+    assert block(points.reshape(2, -1)).tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("variant", list(BathVariant))
+def test_ensemble_bath_coefficients_are_each_realization_s_own(lor_config, variant):
+    """One interpolation at t and t + gamma for all rows gives every row the
+    coefficients of its own trajectory, bit for bit."""
+    grid = np.arange(int(1.3 / STEP) + 2) * STEP
+    bath = BathConfig(0.3, variant)
+    points = interpolation_points(grid, 0.0)[:1000]
+    stacked = BathCoefficients(sample_ensemble(lor_config, SEEDS, grid), bath)(points)
+    for row, seed in enumerate(SEEDS):
+        alone = BathCoefficients(DSARealization(lor_config, seed).trajectory(grid), bath)(points)
+        for coefficient, expected in zip(stacked, alone):
+            assert coefficient.shape == (len(SEEDS), points.size)
+            assert coefficient[row].tobytes() == expected.tobytes()
+
+
+def test_a_one_point_trajectory_takes_its_sample(lor_config):
+    block = NoiseTrajectory([0.0], [[1.5], [-2.0]], (1, 2), lor_config)
+    assert block(np.zeros(3)).tolist() == [[1.5] * 3, [-2.0] * 3]
+    assert np.interp(np.zeros(3), [0.0], [1.5]).tolist() == [1.5] * 3

@@ -212,6 +212,91 @@ def test_analytic_trajectory_outputs_match_the_pinned_digests(tmp_path):
     assert digests == TRAJECTORY_ANALYTIC_DIGESTS
 
 
+# Protocols 3 and 4 on the trajectory backend, which reach the engine's paths
+# that the protocol 2 twins above do not: the z drives, the aligned coherence
+# block and, under the three-axis bath, the x drive's 4x4 steps.  Protocol 4
+# is TRAJECTORY with aligned_n [8, 10]; protocol 3 takes its one time, 2.5 us,
+# and the same aligned block.  Seed 1, 7 realizations per point, both bath
+# variants, shot and analytic mode.  All five files were recorded at commit
+# 049039b, with numpy 2.4 on x86-64 Linux, the same at --jobs 1 and 2.
+def trajectory_p34(protocol: int, variant: str, mode: str) -> dict:
+    times = [2.5] if protocol == 3 else TRAJECTORY["plan"]["times_us"]
+    return dict(copy.deepcopy(TRAJECTORY_TWIN), protocol=protocol,
+                backend=dict(TRAJECTORY["backend"], n_realizations=7, bath_variant=variant,
+                             analytic=mode == "analytic"),
+                plan=dict(TRAJECTORY["plan"], times_us=times, aligned_n=[8, 10]))
+
+
+TRAJECTORY_P34_DIGESTS = {
+    (3, "main_text", "shot"): {
+        "report.json": "ac65bbf20ea0dcdfcf7188bf3e290c8a66705d72b171362a180e84d65226a0dd",
+        "datasets.csv": "bdc6389bdb1ee86c8cbaa1667cefbdccf918c7fc0abcb7a8b2f552eee76712f5",
+        "estimates.csv": "8a33b722a6d7610925425208849a25463919bd2d97f2161bbadf3ec4a43026e7",
+        "manifest.json": "f6d69af757ac7926e84f6d79e95bd413150a38962d8026a0dcfe7de05f577dfe",
+        "run.log": "aecdf52bcc07b3e7c0a03b4a383027299cfa792eea9b70ee7b22b9c26c49bddd",
+    },
+    (3, "main_text", "analytic"): {
+        "report.json": "01a2dd809726604dc5a06166ab453369831d3cc8f5bcb6cc36e66c91dd830f16",
+        "datasets.csv": "0645120cb4e85f022f3eddd7016329f4421cdd33b124bb1833ade0fe646ce96a",
+        "estimates.csv": "5d8f04e5ea86fc9660ab2f5d8256382adcf2359e725b7ec850b9059c87afb0a8",
+        "manifest.json": "01400ac49a2d576412fd329dc1590d59a4d8c20e2d3e6366922a30262425816f",
+        "run.log": "686f7f772e50344ddd031d4694638f4d812652c03e59e15bbc127c79aa8c07a3",
+    },
+    (3, "three_axis", "shot"): {
+        "report.json": "7924394d5a52109680970ecd9ff09a38908335179c402de9d083f8deed47e1e4",
+        "datasets.csv": "363214e60727c95db31e284bb29385e6450f50785ec22bf5fcee5c4fedbd400b",
+        "estimates.csv": "dfd0fa42f549b9eff46a0bd4e8808f2ee22ac3174b82c8178ca5f762b13cada5",
+        "manifest.json": "32eafadf14953cc21d52386e5f6806900315cd24a4015893ea2cdb9c28444bb0",
+        "run.log": "c176198b309f10c742d630052eccc527f1a19385b56256674a7f964506e16ef5",
+    },
+    (3, "three_axis", "analytic"): {
+        "report.json": "dee7c159aee885de79180b2accdbc488d15b554aebceafb47ccdc09d5de36f77",
+        "datasets.csv": "10966901e6c88cc957f554f835dbca706f8656a2e728e63e45df4db1b166b5e5",
+        "estimates.csv": "9810499f469c2d300e6f08a2f24a2ce68835b57368e17ded9592908672c6bb13",
+        "manifest.json": "cb766439d435a341f31394f525d77aecc85263e35e0bd37e673ec9a07b81e272",
+        "run.log": "e024a409680e592456e3b4336c13715f2f175c6b0e348dc9c42607930fe9fce0",
+    },
+    (4, "main_text", "shot"): {
+        "report.json": "d0c85fe91fd1bb320a2d42d8d32ea648276da7850d50d8ef7c2bb5906074ca15",
+        "datasets.csv": "f55aad270090298a5b072781583400c79440c9be823f9fa80a144c0354695007",
+        "estimates.csv": "e84bfcbe1e52df84dc63c0b8f6a64a2c8ffa249818bc1d29f7fd312a4f3dfe90",
+        "manifest.json": "9e16133acb49b94dfab96f88bc5b4ba749276684037e3732477a9755d38f48d4",
+        "run.log": "cc13f2738bb2a1475cf40ac816ffe00c8b8b6fe8888e8dae0df4f1938c033810",
+    },
+    (4, "main_text", "analytic"): {
+        "report.json": "371d6058cefd0be2af59f10e92db900b9f6658b27ec49781b42b6f0e80b6cf36",
+        "datasets.csv": "73a63d2ffb35bb71af3e04e634857685ad7ebb64cd042138ae57c016447d1cd4",
+        "estimates.csv": "8a1f525e45cc6c959c4929242705b908b91220438cb3bf1bd2a486697994e7e4",
+        "manifest.json": "0e7acb8f5eb527330e615596aa995450531ebe3a2fe1fe0ee62fd484ab67e451",
+        "run.log": "47805b2ee17737f3e823898bf461d4f3a8ae7442cb96b7351558f598c01b7c7d",
+    },
+    (4, "three_axis", "shot"): {
+        "report.json": "d87735b606a2c36c12df4d2de52e77909cea6e96576d54655565e09b26222658",
+        "datasets.csv": "b57edd69218b7946b6f9fb9f7537fb48c96229dfd9ee813ed1c61244aae6c672",
+        "estimates.csv": "2a344e409f3fee975ec99d665d4b77b4851a81cb2849d76911fa1c642ac86a7c",
+        "manifest.json": "8ac025fc41fa641cad45d1816172ab5ce47ebf6410a2f44c9c55afcbcd46110c",
+        "run.log": "d688fdba8e575ccaeb8f559b6260f7f8bc0504430752daf2d6fb6b6b6ecb52dc",
+    },
+    (4, "three_axis", "analytic"): {
+        "report.json": "51cead318ad93cc7f9af8acbdef778f666f2ad348f1c0261104d3f6db074f289",
+        "datasets.csv": "c7127d52bd797512dcd5dcb044201a45747fb903441a2e918c929ec30424614c",
+        "estimates.csv": "5f056a28d0481a70d996ea7ee5100a6575d615cf013329816af6c8215aee5f29",
+        "manifest.json": "576765de8085aac18099ecc3a8d1318c6e7c84bd9b813bd68274b873a982f3a9",
+        "run.log": "16e72e3f12ecdef6c968177a9f8b6cd09bcaa903f5786c0747a66475ea4c9a1f",
+    },
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("key", sorted(TRAJECTORY_P34_DIGESTS), ids="p{0[0]}-{0[1]}-{0[2]}".format)
+def test_trajectory_protocol_3_and_4_outputs_match_the_pinned_digests(tmp_path, key, jobs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_campaign(trajectory_p34(*key), out_dir=tmp_path, jobs=jobs)
+    pinned = TRAJECTORY_P34_DIGESTS[key]
+    assert {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in pinned} == pinned
+
+
 @pytest.mark.parametrize("name", ["p1", "p2-standard-dropped", "p3", "p4-standard-dropped"])
 def test_estimates_csv_holds_plain_numbers(tmp_path, name):
     with warnings.catch_warnings():

@@ -1,5 +1,6 @@
 """Trajectory engine: blocked noise synthesis, direct bath unitaries, the
-time-ordered product, realizations in chunks, drift bounds."""
+time-ordered product and the x drive's column product, realizations in
+chunks, the per-point structure of a campaign, drift bounds."""
 
 from __future__ import annotations
 
@@ -23,12 +24,19 @@ from slqns.noisegen import (
     NoiseTrajectory,
     _phase_tables,
     default_dsa_config,
+    sample_ensemble,
 )
 from slqns.protocols import TrajectoryBackend
 from slqns.seeding import derive_seed
 from slqns.spectra import Lorentzian
 
-from oracles import sequential_product, stacked_matmul_product, x_drive_trajectory
+from oracles import (
+    matmul_pair_products,
+    sequential_product,
+    stacked_matmul_product,
+    x_drive_blocks,
+    x_drive_trajectory,
+)
 from test_harness import OUTPUT_FILES, TRAJECTORY
 
 # the dephasing model of the harness and bench configs, in rad/us
@@ -132,7 +140,7 @@ def test_x_drive_parity_blocks_are_the_4x4_steps(sign, dt):
     beta, beta_lag = 3.0 * rng.standard_normal((2, 50))
     b = (beta, beta_lag, np.zeros_like(beta))
     omega_eff = sign * 2.0 * math.pi * 4.0
-    plus, minus = dynamics._x_drive_blocks(omega_eff, b, dt)
+    plus, minus = x_drive_blocks(omega_eff, b, dt)
     unitaries = dynamics._x_drive_unitaries_bath(omega_eff, b, dt)
     basis = dynamics._X_PARITY_BASIS
     for k, u in enumerate(unitaries):
@@ -202,11 +210,63 @@ def test_product_in_order_matches_the_sequential_product(n, d, layout):
 def test_step_builders_store_the_steps_innermost():
     rng = np.random.default_rng(5)
     b = (*rng.standard_normal((2, 7)), np.zeros(7))
-    stacks = [dynamics._x_drive_unitaries_bath(-25.0, b, STEP), *dynamics._z_drive_blocks(25.0, b, STEP),
-              *dynamics._x_drive_blocks(-25.0, b, STEP)]
+    stacks = [dynamics._x_drive_unitaries_bath(-25.0, b, STEP), *dynamics._z_drive_blocks(25.0, b, STEP)]
     for steps in stacks:
         assert steps.shape[0] == 7
         assert steps.strides[0] == steps.itemsize
+
+
+# ---------------------------------------------------------------------------
+# the x drive's column product against the 2x2-block product
+# ---------------------------------------------------------------------------
+
+
+def coefficient_stack(kind: str, n: int, rows: int = 3):
+    """(b_x, b_y, b_z) of ``rows`` realizations at ``n`` steps, b_z = 0."""
+    if kind == "random":
+        bx, by = 3.0 * np.random.default_rng(n).standard_normal((2, rows, n))
+    else:
+        bx = by = np.full((rows, n), 1.7 if kind == "constant" else 0.0)
+    return bx, by, np.zeros((rows, n))
+
+
+def propagated_states(u_total):
+    """Reduced states of every ket of SIGMA's axes under each (c, 4, 4) propagator."""
+    kets = [dynamics.QubitState.ket(axis, s).matrix for axis in "xyz" for s in (1, -1)]
+    u_dagger = np.conj(np.swapaxes(u_total, -1, -2))
+    return [dynamics._reduce_system(u_total @ np.kron(rho0, dynamics._BATH_GROUND) @ u_dagger) for rho0 in kets]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+@pytest.mark.parametrize("kind", ["random", "zero", "constant"])
+@pytest.mark.parametrize("n", [1, 2, 7, 3778])
+def test_column_product_has_the_bits_of_the_2x2_block_product(n, kind, sign):
+    """The first columns that the column product gives are those of
+    _product_in_order on the full 2x2 parity blocks, bit for bit, and the
+    chunk's reduced states are those of the 2x2-block path."""
+    rows = min(3, dynamics._chunk_size(n))
+    b = coefficient_stack(kind, n, rows)
+    omega_eff = sign * 2.0 * math.pi * 4.0
+    blocks = dynamics._product_in_order(x_drive_blocks(omega_eff, b, STEP))  # (2, c, 2, 2)
+    workspace = dynamics._Workspace([n], rows)
+    columns = dynamics._x_drive_product(omega_eff, b[0], b[1], STEP, workspace)  # (2, 2, c)
+    assert columns.tobytes() == np.ascontiguousarray(np.moveaxis(blocks[..., 0], -1, 0)).tobytes()
+    drive = dynamics.DriveConfig(dynamics.DriveAxis.X_PLUS, amplitude=omega_eff, duration=1.0)
+    program = dynamics._propagate_chunk(drive, b, STEP, workspace)
+    reference = dynamics._X_PARITY_BASIS @ dynamics._block_diagonal(blocks) @ dynamics._X_PARITY_BASIS.T
+    for state, expected in zip(propagated_states(program), propagated_states(reference)):
+        assert state.tobytes() == expected.tobytes()
+
+
+def test_column_product_of_a_chunk_is_that_of_each_realization_alone():
+    rows = dynamics._chunk_size(2645)
+    assert rows > 1
+    b = coefficient_stack("random", 2645, rows)
+    workspace = dynamics._Workspace([2645], rows)
+    chunk = dynamics._x_drive_product(-25.0, b[0], b[1], STEP, workspace).copy()
+    for row in range(rows):
+        alone = dynamics._x_drive_product(-25.0, b[0][row:row + 1], b[1][row:row + 1], STEP, workspace)
+        assert alone[..., 0].tobytes() == chunk[..., row].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +280,23 @@ PATH_IDS = ["x-parity", "x-4x4", "z-main-text", "z-three-axis"]
 
 
 def campaign_point(variant: str, axis: str, duration: float):
-    """The drive, step and noise factory of a trajectory-backend point."""
+    """The drive, step and noise factory of a trajectory-backend point, and
+    the noise of one realization on its grid."""
     drive = dynamics.DriveConfig(DRIVES[axis], amplitude=2.0 * math.pi * 4.0, duration=duration)
     dt = 0.9 * dynamics.step_limit(drive.effective_amplitude, CONFIG.correlation_time)[0]
     bath = BathConfig(lag_gamma=0.3, variant=BathVariant(variant))
     grid = np.arange(0.0, duration + 0.3 + 1e-9 + dt, dt)
 
-    def factory(seed):
-        trajectory = DSARealization(CONFIG, seed).trajectory(grid)
+    def noise(trajectory):
         return dynamics.ToyBathNoise(BathCoefficients(trajectory, bath), correlation_time=CONFIG.correlation_time)
 
-    return drive, dt, factory
+    def factory(seeds):
+        return noise(sample_ensemble(CONFIG, seeds, grid))
+
+    def alone(seed):
+        return noise(DSARealization(CONFIG, seed).trajectory(grid))
+
+    return drive, dt, factory, alone
 
 
 @pytest.mark.parametrize("n_realizations", [3, 7], ids=["one-full-chunk", "two-chunks-and-a-part"])
@@ -238,56 +304,80 @@ def campaign_point(variant: str, axis: str, duration: float):
 def test_chunked_ensemble_equals_its_realizations_one_at_a_time(monkeypatch, variant, axis, n_realizations):
     """Chunks of three realizations give every state the bits that the
     realization gives alone, on each path of the engine."""
-    drive, dt, factory = campaign_point(variant, axis, duration=0.5)
+    drive, dt, factory, alone = campaign_point(variant, axis, duration=0.5)
     n_steps = dynamics._steps(drive.duration, dt)[0]
     monkeypatch.setattr(dynamics, "CHUNK_STEP_BYTES", 3 * n_steps * dynamics._STEP_BYTES)
     assert dynamics._chunk_size(n_steps) == 3
-    propagate, chunks = dynamics._propagate_chunk, []
+    propagate, chunks, states = dynamics._propagate_chunk, [], []
 
-    def recorder(drive, noises, rho0, dt):
-        states = propagate(drive, noises, rho0, dt)
-        chunks.append((noises, states))
-        return states
+    def recorder(drive, b, h, workspace):
+        chunks.append(len(b[0]))
+        return propagate(drive, b, h, workspace)
 
-    monkeypatch.setattr(dynamics, "_propagate_chunk", recorder)
+    def checked(matrices):
+        states.append(matrices.copy())
+
     rho0 = dynamics.QubitState.ket(axis[0], -1)
+    monkeypatch.setattr(dynamics, "_propagate_chunk", recorder)
+    monkeypatch.setattr(dynamics, "check_states", checked)
     mean, _ = dynamics.ensemble_expectation(drive, factory, rho0, axis[0], n_realizations, 9, dt)
-    assert [len(noises) for noises, _ in chunks] == {3: [3], 7: [3, 3, 1]}[n_realizations]
+    assert chunks == {3: [3], 7: [3, 3, 1]}[n_realizations]
+    assert [len(checked_states) for checked_states in states] == [n_realizations]
     monkeypatch.undo()
     values = []
-    for noises, states in chunks:
-        for noise, state in zip(noises, states):
-            alone = dynamics.simulate_trajectory(drive, noise, rho0, dt)
-            assert state.tobytes() == alone.matrix.tobytes()
-            values.append(alone.expectation(axis[0]))
+    for k, state in enumerate(states[0]):
+        single = dynamics.simulate_trajectory(drive, alone(derive_seed(9, k)), rho0, dt)
+        assert state.tobytes() == single.matrix.tobytes()
+        values.append(single.expectation(axis[0]))
     assert mean == float(np.mean(values))
 
 
 def test_ensemble_realization_k_gets_derive_seed_k():
-    drive, dt, factory = campaign_point("main_text", "x", duration=0.5)
-    seeds = []
+    drive, dt, factory, _ = campaign_point("main_text", "x", duration=0.5)
+    calls = []
 
-    def recording_factory(seed):
-        seeds.append(seed)
-        return factory(seed)
+    def recording_factory(seeds):
+        calls.append(seeds)
+        return factory(seeds)
 
     dynamics.ensemble_expectation(drive, recording_factory, dynamics.QubitState.ket("x", 1), "x", 5, 2**40 + 3, dt)
-    assert seeds == [derive_seed(2**40 + 3, k) for k in range(5)]
-    assert all(type(seed) is int for seed in seeds)
+    assert calls == [[derive_seed(2**40 + 3, k) for k in range(5)]]
+    assert all(type(seed) is int for seed in calls[0])
+
+
+@pytest.mark.parametrize("variant, axis", PATHS, ids=PATH_IDS)
+def test_an_ensemble_larger_than_a_block_is_sampled_block_by_block(monkeypatch, variant, axis):
+    """With room for three realizations' noise, seven take three factory
+    calls, of 3, 3 and 1 seeds, and give the mean and standard error of one
+    block to the bit."""
+    drive, dt, factory, _ = campaign_point(variant, axis, duration=0.5)
+    rho0 = dynamics.QubitState.ket(axis[0], 1)
+    whole = dynamics.ensemble_expectation(drive, factory, rho0, axis[0], 7, 21, dt)
+    n_steps = dynamics._steps(drive.duration, dt)[0]
+    monkeypatch.setattr(dynamics, "ENSEMBLE_BLOCK_BYTES", 3 * n_steps * dynamics._NOISE_STEP_BYTES)
+    calls = []
+
+    def recording_factory(seeds):
+        calls.append(len(seeds))
+        return factory(seeds)
+
+    assert dynamics.ensemble_expectation(drive, recording_factory, rho0, axis[0], 7, 21, dt) == whole
+    assert calls == [3, 3, 1]
 
 
 @pytest.mark.parametrize("variant, axis", PATHS[:3], ids=PATH_IDS[:3])
 def test_chunk_step_storage_stays_within_the_budget(monkeypatch, variant, axis):
     """At the longest point of the bench trajectory workload (2.5 us, 3,778
     steps) the chunks hold more than one realization, and no chunk's step
-    storage exceeds CHUNK_STEP_BYTES."""
-    drive, dt, factory = campaign_point(variant, axis, duration=2.5)
+    storage exceeds CHUNK_STEP_BYTES: the stacks of the 4x4 and z paths, and
+    the workspace of the x drive's column product."""
+    drive, dt, factory, _ = campaign_point(variant, axis, duration=2.5)
     n_steps = dynamics._steps(drive.duration, dt)[0]
     assert n_steps == 3778
     chunk = dynamics._chunk_size(n_steps)
     assert chunk > 1
     storage = []
-    for name in ("_x_drive_blocks", "_x_drive_unitaries_bath", "_z_drive_blocks"):
+    for name in ("_x_drive_unitaries_bath", "_z_drive_blocks"):
         def recorded(*args, _builder=getattr(dynamics, name)):
             steps = _builder(*args)
             assert steps.shape[-3] == n_steps
@@ -295,9 +385,51 @@ def test_chunk_step_storage_stays_within_the_budget(monkeypatch, variant, axis):
             return steps
 
         monkeypatch.setattr(dynamics, name, recorded)
-    dynamics.ensemble_expectation(drive, factory, dynamics.QubitState.ket(axis[0], 1), axis[0], chunk + 1, 4, dt)
-    assert len(storage) == 2
+    build, columns = dynamics._x_drive_columns, []
+
+    def recorded_columns(omega_eff, bx, by, dt, out):
+        columns.append(bx.shape)
+        build(omega_eff, bx, by, dt, out)
+
+    monkeypatch.setattr(dynamics, "_x_drive_columns", recorded_columns)
+    workspace = dynamics._Workspace([n_steps], chunk + 1)
+    dynamics.ensemble_expectation(drive, factory, dynamics.QubitState.ket(axis[0], 1), axis[0], chunk + 1, 4, dt,
+                                  workspace)
+    if (variant, axis) == ("main_text", "x"):
+        # each chunk builds its steps in three parts: an odd first step, and
+        # the later and the earlier step of every pair
+        assert [shape[0] for shape in columns] == [chunk] * 3 + [1] * 3
+        assert sum(shape[1] for shape in columns[:3]) == n_steps
+        storage = [sum(array.nbytes for array in vars(workspace).values())]
+    assert len(storage) == (1 if (variant, axis) == ("main_text", "x") else 2)
     assert max(storage) <= dynamics.CHUNK_STEP_BYTES
+
+
+def test_a_campaign_samples_checks_and_interpolates_once_per_point(tmp_path, monkeypatch):
+    """A two-point trajectory campaign (protocol 1 at one frequency: the x
+    drive from x+ and from x-) builds one noise block per point: its grid
+    and samples are checked once, its step once, and no realization calls
+    ``np.interp``."""
+    config = dict(copy.deepcopy(TRAJECTORY), protocol=1,
+                  plan=dict(TRAJECTORY["plan"], omegas_MHz=[4.0], times_us=[2.0]))
+    config["backend"]["n_realizations"] = 5
+    calls = {"interp": 0, "trajectory": 0, "step": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np, "interp", counted("interp", np.interp))
+    monkeypatch.setattr(NoiseTrajectory, "__post_init__", counted("trajectory", NoiseTrajectory.__post_init__))
+    monkeypatch.setattr(dynamics, "_validate_step", counted("step", dynamics._validate_step))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = run_campaign(config, out_dir=tmp_path)
+    assert len(result.report["estimates"]) > 0
+    assert calls == {"interp": 0, "trajectory": 2, "step": 2}
 
 
 @pytest.mark.parametrize("n_realizations", [2.9, 1, 0, -3, float("nan")])
@@ -315,11 +447,8 @@ def test_trajectory_backend_takes_an_integral_realization_count():
 # ---------------------------------------------------------------------------
 
 
-def dense_trajectory(self, time_grid):
-    time_grid = np.asarray(time_grid, dtype=float)
-    return NoiseTrajectory(
-        times=time_grid, samples=self.evaluate(time_grid), seed=self.seed, config=self.config
-    )
+def dense_samples(self, time_grid, h):
+    return self.evaluate(time_grid)
 
 
 def assert_reports_close(a, b, path="report", floor=0.0):
@@ -355,7 +484,7 @@ def test_campaign_drift_against_dense_synthesis(tmp_path, monkeypatch, analytic)
         warnings.simplefilter("ignore")
         run_campaign(config, out_dir=tmp_path / "blocked")
         with monkeypatch.context() as patch:
-            patch.setattr(DSARealization, "trajectory", dense_trajectory)
+            patch.setattr(DSARealization, "_samples", dense_samples)
             run_campaign(config, out_dir=tmp_path / "dense")
     blocked, dense = tmp_path / "blocked", tmp_path / "dense"
     if analytic:
@@ -405,16 +534,24 @@ def assert_campaign_drift(tmp_path, monkeypatch, config, analytic, name, replace
 @pytest.mark.parametrize("config", [TRAJECTORY, TRAJECTORY_P4], ids=["p2", "p4"])
 @pytest.mark.parametrize("analytic", [False, True], ids=["shot", "analytic"])
 def test_campaign_drift_against_the_stacked_matmul_product(tmp_path, monkeypatch, config, analytic):
-    """The einsum tree moves a trajectory campaign by rounding only, within
-    the tolerance of :func:`assert_campaign_drift`, against the same tree
-    reduced with stacked ``np.matmul``."""
+    """The einsum trees move a trajectory campaign by rounding only, within
+    the tolerance of :func:`assert_campaign_drift`, against the same trees
+    reduced with stacked ``np.matmul``: the full products of the z drives
+    (protocol 4) and the column products of the x drive (protocol 2)."""
     calls = []
 
     def matmul_product(mats):
         calls.append(mats.shape[0])
         return stacked_matmul_product(mats)
 
-    assert_campaign_drift(tmp_path, monkeypatch, config, analytic, "_product_in_order", matmul_product)
+    def matmul_pairs(later, earlier, out):
+        calls.append(later.shape[-1])
+        matmul_pair_products(later, earlier, out)
+
+    if config["protocol"] == 2:
+        assert_campaign_drift(tmp_path, monkeypatch, config, analytic, "_pair_products", matmul_pairs)
+    else:
+        assert_campaign_drift(tmp_path, monkeypatch, config, analytic, "_product_in_order", matmul_product)
     assert calls
 
 
@@ -427,11 +564,12 @@ def test_campaign_drift_against_the_4x4_x_drive(tmp_path, monkeypatch, config, a
     step at a time."""
     propagate, calls = dynamics._propagate_chunk, []
 
-    def reference(drive, noises, rho0, dt):
+    def reference(drive, b, h, workspace):
         if drive.axis is not dynamics.DriveAxis.X_PLUS:
-            return propagate(drive, noises, rho0, dt)
+            return propagate(drive, b, h, workspace)
         calls.append(drive.amplitude)
-        return np.array([x_drive_trajectory(drive, noise, rho0, dt).matrix for noise in noises])
+        return np.array([sequential_product(dynamics._x_drive_unitaries_bath(drive.effective_amplitude, row, h))
+                         for row in zip(*b)])
 
     assert_campaign_drift(tmp_path, monkeypatch, config, analytic, "_propagate_chunk", reference)
     assert calls
