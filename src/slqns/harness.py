@@ -40,12 +40,9 @@ fits them all and puts their outcomes in those rows of the table.
 ``run_campaign`` writes ``datasets.csv``, ``estimates.csv``, ``report.json``,
 ``manifest.json`` and ``run.log`` into ``out_dir`` (``--out-dir``; no config
 key names it) when one is given.  It creates the directory before measuring,
-and removes it again if measuring or estimating fails.  ``--jobs N`` cuts the
-drive-frequency grid into N contiguous blocks and measures them in N threads;
-identical config and seed give byte-identical outputs, whatever N is.  Each
-thread calls BLAS, so set ``OPENBLAS_NUM_THREADS=1`` for ``--jobs > 1``: on a
-busy 2-vCPU VM, a small complex product took 30 ms on two OpenBLAS threads and
-0.07 ms on one.
+and removes it again if measuring or estimating fails.  The drive-frequency
+grid is measured as one block, in the calling thread, so identical config and
+seed give byte-identical outputs.
 
 ``slqns`` exits 0 (``EXIT_OK``) on success, 3 (``EXIT_ESTIMATION``) when
 estimation fails at every frequency, and 2 (``EXIT_CONFIG``) when it cannot
@@ -314,6 +311,9 @@ def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
                             allow_low_frequency=plan_cfg["allow_low_frequency"])
     except PlanError as exc:
         raise ConfigError(f"invalid plan: {exc}") from exc
+    if plan.protocol_id in (1, 2) and plan.aligned_n:
+        raise ConfigError(f"invalid plan: aligned_n is read by protocols 3 and 4 only, "
+                          f"and protocol {plan.protocol_id} measures no aligned point")
 
     for omega in omegas:
         try:
@@ -342,6 +342,9 @@ def build_campaign(config: dict, *, seed=None, analytic=None) -> Campaign:
             spectra = spectra.with_transverse(even_spectrum(*transverse))
         backend = ClosedFormTclBackend(spectra, device, spam, analytic=use_analytic)
     else:
+        if not isinstance(model, (Lorentzian, Tabulated)):
+            raise ConfigError("the trajectory backend needs a Lorentzian or a Tabulated dephasing model, "
+                              f"got {type(model).__name__}")
         n_omega, n_realizations = backend_cfg["n_omega"], backend_cfg["n_realizations"]
         if n_realizations < 2:
             raise ConfigError(f"backend.n_realizations must be >= 2, got {n_realizations}")
@@ -526,6 +529,9 @@ class CampaignResult:
 def run_campaign(config, *, out_dir=None, seed=None, analytic=None, jobs: int = 1) -> CampaignResult:
     """Run a full campaign from a config dict or path; write its outputs
     into ``out_dir`` when one is given."""
+    # ``jobs`` changes nothing: the grid is one block.  It stays only because
+    # bench/run_bench.py::check_jobs passes jobs=2; the benchmark change of
+    # ROADMAP item 1 drops that call, and then this keyword.
     if not isinstance(config, dict):
         config = load_config(config)
     campaign = build_campaign(config, seed=seed, analytic=analytic)
@@ -535,7 +541,7 @@ def run_campaign(config, *, out_dir=None, seed=None, analytic=None, jobs: int = 
         made = [path for path in (out_path, *out_path.parents) if not path.exists()]
         out_path.mkdir(parents=True, exist_ok=True)
     try:
-        dataset = run_plan(campaign.backend, campaign.plan, jobs=jobs)
+        dataset = run_plan(campaign.backend, campaign.plan)
         columns, spam_rows, failures, standard_dropped = _estimate_grid(campaign, dataset)
     except BaseException:
         for path in made:  # deepest first, each still empty
@@ -645,7 +651,6 @@ def _cmd_run(args) -> int:
             out_dir=args.out_dir,
             seed=args.seed,
             analytic=True if args.analytic else None,
-            jobs=args.jobs,
         )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -696,13 +701,6 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _jobs(text: str) -> int:
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
-    return jobs
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="slqns",
@@ -715,9 +713,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--out-dir", default=None, help="write the outputs into this directory")
     p_run.add_argument("--analytic", action="store_true", help="bypass shot sampling")
-    p_run.add_argument("--jobs", type=_jobs, default=1,
-                       help="measure the frequency grid as this many contiguous blocks in parallel "
-                       "threads (set OPENBLAS_NUM_THREADS=1)")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="validate a campaign config")

@@ -4,10 +4,10 @@ Protocols 1/2 drive along x and measure sigma_x from the two x preparations
 (protocol 2 over a time series); protocols 3/4 add the two z drives with z
 preparations plus an optional frame-aligned coherence block (x preparations
 under the +z drive).  A backend is handed every point of a block of drive
-frequencies, the whole grid or, with ``--jobs``, a contiguous slice of it,
-as one :class:`PointTable`.  A protocol measures the same points at every
-drive amplitude, so the table holds one layout that every frequency of the
-block shares (the drive, preparation and observable as the dataset's codes,
+frequencies (a campaign's block is its whole grid) as one
+:class:`PointTable`.  A protocol measures the same points at every drive
+amplitude, so the table holds one layout that every frequency of the block
+shares (the drive, preparation and observable as the dataset's codes,
 and the time index) and a (frequencies, points) array of durations, built
 once per block with no per-point Python object.
 
@@ -28,8 +28,8 @@ columns in one ``ShotDataset.extend``.
 Every point draws its shots from its own child seed, derived from the plan
 seed and the point's key.  A block derives all its points' streams in one
 array pass, but each is still addressed by its point's key alone, so
-datasets are bit-reproducible whatever the blocking of frequencies, the
-execution order or ``--jobs``.
+datasets are bit-reproducible whatever the blocking of frequencies or the
+execution order.
 """
 
 from __future__ import annotations
@@ -224,9 +224,8 @@ class Backend:
     :class:`ShotColumns` row for each of its points, row after row, the
     point in row ``i`` measured at ``omegas[i]`` and drawn from its own seed
     ``seeds[i, k]``, a (frequencies, points) uint64 array; so values do not
-    depend on the blocking or on ``--jobs``.  Both backends end in
-    :meth:`_readout`.  ``measure`` is the one-point block; no campaign
-    calls it."""
+    depend on the blocking.  Both backends end in :meth:`_readout`.
+    ``measure`` is the one-point block; no campaign calls it."""
 
     def __init__(self, spam: SpamParams | None, analytic: bool):
         self.spam = spam if spam is not None else SpamParams.ideal()
@@ -404,19 +403,6 @@ def run_for_omega(backend: Backend, plan: ProtocolPlan, omega: float, omega_inde
     return _run_block(backend, plan, [omega], [omega_index])
 
 
-def run_plan(backend: Backend, plan: ProtocolPlan, jobs: int = 1) -> ShotDataset:
-    """Execute a plan over its full drive-amplitude grid.  The grid is one
-    block; with ``jobs > 1`` it is cut into ``jobs`` contiguous blocks of
-    frequency indices that run in a thread pool and are merged in grid order,
-    which cannot change the result."""
-    blocks = [b for b in np.array_split(np.arange(len(plan.omegas)), max(jobs, 1)) if b.size]
-    calls = [(backend, plan, [plan.omegas[i] for i in b], b) for b in blocks]
-    if len(calls) == 1:
-        return _run_block(*calls[0])
-    from concurrent.futures import ThreadPoolExecutor
-
-    merged = ShotDataset()
-    with ThreadPoolExecutor(max_workers=len(calls)) as pool:
-        for future in [pool.submit(_run_block, *call) for call in calls]:
-            merged.merge(future.result())
-    return merged
+def run_plan(backend: Backend, plan: ProtocolPlan) -> ShotDataset:
+    """Execute a plan over its full drive-amplitude grid, as one block."""
+    return _run_block(backend, plan, list(plan.omegas), np.arange(len(plan.omegas)))

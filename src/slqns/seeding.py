@@ -3,7 +3,7 @@
 Every stochastic element of a campaign (noise realizations, shot sampling)
 draws from a child stream derived from a single master seed plus an integer
 key path. Child streams are independent of the order in which they are
-created, so ensembles can be generated concurrently and merged without
+created, so ensembles can be generated in any order or blocking without
 affecting reproducibility.
 
 The scalar functions build numpy's own objects and are the reference for

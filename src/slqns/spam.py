@@ -236,8 +236,7 @@ class ShotColumns(NamedTuple):
 _TAIL_LOG2 = 60.0
 _NEWTON_STEPS = 2
 # pmf entries per chunk of rows: 32 KiB temporaries stay in the malloc heap
-# and are reused chunk after chunk; 256-row chunks (about 300 KiB each) left
-# about 0.2 MB more resident after a --jobs 2 campaign.
+# and are reused chunk after chunk.
 _CHUNK_ENTRIES = 4096
 
 
@@ -246,8 +245,7 @@ def _log_binomials(n_shots: int) -> np.ndarray:
     """log C(n, k) for k = 0..n from ``math.lgamma``, with n + 1 entries of -inf
     on each side, so that any window of at most n + 1 entries that starts in
     [0, n] reads zero mass outside the support.  Read-only and cached per n
-    (a campaign has one); ``lru_cache`` is safe under the ``--jobs`` thread
-    pool."""
+    (a campaign has one)."""
     head = math.lgamma(n_shots + 1)
     inner = [head - math.lgamma(k + 1) - math.lgamma(n_shots - k + 1) for k in range(n_shots + 1)]
     pad = np.full(n_shots + 1, -np.inf)
@@ -531,14 +529,14 @@ class ShotDataset:
     ``searchsorted``; :meth:`series` is its one-key case.
 
     Rows enter a block at a time through :meth:`extend` (a campaign makes one
-    call per job block), and are read a column or a series at a time through
+    call), and are read a column or a series at a time through
     :meth:`column`, :meth:`series`, :meth:`row` and :meth:`take`.  The
     writers share one text per column, formatted in key order at the first
     write after an :meth:`extend`, and join each file from those columns.
     The per-record interface is a set of views over the same store:
-    :meth:`add` and :meth:`merge` extend it; :meth:`get`, ``entries``
-    (key -> record, in insertion order), iteration (in key order) and
-    :meth:`times` build their keys and records on demand.
+    :meth:`add` extends it; :meth:`get`, ``entries`` (key -> record, in
+    insertion order), iteration (in key order) and :meth:`times` build their
+    keys and records on demand.
     """
 
     def __init__(self):
@@ -622,10 +620,6 @@ class ShotDataset:
 
     def get(self, drive_axis: str, omega: float, init: str, observable: str, time: float) -> ShotRecord:
         return self.take([self.row(drive_axis, omega, init, observable, time)]).records()[0]
-
-    def merge(self, other: "ShotDataset") -> "ShotDataset":
-        self.extend(*(other.column(name) for name in _KEY_DTYPES), other.take(slice(None)))
-        return self
 
     def times(self, drive_axis: str, omega: float, init: str, observable: str) -> list[float]:
         return self.column("time")[self.series(drive_axis, omega, init, observable)].tolist()

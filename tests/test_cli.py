@@ -14,7 +14,7 @@ from slqns.harness import EXIT_CONFIG, EXIT_ESTIMATION, EXIT_OK, main
 from slqns.protocols import LOW_FREQUENCY_CUTOFF
 from slqns.spectra import mhz_to_rad_per_us
 
-from test_harness import CLOSED_FORM_P4, CLOSED_FORM_P4_ANALYTIC, TRAJECTORY, write_config
+from test_harness import CLOSED_FORM_P2, CLOSED_FORM_P4, CLOSED_FORM_P4_ANALYTIC, TRAJECTORY, write_config
 
 
 def run(tmp_path, config, name="out") -> int:
@@ -249,13 +249,12 @@ def test_validate_and_run_exit_with_config_error_on_a_block_that_is_not_an_objec
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_run_rejects_jobs_below_one_as_a_usage_error(tmp_path, capsys, jobs):
+def test_run_refuses_the_retired_jobs_option_as_a_usage_error(tmp_path, capsys):
     path = write_config(tmp_path, CLOSED_FORM_P4)
     with pytest.raises(SystemExit) as exc:
-        main(["run", path, "--jobs", jobs, "--out-dir", str(tmp_path / "out")])
+        main(["run", path, "--jobs", "2", "--out-dir", str(tmp_path / "out")])
     assert exc.value.code == EXIT_CONFIG
-    assert "--jobs: must be >= 1" in capsys.readouterr().err
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -350,6 +349,12 @@ ONE_DEFECT = {
                          "|Omega|/omega_q = 0.0121 exceeds 0.01; drive too strong for this device"),
     "backend-type": (CLOSED_FORM_P4, ("backend", "type"), "exact", "unknown backend type 'exact'"),
     "bath-variant": (TRAJECTORY, ("backend", "bath_variant"), "six_axis", "unknown bath_variant 'six_axis'"),
+    "trajectory-white": (TRAJECTORY, ("spectra", "dephasing", "model"),
+                         {"kind": "White", "params": {"level_per_us": 0.01}},
+                         "the trajectory backend needs a Lorentzian or a Tabulated dephasing model, got White"),
+    "aligned-n-p2": (CLOSED_FORM_P2, ("plan", "aligned_n"), [20, 40],
+                     "invalid plan: aligned_n is read by protocols 3 and 4 only, "
+                     "and protocol 2 measures no aligned point"),
     "unreadable": (None, None, MISSING, "cannot read config <path>: [Errno 2] No such file or directory: '<path>'"),
     "invalid-json": (None, None, '{"protocol": 4,}',
                      "config <path> is not valid JSON: Expecting property name enclosed in double quotes: "

@@ -106,6 +106,12 @@ class TestDriveConfig:
         drive = DriveConfig(DriveAxis.X_PLUS, amplitude=-3.0, duration=10.0)
         assert drive.effective_amplitude == -3.0
 
+    @pytest.mark.parametrize("duration", [0.0, -10.0, np.nan, np.inf])
+    def test_a_duration_that_is_not_finite_and_positive_is_rejected(self, duration):
+        with pytest.raises(DynamicsError) as error:
+            DriveConfig(DriveAxis.X_PLUS, amplitude=2.0, duration=duration)
+        assert str(error.value) == f"drive duration must be finite and > 0, got {duration}"
+
 
 class TestTclXDrive:
     def test_pure_decay_without_drift(self):

@@ -46,7 +46,7 @@ from slqns.estimation import (
 )
 from slqns.harness import build_campaign, run_campaign
 from slqns.protocols import run_plan
-from slqns.spam import DRIVE_AXES, INITS, OBSERVABLES, MeasurementKey, ShotColumns, ShotDataset
+from slqns.spam import DRIVE_AXES, INITS, OBSERVABLES, PAIRS, MeasurementKey, ShotColumns, ShotDataset
 
 from oracles import (
     multi_axis_inversion,
@@ -106,6 +106,17 @@ def test_a_failing_row_fails_alone_with_the_one_line_message():
             weighted_linreg_reference(x[row], y[row], sigma[row])
     reference = weighted_linreg_reference(x[0], y[0], sigma[0])
     assert same_bits(lines.result(0).covariance, reference.covariance)
+
+
+@pytest.mark.parametrize("x, y", [
+    ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+    ([[1.0, 2.0, 3.0]], [[1.0, 2.0]]),
+    ([[1.0], [2.0]], [[1.0], [2.0]]),
+], ids=["one-line", "unequal-lengths", "one-point"])
+def test_a_stack_of_the_wrong_shape_is_refused_whole(x, y):
+    with pytest.raises(EstimationError) as error:
+        _linreg_stack(x, y)
+    assert str(error.value) == "regression needs 1-D x, y of equal length >= 2"
 
 
 def test_a_singular_row_fails_alone_and_the_others_keep_their_bits():
@@ -362,6 +373,28 @@ def test_grid_estimators_give_the_recorded_outcomes_messages_and_warnings():
     assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, text) for text in WARNINGS]
 
 
+def test_an_aligned_block_whose_series_do_not_match_fails_its_frequency():
+    # a short aligned block is skipped; unmatched aligned series fail the frequency
+    dataset = ShotDataset()
+    for omega in OMEGAS[:2]:
+        for name in ("zp", "zm", "x"):
+            drive, inits, observable = PAIRS[name]
+            add_pair(dataset, drive, omega, inits, observable, TIMES, pair_counts(0.05, TIMES))
+        counts = pair_counts(0.1, ALIGNED_TIMES)
+        drive, (plus, minus), observable = PAIRS["c"]
+        add_pair(dataset, drive, omega, (plus,), observable, ALIGNED_TIMES, counts[:1])
+        # the second frequency's x- series lacks the last aligned time
+        minus_times = ALIGNED_TIMES[:-1] if omega == OMEGAS[1] else ALIGNED_TIMES
+        add_pair(dataset, drive, omega, (minus,), observable, minus_times, [counts[1][:len(minus_times)]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcomes = robust_multi_axis(dataset, OMEGAS[:2], OMEGA_Q).outcomes()
+    # the matched aligned block gives the first frequency its S_{0,0}(0)
+    assert isinstance(outcomes[0], EstimatorResult) and "S_{0,0}" in outcomes[0].estimates
+    assert outcome_text(outcomes[1]) == (
+        "EstimationError: dataset lacks matching ('x+', 'x-') time series for drive z+ at omega=20.0")
+
+
 # ---------------------------------------------------------------------------
 # protocol 2: the grid estimator against the per-frequency chain
 # ---------------------------------------------------------------------------
@@ -478,6 +511,32 @@ def test_a_guarded_frequency_fitted_alone_keeps_its_bits(analytic):
             if isinstance(table.errors[0], LinearizationGuardError):
                 table = robust_single_axis_nonlinear(table)
             assert bits(table.outcomes()[0]) == bits(outcome), omega
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("one-step", "non-linear fit did not converge in 1 steps"),
+    ("infinite-step", "non-linear fit diverged: non-finite parameters after 1 steps"),
+    ("singular", "singular covariance in non-linear fit"),
+])
+def test_a_failed_nonlinear_fit_fails_each_guarded_frequency_with_its_cause(monkeypatch, fault, message):
+    table = robust_single_axis_linearized(p2_dataset(False), list(P2_SERIES))
+    if fault == "one-step":
+        monkeypatch.setattr(estimation, "MAX_ITERATIONS", 1)
+    else:
+        # a Gauss-Newton step solves for one column, the covariance for four
+        columns, fill = (1, np.inf) if fault == "infinite-step" else (4, np.nan)
+        solve = estimation._solve_rows
+
+        def faulty(a, b):
+            out = solve(a, b)
+            return np.full_like(out, fill) if b.shape[-1] == columns else out
+
+        monkeypatch.setattr(estimation, "_solve_rows", faulty)
+    outcomes = robust_single_axis_nonlinear(table).outcomes()
+    kinds = [type(outcome).__name__ if isinstance(outcome, Exception) else outcome.path for outcome in outcomes]
+    assert kinds == [kind.replace("nonlinear", "EstimationError") for kind in P2_KINDS]
+    guarded = [outcome for outcome, kind in zip(outcomes, P2_KINDS) if kind == "nonlinear"]
+    assert [str(outcome) for outcome in guarded] == [message] * 3
 
 
 def p2_campaign_dataset(analytic: bool):

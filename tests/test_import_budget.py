@@ -5,7 +5,8 @@ nonlinear fit takes its own Gauss-Newton steps, so every protocol,
 ``validate`` and ``compare`` run on numpy alone, and scipy is a test-only
 dependency.  The checks run in a fresh interpreter and read module names, not
 timings; a static check keeps any scipy import in ``src/slqns`` inside a
-function.
+function.  Another keeps ``concurrent`` and ``threading`` out of
+``src/slqns`` altogether: a campaign runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -144,6 +145,36 @@ def test_the_scipy_import_guard_sees_only_module_level_imports():
         "import scipyx\n"
     )
     assert module_level_scipy_imports(tree) == [2, 4, 6]
+
+
+def imported_packages(tree: ast.Module) -> set[str]:
+    """The top-level package of every absolute import in ``tree``, function bodies included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add((node.module or "").partition(".")[0])
+    return names
+
+
+def test_no_module_of_slqns_imports_concurrent_or_threading():
+    found = {
+        path.name: sorted(names)
+        for path in sorted(SRC.glob("*.py"))
+        if (names := imported_packages(ast.parse(path.read_text(), filename=str(path))) & {"concurrent", "threading"})
+    }
+    assert found == {}
+
+
+def test_the_thread_import_guard_sees_imports_at_any_depth():
+    tree = ast.parse(
+        "import threading\n"
+        "def f():\n    from concurrent.futures import ThreadPoolExecutor\n"
+        "from .threading_like import x\n"
+        "import concurrentx\n"
+    )
+    assert imported_packages(tree) == {"threading", "concurrent", "concurrentx"}
 
 
 def test_blas_threads_are_pinned_before_numpy_loads():

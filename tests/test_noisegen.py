@@ -36,6 +36,11 @@ class TestDSAConfig:
     def test_default_lorentzian_cutoff_is_adequate(self, lor_config):
         assert lor_config.cutoff_adequate()
 
+    def test_an_all_zero_spectrum_has_an_adequate_cutoff_and_does_not_warn(self, recwarn):
+        config = DSAConfig(spectrum=White(0.0), omega_max=6.0, n_omega=16)
+        assert config.cutoff_adequate()
+        assert not recwarn.list
+
     def test_amplitudes_are_evaluated_once_and_read_only(self, monkeypatch):
         config = default_dsa_config(LOR, n_omega=64)
         values = evaluate_spectrum(config.spectrum, config.frequencies)

@@ -1,9 +1,8 @@
-"""``run_plan`` evaluates its drive frequencies in contiguous blocks.
+"""``run_plan`` evaluates its whole drive grid as one block.
 
-With ``--jobs 1`` the whole grid is one block; with more jobs it is cut into
-that many blocks.  Neither the records, nor their insertion order, nor the
-warnings and the first error may depend on the blocking: each must be what
-evaluating the frequencies one at a time, in plan order, gives.
+Neither the records, nor their insertion order, nor the warnings and the
+first error may depend on that blocking: each must be what evaluating the
+frequencies one at a time, in plan order, gives.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from slqns.protocols import ClosedFormTclBackend, PlanError, PointTable, Protoco
 from slqns.spectra import DeviceParams, SphericalSpectraSet, Tabulated, mhz_to_rad_per_us
 from test_harness import CLOSED_FORM_P4, TRAJECTORY
 
-# 7 frequencies: divisible neither by 2 nor by 3 jobs
+# 7 frequencies
 P4_SEVEN = copy.deepcopy(CLOSED_FORM_P4)
 P4_SEVEN["plan"]["omegas_MHz"] = np.linspace(1.0, 40.0, 7).tolist()
 
@@ -36,20 +35,18 @@ def one_at_a_time(backend, plan):
 
 
 @pytest.mark.parametrize("config", [P4_SEVEN, TRAJECTORY], ids=["closed-form-p4-7", "trajectory-p2-2"])
-def test_entries_and_their_order_do_not_depend_on_jobs(config):
+def test_entries_and_their_order_do_not_depend_on_the_blocking(config):
     campaign = build_campaign(config)
     backend, plan = campaign.backend, campaign.plan
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        runs = {jobs: list(run_plan(backend, plan, jobs=jobs).entries.items()) for jobs in (1, 2, 3)}
+        entries = list(run_plan(backend, plan).entries.items())
         reference = one_at_a_time(backend, plan)
     assert len({key.omega for key, _ in reference}) == len(plan.omegas)
-    for jobs, entries in runs.items():
-        assert entries == reference, jobs
+    assert entries == reference
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_a_trajectory_block_draws_its_shots_in_one_call(monkeypatch, jobs):
+def test_a_trajectory_block_draws_its_shots_in_one_call(monkeypatch):
     campaign = build_campaign(TRAJECTORY)
     draws = []
 
@@ -64,8 +61,8 @@ def test_a_trajectory_block_draws_its_shots_in_one_call(monkeypatch, jobs):
     monkeypatch.setattr(protocols, "draw_shots", counted(protocols.draw_shots))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        dataset = run_plan(campaign.backend, campaign.plan, jobs=jobs)
-    assert len(draws) == jobs
+        dataset = run_plan(campaign.backend, campaign.plan)
+    assert len(draws) == 1
     assert sum(draws) == len(dataset) == 16
 
 
@@ -103,12 +100,6 @@ def test_first_error_and_the_warnings_before_it_follow_plan_order():
             run_plan(backend, BAND_PLAN)
     assert str(error.value) == str(first.value)
     assert [str(w.message) for w in caught] == expected
-    for jobs in (2, 3):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(DynamicsError) as error:
-                run_plan(backend, BAND_PLAN, jobs=jobs)
-        assert str(error.value) == str(first.value), jobs
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

@@ -129,7 +129,7 @@ def test_warnings_and_the_first_error_of_a_campaign_keep_their_order():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(DynamicsError) as error:
-            run_plan(backend, plan, jobs=1)
+            run_plan(backend, plan)
     assert str(error.value) == "decay rate A must be > 0, got 0.0"
     assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, STRAIN_3MHZ)] * 3 + [
         (UserWarning, STRAIN_7MHZ)

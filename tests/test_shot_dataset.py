@@ -155,7 +155,8 @@ def _grow(ds: ShotDataset, how: str) -> None:
     elif how == "merge":
         other = ShotDataset()
         other.extend([2, 0], [-0.0, 7.0], [3, 1], [2, 0], [0.5, 2.0], ShotColumns.from_counts(20, [0, 20]))
-        ds.merge(other)
+        ds.extend(*(other.column(name) for name in ("drive", "omega", "init", "observable", "time")),
+                  other.take(slice(None)))
     else:  # a block that the store rejects leaves it, and its texts, as they were
         with pytest.raises(ValueError, match="duplicate measurement key"):
             ds.extend([0], [2.5], [0], [0], [4.0], ShotColumns.exact([0.1]))

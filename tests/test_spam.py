@@ -61,6 +61,18 @@ class TestSpamParams:
     def test_combined_parameter(self):
         assert SpamParams(alpha_sp=0.98, alpha_m=0.94).alpha == pytest.approx(0.98 * 0.94)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"alpha_sp": np.nan}, "SPAM parameters must be finite"),
+        ({"c_u": complex(0.0, np.inf)}, "SPAM parameters must be finite"),
+        ({"delta": -np.inf}, "SPAM parameters must be finite"),
+        ({"alpha_sp": -1.2}, "require |alpha_sp| <= 1 and |Re c|, |Im c| <= 1"),
+        ({"alpha_sp": 0.0, "c_u": complex(0.0, 1.5)}, "require |alpha_sp| <= 1 and |Re c|, |Im c| <= 1"),
+    ], ids=["nan-alpha_sp", "infinite-c", "infinite-delta", "alpha_sp", "im-c"])
+    def test_non_finite_and_out_of_range_parameters_are_refused(self, fields, message):
+        with pytest.raises(ValueError) as error:
+            SpamParams(**fields)
+        assert str(error.value) == message
+
 
 class TestFaultyState:
     def test_error_free_preparation_is_pure(self):
@@ -87,6 +99,15 @@ class TestFaultyState:
     def test_positivity_rejection(self):
         with pytest.raises(ValueError):
             faulty_state("x", +1, SpamParams(alpha_sp=0.999, c_u=0.9))
+
+    @pytest.mark.parametrize("axis, sign, message", [
+        ("y", +1, "preparation axis must be 'x' or 'z', got 'y'"),
+        ("x", 0, "preparation sign must be +1 or -1, got 0"),
+    ], ids=["axis", "sign"])
+    def test_an_unknown_axis_or_sign_is_refused(self, axis, sign, message):
+        with pytest.raises(ValueError) as error:
+            faulty_state(axis, sign, SpamParams.ideal())
+        assert str(error.value) == message
 
 
 class TestPovm:
@@ -259,6 +280,12 @@ class TestDrawShots:
         with pytest.raises(ValueError, match=r"uniforms must lie in \[0, 1\], got"):
             draw_shots([0.5, 0.5], 1000, [0.25, bad])
 
+    @pytest.mark.parametrize("n_shots", [0, -3])
+    def test_fewer_than_one_shot_is_refused(self, n_shots):
+        with pytest.raises(ValueError) as error:
+            draw_shots([0.5, 0.5], n_shots, [0.25, 0.75])
+        assert str(error.value) == f"n_shots must be >= 1, got {n_shots}"
+
 
 class TestSpamCorruptedExpectation:
     def test_ideal_params_identity(self):
@@ -398,7 +425,10 @@ class TestShotDataset:
         assert ds.times("x", 3.5, "x+", "x") == []
 
         rebuilt = ShotDataset.from_csv(io.StringIO(ds.csv_text()))
-        merged = ShotDataset().merge(ShotDataset()).merge(ds)
+        merged = ShotDataset()
+        for other in (ShotDataset(), ds):
+            merged.extend(*(other.column(name) for name in ("drive", "omega", "init", "observable", "time")),
+                          other.take(slice(None)))
         for series in {key[:4] for key, _ in ds}:
             assert rebuilt.times(*series) == merged.times(*series) == ds.times(*series)
 
