@@ -16,7 +16,10 @@ Two independent routes to the same observables:
   noise as one block, one row per realization (several blocks when it would
   outgrow ``ENSEMBLE_BLOCK_BYTES``), checks its step once per block, and
   propagates its realizations in chunks, each with one step build and one
-  time-ordered product.
+  time-ordered product.  :func:`sized_expectation` sizes each ensemble's step
+  between the floor and the ceiling of :func:`step_limit`: h passes when the
+  mean at 2h, on every other noise sample, is within ``STEP_BIAS_BUDGET`` std
+  errors (Richardson's h^2 law); its checks spend ``CHECK_BUDGET`` floor runs.
 
 Conventions.  Everything lives in the frame co-rotating with the qubit
 splitting ``omega_q`` (the RWA has already been applied); a constant drive
@@ -73,6 +76,7 @@ __all__ = [
     "ToyBathNoise",
     "step_limit",
     "ensemble_expectation",
+    "sized_expectation",
 ]
 
 
@@ -531,8 +535,11 @@ def toggling_to_rotating(coherence, omega: float, t):
 # trajectory engine
 # ---------------------------------------------------------------------------
 
-STEP_DRIVE_FRACTION = 0.05
-STEP_NOISE_FRACTION = 0.05
+# steps times the fastest rate they resolve: the floor is the fixed step of
+# earlier versions, and the ceiling resolves that rate's period in 8.7 steps
+STEP_FLOOR, STEP_CEILING = 0.045, 0.72
+STEP_BIAS_BUDGET = 0.1  # |y_2h - y_h| that a step h may leave, in Monte-Carlo std errors
+CHECK_BUDGET = 0.6  # steps that a point's checks may propagate, in floor runs
 
 _BATH_GROUND = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)  # bath starts in z+
 
@@ -548,21 +555,26 @@ class ToyBathNoise:
         bx, by, bz = self._coefficients(t)
         return np.asarray(bx, float), np.asarray(by, float), np.asarray(bz, float)
 
+    def every_other(self) -> ToyBathNoise:
+        """The noise read from every other sample of its coefficients' grid."""
+        return ToyBathNoise(self._coefficients.every_other(), correlation_time=self.correlation_time)
 
-def step_limit(omega_eff: float, correlation_time: float | None) -> tuple[float, str]:
-    """Largest trajectory step, 0.05/|Omega| or 0.05 times the noise
-    correlation time when that is smaller, with the name of the bound."""
-    limit, reason = STEP_DRIVE_FRACTION / abs(omega_eff), "0.05/|Omega|"
-    if correlation_time is not None and STEP_NOISE_FRACTION * correlation_time < limit:
-        limit, reason = STEP_NOISE_FRACTION * correlation_time, "0.05 * noise correlation time"
-    return limit, reason
+
+def step_limit(omega_eff: float, correlation_time: float | None) -> tuple[float, float, str]:
+    """The floor and the ceiling of :func:`sized_expectation`'s steps,
+    :data:`STEP_FLOOR` and :data:`STEP_CEILING` over the fastest rate they
+    resolve, |Omega| or 1/``correlation_time``, with the name of that rate."""
+    rate, reason = abs(omega_eff), "|Omega|"
+    if correlation_time is not None and correlation_time * rate < 1.0:
+        rate, reason = 1.0 / correlation_time, "1/noise correlation time"
+    return STEP_FLOOR / rate, STEP_CEILING / rate, reason
 
 
 def _validate_step(drive: DriveConfig, noise: ToyBathNoise, dt: float) -> None:
-    limit, reason = step_limit(drive.effective_amplitude, noise.correlation_time)
-    if dt > limit * (1.0 + 1e-9):
+    _, ceiling, reason = step_limit(drive.effective_amplitude, noise.correlation_time)
+    if dt > ceiling * (1.0 + 1e-9):
         raise DynamicsError(
-            f"step dt = {dt:.3g} us exceeds {limit:.3g} us ({reason}); "
+            f"step dt = {dt:.3g} us exceeds the ceiling {ceiling:.3g} us, {STEP_CEILING:g} over {reason}; "
             "refusing to propagate with an under-resolved step"
         )
 
@@ -589,16 +601,16 @@ _STEP_BYTES = 16 * np.dtype(complex).itemsize
 
 
 def _chunk_size(n_steps: int) -> int:
-    """Realizations per chunk at a point of ``n_steps`` steps: as many as
-    :data:`CHUNK_STEP_BYTES` holds, and at least one."""
-    return max(1, CHUNK_STEP_BYTES // (n_steps * _STEP_BYTES))
+    """Realizations per chunk at a point of ``n_steps`` steps (or an array
+    of them): as many as :data:`CHUNK_STEP_BYTES` holds, and at least one."""
+    return np.maximum(1, CHUNK_STEP_BYTES // (n_steps * _STEP_BYTES))
 
 
 # Noise that one block of an ensemble's realizations may hold: its samples and
-# its coefficients at the step midpoints, about 3 floats per step and
-# realization.  A larger ensemble is sampled and propagated block by block.
+# its coefficients at the midpoints of steps of h and 2h, about 4 floats per
+# step of h and realization.  A larger ensemble is taken block by block.
 ENSEMBLE_BLOCK_BYTES = 4 << 20
-_NOISE_STEP_BYTES = 3 * np.dtype(float).itemsize
+_NOISE_STEP_BYTES = 4 * np.dtype(float).itemsize
 
 
 def _block_size(n_steps: int) -> int:
@@ -811,7 +823,7 @@ def _reduce_system(rho_joint: np.ndarray) -> np.ndarray:
 
 class _Workspace:
     """Storage for :func:`_x_drive_product`, sized once for ensembles of
-    ``rows`` realizations at points of the step counts ``n_steps`` and
+    ``rows`` realizations at points of up to ``max(n_steps)`` steps and
     reused by every chunk of each: flat complex arrays of which each chunk
     views the front.  A chunk of c realizations and n steps takes c (n // 2)
     pairs of steps, 8 complex numbers each in ``later`` and 4 in
@@ -819,9 +831,9 @@ class _Workspace:
     each in ``spare``."""
 
     def __init__(self, n_steps, rows: int):
-        chunks = [(min(_chunk_size(n), rows), n) for n in n_steps]
-        pairs = max((c * (n // 2) for c, n in chunks), default=0)
-        firsts = max((c * (n - n // 2) for c, n in chunks), default=0)
+        n = np.arange(1, max(n_steps, default=0) + 1)
+        chunks = np.minimum(_chunk_size(n), rows)
+        pairs, firsts = (int(np.max(chunks * k, initial=0)) for k in (n // 2, n - n // 2))
         self.later = np.empty(8 * pairs, dtype=complex)
         self.columns = np.empty(4 * pairs, dtype=complex)
         self.spare = np.empty(4 * firsts, dtype=complex)
@@ -866,15 +878,13 @@ def _propagate(drive: DriveConfig, noise, rho0: QubitState, dt: float, rows: int
     """Propagate ``rows`` toy-bath realizations exactly, in chunks of
     :func:`_chunk_size`; returns their checked reduced states at T, (rows,
     2, 2).  ``noise(t)`` gives each coefficient with one row per realization,
-    or one row that they share, and the step is checked against it once.
+    or one row that they share; the caller checks the step against it.
     Every state has the bits that its realization gives alone, whatever the
     chunks, unless a chunk mixes b_z = 0 and b_z != 0 (see
     :func:`_propagate_chunk`).  ``workspace`` must be sized for at least
     this point's steps; without one, the call sizes its own."""
-    _validate_step(drive, noise, dt)
     n, h, mids = _steps(drive.duration, dt)
     b = [np.broadcast_to(coefficient, (rows, n)) for coefficient in noise(mids)]
-    del noise  # read once: an ensemble's samples need not outlive it
     workspace = workspace or _Workspace([n], rows)
     chunk = _chunk_size(n)
     u_total = np.empty((rows, 4, 4), dtype=complex)
@@ -886,52 +896,79 @@ def _propagate(drive: DriveConfig, noise, rho0: QubitState, dt: float, rows: int
     return states
 
 
-def simulate_trajectory(
-    drive: DriveConfig,
-    noise: ToyBathNoise,
-    rho0: QubitState,
-    dt: float,
-) -> QubitState:
+def simulate_trajectory(drive: DriveConfig, noise: ToyBathNoise, rho0: QubitState, dt: float) -> QubitState:
     """Propagate one toy-bath realization exactly; returns the reduced state
     at T.  This is the one-row case of :func:`_propagate`: the tests'
     reference for the states of an ensemble, and a binding of the benchmark
     tracer.  No campaign calls it, so it is not exported."""
+    _validate_step(drive, noise, dt)
     return QubitState(_propagate(drive, noise, rho0, dt, 1)[0])
 
 
-def ensemble_expectation(
-    drive: DriveConfig,
-    noise_factory,
-    rho0: QubitState,
-    observable: str,
-    n_realizations: int,
-    base_seed: int,
-    dt: float,
-    workspace: _Workspace | None = None,
-) -> tuple[float, float]:
-    """Monte-Carlo mean of <sigma_obs(T)> over seeded noise realizations,
-    with its standard error.
+def ensemble_expectation(drive: DriveConfig, noise_factory, rho0: QubitState, observable: str, n_realizations: int,
+                         base_seed: int, dt: float, workspace: _Workspace | None = None) -> tuple[float, float]:
+    """Monte-Carlo mean of <sigma_obs(T)> over seeded noise realizations at
+    the step ``dt``, with its std error: :func:`sized_expectation`'s floor run.
 
     ``noise_factory(seeds)`` must build the noise of the realizations of a
     list of seeds, each coefficient with one row per seed in order (or one
     row that all share); realization ``k`` uses the child seed
     ``derive_seed(base_seed, k)``, so results are reproducible and
-    order-independent.  The seeds come from one ``derive_seeds`` pass.  The
-    realizations are taken in blocks of :func:`_block_size`, so that an
-    ensemble that fits one block calls the factory once; one
-    :func:`_propagate` takes each block, in the ``workspace`` of the
-    caller's evaluation block when it passes one.  With either toy-bath
-    variant each value has the bits that its realization gives alone.
+    order-independent.  The realizations are taken in blocks of
+    :func:`_block_size`, so that an ensemble that fits one block calls the
+    factory once; one :func:`_propagate` per run takes each block, in the
+    ``workspace`` of the caller's evaluation block when it passes one.  With
+    either toy-bath variant each value has the bits of its realization alone.
     """
+    values = _ensemble_values(drive, noise_factory, rho0, observable, n_realizations, base_seed, dt, workspace)
+    return _moments(values[0])
+
+
+def _ensemble_values(drive, noise_factory, rho0, observable, n_realizations, base_seed, dt, workspace, runs=1):
+    """(runs, n_realizations) values of :func:`ensemble_expectation`, run 1 at 2 dt on ``every_other()``."""
     if n_realizations < 2:
         raise DynamicsError("ensemble needs at least 2 realizations")
     seeds = derive_seeds(base_seed, np.arange(n_realizations)[:, None]).tolist()
     rows = _block_size(_steps(drive.duration, dt)[0])
-    states = np.concatenate([
-        _propagate(drive, noise_factory(block), rho0, dt, len(block), workspace)
-        for block in (seeds[start:start + rows] for start in range(0, n_realizations, rows))
-    ])
-    values = expectations(states, [_PAULI_CODES[observable]] * n_realizations)
-    mean = float(values.mean())
-    std_error = float(values.std(ddof=1) / math.sqrt(n_realizations))
-    return mean, std_error
+    values = np.empty((runs, n_realizations))
+    for start in range(0, n_realizations, rows):
+        noise, block = noise_factory(seeds[start:start + rows]), values[:, start:start + rows]
+        _validate_step(drive, noise, runs * dt)
+        for run, row in enumerate(block):
+            states = _propagate(drive, noise.every_other() if run else noise, rho0, (1 + run) * dt, row.size, workspace)
+            row[:] = expectations(states, [_PAULI_CODES[observable]] * row.size)
+    return values
+
+
+def _moments(values: np.ndarray) -> tuple[float, float]:
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
+
+
+def sized_expectation(drive: DriveConfig, noise_factory, rho0: QubitState, observable: str, n_realizations: int,
+                      base_seed: int, correlation_time: float | None, workspace: _Workspace | None = None):
+    """(mean, std error, step) of :func:`ensemble_expectation` at the step h
+    that its Richardson check accepts (Phil. Trans. R. Soc. A 210, 307, 1911),
+    from half the ceiling of :func:`step_limit`, with the noise of the factory
+    ``noise_factory(h)``, sampled every h = T/n, n even.  A gap within
+    :data:`TRACE_TOL` passes too (sigma_z conserved).  A check propagates
+    1.5 floor/h floor runs' steps, and the checks stop within
+    :data:`CHECK_BUDGET` floor runs: the floor then runs unchecked, in its own
+    workspace, so that no point propagates over 1.6 floor runs' steps.  A
+    failed check aims the h^2 law at half the budget, or, when that is finer,
+    at the last check that fits (``last`` steps) if the law passes it."""
+    floor, ceiling, _ = step_limit(drive.effective_amplitude, correlation_time)
+    h, spent, T = 0.5 * ceiling, 0.0, drive.duration
+    while True:
+        h = T / (2 * math.ceil(T / (2 * h) - 1e-12))
+        if (spent := spent + 1.5 * floor / h) > CHECK_BUDGET:
+            break
+        fine, coarse = _ensemble_values(drive, noise_factory(h), rho0, observable, n_realizations, base_seed, h,
+                                        workspace, runs=2)
+        (mean, std_error), gap = _moments(fine), abs(coarse.mean() - fine.mean())
+        if gap <= max(STEP_BIAS_BUDGET * std_error, TRACE_TOL):
+            return mean, std_error, h
+        scale, last = STEP_BIAS_BUDGET * std_error / gap, 2 * math.floor(T * (CHECK_BUDGET - spent) / (3.0 * floor))
+        if last < 2 or h * math.sqrt(scale) < T / last:
+            break
+        h = max(h * math.sqrt(0.5 * scale), T / last)
+    return *ensemble_expectation(drive, noise_factory(floor), rho0, observable, n_realizations, base_seed, floor), floor

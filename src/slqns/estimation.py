@@ -348,7 +348,7 @@ def _linreg_stack(x, y, sigma=None) -> _Lines:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or x.shape != y.shape or x.shape[1] < 2:
-        raise EstimationError("regression needs 1-D x, y of equal length >= 2")
+        raise EstimationError("stacked regression needs 2-D x and y of the same shape (k, n) with n >= 2")
     same_x = (x == x[:, :1]).all(axis=1)
     sigma = None if sigma is None else np.asarray(sigma, dtype=float)
     failed = same_x if sigma is None else same_x | (sigma <= 0.0).any(axis=1)

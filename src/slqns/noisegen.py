@@ -42,6 +42,7 @@ one-sided ``S~`` at ``|omega|``, as the closed-form backend reads a model.
 
 from __future__ import annotations
 
+import copy
 import enum
 import functools
 from dataclasses import dataclass, field
@@ -342,6 +343,13 @@ class BathCoefficients:
         beta_t, beta_lag = beta[0], beta[-1]
         bz = beta_t if self.config.variant is BathVariant.THREE_AXIS else np.broadcast_to(0.0, beta_t.shape)
         return beta_t, beta_lag, bz
+
+    def every_other(self) -> BathCoefficients:
+        """The coefficients on every other sample, views of a grid checked already."""
+        coarse = copy.copy(self.trajectory)
+        object.__setattr__(coarse, "times", coarse.times[::2])
+        object.__setattr__(coarse, "samples", coarse.samples[..., ::2])
+        return BathCoefficients(coarse, self.config)
 
 
 def target_spectra(config: DSAConfig, gamma: float, variant: BathVariant) -> SphericalSpectraSet:

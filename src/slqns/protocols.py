@@ -34,6 +34,7 @@ execution order.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -301,8 +302,10 @@ class ClosedFormTclBackend(Backend):
 
 class TrajectoryBackend(Backend):
     """Monte-Carlo trajectory averaging over the dephasing toy bath: one
-    ensemble per point, on the stream ``derive_seed(seed, 0)``, and the shots
-    of the block's points from their streams ``derive_seed(seed, 1)``."""
+    ensemble per point, on the stream ``derive_seed(seed, 0)``, at the step
+    that :func:`dynamics.sized_expectation` accepts from its own Richardson
+    check, and the shots of the block's points from their streams
+    ``derive_seed(seed, 1)``."""
 
     def __init__(
         self,
@@ -340,19 +343,20 @@ class TrajectoryBackend(Backend):
             for (code, init, observable), time, seed in zip(layout, times, row_seeds):
                 # a z drive takes |Omega|, and the plan enforced the long-time condition
                 drive = DriveConfig(_AXES[code], abs(omega) if code else omega, time, long_time_threshold=0.0)
-                dt = 0.9 * dynamics.step_limit(drive.effective_amplitude, self.dsa_config.correlation_time)[0]
-                points.append((drive, init, observable, seed, dt))
-        # one workspace for all the block's points, which run longest first so
-        # that each point's arrays fit where a longer point's were freed
-        n_steps = [dynamics._steps(drive.duration, dt)[0] for drive, *_, dt in points]
+                floor = dynamics.step_limit(drive.effective_amplitude, self.dsa_config.correlation_time)[0]
+                points.append((drive, init, observable, seed, floor))
+        # one workspace for the block's checks, of steps over 1.5 floors / CHECK_BUDGET (a floor run sizes its
+        # own); the points run longest first so that each one's arrays fit where a longer point's were freed
+        n_steps = [dynamics._steps(d.duration, 1.5 / dynamics.CHECK_BUDGET * floor)[0] for d, *_, floor in points]
         workspace = dynamics._Workspace(n_steps, self.n_realizations)
-        ensembles = np.empty((len(points), 2))
+        ensembles = np.empty((len(points), 3))
         for k in sorted(range(len(points)), key=n_steps.__getitem__, reverse=True):
-            drive, init, observable, seed, dt = points[k]
-            ensembles[k] = dynamics.ensemble_expectation(
-                drive, self._noise_factory(drive.duration, dt), self._prepared[init], OBSERVABLES[observable],
-                self.n_realizations, derive_seed(seed, 0), dt, workspace)
-        means, std_errors = ensembles.T
+            drive, init, observable, seed, _ = points[k]
+            ensembles[k] = dynamics.sized_expectation(
+                drive, functools.partial(self._noise_factory, drive.duration), self._prepared[init],
+                OBSERVABLES[observable], self.n_realizations, derive_seed(seed, 0), self.dsa_config.correlation_time,
+                workspace)
+        means, std_errors, _ = ensembles.T
         # squared by Python's float ** 2, whose bits the analytic variances have always had
         variances = _mapped(_square, self.spam.alpha_m * std_errors)
         return self._readout(means, variances, n_shots, [derive_seed(seed, 1) for seed in np.ravel(seeds)])

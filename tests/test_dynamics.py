@@ -22,6 +22,7 @@ from slqns.dynamics import (
     ensemble_expectation,
     frame_aligned_times,
     simulate_trajectory,
+    step_limit,
     tcl_evolve_state,
     tcl_expectation_x_drive,
     tcl_expectation_z_drive,
@@ -253,13 +254,13 @@ class TestTrajectoryEngine:
     def test_step_size_refusal(self):
         drive = DriveConfig(DriveAxis.X_PLUS, amplitude=10.0, duration=2.0)
         with pytest.raises(DynamicsError, match="step"):
-            simulate_trajectory(drive, zero_noise(), QubitState.ket("z", +1), dt=0.02)
+            simulate_trajectory(drive, zero_noise(), QubitState.ket("z", +1), dt=0.1)
 
     def test_noise_correlation_time_tightens_step(self):
         drive = DriveConfig(DriveAxis.X_PLUS, amplitude=2.0, duration=10.0)
         noise = zero_noise(correlation_time=0.1)
         with pytest.raises(DynamicsError, match="correlation"):
-            simulate_trajectory(drive, noise, QubitState.ket("z", +1), dt=0.02)
+            simulate_trajectory(drive, noise, QubitState.ket("z", +1), dt=0.1)
 
 
 @pytest.fixture(scope="module")
@@ -290,7 +291,7 @@ class TestEnsembleExpectation:
     def test_clt_scaling(self, band_config):
         omega, t_final = 20.0, 0.5
         drive = DriveConfig(DriveAxis.X_PLUS, amplitude=omega, duration=t_final)
-        dt = 0.9 * min(0.05 / omega, 0.05 * band_config.correlation_time)
+        dt = step_limit(omega, band_config.correlation_time)[0]
         factory = toy_bath_factory(band_config, BathConfig(0.0), t_final, dt)
         ses = {}
         for n in (60, 240):
@@ -312,7 +313,7 @@ class TestEnsembleExpectation:
         s_plus = targets.s_plus(0, 0, omega).real
         s_minus = targets.s_minus(0, 0, omega).real
         drive = DriveConfig(DriveAxis.X_PLUS, amplitude=omega, duration=t_final)
-        dt = 0.9 * min(0.05 / omega, 0.05 * band_config.correlation_time)
+        dt = step_limit(omega, band_config.correlation_time)[0]
         factory = toy_bath_factory(band_config, bath, t_final + gamma, dt)
         mean, se = ensemble_expectation(drive, factory, QubitState.ket("x", +1), "x", 200, 5, dt)
         tcl = tcl_expectation_x_drive(s_plus, s_minus, 1.0, t_final)

@@ -116,7 +116,7 @@ def test_a_failing_row_fails_alone_with_the_one_line_message():
 def test_a_stack_of_the_wrong_shape_is_refused_whole(x, y):
     with pytest.raises(EstimationError) as error:
         _linreg_stack(x, y)
-    assert str(error.value) == "regression needs 1-D x, y of equal length >= 2"
+    assert str(error.value) == "stacked regression needs 2-D x and y of the same shape (k, n) with n >= 2"
 
 
 def test_a_singular_row_fails_alone_and_the_others_keep_their_bits():

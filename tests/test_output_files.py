@@ -10,7 +10,11 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,7 +177,8 @@ def test_all_five_files_are_identical_at_one_two_and_three_jobs(tmp_path, config
 # columnar, with numpy 2.4 and scipy 1.17 on x86-64 Linux, and were the same
 # with one and with two OpenBLAS threads.  Neither the shot counts, drawn in
 # numpy, nor this twin's estimates, all on the linearized path, depend on
-# scipy.
+# scipy.  They held when each point's step became sized by its own
+# Richardson check (after commit 14ba881): no shot count moved.
 TRAJECTORY_TWIN = dict(copy.deepcopy(TRAJECTORY), seed=1)
 TRAJECTORY_DIGESTS = {
     "report.json": "44429b4c5b021920725c2034ef401b8586eeb83129944a8aa6636c4f04be5730",
@@ -192,15 +197,17 @@ def test_trajectory_outputs_match_the_pinned_digests(tmp_path):
 
 
 # The analytic twin of the same campaign: exact expectations that carry the
-# Monte-Carlo variances (alpha_m * std_error) ** 2.  Recorded at commit
-# 5010690, with numpy 2.4 and scipy 1.17 on x86-64 Linux, the same with one
-# and with two OpenBLAS threads.
+# Monte-Carlo variances (alpha_m * std_error) ** 2.  Re-recorded on top of
+# commit 14ba881, when each point's step became sized by its own Richardson
+# check (``dynamics.sized_expectation``), and again when its checks were
+# bounded by CHECK_BUDGET floor runs, with numpy 2.4 on x86-64 Linux, the
+# same with one and with two OpenBLAS threads.
 TRAJECTORY_ANALYTIC_TWIN = dict(TRAJECTORY_TWIN, backend=dict(TRAJECTORY["backend"], analytic=True))
 TRAJECTORY_ANALYTIC_DIGESTS = {
-    "report.json": "605087d2a181004069e62e9ec00127532a84a4f00d62bb4685d07dde2e83e102",
-    "datasets.csv": "4a1d730ac14e77bbf4dccd2ec74bdb8ae12a3ee34169a3342b4c1fc524c9586d",
-    "estimates.csv": "19af0bd43aebce1b99180e03a1e4b2da6802f2b27cfd7579c1ce2415fefdf955",
-    "manifest.json": "cf0f9502839c78041e07db459d56256e57b23438b36d470ff475fcd8de78e499",
+    "report.json": "4cbecc7d987b47f2884e3139361a57f307fa733f6ac750346c9210f0bc590448",
+    "datasets.csv": "28a0d1a82c6380eebfc205806d0b075ac7aca7084d6e614e2764e242fe52bc1f",
+    "estimates.csv": "b819529a49954f0890cec3927f881cdd6fc4d82840e3d368edcedc3684f023cf",
+    "manifest.json": "9496a940e9caef07fe7a0a0b2e21cd650fdaa68354f23be3ee03f5ee9c972a40",
 }
 
 
@@ -218,7 +225,10 @@ def test_analytic_trajectory_outputs_match_the_pinned_digests(tmp_path):
 # is TRAJECTORY with aligned_n [8, 10]; protocol 3 takes its one time, 2.5 us,
 # and the same aligned block.  Seed 1, 7 realizations per point, both bath
 # variants, shot and analytic mode.  All five files were recorded at commit
-# 049039b, with numpy 2.4 on x86-64 Linux, the same at --jobs 1 and 2.
+# 049039b, with numpy 2.4 on x86-64 Linux, the same at --jobs 1 and 2.  The
+# six cases other than protocol 3 in shot mode were re-recorded on top of
+# commit 14ba881, when each point's step became sized by its own Richardson
+# check; run.log held in all of them.
 def trajectory_p34(protocol: int, variant: str, mode: str) -> dict:
     times = [2.5] if protocol == 3 else TRAJECTORY["plan"]["times_us"]
     return dict(copy.deepcopy(TRAJECTORY_TWIN), protocol=protocol,
@@ -236,10 +246,10 @@ TRAJECTORY_P34_DIGESTS = {
         "run.log": "aecdf52bcc07b3e7c0a03b4a383027299cfa792eea9b70ee7b22b9c26c49bddd",
     },
     (3, "main_text", "analytic"): {
-        "report.json": "01a2dd809726604dc5a06166ab453369831d3cc8f5bcb6cc36e66c91dd830f16",
-        "datasets.csv": "0645120cb4e85f022f3eddd7016329f4421cdd33b124bb1833ade0fe646ce96a",
-        "estimates.csv": "5d8f04e5ea86fc9660ab2f5d8256382adcf2359e725b7ec850b9059c87afb0a8",
-        "manifest.json": "01400ac49a2d576412fd329dc1590d59a4d8c20e2d3e6366922a30262425816f",
+        "report.json": "32ff201ca3435f682e7b4b4952c2f0d97261e8db8eed36c0c544305c7ab5eea5",
+        "datasets.csv": "7cb55ab7e98a01f2f6defd11e28f71c8c14b7c71bd7c0802d70f696d36420b5c",
+        "estimates.csv": "68e6929725e49e515ea1be604f3dc251092357dd3545964fbe2f03adae216e12",
+        "manifest.json": "bb0999234f501a4fc3ea23641a9cbb70b52079cd5dabb71f6a53182aec995bc0",
         "run.log": "686f7f772e50344ddd031d4694638f4d812652c03e59e15bbc127c79aa8c07a3",
     },
     (3, "three_axis", "shot"): {
@@ -250,38 +260,38 @@ TRAJECTORY_P34_DIGESTS = {
         "run.log": "c176198b309f10c742d630052eccc527f1a19385b56256674a7f964506e16ef5",
     },
     (3, "three_axis", "analytic"): {
-        "report.json": "dee7c159aee885de79180b2accdbc488d15b554aebceafb47ccdc09d5de36f77",
-        "datasets.csv": "10966901e6c88cc957f554f835dbca706f8656a2e728e63e45df4db1b166b5e5",
-        "estimates.csv": "9810499f469c2d300e6f08a2f24a2ce68835b57368e17ded9592908672c6bb13",
-        "manifest.json": "cb766439d435a341f31394f525d77aecc85263e35e0bd37e673ec9a07b81e272",
+        "report.json": "7a658161d81b88f18b0fdd23b304adf84019872e3f9932e78571b283412f2b68",
+        "datasets.csv": "f3b01f02fc6eda179c6efb3f6b0000aec48f32f745d169c8b2d8acabed8ccffa",
+        "estimates.csv": "736bf52a45ceb2bc0aaabfaa81c946754d95678a8ad1cc8be5d4fb23905a22e7",
+        "manifest.json": "b189cf7f0bde163f5ba0db3060021afa31e37a5263832bb5f79082b8e0702236",
         "run.log": "e024a409680e592456e3b4336c13715f2f175c6b0e348dc9c42607930fe9fce0",
     },
     (4, "main_text", "shot"): {
-        "report.json": "d0c85fe91fd1bb320a2d42d8d32ea648276da7850d50d8ef7c2bb5906074ca15",
-        "datasets.csv": "f55aad270090298a5b072781583400c79440c9be823f9fa80a144c0354695007",
-        "estimates.csv": "e84bfcbe1e52df84dc63c0b8f6a64a2c8ffa249818bc1d29f7fd312a4f3dfe90",
-        "manifest.json": "9e16133acb49b94dfab96f88bc5b4ba749276684037e3732477a9755d38f48d4",
+        "report.json": "021141fef5caaf2fa89038e70b8d3bfdb6478abc7122e5584039bec60896e61f",
+        "datasets.csv": "bb0ba9b7b938c811c2641361ca8fceea36947a8db75361ee59ba31bdf1d0a114",
+        "estimates.csv": "325cc3b6e7b0bf4a90e84bfb446561560b7b0062e2991ac541780a7c713c36ba",
+        "manifest.json": "b8db22f664d6219a5dd7ce883cf751fb24fe8091c4f192575ea011eb83bc6f14",
         "run.log": "cc13f2738bb2a1475cf40ac816ffe00c8b8b6fe8888e8dae0df4f1938c033810",
     },
     (4, "main_text", "analytic"): {
-        "report.json": "371d6058cefd0be2af59f10e92db900b9f6658b27ec49781b42b6f0e80b6cf36",
-        "datasets.csv": "73a63d2ffb35bb71af3e04e634857685ad7ebb64cd042138ae57c016447d1cd4",
-        "estimates.csv": "8a1f525e45cc6c959c4929242705b908b91220438cb3bf1bd2a486697994e7e4",
-        "manifest.json": "0e7acb8f5eb527330e615596aa995450531ebe3a2fe1fe0ee62fd484ab67e451",
+        "report.json": "7c8c820c6dadb0e29dad9ecac829359d3975d9cd87ab6c801d8f21b388176558",
+        "datasets.csv": "ccd260cadf5c2444c79d06c16f9d11720bf406213b87b7a065788da1a2ec9e55",
+        "estimates.csv": "66a65ae894acdf885c03c7cdc6ad4c696ab2dd69f9ef234f564076737e3a0f61",
+        "manifest.json": "668a0962615d55ed6bd602404b34ea9ef858f6f2776dd1514bfef892accc0477",
         "run.log": "47805b2ee17737f3e823898bf461d4f3a8ae7442cb96b7351558f598c01b7c7d",
     },
     (4, "three_axis", "shot"): {
-        "report.json": "d87735b606a2c36c12df4d2de52e77909cea6e96576d54655565e09b26222658",
-        "datasets.csv": "b57edd69218b7946b6f9fb9f7537fb48c96229dfd9ee813ed1c61244aae6c672",
-        "estimates.csv": "2a344e409f3fee975ec99d665d4b77b4851a81cb2849d76911fa1c642ac86a7c",
-        "manifest.json": "8ac025fc41fa641cad45d1816172ab5ce47ebf6410a2f44c9c55afcbcd46110c",
+        "report.json": "d3c15f15adf69bc57289b9653e167583a52b42debfa6b06304c5e294a4693f3d",
+        "datasets.csv": "8e74c319d9f7ee104d97aaf5ed6cedb213c3fd135dbbff278c6744524e448ac1",
+        "estimates.csv": "dae337741e105655e9c9101772531e961c70015c9dd25f471f1f035b61ab60d3",
+        "manifest.json": "5de34a4b573b137de3e6255ea80129ad944eef63c9dfdcfca95f51a1d6c1f656",
         "run.log": "d688fdba8e575ccaeb8f559b6260f7f8bc0504430752daf2d6fb6b6b6ecb52dc",
     },
     (4, "three_axis", "analytic"): {
-        "report.json": "51cead318ad93cc7f9af8acbdef778f666f2ad348f1c0261104d3f6db074f289",
-        "datasets.csv": "c7127d52bd797512dcd5dcb044201a45747fb903441a2e918c929ec30424614c",
-        "estimates.csv": "5f056a28d0481a70d996ea7ee5100a6575d615cf013329816af6c8215aee5f29",
-        "manifest.json": "576765de8085aac18099ecc3a8d1318c6e7c84bd9b813bd68274b873a982f3a9",
+        "report.json": "c72434ba0abffe12ae6c0403e33eac3ca245528bfdb6a96150884561291d73a5",
+        "datasets.csv": "2a0f7a7210126d4a6ca4d2674250f7ff60e8db2e72deb03ffc97981358f6ddd2",
+        "estimates.csv": "860644f44da003a2b32793d5b565e8e4ea32bce1ec3d114c49a96e5c2ce85338",
+        "manifest.json": "8071af68a8f0ac0855f9f60087c725d019d356b8b5635d5ed4d4fc3bcd47a2cf",
         "run.log": "16e72e3f12ecdef6c968177a9f8b6cd09bcaa903f5786c0747a66475ea4c9a1f",
     },
 }
@@ -295,6 +305,49 @@ def test_trajectory_protocol_3_and_4_outputs_match_the_pinned_digests(tmp_path, 
         run_campaign(trajectory_p34(*key), out_dir=tmp_path, jobs=jobs)
     pinned = TRAJECTORY_P34_DIGESTS[key]
     assert {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in pinned} == pinned
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# runs the analytic protocol 2 twin and the analytic three-axis protocol 4
+# case into two directories, and writes the step that each point took
+RUN_TRAJECTORY_TWINS = """
+import json, sys, warnings
+from pathlib import Path
+from slqns import dynamics
+from slqns.harness import run_campaign
+from test_output_files import TRAJECTORY_ANALYTIC_TWIN, trajectory_p34
+sized, steps = dynamics.sized_expectation, []
+def recording(*args):
+    steps.append(sized(*args))
+    return steps[-1]
+dynamics.sized_expectation = recording
+warnings.simplefilter("ignore")
+out = Path(sys.argv[1])
+run_campaign(TRAJECTORY_ANALYTIC_TWIN, out_dir=out / "p2")
+run_campaign(trajectory_p34(4, "three_axis", "analytic"), out_dir=out / "p4")
+(out / "steps.json").write_text(json.dumps([step for *_, step in steps]))
+"""
+
+
+def test_trajectory_twins_and_their_steps_hold_at_one_and_two_blas_threads(tmp_path):
+    """The step rule accepts a step by a threshold on computed floats, so a
+    change of rounding could move an output by up to the bias budget: the
+    analytic twins, which carry every bit of their means, give their pinned
+    bytes and take the same steps in fresh processes at one and at two
+    OpenBLAS threads."""
+    steps = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+        subprocess.run([sys.executable, "-c", RUN_TRAJECTORY_TWINS, str(out)],
+                       env=env, check=True, timeout=300, cwd=ROOT)
+        for twin, pinned in (("p2", TRAJECTORY_ANALYTIC_DIGESTS),
+                             ("p4", TRAJECTORY_P34_DIGESTS[(4, "three_axis", "analytic")])):
+            assert {f: hashlib.sha256((out / twin / f).read_bytes()).hexdigest() for f in pinned} == pinned
+        steps[threads] = json.loads((out / "steps.json").read_text())
+    assert len(steps["1"]) == 16 + 56
+    assert steps["1"] == steps["2"]
 
 
 @pytest.mark.parametrize("name", ["p1", "p2-standard-dropped", "p3", "p4-standard-dropped"])

@@ -1,6 +1,7 @@
 """Trajectory engine: blocked noise synthesis, direct bath unitaries, the
 time-ordered product and the x drive's column product, realizations in
-chunks, the per-point structure of a campaign, drift bounds."""
+chunks, the per-point structure of a campaign, drift bounds, and the step
+rule with its bias budget and drift tolerance."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from slqns.noisegen import (
     BathCoefficients,
     BathConfig,
     BathVariant,
+    DSAConfig,
     DSARealization,
     NoiseTrajectory,
     _phase_tables,
@@ -28,7 +30,7 @@ from slqns.noisegen import (
 )
 from slqns.protocols import TrajectoryBackend
 from slqns.seeding import derive_seed
-from slqns.spectra import Lorentzian
+from slqns.spectra import Lorentzian, Tabulated
 
 from oracles import (
     matmul_pair_products,
@@ -41,8 +43,8 @@ from test_harness import OUTPUT_FILES, TRAJECTORY
 
 # the dephasing model of the harness and bench configs, in rad/us
 CONFIG = default_dsa_config(Lorentzian(omega0=2.0 * math.pi * 0.6366, tc=0.5), n_omega=256)
-# the step the trajectory backend takes for it (0.9 * 0.05 / omega_max)
-STEP = 0.9 * dynamics.STEP_NOISE_FRACTION / CONFIG.omega_max
+# the floor of the trajectory step for it at 4 MHz, where omega_max binds
+STEP = dynamics.step_limit(2.0 * math.pi * 4.0, CONFIG.correlation_time)[0]
 
 
 def blocked_calls() -> int:
@@ -168,7 +170,7 @@ def test_simulate_trajectory_matches_the_4x4_x_drive(monkeypatch, variant):
     cases = [(sign * 2.0 * math.pi * 4.0, axis, s) for sign in (1, -1) for axis, s in (("x", 1), ("x", -1), ("z", 1))]
     for omega, axis, s in cases:
         drive = dynamics.DriveConfig(dynamics.DriveAxis.X_PLUS, amplitude=omega, duration=2.5)
-        dt = 0.9 * dynamics.step_limit(omega, CONFIG.correlation_time)[0]
+        dt = dynamics.step_limit(omega, CONFIG.correlation_time)[0]
         rho0 = dynamics.QubitState.ket(axis, s)
         state = dynamics.simulate_trajectory(drive, noise, rho0, dt)
         assert np.max(np.abs(state.matrix - x_drive_trajectory(drive, noise, rho0, dt).matrix)) <= 1e-12
@@ -283,7 +285,7 @@ def campaign_point(variant: str, axis: str, duration: float):
     """The drive, step and noise factory of a trajectory-backend point, and
     the noise of one realization on its grid."""
     drive = dynamics.DriveConfig(DRIVES[axis], amplitude=2.0 * math.pi * 4.0, duration=duration)
-    dt = 0.9 * dynamics.step_limit(drive.effective_amplitude, CONFIG.correlation_time)[0]
+    dt = dynamics.step_limit(drive.effective_amplitude, CONFIG.correlation_time)[0]
     bath = BathConfig(lag_gamma=0.3, variant=BathVariant(variant))
     grid = np.arange(0.0, duration + 0.3 + 1e-9 + dt, dt)
 
@@ -573,3 +575,225 @@ def test_campaign_drift_against_the_4x4_x_drive(tmp_path, monkeypatch, config, a
 
     assert_campaign_drift(tmp_path, monkeypatch, config, analytic, "_propagate_chunk", reference)
     assert calls
+
+
+# ---------------------------------------------------------------------------
+# the step rule: a Richardson check of each ensemble against its own floor
+# ---------------------------------------------------------------------------
+
+
+def sized_point(omega_mhz: float, duration: float, variant: str = "main_text", axis: str = "x", seed=None):
+    """The arguments of ``dynamics.sized_expectation`` for a point of the
+    bench trajectory physics: the drive, its steps' noise factory (the
+    backend's, or, with ``seed``, every realization that seed's noise) and
+    the floor and the ceiling of its step."""
+    backend = TrajectoryBackend(CONFIG, BathConfig(0.3, BathVariant(variant)))
+    drive = dynamics.DriveConfig(DRIVES[axis], amplitude=2.0 * math.pi * omega_mhz, duration=duration)
+
+    def noise_factory(h):
+        factory = backend._noise_factory(duration, h)
+        return factory if seed is None else lambda seeds: factory([seed] * len(seeds))
+
+    floor, ceiling, _ = dynamics.step_limit(drive.effective_amplitude, CONFIG.correlation_time)
+    return drive, noise_factory, floor, ceiling
+
+
+@pytest.mark.parametrize("duration", [1.0, 2.5])
+@pytest.mark.parametrize("omega_mhz", [4.0, 10.0])
+def test_the_sized_step_stays_within_a_tenth_of_a_std_error_of_the_floor(omega_mhz, duration):
+    """Stated bias budget: on the bench trajectory physics, 200 realizations
+    at the step that the rule accepts give a mean within 0.1 of its
+    Monte-Carlo std error of the same realizations at the floor step."""
+    drive, noise_factory, floor, ceiling = sized_point(omega_mhz, duration)
+    rho0 = dynamics.QubitState.ket("x", 1)
+    mean, std_error, step = dynamics.sized_expectation(drive, noise_factory, rho0, "x", 200, 7,
+                                                       CONFIG.correlation_time)
+    assert floor <= step <= 0.5 * ceiling
+    reference = dynamics.ensemble_expectation(drive, noise_factory(floor), rho0, "x", 200, 7, floor)[0]
+    assert abs(mean - reference) <= 0.1 * std_error
+
+
+@pytest.mark.parametrize("duration", [1.0, 2.5])
+def test_the_checks_and_the_floor_run_after_them_cost_at_most_1_6_floor_runs(monkeypatch, duration):
+    """At 10 MHz and 400 realizations the gap shrinks slower than h^2, so
+    that the checks fail and the floor is taken: the steps that the rule
+    propagates, counted in ``_propagate``, stay within 1 + CHECK_BUDGET
+    times a floor run's (at 1 us an unbounded h^2 refinement took 1.78)."""
+    drive, noise_factory, floor, _ = sized_point(10.0, duration)
+    rho0 = dynamics.QubitState.ket("x", 1)
+    propagate, steps = dynamics._propagate, []
+
+    def counting(drive, noise, rho0, dt, rows, workspace=None):
+        steps.append(dynamics._steps(drive.duration, dt)[0] * rows)
+        return propagate(drive, noise, rho0, dt, rows, workspace)
+
+    monkeypatch.setattr(dynamics, "_propagate", counting)
+    dynamics.sized_expectation(drive, noise_factory, rho0, "x", 400, 3, CONFIG.correlation_time)
+    sized = sum(steps)
+    steps.clear()
+    dynamics.ensemble_expectation(drive, noise_factory(floor), rho0, "x", 400, 3, floor)
+    assert sized <= (1.0 + dynamics.CHECK_BUDGET) * sum(steps)
+
+
+def test_the_first_step_is_half_the_ceiling_and_the_floor_is_16_times_finer():
+    drive, noise_factory, floor, ceiling = sized_point(4.0, 2.5)
+    assert ceiling == pytest.approx(16.0 * floor, rel=1e-15)
+    assert floor == pytest.approx(0.045 / CONFIG.omega_max, rel=1e-15)
+    steps = []
+
+    def recording(h):
+        steps.append(h)
+        return noise_factory(h)
+
+    *_, step = dynamics.sized_expectation(drive, recording, dynamics.QubitState.ket("x", 1), "x", 24, 3,
+                                          CONFIG.correlation_time)
+    # 2.5 us in 474 steps, the even count whose check step, 2.5 us / 237, first fits under the ceiling
+    assert steps == [step] == [2.5 / 474]
+    assert 2.5 / 237 <= ceiling < 2.5 / 236
+
+
+def test_a_zero_noise_ensemble_is_accepted_at_its_first_check():
+    """Without noise every realization is the same exact rotation: zero
+    spread and a gap of rounding size, which the first check accepts."""
+    silent = DSAConfig(spectrum=Tabulated(grid=(0.0, CONFIG.omega_max), values=(0.0, 0.0)),
+                       omega_max=CONFIG.omega_max, n_omega=256)
+    backend = TrajectoryBackend(silent, BathConfig(0.3))
+    drive = dynamics.DriveConfig(dynamics.DriveAxis.X_PLUS, amplitude=2.0 * math.pi * 4.0, duration=2.5)
+    steps = []
+
+    def noise_factory(h):
+        steps.append(h)
+        return backend._noise_factory(2.5, h)
+
+    mean, std_error, step = dynamics.sized_expectation(drive, noise_factory, dynamics.QubitState.ket("z", 1), "z",
+                                                       5, 1, CONFIG.correlation_time)
+    assert steps == [step] and std_error == 0.0
+    assert mean == pytest.approx(math.cos(2.0 * math.pi * 4.0 * 2.5), abs=1e-12)
+
+
+def test_a_zero_spread_ensemble_with_a_step_error_takes_the_floor_after_one_check():
+    """Realizations that all read the same noise have zero spread, but the
+    steps still err: the h^2 law then asks for a step of zero, and the rule
+    takes the floor at once instead of refining without end."""
+    drive, noise_factory, floor, _ = sized_point(4.0, 1.0, seed=derive_seed(5, 0))
+    steps = []
+
+    def recording(h):
+        steps.append(h)
+        return noise_factory(h)
+
+    mean, std_error, step = dynamics.sized_expectation(drive, recording, dynamics.QubitState.ket("x", 1), "x", 4, 5,
+                                                       CONFIG.correlation_time)
+    assert std_error == 0.0 and step == floor
+    assert len(steps) == 2 and steps[-1] == floor
+
+
+@pytest.mark.parametrize("variant, axis", PATHS, ids=PATH_IDS)
+def test_an_ensemble_of_two_realizations_takes_a_step_between_floor_and_ceiling(variant, axis):
+    drive, noise_factory, floor, ceiling = sized_point(4.0, 1.5, variant, axis)
+    mean, std_error, step = dynamics.sized_expectation(drive, noise_factory, dynamics.QubitState.ket("x", 1), "x", 2,
+                                                       11, CONFIG.correlation_time)
+    assert floor <= step <= ceiling
+    assert math.isfinite(mean) and math.isfinite(std_error)
+
+
+@pytest.mark.parametrize("variant", ["main_text", "three_axis"])
+def test_an_ensemble_split_into_blocks_picks_the_steps_and_values_of_one_block(monkeypatch, variant):
+    """With room for three realizations' noise at the first step, 40
+    realizations are taken in blocks, and every check, the step chosen, the
+    mean and the std error have the bits of one block.  At this drive the
+    first check fails, so the runs after it are split too."""
+    drive, noise_factory, floor, ceiling = sized_point(10.0, 1.0, variant)
+    rho0 = dynamics.QubitState.ket("x", 1)
+    checks = []
+    ensemble = dynamics._ensemble_values
+
+    def recording(*args, **kwargs):
+        values = ensemble(*args, **kwargs)
+        checks.append(values.tolist())
+        return values
+
+    def sized():
+        checks.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_ensemble_values", recording)
+            result = dynamics.sized_expectation(drive, noise_factory, rho0, "x", 40, 13, CONFIG.correlation_time)
+        return result, checks[:]
+
+    whole, whole_checks = sized()
+    assert len(whole_checks) > 1
+    first = 2 * math.ceil(1.0 / ceiling)
+    monkeypatch.setattr(dynamics, "ENSEMBLE_BLOCK_BYTES", 3 * first * dynamics._NOISE_STEP_BYTES)
+    assert dynamics._block_size(first) == 3
+    assert sized() == (whole, whole_checks)
+
+
+@pytest.mark.parametrize("variant", ["main_text", "three_axis"])
+def test_every_point_of_a_protocol_4_campaign_meets_the_bias_budget(tmp_path, monkeypatch, variant):
+    """The z drives, the aligned block and, under the three-axis bath, the x
+    drive's 4x4 steps: at every point of TRAJECTORY_P4 the step lies between
+    the floor and the ceiling, and the mean is within 0.1 of its std error
+    (or within the states' rounding, where sigma_z is conserved) of the same
+    realizations at the floor."""
+    config = copy.deepcopy(TRAJECTORY_P4)
+    config["backend"]["bath_variant"] = variant
+    sized, points = dynamics.sized_expectation, []
+
+    def recording(*args):
+        points.append((args, sized(*args)))
+        return points[-1][1]
+
+    monkeypatch.setattr(dynamics, "sized_expectation", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_campaign(config, out_dir=tmp_path)
+    monkeypatch.undo()
+    assert {args[0].axis for args, _ in points} == set(DRIVES.values())
+    for (drive, noise_factory, rho0, observable, n_realizations, base_seed, tau, _), (mean, std_error, step) in points:
+        floor, ceiling, _ = dynamics.step_limit(drive.effective_amplitude, tau)
+        assert floor <= step <= ceiling
+        reference = dynamics.ensemble_expectation(drive, noise_factory(floor), rho0, observable, n_realizations,
+                                                  base_seed, floor)[0]
+        assert abs(mean - reference) <= max(0.1 * std_error, dynamics.TRACE_TOL), (drive, observable)
+
+
+# the bench's trajectory workload: TRAJECTORY at one drive, 24 realizations
+TRAJ_P2 = dict(copy.deepcopy(TRAJECTORY), plan=dict(TRAJECTORY["plan"], omegas_MHz=[4.0]),
+               backend=dict(TRAJECTORY["backend"], n_realizations=24))
+
+
+def estimate_rows(report: dict) -> dict:
+    rows = {(e["component"], e["method"]): (e["value"], e["std_error"]) for e in report["estimates"]}
+    return rows | {("spam", name): (v["value"], v["std_error"]) for name, v in report["spam"].items()}
+
+
+def test_campaign_drift_against_the_floor_step():
+    """Stated drift tolerance of the step rule: over seeds 1-3 of the bench
+    trajectory workload, against every point run at its floor step on the
+    same realizations, each estimate and SPAM parameter moves by at most
+    0.05 of its std error in analytic mode and 0.15 in shot mode, where one
+    flipped count moves an estimate by about 0.1.  An analytic row that
+    reports no std error is measured against its shot-mode row's."""
+
+    def floor_step(drive, noise_factory, rho0, observable, n_realizations, base_seed, tau, workspace=None):
+        floor = dynamics.step_limit(drive.effective_amplitude, tau)[0]
+        return *dynamics.ensemble_expectation(drive, noise_factory(floor), rho0, observable, n_realizations,
+                                              base_seed, floor, workspace), floor
+
+    def rows(config, analytic, step_rule):
+        config = dict(config, backend=dict(config["backend"], analytic=analytic))
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            patch.setattr(dynamics, "sized_expectation", step_rule)
+            return estimate_rows(run_campaign(config).report)
+
+    for seed in (1, 2, 3):
+        config = dict(TRAJ_P2, seed=seed)
+        shot_scale = rows(config, False, floor_step)
+        for analytic, tolerance in ((False, 0.15), (True, 0.05)):
+            sized = rows(config, analytic, dynamics.sized_expectation)
+            reference = rows(config, analytic, floor_step)
+            assert sized.keys() == reference.keys() == shot_scale.keys()
+            for key, (value, std_error) in reference.items():
+                scale = std_error or shot_scale[key][1]
+                assert abs(sized[key][0] - value) <= tolerance * scale, (seed, analytic, key)
