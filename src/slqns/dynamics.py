@@ -591,19 +591,19 @@ def _steps(duration: float, dt: float) -> tuple[int, float, np.ndarray]:
 # The z path stores two 2x2 blocks, 8, and its peak working memory is that and
 # the first level of the product, half as much again.  The x drive's parity
 # path stores the first columns of its two blocks, 4: 8 in all with the second
-# columns of each pair's later step and the first level (see _Workspace).
-# Beyond a few MiB the chunk outgrows the cache and the product slows down;
-# below that, the budget sets the workspace that an evaluation block keeps.
-# On a 2-vCPU Xeon VM, 2 MiB ran the bench's trajectory workload 3 % slower
-# than 3 MiB, with 1.2 MB less peak memory.
+# columns of each pair's later step and the first level, in the buffers that
+# _x_drive_product allocates per chunk.  Beyond a few MiB the chunk outgrows
+# the cache and the product slows down.  On a 2-vCPU Xeon VM, 2 MiB ran the
+# bench's trajectory workload 3 % slower than 3 MiB, with 1.2 MB less peak
+# memory.
 CHUNK_STEP_BYTES = 2 << 20
 _STEP_BYTES = 16 * np.dtype(complex).itemsize
 
 
 def _chunk_size(n_steps: int) -> int:
-    """Realizations per chunk at a point of ``n_steps`` steps (or an array
-    of them): as many as :data:`CHUNK_STEP_BYTES` holds, and at least one."""
-    return np.maximum(1, CHUNK_STEP_BYTES // (n_steps * _STEP_BYTES))
+    """Realizations per chunk at a point of ``n_steps`` steps: as many as
+    :data:`CHUNK_STEP_BYTES` holds, and at least one."""
+    return max(1, CHUNK_STEP_BYTES // (n_steps * _STEP_BYTES))
 
 
 # Noise that one block of an ensemble's realizations may hold: its samples and
@@ -771,30 +771,30 @@ def _pair_products(later: np.ndarray, earlier: np.ndarray, out: np.ndarray) -> N
     np.einsum("li...k,l...k->i...k", later, earlier, out=out)
 
 
-def _x_drive_product(omega_eff: float, bx: np.ndarray, by: np.ndarray, dt: float, workspace: _Workspace) -> np.ndarray:
+def _x_drive_product(omega_eff: float, bx: np.ndarray, by: np.ndarray, dt: float) -> np.ndarray:
     """First columns (a, b), (2, 2, c), of the time-ordered products of the
     two parity blocks of the x drive's steps (:func:`_x_drive_columns`) for
     (c, n) coefficient arrays: the pairwise tree of
     :func:`_product_in_order`, each level one :func:`_pair_products` call,
-    on the first columns alone.  The first level is built straight from the
-    coefficients: the first column of each pair's later step into
-    ``workspace.later``, of its earlier step into ``workspace.columns``, and
-    of an odd first step, carried, into the level, which takes
-    ``workspace.spare``; the levels after it take turns in
-    ``workspace.columns`` and ``workspace.spare``."""
+    on the first columns alone, in three flat buffers allocated for the
+    chunk, of at most 8 complex numbers per realization and step.  The first
+    level is built straight from the coefficients: the first column of each
+    pair's later step into ``pairs``, of its earlier step into ``free``, and
+    of an odd first step, carried, into the level, which takes ``spare``;
+    the levels after it take turns in ``free`` and ``spare``."""
     n, shape = bx.shape[-1], (2, 2) + bx.shape[:-1]
     head, half = n % 2, n // 2
-    level = _front(workspace.spare, shape + (head + half,))
-    later = _front(workspace.later, (2,) + shape + (half,))
-    earlier = _front(workspace.columns, shape + (half,))
+    pairs, free, spare = (np.empty(k * math.prod(shape), dtype=complex) for k in (2 * half, half, head + half))
+    level = _front(spare, shape + (head + half,))
+    later = _front(pairs, (2,) + shape + (half,))
+    earlier = _front(free, shape + (half,))
     for steps, out in ((slice(head), level[..., :head]), (slice(head + 1, None, 2), later[0]),
                        (slice(head, None, 2), earlier)):
         _x_drive_columns(omega_eff, bx[..., steps], by[..., steps], dt, out)
     _pair_products(later, earlier, level[..., head:])
-    free = workspace.columns
     while (n := level.shape[-1]) > 1:
         head, half = n % 2, n // 2
-        later = _front(workspace.later, (2,) + shape + (half,))
+        later = _front(pairs, (2,) + shape + (half,))
         later[0] = level[..., head + 1::2]
         following = _front(free, shape + (head + half,))
         following[..., :head] = level[..., :head]
@@ -821,25 +821,7 @@ def _reduce_system(rho_joint: np.ndarray) -> np.ndarray:
     return 0.5 * (reduced + np.conj(np.swapaxes(reduced, -1, -2)))
 
 
-class _Workspace:
-    """Storage for :func:`_x_drive_product`, sized once for ensembles of
-    ``rows`` realizations at points of up to ``max(n_steps)`` steps and
-    reused by every chunk of each: flat complex arrays of which each chunk
-    views the front.  A chunk of c realizations and n steps takes c (n // 2)
-    pairs of steps, 8 complex numbers each in ``later`` and 4 in
-    ``columns``, and c (n - n // 2) first-level products, 4 complex numbers
-    each in ``spare``."""
-
-    def __init__(self, n_steps, rows: int):
-        n = np.arange(1, max(n_steps, default=0) + 1)
-        chunks = np.minimum(_chunk_size(n), rows)
-        pairs, firsts = (int(np.max(chunks * k, initial=0)) for k in (n // 2, n - n // 2))
-        self.later = np.empty(8 * pairs, dtype=complex)
-        self.columns = np.empty(4 * pairs, dtype=complex)
-        self.spare = np.empty(4 * firsts, dtype=complex)
-
-
-def _propagate_chunk(drive: DriveConfig, b, h: float, workspace: _Workspace) -> np.ndarray:
+def _propagate_chunk(drive: DriveConfig, b, h: float) -> np.ndarray:
     """The joint propagators, (c, 4, 4), of a chunk of toy-bath realizations
     whose coefficients ``b`` = (b_x, b_y, b_z) are (c, n) arrays at the step
     midpoints, for steps of ``h``.
@@ -853,11 +835,11 @@ def _propagate_chunk(drive: DriveConfig, b, h: float, workspace: _Workspace) -> 
     tx or ty against tz) but anticommutes with the b_z term (one flip).  So
     when b_z is zero at every step of every realization (the main-text bath)
     the two P sectors are propagated as 2x2 SU(2) blocks, of which
-    :func:`_x_drive_product` multiplies only the first columns in
-    ``workspace``, and mapped back through :data:`_X_PARITY_BASIS`; otherwise
-    (the three-axis bath) P is not conserved and the 4x4 steps are
-    multiplied.  A state differs from the one its realization gives alone
-    only when the chunk mixes the two cases, and then by rounding.
+    :func:`_x_drive_product` multiplies only the first columns, and mapped
+    back through :data:`_X_PARITY_BASIS`; otherwise (the three-axis bath) P
+    is not conserved and the 4x4 steps are multiplied.  A state differs from
+    the one its realization gives alone only when the chunk mixes the two
+    cases, and then by rounding.
     """
     omega_eff = drive.effective_amplitude
     # each step stack goes straight into _product_in_order, which frees it
@@ -866,30 +848,27 @@ def _propagate_chunk(drive: DriveConfig, b, h: float, workspace: _Workspace) -> 
         return _block_diagonal(_product_in_order(_z_drive_blocks(omega_eff, b, h)))
     if np.any(b[2]):
         return _product_in_order(_x_drive_unitaries_bath(omega_eff, b, h))
-    a, lower = _x_drive_product(omega_eff, b[0], b[1], h, workspace)
+    a, lower = _x_drive_product(omega_eff, b[0], b[1], h)
     blocks = np.empty(a.shape + (2, 2), dtype=complex)
     blocks[..., 0, 0], blocks[..., 0, 1] = a, -np.conj(lower)
     blocks[..., 1, 0], blocks[..., 1, 1] = lower, np.conj(a)
     return _X_PARITY_BASIS @ _block_diagonal(blocks) @ _X_PARITY_BASIS.T
 
 
-def _propagate(drive: DriveConfig, noise, rho0: QubitState, dt: float, rows: int,
-               workspace: _Workspace | None = None) -> np.ndarray:
+def _propagate(drive: DriveConfig, noise, rho0: QubitState, dt: float, rows: int) -> np.ndarray:
     """Propagate ``rows`` toy-bath realizations exactly, in chunks of
     :func:`_chunk_size`; returns their checked reduced states at T, (rows,
     2, 2).  ``noise(t)`` gives each coefficient with one row per realization,
     or one row that they share; the caller checks the step against it.
     Every state has the bits that its realization gives alone, whatever the
     chunks, unless a chunk mixes b_z = 0 and b_z != 0 (see
-    :func:`_propagate_chunk`).  ``workspace`` must be sized for at least
-    this point's steps; without one, the call sizes its own."""
+    :func:`_propagate_chunk`)."""
     n, h, mids = _steps(drive.duration, dt)
     b = [np.broadcast_to(coefficient, (rows, n)) for coefficient in noise(mids)]
-    workspace = workspace or _Workspace([n], rows)
     chunk = _chunk_size(n)
     u_total = np.empty((rows, 4, 4), dtype=complex)
     for start in range(0, rows, chunk):
-        u_total[start:start + chunk] = _propagate_chunk(drive, [c[start:start + chunk] for c in b], h, workspace)
+        u_total[start:start + chunk] = _propagate_chunk(drive, [c[start:start + chunk] for c in b], h)
     rho_joint = u_total @ np.kron(rho0.matrix, _BATH_GROUND) @ np.conj(np.swapaxes(u_total, -1, -2))
     states = _reduce_system(rho_joint)
     check_states(states)
@@ -906,25 +885,22 @@ def simulate_trajectory(drive: DriveConfig, noise: ToyBathNoise, rho0: QubitStat
 
 
 def ensemble_expectation(drive: DriveConfig, noise_factory, rho0: QubitState, observable: str, n_realizations: int,
-                         base_seed: int, dt: float, workspace: _Workspace | None = None) -> tuple[float, float]:
+                         base_seed: int, dt: float) -> tuple[float, float]:
     """Monte-Carlo mean of <sigma_obs(T)> over seeded noise realizations at
     the step ``dt``, with its std error: :func:`sized_expectation`'s floor run.
 
-    ``noise_factory(seeds)`` must build the noise of the realizations of a
-    list of seeds, each coefficient with one row per seed in order (or one
+    ``noise_factory(seeds)`` must build the noise of a list of seeds'
+    realizations, each coefficient with one row per seed in order (or one
     row that all share); realization ``k`` uses the child seed
     ``derive_seed(base_seed, k)``, so results are reproducible and
-    order-independent.  The realizations are taken in blocks of
-    :func:`_block_size`, so that an ensemble that fits one block calls the
-    factory once; one :func:`_propagate` per run takes each block, in the
-    ``workspace`` of the caller's evaluation block when it passes one.  With
-    either toy-bath variant each value has the bits of its realization alone.
-    """
-    values = _ensemble_values(drive, noise_factory, rho0, observable, n_realizations, base_seed, dt, workspace)
+    order-independent.  The factory and :func:`_propagate` take blocks of
+    :func:`_block_size` realizations.  With either toy-bath variant each
+    value has the bits of its realization alone."""
+    values = _ensemble_values(drive, noise_factory, rho0, observable, n_realizations, base_seed, dt)
     return _moments(values[0])
 
 
-def _ensemble_values(drive, noise_factory, rho0, observable, n_realizations, base_seed, dt, workspace, runs=1):
+def _ensemble_values(drive, noise_factory, rho0, observable, n_realizations, base_seed, dt, runs=1):
     """(runs, n_realizations) values of :func:`ensemble_expectation`, run 1 at 2 dt on ``every_other()``."""
     if n_realizations < 2:
         raise DynamicsError("ensemble needs at least 2 realizations")
@@ -935,7 +911,7 @@ def _ensemble_values(drive, noise_factory, rho0, observable, n_realizations, bas
         noise, block = noise_factory(seeds[start:start + rows]), values[:, start:start + rows]
         _validate_step(drive, noise, runs * dt)
         for run, row in enumerate(block):
-            states = _propagate(drive, noise.every_other() if run else noise, rho0, (1 + run) * dt, row.size, workspace)
+            states = _propagate(drive, noise.every_other() if run else noise, rho0, (1 + run) * dt, row.size)
             row[:] = expectations(states, [_PAULI_CODES[observable]] * row.size)
     return values
 
@@ -945,25 +921,24 @@ def _moments(values: np.ndarray) -> tuple[float, float]:
 
 
 def sized_expectation(drive: DriveConfig, noise_factory, rho0: QubitState, observable: str, n_realizations: int,
-                      base_seed: int, correlation_time: float | None, workspace: _Workspace | None = None):
+                      base_seed: int, correlation_time: float | None):
     """(mean, std error, step) of :func:`ensemble_expectation` at the step h
     that its Richardson check accepts (Phil. Trans. R. Soc. A 210, 307, 1911),
     from half the ceiling of :func:`step_limit`, with the noise of the factory
     ``noise_factory(h)``, sampled every h = T/n, n even.  A gap within
     :data:`TRACE_TOL` passes too (sigma_z conserved).  A check propagates
     1.5 floor/h floor runs' steps, and the checks stop within
-    :data:`CHECK_BUDGET` floor runs: the floor then runs unchecked, in its own
-    workspace, so that no point propagates over 1.6 floor runs' steps.  A
-    failed check aims the h^2 law at half the budget, or, when that is finer,
-    at the last check that fits (``last`` steps) if the law passes it."""
+    :data:`CHECK_BUDGET` floor runs: the floor then runs unchecked, so that
+    no point propagates over 1.6 floor runs' steps.  A failed check aims the
+    h^2 law at half the budget, or, when that is finer, at the last check
+    that fits (``last`` steps) if the law passes it."""
     floor, ceiling, _ = step_limit(drive.effective_amplitude, correlation_time)
     h, spent, T = 0.5 * ceiling, 0.0, drive.duration
     while True:
         h = T / (2 * math.ceil(T / (2 * h) - 1e-12))
         if (spent := spent + 1.5 * floor / h) > CHECK_BUDGET:
             break
-        fine, coarse = _ensemble_values(drive, noise_factory(h), rho0, observable, n_realizations, base_seed, h,
-                                        workspace, runs=2)
+        fine, coarse = _ensemble_values(drive, noise_factory(h), rho0, observable, n_realizations, base_seed, h, runs=2)
         (mean, std_error), gap = _moments(fine), abs(coarse.mean() - fine.mean())
         if gap <= max(STEP_BIAS_BUDGET * std_error, TRACE_TOL):
             return mean, std_error, h

@@ -332,7 +332,9 @@ def _solve_lines(x, y, weights, scaled: bool):
         dof = x.shape[-1] - 2
         rss = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
         scale = rss / dof if dof > 0 else np.zeros(len(x))
-        normal_inv = scale[:, None, None] * normal_inv
+        # 0 * inf is NaN when an underflowed normal matrix inverts to +-inf
+        with np.errstate(invalid="ignore"):
+            normal_inv = scale[:, None, None] * normal_inv
     return params[:, 0, 0], params[:, 1, 0], normal_inv, residuals
 
 

@@ -606,7 +606,8 @@ def compare_reports(report_a: dict, report_b: dict) -> list[dict]:
     values agree, and an infinity of the sign of the difference where they
     differ with both std errors 0 (as on analytic standard rows).  Refuses,
     with a ValueError, a report without an ``estimates`` list of rows that
-    hold every compared field, a report that lists a (component, method,
+    hold every compared field, each number within the finite float range
+    and the std error >= 0, a report that lists a (component, method,
     omega, freq) twice, and reports whose grids differ.
     """
     def keyed(report):
@@ -615,8 +616,11 @@ def compare_reports(report_a: dict, report_b: dict) -> list[dict]:
             raise ValueError("not a report: no 'estimates' list")
         table = {}
         for row in rows:
-            if not (isinstance(row, dict) and all(isinstance(row.get(name), kind) and not isinstance(row[name], bool)
-                                                  for name, kind in _COMPARED_FIELDS.items())):
+            # NaN, the infinities and ints beyond the float range fail the range check
+            if not (isinstance(row, dict) and all(
+                    isinstance(value := row.get(name), kind) and not isinstance(value, bool)
+                    and (kind is str or abs(value) <= sys.float_info.max) for name, kind in _COMPARED_FIELDS.items())
+                    and row["std_error"] >= 0.0):
                 raise ValueError(f"not an estimates row: {row!r}")
             key = (row["component"], row["method"], row["omega_rad_per_us"], row["freq_rad_per_us"])
             if key in table:

@@ -432,7 +432,8 @@ def weighted_linreg_reference(x, y, sigma=None) -> RegressionResult:
     if sigma is None:
         dof = x.size - 2
         scale = float(residuals @ residuals) / dof if dof > 0 else 0.0
-        covariance = scale * normal_inv
+        with np.errstate(invalid="ignore"):  # 0 * inf of an underflowed normal matrix
+            covariance = scale * normal_inv
     else:
         covariance = normal_inv
     return RegressionResult(

@@ -137,7 +137,11 @@ def test_compare_exits_with_config_error_on_different_grids(reports, capsys):
     ('{"estimates": [' + ", ".join(['{"component": "A", "method": "standard", "omega_rad_per_us": 6.0, '
                                     f'"freq_rad_per_us": 6.0, "value": {v}, "std_error": 0.1}}' for v in (1.0, 5.0)])
      + ']}', "duplicate estimates row ('A', 'standard', 6.0, 6.0)"),
-], ids=["a-list", "estimates-a-number", "row-without-component", "row-a-number", "value-a-boolean", "duplicate-row"])
+    *(('{"estimates": [{"component": "A", "method": "standard", "omega_rad_per_us": 6.0, "freq_rad_per_us": 6.0, '
+       f'"value": {value}, "std_error": {std_error}}}]}}', "not an estimates row: {'component': 'A'")
+      for value, std_error in (("NaN", "0.1"), ("1.0", "Infinity"), ("1.0", "-0.1"), ("1" + "0" * 400, "0.1"))),
+], ids=["a-list", "estimates-a-number", "row-without-component", "row-a-number", "value-a-boolean", "duplicate-row",
+        "value-nan", "std-error-infinite", "std-error-negative", "value-beyond-the-float-range"])
 def test_compare_exits_with_config_error_on_json_that_is_not_a_report(reports, tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
     path.write_text(text)

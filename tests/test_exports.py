@@ -209,3 +209,14 @@ def test_no_class_member_goes_unreferenced_by_the_program_or_the_bench():
     assert sorted(unreferenced - UNREFERENCED_MEMBERS) == []
     # a listed member that is gone or has a caller again leaves the list
     assert sorted(UNREFERENCED_MEMBERS - unreferenced) == []
+
+
+def test_protocols_reads_no_private_attribute_of_dynamics():
+    """The trajectory backend asks ``dynamics`` for a point's mean and leaves
+    the engine's steps and storage to it: ``protocols`` reads no
+    ``dynamics._*`` attribute."""
+    tree = ast.parse((PACKAGE / "protocols.py").read_text())
+    private = sorted({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name) and node.value.id == "dynamics"
+                      and node.attr.startswith("_")})
+    assert private == []

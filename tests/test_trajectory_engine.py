@@ -250,11 +250,10 @@ def test_column_product_has_the_bits_of_the_2x2_block_product(n, kind, sign):
     b = coefficient_stack(kind, n, rows)
     omega_eff = sign * 2.0 * math.pi * 4.0
     blocks = dynamics._product_in_order(x_drive_blocks(omega_eff, b, STEP))  # (2, c, 2, 2)
-    workspace = dynamics._Workspace([n], rows)
-    columns = dynamics._x_drive_product(omega_eff, b[0], b[1], STEP, workspace)  # (2, 2, c)
+    columns = dynamics._x_drive_product(omega_eff, b[0], b[1], STEP)  # (2, 2, c)
     assert columns.tobytes() == np.ascontiguousarray(np.moveaxis(blocks[..., 0], -1, 0)).tobytes()
     drive = dynamics.DriveConfig(dynamics.DriveAxis.X_PLUS, amplitude=omega_eff, duration=1.0)
-    program = dynamics._propagate_chunk(drive, b, STEP, workspace)
+    program = dynamics._propagate_chunk(drive, b, STEP)
     reference = dynamics._X_PARITY_BASIS @ dynamics._block_diagonal(blocks) @ dynamics._X_PARITY_BASIS.T
     for state, expected in zip(propagated_states(program), propagated_states(reference)):
         assert state.tobytes() == expected.tobytes()
@@ -264,10 +263,9 @@ def test_column_product_of_a_chunk_is_that_of_each_realization_alone():
     rows = dynamics._chunk_size(2645)
     assert rows > 1
     b = coefficient_stack("random", 2645, rows)
-    workspace = dynamics._Workspace([2645], rows)
-    chunk = dynamics._x_drive_product(-25.0, b[0], b[1], STEP, workspace).copy()
+    chunk = dynamics._x_drive_product(-25.0, b[0], b[1], STEP)
     for row in range(rows):
-        alone = dynamics._x_drive_product(-25.0, b[0][row:row + 1], b[1][row:row + 1], STEP, workspace)
+        alone = dynamics._x_drive_product(-25.0, b[0][row:row + 1], b[1][row:row + 1], STEP)
         assert alone[..., 0].tobytes() == chunk[..., row].tobytes()
 
 
@@ -312,9 +310,9 @@ def test_chunked_ensemble_equals_its_realizations_one_at_a_time(monkeypatch, var
     assert dynamics._chunk_size(n_steps) == 3
     propagate, chunks, states = dynamics._propagate_chunk, [], []
 
-    def recorder(drive, b, h, workspace):
+    def recorder(drive, b, h):
         chunks.append(len(b[0]))
-        return propagate(drive, b, h, workspace)
+        return propagate(drive, b, h)
 
     def checked(matrices):
         states.append(matrices.copy())
@@ -372,7 +370,7 @@ def test_chunk_step_storage_stays_within_the_budget(monkeypatch, variant, axis):
     """At the longest point of the bench trajectory workload (2.5 us, 3,778
     steps) the chunks hold more than one realization, and no chunk's step
     storage exceeds CHUNK_STEP_BYTES: the stacks of the 4x4 and z paths, and
-    the workspace of the x drive's column product."""
+    the buffers that the x drive's column product allocates."""
     drive, dt, factory, _ = campaign_point(variant, axis, duration=2.5)
     n_steps = dynamics._steps(drive.duration, dt)[0]
     assert n_steps == 3778
@@ -390,20 +388,19 @@ def test_chunk_step_storage_stays_within_the_budget(monkeypatch, variant, axis):
     build, columns = dynamics._x_drive_columns, []
 
     def recorded_columns(omega_eff, bx, by, dt, out):
-        columns.append(bx.shape)
+        columns.append((bx.shape, out.base))
         build(omega_eff, bx, by, dt, out)
 
     monkeypatch.setattr(dynamics, "_x_drive_columns", recorded_columns)
-    workspace = dynamics._Workspace([n_steps], chunk + 1)
-    dynamics.ensemble_expectation(drive, factory, dynamics.QubitState.ket(axis[0], 1), axis[0], chunk + 1, 4, dt,
-                                  workspace)
+    dynamics.ensemble_expectation(drive, factory, dynamics.QubitState.ket(axis[0], 1), axis[0], chunk + 1, 4, dt)
     if (variant, axis) == ("main_text", "x"):
         # each chunk builds its steps in three parts: an odd first step, and
-        # the later and the earlier step of every pair
-        assert [shape[0] for shape in columns] == [chunk] * 3 + [1] * 3
-        assert sum(shape[1] for shape in columns[:3]) == n_steps
-        storage = [sum(array.nbytes for array in vars(workspace).values())]
-    assert len(storage) == (1 if (variant, axis) == ("main_text", "x") else 2)
+        # the later and the earlier step of every pair, each into one of the
+        # three buffers that the chunk's column product allocates
+        assert [shape[0] for shape, _ in columns] == [chunk] * 3 + [1] * 3
+        assert sum(shape[1] for shape, _ in columns[:3]) == n_steps
+        storage = [sum(buffer.nbytes for _, buffer in columns[k:k + 3]) for k in (0, 3)]
+    assert len(storage) == 2
     assert max(storage) <= dynamics.CHUNK_STEP_BYTES
 
 
@@ -566,9 +563,9 @@ def test_campaign_drift_against_the_4x4_x_drive(tmp_path, monkeypatch, config, a
     step at a time."""
     propagate, calls = dynamics._propagate_chunk, []
 
-    def reference(drive, b, h, workspace):
+    def reference(drive, b, h):
         if drive.axis is not dynamics.DriveAxis.X_PLUS:
-            return propagate(drive, b, h, workspace)
+            return propagate(drive, b, h)
         calls.append(drive.amplitude)
         return np.array([sequential_product(dynamics._x_drive_unitaries_bath(drive.effective_amplitude, row, h))
                          for row in zip(*b)])
@@ -623,9 +620,9 @@ def test_the_checks_and_the_floor_run_after_them_cost_at_most_1_6_floor_runs(mon
     rho0 = dynamics.QubitState.ket("x", 1)
     propagate, steps = dynamics._propagate, []
 
-    def counting(drive, noise, rho0, dt, rows, workspace=None):
+    def counting(drive, noise, rho0, dt, rows):
         steps.append(dynamics._steps(drive.duration, dt)[0] * rows)
-        return propagate(drive, noise, rho0, dt, rows, workspace)
+        return propagate(drive, noise, rho0, dt, rows)
 
     monkeypatch.setattr(dynamics, "_propagate", counting)
     dynamics.sized_expectation(drive, noise_factory, rho0, "x", 400, 3, CONFIG.correlation_time)
@@ -749,7 +746,7 @@ def test_every_point_of_a_protocol_4_campaign_meets_the_bias_budget(tmp_path, mo
         run_campaign(config, out_dir=tmp_path)
     monkeypatch.undo()
     assert {args[0].axis for args, _ in points} == set(DRIVES.values())
-    for (drive, noise_factory, rho0, observable, n_realizations, base_seed, tau, _), (mean, std_error, step) in points:
+    for (drive, noise_factory, rho0, observable, n_realizations, base_seed, tau), (mean, std_error, step) in points:
         floor, ceiling, _ = dynamics.step_limit(drive.effective_amplitude, tau)
         assert floor <= step <= ceiling
         reference = dynamics.ensemble_expectation(drive, noise_factory(floor), rho0, observable, n_realizations,
@@ -775,10 +772,10 @@ def test_campaign_drift_against_the_floor_step():
     flipped count moves an estimate by about 0.1.  An analytic row that
     reports no std error is measured against its shot-mode row's."""
 
-    def floor_step(drive, noise_factory, rho0, observable, n_realizations, base_seed, tau, workspace=None):
+    def floor_step(drive, noise_factory, rho0, observable, n_realizations, base_seed, tau):
         floor = dynamics.step_limit(drive.effective_amplitude, tau)[0]
         return *dynamics.ensemble_expectation(drive, noise_factory(floor), rho0, observable, n_realizations,
-                                              base_seed, floor, workspace), floor
+                                              base_seed, floor), floor
 
     def rows(config, analytic, step_rule):
         config = dict(config, backend=dict(config["backend"], analytic=analytic))
