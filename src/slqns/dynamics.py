@@ -12,14 +12,16 @@ Two independent routes to the same observables:
   parity P = sigma_x x tau_z when b_z is zero at every step (the main-text
   bath), so both propagate two 2x2 blocks, the x drive's SU(2) blocks as
   their first columns alone; an x drive with b_z != 0 (the three-axis bath)
-  mixes the parity sectors and propagates 4x4 steps.  An ensemble reads its
-  noise as one block, one row per realization (several blocks when it would
-  outgrow ``ENSEMBLE_BLOCK_BYTES``), checks its step once per block, and
-  propagates its realizations in chunks, each with one step build and one
-  time-ordered product.  :func:`sized_expectation` sizes each ensemble's step
-  between the floor and the ceiling of :func:`step_limit`: h passes when the
-  mean at 2h, on every other noise sample, is within ``STEP_BIAS_BUDGET`` std
-  errors (Richardson's h^2 law); its checks spend ``CHECK_BUDGET`` floor runs.
+  mixes the parity sectors and propagates 4x4 steps.  One function writes
+  every SU(2) step's entries, and one pairwise tree multiplies every stack.
+  An ensemble reads its noise as one block, one row per realization (several
+  blocks when it would outgrow ``ENSEMBLE_BLOCK_BYTES``), checks its step once
+  per block, and propagates its realizations in chunks, each with one step
+  build and one time-ordered product.  :func:`sized_expectation` sizes each
+  ensemble's step between the floor and the ceiling of :func:`step_limit`: h
+  passes when the mean at 2h, on every other noise sample, is within
+  ``STEP_BIAS_BUDGET`` std errors (Richardson's h^2 law); its checks spend
+  ``CHECK_BUDGET`` floor runs.
 
 Conventions.  Everything lives in the frame co-rotating with the qubit
 splitting ``omega_q`` (the RWA has already been applied); a constant drive
@@ -590,12 +592,11 @@ def _steps(duration: float, dt: float) -> tuple[int, float, np.ndarray]:
 # at most one 4x4 complex step, 16 complex numbers, per step of its trajectory.
 # The z path stores two 2x2 blocks, 8, and its peak working memory is that and
 # the first level of the product, half as much again.  The x drive's parity
-# path stores the first columns of its two blocks, 4: 8 in all with the second
-# columns of each pair's later step and the first level, in the buffers that
-# _x_drive_product allocates per chunk.  Beyond a few MiB the chunk outgrows
-# the cache and the product slows down.  On a 2-vCPU Xeon VM, 2 MiB ran the
-# bench's trajectory workload 3 % slower than 3 MiB, with 1.2 MB less peak
-# memory.
+# path stores the first columns of its two blocks, 4, and the first level, 2,
+# of which _pair_products builds the full later matrices a block at a time.
+# Beyond a few MiB the chunk outgrows the cache and the product slows down.  On
+# a 2-vCPU Xeon VM, 2 MiB ran the bench's trajectory workload 3 % slower than
+# 3 MiB, with 1.2 MB less peak memory.
 CHUNK_STEP_BYTES = 2 << 20
 _STEP_BYTES = 16 * np.dtype(complex).itemsize
 
@@ -619,29 +620,33 @@ def _block_size(n_steps: int) -> int:
     return max(1, ENSEMBLE_BLOCK_BYTES // (n_steps * _NOISE_STEP_BYTES))
 
 
-def _product_in_order(mats: np.ndarray) -> np.ndarray:
+def _product_in_order(mats: np.ndarray, pair=None) -> np.ndarray:
     """Time-ordered products U[n-1] ... U[1] U[0] of an (..., n, d, d) stack,
     one (d, d) product per index of the leading axes, by pairwise tree
-    reduction.
+    reduction; with ``pair`` = :func:`_pair_products`, the first columns
+    (2, ...) of the products of SU(2) matrices that a (2, ..., n) stack gives
+    by their first columns.
 
     Each level multiplies neighbouring pairs, later @ earlier, for every
-    leading index at once, in one ``np.einsum`` over (d, d, ..., n) storage,
-    the step axis innermost, so no level calls BLAS; an odd first step is
-    carried, unmultiplied, to the next level.  Each product has the bits that
-    its own (n, d, d) stack gives alone.  The stack is read through
-    ``np.moveaxis``, which is free for the (..., n, d, d) views of
-    (d, d, ..., n) storage that the step builders return; any other layout
-    works too.  The stack is released after the first level, so it is freed
-    there unless the caller keeps a reference to it.
+    leading index at once, into a new array by ``pair(later, earlier, out=)``,
+    an ``np.einsum`` over the step axis innermost, so no level calls BLAS; an
+    odd first step is carried to the next level.  Each product has the bits
+    that its own (n, d, d) stack gives alone.  The full stack is read through
+    ``np.moveaxis``, free for the (..., n, d, d) views of (d, d, ..., n)
+    storage that the step builders return; any other layout works too.  The
+    stack is released after the first level, so it is freed there unless the
+    caller keeps a reference to it.
     """
-    mats = np.moveaxis(mats, (-2, -1), (0, 1))
+    full = pair is None
+    if full:
+        mats, pair = np.moveaxis(mats, (-2, -1), (0, 1)), functools.partial(np.einsum, "il...k,lj...k->ij...k")
     while (n := mats.shape[-1]) > 1:
         head = n % 2
         level = np.empty(mats.shape[:-1] + (head + n // 2,), dtype=mats.dtype)
         level[..., :head] = mats[..., :head]
-        np.einsum("il...k,lj...k->ij...k", mats[..., head + 1::2], mats[..., head::2], out=level[..., head:])
+        pair(mats[..., head + 1::2], mats[..., head::2], out=level[..., head:])
         mats = level
-    return np.moveaxis(mats[..., 0], (0, 1), (-2, -1))
+    return np.moveaxis(mats[..., 0], (0, 1), (-2, -1)) if full else mats[..., 0]
 
 
 def _cos_sinc(lam: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -655,51 +660,58 @@ def _cos_sinc(lam: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(phase, out=phase), sinc
 
 
+def _su2_columns(cos: np.ndarray, sinc: np.ndarray, bx, by, hzs: tuple, out: np.ndarray) -> None:
+    """Write into ``out``, (2, blocks, ..., n) storage with the step axis
+    innermost, the first columns (a, b) of the 2x2 step unitaries cos I - i
+    sinc (h_x sigma_x + h_y sigma_y + h_z sigma_z) of each block, with (h_x,
+    h_y) = (b_x, b_y)/2 and the block's own h_z from ``hzs``: a = cos - i sinc
+    h_z, and b = sinc (h_y - i h_x) in every block.  b_x, b_y and each h_z are
+    arrays over (..., n) or scalars."""
+    # Each entry is computed from fresh operands, never from another view of
+    # ``out``: numpy 2.4 writes the wrong elements when a unary float ufunc
+    # maps a (c, 1) view with 64-byte rows onto such a view or onto itself.
+    # -(s x) is written as s (-x), which has the same bits.
+    a, b = out
+    a.real[...] = cos
+    for block, hz in enumerate(hzs):
+        np.multiply(sinc, -hz, out=a.imag[block])
+    np.multiply(sinc, 0.5 * by, out=b.real[0])
+    np.multiply(sinc, -0.5 * bx, out=b.imag[0])
+    b[1:] = b[0]
+
+
+def _second_columns(first: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the second columns (-conj b, conj a) of the SU(2)
+    matrices [[a, -conj b], [b, conj a]] whose first columns (a, b) are
+    ``first``, both (2, ...)."""
+    np.conjugate(first[1], out=out[0])
+    np.negative(out[0], out=out[0])
+    np.conjugate(first[0], out=out[1])
+
+
+def _su2_steps(cos: np.ndarray, sinc: np.ndarray, bx, by, hzs: tuple, out: np.ndarray) -> None:
+    """Write into ``out``, (2, 2, blocks, ..., n) storage, the full 2x2 steps
+    whose first columns :func:`_su2_columns` writes."""
+    _su2_columns(cos, sinc, bx, by, hzs, out[:, 0])
+    _second_columns(out[:, 0], out[:, 1])
+
+
 def _x_drive_unitaries_bath(omega_eff: float, b: tuple, dt: float) -> np.ndarray:
     """Step unitaries of the x drive through the toy bath, for coefficient
     arrays of shape (..., n), as the (..., n, 4, 4) view of (4, 4, ..., n)
     storage: each entry is one contiguous row over the steps, which
     :func:`_product_in_order` reads without a copy."""
     # H = (W/2) sx x I + sz x m.tau with m = (bx, by, bz)/2; the two terms
-    # anticommute so H^2 = ((W/2)^2 + |m|^2) I and U = cos(lam dt) I - i sinc H.
-    # Its twelve nonzero entries are written directly.
+    # anticommute so H^2 = ((W/2)^2 + |m|^2) I and U = cos(lam dt) I - i sinc H:
+    # the SU(2) step of m.tau and its adjoint on the diagonal, and -i sinc W/2
+    # where sx x I flips the system.
     bx, by, bz = b
-    lam = np.sqrt((0.5 * omega_eff) ** 2 + 0.25 * (bx**2 + by**2 + bz**2))
-    cos, sinc = _cos_sinc(lam, dt)
-    sx, sy, sz = sinc * (0.5 * bx), sinc * (0.5 * by), sinc * (0.5 * bz)
-    sw = sinc * (0.5 * omega_eff)
-    u = np.zeros((4, 4) + lam.shape, dtype=complex)
-    re, im = u.real, u.imag
-    for k in range(4):
-        re[k, k] = cos
-    im[0, 0] = im[3, 3] = -sz
-    im[1, 1] = im[2, 2] = sz
-    re[0, 1] = re[3, 2] = -sy
-    re[1, 0] = re[2, 3] = sy
-    im[0, 1] = im[1, 0] = -sx
-    im[2, 3] = im[3, 2] = sx
-    for i, j in ((0, 2), (1, 3), (2, 0), (3, 1)):
-        im[i, j] = -sw
+    cos, sinc = _cos_sinc(np.sqrt((0.5 * omega_eff) ** 2 + 0.25 * (bx**2 + by**2 + bz**2)), dt)
+    u = np.zeros((4, 4) + cos.shape, dtype=complex)
+    _su2_steps(cos, sinc, bx, by, (0.5 * bz,), u[:2, :2, None])
+    np.conj(u[:2, :2].swapaxes(0, 1), out=u[2:, 2:])
+    u.imag[[0, 1, 2, 3], [2, 3, 0, 1]] = sinc * (-0.5 * omega_eff)
     return np.moveaxis(u, (0, 1), (-2, -1))
-
-
-def _su2_steps(cos: np.ndarray, sinc: np.ndarray, bx, by, hzs: tuple, out: np.ndarray) -> None:
-    """Write into ``out``, (2, 2, blocks, ..., n) storage with the step axis
-    innermost, the 2x2 step unitaries cos I - i sinc (h_x sigma_x + h_y
-    sigma_y + h_z sigma_z) of each block, with (h_x, h_y) = (b_x, b_y)/2 and
-    the block's own h_z from ``hzs``; b_x, b_y and each h_z are arrays over
-    (..., n) or scalars.  The products are written in place, so that the
-    step storage is the only large array the build leaves."""
-    re, im = out.real, out.imag
-    re[0, 0] = re[1, 1] = cos
-    np.multiply(sinc, 0.5 * by, out=re[1, 0])
-    np.negative(re[1, 0], out=re[0, 1])
-    np.multiply(sinc, 0.5 * bx, out=im[1, 0])
-    np.negative(im[1, 0], out=im[1, 0])
-    im[0, 1] = im[1, 0]
-    for block, hz in enumerate(hzs):
-        np.multiply(sinc, hz, out=im[1, 1, block])
-        np.negative(im[1, 1, block], out=im[0, 0, block])
 
 
 def _z_drive_blocks(omega_eff: float, b: tuple, dt: float) -> np.ndarray:
@@ -729,78 +741,48 @@ _X_PARITY_BASIS = np.array(
 ) / math.sqrt(2.0)
 
 
-def _x_drive_columns(omega_eff: float, bx: np.ndarray, by: np.ndarray, dt: float, out: np.ndarray) -> None:
-    """Write into ``out``, (2, 2, c, n) storage, the first columns (a, b) of
-    the P = +1 and P = -1 blocks of the x drive's step unitaries through a
-    toy bath with b_z = 0, in the columns of :data:`_X_PARITY_BASIS`, for
-    (c, n) coefficient arrays: the entries that :func:`_su2_steps` gives
-    these blocks, with the same bits."""
+def _x_drive_columns(omega_eff: float, bx: np.ndarray, by: np.ndarray, dt: float) -> np.ndarray:
+    """First columns (a, b), (2, 2, c, n) storage, of the P = +1 and P = -1
+    blocks of the x drive's step unitaries through a toy bath with b_z = 0,
+    in the columns of :data:`_X_PARITY_BASIS`, for (c, n) coefficient arrays."""
     # in the two blocks H = +-(W/2) sz + m_x sx + m_y sy, m = (bx, by)/2, with
-    # the 4x4 step's lam, so U = cos(lam dt) I - i sinc H in each: a = cos -+
-    # i sinc W/2, and b = sinc (m_y - i m_x) in both
-    # Each entry is computed from fresh arrays, never from another view of
-    # ``out``: numpy 2.4 writes the wrong elements when a unary ufunc maps a
-    # (c, 1) float view with 64-byte rows onto such a view.  -(s x) is written
-    # as s (-x), which has the same bits.
+    # the 4x4 step's lam, so U = cos(lam dt) I - i sinc H in each
     cos, sinc = _cos_sinc(np.sqrt((0.5 * omega_eff) ** 2 + 0.25 * (bx**2 + by**2)), dt)
-    a, b = out
-    a.real[...] = cos
-    np.multiply(sinc, -0.5 * omega_eff, out=a.imag[0])
-    np.multiply(sinc, 0.5 * omega_eff, out=a.imag[1])
-    np.multiply(sinc, 0.5 * by, out=b.real[0])
-    np.multiply(sinc, -0.5 * bx, out=b.imag[0])
-    b[1] = b[0]
+    columns = np.empty((2, 2) + cos.shape, dtype=complex)
+    _su2_columns(cos, sinc, bx, by, (0.5 * omega_eff, -0.5 * omega_eff), columns)
+    return columns
 
 
-def _front(storage: np.ndarray, shape: tuple) -> np.ndarray:
-    """The front of flat ``storage`` viewed as a C-ordered array of ``shape``."""
-    return storage[:math.prod(shape)].reshape(shape)
+# Bytes of the full later matrices that _pair_products builds at a time, so
+# that a level of the column product holds little beyond its input and output.
+_PAIR_BLOCK_BYTES = 1 << 16
+
+
+def _su2_matrices(first: np.ndarray) -> np.ndarray:
+    """SU(2) matrices [[a, -conj b], [b, conj a]] from their first columns
+    (a, b), (2, ...): ``full[l, i]`` is entry (i, l)."""
+    full = np.empty((2,) + first.shape, dtype=complex)
+    full[0] = first
+    _second_columns(full[0], full[1])
+    return full
 
 
 def _pair_products(later: np.ndarray, earlier: np.ndarray, out: np.ndarray) -> None:
-    """First columns of later @ earlier for SU(2) matrices [[a, -conj b],
-    [b, conj a]] given by their first columns: ``earlier`` (2, ...) and
-    ``later[0]``, whose second columns (-conj b, conj a) are written into
-    ``later[1]``, so that ``later[l, i]`` is entry (i, l).  One
-    ``np.einsum`` writes ``out``: the first column of the full product,
-    with the same arithmetic for each entry, at half its complex
-    multiply-adds."""
-    np.conjugate(later[0, 1], out=later[1, 0])
-    np.negative(later[1, 0], out=later[1, 0])
-    np.conjugate(later[0, 0], out=later[1, 1])
-    np.einsum("li...k,l...k->i...k", later, earlier, out=out)
+    """First columns of later @ earlier for SU(2) matrices given by their
+    first columns, (2, ...) each, into ``out``: one ``np.einsum`` of the full
+    later matrices per block of steps (:data:`_PAIR_BLOCK_BYTES`), with the
+    same arithmetic for each entry as the first column of the full product,
+    at half its complex multiply-adds."""
+    step = max(1, _PAIR_BLOCK_BYTES // (2 * later[..., :1].nbytes))
+    for k in range(0, later.shape[-1], step):
+        steps = slice(k, k + step)
+        np.einsum("li...k,l...k->i...k", _su2_matrices(later[..., steps]), earlier[..., steps], out=out[..., steps])
 
 
 def _x_drive_product(omega_eff: float, bx: np.ndarray, by: np.ndarray, dt: float) -> np.ndarray:
     """First columns (a, b), (2, 2, c), of the time-ordered products of the
-    two parity blocks of the x drive's steps (:func:`_x_drive_columns`) for
-    (c, n) coefficient arrays: the pairwise tree of
-    :func:`_product_in_order`, each level one :func:`_pair_products` call,
-    on the first columns alone, in three flat buffers allocated for the
-    chunk, of at most 8 complex numbers per realization and step.  The first
-    level is built straight from the coefficients: the first column of each
-    pair's later step into ``pairs``, of its earlier step into ``free``, and
-    of an odd first step, carried, into the level, which takes ``spare``;
-    the levels after it take turns in ``free`` and ``spare``."""
-    n, shape = bx.shape[-1], (2, 2) + bx.shape[:-1]
-    head, half = n % 2, n // 2
-    pairs, free, spare = (np.empty(k * math.prod(shape), dtype=complex) for k in (2 * half, half, head + half))
-    level = _front(spare, shape + (head + half,))
-    later = _front(pairs, (2,) + shape + (half,))
-    earlier = _front(free, shape + (half,))
-    for steps, out in ((slice(head), level[..., :head]), (slice(head + 1, None, 2), later[0]),
-                       (slice(head, None, 2), earlier)):
-        _x_drive_columns(omega_eff, bx[..., steps], by[..., steps], dt, out)
-    _pair_products(later, earlier, level[..., head:])
-    while (n := level.shape[-1]) > 1:
-        head, half = n % 2, n // 2
-        later = _front(pairs, (2,) + shape + (half,))
-        later[0] = level[..., head + 1::2]
-        following = _front(free, shape + (head + half,))
-        following[..., :head] = level[..., :head]
-        _pair_products(later, level[..., head::2], following[..., head:])
-        level, free = following, level.reshape(-1)
-    return level[..., 0]
+    two parity blocks of the x drive's steps (:func:`_x_drive_columns`)."""
+    return _product_in_order(_x_drive_columns(omega_eff, bx, by, dt), _pair_products)
 
 
 def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
@@ -835,8 +817,9 @@ def _propagate_chunk(drive: DriveConfig, b, h: float) -> np.ndarray:
     tx or ty against tz) but anticommutes with the b_z term (one flip).  So
     when b_z is zero at every step of every realization (the main-text bath)
     the two P sectors are propagated as 2x2 SU(2) blocks, of which
-    :func:`_x_drive_product` multiplies only the first columns, and mapped
-    back through :data:`_X_PARITY_BASIS`; otherwise (the three-axis bath) P
+    :func:`_x_drive_product` multiplies only the first columns, completed by
+    :func:`_su2_matrices` and mapped back through
+    :data:`_X_PARITY_BASIS`; otherwise (the three-axis bath) P
     is not conserved and the 4x4 steps are multiplied.  A state differs from
     the one its realization gives alone only when the chunk mixes the two
     cases, and then by rounding.
@@ -848,10 +831,7 @@ def _propagate_chunk(drive: DriveConfig, b, h: float) -> np.ndarray:
         return _block_diagonal(_product_in_order(_z_drive_blocks(omega_eff, b, h)))
     if np.any(b[2]):
         return _product_in_order(_x_drive_unitaries_bath(omega_eff, b, h))
-    a, lower = _x_drive_product(omega_eff, b[0], b[1], h)
-    blocks = np.empty(a.shape + (2, 2), dtype=complex)
-    blocks[..., 0, 0], blocks[..., 0, 1] = a, -np.conj(lower)
-    blocks[..., 1, 0], blocks[..., 1, 1] = lower, np.conj(a)
+    blocks = np.moveaxis(_su2_matrices(_x_drive_product(omega_eff, b[0], b[1], h)), (1, 0), (-2, -1))
     return _X_PARITY_BASIS @ _block_diagonal(blocks) @ _X_PARITY_BASIS.T
 
 

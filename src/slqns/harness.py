@@ -42,7 +42,9 @@ fits them all and puts their outcomes in those rows of the table.
 key names it) when one is given.  It creates the directory before measuring,
 and removes it again if measuring or estimating fails.  The drive-frequency
 grid is measured as one block, in the calling thread, so identical config and
-seed give byte-identical outputs.
+seed give byte-identical outputs.  On a shared host, run trajectory campaigns
+with ``OPENBLAS_NUM_THREADS=1``: a second OpenBLAS thread spins through the
+numpy work between BLAS calls and shortens no run.
 
 ``slqns`` exits 0 (``EXIT_OK``) on success, 3 (``EXIT_ESTIMATION``) when
 estimation fails at every frequency, and 2 (``EXIT_CONFIG``) when it cannot

@@ -222,21 +222,14 @@ class DSARealization:
     def __init__(self, config: DSAConfig, seed: int):
         self.config = config
         self.seed = int(seed)
-        rng = spawn_rng(self.seed)
-        n = config.n_omega
-        self._a = rng.standard_normal(n)
-        self._b = rng.standard_normal(n)
-        amplitudes = config.amplitudes
-        self._ga = amplitudes * self._a
-        self._gb = amplitudes * self._b
-        self._g = self._ga - 1j * self._gb
+        # g = G (A - i B), so that the trajectory is Re(sum_j exp(i w_j t) g_j)
+        a, b = spawn_rng(self.seed).standard_normal((2, config.n_omega))
+        self._g = config.amplitudes * a - 1j * (config.amplitudes * b)
 
     def evaluate(self, t) -> np.ndarray:
         """Dense mode sum at arbitrary times."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        phase = np.outer(t, self.config.frequencies)
-        out = np.cos(phase) @ self._ga + np.sin(phase) @ self._gb
-        return out
+        return (np.exp(1j * np.outer(t, self.config.frequencies)) @ self._g).real
 
     def _samples(self, time_grid: np.ndarray, h: float) -> np.ndarray:
         """Samples on ``time_grid``, blocked when ``h`` is its

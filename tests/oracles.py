@@ -205,13 +205,12 @@ def stacked_matmul_product(mats: np.ndarray) -> np.ndarray:
 
 def matmul_pair_products(later: np.ndarray, earlier: np.ndarray, out: np.ndarray) -> None:
     """``dynamics._pair_products`` by one broadcasting ``np.matmul`` of the
-    full later matrices, (..., 2, 2), into the earlier first columns,
-    (..., 2, 1), after writing the later second columns as it does."""
-    later[1, 0] = -np.conj(later[0, 1])
-    later[1, 1] = np.conj(later[0, 0])
-    full = np.moveaxis(later, (1, 0), (-2, -1))
+    full later matrices, (..., 2, 2), with second columns (-conj b, conj a),
+    into the earlier first columns, (..., 2, 1); ``later``, ``earlier`` and
+    ``out`` hold first columns, (2, ...) each."""
+    full = np.stack([later, np.stack([-np.conj(later[1]), np.conj(later[0])])])  # full[l, i] is entry (i, l)
     column = np.moveaxis(earlier, 0, -1)[..., None]
-    out[...] = np.moveaxis((full @ column)[..., 0], -1, 0)
+    out[...] = np.moveaxis((np.moveaxis(full, (1, 0), (-2, -1)) @ column)[..., 0], -1, 0)
 
 
 def x_drive_blocks(omega_eff: float, b: tuple, dt: float) -> np.ndarray:

@@ -218,6 +218,38 @@ def test_step_builders_store_the_steps_innermost():
         assert steps.strides[0] == steps.itemsize
 
 
+def padded(shape) -> np.ndarray:
+    """A zero complex array of ``shape`` whose last axis, of length 1, is
+    the front of rows of four: a (c, 1) view of each entry with 64-byte rows."""
+    return np.zeros(shape[:-1] + (4,), dtype=complex)[..., :1]
+
+
+@pytest.mark.parametrize("c", range(1, 9))
+def test_su2_writers_give_views_with_64_byte_rows_the_bits_of_fresh_arrays(c):
+    """The column writer, the full-step writer and the second-column rule
+    write the same bits into (c, 1) views with 64-byte rows as into fresh
+    arrays; a unary float ufunc between two such views writes wrong
+    elements under numpy 2.4."""
+    rng = np.random.default_rng(c)
+    cos, sinc, bx, by, bz = rng.standard_normal((5, c, 1))
+    hzs = (0.5 * bz, -1.25)
+    for writer, shape in ((dynamics._su2_steps, (2, 2, 2, c, 1)), (dynamics._su2_columns, (2, 2, c, 1))):
+        fresh, view = np.zeros(shape, dtype=complex), padded(shape)
+        writer(cos, sinc, bx, by, hzs, fresh)
+        writer(cos, sinc, bx, by, hzs, view)
+        assert view.tobytes() == fresh.tobytes()
+    a, b = fresh
+    assert np.allclose(a, cos - 1j * sinc * np.array([0.5 * bz, np.full_like(bz, -1.25)]))
+    assert np.allclose(b, sinc * 0.5 * (by - 1j * bx))
+    first = rng.standard_normal((2, c, 1)) + 1j * rng.standard_normal((2, c, 1))
+    for source in (first, padded(first.shape)):
+        source[...] = first
+        fresh, view = np.zeros(first.shape, dtype=complex), padded(first.shape)
+        dynamics._second_columns(source, fresh)
+        dynamics._second_columns(source, view)
+        assert view.tobytes() == fresh.tobytes() == np.array([-np.conj(first[1]), np.conj(first[0])]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the x drive's column product against the 2x2-block product
 # ---------------------------------------------------------------------------
@@ -241,7 +273,7 @@ def propagated_states(u_total):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
 @pytest.mark.parametrize("kind", ["random", "zero", "constant"])
-@pytest.mark.parametrize("n", [1, 2, 7, 3778])
+@pytest.mark.parametrize("n", [*range(1, 10), 3778])
 def test_column_product_has_the_bits_of_the_2x2_block_product(n, kind, sign):
     """The first columns that the column product gives are those of
     _product_in_order on the full 2x2 parity blocks, bit for bit, and the
@@ -370,36 +402,23 @@ def test_chunk_step_storage_stays_within_the_budget(monkeypatch, variant, axis):
     """At the longest point of the bench trajectory workload (2.5 us, 3,778
     steps) the chunks hold more than one realization, and no chunk's step
     storage exceeds CHUNK_STEP_BYTES: the stacks of the 4x4 and z paths, and
-    the buffers that the x drive's column product allocates."""
+    the column stack of the x drive's parity path."""
     drive, dt, factory, _ = campaign_point(variant, axis, duration=2.5)
     n_steps = dynamics._steps(drive.duration, dt)[0]
     assert n_steps == 3778
     chunk = dynamics._chunk_size(n_steps)
     assert chunk > 1
     storage = []
-    for name in ("_x_drive_unitaries_bath", "_z_drive_blocks"):
-        def recorded(*args, _builder=getattr(dynamics, name)):
+    # the step axis of each builder's stack: (..., n, d, d) views, and the (2, 2, c, n) columns
+    for name, step_axis in (("_x_drive_unitaries_bath", -3), ("_z_drive_blocks", -3), ("_x_drive_columns", -1)):
+        def recorded(*args, _builder=getattr(dynamics, name), _axis=step_axis):
             steps = _builder(*args)
-            assert steps.shape[-3] == n_steps
+            assert steps.shape[_axis] == n_steps
             storage.append(steps.nbytes)
             return steps
 
         monkeypatch.setattr(dynamics, name, recorded)
-    build, columns = dynamics._x_drive_columns, []
-
-    def recorded_columns(omega_eff, bx, by, dt, out):
-        columns.append((bx.shape, out.base))
-        build(omega_eff, bx, by, dt, out)
-
-    monkeypatch.setattr(dynamics, "_x_drive_columns", recorded_columns)
     dynamics.ensemble_expectation(drive, factory, dynamics.QubitState.ket(axis[0], 1), axis[0], chunk + 1, 4, dt)
-    if (variant, axis) == ("main_text", "x"):
-        # each chunk builds its steps in three parts: an odd first step, and
-        # the later and the earlier step of every pair, each into one of the
-        # three buffers that the chunk's column product allocates
-        assert [shape[0] for shape, _ in columns] == [chunk] * 3 + [1] * 3
-        assert sum(shape[1] for shape, _ in columns[:3]) == n_steps
-        storage = [sum(buffer.nbytes for _, buffer in columns[k:k + 3]) for k in (0, 3)]
     assert len(storage) == 2
     assert max(storage) <= dynamics.CHUNK_STEP_BYTES
 
@@ -537,9 +556,11 @@ def test_campaign_drift_against_the_stacked_matmul_product(tmp_path, monkeypatch
     the tolerance of :func:`assert_campaign_drift`, against the same trees
     reduced with stacked ``np.matmul``: the full products of the z drives
     (protocol 4) and the column products of the x drive (protocol 2)."""
-    calls = []
+    calls, product_in_order = [], dynamics._product_in_order
 
-    def matmul_product(mats):
+    def matmul_product(mats, pair=None):
+        if pair is not None:  # the x drive's column product stays the engine's
+            return product_in_order(mats, pair)
         calls.append(mats.shape[0])
         return stacked_matmul_product(mats)
 
